@@ -4,7 +4,7 @@ GO ?= go
 # (85% at the time the observability layer landed).
 COVER_FLOOR ?= 84.0
 
-.PHONY: build test race vet fmt-check lint lint-baseline cover check bench bench-baseline benchcmp experiments load-smoke e18-smoke
+.PHONY: build test race vet fmt-check lint lint-baseline cover check bench bench-baseline benchcmp experiments load-smoke e18-smoke loc
 
 # Generous wall-time ceiling for the whole lint run (call-graph build +
 # fixed point over every package). Today's run is well under a second;
@@ -29,8 +29,8 @@ fmt-check:
 
 # lint runs the project's own invariant analyzers (see
 # docs/static-analysis.md) — per-package rules (rawclock, rawsend,
-# lockeddeliver, goroleak, envhops, ...) plus the interprocedural set
-# (lockorder, blockheld, hotalloc). Findings already recorded in
+# rawspawn, envhops, ...) plus the interprocedural set (lockorder,
+# blockheld, hotalloc). Findings already recorded in
 # lint-baseline.json are excused (burn them down over time); any NEW
 # finding fails. Prints the lint wall time and fails past the budget.
 # Exit 1 = new findings, exit 2 = the linter could not run or was slow.
@@ -111,3 +111,11 @@ benchcmp:
 	else \
 		echo "benchcmp: no BENCH_new.json (run 'make bench' to arm the regression gate); skipping"; \
 	fi
+
+# loc prints non-test Go lines per package directory (testdata fixtures
+# excluded) and the total — the figure each consolidation PR reports
+# before/after (ROADMAP item 3).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2

@@ -33,7 +33,7 @@ func TestFindingsExitOne(t *testing.T) {
 	if code != exitFindings {
 		t.Fatalf("exit = %d, want %d (stderr=%q)", code, exitFindings, stderr)
 	}
-	if !strings.Contains(stdout, "rawclock") || !strings.Contains(stdout, "goroleak") {
+	if !strings.Contains(stdout, "rawclock") || !strings.Contains(stdout, "rawspawn") {
 		t.Fatalf("findings missing expected rules:\n%s", stdout)
 	}
 	// The suppressed time.Sleep in Quiet must not appear.
@@ -46,15 +46,15 @@ func TestFindingsExitOne(t *testing.T) {
 }
 
 func TestRulesFlagFilters(t *testing.T) {
-	code, stdout, _ := runCLI(t, ".", "-rules", "goroleak", "./testdata/dirty")
+	code, stdout, _ := runCLI(t, ".", "-rules", "rawspawn", "./testdata/dirty")
 	if code != exitFindings {
 		t.Fatalf("exit = %d, want %d", code, exitFindings)
 	}
 	if strings.Contains(stdout, "rawclock") {
-		t.Fatalf("-rules goroleak still ran rawclock:\n%s", stdout)
+		t.Fatalf("-rules rawspawn still ran rawclock:\n%s", stdout)
 	}
-	if !strings.Contains(stdout, "goroleak") {
-		t.Fatalf("-rules goroleak produced no goroleak finding:\n%s", stdout)
+	if !strings.Contains(stdout, "rawspawn") {
+		t.Fatalf("-rules rawspawn produced no rawspawn finding:\n%s", stdout)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("exit = %d, want %d", code, exitClean)
 	}
 	for _, rule := range []string{
-		"rawclock", "rawsend", "lockeddeliver", "goroleak", "envhops", "rawspawn", "rawfsync",
+		"rawclock", "rawsend", "envhops", "rawspawn", "rawfsync",
 		"lockorder", "blockheld", "hotalloc", "deadignore",
 	} {
 		if !strings.Contains(stdout, rule) {

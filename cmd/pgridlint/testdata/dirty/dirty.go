@@ -1,5 +1,5 @@
 // Package dirty is a pgridlint CLI fixture with seeded violations:
-// one rawclock hit and one goroleak hit.
+// one rawclock hit and an unstoppable, unfenced goroutine (rawspawn).
 package dirty
 
 import "time"

@@ -141,7 +141,7 @@ func checkScenario(name string, rep *load.Report) error {
 func runFleet(addrs []string, query string, rate float64, dur, warmup time.Duration, workers int, ramp bool, rampMax, sample float64) (*load.Report, error) {
 	type fleetClient struct {
 		platform *agent.Platform
-		link     *agent.ReconnectLink
+		link     *agent.Link
 	}
 	smp := obs.NewSampler(sample)
 	clients := make([]*fleetClient, 0, len(addrs))

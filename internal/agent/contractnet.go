@@ -101,92 +101,67 @@ func ContractNet(p *Platform, contractors []ID, cfp CFP, deadline time.Duration)
 	if deadline <= 0 {
 		deadline = time.Second
 	}
-	self := ID(fmt.Sprintf("cnet-%d", callCounter.Add(1)))
-	type bid struct {
-		from ID
-		prop Proposal
-	}
-	bids := make(chan bid, len(contractors)*2)
-	refusals := make(chan ID, len(contractors)*2)
-	err := p.Register(self, HandlerFunc(func(env Envelope, ctx *Context) {
-		switch env.Performative {
-		case PerformativePropose:
-			var prop Proposal
-			if err := env.Decode(&prop); err == nil && prop.Willing {
-				select {
-				case bids <- bid{from: env.From, prop: prop}:
-				default:
-				}
-			}
-		case PerformativeRefuse:
-			select {
-			case refusals <- env.From:
-			default:
-			}
-		}
-	}), Attributes{Agent: map[string]string{AttrRole: RoleClient}}, nil)
+	in, err := p.openInbox(len(contractors) * 2)
 	if err != nil {
 		return ContractNetResult{}, err
 	}
-	defer p.Deregister(self)
+	defer in.close()
 
 	// CFPs ride the retry layer: a contractor whose mailbox is briefly
-	// full (or whose link is mid-reconnect) still gets tendered.
+	// full (or whose link is mid-reconnect) still gets tendered. Each keeps
+	// its sequence number so answers correlate to this round.
 	cfpPolicy := RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
-	sent := 0
+	var tendered []uint64
 	for _, c := range contractors {
-		env, err := NewEnvelope(self, c, PerformativeCFP, "contract-net", cfp)
+		env, err := NewEnvelope(in.id, c, PerformativeCFP, "contract-net", cfp)
 		if err != nil {
 			continue
 		}
+		env.Seq = p.seq.next()
 		if SendRetry(p, env, deadline/2, cfpPolicy) == nil {
-			sent++
+			tendered = append(tendered, env.Seq)
 		}
 	}
-	if sent == 0 {
+	if len(tendered) == 0 {
 		return ContractNetResult{}, fmt.Errorf("agent: no contractor reachable")
 	}
 
 	expired := p.clock().After(deadline)
 	res := ContractNetResult{}
-	var best *bid
-	for done := false; !done; {
-		select {
-		case b := <-bids:
+	for res.Proposals+res.Refusals < len(tendered) {
+		answer, ok := in.await(tendered, expired)
+		if !ok {
+			break
+		}
+		switch answer.Performative {
+		case PerformativePropose:
+			var prop Proposal
+			if err := answer.Decode(&prop); err != nil || !prop.Willing {
+				continue
+			}
 			res.Proposals++
-			bb := b
-			if best == nil || bb.prop.Cost < best.prop.Cost {
-				best = &bb
+			if res.Winner == "" || prop.Cost < res.Cost {
+				res.Winner, res.Cost = answer.From, prop.Cost
 			}
-			if res.Proposals+res.Refusals >= sent {
-				done = true
-			}
-		case <-refusals:
+		case PerformativeRefuse:
 			res.Refusals++
-			if res.Proposals+res.Refusals >= sent {
-				done = true
-			}
-		case <-expired:
-			done = true
 		}
 	}
-	if best == nil {
-		return res, nil // nobody bid; Winner stays empty
+	if res.Winner == "" {
+		return res, nil // nobody bid
 	}
-	res.Winner = best.from
-	res.Cost = best.prop.Cost
 
 	// The award is the one envelope that must not be lost to a transient
 	// full mailbox — the winner would never perform.
-	award, err := NewEnvelope(self, best.from, PerformativeAward, "contract-net", Award{Task: cfp.Task})
+	award, err := NewEnvelope(in.id, res.Winner, PerformativeAward, "contract-net", Award{Task: cfp.Task})
 	if err == nil {
 		_ = SendRetry(p, award, deadline, cfpPolicy)
 	}
 	for _, c := range contractors {
-		if c == best.from {
+		if c == res.Winner {
 			continue
 		}
-		rej, err := NewEnvelope(self, c, PerformativeReject, "contract-net", Award{Task: cfp.Task})
+		rej, err := NewEnvelope(in.id, c, PerformativeReject, "contract-net", Award{Task: cfp.Task})
 		if err == nil {
 			_ = p.Send(rej)
 		}

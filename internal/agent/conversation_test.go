@@ -1,0 +1,185 @@
+package agent
+
+import (
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"pervasivegrid/internal/supervise"
+)
+
+// echoHandler replies "pong" to every request.
+var echoHandler = HandlerFunc(func(env Envelope, ctx *Context) {
+	if r, err := env.Reply("inform", "pong"); err == nil {
+		_ = ctx.Send(r)
+	}
+})
+
+// TestCallIsSingleAttemptCallRetry: Call and CallRetry{MaxAttempts: 1}
+// are one conversation loop, so every outcome — and how long a failure
+// takes to surface — must agree.
+func TestCallIsSingleAttemptCallRetry(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	cases := []struct {
+		name  string
+		setup func(t *testing.T, p *Platform)
+		to    ID
+		want  error // nil = a "pong" reply
+		// atOnce: the only send failed with nothing in flight, so the
+		// error must surface without sleeping out the timeout.
+		atOnce bool
+	}{
+		{name: "reply", to: "echo", setup: func(t *testing.T, p *Platform) {
+			if err := p.Register("echo", echoHandler, Attributes{}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "timeout", to: "mute", want: ErrCallTimeout, setup: func(t *testing.T, p *Platform) {
+			if err := p.Register("mute", HandlerFunc(func(Envelope, *Context) {}), Attributes{}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "unknown destination", to: "ghost", want: ErrUnknownAgent, atOnce: true,
+			setup: func(*testing.T, *Platform) {}},
+		{name: "closed platform", to: "echo", want: ErrClosed, atOnce: true,
+			setup: func(_ *testing.T, p *Platform) { p.Close() }},
+		{name: "open breaker", to: "ghost", want: ErrCircuitOpen, atOnce: true, setup: func(t *testing.T, p *Platform) {
+			p.Breakers = supervise.NewBreakerSet(supervise.BreakerPolicy{FailureThreshold: 1, OpenFor: time.Hour})
+			if err := sendTo(t, p, "ghost", "x"); err == nil {
+				t.Fatal("send to ghost succeeded")
+			}
+		}},
+	}
+	callers := map[string]func(p *Platform, to ID) (Envelope, error){
+		"Call": func(p *Platform, to ID) (Envelope, error) {
+			return Call(p, to, "request", "o", "ping", timeout)
+		},
+		"CallRetry": func(p *Platform, to ID) (Envelope, error) {
+			return CallRetry(p, to, "request", "o", "ping", timeout, RetryPolicy{MaxAttempts: 1})
+		},
+	}
+	for _, tc := range cases {
+		for name, call := range callers {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				p := NewPlatform("test")
+				defer p.Close()
+				tc.setup(t, p)
+				start := time.Now()
+				reply, err := call(p, tc.to)
+				elapsed := time.Since(start)
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+				if tc.want == nil {
+					var body string
+					if err := reply.Decode(&body); err != nil || body != "pong" {
+						t.Fatalf("body = %q err=%v", body, err)
+					}
+				}
+				if tc.atOnce && elapsed > timeout/2 {
+					t.Fatalf("failed only-send took %v to surface (timeout %v)", elapsed, timeout)
+				}
+				if errors.Is(tc.want, ErrCallTimeout) && elapsed < timeout {
+					t.Fatalf("timed out after %v, before the %v timeout", elapsed, timeout)
+				}
+				if n := p.DeliveryStats().Retries; n != 0 {
+					t.Fatalf("retries = %d on a single-attempt conversation", n)
+				}
+			})
+		}
+	}
+}
+
+// heapAfterGC reads the live heap once garbage is collected.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// mailboxGauges counts the per-agent agent_mailbox_depth series.
+func mailboxGauges(p *Platform) int {
+	n := 0
+	for k := range p.MetricsSnapshot().Gauges {
+		if strings.HasPrefix(k, "agent_mailbox_depth") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestConversationsLeaveNothingBehind: a completed conversation must not
+// pin memory. Caller IDs are recycled, so what other layers key by agent ID
+// (gateway reverse routes, mailbox gauges) is bounded by concurrency, and
+// the deadline timer of a conversation the reply won is collectable.
+func TestConversationsLeaveNothingBehind(t *testing.T) {
+	const maxGrowth = 2 << 20
+	local, remote := 50_000, 10_000
+	if testing.Short() {
+		local, remote = 5_000, 1_000
+	}
+	server := NewPlatform("server")
+	defer server.Close()
+	if err := server.Register("echo", echoHandler, Attributes{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	gw, err := ListenAndServe(server, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	client := NewPlatform("client")
+	defer client.Close()
+	link, err := Dial(client, gw.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+
+	converse := func(p *Platform, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := Call(p, "echo", "request", "o", "ping", 10*time.Second); err != nil {
+				t.Fatalf("conversation %d: %v", i, err)
+			}
+		}
+	}
+	rememberedIDs := func() int {
+		gw.mu.Lock()
+		defer gw.mu.Unlock()
+		n := 0
+		for _, ids := range gw.conns {
+			n += len(ids)
+		}
+		return n
+	}
+	// Warm both paths so lazily built state (supervisor, metric series,
+	// socket buffers) is in the baseline.
+	converse(server, 100)
+	converse(client, 100)
+
+	base := heapAfterGC()
+	converse(server, local)
+	if grown := int64(heapAfterGC()) - int64(base); grown > maxGrowth {
+		t.Errorf("heap grew %d bytes over %d in-process conversations", grown, local)
+	}
+	base = heapAfterGC()
+	converse(client, remote)
+	if grown := int64(heapAfterGC()) - int64(base); grown > maxGrowth {
+		t.Errorf("heap grew %d bytes over %d TCP conversations", grown, remote)
+	}
+	if n := rememberedIDs(); n > 2 {
+		t.Errorf("gateway remembers %d caller IDs after sequential conversations", n)
+	}
+	// One series per hosted agent plus one recycled caller.
+	if n := mailboxGauges(server); n > 3 {
+		t.Errorf("server holds %d agent_mailbox_depth series", n)
+	}
+	if n := mailboxGauges(client); n > 2 {
+		t.Errorf("client holds %d agent_mailbox_depth series", n)
+	}
+}

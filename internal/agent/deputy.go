@@ -57,7 +57,7 @@ func (d *DisconnectionDeputy) Deliver(env Envelope) error {
 		// next is the non-blocking directDeputy (or another deputy whose
 		// Deliver never re-enters this one); the re-entrant flush path in
 		// SetConnected already delivers outside the lock.
-		//lint:ignore lockeddeliver next.Deliver is non-blocking and never re-enters this deputy
+		//lint:ignore blockheld next.Deliver is non-blocking and never re-enters this deputy
 		return d.next.Deliver(env)
 	}
 	max := d.MaxBuffer

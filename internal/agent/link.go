@@ -1,8 +1,7 @@
 package agent
 
 import (
-	"bufio"
-	"encoding/json"
+	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -11,20 +10,19 @@ import (
 	"pervasivegrid/internal/supervise"
 )
 
-// ReconnectLink is the disconnection-tolerant client-side link: where Link
-// dies with its TCP connection, ReconnectLink redials with capped
+// Link is the client-side connection from one platform to a remote
+// gateway. It outlives its TCP connection: on loss it redials with capped
 // exponential backoff, buffers outbound envelopes while down (the
 // DisconnectionDeputy's store-and-forward semantics applied to a
 // transport), and replays the buffer in order on reconnect. Overflowed and
 // abandoned envelopes land in the platform's dead-letter ring with reason
 // link_down.
-type ReconnectLink struct {
+type Link struct {
 	platform *Platform
 	addr     string
 	opts     ReconnectOptions
 	routeID  RouteID
 	done     chan struct{}
-	wake     chan struct{} // posted once per connection loss
 
 	mu         sync.Mutex
 	wc         *wireConn // nil while disconnected
@@ -35,7 +33,7 @@ type ReconnectLink struct {
 	overflowed int
 }
 
-// ReconnectOptions tunes a ReconnectLink.
+// ReconnectOptions tunes a Link.
 type ReconnectOptions struct {
 	// Filter restricts which destinations the link forwards (nil = every
 	// non-local ID), like Dial's filter.
@@ -67,7 +65,7 @@ func (o ReconnectOptions) withDefaults() ReconnectOptions {
 	return o
 }
 
-// ReconnectStats is a snapshot of a ReconnectLink's lifetime counters.
+// ReconnectStats is a snapshot of a Link's lifetime counters.
 type ReconnectStats struct {
 	// Connects counts successful connection establishments (1 = the
 	// initial connect; more = reconnections happened).
@@ -81,36 +79,58 @@ type ReconnectStats struct {
 	Overflowed int
 }
 
-// DialReconnect installs a reconnecting link from the platform to a remote
-// gateway. It returns immediately: the first connection is established in
-// the background, and envelopes routed before it comes up are buffered —
-// so dialling an address that is not listening *yet* is not an error.
-func DialReconnect(p *Platform, addr string, opts ReconnectOptions) *ReconnectLink {
-	l := &ReconnectLink{
+// Dial connects the platform to a remote gateway and fails if the first
+// connection cannot be established. Envelopes whose destination is not
+// local and passes filter (nil = every non-local ID) are forwarded over the
+// link; envelopes arriving from the remote side are injected locally.
+func Dial(p *Platform, addr string, filter func(ID) bool) (*Link, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("agent: dial gateway: %w", err)
+	}
+	return newLink(p, addr, ReconnectOptions{Filter: filter}, conn), nil
+}
+
+// DialReconnect installs a link without waiting for its first connection:
+// it is established in the background, and envelopes routed before it
+// comes up are buffered — so dialling an address that is not listening
+// *yet* is not an error.
+func DialReconnect(p *Platform, addr string, opts ReconnectOptions) *Link {
+	return newLink(p, addr, opts, nil)
+}
+
+// newLink installs the link's route and starts its connection loop; conn is
+// an already-established first connection, or nil to dial in the background.
+func newLink(p *Platform, addr string, opts ReconnectOptions, conn net.Conn) *Link {
+	l := &Link{
 		platform: p,
 		addr:     addr,
 		opts:     opts.withDefaults(),
 		done:     make(chan struct{}),
-		wake:     make(chan struct{}, 1),
+	}
+	var first *wireConn
+	if conn != nil {
+		first = newWireConn(conn)
+		l.install(first) // nothing buffered yet, so there is no replay to fail
 	}
 	route := RouteFunc(l.route)
 	if l.opts.WrapRoute != nil {
 		route = l.opts.WrapRoute(route)
 	}
 	l.routeID = p.AddRoute(route)
-	supervise.Spawn("reconnect-dial", l.dialLoop)
+	supervise.Spawn("link", func() { l.run(first) })
 	return l
 }
 
 // Connected reports whether the link currently has a live connection.
-func (l *ReconnectLink) Connected() bool {
+func (l *Link) Connected() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.wc != nil
 }
 
 // Stats snapshots the link's counters.
-func (l *ReconnectLink) Stats() ReconnectStats {
+func (l *Link) Stats() ReconnectStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return ReconnectStats{
@@ -123,7 +143,7 @@ func (l *ReconnectLink) Stats() ReconnectStats {
 
 // Close stops redialling, uninstalls the route, and dead-letters whatever
 // is still buffered.
-func (l *ReconnectLink) Close() {
+func (l *Link) Close() {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -148,7 +168,7 @@ func (l *ReconnectLink) Close() {
 // route implements RouteFunc: write when up, store-and-forward when down.
 // It accepts the envelope either way; loss is only possible by buffer
 // overflow, which is dead-lettered rather than silent.
-func (l *ReconnectLink) route(env Envelope) bool {
+func (l *Link) route(env Envelope) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -162,14 +182,10 @@ func (l *ReconnectLink) route(env Envelope) bool {
 		if err := wc.write(env); err == nil {
 			return true
 		}
-		// The connection died under us: take it down, buffer this
-		// envelope, and wake the dialler.
+		// The connection died under us: take it down and buffer this
+		// envelope. Closing the socket fails the read loop, which redials.
 		l.wc = nil
 		wc.conn.Close()
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
 	}
 	if len(l.buffer) >= l.opts.MaxBuffer {
 		oldest := l.buffer[0]
@@ -182,11 +198,17 @@ func (l *ReconnectLink) route(env Envelope) bool {
 	return true
 }
 
-// dialLoop keeps the link connected: dial with capped exponential backoff,
-// replay the buffer, then sleep until the connection is lost again.
-func (l *ReconnectLink) dialLoop() {
+// run keeps the link connected: read from the live connection until it is
+// lost, then dial with capped exponential backoff, replay the buffer, and
+// read again. wc is the connection Dial already installed, if any.
+func (l *Link) run(wc *wireConn) {
 	delay := l.opts.BaseDelay
 	for {
+		if wc != nil {
+			l.platform.readEnvelopes(wc.conn, "link", nil)
+			l.markDown(wc)
+			wc = nil
+		}
 		select {
 		case <-l.done:
 			return
@@ -199,23 +221,14 @@ func (l *ReconnectLink) dialLoop() {
 				return
 			case <-l.platform.clock().After(delay):
 			}
-			delay *= 2
-			if delay > l.opts.MaxDelay {
-				delay = l.opts.MaxDelay
-			}
+			delay = min(2*delay, l.opts.MaxDelay)
 			continue
 		}
 		delay = l.opts.BaseDelay
-		wc := newWireConn(conn)
-		if !l.install(wc) {
-			conn.Close()
-			continue // closed, or the replay write failed: redial
-		}
-		supervise.Spawn("reconnect-read", func() { l.readLoop(wc) })
-		select {
-		case <-l.done:
-			return
-		case <-l.wake:
+		if fresh := newWireConn(conn); l.install(fresh) {
+			wc = fresh
+		} else {
+			conn.Close() // closed, or the replay write failed: redial
 		}
 	}
 }
@@ -223,7 +236,7 @@ func (l *ReconnectLink) dialLoop() {
 // install replays the store-and-forward buffer over the new connection and
 // makes it the live one. Replay happens under l.mu so concurrently routed
 // envelopes queue behind the replayed ones — order is preserved.
-func (l *ReconnectLink) install(wc *wireConn) bool {
+func (l *Link) install(wc *wireConn) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -243,31 +256,13 @@ func (l *ReconnectLink) install(wc *wireConn) bool {
 	return true
 }
 
-// markDown reacts to a read error: drop the connection (if it is still the
-// live one) and wake the dialler.
-func (l *ReconnectLink) markDown(wc *wireConn) {
+// markDown reacts to a read error: drop the connection if it is still the
+// live one.
+func (l *Link) markDown(wc *wireConn) {
 	l.mu.Lock()
 	if l.wc == wc {
 		l.wc = nil
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
 	}
 	l.mu.Unlock()
 	wc.conn.Close()
-}
-
-func (l *ReconnectLink) readLoop(wc *wireConn) {
-	dec := json.NewDecoder(bufio.NewReader(wc.conn))
-	for {
-		var env Envelope
-		if err := dec.Decode(&env); err != nil {
-			l.markDown(wc)
-			return
-		}
-		env.Hops++
-		l.platform.trace(obs.SpanIngress, env, "reconnect link")
-		_ = l.platform.Send(env)
-	}
 }

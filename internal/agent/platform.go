@@ -149,9 +149,9 @@ type Platform struct {
 	// be reassembled into a causal timeline. Nil disables tracing.
 	Tracer *obs.Tracer
 
-	// Events, when set, receives one wide event per conversation from
-	// the retry layer (CallRetry/SendRetry): route, retries, sheds,
-	// breaker state, per-attempt latency, outcome. Envelopes get a
+	// Events, when set, receives one wide event per conversation
+	// (Call/CallRetry/SendRetry): route, retries, sheds, breaker state,
+	// per-attempt latency, outcome. Envelopes get a
 	// TraceID assigned on Send whenever Events or Tracer is set, so an
 	// event always points at a stitchable trace. Nil disables events.
 	Events *obs.EventLog
@@ -193,9 +193,10 @@ type Platform struct {
 	OnAgentRestart func(id ID, err error)
 
 	// Breakers, when set, guards destinations with per-route circuit
-	// breakers: Send outcomes feed them, and SendRetry/CallRetry consult
-	// them before each attempt so a destination that telemetry or
-	// repeated failures marked bad is shed instead of retried into.
+	// breakers: Send outcomes feed them, and every conversation
+	// (Call/CallRetry/SendRetry) consults them before each attempt so a
+	// destination that telemetry or repeated failures marked bad is shed
+	// instead of retried into.
 	Breakers *supervise.BreakerSet
 
 	// Mailbox bounds agent mailboxes and picks the overload policy
@@ -215,6 +216,11 @@ type Platform struct {
 
 	// sup supervises agent run loops; built lazily at first Register.
 	sup *supervise.Supervisor
+
+	// idleCallers is the free list of ephemeral conversation IDs (see
+	// openInbox).
+	idleMu      sync.Mutex
+	idleCallers []ID
 
 	// delivered counts envelopes successfully handed to a deputy or
 	// accepted by a route; dropped counts undeliverable envelopes;
@@ -310,6 +316,13 @@ func (p *Platform) trace(kind string, env Envelope, note string) {
 // platform's Supervision policy, restoring the handler's last checkpoint
 // when it implements Checkpointer.
 func (p *Platform) Register(id ID, h Handler, attrs Attributes, wrap func(Deputy) Deputy) error {
+	return p.register(id, h, attrs, wrap, p.Mailbox.withDefaults())
+}
+
+// register is Register with explicit lane depths: a conversation inbox
+// needs only as many slots as it reads (see openInbox), not the
+// platform-wide mailbox a long-lived agent gets.
+func (p *Platform) register(id ID, h Handler, attrs Attributes, wrap func(Deputy) Deputy, mb MailboxOptions) error {
 	if id == "" || h == nil {
 		return fmt.Errorf("agent: register needs an id and a handler")
 	}
@@ -321,7 +334,6 @@ func (p *Platform) Register(id ID, h Handler, attrs Attributes, wrap func(Deputy
 	if _, ok := p.agents[id]; ok {
 		return fmt.Errorf("agent: id %q already registered", id)
 	}
-	mb := p.Mailbox.withDefaults()
 	reg := &registration{
 		id:      id,
 		attrs:   attrs.Clone(),

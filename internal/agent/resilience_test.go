@@ -613,66 +613,80 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestReconnectAfterGatewayRestartReplaysInOrder: the full disconnect →
-// buffer → redial → replay cycle against a restarted gateway.
+// buffer → redial → replay cycle against a restarted gateway, for a link
+// from either constructor — Dial only adds the synchronous first connect.
 func TestReconnectAfterGatewayRestartReplaysInOrder(t *testing.T) {
-	server := NewPlatform("server")
-	defer server.Close()
-	c := newCollector(4)
-	if err := server.Register("sink", c, Attributes{}, nil); err != nil {
-		t.Fatal(err)
+	dialers := map[string]func(p *Platform, addr string) (*Link, error){
+		"DialReconnect": func(p *Platform, addr string) (*Link, error) {
+			return DialReconnect(p, addr, ReconnectOptions{BaseDelay: 5 * time.Millisecond}), nil
+		},
+		"Dial": func(p *Platform, addr string) (*Link, error) { return Dial(p, addr, nil) },
 	}
-	gw, err := ListenAndServe(server, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := gw.Addr()
+	for name, dial := range dialers {
+		t.Run(name, func(t *testing.T) {
+			server := NewPlatform("server")
+			defer server.Close()
+			c := newCollector(4)
+			if err := server.Register("sink", c, Attributes{}, nil); err != nil {
+				t.Fatal(err)
+			}
+			gw, err := ListenAndServe(server, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := gw.Addr()
 
-	client := NewPlatform("client")
-	defer client.Close()
-	link := DialReconnect(client, addr, ReconnectOptions{BaseDelay: 5 * time.Millisecond})
-	defer link.Close()
-	waitFor(t, "initial connect", link.Connected)
+			client := NewPlatform("client")
+			defer client.Close()
+			link, err := dial(client, addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer link.Close()
+			waitFor(t, "initial connect", link.Connected)
 
-	env0, _ := NewEnvelope("src", "sink", "inform", "o", 0)
-	if err := client.Send(env0); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "first envelope to land", func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return len(c.got) == 1
-	})
+			env0, _ := NewEnvelope("src", "sink", "inform", "o", 0)
+			if err := client.Send(env0); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "first envelope to land", func() bool {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				return len(c.got) == 1
+			})
 
-	// Forced disconnect: the gateway goes away with the connection.
-	gw.Close()
-	waitFor(t, "link to notice the disconnect", func() bool { return !link.Connected() })
+			// Forced disconnect: the gateway goes away with the connection.
+			gw.Close()
+			waitFor(t, "link to notice the disconnect", func() bool { return !link.Connected() })
 
-	for i := 1; i <= 3; i++ {
-		env, _ := NewEnvelope("src", "sink", "inform", "o", i)
-		if err := client.Send(env); err != nil {
-			t.Fatalf("send while disconnected: %v", err)
-		}
-	}
+			for i := 1; i <= 3; i++ {
+				env, _ := NewEnvelope("src", "sink", "inform", "o", i)
+				if err := client.Send(env); err != nil {
+					t.Fatalf("send while disconnected: %v", err)
+				}
+			}
 
-	gw2, err := ListenAndServe(server, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw2.Close()
+			gw2, err := ListenAndServe(server, addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gw2.Close()
 
-	got := c.wait(t)
-	for i, env := range got {
-		var v int
-		if err := env.Decode(&v); err != nil || v != i {
-			t.Fatalf("order broken at %d: got %d (err %v); all: %d envelopes", i, v, err, len(got))
-		}
-	}
-	st := link.Stats()
-	if st.Connects < 2 {
-		t.Fatalf("connects = %d, want a reconnection", st.Connects)
-	}
-	if st.Replayed != 3 {
-		t.Fatalf("replayed = %d, want 3", st.Replayed)
+			got := c.wait(t)
+			for i, env := range got {
+				var v int
+				if err := env.Decode(&v); err != nil || v != i {
+					t.Fatalf("order broken at %d: got %d (err %v); all: %d envelopes", i, v, err, len(got))
+				}
+			}
+			st := link.Stats()
+			if st.Connects < 2 {
+				t.Fatalf("connects = %d, want a reconnection", st.Connects)
+			}
+			if st.Replayed != 3 {
+				t.Fatalf("replayed = %d, want 3", st.Replayed)
+			}
+		})
 	}
 }
 
@@ -706,9 +720,9 @@ func TestReconnectBufferOverflowDeadLetters(t *testing.T) {
 	}
 }
 
-// TestReconnectLinkCloseDeadLettersBuffer: closing a down link accounts
+// TestLinkCloseDeadLettersBuffer: closing a down link accounts
 // for what it was still holding.
-func TestReconnectLinkCloseDeadLettersBuffer(t *testing.T) {
+func TestLinkCloseDeadLettersBuffer(t *testing.T) {
 	addr := freeAddr(t)
 	client := NewPlatform("client")
 	defer client.Close()

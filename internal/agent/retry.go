@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"pervasivegrid/internal/obs"
@@ -16,16 +15,15 @@ import (
 // attempt, so conversations that must survive loss re-send with
 // exponential backoff and correlate the reply against every attempt.
 
-// RetryPolicy shapes CallRetry / SendRetry backoff.
+// RetryPolicy shapes Call / CallRetry / SendRetry attempts and backoff.
 type RetryPolicy struct {
 	// MaxAttempts bounds total sends (first try included; default 4).
 	MaxAttempts int
-	// BaseDelay is the backoff before the second attempt (default 50ms).
+	// BaseDelay is the backoff before the second attempt (default 50ms);
+	// it doubles per attempt.
 	BaseDelay time.Duration
 	// MaxDelay caps the grown backoff (default 2s).
 	MaxDelay time.Duration
-	// Multiplier grows the backoff per attempt (default 2).
-	Multiplier float64
 	// Jitter randomises each backoff by ±Jitter fraction (default 0.2).
 	Jitter float64
 	// AttemptTimeout bounds the wait for a reply per attempt before
@@ -55,7 +53,6 @@ func DefaultRetryPolicy() RetryPolicy {
 		MaxAttempts: 4,
 		BaseDelay:   50 * time.Millisecond,
 		MaxDelay:    2 * time.Second,
-		Multiplier:  2,
 		Jitter:      0.2,
 	}
 }
@@ -72,42 +69,28 @@ func (rp RetryPolicy) withDefaults() RetryPolicy {
 	if rp.MaxDelay <= 0 {
 		rp.MaxDelay = def.MaxDelay
 	}
-	if rp.Multiplier < 1 {
-		rp.Multiplier = def.Multiplier
-	}
 	if rp.Jitter < 0 || rp.Jitter > 1 {
 		rp.Jitter = def.Jitter
 	}
 	return rp
 }
 
-// backoffSource yields the jittered backoff before each retry.
+// backoffSource yields the jittered backoff before each retry. It belongs
+// to one conversation, so it needs no lock.
 type backoffSource struct {
 	policy RetryPolicy
 	delay  time.Duration
-	mu     sync.Mutex
 	rng    *rand.Rand // nil = global rand
 }
 
-func newBackoffSource(rp RetryPolicy) *backoffSource {
-	b := &backoffSource{policy: rp, delay: rp.BaseDelay}
-	if rp.Seed != 0 {
-		b.rng = rand.New(rand.NewSource(rp.Seed))
-	}
-	return b
-}
-
-// next returns the current jittered delay and grows the base delay.
+// next returns the current jittered delay and doubles the base delay.
 func (b *backoffSource) next() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	d := b.delay
-	grown := time.Duration(float64(b.delay) * b.policy.Multiplier)
-	if grown > b.policy.MaxDelay {
-		grown = b.policy.MaxDelay
-	}
-	b.delay = grown
+	b.delay = min(2*b.delay, b.policy.MaxDelay)
 	if b.policy.Jitter > 0 {
+		if b.rng == nil && b.policy.Seed != 0 {
+			b.rng = rand.New(rand.NewSource(b.policy.Seed))
+		}
 		var u float64
 		if b.rng != nil {
 			u = b.rng.Float64()
@@ -117,36 +100,33 @@ func (b *backoffSource) next() time.Duration {
 		// Scale into [1-Jitter, 1+Jitter].
 		d = time.Duration(float64(d) * (1 - b.policy.Jitter + 2*b.policy.Jitter*u))
 	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// breakerStateName names the breaker state toward a destination for
-// wide events ("" when no breaker set is installed).
-func (p *Platform) breakerStateName(to ID) string {
-	if p.Breakers == nil {
-		return ""
-	}
-	return p.Breakers.State(string(to)).String()
+	return max(d, 0)
 }
 
 // finishEvent stamps outcome/err/breaker on a conversation's wide event
 // and emits it, tail-keeping the trace when anything went wrong so the
 // event always points at a retained timeline.
-func (p *Platform) finishEvent(ev *obs.Event, outcome string, callErr error, end time.Time) {
+func (p *Platform) finishEvent(ev *obs.Event, callErr error, clk obs.Clock) {
 	if p.Events == nil {
 		return
 	}
-	if callErr != nil && outcome == obs.OutcomeOK {
+	outcome := obs.OutcomeOK
+	switch {
+	case callErr == nil:
+	case errors.Is(callErr, ErrCircuitOpen):
+		outcome = obs.OutcomeBreakerOpen
+	case errors.Is(callErr, ErrCallTimeout):
+		outcome = obs.OutcomeTimeout
+	default:
 		outcome = obs.OutcomeError
 	}
 	if callErr != nil {
 		ev.Err = callErr.Error()
 	}
-	ev.Breaker = p.breakerStateName(ID(ev.To))
-	ev.Finish(outcome, end)
+	if p.Breakers != nil {
+		ev.Breaker = p.Breakers.State(ev.To).String()
+	}
+	ev.Finish(outcome, clk.Now())
 	if ev.Failed() {
 		p.Tracer.KeepTrace(ev.Trace)
 	}
@@ -154,204 +134,138 @@ func (p *Platform) finishEvent(ev *obs.Event, outcome string, callErr error, end
 }
 
 // SendRetry sends an envelope, re-attempting transient failures (mailbox
-// full, no route — e.g. a link mid-reconnect) with backoff until the
-// policy or deadline is exhausted. Permanent errors (closed platform, TTL
-// exhausted) fail immediately. The envelope keeps one sequence number
-// across attempts, so a duplicate arrival is detectable by the receiver.
+// full, no route — e.g. a link mid-reconnect, an open circuit) with backoff
+// until the policy or deadline is exhausted. Permanent errors (closed
+// platform, TTL exhausted) fail immediately. The envelope keeps one
+// sequence number across attempts, so a duplicate arrival is detectable by
+// the receiver.
 func SendRetry(p *Platform, env Envelope, timeout time.Duration, policy RetryPolicy) error {
-	rp := policy.withDefaults()
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
 	if env.Seq == 0 {
 		env.Seq = p.seq.next()
 	}
-	if (p.Tracer != nil || p.Events != nil) && env.TraceID == 0 {
-		env.TraceID = obs.NewTraceID()
-	}
-	clk := rp.clock()
-	start := clk.Now()
-	ev := obs.NewEvent(p.Name, env.TraceID, string(env.From), string(env.To), env.Ontology, start)
-	deadline := start.Add(timeout)
-	backoff := newBackoffSource(rp)
-	var err error
-	for attempt := 1; attempt <= rp.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			p.noteRetry()
-			p.trace(obs.SpanRetry, env, fmt.Sprintf("attempt %d", attempt))
-			ev.Retries++
-		}
-		attemptStart := clk.Now()
-		if !p.breakerAllow(env.To) {
-			// The destination's circuit is open: shed the attempt
-			// instead of feeding a known-bad target. Backing off still
-			// applies — the breaker may half-open before the deadline.
-			p.noteBreakerReject()
-			p.Tracer.KeepTrace(env.TraceID)
-			ev.Sheds++
-			err = fmt.Errorf("%w: %q", ErrCircuitOpen, env.To)
-		} else {
-			err = p.Send(env)
-			ev.AddPhase(fmt.Sprintf("attempt-%d", attempt), clk.Now().Sub(attemptStart))
-			if err == nil {
-				p.finishEvent(&ev, obs.OutcomeOK, nil, clk.Now())
-				return nil
-			}
-			if errors.Is(err, ErrClosed) || errors.Is(err, ErrTTLExpired) {
-				p.finishEvent(&ev, obs.OutcomeError, err, clk.Now())
-				return err
-			}
-		}
-		wait := backoff.next()
-		if attempt == rp.MaxAttempts || clk.Now().Add(wait).After(deadline) {
-			break
-		}
-		clk.Sleep(wait)
-	}
-	outcome := obs.OutcomeError
-	if errors.Is(err, ErrCircuitOpen) {
-		outcome = obs.OutcomeBreakerOpen
-	}
-	p.finishEvent(&ev, outcome, err, clk.Now())
+	_, err := p.converse(env, nil, timeout, policy)
 	return err
 }
 
-// CallRetry performs a Call that survives envelope loss: each attempt
-// re-sends the request with a fresh sequence number, waits up to the
-// attempt timeout, and backs off (exponential + jitter) before the next
-// attempt, never exceeding the overall timeout. The reply is correlated
-// against *every* attempt's sequence number, so a slow reply to attempt 1
-// still completes the conversation during attempt 3 — which also means
-// the request may be handled more than once: use it for idempotent
-// conversations (queries, discovery, advertisements with leases).
+// CallRetry performs a request/reply conversation that survives envelope
+// loss: each attempt re-sends the request with a fresh sequence number,
+// waits up to the attempt timeout, and backs off (exponential + jitter)
+// before the next attempt, never exceeding the overall timeout. The reply
+// is correlated against *every* attempt's sequence number, so a slow reply
+// to attempt 1 still completes the conversation during attempt 3 — which
+// also means the request may be handled more than once: use it for
+// idempotent conversations (queries, discovery, advertisements with
+// leases).
 func CallRetry(p *Platform, to ID, performative, ontology string, body any, timeout time.Duration, policy RetryPolicy) (Envelope, error) {
+	// Room for one reply and one stray per attempt, up to eight.
+	in, err := p.openInbox(min(2*policy.withDefaults().MaxAttempts, 8))
+	if err != nil {
+		return Envelope{}, err
+	}
+	defer in.close()
+	env, err := NewEnvelope(in.id, to, performative, ontology, body)
+	if err != nil {
+		return Envelope{}, err
+	}
+	return p.converse(env, &in, timeout, policy)
+}
+
+// converse is the one attempt loop every conversation runs through: breaker
+// gate → send → wait for a correlated reply → backoff, with one wide event
+// at the end. Without an inbox the exchange is one-way and an accepted send
+// completes it; with one, every attempt goes out under a fresh sequence
+// number and a reply to any of them completes it. One trace covers every
+// attempt, so the dumped timeline shows the loss, the backoff, and the
+// attempt that won.
+func (p *Platform) converse(env Envelope, in *inbox, timeout time.Duration, policy RetryPolicy) (Envelope, error) {
 	rp := policy.withDefaults()
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
 	attemptTimeout := rp.AttemptTimeout
 	if attemptTimeout <= 0 {
-		attemptTimeout = timeout / time.Duration(rp.MaxAttempts)
-		if attemptTimeout < time.Millisecond {
-			attemptTimeout = time.Millisecond
-		}
+		attemptTimeout = max(timeout/time.Duration(rp.MaxAttempts), time.Millisecond)
 	}
-
-	self := ID(fmt.Sprintf("caller-%d", callCounter.Add(1)))
-	replies := make(chan Envelope, 8)
-	err := p.Register(self, HandlerFunc(func(env Envelope, ctx *Context) {
-		select {
-		case replies <- env:
-		default:
-		}
-	}), Attributes{Agent: map[string]string{AttrRole: RoleClient}}, nil)
-	if err != nil {
-		return Envelope{}, err
+	events := p.Events != nil
+	if (p.Tracer != nil || events) && env.TraceID == 0 {
+		env.TraceID = obs.NewTraceID()
 	}
-	defer p.Deregister(self)
-
-	template, err := NewEnvelope(self, to, performative, ontology, body)
-	if err != nil {
-		return Envelope{}, err
-	}
-	// One trace covers every attempt of the conversation: each retry
-	// re-sends with a fresh Seq but the same TraceID, so the dumped
-	// timeline shows the loss, the backoff, and the attempt that won —
-	// and the wide event points at a stitchable trace.
-	if p.Tracer != nil || p.Events != nil {
-		template.TraceID = obs.NewTraceID()
-	}
-
 	clk := rp.clock()
 	start := clk.Now()
-	ev := obs.NewEvent(p.Name, template.TraceID, string(self), string(to), ontology, start)
-	done := func(r Envelope) (Envelope, error) {
-		ev.Hops = r.Hops
-		p.finishEvent(&ev, obs.OutcomeOK, nil, clk.Now())
-		return r, nil
-	}
 	deadline := start.Add(timeout)
-	backoff := newBackoffSource(rp)
-	// Seqs of every attempt sent so far; a reply to any of them wins.
-	sent := map[uint64]bool{}
+	ev := obs.NewEvent(p.Name, env.TraceID, string(env.From), string(env.To), env.Ontology, start)
+	finish := func(r Envelope, err error) (Envelope, error) {
+		ev.Hops = r.Hops
+		p.finishEvent(&ev, err, clk)
+		return r, err
+	}
+	backoff := backoffSource{policy: rp, delay: rp.BaseDelay}
+	// Seqs of every attempt a route accepted; a reply to any of them wins.
+	sent := make([]uint64, 0, 4)
 	var lastErr error
-	for attempt := 1; attempt <= rp.MaxAttempts; attempt++ {
-		env := template
-		env.Seq = p.seq.next()
-		sent[env.Seq] = true
+	attempt := 1
+	for ; ; attempt++ {
+		if in != nil {
+			env.Seq = p.seq.next()
+		}
 		if attempt > 1 {
 			p.noteRetry()
 			p.trace(obs.SpanRetry, env, fmt.Sprintf("attempt %d", attempt))
 			ev.Retries++
 		}
-		attemptStart := clk.Now()
-		if !p.breakerAllow(to) {
-			// Open circuit: skip the send. The attempt timer still runs
-			// — a reply to an earlier attempt may yet land, and the
-			// breaker needs its cool-down to elapse before half-opening.
+		var attemptStart time.Time
+		if events {
+			attemptStart = clk.Now()
+		}
+		var err error
+		if p.breakerAllow(env.To) {
+			err = p.Send(env)
+		} else {
+			// Open circuit: shed the attempt instead of feeding a
+			// known-bad target. The attempt timer and backoff still run
+			// — the breaker needs its cool-down to elapse before
+			// half-opening, and a reply to an earlier attempt may land.
 			p.noteBreakerReject()
 			p.Tracer.KeepTrace(env.TraceID)
 			ev.Sheds++
-			lastErr = fmt.Errorf("%w: %q", ErrCircuitOpen, to)
-		} else if err := p.Send(env); err != nil {
-			if errors.Is(err, ErrClosed) {
-				p.finishEvent(&ev, obs.OutcomeError, err, clk.Now())
-				return Envelope{}, err
-			}
-			// Transient (mailbox full, link down with no buffer, no
-			// route yet): back off and re-attempt like a lost packet.
+			err = fmt.Errorf("%w: %q", ErrCircuitOpen, env.To)
+		}
+		switch {
+		case err == nil:
+			sent = append(sent, env.Seq)
+		case errors.Is(err, ErrClosed) || errors.Is(err, ErrTTLExpired):
+			return finish(Envelope{}, err) // permanent: no later attempt fares better
+		default:
+			// Transient (mailbox full, no route yet, open circuit): back
+			// off and re-attempt like a lost packet.
 			lastErr = err
 		}
-
-		attemptDeadline := clk.Now().Add(attemptTimeout)
-		if attemptDeadline.After(deadline) {
-			attemptDeadline = deadline
+		var reply Envelope
+		done := err == nil && in == nil
+		// With nothing in flight after the final attempt no reply can
+		// come: return at once instead of sleeping out the timeout.
+		if in != nil && (len(sent) > 0 || attempt < rp.MaxAttempts) {
+			reply, done = in.await(sent, clk.After(min(attemptTimeout, deadline.Sub(clk.Now()))))
 		}
-		timer := clk.After(attemptDeadline.Sub(clk.Now()))
-	wait:
-		for {
-			select {
-			case r := <-replies:
-				if sent[r.InReplyTo] {
-					ev.AddPhase(fmt.Sprintf("attempt-%d", attempt), clk.Now().Sub(attemptStart))
-					return done(r)
-				}
-				// Stray envelope: keep waiting.
-			case <-timer:
-				break wait
-			}
+		if events {
+			ev.AddPhase(fmt.Sprintf("attempt-%d", attempt), clk.Now().Sub(attemptStart))
 		}
-		ev.AddPhase(fmt.Sprintf("attempt-%d", attempt), clk.Now().Sub(attemptStart))
+		if done {
+			return finish(reply, nil)
+		}
 		if attempt == rp.MaxAttempts || !clk.Now().Before(deadline) {
 			break
 		}
-		wait := backoff.next()
-		if remaining := deadline.Sub(clk.Now()); wait > remaining {
-			wait = remaining
-		}
-		if wait > 0 {
-			clk.Sleep(wait)
-		}
-		// A reply may have landed during the backoff sleep.
-		select {
-		case r := <-replies:
-			if sent[r.InReplyTo] {
-				return done(r)
-			}
-		default:
+		pause := min(backoff.next(), deadline.Sub(clk.Now()))
+		if in == nil {
+			clk.Sleep(pause)
+		} else if reply, ok := in.await(sent, clk.After(pause)); ok {
+			return finish(reply, nil) // a slow reply landed during the backoff
 		}
 	}
-	if lastErr != nil {
-		outcome := obs.OutcomeError
-		if errors.Is(lastErr, ErrCircuitOpen) {
-			outcome = obs.OutcomeBreakerOpen
-		}
-		err := fmt.Errorf("agent: call retry exhausted: %w", lastErr)
-		p.finishEvent(&ev, outcome, err, clk.Now())
-		return Envelope{}, err
+	if lastErr == nil {
+		lastErr = ErrCallTimeout
 	}
-	err = fmt.Errorf("%w: %s -> %s after %d attempts in %v",
-		ErrCallTimeout, performative, to, len(sent), timeout)
-	p.finishEvent(&ev, obs.OutcomeTimeout, err, clk.Now())
-	return Envelope{}, err
+	return finish(Envelope{}, fmt.Errorf("%w: %s -> %s after %d attempts in %v",
+		lastErr, env.Performative, env.To, attempt, timeout))
 }

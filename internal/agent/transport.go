@@ -108,18 +108,30 @@ func (g *Gateway) readLoop(wc *wireConn) {
 		g.mu.Unlock()
 		wc.conn.Close()
 	}()
-	dec := json.NewDecoder(bufio.NewReader(wc.conn))
+	g.platform.readEnvelopes(wc.conn, "gateway", func(from ID) {
+		g.mu.Lock()
+		g.conns[wc][from] = true
+		g.mu.Unlock()
+	})
+}
+
+// readEnvelopes is the one wire read loop, shared by the gateway and the
+// link: decode envelopes off conn until it fails, count the hop, and inject
+// each into the platform (undeliverable ones are dead-lettered by Send).
+// seen, when set, observes every sender before its envelope is injected.
+func (p *Platform) readEnvelopes(conn net.Conn, via string, seen func(from ID)) {
+	dec := json.NewDecoder(bufio.NewReader(conn))
 	for {
 		var env Envelope
 		if err := dec.Decode(&env); err != nil {
 			return
 		}
-		g.mu.Lock()
-		g.conns[wc][env.From] = true
-		g.mu.Unlock()
+		if seen != nil {
+			seen(env.From)
+		}
 		env.Hops++
-		g.platform.trace(obs.SpanIngress, env, "gateway")
-		_ = g.platform.Send(env) // undeliverable remote envelopes are dead-lettered
+		p.trace(obs.SpanIngress, env, via)
+		_ = p.Send(env)
 	}
 }
 
@@ -133,67 +145,4 @@ func (g *Gateway) route(env Envelope) bool {
 		}
 	}
 	return false
-}
-
-// Link is a client-side connection from one platform to a remote gateway.
-// It does not survive the connection: see ReconnectLink for the
-// disconnection-tolerant variant.
-type Link struct {
-	platform *Platform
-	wc       *wireConn
-	filter   func(ID) bool
-	routeID  RouteID
-	closed   chan struct{}
-}
-
-// Dial connects the platform to a remote gateway. Envelopes whose
-// destination is not local and passes filter (nil = every non-local ID) are
-// forwarded over the link; envelopes arriving from the remote side are
-// injected locally.
-func Dial(p *Platform, addr string, filter func(ID) bool) (*Link, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("agent: dial gateway: %w", err)
-	}
-	l := &Link{platform: p, wc: newWireConn(conn), filter: filter, closed: make(chan struct{})}
-	l.routeID = p.AddRoute(l.route)
-	supervise.Spawn("link-read", l.readLoop)
-	return l, nil
-}
-
-// Close tears the link down and uninstalls its route from the platform.
-func (l *Link) Close() {
-	select {
-	case <-l.closed:
-		return
-	default:
-		close(l.closed)
-	}
-	l.platform.RemoveRoute(l.routeID)
-	l.wc.conn.Close()
-}
-
-func (l *Link) route(env Envelope) bool {
-	select {
-	case <-l.closed:
-		return false
-	default:
-	}
-	if l.filter != nil && !l.filter(env.To) {
-		return false
-	}
-	return l.wc.write(env) == nil
-}
-
-func (l *Link) readLoop() {
-	dec := json.NewDecoder(bufio.NewReader(l.wc.conn))
-	for {
-		var env Envelope
-		if err := dec.Decode(&env); err != nil {
-			return
-		}
-		env.Hops++
-		l.platform.trace(obs.SpanIngress, env, "link")
-		_ = l.platform.Send(env)
-	}
 }

@@ -67,8 +67,21 @@ func NewHandoff(initial []string) *Handoff {
 	return &Handoff{Initial: append([]string(nil), initial...), Completed: map[string]CompletedStep{}}
 }
 
-// Complete records a finished step.
+// done reports whether a step already completed before a migration. The
+// static engine carries no handoff (nil): nothing is ever carried forward.
+func (h *Handoff) done(task string) bool {
+	if h == nil {
+		return false
+	}
+	_, ok := h.Completed[task]
+	return ok
+}
+
+// Complete records a finished step (a no-op without a handoff).
 func (h *Handoff) Complete(step Step, rep StepReport) {
+	if h == nil {
+		return
+	}
 	if h.Completed == nil {
 		h.Completed = map[string]CompletedStep{}
 	}
@@ -355,11 +368,8 @@ func (a *Adaptive) Run() Execution {
 	a.Start()
 	clk := a.clock()
 	started := clk.Now()
-	exec := Execution{}
 	fail := func(err error) Execution {
-		exec.Err = err
-		exec.Abandoned = true
-		exec.Latency = groupLatency(exec.Steps)
+		exec := Execution{Err: err, Abandoned: true}
 		if a.Engine != nil {
 			a.Engine.record(&exec)
 		}
@@ -388,13 +398,24 @@ func (a *Adaptive) Run() Execution {
 	if hand == nil {
 		hand = NewHandoff(a.Initial)
 	}
+	exec := a.execute(plans, hand, maxReplans)
+	a.emit(started, &exec)
+	return exec
+}
 
-	planIdx := 0
-	plan := plans[planIdx]
-	i := 0
-	for i < len(plan) {
+// execute is the one step loop both executors run: bind and invoke each
+// step of the current plan, degrade on an optional step's failure, and on
+// a required step's failure (or a fresh signal against a remaining step's
+// binding) re-plan onto the best alternative in plans — or abandon when
+// none is left or the re-plan budget is spent. Engine.Execute is the case
+// of one plan, no budget, no handoff and no signal sources.
+func (a *Adaptive) execute(plans [][]Step, hand *Handoff, maxReplans int) Execution {
+	clk := a.clock()
+	exec := Execution{}
+	planIdx, plan, i := 0, plans[0], 0
+	for i < len(plan) && exec.Err == nil {
 		step := plan[i]
-		if _, done := hand.Completed[step.Task.Name]; done {
+		if hand.done(step.Task.Name) {
 			// Carried forward across a migration: never redone.
 			i++
 			continue
@@ -436,32 +457,27 @@ func (a *Adaptive) Run() Execution {
 			continue
 		}
 
-		// The step failed (or lost every broker): the static engine
-		// abandons here. Re-plan onto an alternative decomposition,
-		// keeping completed work.
-		if exec.Replans >= maxReplans {
-			if termErr != nil {
-				return fail(termErr)
+		// The step failed (or lost every broker). Re-plan onto an
+		// alternative decomposition, keeping completed work; with no
+		// budget or no alternative left, abandon.
+		if exec.Replans < maxReplans {
+			degraded, _ = a.snapshotDegraded()
+			if next, ok := a.replan(plans, planIdx, hand, degraded); ok {
+				planIdx, plan, i = next, plans[next], 0
+				exec.Replans++
+				a.phase("replan", clk.Now())
+				continue
 			}
-			return fail(stepFailure(step, report))
 		}
-		degraded, _ = a.snapshotDegraded()
-		next, ok := a.replan(plans, planIdx, hand, degraded)
-		if !ok {
-			if termErr != nil {
-				return fail(termErr)
-			}
-			return fail(stepFailure(step, report))
+		exec.Err = termErr
+		if termErr == nil {
+			exec.Err = stepFailure(step, report)
 		}
-		planIdx, plan, i = next, plans[next], 0
-		exec.Replans++
-		a.phase("replan", clk.Now())
 	}
-
-	exec.Succeeded = true
+	exec.Succeeded = exec.Err == nil
+	exec.Abandoned = !exec.Succeeded
 	exec.Latency = groupLatency(exec.Steps)
 	a.Engine.record(&exec)
-	a.emit(started, &exec)
 	return exec
 }
 
@@ -518,7 +534,7 @@ func (a *Adaptive) replan(plans [][]Step, current int, hand *Handoff, degraded m
 func remainingSteps(plan []Step, hand *Handoff) []Step {
 	out := make([]Step, 0, len(plan))
 	for _, s := range plan {
-		if _, done := hand.Completed[s.Task.Name]; !done {
+		if !hand.done(s.Task.Name) {
 			out = append(out, s)
 		}
 	}

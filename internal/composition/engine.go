@@ -142,8 +142,8 @@ type Execution struct {
 	// Degraded means at least one optional step failed while the
 	// composite still succeeded.
 	Degraded bool
-	// Replans counts mid-conversation re-plans (adaptive executor only;
-	// the static engine never re-plans).
+	// Replans counts mid-conversation re-plans (always 0 from
+	// Engine.Execute, which has no alternative plans).
 	Replans int
 	// Migrations counts steps completed on a substitute service after a
 	// degradation signal fired against their original binding.
@@ -395,37 +395,15 @@ func (e *Engine) ConfirmDead(service string) {
 // feeds the breaker, re-binds to the next candidate up to MaxAttempts,
 // and withdraws only confirmed-dead services (DeregisterAfter
 // consecutive failures). Optional-step failure degrades instead of
-// aborting.
+// aborting. It is the adaptive executor's step loop with a single plan
+// and nothing to adapt with: no alternatives, no re-plan budget, no
+// signal sources, no watch goroutine.
 func (e *Engine) Execute(plan []Step) Execution {
-	exec := Execution{}
 	if e.Invoke == nil {
-		exec.Err = fmt.Errorf("composition: engine has no invoker")
-		return exec
+		return Execution{Err: fmt.Errorf("composition: engine has no invoker")}
 	}
-	for _, step := range plan {
-		report, err := e.runStep(step, nil)
-		exec.Steps = append(exec.Steps, report)
-		if err != nil {
-			exec.Err = err
-			break
-		}
-		if !report.OK {
-			if step.Task.Optional {
-				exec.Degraded = true
-				continue
-			}
-			exec.Err = stepFailure(step, report)
-			break
-		}
-	}
-	if exec.Err != nil {
-		exec.Abandoned = true
-	} else {
-		exec.Succeeded = true
-	}
-	exec.Latency = groupLatency(exec.Steps)
-	e.record(&exec)
-	return exec
+	static := Adaptive{Engine: e}
+	return static.execute([][]Step{plan}, nil, 0)
 }
 
 // stepFailure builds the terminal error for a failed required step.

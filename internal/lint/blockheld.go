@@ -5,23 +5,22 @@ import (
 	"strings"
 )
 
-// BlockHeld generalizes lockeddeliver from one blocking call (Deliver)
-// caught in one body, to *any* blocking operation reachable through
-// *any* depth of resolved helper calls while a mutex is held. Blocking
-// under a lock is how the PR 1 DisconnectionDeputy deadlocked — the
-// lock holder parks on something that can only make progress once the
-// lock is free — and the single-function rule only catches the literal
-// shape. The summary engine propagates "calling this can block" up the
-// call graph, so the deadlock hides behind helpers at its peril.
+// BlockHeld flags any blocking operation reachable — directly, or through
+// any depth of resolved helper calls — while a mutex is held. Blocking
+// under a lock is how the PR 1 DisconnectionDeputy deadlocked: SetConnected
+// flushed its buffer through next.Deliver under d.mu and a downstream
+// deputy re-entered it, so the lock holder parked on something that could
+// only make progress once the lock was free. The summary engine propagates
+// "calling this can block" up the call graph, so the deadlock hides behind
+// helpers at its peril.
 //
 // Blocking operations: channel send/receive, select without a default,
 // Deliver/deliver, Wait, Sleep, Accept, and net dials. The held-set
-// tracking is the same straight-line source-order scan lockeddeliver
-// uses (deferred Unlock holds to exit).
-//
-// Direct Deliver-under-lock sites are left to lockeddeliver, which owns
-// that exact shape and its suppressions; blockheld reports everything
-// else, so the two rules never double-flag one line.
+// tracking is a straight-line source-order scan per function: Lock/RLock
+// opens a critical section keyed by the lock's class, a non-deferred
+// Unlock/RUnlock closes it, and a *deferred* Unlock holds to function
+// exit. That trades path sensitivity for zero false negatives on the
+// idioms this codebase actually uses.
 func BlockHeld() *Analyzer {
 	return &Analyzer{
 		Name:       "blockheld",
@@ -43,11 +42,6 @@ func runBlockHeld(pass *ProgramPass) {
 				}
 			case EventBlock:
 				if len(held) == 0 {
-					continue
-				}
-				// Deliver directly under a lock is lockeddeliver's
-				// finding; do not report it twice.
-				if strings.HasPrefix(ev.Detail, "Deliver") || strings.HasPrefix(ev.Detail, "deliver") {
 					continue
 				}
 				pass.Report(fn.Pkg.Fset.Position(ev.Pos),

@@ -13,9 +13,9 @@ import (
 // This file is the interprocedural half of pgridlint: a call graph over
 // every loaded package, with per-function summaries propagated to a
 // fixed point. The per-function analyzers that came first (rawclock,
-// lockeddeliver, ...) see one declaration at a time, which means the PR 1
-// deliver-under-lock deadlock is only caught when Lock and Deliver sit in
-// the same body. The summary engine sees through helper calls: a
+// rawsend, ...) see one declaration at a time, which would catch the PR 1
+// deliver-under-lock deadlock only when Lock and Deliver sit in the same
+// body. The summary engine sees through helper calls: a
 // function that *reaches* a blocking operation, or *eventually acquires*
 // a mutex, carries that fact to every caller.
 //
@@ -50,8 +50,8 @@ import (
 //
 // Soundness limits (documented in docs/static-analysis.md): calls
 // through interfaces or function values are not resolved (no edges), so
-// facts reached only that way are missed; path sensitivity is the same
-// straight-line approximation lockeddeliver uses; allocations hidden
+// facts reached only that way are missed; lock tracking is a straight-line
+// source-order scan, not path sensitive; allocations hidden
 // behind stubbed stdlib calls are counted only for a known allocating
 // set (fmt, encoding/json, strconv, strings builders).
 
@@ -412,6 +412,24 @@ func (g *Graph) resolve(pkg *Package, id *ast.Ident) *FuncNode {
 		}
 	}
 	return g.byName[pkg.Path+"\x00"+id.Name]
+}
+
+// exprKey renders a selector chain ("d.mu", "l.platform.mu") for use as
+// a lock key when types do not resolve; unrenderable expressions share
+// one bucket.
+func exprKey(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return exprKey(x.X) + "." + x.Sel.Name
+	case *ast.ParenExpr:
+		return exprKey(x.X)
+	case *ast.StarExpr:
+		return exprKey(x.X)
+	default:
+		return "<expr>"
+	}
 }
 
 // lockClass names the lock so different holders of the same field

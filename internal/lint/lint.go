@@ -132,6 +132,17 @@ func (p *Pass) ImportedPath(file *ast.File, id *ast.Ident) string {
 	return ""
 }
 
+// unparen strips any parentheses around an expression.
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
+}
+
 // NamedType reduces a type to its named type's (package path, name),
 // unwrapping one level of pointer. It returns ok=false for unnamed,
 // builtin, or invalid types.
@@ -363,8 +374,6 @@ func Default() []*Analyzer {
 	return []*Analyzer{
 		RawClock("pervasivegrid/internal/obs"),
 		RawSend("pervasivegrid/internal/telemetry", "pervasivegrid/internal/core"),
-		LockedDeliver(),
-		GoroLeak(),
 		EnvHops(),
 		RawEvent(),
 		RawSpawn("pervasivegrid/internal/supervise", "pervasivegrid/internal/obs"),

@@ -7,7 +7,7 @@ package lint
 // has to be global.
 //
 // The engine replays each function's events in source order, tracking
-// the held set exactly like lockeddeliver (a deferred Unlock holds to
+// the held set exactly like blockheld (a deferred Unlock holds to
 // function exit). Whenever lock B is acquired — directly, or anywhere
 // inside a callee, known from the callee's transitive Acquires summary —
 // while lock A is held, the analyzer records the ordering edge A→B with

@@ -3,17 +3,32 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"regexp"
 )
 
-// RawSpawn flags `go` statements that launch a long-running body — a
-// function literal, or a same-package function or method, containing an
-// unbounded `for {}` loop — without the supervision fence. A raw
-// goroutine that panics dies silently: no recovery, no restart, no
-// metric, and its owner only notices when the subsystem goes quiet.
-// Long-running loops must be spawned through supervise.Spawn (one-shot
-// panic fence) or Supervisor.Spawn (restart policy), which is why the
-// supervise package itself — and obs, which supervise depends on — are
-// exempt: someone has to own the raw `go`.
+// stopNamePattern matches identifiers that conventionally carry a stop
+// signal: done/quit/stop channels, contexts, cancel funcs, wait groups.
+var stopNamePattern = regexp.MustCompile(`(?i)^(done|quit|stop|stopped|exit|closing|closed|cancel|ctx|wg)$`)
+
+// RawSpawn polices `go` statements that launch a long-running body — one
+// containing an unbounded `for {}` loop — in a single walk, for two
+// defects:
+//
+// No stop signal. A function literal that loops forever and references
+// no done/quit/stop channel, no context and no WaitGroup has no shutdown
+// path: it outlives its owner, pins its captures, and turns every test of
+// its package into a goroutine leak (see internal/leak, the runtime half
+// of this check). Named-function goroutines are not checked — their stop
+// path lives in the callee.
+//
+// No supervision fence. A literal, or a same-package function or method,
+// that loops forever and is launched with a raw `go` dies silently when
+// it panics: no recovery, no restart, no metric, and its owner only
+// notices when the subsystem goes quiet. Long-running loops must be
+// spawned through supervise.Spawn (one-shot panic fence) or
+// Supervisor.Spawn (restart policy). The exempt packages — supervise
+// itself, and obs, which supervise depends on — skip this half only:
+// someone has to own the raw `go`, but it still needs a way to stop.
 //
 // Run-to-completion goroutines (no unbounded loop) are fine raw: they
 // end, and a panic in them surfaces through whatever result path they
@@ -26,11 +41,8 @@ func RawSpawn(exempt ...string) *Analyzer {
 	}
 	return &Analyzer{
 		Name: "rawspawn",
-		Doc:  "long-running goroutine (unbounded loop) launched with raw go instead of supervise.Spawn",
+		Doc:  "long-running goroutine (unbounded loop) with no stop signal, or launched with raw go instead of supervise.Spawn",
 		Run: func(pass *Pass) {
-			if ex[pass.Pkg.Path] {
-				return
-			}
 			byObj, byName := loopingFuncs(pass.Pkg)
 			for _, file := range pass.Pkg.Files {
 				ast.Inspect(file, func(n ast.Node) bool {
@@ -38,7 +50,13 @@ func RawSpawn(exempt ...string) *Analyzer {
 					if !ok {
 						return true
 					}
-					if spawnedBodyLoops(pass.Pkg, g, byObj, byName) {
+					if lit, ok := unparen(g.Call.Fun).(*ast.FuncLit); ok &&
+						hasUnboundedLoop(lit.Body) && !referencesStopSignal(lit.Body) {
+						pass.Report(g,
+							"goroutine loops forever with no stop signal in scope",
+							"select on a done/quit channel (or ctx.Done()) inside the loop, or bound the loop")
+					}
+					if !ex[pass.Pkg.Path] && spawnedBodyLoops(pass.Pkg, g, byObj, byName) {
 						pass.Report(g,
 							"long-running goroutine spawned raw: a panic here dies silently",
 							"launch it with supervise.Spawn(name, fn) (or a Supervisor) so panics are fenced and counted")
@@ -48,6 +66,43 @@ func RawSpawn(exempt ...string) *Analyzer {
 			}
 		},
 	}
+}
+
+// hasUnboundedLoop reports whether body contains a `for {}` (no
+// condition) loop. Conditioned and three-clause loops terminate by
+// construction or are the author's explicit responsibility; range loops
+// end when their operand does (a closed channel, a finite collection).
+func hasUnboundedLoop(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if f, ok := n.(*ast.ForStmt); ok && f.Cond == nil && f.Init == nil && f.Post == nil {
+			found = true
+			return false
+		}
+		return !found
+	})
+	return found
+}
+
+// referencesStopSignal reports whether the body mentions any
+// conventionally named stop mechanism, either as a bare identifier
+// (done, ctx, wg) or as the field of a receiver (l.done, pr.stop).
+func referencesStopSignal(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Ident:
+			if stopNamePattern.MatchString(x.Name) {
+				found = true
+			}
+		case *ast.SelectorExpr:
+			if stopNamePattern.MatchString(x.Sel.Name) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // loopingFuncs indexes the package's function declarations whose bodies

@@ -1,8 +1,7 @@
 // Package blockheld is the fixture corpus for the blockheld analyzer:
 // blocking operations under a lock — direct, and reached through helper
 // calls up to three deep — plus the shapes that must stay silent
-// (blocking after Unlock, non-blocking select polls, and the direct
-// Deliver-under-lock that lockeddeliver owns).
+// (blocking after Unlock, non-blocking select polls, collect-then-deliver).
 package blockheld
 
 import "sync"
@@ -51,12 +50,52 @@ func (n *Node) deliverViaHelper(v int) {
 	n.mu.Unlock()
 }
 
-// deliverDirect is lockeddeliver's finding, not blockheld's — the two
-// rules split the class so one line is never flagged twice.
+// deliverDirect is the literal PR 1 shape: Deliver between Lock and
+// Unlock in one body.
 func (n *Node) deliverDirect(v int) {
 	n.mu.Lock()
-	n.dep.Deliver(v)
+	n.dep.Deliver(v) // want blockheld
 	n.mu.Unlock()
+}
+
+// Sink is an interface delivery target, like agent.Deputy: the call does
+// not resolve, so the method name is the fact.
+type Sink interface {
+	Deliver(v int) error
+}
+
+// Box guards a buffer with a mutex and forwards to next.
+type Box struct {
+	mu     sync.Mutex
+	buffer []int
+	next   Sink
+}
+
+// deliverDeferred holds the lock (via defer) across the delivery.
+func (b *Box) deliverDeferred(v int) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.next.Deliver(v) // want blockheld
+}
+
+// collectThenDeliver collects under the lock and delivers after
+// releasing it — the shape the PR 1 DisconnectionDeputy fix established.
+func (b *Box) collectThenDeliver() {
+	b.mu.Lock()
+	buf := b.buffer
+	b.buffer = nil
+	b.mu.Unlock()
+	for _, v := range buf {
+		_ = b.next.Deliver(v)
+	}
+}
+
+// deliverSuppressed documents a passthrough that is safe by construction.
+func (b *Box) deliverSuppressed(v int) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	//lint:ignore blockheld fixture: next is non-blocking by contract
+	return b.next.Deliver(v)
 }
 
 // wait parks on the WaitGroup with the lock held.

@@ -1,5 +1,6 @@
-// Package rawspawn is a pgridlint fixture: long-running goroutines
-// launched raw versus through a supervision fence.
+// Package rawspawn is a pgridlint fixture: long-running goroutines with
+// and without a stop signal, launched raw versus through a supervision
+// fence.
 package rawspawn
 
 // pump loops forever; anything that go-spawns it raw is flagged.
@@ -36,8 +37,18 @@ func (w *worker) loop() {
 	}
 }
 
-// BadLiteral spawns a looping literal raw: stoppable, so goroleak is
-// satisfied, but a panic inside still dies unfenced.
+// BadLeaky spins forever with no way to stop it — flagged even where raw
+// spawns are allowed.
+func BadLeaky(ch chan int) {
+	go func() { // want rawspawn
+		for {
+			<-ch
+		}
+	}()
+}
+
+// BadLiteral spawns a looping literal raw: stoppable, but a panic inside
+// still dies unfenced.
 func BadLiteral(ch chan int, done chan struct{}) {
 	go func() { // want rawspawn
 		for {
@@ -50,8 +61,8 @@ func BadLiteral(ch chan int, done chan struct{}) {
 	}()
 }
 
-// BadNamed spawns a looping same-package function raw. goroleak does not
-// fire — the callee has a stop path — but the panic fence is missing.
+// BadNamed spawns a looping same-package function raw: the callee has a
+// stop path, but the panic fence is missing.
 func BadNamed(ch chan int, done chan struct{}) {
 	go pump(ch, done) // want rawspawn
 }
@@ -71,6 +82,25 @@ func GoodLiteralBounded(ch chan int) {
 	go func() {
 		for i := 0; i < 2; i++ {
 			ch <- i
+		}
+	}()
+}
+
+// GoodRange ends when the channel closes.
+func GoodRange(ch chan int) {
+	go func() {
+		for v := range ch {
+			_ = v
+		}
+	}()
+}
+
+// SuppressedLeaky is a process-lifetime goroutine by design.
+func SuppressedLeaky(ch chan int) {
+	//lint:ignore rawspawn fixture: process-lifetime pump by design
+	go func() {
+		for {
+			<-ch
 		}
 	}()
 }

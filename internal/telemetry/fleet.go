@@ -41,7 +41,7 @@ type FleetConfig struct {
 type FleetNode struct {
 	Name     string
 	Platform *agent.Platform
-	Link     *agent.ReconnectLink
+	Link     *agent.Link
 	Reporter *Reporter
 	Prober   *Prober
 	// Injector sits on the node's uplink route; SetPartitioned(true)

@@ -32,7 +32,24 @@ func startTestFleet(t *testing.T, clk *obs.FakeClock, nodes int) *Fleet {
 		}
 		return true
 	})
+	waitParked(t, clk, f)
 	return f
+}
+
+// waitParked waits until every running node's reporter is parked on the
+// clock for its next tick. A report landing at the monitor does not mean
+// its reporter has re-armed yet, and an Advance before that would skip the
+// node's tick. Every Advance fires all earlier waiters (a stopped node's
+// included), so afterwards the count is the reporters that have re-armed.
+func waitParked(t *testing.T, clk *obs.FakeClock, f *Fleet) {
+	t.Helper()
+	running := 0
+	for _, n := range f.Nodes {
+		if n.Platform != nil {
+			running++
+		}
+	}
+	waitFor(t, "reporters parked on the clock", func() bool { return clk.Waiters() >= running })
 }
 
 // advanceAndSettle moves virtual time one report interval and waits for
@@ -53,6 +70,7 @@ func advanceAndSettle(t *testing.T, clk *obs.FakeClock, f *Fleet, alive ...int) 
 		}
 		return true
 	})
+	waitParked(t, clk, f)
 }
 
 func TestFleetOverTCP(t *testing.T) {
