@@ -4,7 +4,7 @@ GO ?= go
 # (85% at the time the observability layer landed).
 COVER_FLOOR ?= 84.0
 
-.PHONY: build test race vet fmt-check lint lint-baseline cover check bench bench-baseline benchcmp experiments load-smoke e18-smoke loc
+.PHONY: build test race vet fmt-check lint lint-baseline cover check bench bench-e2e bench-baseline benchcmp experiments load-smoke e18-smoke loc
 
 # Generous wall-time ceiling for the whole lint run (call-graph build +
 # fixed point over every package). Today's run is well under a second;
@@ -93,6 +93,19 @@ bench:
 	$(GO) test -run '^$$' -bench='Deliver|Route|WAL|Replan' -benchtime=5000x -count=3 -json . >> BENCH_new.json
 	@grep -o '"Output":"Benchmark[^"]*ns/op[^"]*"' BENCH_new.json | sed 's/"Output":"//; s/\\n"$$//; s/\\t/\t/g' || true
 	@echo "wrote BENCH_new.json"
+
+# bench-e2e runs the repo's benchmark (bench/README.md, BENCHMARK.json):
+# closed-loop clients over loopback TCP against one in-process node, end to
+# end and then layer by layer. All five workloads take about 2.5 minutes;
+# W=<workload> runs one. The results, the trace files and the journal go to
+# BENCH_E2E_OUT, outside bench/. To compare two commits, run the same
+# workload and seed on each in interleaved pairs and count wins, as
+# bench/README.md says; `go run ./bench -compare a.json b.json` checks one
+# pair against the bounds.
+BENCH_E2E_OUT ?= .bench_out
+bench-e2e:
+	@mkdir -p $(BENCH_E2E_OUT)
+	$(GO) run ./bench $(if $(W),-workload $(W)) -out $(BENCH_E2E_OUT)/bench.json -dir $(BENCH_E2E_OUT)
 
 # bench-baseline refreshes the tracked baseline capture with the same
 # recipe. Run it on a quiet machine when a deliberate perf change moves

@@ -333,11 +333,11 @@ func avoidSet(degraded map[string]Signal) map[string]bool {
 // degraded service: the "signal fired against a service bound to a
 // remaining or in-flight step" condition that justifies a re-plan.
 //
-// Budget 24: this runs once per degradation signal (not per delivery),
-// and semantic discovery for uncached steps dominates its reachable
-// allocation sites.
+// Budget 16: this runs once per degradation signal (not per delivery),
+// and the top-1 discovery probe for uncached steps (Broker.Lookup, 14)
+// accounts for nearly all of its reachable allocation sites.
 //
-//lint:hot budget=24
+//lint:hot budget=16
 func (a *Adaptive) boundTo(remaining []Step, degraded map[string]Signal) bool {
 	if len(degraded) == 0 {
 		return false
@@ -350,7 +350,7 @@ func (a *Adaptive) boundTo(remaining []Step, degraded map[string]Signal) bool {
 			}
 			continue
 		}
-		ms, err := a.Engine.discover(s, &scratch)
+		ms, err := a.Engine.discover(s, 1, &scratch)
 		if err != nil || len(ms) == 0 {
 			continue
 		}
@@ -498,11 +498,11 @@ func (a *Adaptive) applyDead(degraded map[string]Signal) {
 // any dataflow-valid alternative is taken (its steps will steer via the
 // avoid set). Reports false when no alternative plan remains.
 //
-// Budget 32: at most MaxReplans runs per conversation; dataflow
+// Budget 24: at most MaxReplans runs per conversation; dataflow
 // validation and the boundTo discovery probe account for nearly all
 // reachable sites, and both are bounded by the ranked-plan cap.
 //
-//lint:hot budget=32
+//lint:hot budget=24
 func (a *Adaptive) replan(plans [][]Step, current int, hand *Handoff, degraded map[string]Signal) (int, bool) {
 	available := hand.Available()
 	fallback := -1

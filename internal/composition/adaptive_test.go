@@ -94,7 +94,7 @@ func TestAdaptiveMigratesWithinPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var scratch float64
-	ms, err := e.discover(plan[1], &scratch)
+	ms, err := e.discover(plan[1], 1, &scratch)
 	if err != nil || len(ms) == 0 {
 		t.Fatalf("no candidates for %s: %v", plan[1].Task.Name, err)
 	}

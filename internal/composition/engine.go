@@ -182,9 +182,11 @@ func (e *Engine) liveBrokers() []*discovery.Broker {
 	return live
 }
 
-// discover returns ranked candidates for a step from the live brokers,
-// charging the per-lookup cost to *cost.
-func (e *Engine) discover(step Step, cost *float64) ([]discovery.Match, error) {
+// discover returns the best max ranked candidates for a step (every one
+// when max is 0) from the live brokers, charging the per-lookup cost to
+// *cost. The bound rides in the request, so a broker selects the top max
+// instead of ranking its whole registry.
+func (e *Engine) discover(step Step, max int, cost *float64) ([]discovery.Match, error) {
 	live := e.liveBrokers()
 	if len(live) == 0 {
 		return nil, ErrNoBroker
@@ -193,22 +195,20 @@ func (e *Engine) discover(step Step, cost *float64) ([]discovery.Match, error) {
 	if minScore <= 0 {
 		minScore = 0.75
 	}
-	req := ontology.Request{Concept: step.Task.Concept, Outputs: step.Task.Outputs}
-	seen := map[string]bool{}
-	var out []discovery.Match
+	req := ontology.Request{Concept: step.Task.Concept, Outputs: step.Task.Outputs, Max: max}
 	for _, b := range live {
 		*cost += e.DiscoveryCost
-		for _, m := range b.Lookup(req, 0) {
-			if m.Score >= minScore && !seen[m.Profile.Name] {
-				seen[m.Profile.Name] = true
-				out = append(out, m)
-			}
+		ms := b.Lookup(req, 0)
+		// Ranked best first: the bindable matches are a prefix.
+		n := 0
+		for n < len(ms) && ms[n].Score >= minScore {
+			n++
 		}
-		if len(out) > 0 {
-			break // nearest live broker that can answer wins
+		if n > 0 {
+			return ms[:n], nil // nearest live broker that can answer wins
 		}
 	}
-	return out, nil
+	return nil, nil
 }
 
 // Prebind resolves and caches a binding for every primitive concept in the
@@ -224,7 +224,7 @@ func (e *Engine) Prebind(plan []Step) int {
 		if _, ok := e.cache[s.Task.Concept]; ok {
 			continue
 		}
-		ms, err := e.discover(s, &scratch)
+		ms, err := e.discover(s, 1, &scratch)
 		if err == nil && len(ms) > 0 {
 			e.cache[s.Task.Concept] = ms[0].Profile
 			bound++
@@ -240,10 +240,8 @@ func (e *Engine) InvalidateCache() { e.cache = nil }
 // usable broker.
 func (e *Engine) stillAdvertised(p *ontology.Profile) bool {
 	for _, b := range e.liveBrokers() {
-		for _, prof := range b.Reg.Profiles() {
-			if prof.Name == p.Name {
-				return true
-			}
+		if b.Reg.Has(p.Name) {
+			return true
 		}
 	}
 	return false
@@ -256,6 +254,11 @@ func (e *Engine) stillAdvertised(p *ontology.Profile) bool {
 // non-nil error is terminal for the whole plan (no live broker); a
 // report with OK unset is a step failure the caller may degrade,
 // abandon, or re-plan around.
+//
+// Discovery is asked for a window of the ranking, not all of it: one
+// candidate per attempt plus one per service to steer around. Only when
+// skips use up a full window is the whole ranking fetched, so the
+// candidates are tried in exactly the order the full list would give.
 func (e *Engine) runStep(step Step, avoid map[string]bool) (StepReport, error) {
 	report := StepReport{Task: step.Task.Name, Optional: step.Task.Optional, Group: step.Group}
 	maxAttempts := e.MaxAttempts
@@ -263,35 +266,44 @@ func (e *Engine) runStep(step Step, avoid map[string]bool) (StepReport, error) {
 		maxAttempts = 3
 	}
 
-	// Build the candidate list.
+	// A step discovers at most twice: once to bind, and once more when
+	// its list runs dry, in case new services have appeared since. A
+	// proactive binding stands in for the first.
 	var candidates []*ontology.Profile
+	lookups := 2
 	if e.Strategy == Proactive {
 		if p, ok := e.cache[step.Task.Concept]; ok && e.stillAdvertised(p) {
 			candidates = append(candidates, p)
 			report.CacheHit = true
-		}
-	}
-	if len(candidates) == 0 {
-		ms, err := e.discover(step, &report.Latency)
-		if err != nil {
-			return report, err
-		}
-		for _, m := range ms {
-			candidates = append(candidates, m.Profile)
+			lookups = 1
 		}
 	}
 
-	// Try candidates in rank order, popping each; when the list runs
-	// dry, re-discover once more in case new services have appeared
-	// since the previous lookup.
-	rediscovered := false
+	// Try candidates in rank order, popping each.
+	window := maxAttempts + len(avoid)
+	var windowed []discovery.Match // the last window, while it came back full
 	for report.Attempts < maxAttempts {
 		if len(candidates) == 0 {
-			if rediscovered {
-				break
+			var ms []discovery.Match
+			var err error
+			switch {
+			case windowed != nil:
+				// Skips used up a full window, so usable candidates may
+				// rank below it: carry on down the whole ranking. This
+				// continues the same discovery and is not charged again.
+				var free float64
+				ms, err = e.discover(step, 0, &free)
+				ms = belowWindow(ms, windowed)
+				windowed = nil
+			case lookups > 0:
+				lookups--
+				ms, err = e.discover(step, window, &report.Latency)
+				if len(ms) == window {
+					windowed = ms
+				}
+			default:
+				return report, nil // nothing left to try
 			}
-			rediscovered = true
-			ms, err := e.discover(step, &report.Latency)
 			if err != nil {
 				return report, err
 			}
@@ -348,6 +360,22 @@ func (e *Engine) runStep(step Step, avoid map[string]bool) (StepReport, error) {
 		e.noteFailure(p.Name)
 	}
 	return report, nil
+}
+
+// belowWindow filters a full ranking down to the matches that were not in
+// the window already tried, keeping their order.
+func belowWindow(all, window []discovery.Match) []discovery.Match {
+	tried := make(map[string]bool, len(window))
+	for _, m := range window {
+		tried[m.Profile.Name] = true
+	}
+	out := all[:0]
+	for _, m := range all {
+		if !tried[m.Profile.Name] {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // noteFailure bumps a service's consecutive-failure streak and confirms

@@ -93,6 +93,10 @@ func (rt *Runtime) RegisterBrokerAgent(p *agent.Platform) error {
 				reply, performative = DiscoverReply{Error: err.Error()}, "failure"
 				break
 			}
+			// Max rides in the request so a ranking matcher selects the
+			// best Max instead of sorting every match; the cut below
+			// still holds for a matcher that ignores it.
+			req.Request.Max = req.Max
 			matches := rt.Broker.Lookup(req.Request, req.Max)
 			if req.Max > 0 && len(matches) > req.Max {
 				matches = matches[:req.Max]

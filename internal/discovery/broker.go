@@ -1,7 +1,8 @@
 package discovery
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -54,35 +55,49 @@ func (b *Broker) LookupLocal(req ontology.Request) []Match {
 
 // Lookup matches locally and, when the local result set is smaller than
 // want, fans out one hop to peers and merges the ranked results
-// (deduplicated by profile name, best score wins).
+// (deduplicated by profile name, best score wins). want is only the
+// fan-out threshold — 0 always asks the peers, and a satisfied want still
+// returns every local match; the bound on the result is req.Max, which
+// each registry's matcher applies and the merge applies again.
+//
+// Budget 14: the snapshot rebuild that the first read after a mutation
+// pays (3), the peer merge (2), and obs.Registry creating the four
+// discovery_* series on first use (9). The matcher sits behind an
+// interface, out of the linter's sight; bench/ holds it through
+// discovery.lookup_allocs instead.
+//
+//lint:hot budget=14
 func (b *Broker) Lookup(req ontology.Request, want int) []Match {
 	local := b.LookupLocal(req)
 	if want > 0 && len(local) >= want {
 		return local
 	}
-	merged := map[string]Match{}
-	for _, m := range local {
-		merged[m.Profile.Name] = m
-	}
+	merged := local
 	for _, p := range b.Peers() {
-		for _, m := range p.LookupLocal(req) {
-			if prev, ok := merged[m.Profile.Name]; !ok || m.Score > prev.Score {
-				merged[m.Profile.Name] = m
-			}
-		}
+		merged = append(merged, p.LookupLocal(req)...)
 	}
-	out := make([]Match, 0, len(merged))
-	for _, m := range merged {
-		out = append(out, m)
+	if len(merged) == len(local) {
+		return local // no peer had anything to add: the local ranking stands
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Profile.Name < out[j].Profile.Name
-	})
-	return out
+	// Bring each name's copies together, best score first and on a tie
+	// the earliest broker asked, keep one, and rank what is left.
+	slices.SortStableFunc(merged, byNameThenRank)
+	merged = slices.CompactFunc(merged, sameName)
+	slices.SortFunc(merged, rank)
+	if req.Max > 0 && len(merged) > req.Max {
+		merged = merged[:req.Max]
+	}
+	return merged
 }
+
+func byNameThenRank(a, b Match) int {
+	if c := strings.Compare(a.Profile.Name, b.Profile.Name); c != 0 {
+		return c
+	}
+	return rank(a, b)
+}
+
+func sameName(a, b Match) bool { return a.Profile.Name == b.Profile.Name }
 
 // SyncOnce replicates this broker's live advertisements to every peer under
 // short anti-entropy leases, so lookups local to a peer can see remote

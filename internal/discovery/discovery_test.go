@@ -2,6 +2,11 @@ package discovery
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,6 +224,46 @@ func TestRegistryLeaseExpiry(t *testing.T) {
 	if _, err := r.Renew(lease, time.Second); err == nil {
 		t.Fatal("renewing an expired lease should fail")
 	}
+
+	// A lapsed lease is gone whether or not a read swept it first: no
+	// read happens between the expiry and the renewal here.
+	lease, err = r.Register(p, 10*time.Second) // t=18, expires at t=28
+	if err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(10 * time.Second) // t=28: the last live instant
+	if lease, err = r.Renew(lease, 10*time.Second); err != nil {
+		t.Fatalf("renewing at the expiry instant should succeed: %v", err)
+	}
+	now = now.Add(10*time.Second + time.Nanosecond) // just past t=38
+	if _, err := r.Renew(lease, time.Hour); err == nil {
+		t.Fatal("renewing a lapsed lease should fail without an intervening read")
+	}
+	if r.Has("s1") || r.Len() != 0 {
+		t.Fatal("a refused renewal must not resurrect the advertisement")
+	}
+}
+
+func TestRegistryRenewToEarlierExpiry(t *testing.T) {
+	now := time.Unix(0, 0)
+	r := NewRegistry()
+	r.Now = func() time.Time { return now }
+	lease, err := r.Register(&ontology.Profile{Name: "long", Concept: "Service"}, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Has("long") {
+		t.Fatal("registered profile missing")
+	}
+	// The snapshot read above knows no expiry before the hour; a renewal
+	// may still pull the lease in.
+	if _, err := r.Renew(lease, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(2 * time.Second)
+	if r.Has("long") || r.Len() != 0 || len(r.Profiles()) != 0 {
+		t.Fatal("a lease renewed to a shorter ttl should lapse on the new expiry")
+	}
 }
 
 func TestRegistryReplaceAndDeregister(t *testing.T) {
@@ -365,6 +410,7 @@ func BenchmarkSemanticMatch1000(b *testing.B) {
 		})
 	}
 	req := ontology.Request{Concept: "SensorService", PreferLow: []string{"cost"}}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := m.Match(req, pool); len(got) == 0 {
@@ -446,4 +492,476 @@ func TestWatchSupportsRebindingScenario(t *testing.T) {
 	if bound != "fresh-miner" {
 		t.Fatalf("rebinding watch did not fire: bound=%s", bound)
 	}
+}
+
+// benchConcepts are the service categories of the benchmark population.
+var benchConcepts = []string{
+	"TemperatureSensor", "SmokeSensor", "HeatSolver", "ClusteringService",
+	"WeatherData", "ColorPrinter", "DisplayService", "StorageService",
+}
+
+func benchProfile(rng *rand.Rand, i int) *ontology.Profile {
+	concept := benchConcepts[i%len(benchConcepts)]
+	return &ontology.Profile{
+		Name:    fmt.Sprintf("svc-%06d", i),
+		Concept: concept,
+		Outputs: []string{concept},
+		Properties: map[string]ontology.Value{
+			"cost": ontology.Num(1 + float64(rng.Intn(100))),
+			"load": ontology.Num(float64(rng.Intn(20))),
+			"x":    ontology.Num(float64(rng.Intn(100))),
+			"y":    ontology.Num(float64(rng.Intn(100))),
+			"room": ontology.Str(fmt.Sprintf("r%d", rng.Intn(4))),
+		},
+	}
+}
+
+// benchRequests are lookups of mixed selectivity: a cost ceiling, a room,
+// and a radius, each ranked by a preference.
+func benchRequests(max int) []ontology.Request {
+	var reqs []ontology.Request
+	for i, concept := range benchConcepts {
+		req := ontology.Request{Concept: concept, PreferLow: []string{"cost"}, X: 50, Y: 50, HasLoc: true, Max: max}
+		switch i % 3 {
+		case 0:
+			req.Constraints = []ontology.Constraint{{Property: "cost", Op: ontology.OpLt, Value: ontology.Num(40)}}
+		case 1:
+			req.Constraints = []ontology.Constraint{{Property: "room", Op: ontology.OpEq, Value: ontology.Str("r1")}}
+		default:
+			req.Constraints = []ontology.Constraint{{Op: ontology.OpNear, Value: ontology.Num(40)}}
+		}
+		reqs = append(reqs, req)
+	}
+	return reqs
+}
+
+// BenchmarkRegistryLookup is the isolated probe of the discovery read path:
+// a top-5 lookup through the broker at three registry sizes, read-only and
+// with every fiftieth operation re-advertising a service (which drops the
+// snapshot). The constraint pass and the preference range are over the
+// whole registry by definition, so the cost per lookup grows with it; the
+// figure to watch is the slope, ns per profile.
+func BenchmarkRegistryLookup(b *testing.B) {
+	for _, n := range []int{500, 5000, 50000} {
+		for _, renewEvery := range []int{0, 50} {
+			name := fmt.Sprintf("profiles=%d/read-only", n)
+			if renewEvery > 0 {
+				name = fmt.Sprintf("profiles=%d/renewals=2%%", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				broker := NewBroker("b", NewSemanticMatcher(ontology.Pervasive()))
+				profiles := make([]*ontology.Profile, n)
+				for i := range profiles {
+					profiles[i] = benchProfile(rng, i)
+					if _, err := broker.Reg.Register(profiles[i], time.Hour); err != nil {
+						b.Fatal(err)
+					}
+				}
+				reqs := benchRequests(5)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if renewEvery > 0 && i%renewEvery == renewEvery-1 {
+						again := *profiles[rng.Intn(n)]
+						if _, err := broker.Reg.Register(&again, time.Hour); err != nil {
+							b.Fatal(err)
+						}
+						continue
+					}
+					if got := broker.Lookup(reqs[i%len(reqs)], 5); len(got) != 5 {
+						b.Fatalf("%d matches, want 5", len(got))
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/profile")
+			})
+		}
+	}
+}
+
+// referencePrefScore and referenceMatch are SemanticMatcher's scoring as it
+// stood before Match was rewritten to select instead of rank: every
+// candidate scored against the ontology, every survivor stable-sorted. They
+// are kept verbatim as the oracle for the differential test below.
+func referencePrefScore(req ontology.Request, p *ontology.Profile, lo, hi map[string]float64) float64 {
+	if len(req.PreferLow) == 0 {
+		return 1
+	}
+	total, n := 0.0, 0
+	for _, key := range req.PreferLow {
+		v, ok := p.Prop(key)
+		if !ok || v.Kind != ontology.KindNumber {
+			continue
+		}
+		l, h := lo[key], hi[key]
+		n++
+		if h <= l {
+			total += 1
+			continue
+		}
+		total += 1 - (v.N-l)/(h-l)
+	}
+	if n == 0 {
+		return 0.5 // no preference data available
+	}
+	return total / float64(n)
+}
+
+func referenceMatch(m *SemanticMatcher, req ontology.Request, candidates []*ontology.Profile) []Match {
+	cw, iw, pw := m.ConceptWeight, m.IOWeight, m.PrefWeight
+	if cw <= 0 && iw <= 0 && pw <= 0 {
+		cw, iw, pw = 0.6, 0.2, 0.2
+	}
+	sum := cw + iw + pw
+	cw, iw, pw = cw/sum, iw/sum, pw/sum
+	minScore := m.MinScore
+	if minScore <= 0 {
+		minScore = 0.35
+	}
+
+	// Pass 1: constraint filter; collect preference ranges over the
+	// surviving pool so prefScore is scale-free.
+	var pool []*ontology.Profile
+	for _, p := range candidates {
+		ok := true
+		for _, c := range req.Constraints {
+			if !ontology.Satisfies(p, c, req) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			pool = append(pool, p)
+		}
+	}
+	lo, hi := map[string]float64{}, map[string]float64{}
+	for _, key := range req.PreferLow {
+		first := true
+		for _, p := range pool {
+			v, ok := p.Prop(key)
+			if !ok || v.Kind != ontology.KindNumber {
+				continue
+			}
+			if first || v.N < lo[key] {
+				lo[key] = v.N
+			}
+			if first || v.N > hi[key] {
+				hi[key] = v.N
+			}
+			first = false
+		}
+	}
+
+	// Pass 2: score and rank.
+	var out []Match
+	for _, p := range pool {
+		score := cw*m.conceptScore(req.Concept, p.Concept) +
+			iw*m.ioScore(req, p) +
+			pw*referencePrefScore(req, p, lo, hi)
+		if score >= minScore {
+			out = append(out, Match{Profile: p, Score: score})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].Profile.Name < out[j].Profile.Name
+	})
+	return out
+}
+
+// randomProfile draws an advertisement over the whole vocabulary. Values
+// come from small ranges so that scores tie often; properties go missing,
+// or turn up with the wrong kind, so that every branch of Satisfies and
+// prefScore is reached.
+func randomProfile(rng *rand.Rand, name string, concepts []string) *ontology.Profile {
+	pick := func() []string {
+		var out []string
+		for n := rng.Intn(3); n > 0; n-- {
+			out = append(out, concepts[rng.Intn(len(concepts))])
+		}
+		return out
+	}
+	p := &ontology.Profile{
+		Name:       name,
+		Concept:    concepts[rng.Intn(len(concepts))],
+		Properties: map[string]ontology.Value{},
+	}
+	if rng.Intn(2) == 0 {
+		// Half the population shares a few IO shapes, as real fleets do.
+		p.Concept = concepts[rng.Intn(4)]
+		p.Outputs = []string{p.Concept}
+	} else {
+		p.Inputs, p.Outputs = pick(), pick()
+	}
+	for _, key := range []string{"cost", "load", "x", "y"} {
+		switch r := rng.Intn(10); {
+		case r < 7:
+			p.Properties[key] = ontology.Num(float64(rng.Intn(6)))
+		case r < 8:
+			p.Properties[key] = ontology.Str("n/a")
+		}
+	}
+	if rng.Intn(4) > 0 {
+		p.Properties["room"] = ontology.Str(fmt.Sprintf("r%d", rng.Intn(3)))
+	}
+	return p
+}
+
+func randomRequest(rng *rand.Rand, concepts []string) ontology.Request {
+	req := ontology.Request{Concept: concepts[rng.Intn(len(concepts))]}
+	if rng.Intn(8) == 0 {
+		req.Concept = "NoSuchConcept"
+	}
+	for n := rng.Intn(3); n > 0; n-- {
+		req.Inputs = append(req.Inputs, concepts[rng.Intn(len(concepts))])
+	}
+	for n := rng.Intn(3); n > 0; n-- {
+		req.Outputs = append(req.Outputs, concepts[rng.Intn(len(concepts))])
+	}
+	if rng.Intn(2) == 0 {
+		req.X, req.Y, req.HasLoc = float64(rng.Intn(6)), float64(rng.Intn(6)), true
+	}
+	ops := []ontology.Op{ontology.OpEq, ontology.OpNe, ontology.OpLt, ontology.OpLe, ontology.OpGt, ontology.OpGe}
+	for n := rng.Intn(3); n > 0; n-- {
+		switch rng.Intn(3) {
+		case 0: // with and without HasLoc
+			req.Constraints = append(req.Constraints,
+				ontology.Constraint{Op: ontology.OpNear, Value: ontology.Num(float64(1 + rng.Intn(5)))})
+		case 1:
+			req.Constraints = append(req.Constraints, ontology.Constraint{
+				Property: "room", Op: ops[rng.Intn(2)], Value: ontology.Str(fmt.Sprintf("r%d", rng.Intn(3)))})
+		default:
+			req.Constraints = append(req.Constraints, ontology.Constraint{
+				Property: []string{"cost", "load"}[rng.Intn(2)], Op: ops[rng.Intn(len(ops))],
+				Value: ontology.Num(float64(rng.Intn(6)))})
+		}
+	}
+	// Up to three keys, repeats and a key nobody has included.
+	for n := rng.Intn(4); n > 0; n-- {
+		req.PreferLow = append(req.PreferLow, []string{"cost", "load", "x", "absent"}[rng.Intn(4)])
+	}
+	return req
+}
+
+// TestSemanticMatchEqualsReference is the differential test of the matcher:
+// on random registries and requests, Match returns exactly the profiles,
+// scores (==, not nearly) and order that the rank-everything reference
+// gives, cut to Max.
+func TestSemanticMatchEqualsReference(t *testing.T) {
+	onto := ontology.Pervasive()
+	concepts := onto.Concepts()
+	rng := rand.New(rand.NewSource(20031))
+	matchers := []*SemanticMatcher{
+		NewSemanticMatcher(onto),
+		{Onto: onto}, // zero weights and MinScore fall back to the defaults
+		{Onto: onto, MinScore: 0.7, ConceptWeight: 1, IOWeight: 1, PrefWeight: 3},
+		{Onto: onto, MinScore: 0.5, ConceptWeight: 2, IOWeight: 1, PrefWeight: 0},
+	}
+	sizes := []int{0, 1, 7, 60, 400}
+	matched, cut := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		registry := make([]*ontology.Profile, sizes[trial%len(sizes)])
+		for i := range registry {
+			registry[i] = randomProfile(rng, fmt.Sprintf("svc-%03d", i), concepts)
+		}
+		rng.Shuffle(len(registry), func(i, j int) { registry[i], registry[j] = registry[j], registry[i] })
+		m := matchers[rng.Intn(len(matchers))]
+		req := randomRequest(rng, concepts)
+		want := referenceMatch(m, req, registry)
+		matched += len(want)
+		for _, max := range []int{0, 1, 5, 50} {
+			req.Max = max
+			got := m.Match(req, registry)
+			ref := want
+			if max > 0 && len(ref) > max {
+				ref = ref[:max]
+				cut++
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("trial %d max %d: %d matches, reference has %d (request %+v)", trial, max, len(got), len(ref), req)
+			}
+			for i := range got {
+				if got[i].Profile != ref[i].Profile || got[i].Score != ref[i].Score {
+					t.Fatalf("trial %d max %d rank %d: %s (%v), reference has %s (%v) (request %+v)", trial, max, i,
+						got[i].Profile.Name, got[i].Score, ref[i].Profile.Name, ref[i].Score, req)
+				}
+			}
+		}
+	}
+	// The test is only as good as its coverage of non-trivial answers.
+	if matched < 5000 || cut < 100 {
+		t.Fatalf("weak differential: %d reference matches, %d answers cut by Max", matched, cut)
+	}
+}
+
+// everyMatcher returns every candidate in the order given, so a test sees
+// exactly the slice Registry.Lookup hands its matcher.
+type everyMatcher struct{}
+
+func (everyMatcher) Name() string { return "every" }
+
+func (everyMatcher) Match(_ ontology.Request, candidates []*ontology.Profile) []Match {
+	out := make([]Match, len(candidates))
+	for i, p := range candidates {
+		out[i] = Match{Profile: p, Score: 1}
+	}
+	return out
+}
+
+// TestRegistryConcurrentReadersAndWriters runs lock-free readers against
+// every kind of mutation while a fake clock lapses leases (run it under
+// -race). Three populations make the guarantees checkable from outside:
+// "steady" services whose leases are renewed before each tick and must be
+// in every read; "brief" services registered once on a short lease, each
+// carrying its own expiry so a reader can tell it has lapsed; and "gone"
+// services withdrawn in sequence, so a reader knows which were withdrawn
+// before its read began.
+func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
+	const (
+		tick    = time.Second
+		ticks   = 500
+		steady  = 16
+		readers = 3
+	)
+	var clock atomic.Int64 // unix nanoseconds; only the lease writer advances it
+	r := NewRegistry()
+	r.Now = func() time.Time { return time.Unix(0, clock.Load()) }
+
+	leases := make([]Lease, steady)
+	for i := range leases {
+		var err error
+		leases[i], err = r.Register(&ontology.Profile{Name: fmt.Sprintf("steady-%02d", i), Concept: "Service"}, 3*tick)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var others sync.WaitGroup
+	leasesDone := make(chan struct{})
+	var stop atomic.Bool
+	var withdrawn atomic.Int64 // gone-k is withdrawn for every k below this
+
+	// The lease writer renews, registers short leases, and moves time on;
+	// the run is as long as its ticks.
+	go func() {
+		defer close(leasesDone)
+		for n := 0; n < ticks; n++ {
+			now := clock.Load()
+			for i := range leases {
+				l, err := r.Renew(leases[i], 3*tick)
+				if err != nil {
+					t.Errorf("tick %d: renew %s: %v", n, leases[i].Name, err)
+					return
+				}
+				leases[i] = l
+			}
+			ttl := time.Duration(1+n%3) * tick / 2
+			brief := &ontology.Profile{Name: fmt.Sprintf("brief-%04d", n), Concept: "Service",
+				Properties: map[string]ontology.Value{"expires": ontology.Num(float64(now + int64(ttl)))}}
+			if _, err := r.Register(brief, ttl); err != nil {
+				t.Errorf("register %s: %v", brief.Name, err)
+				return
+			}
+			if n%7 == 0 {
+				// Replacing a steady advertisement keeps its name live.
+				i := n / 7 % steady
+				l, err := r.Register(&ontology.Profile{Name: leases[i].Name, Concept: "SensorService"}, 3*tick)
+				if err != nil {
+					t.Errorf("replace %s: %v", leases[i].Name, err)
+					return
+				}
+				leases[i] = l
+			}
+			clock.Add(int64(tick))
+		}
+	}()
+
+	// The withdrawing writer registers and deregisters in sequence.
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		for k := int64(0); !stop.Load(); k++ {
+			name := fmt.Sprintf("gone-%06d", k)
+			if _, err := r.Register(&ontology.Profile{Name: name, Concept: "Service"}, time.Hour); err != nil {
+				t.Errorf("register %s: %v", name, err)
+				return
+			}
+			// Reading in between puts the name into a snapshot that the
+			// withdrawal then has to drop.
+			if !r.Has(name) {
+				t.Errorf("%s missing after its registration", name)
+			}
+			r.Deregister(name)
+			if r.Has(name) {
+				t.Errorf("%s still there after its withdrawal", name)
+			}
+			withdrawn.Store(k + 1)
+		}
+	}()
+
+	check := func(kind string, before, gone int64, got []*ontology.Profile) {
+		live := 0
+		for i, p := range got {
+			if i > 0 && got[i-1].Name >= p.Name {
+				t.Errorf("%s: %s before %s: not in name order", kind, got[i-1].Name, p.Name)
+			}
+			var k int64
+			switch {
+			case strings.HasPrefix(p.Name, "steady-"):
+				live++
+			case strings.HasPrefix(p.Name, "brief-"):
+				if exp, _ := p.Prop("expires"); int64(exp.N) < before {
+					t.Errorf("%s: %s returned %v after it lapsed", kind, p.Name, time.Duration(before-int64(exp.N)))
+				}
+			default:
+				if _, err := fmt.Sscanf(p.Name, "gone-%d", &k); err != nil || k < gone {
+					t.Errorf("%s: %s returned after it was withdrawn (%v)", kind, p.Name, err)
+				}
+			}
+		}
+		if live != steady {
+			t.Errorf("%s: %d of %d renewed leases present", kind, live, steady)
+		}
+	}
+	for i := 0; i < readers; i++ {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			broker := &Broker{Name: "b", Reg: r, Matcher: everyMatcher{}}
+			for n := 0; !stop.Load() && !t.Failed(); n++ {
+				// What had lapsed or been withdrawn before the read began
+				// must not be in it.
+				before, gone := clock.Load(), withdrawn.Load()
+				switch n % 4 {
+				case 0:
+					check("Profiles", before, gone, r.Profiles())
+				case 1:
+					var got []*ontology.Profile
+					for _, m := range broker.Lookup(ontology.Request{}, 0) {
+						got = append(got, m.Profile)
+					}
+					check("Lookup", before, gone, got)
+				case 2:
+					if n := r.Len(); n < steady {
+						t.Errorf("Len: %d, below the %d renewed leases", n, steady)
+					}
+				default:
+					if name := fmt.Sprintf("steady-%02d", n%steady); !r.Has(name) {
+						t.Errorf("Has: renewed lease %s missing", name)
+					}
+					if gone > 0 {
+						if name := fmt.Sprintf("gone-%06d", gone-1); r.Has(name) {
+							t.Errorf("Has: %s still there after it was withdrawn", name)
+						}
+					}
+				}
+			}
+		}()
+	}
+
+	<-leasesDone
+	stop.Store(true)
+	others.Wait()
 }

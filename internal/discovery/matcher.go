@@ -10,7 +10,9 @@
 package discovery
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"pervasivegrid/internal/ontology"
 )
@@ -98,19 +100,50 @@ func (m *SemanticMatcher) ioScore(req ontology.Request, p *ontology.Profile) flo
 	return (outs + ins) / 2
 }
 
+// prefRange is the span of one PreferLow property over the candidate pool.
+type prefRange struct{ lo, hi float64 }
+
+// prefRanges measures each PreferLow property over the whole pool — every
+// constraint survivor of every concept — so that prefScore is scale-free.
+func prefRanges(keys []string, pool []*ontology.Profile) []prefRange {
+	if len(keys) == 0 {
+		return nil
+	}
+	ranges := make([]prefRange, len(keys))
+	for i, key := range keys {
+		r := &ranges[i]
+		first := true
+		for _, p := range pool {
+			v, ok := p.Prop(key)
+			if !ok || v.Kind != ontology.KindNumber {
+				continue
+			}
+			if first || v.N < r.lo {
+				r.lo = v.N
+			}
+			if first || v.N > r.hi {
+				r.hi = v.N
+			}
+			first = false
+		}
+	}
+	return ranges
+}
+
 // prefScore rewards candidates with smaller values on PreferLow properties,
-// scaled against the candidate pool's observed range.
-func prefScore(req ontology.Request, p *ontology.Profile, lo, hi map[string]float64) float64 {
+// scaled against the candidate pool's observed ranges (one per PreferLow
+// key). It never exceeds 1.
+func prefScore(req ontology.Request, p *ontology.Profile, ranges []prefRange) float64 {
 	if len(req.PreferLow) == 0 {
 		return 1
 	}
 	total, n := 0.0, 0
-	for _, key := range req.PreferLow {
+	for i, key := range req.PreferLow {
 		v, ok := p.Prop(key)
 		if !ok || v.Kind != ontology.KindNumber {
 			continue
 		}
-		l, h := lo[key], hi[key]
+		l, h := ranges[i].lo, ranges[i].hi
 		n++
 		if h <= l {
 			total += 1
@@ -124,7 +157,36 @@ func prefScore(req ontology.Request, p *ontology.Profile, lo, hi map[string]floa
 	return total / float64(n)
 }
 
-// Match implements Matcher.
+// signature is what the concept and IO parts of a score depend on: the
+// candidate's Concept, Inputs and Outputs. A registry of thousands of
+// services holds about a dozen distinct ones, so Match keeps the ones it
+// has met in a slice and finds a candidate's by scanning it.
+type signature struct {
+	of *ontology.Profile // the first candidate seen with it
+	// base is cw·concept + iw·io; a candidate's score is base + pw·pref.
+	base float64
+}
+
+func (s *signature) covers(p *ontology.Profile) bool {
+	return s.of.Concept == p.Concept &&
+		slices.Equal(s.of.Inputs, p.Inputs) && slices.Equal(s.of.Outputs, p.Outputs)
+}
+
+// rank is the result order: score descending, then name ascending. Names
+// are unique in a registry, which makes the order total.
+func rank(a, b Match) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.Profile.Name, b.Profile.Name)
+}
+
+// Match implements Matcher. It returns the req.Max best candidates (all of
+// them when Max is 0) that meet every constraint and score at least
+// MinScore, best first.
 func (m *SemanticMatcher) Match(req ontology.Request, candidates []*ontology.Profile) []Match {
 	cw, iw, pw := m.ConceptWeight, m.IOWeight, m.PrefWeight
 	if cw <= 0 && iw <= 0 && pw <= 0 {
@@ -137,55 +199,74 @@ func (m *SemanticMatcher) Match(req ontology.Request, candidates []*ontology.Pro
 		minScore = 0.35
 	}
 
-	// Pass 1: constraint filter; collect preference ranges over the
-	// surviving pool so prefScore is scale-free.
-	var pool []*ontology.Profile
-	for _, p := range candidates {
-		ok := true
-		for _, c := range req.Constraints {
-			if !ontology.Satisfies(p, c, req) {
-				ok = false
-				break
+	// Pass 1: constraint filter, then the preference ranges over the
+	// surviving pool. This pass is linear in the candidates on purpose: an
+	// index by concept could narrow what is scored below, but narrowing
+	// what feeds the ranges would change the scores.
+	pool := candidates
+	if len(req.Constraints) > 0 {
+		pool = make([]*ontology.Profile, 0, len(candidates))
+	next:
+		for _, p := range candidates {
+			for _, c := range req.Constraints {
+				if !ontology.Satisfies(p, c, req) {
+					continue next
+				}
 			}
-		}
-		if ok {
 			pool = append(pool, p)
 		}
 	}
-	lo, hi := map[string]float64{}, map[string]float64{}
-	for _, key := range req.PreferLow {
-		first := true
-		for _, p := range pool {
-			v, ok := p.Prop(key)
-			if !ok || v.Kind != ontology.KindNumber {
+	ranges := prefRanges(req.PreferLow, pool)
+
+	// Pass 2: score. The ontology is consulted once per signature; only
+	// the preference part is per candidate. With a bound, the best Max are
+	// kept in order by insertion instead of ranking everyone.
+	keep, bounded := len(pool), false
+	if req.Max > 0 && req.Max < keep {
+		keep, bounded = req.Max, true
+	}
+	out := make([]Match, 0, keep)
+	var sigs []signature
+	for _, p := range pool {
+		var sig *signature
+		for i := range sigs {
+			if sigs[i].covers(p) {
+				sig = &sigs[i]
+				break
+			}
+		}
+		if sig == nil {
+			sigs = append(sigs, signature{of: p,
+				base: cw*m.conceptScore(req.Concept, p.Concept) + iw*m.ioScore(req, p)})
+			sig = &sigs[len(sigs)-1]
+		}
+		bar := minScore
+		if len(out) == keep {
+			bar = out[keep-1].Score // full: the worst one kept is the one to beat
+		}
+		if sig.base+max(pw, 0) < bar {
+			continue // out of reach even with a perfect preference score
+		}
+		match := Match{Profile: p, Score: sig.base + pw*prefScore(req, p, ranges)}
+		if !(match.Score >= minScore) { // too low, or NaN from a NaN property
+			continue
+		}
+		if len(out) == keep {
+			if rank(match, out[keep-1]) >= 0 {
 				continue
 			}
-			if first || v.N < lo[key] {
-				lo[key] = v.N
+			out = out[:keep-1] // the worst one kept makes room
+		}
+		out = append(out, match)
+		if bounded {
+			for i := len(out) - 1; i > 0 && rank(out[i], out[i-1]) < 0; i-- {
+				out[i], out[i-1] = out[i-1], out[i]
 			}
-			if first || v.N > hi[key] {
-				hi[key] = v.N
-			}
-			first = false
 		}
 	}
-
-	// Pass 2: score and rank.
-	var out []Match
-	for _, p := range pool {
-		score := cw*m.conceptScore(req.Concept, p.Concept) +
-			iw*m.ioScore(req, p) +
-			pw*prefScore(req, p, lo, hi)
-		if score >= minScore {
-			out = append(out, Match{Profile: p, Score: score})
-		}
+	if !bounded {
+		slices.SortFunc(out, rank)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Profile.Name < out[j].Profile.Name
-	})
 	return out
 }
 

@@ -2,12 +2,12 @@ package discovery
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
-)
 
-import (
 	"pervasivegrid/internal/obs"
 	"pervasivegrid/internal/ontology"
 )
@@ -22,7 +22,11 @@ type Lease struct {
 }
 
 // Registry stores service advertisements under leases. It is safe for
-// concurrent use. The clock is injectable so simulations can drive expiry
+// concurrent use, and reads take no lock: Profiles, Len, Has and Lookup
+// serve an immutable name-ordered snapshot published through an atomic
+// pointer. A mutation that changes the set of advertisements drops the
+// snapshot and the first read after it rebuilds, so a burst of writes pays
+// for one rebuild. The clock is injectable so simulations can drive expiry
 // deterministically.
 type Registry struct {
 	// Now supplies the current time; defaults to time.Now.
@@ -45,15 +49,34 @@ type Registry struct {
 	// starts.
 	OnDeregister func(name string)
 
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	nextID  uint64
 	entries map[string]*entry // by profile name
+	// snap is the published view of entries; nil after a mutation that
+	// changed the set. Written under mu, read without it.
+	snap    atomic.Pointer[snapshot]
 	watches watchList
 }
 
 type entry struct {
 	profile *ontology.Profile
 	lease   Lease
+}
+
+// snapshot is an immutable view of the live advertisements.
+type snapshot struct {
+	profiles []*ontology.Profile // name order
+	// horizon is the earliest expiry among the leases the view was built
+	// from: until the clock passes it nothing in the view has lapsed, so
+	// the view is served as it is. Renew either leaves every expiry at or
+	// past it, or drops the view.
+	horizon time.Time
+}
+
+// current reports whether the view can be served at now: it exists and
+// nothing in it has lapsed.
+func (s *snapshot) current(now time.Time) bool {
+	return s != nil && (len(s.profiles) == 0 || !s.horizon.Before(now))
 }
 
 // NewRegistry builds an empty registry on the wall clock.
@@ -69,7 +92,9 @@ func (r *Registry) now() time.Time {
 }
 
 // Register advertises a profile for ttl; re-registering a name replaces the
-// previous advertisement and lease. A non-positive ttl is an error.
+// previous advertisement and lease. A non-positive ttl is an error. The
+// registry keeps the pointer and shares it with every reader: a registered
+// profile is immutable, and a change is a new Register.
 func (r *Registry) Register(p *ontology.Profile, ttl time.Duration) (Lease, error) {
 	if p == nil || p.Name == "" {
 		return Lease{}, fmt.Errorf("discovery: register needs a named profile")
@@ -81,6 +106,7 @@ func (r *Registry) Register(p *ontology.Profile, ttl time.Duration) (Lease, erro
 	r.nextID++
 	l := Lease{ID: r.nextID, Name: p.Name, Expires: r.now().Add(ttl)}
 	r.entries[p.Name] = &entry{profile: p, lease: l}
+	r.snap.Store(nil)
 	r.mu.Unlock()
 	// Watchers and the journal hook run outside the lock so their
 	// callbacks may use the registry freely.
@@ -91,19 +117,25 @@ func (r *Registry) Register(p *ontology.Profile, ttl time.Duration) (Lease, erro
 	return l, nil
 }
 
-// Renew extends an existing lease by ttl from now. Renewing an unknown or
-// superseded lease fails.
+// Renew extends an existing lease by ttl from now. Renewing an unknown,
+// superseded or lapsed lease fails: a lease that has expired is gone
+// whether or not a read has swept it yet.
 func (r *Registry) Renew(l Lease, ttl time.Duration) (Lease, error) {
 	if ttl <= 0 {
 		return Lease{}, fmt.Errorf("discovery: renew with non-positive ttl")
 	}
 	r.mu.Lock()
+	now := r.now()
 	e, ok := r.entries[l.Name]
-	if !ok || e.lease.ID != l.ID {
+	if !ok || e.lease.ID != l.ID || e.lease.Expires.Before(now) {
 		r.mu.Unlock()
 		return Lease{}, fmt.Errorf("discovery: lease %d for %q not active", l.ID, l.Name)
 	}
-	e.lease.Expires = r.now().Add(ttl)
+	e.lease.Expires = now.Add(ttl)
+	if s := r.snap.Load(); s != nil && e.lease.Expires.Before(s.horizon) {
+		// Renewed to lapse sooner than anything the view knew of.
+		r.snap.Store(nil)
+	}
 	renewed := e.lease
 	profile := e.profile
 	r.mu.Unlock()
@@ -118,7 +150,10 @@ func (r *Registry) Renew(l Lease, ttl time.Duration) (Lease, error) {
 func (r *Registry) Deregister(name string) {
 	r.mu.Lock()
 	_, had := r.entries[name]
-	delete(r.entries, name)
+	if had {
+		delete(r.entries, name)
+		r.snap.Store(nil)
+	}
 	r.mu.Unlock()
 	if had {
 		if fn := r.OnDeregister; fn != nil {
@@ -127,35 +162,57 @@ func (r *Registry) Deregister(name string) {
 	}
 }
 
-// sweep drops expired entries. Callers hold r.mu.
-func (r *Registry) sweep() {
+// view returns the current snapshot, rebuilding it when a mutation dropped
+// it or a lease in it has lapsed.
+func (r *Registry) view() *snapshot {
 	now := r.now()
+	if s := r.snap.Load(); s.current(now) {
+		return s
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s := r.snap.Load(); s.current(now) {
+		return s // another reader rebuilt it first
+	}
+	// Sweep expired entries and publish what is left.
+	s := &snapshot{profiles: make([]*ontology.Profile, 0, len(r.entries))}
 	for name, e := range r.entries {
 		if e.lease.Expires.Before(now) {
 			delete(r.entries, name)
+			continue
 		}
+		if len(s.profiles) == 0 || e.lease.Expires.Before(s.horizon) {
+			s.horizon = e.lease.Expires
+		}
+		s.profiles = append(s.profiles, e.profile)
 	}
+	slices.SortFunc(s.profiles, byName)
+	r.snap.Store(s)
+	return s
 }
 
-// Profiles snapshots the live advertisements in name order.
+func byName(a, b *ontology.Profile) int { return strings.Compare(a.Name, b.Name) }
+
+// Profiles returns the live advertisements in name order. The slice is the
+// caller's own.
 func (r *Registry) Profiles() []*ontology.Profile {
-	r.mu.Lock()
-	r.sweep()
-	out := make([]*ontology.Profile, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, e.profile)
-	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return slices.Clone(r.view().profiles)
 }
 
 // Len reports the number of live advertisements.
-func (r *Registry) Len() int { return len(r.Profiles()) }
+func (r *Registry) Len() int { return len(r.view().profiles) }
 
-// Lookup runs the matcher over the live advertisements.
+// Has reports whether name is advertised under a live lease.
+func (r *Registry) Has(name string) bool {
+	_, found := slices.BinarySearchFunc(r.view().profiles, name,
+		func(p *ontology.Profile, name string) int { return strings.Compare(p.Name, name) })
+	return found
+}
+
+// Lookup runs the matcher over the live advertisements. The matcher sees
+// the shared snapshot and must not modify it.
 func (r *Registry) Lookup(m Matcher, req ontology.Request) []Match {
-	profiles := r.Profiles()
+	profiles := r.view().profiles
 	r.Metrics.Gauge("discovery_registry_size").Set(float64(len(profiles)))
 	start := r.now()
 	matches := m.Match(req, profiles)

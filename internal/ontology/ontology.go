@@ -7,7 +7,9 @@ package ontology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Root is the implicit top concept every ontology contains.
@@ -18,14 +20,21 @@ type Ontology struct {
 	parents  map[string][]string
 	children map[string][]string
 	depth    map[string]int
+	// ancestors holds each concept's reflexive-transitive ancestor set,
+	// deepest first with ties in name order — the order LCS prefers. A
+	// concept's parents exist before it does and never change, so the set
+	// is fixed when AddConcept inserts the concept, and IsA, LCS and
+	// Similarity only read it.
+	ancestors map[string][]string
 }
 
 // New returns an ontology containing only Root.
 func New() *Ontology {
 	return &Ontology{
-		parents:  map[string][]string{Root: nil},
-		children: map[string][]string{},
-		depth:    map[string]int{Root: 0},
+		parents:   map[string][]string{Root: nil},
+		children:  map[string][]string{},
+		depth:     map[string]int{Root: 0},
+		ancestors: map[string][]string{Root: {Root}},
 	}
 }
 
@@ -56,6 +65,17 @@ func (o *Ontology) AddConcept(name string, parents ...string) error {
 		o.children[p] = append(o.children[p], name)
 	}
 	o.depth[name] = minDepth + 1
+	closure := []string{name}
+	for _, p := range parents {
+		closure = append(closure, o.ancestors[p]...)
+	}
+	slices.SortFunc(closure, func(a, b string) int {
+		if d := o.depth[b] - o.depth[a]; d != 0 {
+			return d
+		}
+		return strings.Compare(a, b)
+	})
+	o.ancestors[name] = slices.Compact(closure)
 	return nil
 }
 
@@ -84,46 +104,26 @@ func (o *Ontology) Depth(name string) int {
 	return d
 }
 
-// ancestors returns the reflexive-transitive ancestor set of name.
-func (o *Ontology) ancestors(name string) map[string]bool {
-	out := map[string]bool{}
-	var walk func(c string)
-	walk = func(c string) {
-		if out[c] {
-			return
-		}
-		out[c] = true
-		for _, p := range o.parents[c] {
-			walk(p)
-		}
-	}
-	if _, ok := o.parents[name]; ok {
-		walk(name)
-	}
-	return out
-}
-
 // IsA reports whether sub is (reflexively, transitively) a kind of super.
 func (o *Ontology) IsA(sub, super string) bool {
-	return o.ancestors(sub)[super]
+	return slices.Contains(o.ancestors[sub], super)
 }
 
-// LCS returns the deepest common ancestor of a and b and true, or Root and
-// false when either concept is unknown.
+// LCS returns the deepest common ancestor of a and b (the first in name
+// order among equally deep ones) and true, or Root and false when either
+// concept is unknown.
 func (o *Ontology) LCS(a, b string) (string, bool) {
-	if !o.Has(a) || !o.Has(b) {
+	ancA, okA := o.ancestors[a]
+	ancB, okB := o.ancestors[b]
+	if !okA || !okB {
 		return Root, false
 	}
-	ancA := o.ancestors(a)
-	best, bestDepth := Root, 0
-	for c := range o.ancestors(b) {
-		if ancA[c] && o.depth[c] >= bestDepth {
-			if o.depth[c] > bestDepth || c < best {
-				best, bestDepth = c, o.depth[c]
-			}
+	for _, c := range ancB {
+		if slices.Contains(ancA, c) {
+			return c, true
 		}
 	}
-	return best, true
+	return Root, true // unreachable: every closure ends in Root
 }
 
 // Similarity scores two concepts in [0, 1] with the Wu–Palmer measure:

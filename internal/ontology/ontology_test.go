@@ -1,6 +1,8 @@
 package ontology
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -279,5 +281,109 @@ func TestDumpRoundTrip(t *testing.T) {
 	// Spot-check a similarity value survives.
 	if o.Similarity("TemperatureSensor", "SmokeSensor") != o2.Similarity("TemperatureSensor", "SmokeSensor") {
 		t.Fatal("similarity changed across round trip")
+	}
+}
+
+// refAncestors is the closure computed the slow way, by walking parents on
+// every call — what IsA and LCS did before the closure was stored.
+func refAncestors(o *Ontology, name string) map[string]bool {
+	out := map[string]bool{}
+	var walk func(c string)
+	walk = func(c string) {
+		if out[c] {
+			return
+		}
+		out[c] = true
+		for _, p := range o.parents[c] {
+			walk(p)
+		}
+	}
+	if _, ok := o.parents[name]; ok {
+		walk(name)
+	}
+	return out
+}
+
+func refLCS(o *Ontology, a, b string) (string, bool) {
+	if !o.Has(a) || !o.Has(b) {
+		return Root, false
+	}
+	ancA := refAncestors(o, a)
+	best, bestDepth := Root, 0
+	for c := range refAncestors(o, b) {
+		if ancA[c] && o.depth[c] >= bestDepth {
+			if o.depth[c] > bestDepth || c < best {
+				best, bestDepth = c, o.depth[c]
+			}
+		}
+	}
+	return best, true
+}
+
+func refSimilarity(o *Ontology, a, b string) float64 {
+	if !o.Has(a) || !o.Has(b) {
+		return 0
+	}
+	if a == b {
+		return 1
+	}
+	lcs, _ := refLCS(o, a, b)
+	da, db, dl := o.depth[a], o.depth[b], o.depth[lcs]
+	if da+db == 0 {
+		return 1
+	}
+	return 2 * float64(dl) / float64(da+db)
+}
+
+// TestClosureEqualsRecursiveReference checks the stored ancestor closure
+// against the recursive walk on a random DAG in which most concepts have
+// several parents at different depths, and that reading it allocates
+// nothing.
+func TestClosureEqualsRecursiveReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	o := New()
+	names := []string{Root}
+	for i := 0; i < 80; i++ {
+		name := fmt.Sprintf("c%02d", i)
+		var parents []string
+		for n := rng.Intn(4); n > 0; n-- { // none means Root
+			parents = append(parents, names[rng.Intn(len(names))])
+		}
+		if err := o.AddConcept(name, parents...); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+	}
+	names = append(names, "unknown")
+	for _, a := range names {
+		for _, b := range names {
+			if got, want := o.IsA(a, b), refAncestors(o, a)[b]; got != want {
+				t.Fatalf("IsA(%s, %s) = %v, reference %v", a, b, got, want)
+			}
+			got, ok := o.LCS(a, b)
+			want, wantOK := refLCS(o, a, b)
+			if got != want || ok != wantOK {
+				t.Fatalf("LCS(%s, %s) = %s %v, reference %s %v", a, b, got, ok, want, wantOK)
+			}
+			if got, want := o.Similarity(a, b), refSimilarity(o, a, b); got != want {
+				t.Fatalf("Similarity(%s, %s) = %v, reference %v", a, b, got, want)
+			}
+		}
+	}
+
+	var sink float64
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, b := range names[len(names)-12:] {
+			if o.IsA("c79", b) {
+				sink++
+			}
+			if c, ok := o.LCS("c78", b); ok {
+				sink += float64(len(c))
+			}
+			sink += o.Similarity("c77", b)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("IsA/LCS/Similarity allocate %v times per run, want 0", allocs)
 	}
 }

@@ -148,6 +148,9 @@ type Request struct {
 	// marks them meaningful.
 	X, Y   float64
 	HasLoc bool
+	// Max bounds the result to the best Max matches; 0 asks for every
+	// match. A matcher that ranks can then select instead of sorting.
+	Max int `json:",omitempty"`
 }
 
 // Satisfies evaluates one constraint against a profile (given the request
