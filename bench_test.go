@@ -12,7 +12,10 @@ import (
 	"strings"
 	"testing"
 
+	"pervasivegrid/internal/core"
 	"pervasivegrid/internal/experiments"
+	"pervasivegrid/internal/pde"
+	"pervasivegrid/internal/sensornet"
 )
 
 // runTable drives one experiment under the benchmark loop and returns the
@@ -153,4 +156,134 @@ func BenchmarkQueryCaching(b *testing.B) {
 	reactive := metric(b, tb, func(r []string) bool { return strings.HasPrefix(r[0], "reactive") }, "energy(J)")
 	cached := metric(b, tb, func(r []string) bool { return strings.HasPrefix(r[0], "cached") }, "energy(J)")
 	b.ReportMetric(reactive/cached, "reactive/cached-energy")
+}
+
+// ---- query handler path (DESIGN.md "Query handler path") ----
+//
+// The per-layer cross-check for the query_mix workload of bench/: the same
+// 10×10 deployment bench/node.go builds (result cache off), driven through
+// Runtime.Submit with no agent platform or socket in the way. Run at a fixed
+// iteration count, e.g. `go test -run '^$' -bench 'Submit|Flood100|HopTree100|
+// SolveSOR33' -benchtime 2000x .`
+
+// queryRuntime is bench/node.go's runtimeConfig: no sensor noise, a fire that
+// neither grows nor spreads, batteries that outlast the run.
+func queryRuntime(b *testing.B) *core.Runtime {
+	b.Helper()
+	cfg := core.DefaultConfig()
+	cfg.Net.InitialEnergy = 1e9
+	field := sensornet.NewTemperatureField(20)
+	field.Ignite(sensornet.Hotspot{
+		Center: sensornet.Position{X: cfg.Net.Width / 2, Y: cfg.Net.Height / 2},
+		Peak:   500, Radius: 15, Start: -1,
+	})
+	cfg.Field = field
+	rt, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt.AssignRooms(2, 2)
+	return rt
+}
+
+func benchSubmit(b *testing.B, queries []string) {
+	rt := queryRuntime(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rt.Submit(queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSubmitPoint is one single-sensor read: install by unicast, read
+// back by unicast.
+func BenchmarkSubmitPoint(b *testing.B) {
+	queries := make([]string, 100)
+	for id := range queries {
+		queries[id] = "SELECT temp FROM sensors WHERE sensor = " + strconv.Itoa(id)
+	}
+	benchSubmit(b, queries)
+}
+
+// BenchmarkSubmitAggregate cycles the aggregate shapes query_mix draws:
+// plain, by room, grouped, by reading.
+func BenchmarkSubmitAggregate(b *testing.B) {
+	benchSubmit(b, []string{
+		"SELECT avg(temp) FROM sensors",
+		"SELECT max(temp) FROM sensors WHERE room = 'r1'",
+		"SELECT count(temp) FROM sensors GROUP BY room",
+		"SELECT avg(temp) FROM sensors WHERE temp > 25",
+	})
+}
+
+// BenchmarkSubmitComplex is the temperature distribution: flood, direct
+// collection, a 33×33 SOR solve.
+func BenchmarkSubmitComplex(b *testing.B) {
+	benchSubmit(b, []string{"SELECT tempdist(temp) FROM sensors"})
+}
+
+// BenchmarkFlood100 installs a 40-byte query in the 10×10 deployment.
+func BenchmarkFlood100(b *testing.B) {
+	nw := queryRuntime(b).Net
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := sensornet.Flood(nw, sensornet.BaseStationID, 40); res.Reached != 100 {
+			b.Fatalf("reached %d", res.Reached)
+		}
+	}
+}
+
+// BenchmarkHopTree100 reads the hop tree of the 10×10 deployment: unchanged
+// between reads, and after a death (each iteration kills or revives one
+// sensor, so every read sees a different alive set).
+func BenchmarkHopTree100(b *testing.B) {
+	b.Run("cached", func(b *testing.B) {
+		nw := queryRuntime(b).Net
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if len(nw.HopTree()) != 100 {
+				b.Fatal("tree lost a sensor")
+			}
+		}
+	})
+	b.Run("after-death", func(b *testing.B) {
+		nw := queryRuntime(b).Net
+		victim := nw.Sensors[55]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			victim.Energy = float64(i % 2)
+			if len(nw.HopTree()) != 99+i%2 {
+				b.Fatal("tree does not follow the alive set")
+			}
+		}
+	})
+}
+
+// BenchmarkSolveSOR33 is the solve inside a tempdist query, with the one
+// worker the base station gives it and with the sixteen a grid resource may.
+func BenchmarkSolveSOR33(b *testing.B) {
+	for _, workers := range []int{1, 16} {
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g, err := pde.NewGrid2D(33, 33, 100.0/32)
+				if err != nil {
+					b.Fatal(err)
+				}
+				g.SetBoundary(20)
+				g.Pin(16, 16, 500)
+				b.StartTimer()
+				res, err := pde.SolveSOR(g, pde.Options{Tol: 1e-6, Workers: workers})
+				if err != nil || !res.Converged {
+					b.Fatalf("solve: %v %+v", err, res)
+				}
+			}
+		})
+	}
 }

@@ -133,13 +133,13 @@ func (rt *Runtime) selector(q *query.Query, at float64) (func(*sensornet.Node) b
 // features summarises the query against the current network for the
 // decision maker.
 func (rt *Runtime) features(q *query.Query, sel func(*sensornet.Node) bool) partition.Features {
-	tree := rt.Net.HopTree()
+	depths := rt.Net.Depths()
 	selected, sumDepth, maxDepth := 0, 0, 0
 	for _, s := range rt.Net.Sensors {
 		if !s.Alive() || (sel != nil && !sel(s)) {
 			continue
 		}
-		d := sensornet.Depth(tree, s.ID)
+		d := depths[s.ID]
 		if d < 0 {
 			continue
 		}

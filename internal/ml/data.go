@@ -122,13 +122,18 @@ func FitScaler(X [][]float64) (*Scaler, error) {
 
 // Transform returns the standardised copy of x.
 func (s *Scaler) Transform(x []float64) []float64 {
-	out := make([]float64, len(x))
+	return s.transformInto(make([]float64, len(x)), x)
+}
+
+// transformInto standardises x into dst, which must have x's length, and
+// returns dst.
+func (s *Scaler) transformInto(dst, x []float64) []float64 {
 	for j, v := range x {
 		if j < len(s.Mean) {
-			out[j] = (v - s.Mean[j]) / s.Std[j]
+			dst[j] = (v - s.Mean[j]) / s.Std[j]
 		} else {
-			out[j] = v
+			dst[j] = v
 		}
 	}
-	return out
+	return dst
 }

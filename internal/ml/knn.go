@@ -3,8 +3,68 @@ package ml
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
+
+// knnIndex caches what a nearest-neighbour query needs beyond the raw
+// training rows: the scaler fitted to them, their standardised copies
+// (rebuilt together with the scaler by the first query after an Add, not
+// once per query), and the scratch one query uses.
+type knnIndex struct {
+	dirty  bool
+	scaler *Scaler
+	// std holds the rows standardised by scaler, all backed by buf.
+	std [][]float64
+	buf []float64
+	q   []float64
+	ns  []neighbour
+}
+
+type neighbour struct {
+	dist float64
+	row  int // index of the training row
+}
+
+// nearest returns every training row's squared distance to x in
+// standardised space, nearest first; rows at equal distance keep the order
+// sort.Slice gives them. rows must not be empty. The result is overwritten
+// by the next call.
+func (ix *knnIndex) nearest(rows [][]float64, x []float64) []neighbour {
+	if ix.dirty {
+		ix.scaler, _ = FitScaler(rows) // fails only on no rows; callers have checked
+		ix.dirty = false
+		total := 0
+		for _, row := range rows {
+			total += len(row)
+		}
+		ix.buf = slices.Grow(ix.buf[:0], total)
+		ix.std = ix.std[:0]
+		for _, row := range rows {
+			start := len(ix.buf)
+			ix.buf = ix.buf[:start+len(row)]
+			ix.std = append(ix.std, ix.scaler.transformInto(ix.buf[start:], row))
+		}
+	}
+	if cap(ix.q) < len(x) {
+		ix.q = make([]float64, len(x))
+	}
+	q := ix.scaler.transformInto(ix.q[:len(x)], x)
+	ix.ns = ix.ns[:0]
+	for i, r := range ix.std {
+		d := 0.0
+		for j := range q {
+			if j < len(r) {
+				diff := q[j] - r[j]
+				d += diff * diff
+			}
+		}
+		ix.ns = append(ix.ns, neighbour{dist: d, row: i})
+	}
+	ns := ix.ns
+	sort.Slice(ns, func(a, b int) bool { return ns[a].dist < ns[b].dist })
+	return ns
+}
 
 // KNNClassifier is a lazy k-nearest-neighbour classifier over standardised
 // features. It supports online growth (Add), which is what the paper's
@@ -13,9 +73,8 @@ import (
 type KNNClassifier struct {
 	K int
 
-	data   Dataset
-	scaler *Scaler
-	dirty  bool
+	data  Dataset
+	index knnIndex
 }
 
 // NewKNNClassifier builds an empty classifier; k defaults to 3 when
@@ -30,52 +89,11 @@ func NewKNNClassifier(k int) *KNNClassifier {
 // Add inserts a training sample.
 func (c *KNNClassifier) Add(x []float64, y int) {
 	c.data.Add(x, y)
-	c.dirty = true
+	c.index.dirty = true
 }
 
 // Len reports the training-set size.
 func (c *KNNClassifier) Len() int { return c.data.Len() }
-
-func (c *KNNClassifier) refit() {
-	if !c.dirty {
-		return
-	}
-	s, err := FitScaler(c.data.X)
-	if err == nil {
-		c.scaler = s
-	}
-	c.dirty = false
-}
-
-type neighbour struct {
-	dist float64
-	y    int
-}
-
-func (c *KNNClassifier) neighbours(x []float64) []neighbour {
-	c.refit()
-	q := x
-	if c.scaler != nil {
-		q = c.scaler.Transform(x)
-	}
-	ns := make([]neighbour, 0, c.data.Len())
-	for i, row := range c.data.X {
-		r := row
-		if c.scaler != nil {
-			r = c.scaler.Transform(row)
-		}
-		d := 0.0
-		for j := range q {
-			if j < len(r) {
-				diff := q[j] - r[j]
-				d += diff * diff
-			}
-		}
-		ns = append(ns, neighbour{dist: d, y: c.data.Y[i]})
-	}
-	sort.Slice(ns, func(a, b int) bool { return ns[a].dist < ns[b].dist })
-	return ns
-}
 
 // Predict returns the majority label among the k nearest training samples.
 // It returns an error when no samples have been added.
@@ -83,7 +101,7 @@ func (c *KNNClassifier) Predict(x []float64) (int, error) {
 	if c.data.Len() == 0 {
 		return 0, ErrEmpty
 	}
-	ns := c.neighbours(x)
+	ns := c.index.nearest(c.data.X, x)
 	k := c.K
 	if k > len(ns) {
 		k = len(ns)
@@ -91,7 +109,7 @@ func (c *KNNClassifier) Predict(x []float64) (int, error) {
 	votes := map[int]float64{}
 	for _, n := range ns[:k] {
 		w := 1.0 / (1e-9 + n.dist) // distance-weighted vote
-		votes[n.y] += w
+		votes[c.data.Y[n.row]] += w
 	}
 	best, bestV := 0, math.Inf(-1)
 	for y, v := range votes {
@@ -108,10 +126,9 @@ func (c *KNNClassifier) Predict(x []float64) (int, error) {
 type KNNRegressor struct {
 	K int
 
-	X      [][]float64
-	Y      []float64
-	scaler *Scaler
-	dirty  bool
+	X     [][]float64
+	Y     []float64
+	index knnIndex
 }
 
 // NewKNNRegressor builds an empty regressor; k defaults to 3.
@@ -129,7 +146,7 @@ func (r *KNNRegressor) Add(x []float64, y float64) {
 	}
 	r.X = append(r.X, append([]float64(nil), x...))
 	r.Y = append(r.Y, y)
-	r.dirty = true
+	r.index.dirty = true
 }
 
 // Len reports the training-set size.
@@ -140,44 +157,15 @@ func (r *KNNRegressor) Predict(x []float64) (float64, error) {
 	if len(r.X) == 0 {
 		return 0, ErrEmpty
 	}
-	if r.dirty {
-		if s, err := FitScaler(r.X); err == nil {
-			r.scaler = s
-		}
-		r.dirty = false
-	}
-	q := x
-	if r.scaler != nil {
-		q = r.scaler.Transform(x)
-	}
-	type nd struct {
-		d float64
-		y float64
-	}
-	ns := make([]nd, 0, len(r.X))
-	for i, row := range r.X {
-		rr := row
-		if r.scaler != nil {
-			rr = r.scaler.Transform(row)
-		}
-		d := 0.0
-		for j := range q {
-			if j < len(rr) {
-				diff := q[j] - rr[j]
-				d += diff * diff
-			}
-		}
-		ns = append(ns, nd{d: d, y: r.Y[i]})
-	}
-	sort.Slice(ns, func(a, b int) bool { return ns[a].d < ns[b].d })
+	ns := r.index.nearest(r.X, x)
 	k := r.K
 	if k > len(ns) {
 		k = len(ns)
 	}
 	num, den := 0.0, 0.0
 	for _, n := range ns[:k] {
-		w := 1.0 / (1e-9 + n.d)
-		num += w * n.y
+		w := 1.0 / (1e-9 + n.dist)
+		num += w * r.Y[n.row]
 		den += w
 	}
 	if den == 0 {

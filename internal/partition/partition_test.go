@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -395,5 +396,42 @@ func TestExplorationRespectsFeasibility(t *testing.T) {
 		if dec.Model == ModelTree || dec.Model == ModelCluster {
 			t.Fatalf("explored into infeasible model %v", dec.Model)
 		}
+	}
+}
+
+// BenchmarkChooseAfterN times one Choose + Observe — what every aggregate
+// and complex query pays — once the decision maker has absorbed n
+// executions. The calibration training sets are unbounded (ROADMAP item 2),
+// so the cost per query grows with n; this is the slope.
+func BenchmarkChooseAfterN(b *testing.B) {
+	shapes := []Features{
+		testFeatures(query.Aggregate, 100, 0),
+		testFeatures(query.Aggregate, 25, 0),
+		testFeatures(query.Aggregate, 60, 0),
+		testFeatures(query.Complex, 100, 4e7),
+	}
+	meas := Measured{EnergyJ: 0.01, TimeSec: 0.5}
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			dm := NewDecisionMaker(NewEstimator(DefaultPlatform()))
+			for i := 0; i < n; i++ {
+				f := shapes[i%len(shapes)]
+				dec, err := dm.Choose(nil, f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dm.Observe(f, dec.Model, meas)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := shapes[i%len(shapes)]
+				dec, err := dm.Choose(nil, f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dm.Observe(f, dec.Model, meas)
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package pde
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Grid3D is a regular Nx×Ny×Nz grid for the paper's "3D partial
@@ -91,48 +90,38 @@ func (g *Grid3D) Residual() float64 {
 func SolveJacobi3D(g *Grid3D, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	next := append([]float64(nil), g.V...)
-	slabs := bands(1, g.Nz-1, opt.Workers)
+	slabs := newStencilBands(1, g.Nz-1, opt.Workers, (g.Nx-2)*(g.Ny-2))
 	h2 := g.H * g.H
 	nxy := g.Nx * g.Ny
-	deltas := make([]float64, len(slabs))
-	var wg sync.WaitGroup
+
+	cur := g.V
+	update := func(z0, z1 int) float64 {
+		maxd := 0.0
+		for z := z0; z < z1; z++ {
+			for y := 1; y < g.Ny-1; y++ {
+				base := (z*g.Ny + y) * g.Nx
+				for x := 1; x < g.Nx-1; x++ {
+					i := base + x
+					if g.Fixed[i] {
+						next[i] = cur[i]
+						continue
+					}
+					v := (cur[i-1] + cur[i+1] + cur[i-g.Nx] + cur[i+g.Nx] + cur[i-nxy] + cur[i+nxy] - h2*g.Source[i]) / 6
+					if d := math.Abs(v - cur[i]); d > maxd {
+						maxd = d
+					}
+					next[i] = v
+				}
+			}
+		}
+		return maxd
+	}
 
 	iter := 0
 	for ; iter < opt.MaxIter; iter++ {
-		cur := g.V
-		for bi, slab := range slabs {
-			wg.Add(1)
-			go func(bi, z0, z1 int) {
-				defer wg.Done()
-				maxd := 0.0
-				for z := z0; z < z1; z++ {
-					for y := 1; y < g.Ny-1; y++ {
-						base := (z*g.Ny + y) * g.Nx
-						for x := 1; x < g.Nx-1; x++ {
-							i := base + x
-							if g.Fixed[i] {
-								next[i] = cur[i]
-								continue
-							}
-							v := (cur[i-1] + cur[i+1] + cur[i-g.Nx] + cur[i+g.Nx] + cur[i-nxy] + cur[i+nxy] - h2*g.Source[i]) / 6
-							if d := math.Abs(v - cur[i]); d > maxd {
-								maxd = d
-							}
-							next[i] = v
-						}
-					}
-				}
-				deltas[bi] = maxd
-			}(bi, slab[0], slab[1])
-		}
-		wg.Wait()
+		cur = g.V
+		maxd := slabs.sweep(update)
 		g.V, next = next, g.V
-		maxd := 0.0
-		for _, d := range deltas {
-			if d > maxd {
-				maxd = d
-			}
-		}
 		if math.IsNaN(maxd) || math.IsInf(maxd, 0) {
 			return Result{Iterations: iter + 1}, ErrDiverged
 		}

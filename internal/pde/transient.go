@@ -3,7 +3,6 @@ package pde
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // TransientConfig parameterises an explicit (FTCS) time integration of the
@@ -58,30 +57,27 @@ func StepHeat2D(g *Grid2D, cfg TransientConfig) (TransientResult, error) {
 		return TransientResult{}, fmt.Errorf("pde: unstable step (lambda=%v)", lambda)
 	}
 
-	rows := bands(1, g.Ny-1, cfg.Workers)
+	rows := newStencilBands(1, g.Ny-1, cfg.Workers, g.Nx-2)
 	next := append([]float64(nil), g.V...)
-	var wg sync.WaitGroup
-	for s := 0; s < steps; s++ {
-		cur := g.V
-		for _, band := range rows {
-			wg.Add(1)
-			go func(y0, y1 int) {
-				defer wg.Done()
-				for y := y0; y < y1; y++ {
-					base := y * g.Nx
-					for x := 1; x < g.Nx-1; x++ {
-						i := base + x
-						if g.Fixed[i] {
-							next[i] = cur[i]
-							continue
-						}
-						lap := cur[i-1] + cur[i+1] + cur[i-g.Nx] + cur[i+g.Nx] - 4*cur[i]
-						next[i] = cur[i] + lambda*lap
-					}
+	cur := g.V
+	step := func(y0, y1 int) float64 {
+		for y := y0; y < y1; y++ {
+			base := y * g.Nx
+			for x := 1; x < g.Nx-1; x++ {
+				i := base + x
+				if g.Fixed[i] {
+					next[i] = cur[i]
+					continue
 				}
-			}(band[0], band[1])
+				lap := cur[i-1] + cur[i+1] + cur[i-g.Nx] + cur[i+g.Nx] - 4*cur[i]
+				next[i] = cur[i] + lambda*lap
+			}
 		}
-		wg.Wait()
+		return 0
+	}
+	for s := 0; s < steps; s++ {
+		cur = g.V
+		rows.sweep(step)
 		g.V, next = next, g.V
 	}
 	return TransientResult{

@@ -150,61 +150,47 @@ func (TreeStrategy) Collect(nw *Network, req CollectRequest) (CollectResult, err
 	if len(selected) == 0 {
 		return CollectResult{}, ErrUnreachable
 	}
-	selectedSet := make(map[NodeID]bool, len(selected))
-	for _, s := range selected {
-		selectedSet[s.ID] = true
-	}
+	// Sensor IDs are dense (0..n-1), so the round's per-node state lives in
+	// slices indexed by ID and every walk over it is in ID order: which
+	// sensor draws which noise sample, and the order partials merge at equal
+	// timestamps, repeat from a seed.
+	n := len(nw.Sensors)
 
 	// participants are every node on a route from a selected sensor to
 	// the base: non-selected relay nodes still forward partials.
-	participant := make(map[NodeID]bool)
+	participant := make([]bool, n)
 	for _, s := range selected {
-		cur := s.ID
-		for cur != BaseStationID {
+		for cur := s.ID; cur != BaseStationID && !participant[cur]; cur = tree[cur] {
 			participant[cur] = true
-			p, ok := tree[cur]
-			if !ok {
-				break
-			}
-			cur = p
 		}
 	}
 
 	// expected child partials per participant node.
-	expected := make(map[NodeID]int)
-	for id := range participant {
-		p := tree[id]
-		if p != BaseStationID && participant[p] {
+	expected := make([]int, n)
+	for id, in := range participant {
+		if !in {
+			continue
+		}
+		if p := tree[NodeID(id)]; p != BaseStationID {
 			expected[p]++
 		}
 	}
-	baseExpected := 0
-	for id := range participant {
-		if tree[id] == BaseStationID {
-			baseExpected++
-		}
-	}
-	_ = baseExpected
 
-	state := make(map[NodeID]*Partial)
-	for id := range participant {
-		p := &Partial{}
-		if selectedSet[id] {
-			r := nw.Sampler.Sample(nw.Node(id), req.Time)
-			p.Add(r.Value)
-			nw.Compute(id, 1)
-		}
-		state[id] = p
+	state := make([]Partial, n)
+	for _, s := range selected {
+		r := nw.Sampler.Sample(s, req.Time)
+		state[s.ID].Add(r.Value)
+		nw.Compute(s.ID, 1)
 	}
 
 	var baseAgg Partial
 	last := start
-	received := make(map[NodeID]int)
+	received := make([]int, n)
 
 	var sendUp func(id NodeID)
 	sendUp = func(id NodeID) {
 		parent := tree[id]
-		payload := *state[id]
+		payload := state[id]
 		ok := nw.Send(id, parent, PartialStateBytes, func(at simevent.Time) {
 			if float64(at) > float64(last) {
 				last = at
@@ -234,11 +220,18 @@ func (TreeStrategy) Collect(nw *Network, req CollectRequest) (CollectResult, err
 	}
 
 	// Leaves (participants with no expected children) fire first; inner
-	// nodes fire when all children have reported.
-	for id := range participant {
-		if expected[id] == 0 {
-			sendUp(id)
+	// nodes fire when all children have reported. The leaves are fixed
+	// before any of them sends: a failed send drops its parent's
+	// expectation to zero and fires the parent at once, and that parent
+	// must not be taken for a leaf and fire a second time.
+	var leaves []NodeID
+	for id, in := range participant {
+		if in && expected[id] == 0 {
+			leaves = append(leaves, NodeID(id))
 		}
+	}
+	for _, id := range leaves {
+		sendUp(id)
 	}
 	nw.Kernel.RunAll()
 
@@ -306,9 +299,10 @@ func (c *ClusterStrategy) Collect(nw *Network, req CollectRequest) (CollectResul
 	}
 
 	// Assign each selected sensor to the nearest head in radio range;
-	// sensors with no head in range act as their own head.
-	headOf := make(map[NodeID]NodeID)
-	members := make(map[NodeID][]*Node)
+	// sensors with no head in range act as their own head. Per-head state
+	// is indexed by sensor ID and walked in ID order, as in TreeStrategy.
+	n := len(nw.Sensors)
+	members := make([][]*Node, n)
 	for _, s := range selected {
 		best := NodeID(-2)
 		bestD := 0.0
@@ -321,27 +315,27 @@ func (c *ClusterStrategy) Collect(nw *Network, req CollectRequest) (CollectResul
 		if best == -2 {
 			best = s.ID // own head
 		}
-		headOf[s.ID] = best
 		members[best] = append(members[best], s)
 	}
 
 	var baseAgg Partial
 	last := start
-	expected := make(map[NodeID]int) // raw readings each head waits for
-	headState := make(map[NodeID]*Partial)
+	expected := make([]int, n) // raw readings each head waits for
+	headState := make([]Partial, n)
 	for head, ms := range members {
-		p := &Partial{}
-		headState[head] = p
+		if ms == nil {
+			continue
+		}
 		for _, m := range ms {
-			if m.ID != head {
+			if m.ID != NodeID(head) {
 				expected[head]++
 			}
 		}
 		// The head samples itself if it is a selected sensor (it always
 		// is: heads are drawn from selected).
-		r := nw.Sampler.Sample(nw.Node(head), req.Time)
-		p.Add(r.Value)
-		nw.Compute(head, 1)
+		r := nw.Sampler.Sample(nw.Sensors[head], req.Time)
+		headState[head].Add(r.Value)
+		nw.Compute(NodeID(head), 1)
 	}
 
 	// shipUp forwards one partial record from a head to the base along
@@ -366,11 +360,14 @@ func (c *ClusterStrategy) Collect(nw *Network, req CollectRequest) (CollectResul
 	}
 
 	headDone := func(head NodeID) {
-		shipUp(head, *headState[head])
+		shipUp(head, headState[head])
 	}
 
-	for head, ms := range members {
-		head := head
+	for id, ms := range members {
+		if ms == nil {
+			continue
+		}
+		head := NodeID(id)
 		if expected[head] == 0 {
 			headDone(head)
 			continue

@@ -28,7 +28,7 @@ func TestMoveNodeRewiresTopology(t *testing.T) {
 	if !nw.Connected() {
 		t.Fatal("returned node should reconnect")
 	}
-	if d := Depth(nw.HopTree(), 24); d != 1 {
+	if d := nw.Depths()[24]; d != 1 {
 		t.Fatalf("returned node depth = %d, want 1", d)
 	}
 	if nw.MoveNode(999, Position{}) {
@@ -39,10 +39,10 @@ func TestMoveNodeRewiresTopology(t *testing.T) {
 func TestMoveBase(t *testing.T) {
 	cfg := testConfig()
 	nw := NewGridNetwork(cfg, 5, 5)
-	before := Depth(nw.HopTree(), 24)
+	before := nw.Depths()[24]
 	// Drive the command vehicle to the far corner: node 24 becomes close.
 	nw.MoveBase(Position{X: 90, Y: 100})
-	after := Depth(nw.HopTree(), 24)
+	after := nw.Depths()[24]
 	if after >= before {
 		t.Fatalf("depth of far corner should shrink: %d -> %d", before, after)
 	}

@@ -1,7 +1,6 @@
 package sensornet
 
 import (
-	"fmt"
 	"math/rand"
 
 	"pervasivegrid/internal/obs"
@@ -75,20 +74,46 @@ type Network struct {
 	stats    Stats
 	rng      *rand.Rand
 	lossProb float64
+	// tree caches the hop tree; see currentTree.
+	tree   *hopTree
+	gauges statGauges
 }
 
-// mirror publishes the current accounting into the metrics registry.
+// statGauges are the handles of the sensornet_* series in one registry.
+type statGauges struct {
+	reg                                 *obs.Registry
+	energy, messages, deliveries, bytes *obs.Gauge
+	lost, dropped, computeOps           *obs.Gauge
+}
+
+// mirror publishes the current accounting into the metrics registry. The
+// gauge handles are looked up once per registry (Metrics is a field anyone
+// may repoint), not once per radio operation.
 func (nw *Network) mirror() {
 	if nw.Metrics == nil {
 		return
 	}
-	nw.Metrics.Gauge("sensornet_energy_joules").Set(nw.stats.EnergyJ)
-	nw.Metrics.Gauge("sensornet_messages").Set(float64(nw.stats.Messages))
-	nw.Metrics.Gauge("sensornet_deliveries").Set(float64(nw.stats.Deliveries))
-	nw.Metrics.Gauge("sensornet_bytes").Set(float64(nw.stats.Bytes))
-	nw.Metrics.Gauge("sensornet_lost").Set(float64(nw.stats.Lost))
-	nw.Metrics.Gauge("sensornet_dropped").Set(float64(nw.stats.Dropped))
-	nw.Metrics.Gauge("sensornet_compute_ops").Set(nw.stats.ComputeOps)
+	g := &nw.gauges
+	if g.reg != nw.Metrics {
+		m := nw.Metrics
+		*g = statGauges{
+			reg:        m,
+			energy:     m.Gauge("sensornet_energy_joules"),
+			messages:   m.Gauge("sensornet_messages"),
+			deliveries: m.Gauge("sensornet_deliveries"),
+			bytes:      m.Gauge("sensornet_bytes"),
+			lost:       m.Gauge("sensornet_lost"),
+			dropped:    m.Gauge("sensornet_dropped"),
+			computeOps: m.Gauge("sensornet_compute_ops"),
+		}
+	}
+	g.energy.Set(nw.stats.EnergyJ)
+	g.messages.Set(float64(nw.stats.Messages))
+	g.deliveries.Set(float64(nw.stats.Deliveries))
+	g.bytes.Set(float64(nw.stats.Bytes))
+	g.lost.Set(float64(nw.stats.Lost))
+	g.dropped.Set(float64(nw.stats.Dropped))
+	g.computeOps.Set(nw.stats.ComputeOps)
 }
 
 // NewNetwork builds a network with the given sensor positions. Positions
@@ -200,6 +225,7 @@ func (nw *Network) TotalEnergyUsed() float64 {
 // rebuildNeighbors recomputes the neighbor lists from positions and radio
 // range. O(n²), fine at the network sizes the paper considers.
 func (nw *Network) rebuildNeighbors() {
+	nw.tree = nil
 	all := append([]*Node{nw.Base}, nw.Sensors...)
 	for _, n := range all {
 		n.Neighbors = n.Neighbors[:0]
@@ -233,6 +259,13 @@ func (nw *Network) txDuration(payloadBytes int) simevent.Duration {
 // invoking deliver at the virtual delivery time. It reports false (and
 // counts a drop) when the sender is dead, the receiver is dead, or the pair
 // is out of range. Energy is charged to both endpoints.
+//
+// Budget 11: the delivery closure (1), Kernel.Schedule's event and its two
+// error paths (3), and mirror resolving the seven sensornet_* gauges the
+// first time a registry is seen (7). A send that succeeds after that
+// allocates the closure and the event.
+//
+//lint:hot budget=11
 func (nw *Network) Send(from, to NodeID, payloadBytes int, deliver func(at simevent.Time)) bool {
 	src, dst := nw.Node(from), nw.Node(to)
 	if src == nil || dst == nil {
@@ -270,7 +303,7 @@ func (nw *Network) Send(from, to NodeID, payloadBytes int, deliver func(at simev
 	nw.mirror()
 	if deliver != nil {
 		at := nw.reserveTx(src, payloadBytes)
-		if _, err := nw.Kernel.Schedule(at, fmt.Sprintf("deliver %d->%d", from, to), func() {
+		if _, err := nw.Kernel.Schedule(at, "deliver", func() {
 			deliver(nw.Kernel.Now())
 		}); err != nil {
 			return false
@@ -294,7 +327,17 @@ func (nw *Network) reserveTx(src *Node, payloadBytes int) simevent.Time {
 
 // Broadcast transmits payloadBytes from a node to every alive neighbor in
 // one radio transmission (the sender pays once at full range; each receiver
-// pays reception). deliver is invoked once per receiving neighbor.
+// pays reception). deliver is invoked once per receiving neighbor, in
+// Neighbors order, from a single kernel event at the transmission's end —
+// the order and virtual time one event per receiver would give, since those
+// events would carry equal timestamps and consecutive sequence numbers.
+//
+// Budget 13: the receiver list and the delivery closure (3 sites), and what
+// Send's budget lists for Kernel.Schedule (3) and mirror's first use (7).
+// A broadcast after that allocates the list, the closure and one event,
+// however many neighbors hear it.
+//
+//lint:hot budget=13
 func (nw *Network) Broadcast(from NodeID, payloadBytes int, deliver func(to NodeID, at simevent.Time)) int {
 	src := nw.Node(from)
 	if src == nil || !src.Alive() {
@@ -309,6 +352,10 @@ func (nw *Network) Broadcast(from NodeID, payloadBytes int, deliver func(to Node
 	nw.stats.Bytes += size
 	nw.stats.EnergyJ += nw.Cfg.Energy.TxCost(size, nw.Cfg.RadioRange)
 	bcastAt := nw.reserveTx(src, payloadBytes)
+	var receivers []NodeID
+	if deliver != nil {
+		receivers = make([]NodeID, 0, len(src.Neighbors))
+	}
 	reached := 0
 	for _, nbrID := range src.Neighbors {
 		dst := nw.Node(nbrID)
@@ -326,13 +373,24 @@ func (nw *Network) Broadcast(from NodeID, payloadBytes int, deliver func(to Node
 		nw.stats.EnergyJ += nw.Cfg.Energy.RxCost(size)
 		reached++
 		if deliver != nil {
-			to := nbrID
-			if _, err := nw.Kernel.Schedule(bcastAt, fmt.Sprintf("bcast %d->%d", from, to), func() {
-				deliver(to, nw.Kernel.Now())
-			}); err != nil {
-				break
+			if nw.Kernel.Stopped() {
+				break // nothing more can be delivered
 			}
+			receivers = append(receivers, nbrID)
 		}
+	}
+	if len(receivers) > 0 {
+		// bcastAt is never in the past and the kernel is running, so
+		// Schedule cannot fail here.
+		_, _ = nw.Kernel.Schedule(bcastAt, "bcast", func() {
+			now := nw.Kernel.Now()
+			for _, to := range receivers {
+				if nw.Kernel.Stopped() {
+					return
+				}
+				deliver(to, now)
+			}
+		})
 	}
 	nw.mirror()
 	return reached
@@ -367,62 +425,93 @@ func (nw *Network) ChargeIdle(seconds float64) {
 	nw.mirror()
 }
 
-// HopTree computes a BFS hop tree rooted at the base station over alive
-// nodes. The result maps each reachable sensor to its parent (toward the
-// base). Unreachable sensors are absent.
-func (nw *Network) HopTree() map[NodeID]NodeID {
-	parent := make(map[NodeID]NodeID)
-	visited := map[NodeID]bool{BaseStationID: true}
-	queue := []NodeID{BaseStationID}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+// hopTree is the BFS routing tree rooted at the base station, together with
+// the alive flags it was built from. It is immutable once built: HopTree
+// hands the parent map out, and collection rounds keep routing along the
+// tree they started with while nodes die mid-round.
+type hopTree struct {
+	parent map[NodeID]NodeID
+	// depth is each sensor's hop count to the base station, -1 when
+	// unreachable or dead.
+	depth []int
+	alive []bool
+}
+
+// currentTree returns the hop tree for the present topology, rebuilding it
+// only when the neighbor lists changed (rebuildNeighbors drops it) or the
+// set of alive sensors differs from the one it was built from. The alive
+// flags are compared directly, not through a counter drain would bump:
+// Node.Energy is exported and tests and callers kill or revive a sensor by
+// writing it.
+func (nw *Network) currentTree() *hopTree {
+	if t := nw.tree; t != nil && len(t.alive) == len(nw.Sensors) {
+		same := true
+		for i, s := range nw.Sensors {
+			if t.alive[i] != s.Alive() {
+				same = false
+				break
+			}
+		}
+		if same {
+			return t
+		}
+	}
+	n := len(nw.Sensors)
+	t := &hopTree{
+		parent: make(map[NodeID]NodeID, n),
+		depth:  make([]int, n),
+		alive:  make([]bool, n),
+	}
+	for i, s := range nw.Sensors {
+		t.alive[i] = s.Alive()
+		t.depth[i] = -1
+	}
+	// Breadth-first from the base station over alive sensors, taking each
+	// node's neighbors in list order: the first node to reach a sensor
+	// becomes its parent.
+	queue := make([]NodeID, 0, n+1)
+	queue = append(queue, BaseStationID)
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		d := 1
+		if cur != BaseStationID {
+			d = t.depth[cur] + 1
+		}
 		for _, nbr := range nw.Node(cur).Neighbors {
-			if visited[nbr] {
-				continue
+			if nbr < 0 || int(nbr) >= n || t.depth[nbr] >= 0 || !t.alive[nbr] {
+				continue // the base station, an unknown ID, visited, or dead
 			}
-			n := nw.Node(nbr)
-			if n == nil || !n.Alive() {
-				continue
-			}
-			visited[nbr] = true
-			parent[nbr] = cur
+			t.depth[nbr] = d
+			t.parent[nbr] = cur
 			queue = append(queue, nbr)
 		}
 	}
-	return parent
+	nw.tree = t
+	return t
 }
+
+// HopTree returns the BFS hop tree rooted at the base station over alive
+// nodes. The result maps each reachable sensor to its parent (toward the
+// base). Unreachable sensors are absent. The map is shared between callers
+// and must not be modified; a change of topology produces a new map and
+// leaves one already handed out as it was.
+func (nw *Network) HopTree() map[NodeID]NodeID { return nw.currentTree().parent }
 
 // Connected reports whether every alive sensor can reach the base station.
 func (nw *Network) Connected() bool {
-	tree := nw.HopTree()
-	for _, s := range nw.Sensors {
-		if s.Alive() {
-			if _, ok := tree[s.ID]; !ok {
-				return false
-			}
+	t := nw.currentTree()
+	for i, alive := range t.alive {
+		if alive && t.depth[i] < 0 {
+			return false
 		}
 	}
 	return true
 }
 
-// Depth returns the hop count from a sensor to the base station along the
-// given hop tree, or -1 when unreachable.
-func Depth(tree map[NodeID]NodeID, id NodeID) int {
-	d := 0
-	for id != BaseStationID {
-		p, ok := tree[id]
-		if !ok {
-			return -1
-		}
-		id = p
-		d++
-		if d > len(tree)+1 {
-			return -1 // defensive: malformed tree
-		}
-	}
-	return d
-}
+// Depths returns every sensor's hop count to the base station along the
+// current hop tree, indexed by sensor ID; -1 marks a sensor that is dead or
+// unreachable. Like HopTree's map, the slice is shared and read-only.
+func (nw *Network) Depths() []int { return nw.currentTree().depth }
 
 // RouteToBase returns the hop path from a sensor to the base station along
 // the current hop tree, excluding the sensor itself and including the base.
@@ -437,9 +526,6 @@ func (nw *Network) RouteToBase(id NodeID) []NodeID {
 		}
 		path = append(path, p)
 		cur = p
-		if len(path) > len(nw.Sensors)+1 {
-			return nil
-		}
 	}
 	return path
 }

@@ -41,9 +41,8 @@ func TestConnectivity(t *testing.T) {
 	if !nw.Connected() {
 		t.Fatal("5x5 grid with 30m range should be connected")
 	}
-	tree := nw.HopTree()
 	for _, s := range nw.Sensors {
-		if d := Depth(tree, s.ID); d < 1 {
+		if d := nw.Depths()[s.ID]; d < 1 {
 			t.Fatalf("sensor %d depth = %d, want >= 1", s.ID, d)
 		}
 	}

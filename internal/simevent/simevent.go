@@ -75,7 +75,9 @@ func NewKernel() *Kernel {
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Executed reports how many event handlers have run.
+// Executed reports how many event handlers have run. One handler may stand
+// for several simultaneous occurrences: the sensor network schedules one
+// event per radio transmission, not one per receiver.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
 // Pending reports how many events are scheduled and not cancelled.
@@ -126,6 +128,11 @@ func (k *Kernel) Cancel(id EventID) bool {
 // Stop halts the simulation: Run returns after the current handler and
 // further Schedule calls fail.
 func (k *Kernel) Stop() { k.stopped = true }
+
+// Stopped reports whether Stop was called. A handler that delivers several
+// simultaneous occurrences checks it between them, so that a Stop from one
+// suppresses the rest as it would suppress later events.
+func (k *Kernel) Stopped() bool { return k.stopped }
 
 // Step executes the single earliest pending event. It reports false when no
 // events remain or the kernel is stopped.
