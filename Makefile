@@ -4,7 +4,7 @@ GO ?= go
 # (85% at the time the observability layer landed).
 COVER_FLOOR ?= 84.0
 
-.PHONY: build test race vet fmt-check lint lint-baseline cover check bench bench-e2e bench-baseline benchcmp experiments load-smoke e18-smoke loc
+.PHONY: build test race vet fmt-check lint cover check bench bench-e2e bench-baseline benchcmp experiments load-smoke e18-smoke loc
 
 # Generous wall-time ceiling for the whole lint run (call-graph build +
 # fixed point over every package). Today's run is well under a second;
@@ -30,18 +30,12 @@ fmt-check:
 # lint runs the project's own invariant analyzers (see
 # docs/static-analysis.md) — per-package rules (rawclock, rawsend,
 # rawspawn, envhops, ...) plus the interprocedural set (lockorder,
-# blockheld, hotalloc). Findings already recorded in
-# lint-baseline.json are excused (burn them down over time); any NEW
-# finding fails. Prints the lint wall time and fails past the budget.
-# Exit 1 = new findings, exit 2 = the linter could not run or was slow.
+# blockheld, hotalloc). Any finding fails; the one way to excuse one is
+# a //lint:ignore <rule> <reason> at the site. Prints the lint wall time
+# and fails past the budget.
+# Exit 1 = findings, exit 2 = the linter could not run or was slow.
 lint:
-	$(GO) run ./cmd/pgridlint -baseline lint-baseline.json -time-budget $(LINT_TIME_BUDGET) ./...
-
-# lint-baseline re-accepts every current finding into lint-baseline.json.
-# Run it only when deliberately landing an analyzer ahead of the cleanup;
-# review the diff — it should only ever shrink, or grow with a reason.
-lint-baseline:
-	$(GO) run ./cmd/pgridlint -write-baseline lint-baseline.json ./...
+	$(GO) run ./cmd/pgridlint -time-budget $(LINT_TIME_BUDGET) ./...
 
 # internal/experiments runs ~9 minutes under the race detector (E9 PDE
 # scaling dominates), right at go test's default 10m package timeout —

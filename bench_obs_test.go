@@ -1,11 +1,11 @@
 package pervasivegrid_test
 
 // Hot-path micro-benchmarks for the paths the observability layer
-// instruments: local envelope delivery, semantic discovery matching, and
-// envelope codec round-trips. `make bench` runs these (together with the
-// experiment-table benchmarks) and records the output in BENCH_obs.json,
-// so instrumentation overhead regressions show up as allocation or
-// latency deltas between runs.
+// instruments: local envelope delivery, a local request/reply conversation,
+// semantic discovery matching, and envelope codec round-trips. `make bench`
+// runs these (together with the experiment-table benchmarks) and records
+// the output in BENCH_obs.json, so instrumentation overhead regressions
+// show up as allocation or latency deltas between runs.
 
 import (
 	"encoding/json"
@@ -47,6 +47,56 @@ func BenchmarkPlatformDeliver(b *testing.B) {
 	snap := p.MetricsSnapshot()
 	if h, ok := snap.Histograms["agent_deliver_latency_seconds"]; ok && h.Count > 0 {
 		b.ReportMetric(h.P99*1e9, "p99-ns")
+	}
+}
+
+// echoPlatform hosts an agent that answers every request with "pong".
+func echoPlatform(tb testing.TB) *agent.Platform {
+	p := agent.NewPlatform("bench")
+	tb.Cleanup(p.Close)
+	if err := p.Register("echo", agent.HandlerFunc(func(env agent.Envelope, ctx *agent.Context) {
+		if r, err := env.Reply("inform", "pong"); err == nil {
+			_ = ctx.Send(r)
+		}
+	}), agent.Attributes{}, nil); err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+func callEcho(tb testing.TB, p *agent.Platform) {
+	if _, err := agent.Call(p, "echo", "request", "b", "ping", 10*time.Second); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkCallLocal measures one in-process request/reply conversation:
+// open an inbox, Send, the echo agent's reply, await, close. Run it at a
+// fixed iteration count (-benchtime=5000x) when comparing commits.
+func BenchmarkCallLocal(b *testing.B) {
+	p := echoPlatform(b)
+	callEcho(b, p) // mint the caller ID and the metric series
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		callEcho(b, p)
+	}
+}
+
+// callLocalAllocs is what one local Call allocates, both sides: the inbox,
+// its reply queue and registration, the two envelope bodies, the attempt
+// timer. A change to the conversation path that moves it has to say what
+// the change costs, or what it saved.
+const callLocalAllocs = 13
+
+func TestCallLocalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	p := echoPlatform(t)
+	callEcho(t, p)
+	if got := testing.AllocsPerRun(200, func() { callEcho(t, p) }); got != callLocalAllocs {
+		t.Fatalf("a local Call allocates %v times, pinned at %d", got, callLocalAllocs)
 	}
 }
 

@@ -2,7 +2,7 @@
 // internal/lint and docs/static-analysis.md) over the module and
 // prints findings as file:line:col: rule: message.
 //
-// Exit codes: 0 when clean, 1 when there are new findings, 2 on a
+// Exit codes: 0 when clean, 1 when there are findings, 2 on a
 // usage or load error — or when -time-budget is exceeded — so make
 // check can distinguish "the code is wrong" from "the linter could not
 // run (or got too slow)".
@@ -11,9 +11,7 @@
 //	pgridlint ./internal/...  # lint a subtree
 //	pgridlint -rules rawclock,rawsend ./internal/agent
 //	pgridlint -json           # machine-readable report (schema pgridlint/v1)
-//	pgridlint -baseline lint-baseline.json          # only NEW findings fail
-//	pgridlint -write-baseline lint-baseline.json    # accept current findings
-//	pgridlint -time-budget 90s                      # fail if the run is slower
+//	pgridlint -time-budget 90s  # fail (exit 2) if the run is slower
 //	pgridlint -list           # describe the analyzers
 package main
 
@@ -50,11 +48,9 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit a machine-readable JSON report (schema pgridlint/v1)")
-	baselinePath := fs.String("baseline", "", "findings baseline file; only findings NOT in it fail the run")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	timeBudget := fs.Duration("time-budget", 0, "fail (exit 2) if the whole run exceeds this wall time; also prints the elapsed time")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: pgridlint [-list] [-rules r1,r2] [-json] [-baseline file] [-write-baseline file] [-time-budget d] [packages]")
+		fmt.Fprintln(stderr, "usage: pgridlint [-list] [-rules r1,r2] [-json] [-time-budget d] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -116,29 +112,8 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 	//lint:ignore rawclock see the time.Now above — real wall time is the point of -time-budget
 	elapsed := time.Since(start)
 
-	if *writeBaseline != "" {
-		b := lint.NewBaseline(loader.ModuleRoot, diags)
-		if err := lint.WriteBaseline(*writeBaseline, b); err != nil {
-			fmt.Fprintf(stderr, "pgridlint: %v\n", err)
-			return exitError
-		}
-		fmt.Fprintf(stderr, "pgridlint: wrote %s with %d accepted finding(s)\n", *writeBaseline, len(b.Findings))
-		return exitClean
-	}
-
-	fresh, accepted := diags, []lint.Diagnostic(nil)
-	stale := 0
-	if *baselinePath != "" {
-		b, err := lint.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "pgridlint: %v\n", err)
-			return exitError
-		}
-		fresh, accepted, stale = lint.ApplyBaseline(loader.ModuleRoot, b, diags)
-	}
-
 	if *asJSON {
-		rep := lint.NewJSONReport(loader.ModuleRoot, fresh, accepted, len(pkgs), len(analyzers), stale, elapsed.Milliseconds())
+		rep := lint.NewJSONReport(loader.ModuleRoot, diags, len(pkgs), len(analyzers), elapsed.Milliseconds())
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
@@ -146,12 +121,9 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 			return exitError
 		}
 	} else {
-		for _, d := range fresh {
+		for _, d := range diags {
 			fmt.Fprintln(stdout, d.String())
 		}
-	}
-	if len(accepted) > 0 || stale > 0 {
-		fmt.Fprintf(stderr, "pgridlint: %d baselined finding(s), %d stale baseline entr(ies) — regenerate with make lint-baseline\n", len(accepted), stale)
 	}
 	if *timeBudget != 0 {
 		fmt.Fprintf(stderr, "pgridlint: %d package(s), %d rule(s) in %s (budget %s)\n", len(pkgs), len(analyzers), elapsed.Round(time.Millisecond), *timeBudget)
@@ -160,8 +132,8 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 			return exitError
 		}
 	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(stderr, "pgridlint: %d finding(s) in %d package(s)\n", len(fresh), len(pkgs))
+	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "pgridlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return exitFindings
 	}
 	return exitClean

@@ -137,9 +137,6 @@ func TestJSONReportShape(t *testing.T) {
 		if strings.Contains(f.File, "\\") || filepath.IsAbs(f.File) {
 			t.Fatalf("finding file should be module-relative with forward slashes: %q", f.File)
 		}
-		if f.Baselined {
-			t.Fatalf("no baseline given, but finding marked baselined: %+v", f)
-		}
 	}
 	if rep.Stats.Packages != 1 || rep.Stats.Rules == 0 {
 		t.Fatalf("stats = %+v", rep.Stats)
@@ -158,81 +155,6 @@ func TestJSONCleanRun(t *testing.T) {
 	// findings must be [], not null, so consumers can range unconditionally.
 	if !strings.Contains(stdout, `"findings": []`) {
 		t.Fatalf("clean report should carry an empty findings array:\n%s", stdout)
-	}
-}
-
-// TestBaselineRoundTrip drives the burn-down workflow end to end:
-// accept the dirty fixture's findings, verify the gate goes green, then
-// verify a finding absent from the baseline still fails.
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-
-	code, _, stderr := runCLI(t, ".", "-write-baseline", path, "./testdata/dirty")
-	if code != exitClean {
-		t.Fatalf("-write-baseline exit = %d, want %d (stderr=%q)", code, exitClean, stderr)
-	}
-	if !strings.Contains(stderr, "accepted finding(s)") {
-		t.Fatalf("write summary missing: %q", stderr)
-	}
-
-	code, stdout, stderr := runCLI(t, ".", "-baseline", path, "./testdata/dirty")
-	if code != exitClean {
-		t.Fatalf("baselined run exit = %d, want %d (stdout=%q)", code, exitClean, stdout)
-	}
-	if stdout != "" {
-		t.Fatalf("baselined findings still printed: %q", stdout)
-	}
-	if !strings.Contains(stderr, "baselined finding(s)") {
-		t.Fatalf("burn-down summary missing: %q", stderr)
-	}
-
-	// The same baseline does not excuse a different package's findings,
-	// and the now-unmatched entries are reported as stale.
-	code, _, stderr = runCLI(t, ".", "-baseline", path, "./testdata/clean")
-	if code != exitClean {
-		t.Fatalf("clean-under-foreign-baseline exit = %d (stderr=%q)", code, stderr)
-	}
-	if !strings.Contains(stderr, "stale baseline") {
-		t.Fatalf("stale entries not reported: %q", stderr)
-	}
-
-	// Baselined findings still appear in -json, flagged, with stats.
-	code, stdout, _ = runCLI(t, ".", "-json", "-baseline", path, "./testdata/dirty")
-	if code != exitClean {
-		t.Fatalf("-json baselined exit = %d", code)
-	}
-	var rep lint.JSONReport
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stats.New != 0 || rep.Stats.Baselined == 0 {
-		t.Fatalf("stats = %+v, want new=0 baselined>0", rep.Stats)
-	}
-	for _, f := range rep.Findings {
-		if !f.Baselined {
-			t.Fatalf("finding not marked baselined: %+v", f)
-		}
-	}
-}
-
-func TestMissingBaselineExitsTwo(t *testing.T) {
-	code, _, stderr := runCLI(t, ".", "-baseline", filepath.Join(t.TempDir(), "nope.json"), "./testdata/clean")
-	if code != exitError {
-		t.Fatalf("exit = %d, want %d (stderr=%q)", code, exitError, stderr)
-	}
-}
-
-func TestBadBaselineSchemaExitsTwo(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, []byte(`{"schema":"wrong/v9","findings":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := runCLI(t, ".", "-baseline", path, "./testdata/clean")
-	if code != exitError {
-		t.Fatalf("exit = %d, want %d", code, exitError)
-	}
-	if !strings.Contains(stderr, "schema") {
-		t.Fatalf("stderr should name the schema mismatch: %q", stderr)
 	}
 }
 

@@ -268,7 +268,7 @@ func TestDisconnectionDeputyBuffersAndFlushes(t *testing.T) {
 }
 
 func TestDisconnectionDeputyOverflow(t *testing.T) {
-	base := &directDeputy{mailbox: make(chan Envelope, 1)}
+	base := &inbox{p: NewPlatform("test"), replies: make(chan Envelope, 1)}
 	dd := NewDisconnectionDeputy(base)
 	dd.MaxBuffer = 2
 	dd.SetConnected(false)
@@ -286,13 +286,13 @@ func TestDisconnectionDeputyOverflow(t *testing.T) {
 }
 
 func TestTranscodingDeputy(t *testing.T) {
-	base := &directDeputy{mailbox: make(chan Envelope, 4)}
+	base := &inbox{p: NewPlatform("test"), replies: make(chan Envelope, 4)}
 	td := NewTranscodingDeputy(base, TruncateTranscoder(5))
 	env, _ := NewEnvelope("a", "b", "inform", "o", "a very long payload that exceeds the cap")
 	if err := td.Deliver(env); err != nil {
 		t.Fatal(err)
 	}
-	got := <-base.mailbox
+	got := <-base.replies
 	if len(got.Content) != 5 {
 		t.Fatalf("content length = %d, want 5", len(got.Content))
 	}

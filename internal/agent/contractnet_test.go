@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -60,6 +61,33 @@ func TestContractNetAwardsCheapestBid(t *testing.T) {
 	defer mu.Unlock()
 	if performed["expensive"] != 0 || performed["middling"] != 0 {
 		t.Fatalf("losers performed: %v", performed)
+	}
+}
+
+// TestContractNetWiderThanAMailbox: the initiator's inbox is sized by the
+// round (two slots per contractor), not by the platform's mailbox depth, so
+// a round wider than DefaultMailboxCapacity still hears every bid.
+func TestContractNetWiderThanAMailbox(t *testing.T) {
+	p := NewPlatform("test")
+	defer p.Close()
+	const n = DefaultMailboxCapacity + 16
+	contractors := make([]ID, n)
+	for i := range contractors {
+		contractors[i] = ID(fmt.Sprintf("bidder-%d", i))
+		cost := float64(10 + (i+n/2)%n) // cheapest (10) is bidder-n/2
+		if err := p.Register(contractors[i], Bidder(func(CFP) float64 { return cost }, nil), Attributes{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := ContractNet(p, contractors, CFP{Task: "t"}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := contractors[n/2]; res.Winner != want || res.Cost != 10 || res.Proposals != n {
+		t.Fatalf("result = %+v, want %s@10 from %d proposals", res, want, n)
+	}
+	if st := p.DeliveryStats(); st.Shed != 0 || st.Dropped != 0 {
+		t.Fatalf("a bid was shed or dropped: %+v", st)
 	}
 }
 

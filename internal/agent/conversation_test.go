@@ -2,8 +2,11 @@ package agent
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,11 +178,131 @@ func TestConversationsLeaveNothingBehind(t *testing.T) {
 	if n := rememberedIDs(); n > 2 {
 		t.Errorf("gateway remembers %d caller IDs after sequential conversations", n)
 	}
-	// One series per hosted agent plus one recycled caller.
-	if n := mailboxGauges(server); n > 3 {
-		t.Errorf("server holds %d agent_mailbox_depth series", n)
+	// One series per hosted agent; a conversation has no mailbox to gauge.
+	if n := mailboxGauges(server); n != 1 {
+		t.Errorf("server holds %d agent_mailbox_depth series, want echo's", n)
 	}
-	if n := mailboxGauges(client); n > 2 {
-		t.Errorf("client holds %d agent_mailbox_depth series", n)
+	if n := mailboxGauges(client); n != 0 {
+		t.Errorf("client holds %d agent_mailbox_depth series, want none", n)
+	}
+}
+
+// TestConversationIsNotAnAgent: a conversation costs a deputy, not an
+// agent. While its request is being handled the caller has no run loop, no
+// supervised child and no goroutine of its own, and a thousand of them
+// leave the goroutine count and the supervisor where they started.
+func TestConversationIsNotAnAgent(t *testing.T) {
+	p := NewPlatform("test")
+	defer p.Close()
+	var inFlight atomic.Int64 // most goroutines seen from inside a handler
+	err := p.Register("echo", HandlerFunc(func(env Envelope, ctx *Context) {
+		p.mu.RLock()
+		sup := p.sup
+		p.mu.RUnlock()
+		if sup.Proc("agent:"+string(env.From)) != nil || p.AgentAlive(env.From) {
+			t.Errorf("conversation %s runs as a supervised agent", env.From)
+		}
+		if p.Deputy(env.From) == nil {
+			t.Errorf("conversation %s has no deputy while its request is handled", env.From)
+		}
+		if n := int64(runtime.NumGoroutine()); n > inFlight.Load() {
+			inFlight.Store(n)
+		}
+		echoHandler(env, ctx)
+	}), Attributes{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines, stats := runtime.NumGoroutine(), p.SupervisionStats()
+	for i := 0; i < 1000; i++ {
+		if _, err := Call(p, "echo", "request", "o", "ping", 10*time.Second); err != nil {
+			t.Fatalf("conversation %d: %v", i, err)
+		}
+	}
+	if got := inFlight.Load(); got > int64(goroutines) {
+		t.Errorf("%d goroutines during a conversation, %d before it", got, goroutines)
+	}
+	if got := runtime.NumGoroutine(); got > goroutines {
+		t.Errorf("goroutines %d -> %d over 1000 conversations", goroutines, got)
+	}
+	if got := p.SupervisionStats(); got != stats {
+		t.Errorf("supervision stats %+v -> %+v", stats, got)
+	}
+}
+
+// TestConcurrentCallsSurviveLateReplies: sixteen callers share an echo
+// agent that answers every request twice, and an injector re-sends each
+// answer later still — at a caller ID that by then is closed, closing, or
+// recycled to another conversation. Nothing may panic, every conversation
+// gets the reply to its own request, and a late reply is refused (no_route,
+// a full inbox) or queued where await rejects it by sequence number. The
+// callers retry: strays can fill an inbox before its conversation reads,
+// and the real reply is then refused — counted, and re-requested.
+func TestConcurrentCallsSurviveLateReplies(t *testing.T) {
+	p := NewPlatform("test")
+	defer p.Close()
+	late := make(chan Envelope, 256) // handed to the injector; overflow is just fewer injections
+	err := p.Register("echo", HandlerFunc(func(env Envelope, ctx *Context) {
+		var body string
+		if err := env.Decode(&body); err != nil {
+			t.Errorf("request body: %v", err)
+			return
+		}
+		r, err := env.Reply("inform", body)
+		if err != nil {
+			t.Errorf("reply: %v", err)
+			return
+		}
+		_ = ctx.Send(r)
+		_ = ctx.Send(r) // races the conversation closing
+		select {
+		case late <- r:
+		default:
+		}
+	}), Attributes{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	injected := make(chan struct{})
+	go func() {
+		defer close(injected)
+		for r := range late {
+			err := p.Send(r)
+			if err != nil && !errors.Is(err, ErrUnknownAgent) && !errors.Is(err, ErrMailboxFull) {
+				t.Errorf("late reply to %s: %v", r.To, err)
+			}
+		}
+	}()
+	const callers, each = 16, 50
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				want := fmt.Sprintf("caller %d request %d", c, i)
+				reply, err := CallRetry(p, "echo", "request", "o", want, 10*time.Second,
+					RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, AttemptTimeout: 100 * time.Millisecond})
+				if err != nil {
+					t.Errorf("%s: %v", want, err)
+					return
+				}
+				var got string
+				if err := reply.Decode(&got); err != nil || got != want {
+					t.Errorf("%s answered %q (err %v)", want, got, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	p.Deregister("echo") // drains its mailbox: no handler sends on late after this
+	close(late)
+	<-injected
+	st := p.DeliveryStats()
+	if st.Reasons[DropNoRoute] == 0 {
+		t.Errorf("no late reply found its conversation closed: %+v", st)
+	}
+	if st.Dropped != st.Reasons[DropNoRoute]+st.Reasons[DropMailboxFull] || st.Shed != st.Reasons[DropMailboxFull] {
+		t.Errorf("a late reply was lost some other way: %+v", st)
 	}
 }

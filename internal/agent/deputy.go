@@ -13,22 +13,8 @@ type Deputy interface {
 	Deliver(env Envelope) error
 }
 
-// directDeputy hands envelopes to the agent's mailbox.
-type directDeputy struct {
-	mailbox chan Envelope
-}
-
 // ErrMailboxFull reports an agent that cannot keep up.
 var ErrMailboxFull = errors.New("agent: mailbox full")
-
-func (d *directDeputy) Deliver(env Envelope) error {
-	select {
-	case d.mailbox <- env:
-		return nil
-	default:
-		return ErrMailboxFull
-	}
-}
 
 // DisconnectionDeputy buffers envelopes while its agent's device is
 // disconnected and flushes them on reconnect — the paper's "deputies that
@@ -54,7 +40,7 @@ func (d *DisconnectionDeputy) Deliver(env Envelope) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.connected {
-		// next is the non-blocking directDeputy (or another deputy whose
+		// next is the non-blocking inbox (or another deputy whose
 		// Deliver never re-enters this one); the re-entrant flush path in
 		// SetConnected already delivers outside the lock.
 		//lint:ignore blockheld next.Deliver is non-blocking and never re-enters this deputy

@@ -83,8 +83,8 @@ func (m MailboxOptions) withDefaults() MailboxOptions {
 }
 
 // mailboxDeputy is the innermost deputy: it admits envelopes into the
-// registration's lanes under the platform's overload policy. It replaces
-// directDeputy (kept for compatibility) as the deputy Register builds.
+// registration's lanes under the platform's overload policy. It is the
+// deputy Register builds.
 type mailboxDeputy struct {
 	p   *Platform
 	reg *registration
@@ -126,7 +126,7 @@ func (d *mailboxDeputy) Deliver(env Envelope) error {
 		select {
 		case lane <- env:
 			return nil
-		case <-d.reg.quit:
+		case <-d.reg.proc.Stopping():
 			// The agent is stopping; unblock the sender with the
 			// transient error so its retry layer can re-route.
 			return ErrMailboxFull

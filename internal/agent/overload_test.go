@@ -199,6 +199,58 @@ func TestBlockPolicyBackpressure(t *testing.T) {
 	}
 }
 
+// TestFullInboxRefusesUnderEveryPolicy: a conversation's reply queue is
+// not an agent mailbox. Whatever the platform's policy, the envelope that
+// does not fit is refused at once — never parked (Block), never admitted by
+// evicting a reply (DropOldest) — and is accounted for: every send is
+// delivered or shed, and every shed is a mailbox_full dead letter.
+func TestFullInboxRefusesUnderEveryPolicy(t *testing.T) {
+	const depth = 3
+	for _, policy := range []MailboxPolicy{DropNewest, DropOldest, Block} {
+		t.Run(policy.String(), func(t *testing.T) {
+			p := NewPlatform("inbox")
+			p.Mailbox = MailboxOptions{Policy: policy}
+			defer p.Close()
+			in, err := p.openInbox(depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer in.close()
+			refused := 0
+			for i := 0; i < depth+2; i++ {
+				sent := make(chan error, 1)
+				go func() { sent <- sendTo(t, p, in.id, "x-data") }()
+				select {
+				case err := <-sent:
+					if errors.Is(err, ErrMailboxFull) {
+						refused++
+					} else if err != nil {
+						t.Fatalf("send %d: %v", i+1, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("send %d parked on a conversation that is not reading", i+1)
+				}
+			}
+			st := p.DeliveryStats()
+			if refused != 2 || st.Delivered != depth || st.Shed != 2 ||
+				st.Reasons[DropMailboxFull] != 2 || st.DeadLettered != 2 {
+				t.Fatalf("refused %d of %d sends, stats %+v; want %d delivered, 2 shed, 2 mailbox_full",
+					refused, depth+2, st, depth)
+			}
+			// The first depth envelopes are the ones queued, in order.
+			for want := uint64(1); want <= depth; want++ {
+				if got := (<-in.replies).Seq; got != want {
+					t.Fatalf("queued seq %d, want %d (a queued reply was evicted)", got, want)
+				}
+			}
+			// An inbox is not a mailbox: shutdown's drain does not wait on it.
+			if n := p.QueuedEnvelopes(); n != 0 {
+				t.Fatalf("QueuedEnvelopes = %d with only a conversation open", n)
+			}
+		})
+	}
+}
+
 func TestPriorityLaneSurvivesSaturation(t *testing.T) {
 	p := NewPlatform("priority")
 	p.Mailbox = MailboxOptions{Capacity: 2, HighCapacity: 4, Policy: DropNewest}

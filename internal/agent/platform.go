@@ -40,20 +40,20 @@ func (c *Context) Send(env Envelope) error {
 	return c.Platform.Send(env)
 }
 
-// registration is one hosted agent: its deputy chain, mailbox lanes, and
-// attributes. The lane channels are never closed — concurrent deliveries
+// registration is one reachable ID: its deputy chain and attributes, and —
+// for a hosted agent — mailbox lanes and a run loop. A conversation inbox
+// is a registration that is only a deputy: no lanes, no proc (see
+// openInbox). The lane channels are never closed — concurrent deliveries
 // (including delayed ones from decorating deputies) may race a
 // deregistration, and a send on a closed channel would panic the sender.
-// Termination is signalled through quit instead; the agent goroutine
-// drains what is already queued and exits. The run loop itself executes
-// as a supervised child (see supervision.go): proc is its handle.
+// The run loop executes as a supervised child (see supervision.go) and
+// proc is its handle: stopping it is the termination signal, on which the
+// agent goroutine drains what is already queued and exits.
 type registration struct {
-	id      ID
 	deputy  Deputy
 	attrs   Attributes
 	mailbox chan Envelope // normal lane
 	high    chan Envelope // priority lane (telemetry / control ontologies)
-	quit    chan struct{}
 	proc    *supervise.Proc
 
 	// Checkpoint storage for handlers implementing Checkpointer: the
@@ -316,30 +316,19 @@ func (p *Platform) trace(kind string, env Envelope, note string) {
 // platform's Supervision policy, restoring the handler's last checkpoint
 // when it implements Checkpointer.
 func (p *Platform) Register(id ID, h Handler, attrs Attributes, wrap func(Deputy) Deputy) error {
-	return p.register(id, h, attrs, wrap, p.Mailbox.withDefaults())
-}
-
-// register is Register with explicit lane depths: a conversation inbox
-// needs only as many slots as it reads (see openInbox), not the
-// platform-wide mailbox a long-lived agent gets.
-func (p *Platform) register(id ID, h Handler, attrs Attributes, wrap func(Deputy) Deputy, mb MailboxOptions) error {
 	if id == "" || h == nil {
 		return fmt.Errorf("agent: register needs an id and a handler")
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
+	if err := p.vacantLocked(id); err != nil {
+		return err
 	}
-	if _, ok := p.agents[id]; ok {
-		return fmt.Errorf("agent: id %q already registered", id)
-	}
+	mb := p.Mailbox.withDefaults()
 	reg := &registration{
-		id:      id,
 		attrs:   attrs.Clone(),
 		mailbox: make(chan Envelope, mb.Capacity),
 		high:    make(chan Envelope, mb.HighCapacity),
-		quit:    make(chan struct{}),
 	}
 	var d Deputy = &mailboxDeputy{p: p, reg: reg}
 	if wrap != nil {
@@ -393,15 +382,24 @@ func (p *Platform) register(id ID, h Handler, attrs Attributes, wrap func(Deputy
 				handle(env)
 			case env := <-reg.mailbox:
 				handle(env)
-			case <-reg.quit:
-				drainLanes(reg, handle)
-				return
 			case <-stop:
 				drainLanes(reg, handle)
 				return
 			}
 		}
 	})
+	return nil
+}
+
+// vacantLocked reports why id cannot be installed in the agent table: the
+// platform is closed or the ID is taken. Callers hold p.mu.
+func (p *Platform) vacantLocked(id ID) error {
+	if p.closed {
+		return ErrClosed
+	}
+	if _, ok := p.agents[id]; ok {
+		return fmt.Errorf("agent: id %q already registered", id)
+	}
 	return nil
 }
 
@@ -432,8 +430,7 @@ func (p *Platform) Deregister(id ID) {
 		delete(p.agents, id)
 	}
 	p.mu.Unlock()
-	if ok {
-		close(reg.quit)
+	if ok && reg.proc != nil { // a conversation inbox has no run loop
 		reg.proc.Stop()
 	}
 }
@@ -572,8 +569,10 @@ func (p *Platform) Send(env Envelope) error {
 		p.metrics.Histogram("agent_deliver_latency_seconds").
 			Observe(lat.Seconds())
 		p.noteSlow(env.TraceID, lat)
-		p.metrics.Gauge("agent_mailbox_depth", "agent", string(env.To)).
-			Set(float64(len(reg.mailbox) + len(reg.high)))
+		if reg.mailbox != nil { // a conversation inbox has no mailbox to gauge
+			p.metrics.Gauge("agent_mailbox_depth", "agent", string(env.To)).
+				Set(float64(len(reg.mailbox) + len(reg.high)))
+		}
 		p.metrics.Counter("agent_delivered_total").Inc()
 		p.trace(obs.SpanDeliver, env, "")
 		p.breakerSuccess(env.To)
@@ -731,7 +730,8 @@ func (p *Platform) Close() {
 	p.routes = nil
 	p.mu.Unlock()
 	for _, reg := range regs {
-		close(reg.quit)
-		reg.proc.Stop()
+		if reg.proc != nil {
+			reg.proc.Stop()
+		}
 	}
 }

@@ -185,7 +185,7 @@ func TestDisconnectionDeputyReentrantFlush(t *testing.T) {
 // TestDisconnectionDeputyFlushFailureKeepsTail: a mid-flush delivery
 // failure must keep the undelivered tail buffered, in order.
 func TestDisconnectionDeputyFlushFailureKeepsTail(t *testing.T) {
-	base := &directDeputy{mailbox: make(chan Envelope, 2)}
+	base := &inbox{p: NewPlatform("test"), replies: make(chan Envelope, 2)}
 	dd := NewDisconnectionDeputy(base)
 	dd.SetConnected(false)
 	for i := 0; i < 5; i++ {

@@ -167,7 +167,7 @@ func CallRetry(p *Platform, to ID, performative, ontology string, body any, time
 	if err != nil {
 		return Envelope{}, err
 	}
-	return p.converse(env, &in, timeout, policy)
+	return p.converse(env, in, timeout, policy)
 }
 
 // converse is the one attempt loop every conversation runs through: breaker

@@ -334,7 +334,7 @@ func TestLoadPatternsWalk(t *testing.T) {
 
 // TestRepoIsClean is the in-suite version of make lint: the production
 // analyzer set over the whole module — internal/, cmd/, and examples/
-// alike — must report nothing beyond the committed baseline.
+// alike — must report nothing.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -364,20 +364,8 @@ func TestRepoIsClean(t *testing.T) {
 		}
 	}
 
-	diags := lint.Run(pkgs, lint.Default())
-
-	// Findings recorded in lint-baseline.json are excused here exactly as
-	// in make lint; anything fresh fails the suite.
-	baseline, err := lint.ReadBaseline(filepath.Join(loader.ModuleRoot, "lint-baseline.json"))
-	if err != nil {
-		t.Fatalf("read lint-baseline.json: %v", err)
-	}
-	fresh, accepted, stale := lint.ApplyBaseline(loader.ModuleRoot, baseline, diags)
-	for _, d := range fresh {
+	for _, d := range lint.Run(pkgs, lint.Default()) {
 		t.Errorf("%s", d)
-	}
-	if len(accepted) > 0 || stale > 0 {
-		t.Logf("%d baselined finding(s), %d stale baseline entr(ies)", len(accepted), stale)
 	}
 }
 

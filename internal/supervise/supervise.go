@@ -335,9 +335,8 @@ func (s *Supervisor) Spawn(name string, run func(stop <-chan struct{})) *Proc {
 
 // loop is the per-child supervision loop: run, recover, decide, back
 // off, restart — until a clean exit, a stop, or budget exhaustion. The
-// handle is dropped from the supervisor on exit so short-lived children
-// (ephemeral callers) do not grow the map without bound; callers keep
-// the *Proc returned by Spawn.
+// handle is dropped from the supervisor on exit; callers keep the *Proc
+// returned by Spawn.
 func (s *Supervisor) loop(proc *Proc, run func(stop <-chan struct{})) {
 	defer func() {
 		s.mu.Lock()

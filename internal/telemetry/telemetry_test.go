@@ -317,6 +317,7 @@ func TestSeqGapTriggersFullResyncAtLoadRates(t *testing.T) {
 		waitFor(t, "blackout report attempt", func() bool {
 			return node.Reporter.Seq() >= seqTarget
 		})
+		waitParked(t, clk, f)
 	}
 	// The deliver histogram moved only during the blackout; nothing
 	// after the heal touches it (reporter traffic leaves over the link,
