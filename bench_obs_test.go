@@ -2,13 +2,12 @@ package pervasivegrid_test
 
 // Hot-path micro-benchmarks for the paths the observability layer
 // instruments: local envelope delivery, a local request/reply conversation,
-// semantic discovery matching, and envelope codec round-trips. `make bench`
+// semantic discovery matching, and a request/reply over loopback TCP. `make bench`
 // runs these (together with the experiment-table benchmarks) and records
 // the output in BENCH_obs.json, so instrumentation overhead regressions
 // show up as allocation or latency deltas between runs.
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -17,6 +16,7 @@ import (
 	"pervasivegrid/internal/discovery"
 	"pervasivegrid/internal/obs"
 	"pervasivegrid/internal/ontology"
+	"pervasivegrid/internal/supervise"
 )
 
 // BenchmarkPlatformDeliver measures one instrumented local delivery:
@@ -87,7 +87,7 @@ func BenchmarkCallLocal(b *testing.B) {
 // its reply queue and registration, the two envelope bodies, the attempt
 // timer. A change to the conversation path that moves it has to say what
 // the change costs, or what it saved.
-const callLocalAllocs = 13
+const callLocalAllocs = 9
 
 func TestCallLocalAllocs(t *testing.T) {
 	if raceEnabled {
@@ -97,6 +97,37 @@ func TestCallLocalAllocs(t *testing.T) {
 	callEcho(t, p)
 	if got := testing.AllocsPerRun(200, func() { callEcho(t, p) }); got != callLocalAllocs {
 		t.Fatalf("a local Call allocates %v times, pinned at %d", got, callLocalAllocs)
+	}
+}
+
+// BenchmarkCallTCP is one conversation over the wire, the ping_flood path:
+// a handheld platform's Call through its Dial'ed link, the node's gateway,
+// the echo agent and back, with the node instrumented as bench/node.go
+// wires it (every trace sampled, wide events, breakers). Run it at a fixed
+// iteration count (-benchtime=50000x) when comparing commits.
+func BenchmarkCallTCP(b *testing.B) {
+	node := echoPlatform(b)
+	node.Breakers = supervise.NewBreakerSet(supervise.BreakerPolicy{})
+	node.Tracer = obs.NewTracer(4096)
+	node.Tracer.SetSampler(obs.NewSampler(1))
+	node.Events = obs.NewEventLog(4096)
+	gw, err := agent.ListenAndServe(node, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(gw.Close)
+	handheld := agent.NewPlatform("handheld")
+	b.Cleanup(handheld.Close)
+	link, err := agent.Dial(handheld, gw.Addr(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(link.Close)
+	callEcho(b, handheld) // connect the reverse route, mint the caller ID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		callEcho(b, handheld)
 	}
 }
 
@@ -213,37 +244,6 @@ func BenchmarkDiscoveryMatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := r.Lookup(m, req); len(got) == 0 {
 			b.Fatal("lookup found nothing")
-		}
-	}
-}
-
-// BenchmarkEnvelopeCodec measures a full wire round-trip of one envelope:
-// JSON framing as the TCP transport sends it, then decode plus body
-// extraction on the receiving side.
-func BenchmarkEnvelopeCodec(b *testing.B) {
-	env, err := agent.NewEnvelope("handheld", "query-agent", "request", "pgrid-query-v1",
-		map[string]string{"query": "SELECT temp FROM sensors WHERE sensor = 44"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	env.TraceID = obs.NewTraceID()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wire, err := json.Marshal(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var out agent.Envelope
-		if err := json.Unmarshal(wire, &out); err != nil {
-			b.Fatal(err)
-		}
-		var body map[string]string
-		if err := out.Decode(&body); err != nil {
-			b.Fatal(err)
-		}
-		if out.TraceID != env.TraceID {
-			b.Fatal("trace id lost on the wire")
 		}
 	}
 }

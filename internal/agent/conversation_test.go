@@ -154,11 +154,7 @@ func TestConversationsLeaveNothingBehind(t *testing.T) {
 	rememberedIDs := func() int {
 		gw.mu.Lock()
 		defer gw.mu.Unlock()
-		n := 0
-		for _, ids := range gw.conns {
-			n += len(ids)
-		}
-		return n
+		return len(gw.routes)
 	}
 	// Warm both paths so lazily built state (supervisor, metric series,
 	// socket buffers) is in the baseline.
@@ -184,6 +180,15 @@ func TestConversationsLeaveNothingBehind(t *testing.T) {
 	}
 	if n := mailboxGauges(client); n != 0 {
 		t.Errorf("client holds %d agent_mailbox_depth series, want none", n)
+	}
+	// The reverse routes go with the connection they point at.
+	link.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for rememberedIDs() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("gateway still routes %d IDs after the link closed", rememberedIDs())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -166,8 +166,9 @@ func (l *Link) Close() {
 }
 
 // route implements RouteFunc: write when up, store-and-forward when down.
-// It accepts the envelope either way; loss is only possible by buffer
-// overflow, which is dead-lettered rather than silent.
+// It accepts the envelope either way, unless no frame can carry it; loss is
+// only possible by buffer overflow, which is dead-lettered rather than
+// silent.
 func (l *Link) route(env Envelope) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -179,8 +180,8 @@ func (l *Link) route(env Envelope) bool {
 	}
 	if l.wc != nil {
 		wc := l.wc
-		if err := wc.write(env); err == nil {
-			return true
+		if err := wc.write(env); err == nil || err == errOversize {
+			return err == nil // no frame carries it: Send dead-letters it
 		}
 		// The connection died under us: take it down and buffer this
 		// envelope. Closing the socket fails the read loop, which redials.
@@ -243,12 +244,16 @@ func (l *Link) install(wc *wireConn) bool {
 		return false
 	}
 	for len(l.buffer) > 0 {
-		if err := wc.write(l.buffer[0]); err != nil {
+		switch err := wc.write(l.buffer[0]); err {
+		case nil:
+			l.platform.trace(obs.SpanReplay, l.buffer[0], "reconnected")
+			l.replayed++
+		case errOversize: // buffered while down, but no frame carries it
+			l.platform.deadLetter(l.buffer[0], DropLinkDown)
+		default:
 			return false
 		}
-		l.platform.trace(obs.SpanReplay, l.buffer[0], "reconnected")
 		l.buffer = l.buffer[1:]
-		l.replayed++
 	}
 	l.buffer = nil
 	l.wc = wc

@@ -55,6 +55,7 @@ type registration struct {
 	mailbox chan Envelope // normal lane
 	high    chan Envelope // priority lane (telemetry / control ontologies)
 	proc    *supervise.Proc
+	depth   atomic.Pointer[obs.Gauge] // agent_mailbox_depth{agent}, from the first delivery
 
 	// Checkpoint storage for handlers implementing Checkpointer: the
 	// last snapshot taken after a successful Handle, restored when
@@ -68,10 +69,13 @@ type registration struct {
 // underlying transport goes away (see Link.Close, Gateway.Close).
 type RouteID uint64
 
-// routeEntry pairs an installed route with its removal handle.
+// routeEntry pairs an installed route with its removal handle, its
+// agent_route_delivered_total{route} counter and its span note.
 type routeEntry struct {
-	id RouteID
-	fn RouteFunc
+	id        RouteID
+	fn        RouteFunc
+	delivered *obs.Counter
+	note      string
 }
 
 // DropReason classifies why an envelope became undeliverable.
@@ -491,10 +495,11 @@ func (p *Platform) AddRoute(r RouteFunc) RouteID {
 	defer p.mu.Unlock()
 	p.nextRID++
 	id := p.nextRID
+	label := strconv.FormatUint(uint64(id), 10)
 	// Copy-on-write so Send can iterate a snapshot outside the lock.
 	routes := make([]routeEntry, len(p.routes), len(p.routes)+1)
 	copy(routes, p.routes)
-	p.routes = append(routes, routeEntry{id: id, fn: r})
+	p.routes = append(routes, routeEntry{id, r, p.metrics.Counter("agent_route_delivered_total", "route", label), "route " + label})
 	return id
 }
 
@@ -527,7 +532,7 @@ func (p *Platform) Routes() int {
 // first, then gateway routes in order. Undeliverable envelopes land in the
 // dead-letter ring with a drop reason.
 //
-//lint:hot budget=30
+//lint:hot budget=27
 func (p *Platform) Send(env Envelope) error {
 	p.mu.RLock()
 	if p.closed {
@@ -570,8 +575,12 @@ func (p *Platform) Send(env Envelope) error {
 			Observe(lat.Seconds())
 		p.noteSlow(env.TraceID, lat)
 		if reg.mailbox != nil { // a conversation inbox has no mailbox to gauge
-			p.metrics.Gauge("agent_mailbox_depth", "agent", string(env.To)).
-				Set(float64(len(reg.mailbox) + len(reg.high)))
+			g := reg.depth.Load()
+			if g == nil {
+				g = p.metrics.Gauge("agent_mailbox_depth", "agent", string(env.To))
+				reg.depth.Store(g)
+			}
+			g.Set(float64(len(reg.mailbox) + len(reg.high)))
 		}
 		p.metrics.Counter("agent_delivered_total").Inc()
 		p.trace(obs.SpanDeliver, env, "")
@@ -585,9 +594,8 @@ func (p *Platform) Send(env Envelope) error {
 		if accepted {
 			p.delivered.Add(1)
 			p.metrics.Counter("agent_delivered_total").Inc()
-			p.metrics.Counter("agent_route_delivered_total",
-				"route", strconv.FormatUint(uint64(r.id), 10)).Inc()
-			p.trace(obs.SpanRoute, env, "route "+strconv.FormatUint(uint64(r.id), 10))
+			r.delivered.Inc()
+			p.trace(obs.SpanRoute, env, r.note)
 			p.breakerSuccess(env.To)
 			return nil
 		}

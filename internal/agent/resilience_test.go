@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -493,47 +495,69 @@ func TestHopBudgetStopsRoutingLoop(t *testing.T) {
 
 // --- transport failure paths ----------------------------------------------
 
-// TestGatewaySurvivesPeerClosingMidStream: a peer that sends garbage and
-// slams the connection must not take the gateway down.
+// TestGatewaySurvivesPeerClosingMidStream: a peer that sends a hostile
+// frame — cut short, oversized, of another version or an old JSON line, with
+// a string running past its end or an overlong varint — loses its own
+// connection, is counted once under its reason, and does not take the
+// gateway down.
 func TestGatewaySurvivesPeerClosingMidStream(t *testing.T) {
-	server := NewPlatform("server")
-	defer server.Close()
-	c := newCollector(1)
-	if err := server.Register("sink", c, Attributes{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ListenAndServe(server, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
+	for _, h := range hostileFrames() {
+		t.Run(h.name, func(t *testing.T) {
+			server := NewPlatform("server")
+			defer server.Close()
+			c := newCollector(1)
+			if err := server.Register("sink", c, Attributes{}, nil); err != nil {
+				t.Fatal(err)
+			}
+			gw, err := ListenAndServe(server, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gw.Close()
 
-	// A rude peer: half an envelope, then gone.
-	conn, err := net.Dial("tcp", gw.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write([]byte(`{"seq":1,"from":"rude","to":"si`)); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
+			conn, err := net.Dial("tcp", gw.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(h.data); err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
 
-	// A well-behaved peer still gets through.
-	client := NewPlatform("client")
-	defer client.Close()
-	link, err := Dial(client, gw.Addr(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-	env, _ := NewEnvelope("polite", "sink", "inform", "o", "hello")
-	if err := client.Send(env); err != nil {
-		t.Fatal(err)
-	}
-	got := c.wait(t)
-	var body string
-	if err := got[0].Decode(&body); err != nil || body != "hello" {
-		t.Fatalf("body = %q err=%v", body, err)
+			// A well-behaved peer still gets through.
+			client := NewPlatform("client")
+			defer client.Close()
+			link, err := Dial(client, gw.Addr(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer link.Close()
+			env, _ := NewEnvelope("polite", "sink", "inform", "o", "hello")
+			if err := client.Send(env); err != nil {
+				t.Fatal(err)
+			}
+			got := c.wait(t)
+			var body string
+			if err := got[0].Decode(&body); err != nil || body != "hello" {
+				t.Fatalf("body = %q err=%v", body, err)
+			}
+
+			rejected := func() map[string]float64 {
+				out := map[string]float64{}
+				for k, v := range server.MetricsSnapshot().Counters {
+					if strings.HasPrefix(k, "agent_wire_rejected_total") {
+						out[k] = v
+					}
+				}
+				return out
+			}
+			want := map[string]float64{`agent_wire_rejected_total{reason="` + string(h.reason) + `"}`: 1}
+			for deadline := time.Now().Add(5 * time.Second); !reflect.DeepEqual(rejected(), want); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("rejections = %v, want %v", rejected(), want)
+				}
+			}
+		})
 	}
 }
 
