@@ -90,25 +90,38 @@ type Scaler struct {
 }
 
 // FitScaler computes per-feature statistics.
-func FitScaler(X [][]float64) (*Scaler, error) {
+func FitScaler(X [][]float64) (*Scaler, error) { return (&Scaler{}).fit(X, nil) }
+
+// fit sets s to the statistics of X, reusing s's slices, with row i counted
+// count[i] times: the mean and deviation of the samples a multiset row
+// stands for. A nil count weighs every row 1, which is exact.
+func (s *Scaler) fit(X [][]float64, count []int) (*Scaler, error) {
 	if len(X) == 0 {
 		return nil, ErrEmpty
 	}
 	w := len(X[0])
-	s := &Scaler{Mean: make([]float64, w), Std: make([]float64, w)}
-	for _, row := range X {
-		for j, v := range row {
-			s.Mean[j] += v
+	s.Mean = append(s.Mean[:0], make([]float64, w)...)
+	s.Std = append(s.Std[:0], make([]float64, w)...)
+	weight := func(i int) float64 {
+		if count == nil {
+			return 1
 		}
+		return float64(count[i])
 	}
-	n := float64(len(X))
+	n := 0.0
+	for i, row := range X {
+		for j, v := range row {
+			s.Mean[j] += weight(i) * v
+		}
+		n += weight(i)
+	}
 	for j := range s.Mean {
 		s.Mean[j] /= n
 	}
-	for _, row := range X {
+	for i, row := range X {
 		for j, v := range row {
 			d := v - s.Mean[j]
-			s.Std[j] += d * d
+			s.Std[j] += weight(i) * (d * d)
 		}
 	}
 	for j := range s.Std {

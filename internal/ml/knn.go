@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -13,7 +15,7 @@ import (
 // once per query), and the scratch one query uses.
 type knnIndex struct {
 	dirty  bool
-	scaler *Scaler
+	scaler Scaler
 	// std holds the rows standardised by scaler, all backed by buf.
 	std [][]float64
 	buf []float64
@@ -26,13 +28,13 @@ type neighbour struct {
 	row  int // index of the training row
 }
 
-// nearest returns every training row's squared distance to x in
-// standardised space, nearest first; rows at equal distance keep the order
-// sort.Slice gives them. rows must not be empty. The result is overwritten
-// by the next call.
-func (ix *knnIndex) nearest(rows [][]float64, x []float64) []neighbour {
+// distances returns every training row's squared distance to x in
+// standardised space, in row order, with the scaler fitted to rows weighted
+// by count (see Scaler.fit). rows must not be empty. The result is
+// overwritten by the next call.
+func (ix *knnIndex) distances(rows [][]float64, count []int, x []float64) []neighbour {
 	if ix.dirty {
-		ix.scaler, _ = FitScaler(rows) // fails only on no rows; callers have checked
+		ix.scaler.fit(rows, count) // fails only on no rows; callers have checked
 		ix.dirty = false
 		total := 0
 		for _, row := range rows {
@@ -61,9 +63,7 @@ func (ix *knnIndex) nearest(rows [][]float64, x []float64) []neighbour {
 		}
 		ix.ns = append(ix.ns, neighbour{dist: d, row: i})
 	}
-	ns := ix.ns
-	sort.Slice(ns, func(a, b int) bool { return ns[a].dist < ns[b].dist })
-	return ns
+	return ix.ns
 }
 
 // KNNClassifier is a lazy k-nearest-neighbour classifier over standardised
@@ -101,7 +101,9 @@ func (c *KNNClassifier) Predict(x []float64) (int, error) {
 	if c.data.Len() == 0 {
 		return 0, ErrEmpty
 	}
-	ns := c.index.nearest(c.data.X, x)
+	ns := c.index.distances(c.data.X, nil, x)
+	// Ties keep the order sort.Slice gives them; E5's votes are built on it.
+	sort.Slice(ns, func(a, b int) bool { return ns[a].dist < ns[b].dist })
 	k := c.K
 	if k > len(ns) {
 		k = len(ns)
@@ -122,12 +124,18 @@ func (c *KNNClassifier) Predict(x []float64) (int, error) {
 
 // KNNRegressor predicts a continuous target as the distance-weighted mean
 // of the k nearest training targets. The decision maker uses it to
-// calibrate cost estimates against measured executions.
+// calibrate cost estimates against measured executions. It keeps one row
+// per distinct feature vector, with the count of samples it stands for and
+// their running mean target, so its size follows the distinct vectors seen.
 type KNNRegressor struct {
 	K int
 
-	X     [][]float64
-	Y     []float64
+	x     [][]float64
+	y     []float64
+	count []int
+	rowOf map[string]int // keyed by the vector's float64 bits
+	key   []byte
+	n     int
 	index knnIndex
 }
 
@@ -136,37 +144,56 @@ func NewKNNRegressor(k int) *KNNRegressor {
 	if k <= 0 {
 		k = 3
 	}
-	return &KNNRegressor{K: k}
+	return &KNNRegressor{K: k, rowOf: map[string]int{}}
 }
 
-// Add inserts a training sample.
+// Add inserts a training sample. y += (t-y)/c stays exactly t while every
+// target a vector is given is t.
 func (r *KNNRegressor) Add(x []float64, y float64) {
 	if math.IsNaN(y) || math.IsInf(y, 0) {
 		return
 	}
-	r.X = append(r.X, append([]float64(nil), x...))
-	r.Y = append(r.Y, y)
-	r.index.dirty = true
+	r.key = r.key[:0]
+	for _, v := range x {
+		r.key = binary.LittleEndian.AppendUint64(r.key, math.Float64bits(v))
+	}
+	if i, ok := r.rowOf[string(r.key)]; ok {
+		r.count[i]++
+		r.y[i] += (y - r.y[i]) / float64(r.count[i])
+	} else {
+		r.rowOf[string(r.key)] = len(r.x)
+		r.x, r.y, r.count = append(r.x, slices.Clone(x)), append(r.y, y), append(r.count, 1)
+	}
+	r.n++
+	r.index.dirty = true // every count moves the weighted scaler
 }
 
-// Len reports the training-set size.
-func (r *KNNRegressor) Len() int { return len(r.X) }
+// Len reports how many samples have been added.
+func (r *KNNRegressor) Len() int { return r.n }
 
 // Predict estimates the target at x; it errors on an empty training set.
+// It gives what one row per sample would: the scaler weighs rows by count,
+// and a row fills min(count, slots left) of the k slots one term at a time.
+//
+// Budget 11: refit scratch that grows only with the rows, the comparator, the error.
+//
+//lint:hot budget=11
 func (r *KNNRegressor) Predict(x []float64) (float64, error) {
-	if len(r.X) == 0 {
+	if r.n == 0 {
 		return 0, ErrEmpty
 	}
-	ns := r.index.nearest(r.X, x)
-	k := r.K
-	if k > len(ns) {
-		k = len(ns)
-	}
-	num, den := 0.0, 0.0
-	for _, n := range ns[:k] {
+	ns := r.index.distances(r.x, r.count, x)
+	slices.SortFunc(ns, func(a, b neighbour) int { // ties in the order rows were added
+		return cmp.Or(cmp.Compare(a.dist, b.dist), a.row-b.row)
+	})
+	num, den, left := 0.0, 0.0, r.K
+	for _, n := range ns {
 		w := 1.0 / (1e-9 + n.dist)
-		num += w * r.Y[n.row]
-		den += w
+		for c := min(r.count[n.row], left); c > 0; c-- {
+			num += w * r.y[n.row]
+			den += w
+			left--
+		}
 	}
 	if den == 0 {
 		return 0, fmt.Errorf("ml: degenerate weights in knn regression")

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -98,47 +99,108 @@ func referenceClassify(r *referenceKNN, ys []int, k int, x []float64) (int, bool
 	return best, true
 }
 
+// unboundedRegressor is KNNRegressor as it stood before it became a
+// multiset: one row per sample, the targets kept as added. Kept as the
+// oracle for the regressor half of TestKNNEqualsReference.
+type unboundedRegressor struct {
+	rows referenceKNN
+	y    []float64
+}
+
+func (u *unboundedRegressor) add(x []float64, y float64) {
+	u.rows.add(x)
+	u.y = append(u.y, y)
+}
+
+// meanTargets returns the oracle over the same samples with each vector's
+// targets replaced by their mean.
+func (u *unboundedRegressor) meanTargets() *unboundedRegressor {
+	sum, n := map[string]float64{}, map[string]float64{}
+	for i, x := range u.rows.X {
+		k := fmt.Sprint(x)
+		sum[k] += u.y[i]
+		n[k]++
+	}
+	out := &unboundedRegressor{}
+	for _, x := range u.rows.X {
+		k := fmt.Sprint(x)
+		out.add(x, sum[k]/n[k])
+	}
+	return out
+}
+
+func (u *unboundedRegressor) predict(k int, x []float64) (float64, bool) {
+	return referenceRegress(&u.rows, u.y, k, x)
+}
+
 // TestKNNEqualsReference interleaves adds and predictions at random and
-// requires == answers from the cached-rows implementation and the
-// reference. Feature vectors are drawn from a small pool, as the decision
-// maker's are (many observations share one vector), so most queries have
-// ties among equal distances; one feature is constant (Std 0 -> 1).
+// compares each answer with an oracle. Feature vectors are drawn from a
+// small pool, as the decision maker's are (many observations share one
+// vector), so most queries have ties among equal distances; one feature is
+// constant (Std 0 -> 1).
+//
+// The classifier must give the reference's answer exactly. The regressor
+// keeps one row per distinct vector, so it is held to the unbounded
+// regressor over the same samples: with one target per vector, == when the
+// query vector is stored at least k times (every slot is that row, at
+// distance 0) and within 1e-12 relative otherwise (the count-weighted
+// scaler rounds differently from one sum per sample); with targets that
+// vary, within 1e-12 relative of the oracle whose targets are each vector's
+// mean.
 func TestKNNEqualsReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pool := make([][]float64, 6+rng.Intn(10))
+		target := make([]float64, len(pool))
 		for i := range pool {
 			pool[i] = []float64{float64(rng.Intn(4)), rng.Float64() * 100, 7, float64(rng.Intn(3)) * 1e6}
+			target[i] = 0.5 + 2*rng.Float64()
 		}
-		draw := func() []float64 {
+		// draw returns a vector and the target it carries when every copy
+		// of a vector carries one target.
+		draw := func() ([]float64, float64) {
 			if rng.Intn(5) == 0 {
-				return []float64{rng.Float64() * 4, rng.Float64() * 100, 7, rng.Float64() * 3e6}
+				return []float64{rng.Float64() * 4, rng.Float64() * 100, 7, rng.Float64() * 3e6}, 0.5 + 2*rng.Float64()
 			}
-			return pool[rng.Intn(len(pool))]
+			i := rng.Intn(len(pool))
+			return pool[i], target[i]
 		}
 		k := 1 + rng.Intn(5)
-		reg, cls := NewKNNRegressor(k), NewKNNClassifier(k)
-		var refReg, refCls referenceKNN
-		var regY []float64
+		fixed, varying, cls := NewKNNRegressor(k), NewKNNRegressor(k), NewKNNClassifier(k)
+		var refFixed, refVarying unboundedRegressor
+		var refCls referenceKNN
 		var clsY []int
+		stored := map[string]int{}
 		for step := 0; step < 400; step++ {
 			switch rng.Intn(3) {
 			case 0:
-				x, y := draw(), rng.NormFloat64()
-				reg.Add(x, y)
-				refReg.add(x)
-				regY = append(regY, y)
+				x, y := draw()
+				fixed.Add(x, y)
+				refFixed.add(x, y)
+				y = 0.5 + 2*rng.Float64()
+				varying.Add(x, y)
+				refVarying.add(x, y)
+				stored[fmt.Sprint(x)]++
 			case 1:
-				x, y := draw(), rng.Intn(4)
+				x, _ := draw()
+				y := rng.Intn(4)
 				cls.Add(x, y)
 				refCls.add(x)
 				clsY = append(clsY, y)
 			default:
-				x := draw()
-				got, err := reg.Predict(x)
-				want, ok := referenceRegress(&refReg, regY, k, x)
-				if (err == nil) != ok || got != want {
-					t.Fatalf("seed %d step %d: regress(%v) = %v, %v; reference %v, %v", seed, step, x, got, err, want, ok)
+				x, _ := draw()
+				got, err := fixed.Predict(x)
+				want, ok := refFixed.predict(k, x)
+				exact := stored[fmt.Sprint(x)] >= k
+				if (err == nil) != ok || (exact && got != want) || !within(got, want, 1e-12) {
+					t.Fatalf("seed %d step %d: one target per vector: regress(%v) = %v, %v; oracle %v, %v (exact %v)",
+						seed, step, x, got, err, want, ok, exact)
+				}
+				got, err = varying.Predict(x)
+				want, ok = refVarying.meanTargets().predict(k, x)
+				if (err == nil) != ok || !within(got, want, 1e-12) {
+					t.Fatalf("seed %d step %d: varying targets: regress(%v) = %v, %v; oracle over means %v, %v",
+						seed, step, x, got, err, want, ok)
 				}
 				gotC, err := cls.Predict(x)
 				wantC, ok := referenceClassify(&refCls, clsY, k, x)
@@ -147,5 +209,23 @@ func TestKNNEqualsReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// within reports whether got is want to a relative tolerance.
+func within(got, want, rel float64) bool {
+	return math.Abs(got-want) <= rel*math.Abs(want)
+}
+
+// TestKNNRegressorIsBounded: the regressor's size follows the distinct
+// vectors it has seen, not the samples.
+func TestKNNRegressorIsBounded(t *testing.T) {
+	r := NewKNNRegressor(3)
+	for i := 0; i < 100000; i++ {
+		r.Add([]float64{float64(i % 13), 1}, float64(i%7))
+	}
+	if len(r.x) != 13 || len(r.y) != 13 || len(r.count) != 13 || r.Len() != 100000 {
+		t.Fatalf("%d rows (%d means, %d counts), Len() %d; want 13 rows, Len() 100000",
+			len(r.x), len(r.y), len(r.count), r.Len())
 	}
 }

@@ -107,10 +107,10 @@ func NewDecisionMaker(est *Estimator) *DecisionMaker {
 	return d
 }
 
-// calibrated returns the estimate with learned correction factors applied.
-func (d *DecisionMaker) calibrated(m Model, f Features) Estimate {
+// calibrated returns the estimate with learned correction factors applied;
+// v is f.Vector().
+func (d *DecisionMaker) calibrated(m Model, f Features, v []float64) Estimate {
 	est := d.Est.Estimate(m, f)
-	v := f.Vector()
 	if r, err := d.energyCal[m].Predict(v); err == nil && r > 0 {
 		est.EnergyJ *= r
 	}
@@ -124,10 +124,15 @@ func (d *DecisionMaker) calibrated(m Model, f Features) Estimate {
 // query's COST clause acts as a hard constraint; remaining candidates are
 // scored by the objective. An error is returned when no model is feasible
 // within the cost limit.
+//
+// Budget 44: mostly the tree selector's training (18); a known shape allocates 3 times.
+//
+//lint:hot budget=44
 func (d *DecisionMaker) Choose(q *query.Query, f Features) (Decision, error) {
-	dec := Decision{}
+	dec := Decision{Estimates: make([]Estimate, 0, numModels)}
+	v := f.Vector()
 	for _, m := range Models() {
-		dec.Estimates = append(dec.Estimates, d.calibrated(m, f))
+		dec.Estimates = append(dec.Estimates, d.calibrated(m, f, v))
 	}
 
 	feasible := map[Model]Estimate{}
@@ -177,7 +182,7 @@ func (d *DecisionMaker) Choose(q *query.Query, f Features) (Decision, error) {
 	// Learned layer: once enough executions are observed, let the
 	// configured selector vote; its choice wins when feasible.
 	if d.observed >= d.MinEvidence {
-		if pred, ok := d.predictLearned(f); ok {
+		if pred, ok := d.predictLearned(v); ok {
 			if _, feas := feasible[pred]; feas {
 				dec.Model = pred
 				dec.Learned = true
@@ -255,14 +260,15 @@ func (d *DecisionMaker) ObserveBest(f Features, m Model) {
 	if m < 0 || int(m) >= numModels {
 		return
 	}
-	d.selector.Add(f.Vector(), int(m))
-	d.selData.Add(f.Vector(), int(m))
+	v := f.Vector()
+	d.selector.Add(v, int(m))
+	d.selData.Add(v, int(m))
 	d.selTree = nil // stale
 	d.observed++
 }
 
-// predictLearned consults the configured selector.
-func (d *DecisionMaker) predictLearned(f Features) (Model, bool) {
+// predictLearned consults the configured selector at feature vector v.
+func (d *DecisionMaker) predictLearned(v []float64) (Model, bool) {
 	switch d.Selector {
 	case SelectorTree:
 		if d.selTree == nil {
@@ -275,9 +281,9 @@ func (d *DecisionMaker) predictLearned(f Features) (Model, bool) {
 			}
 			d.selTree = t
 		}
-		return Model(d.selTree.Predict(f.Vector())), true
+		return Model(d.selTree.Predict(v)), true
 	default:
-		pred, err := d.selector.Predict(f.Vector())
+		pred, err := d.selector.Predict(v)
 		if err != nil {
 			return 0, false
 		}

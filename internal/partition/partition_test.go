@@ -171,7 +171,7 @@ func TestCalibrationAdjustsEstimates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d.Observe(f, ModelTree, Measured{EnergyJ: raw.EnergyJ * 3, TimeSec: raw.TimeSec})
 	}
-	cal := d.calibrated(ModelTree, f)
+	cal := d.calibrated(ModelTree, f, f.Vector())
 	if cal.EnergyJ < raw.EnergyJ*2 {
 		t.Fatalf("calibration did not absorb the 3x ratio: %g vs raw %g", cal.EnergyJ, raw.EnergyJ)
 	}
@@ -399,39 +399,66 @@ func TestExplorationRespectsFeasibility(t *testing.T) {
 	}
 }
 
+// chooseShapes are the feature vectors the Choose+Observe cost tests cycle
+// through: three aggregates and a tempdist-sized complex query.
+var chooseShapes = []Features{
+	testFeatures(query.Aggregate, 100, 0),
+	testFeatures(query.Aggregate, 25, 0),
+	testFeatures(query.Aggregate, 60, 0),
+	testFeatures(query.Complex, 100, 4e7),
+}
+
+// chooseAfter returns a decision maker that has absorbed n executions of
+// chooseShapes, and the Choose + Observe one more query pays.
+func chooseAfter(tb testing.TB, n int) (*DecisionMaker, func(i int)) {
+	meas := Measured{EnergyJ: 0.01, TimeSec: 0.5}
+	dm := NewDecisionMaker(NewEstimator(DefaultPlatform()))
+	step := func(i int) {
+		f := chooseShapes[i%len(chooseShapes)]
+		dec, err := dm.Choose(nil, f)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		dm.Observe(f, dec.Model, meas)
+	}
+	for i := 0; i < n; i++ {
+		step(i)
+	}
+	return dm, step
+}
+
 // BenchmarkChooseAfterN times one Choose + Observe — what every aggregate
 // and complex query pays — once the decision maker has absorbed n
-// executions. The calibration training sets are unbounded (ROADMAP item 2),
-// so the cost per query grows with n; this is the slope.
+// executions. The calibration regressors keep one row per distinct feature
+// vector (DESIGN.md "Calibration is a multiset"), so the cost is flat in n.
 func BenchmarkChooseAfterN(b *testing.B) {
-	shapes := []Features{
-		testFeatures(query.Aggregate, 100, 0),
-		testFeatures(query.Aggregate, 25, 0),
-		testFeatures(query.Aggregate, 60, 0),
-		testFeatures(query.Complex, 100, 4e7),
-	}
-	meas := Measured{EnergyJ: 0.01, TimeSec: 0.5}
-	for _, n := range []int{100, 1000, 10000} {
+	for _, n := range []int{100, 1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			dm := NewDecisionMaker(NewEstimator(DefaultPlatform()))
-			for i := 0; i < n; i++ {
-				f := shapes[i%len(shapes)]
-				dec, err := dm.Choose(nil, f)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dm.Observe(f, dec.Model, meas)
-			}
+			_, step := chooseAfter(b, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f := shapes[i%len(shapes)]
-				dec, err := dm.Choose(nil, f)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dm.Observe(f, dec.Model, meas)
+				step(i)
 			}
 		})
+	}
+}
+
+// chooseObserveAllocs is what one Choose + Observe allocates once the
+// query's shape has been seen: the feature vector, the estimates Choose
+// returns and the feasible map it scores with. It does not depend on how
+// many executions came before.
+const chooseObserveAllocs = 3
+
+func TestChooseObserveAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	for _, n := range []int{100, 20000} {
+		_, step := chooseAfter(t, n)
+		i := 0
+		if got := testing.AllocsPerRun(200, func() { step(i); i++ }); got != chooseObserveAllocs {
+			t.Fatalf("after %d executions a Choose + Observe allocates %v times, pinned at %d", n, got, chooseObserveAllocs)
+		}
 	}
 }

@@ -20,22 +20,35 @@ type DisseminationResult struct {
 	EnergyJ  float64
 }
 
+// newSeen returns the set of nodes a dissemination round has reached,
+// indexed by ID+1 (the base station is -1), with origin in it. Only nodes
+// that exist can receive, so the slice covers every index a delivery uses.
+func newSeen(nw *Network, origin NodeID) []bool {
+	seen := make([]bool, len(nw.Sensors)+1)
+	if nw.Node(origin) != nil {
+		seen[origin+1] = true
+	}
+	return seen
+}
+
 // Flood disseminates payloadBytes from origin using classic flooding: every
 // node rebroadcasts the first copy it receives exactly once. The paper
 // names flooding as one data-routing technique a network may use.
 func Flood(nw *Network, origin NodeID, payloadBytes int) DisseminationResult {
 	start := nw.Kernel.Now()
 	statsBefore := nw.Stats()
-	seen := map[NodeID]bool{origin: true}
+	seen := newSeen(nw, origin)
+	reached := 0 // first receptions, so the origin is not counted
 	last := start
 
 	var relay func(id NodeID)
 	relay = func(id NodeID) {
 		nw.Broadcast(id, payloadBytes, func(to NodeID, at simevent.Time) {
-			if seen[to] {
+			if seen[to+1] {
 				return
 			}
-			seen[to] = true
+			seen[to+1] = true
+			reached++
 			if float64(at) > float64(last) {
 				last = at
 			}
@@ -45,7 +58,6 @@ func Flood(nw *Network, origin NodeID, payloadBytes int) DisseminationResult {
 	relay(origin)
 	nw.Kernel.RunAll()
 
-	reached := len(seen) - 1 // exclude origin
 	statsAfter := nw.Stats()
 	return DisseminationResult{
 		Reached:  reached,
@@ -78,7 +90,8 @@ func Gossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipConfig) Diss
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	start := nw.Kernel.Now()
 	statsBefore := nw.Stats()
-	seen := map[NodeID]bool{origin: true}
+	seen := newSeen(nw, origin)
+	reached := 0
 	last := start
 
 	var relay func(id NodeID, force bool)
@@ -87,10 +100,11 @@ func Gossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipConfig) Diss
 			return
 		}
 		onFirst := func(to NodeID, at simevent.Time) {
-			if seen[to] {
+			if seen[to+1] {
 				return
 			}
-			seen[to] = true
+			seen[to+1] = true
+			reached++
 			if float64(at) > float64(last) {
 				last = at
 			}
@@ -122,7 +136,7 @@ func Gossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipConfig) Diss
 
 	statsAfter := nw.Stats()
 	return DisseminationResult{
-		Reached:  len(seen) - 1,
+		Reached:  reached,
 		Latency:  float64(last - start),
 		Messages: statsAfter.Messages - statsBefore.Messages,
 		Bytes:    statsAfter.Bytes - statsBefore.Bytes,

@@ -182,6 +182,72 @@ func referenceGossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipCon
 	}
 }
 
+// mapFlood and mapGossip are Flood and Gossip as they stood while the set
+// of reached nodes was a map[NodeID]bool and Reached was its size less the
+// origin, kept as oracles for the dense seen slice.
+func mapFlood(nw *Network, origin NodeID, payloadBytes int) DisseminationResult {
+	res, _ := floodVia(nw, batchedBroadcast, origin, payloadBytes, nil)
+	return res
+}
+
+func mapGossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipConfig) DisseminationResult {
+	if cfg.Forward <= 0 {
+		cfg.Forward = 0.7
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	start := nw.Kernel.Now()
+	statsBefore := nw.Stats()
+	seen := map[NodeID]bool{origin: true}
+	last := start
+
+	var relay func(id NodeID, force bool)
+	relay = func(id NodeID, force bool) {
+		if !force && rng.Float64() > cfg.Forward {
+			return
+		}
+		onFirst := func(to NodeID, at simevent.Time) {
+			if seen[to] {
+				return
+			}
+			seen[to] = true
+			if float64(at) > float64(last) {
+				last = at
+			}
+			relay(to, false)
+		}
+		if cfg.Fanout <= 0 {
+			nw.Broadcast(id, payloadBytes, onFirst)
+			return
+		}
+		node := nw.Node(id)
+		if node == nil {
+			return
+		}
+		nbrs := make([]NodeID, len(node.Neighbors))
+		copy(nbrs, node.Neighbors)
+		rng.Shuffle(len(nbrs), func(i, j int) { nbrs[i], nbrs[j] = nbrs[j], nbrs[i] })
+		k := cfg.Fanout
+		if k > len(nbrs) {
+			k = len(nbrs)
+		}
+		for _, to := range nbrs[:k] {
+			to := to
+			nw.Send(id, to, payloadBytes, func(at simevent.Time) { onFirst(to, at) })
+		}
+	}
+	relay(origin, true)
+	nw.Kernel.RunAll()
+
+	statsAfter := nw.Stats()
+	return DisseminationResult{
+		Reached:  len(seen) - 1,
+		Latency:  float64(last - start),
+		Messages: statsAfter.Messages - statsBefore.Messages,
+		Bytes:    statsAfter.Bytes - statsBefore.Bytes,
+		EnergyJ:  statsAfter.EnergyJ - statsBefore.EnergyJ,
+	}
+}
+
 // twins builds two identical random deployments.
 func twins(seed int64, n int, loss float64) (a, b *Network) {
 	cfg := testConfig()
@@ -305,6 +371,38 @@ func TestBroadcastEqualsPerReceiverEvents(t *testing.T) {
 						t.Fatalf("%s: %+v %v, reference %+v %v", name, got, errA, want, errB)
 					}
 					sameState(t, name, a, b)
+				}
+			})
+		}
+	}
+}
+
+// TestDisseminationEqualsMapSeen runs rounds of Flood and of Gossip in both
+// modes from the base station, from sensors and from an ID that is no node,
+// on twin networks — one with the dense seen slice, the other with the map
+// bodies above — and requires identical results and identical network
+// state after each. Traffic drains batteries, so later rounds run on a
+// network with dead nodes.
+func TestDisseminationEqualsMapSeen(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, loss := range []float64{0, 0.2} {
+			t.Run(fmt.Sprintf("seed=%d/loss=%g", seed, loss), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed * 31))
+				a, b := twins(seed, 60, loss)
+				origins := []NodeID{BaseStationID, NodeID(rng.Intn(60)), NodeID(rng.Intn(60)), 60}
+				for round, origin := range origins {
+					step := fmt.Sprintf("round %d from %d", round, origin)
+					if got, want := Flood(a, origin, 40), mapFlood(b, origin, 40); got != want {
+						t.Fatalf("%s: flood %+v, map seen %+v", step, got, want)
+					}
+					sameState(t, step+": flood", a, b)
+					for _, fanout := range []int{0, 3} {
+						cfg := GossipConfig{Forward: 0.7, Fanout: fanout, Seed: seed + int64(round)}
+						if got, want := Gossip(a, origin, 40, cfg), mapGossip(b, origin, 40, cfg); got != want {
+							t.Fatalf("%s: gossip fanout %d %+v, map seen %+v", step, fanout, got, want)
+						}
+						sameState(t, fmt.Sprintf("%s: gossip fanout %d", step, fanout), a, b)
+					}
 				}
 			})
 		}
