@@ -29,8 +29,8 @@ fmt-check:
 
 # lint runs the project's own invariant analyzers (see
 # docs/static-analysis.md) — per-package rules (rawclock, rawsend,
-# rawspawn, envhops, ...) plus the interprocedural set (lockorder,
-# blockheld, hotalloc). Any finding fails; the one way to excuse one is
+# rawspawn, envhops, ...) plus the whole-program set (lockorder,
+# blockheld, hotalloc, deadcode). Any finding fails; the one way to excuse one is
 # a //lint:ignore <rule> <reason> at the site. Prints the lint wall time
 # and fails past the budget.
 # Exit 1 = findings, exit 2 = the linter could not run or was slow.

@@ -107,7 +107,7 @@ func TestListFlag(t *testing.T) {
 	}
 	for _, rule := range []string{
 		"rawclock", "rawsend", "envhops", "rawspawn", "rawfsync",
-		"lockorder", "blockheld", "hotalloc", "deadignore",
+		"lockorder", "blockheld", "hotalloc", "deadcode", "deadignore",
 	} {
 		if !strings.Contains(stdout, rule) {
 			t.Fatalf("-list output missing %s:\n%s", rule, stdout)

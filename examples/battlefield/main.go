@@ -16,6 +16,7 @@ import (
 	"pervasivegrid/internal/agent"
 	"pervasivegrid/internal/composition"
 	"pervasivegrid/internal/discovery"
+	"pervasivegrid/internal/obs"
 	"pervasivegrid/internal/ontology"
 )
 
@@ -25,13 +26,12 @@ func main() {
 	o := ontology.Pervasive()
 
 	// Virtual battlefield clock driving service leases.
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
+	clock := obs.NewFakeClock()
 
 	// Two brokers: one at main command, one forward-deployed.
 	command := discovery.NewBroker("command-post", discovery.NewSemanticMatcher(o))
 	forward := discovery.NewBroker("forward-base", discovery.NewSemanticMatcher(o))
-	command.Reg.Now, forward.Reg.Now = clock, clock
+	command.Reg.Clock, forward.Reg.Clock = clock, clock
 	command.Peer(forward, true)
 
 	// Long-standing services at command; short-lived drones forward.
@@ -125,7 +125,7 @@ func main() {
 
 	// 4. Time passes; the drones' leases expire and disappear from
 	// discovery — the short-lived-service behaviour.
-	now = now.Add(10 * time.Minute)
+	clock.Advance(10 * time.Minute)
 	gone := forward.LookupLocal(ontology.Request{Concept: "AcousticSensor"})
 	fmt.Printf("[leases] after 10 minutes, drones on station: %d (they disappeared with their leases)\n\n", len(gone))
 

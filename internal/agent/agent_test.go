@@ -285,29 +285,6 @@ func TestDisconnectionDeputyOverflow(t *testing.T) {
 	}
 }
 
-func TestTranscodingDeputy(t *testing.T) {
-	base := &inbox{p: NewPlatform("test"), replies: make(chan Envelope, 4)}
-	td := NewTranscodingDeputy(base, TruncateTranscoder(5))
-	env, _ := NewEnvelope("a", "b", "inform", "o", "a very long payload that exceeds the cap")
-	if err := td.Deliver(env); err != nil {
-		t.Fatal(err)
-	}
-	got := <-base.replies
-	if len(got.Content) != 5 {
-		t.Fatalf("content length = %d, want 5", len(got.Content))
-	}
-	if got.ContentType == "application/json" {
-		t.Fatal("truncated content must not claim to be JSON")
-	}
-	// Error propagation.
-	bad := NewTranscodingDeputy(base, func(Envelope) (Envelope, error) {
-		return Envelope{}, errors.New("nope")
-	})
-	if err := bad.Deliver(env); err == nil {
-		t.Fatal("transcoder error should propagate")
-	}
-}
-
 func TestMailboxOverflow(t *testing.T) {
 	block := make(chan struct{})
 	p := NewPlatform("test")

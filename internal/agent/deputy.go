@@ -7,8 +7,8 @@ import (
 )
 
 // Deputy is the front-end interface for reaching an agent: "each Agent
-// Deputy must implement a deliver method". Deputies compose — transcoding
-// and disconnection management are decorators around the direct deputy.
+// Deputy must implement a deliver method". Deputies compose —
+// disconnection management is a decorator around the direct deputy.
 type Deputy interface {
 	Deliver(env Envelope) error
 }
@@ -99,44 +99,4 @@ func (d *DisconnectionDeputy) Dropped() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.dropped
-}
-
-// Transcoder rewrites an envelope's content from one content type to
-// another (e.g. shrinking payloads for a thin link).
-type Transcoder func(env Envelope) (Envelope, error)
-
-// TranscodingDeputy applies a transcoder before delivery — the paper's
-// "deputies that will provide features of transcoding".
-type TranscodingDeputy struct {
-	next Deputy
-	fn   Transcoder
-}
-
-// NewTranscodingDeputy wraps next with the transcoder.
-func NewTranscodingDeputy(next Deputy, fn Transcoder) *TranscodingDeputy {
-	return &TranscodingDeputy{next: next, fn: fn}
-}
-
-// Deliver implements Deputy.
-func (t *TranscodingDeputy) Deliver(env Envelope) error {
-	if t.fn != nil {
-		out, err := t.fn(env)
-		if err != nil {
-			return fmt.Errorf("agent: transcode: %w", err)
-		}
-		env = out
-	}
-	return t.next.Deliver(env)
-}
-
-// TruncateTranscoder returns a transcoder that caps Content at max bytes,
-// a stand-in for lossy transcoding on constrained links.
-func TruncateTranscoder(max int) Transcoder {
-	return func(env Envelope) (Envelope, error) {
-		if max > 0 && len(env.Content) > max {
-			env.Content = env.Content[:max]
-			env.ContentType = "application/octet-stream" // no longer valid JSON
-		}
-		return env, nil
-	}
 }

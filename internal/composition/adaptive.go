@@ -1,7 +1,6 @@
 package composition
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -45,21 +44,20 @@ type Signal struct {
 // skip the step after a migration and still credit its outputs to the
 // dataflow of the replacement plan.
 type CompletedStep struct {
-	Task    string   `json:"task"`
-	Service string   `json:"service"`
-	Outputs []string `json:"outputs,omitempty"`
-	Group   int      `json:"group"`
-	Latency float64  `json:"latency"`
+	Task    string
+	Service string
+	Outputs []string
+	Group   int
+	Latency float64
 }
 
 // Handoff is the conversation's migration state, in the style of
 // agent.Checkpointer snapshots: the initially-available data concepts
 // plus every completed step with its outputs. A re-planned or migrated
-// conversation resumes from a Handoff so completed work is never redone,
-// and Encode/Decode let it cross a process boundary as JSON.
+// conversation resumes from a Handoff so completed work is never redone.
 type Handoff struct {
-	Initial   []string                 `json:"initial,omitempty"`
-	Completed map[string]CompletedStep `json:"completed,omitempty"`
+	Initial   []string
+	Completed map[string]CompletedStep
 }
 
 // NewHandoff starts an empty handoff with the given initial data.
@@ -103,21 +101,6 @@ func (h *Handoff) Available() []string {
 		out = append(out, c.Outputs...)
 	}
 	return out
-}
-
-// Encode serialises the handoff for migration across a process boundary.
-func (h *Handoff) Encode() ([]byte, error) { return json.Marshal(h) }
-
-// DecodeHandoff restores an encoded handoff.
-func DecodeHandoff(data []byte) (*Handoff, error) {
-	h := &Handoff{}
-	if err := json.Unmarshal(data, h); err != nil {
-		return nil, err
-	}
-	if h.Completed == nil {
-		h.Completed = map[string]CompletedStep{}
-	}
-	return h, nil
 }
 
 // Adaptive executes a goal with mid-conversation re-planning: it

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pervasivegrid/internal/discovery"
+	"pervasivegrid/internal/obs"
 	"pervasivegrid/internal/ontology"
 )
 
@@ -386,8 +387,8 @@ func TestShortLivedServices(t *testing.T) {
 	o := ontology.Pervasive()
 	m := discovery.NewSemanticMatcher(o)
 	b := discovery.NewBroker("b", m)
-	now := time.Unix(0, 0)
-	b.Reg.Now = func() time.Time { return now }
+	clk := obs.NewFakeClock()
+	b.Reg.Clock = clk
 
 	p := &ontology.Profile{Name: "ephemeral", Concept: "DecisionTreeService"}
 	if err := RegisterShortLived(b, p, 5*time.Second); err != nil {
@@ -399,7 +400,7 @@ func TestShortLivedServices(t *testing.T) {
 	if exec := e.Execute(plan); !exec.Succeeded {
 		t.Fatalf("service should be visible while alive: %+v", exec.Err)
 	}
-	now = now.Add(10 * time.Second)
+	clk.Advance(10 * time.Second)
 	if exec := e.Execute(plan); exec.Succeeded {
 		t.Fatal("service should have disappeared after its lifetime")
 	}

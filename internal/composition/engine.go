@@ -502,6 +502,8 @@ func (x Execution) BreakerSkips() int {
 // RegisterShortLived advertises a profile on a broker with the given
 // lifetime, modelling the paper's "short-lived services which stay in the
 // vicinity for a finite amount of time and then disappear".
+//
+//lint:ignore deadcode S7 names short-lived services; no experiment registers one yet
 func RegisterShortLived(b *discovery.Broker, p *ontology.Profile, lifetime time.Duration) error {
 	_, err := b.Reg.Register(p, lifetime)
 	return err

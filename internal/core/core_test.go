@@ -637,68 +637,6 @@ func TestNegotiateSolveRefusalOnBadOps(t *testing.T) {
 	}
 }
 
-func TestMonitorAnomaliesDetectsIgnition(t *testing.T) {
-	// Quiet building; a fire ignites at t=150 near sensor 44. The
-	// monitor must stay silent before ignition and alert after.
-	cfg := DefaultConfig()
-	cfg.Noise = 0.5
-	f := sensornet.NewTemperatureField(20)
-	f.Ignite(sensornet.Hotspot{
-		Center: sensornet.Position{X: 45, Y: 45},
-		Peak:   400, Radius: 15, Start: 150, GrowthRate: 0.5,
-	})
-	cfg.Field = f
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rt.MonitorAnomalies(MonitorConfig{Sensor: 44, Epoch: 10, Rounds: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Alerts) == 0 {
-		t.Fatal("ignition never flagged")
-	}
-	first := res.Alerts[0]
-	if first.Time < 150 {
-		t.Fatalf("alert at t=%v predates the ignition at t=150", first.Time)
-	}
-	if first.Time > 300 {
-		t.Fatalf("alert at t=%v is far too late", first.Time)
-	}
-	if res.EnergyJ <= 0 || res.Rounds != 40 {
-		t.Fatalf("result = %+v", res)
-	}
-}
-
-func TestMonitorAnomaliesQuietStreamSilent(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Noise = 0.5
-	rt, err := New(cfg) // ambient-only field
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rt.MonitorAnomalies(MonitorConfig{Sensor: 10, Epoch: 5, Rounds: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Alerts) > 1 {
-		t.Fatalf("quiet stream raised %d alerts", len(res.Alerts))
-	}
-}
-
-func TestMonitorAnomaliesValidation(t *testing.T) {
-	rt := fireRuntime(t)
-	if _, err := rt.MonitorAnomalies(MonitorConfig{Sensor: 9999}); err == nil {
-		t.Fatal("unknown sensor should fail")
-	}
-	// A dead sensor stops the run; with zero completed rounds it errors.
-	rt.Net.Node(7).Energy = 0
-	if _, err := rt.MonitorAnomalies(MonitorConfig{Sensor: 7, Rounds: 5}); err == nil {
-		t.Fatal("dead sensor should fail")
-	}
-}
-
 func TestGroupByRoom(t *testing.T) {
 	rt := fireRuntime(t)
 	res, err := rt.Submit("SELECT count(temp) FROM sensors GROUP BY room")

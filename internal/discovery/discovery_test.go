@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pervasivegrid/internal/obs"
 	"pervasivegrid/internal/ontology"
 )
 
@@ -195,9 +196,9 @@ func TestSDPMatcherUUIDOnly(t *testing.T) {
 }
 
 func TestRegistryLeaseExpiry(t *testing.T) {
-	now := time.Unix(0, 0)
+	clk := obs.NewFakeClock()
 	r := NewRegistry()
-	r.Now = func() time.Time { return now }
+	r.Clock = clk
 	p := &ontology.Profile{Name: "s1", Concept: "Service"}
 	lease, err := r.Register(p, 10*time.Second)
 	if err != nil {
@@ -206,18 +207,18 @@ func TestRegistryLeaseExpiry(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatal("registered profile missing")
 	}
-	now = now.Add(5 * time.Second)
+	clk.Advance(5 * time.Second)
 	if r.Len() != 1 {
 		t.Fatal("profile expired too early")
 	}
 	if _, err := r.Renew(lease, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(8 * time.Second) // t=13, renewed lease expires at t=15
+	clk.Advance(8 * time.Second) // t=13, renewed lease expires at t=15
 	if r.Len() != 1 {
 		t.Fatal("renewed lease should still be live at t=13")
 	}
-	now = now.Add(5 * time.Second) // t=18 > 15
+	clk.Advance(5 * time.Second) // t=18 > 15
 	if r.Len() != 0 {
 		t.Fatal("expired profile should be swept")
 	}
@@ -231,11 +232,11 @@ func TestRegistryLeaseExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(10 * time.Second) // t=28: the last live instant
+	clk.Advance(10 * time.Second) // t=28: the last live instant
 	if lease, err = r.Renew(lease, 10*time.Second); err != nil {
 		t.Fatalf("renewing at the expiry instant should succeed: %v", err)
 	}
-	now = now.Add(10*time.Second + time.Nanosecond) // just past t=38
+	clk.Advance(10*time.Second + time.Nanosecond) // just past t=38
 	if _, err := r.Renew(lease, time.Hour); err == nil {
 		t.Fatal("renewing a lapsed lease should fail without an intervening read")
 	}
@@ -245,9 +246,9 @@ func TestRegistryLeaseExpiry(t *testing.T) {
 }
 
 func TestRegistryRenewToEarlierExpiry(t *testing.T) {
-	now := time.Unix(0, 0)
+	clk := obs.NewFakeClock()
 	r := NewRegistry()
-	r.Now = func() time.Time { return now }
+	r.Clock = clk
 	lease, err := r.Register(&ontology.Profile{Name: "long", Concept: "Service"}, time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +261,7 @@ func TestRegistryRenewToEarlierExpiry(t *testing.T) {
 	if _, err := r.Renew(lease, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if r.Has("long") || r.Len() != 0 || len(r.Profiles()) != 0 {
 		t.Fatal("a lease renewed to a shorter ttl should lapse on the new expiry")
 	}
@@ -825,9 +826,11 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 		steady  = 16
 		readers = 3
 	)
-	var clock atomic.Int64 // unix nanoseconds; only the lease writer advances it
+	clk := obs.NewFakeClock() // only the lease writer advances it
+	start := clk.Now()
+	elapsed := func() int64 { return int64(clk.Now().Sub(start)) }
 	r := NewRegistry()
-	r.Now = func() time.Time { return time.Unix(0, clock.Load()) }
+	r.Clock = clk
 
 	leases := make([]Lease, steady)
 	for i := range leases {
@@ -848,7 +851,7 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 	go func() {
 		defer close(leasesDone)
 		for n := 0; n < ticks; n++ {
-			now := clock.Load()
+			now := elapsed()
 			for i := range leases {
 				l, err := r.Renew(leases[i], 3*tick)
 				if err != nil {
@@ -874,7 +877,7 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 				}
 				leases[i] = l
 			}
-			clock.Add(int64(tick))
+			clk.Advance(tick)
 		}
 	}()
 
@@ -933,7 +936,7 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 			for n := 0; !stop.Load() && !t.Failed(); n++ {
 				// What had lapsed or been withdrawn before the read began
 				// must not be in it.
-				before, gone := clock.Load(), withdrawn.Load()
+				before, gone := elapsed(), withdrawn.Load()
 				switch n % 4 {
 				case 0:
 					check("Profiles", before, gone, r.Profiles())

@@ -29,8 +29,8 @@ type Lease struct {
 // for one rebuild. The clock is injectable so simulations can drive expiry
 // deterministically.
 type Registry struct {
-	// Now supplies the current time; defaults to time.Now.
-	Now func() time.Time
+	// Clock supplies the current time; nil means obs.Real.
+	Clock obs.Clock
 
 	// Metrics, when set, receives discovery_match_latency_seconds,
 	// discovery_lookup_{hits,misses}_total, and a discovery_registry_size
@@ -81,12 +81,12 @@ func (s *snapshot) current(now time.Time) bool {
 
 // NewRegistry builds an empty registry on the wall clock.
 func NewRegistry() *Registry {
-	return &Registry{Now: obs.Real.Now, entries: map[string]*entry{}}
+	return &Registry{entries: map[string]*entry{}}
 }
 
 func (r *Registry) now() time.Time {
-	if r.Now != nil {
-		return r.Now()
+	if r.Clock != nil {
+		return r.Clock.Now()
 	}
 	return obs.Real.Now()
 }

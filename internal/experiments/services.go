@@ -7,6 +7,7 @@ import (
 
 	"pervasivegrid/internal/composition"
 	"pervasivegrid/internal/discovery"
+	"pervasivegrid/internal/obs"
 	"pervasivegrid/internal/ontology"
 )
 
@@ -130,15 +131,13 @@ func E6Discovery() (*Table, error) {
 
 // compositionWorld builds brokers with redundant services for the paper's
 // stream-mining pipeline.
-func compositionWorld(nBrokers, perConcept int, ttl time.Duration, now func() time.Time) []*discovery.Broker {
+func compositionWorld(nBrokers, perConcept int, ttl time.Duration, clk obs.Clock) []*discovery.Broker {
 	o := ontology.Pervasive()
 	m := discovery.NewSemanticMatcher(o)
 	brokers := make([]*discovery.Broker, nBrokers)
 	for i := range brokers {
 		brokers[i] = discovery.NewBroker(fmt.Sprintf("broker-%d", i), m)
-		if now != nil {
-			brokers[i].Reg.Now = now
-		}
+		brokers[i].Reg.Clock = clk
 	}
 	concepts := []string{"DecisionTreeService", "FourierSpectrumService", "DataMiningService"}
 	for ci, c := range concepts {
@@ -255,8 +254,7 @@ func E8DynamicComposition() (*Table, error) {
 				// Virtual clock: services registered with exponential
 				// lifetimes; the composition starts after a random
 				// delay so some leases have already expired.
-				now := time.Unix(0, 0)
-				clock := func() time.Time { return now }
+				clock := obs.NewFakeClock()
 				brokers := compositionWorld(1, 0, time.Hour, clock)
 				for _, c := range concepts {
 					for j := 0; j < 4; j++ {
@@ -275,7 +273,7 @@ func E8DynamicComposition() (*Table, error) {
 				}
 				// A fixed 8 s passes between planning and execution, so
 				// shorter-lived services are likelier to be gone.
-				now = now.Add(8 * time.Second)
+				clock.Advance(8 * time.Second)
 				exec := e.Execute(plan)
 				if exec.Succeeded {
 					succ++

@@ -81,6 +81,8 @@ type DiskInjector struct {
 }
 
 // NewDisk builds a disk-fault injector.
+//
+//lint:ignore deadcode test seam used by the durable WAL tests
 func NewDisk(cfg DiskConfig) *DiskInjector {
 	seed := cfg.Seed
 	if seed == 0 {

@@ -29,6 +29,8 @@ type StageManager struct {
 
 // NewStageManager builds an empty manager with the given capacity in
 // bytes (0 = unlimited).
+//
+//lint:ignore deadcode S17 names grid data staging; no experiment stages data yet
 func NewStageManager(capacity int) *StageManager {
 	return &StageManager{staged: map[string]*stagedData{}, Capacity: capacity}
 }

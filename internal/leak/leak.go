@@ -44,25 +44,6 @@ type Option func(*config)
 type config struct {
 	maxWait time.Duration
 	ignores []string
-	clk     obs.Clock
-}
-
-// MaxWait bounds how long the checker waits for stragglers to drain
-// before reporting a leak (default 4s).
-func MaxWait(d time.Duration) Option {
-	return func(c *config) { c.maxWait = d }
-}
-
-// IgnoreFunc ignores goroutines whose stack mentions the given function
-// name fragment (e.g. "net/http.(*persistConn).readLoop"). Use sparingly:
-// every ignore is a goroutine the suite no longer guards.
-func IgnoreFunc(fragment string) Option {
-	return func(c *config) { c.ignores = append(c.ignores, fragment) }
-}
-
-// withClock substitutes the backoff clock (tests of the checker itself).
-func withClock(clk obs.Clock) Option {
-	return func(c *config) { c.clk = clk }
 }
 
 // defaultIgnores hides runtime-owned and test-harness goroutines that are
@@ -138,9 +119,11 @@ outer:
 // when the test finishes. It also returns the verification function
 // directly, so `defer leak.Check(t)()` runs it before the test's other
 // deferred teardown when ordering matters.
+//
+//lint:ignore deadcode test seam used by the agent, durable, load and telemetry tests
 func Check(tb TB, opts ...Option) func() {
 	tb.Helper()
-	cfg := config{maxWait: 4 * time.Second, clk: obs.Real}
+	cfg := config{maxWait: 4 * time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -186,8 +169,10 @@ type testRunner interface{ Run() int }
 // the run are still alive afterwards, prints their stacks and exits
 // non-zero. Failing tests keep their own exit code — a leak report on
 // top of a red suite would only bury the real failure.
+//
+//lint:ignore deadcode test seam used by the agent, durable and telemetry TestMain
 func VerifyTestMain(m testRunner, opts ...Option) {
-	cfg := config{maxWait: 4 * time.Second, clk: obs.Real}
+	cfg := config{maxWait: 4 * time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -227,7 +212,7 @@ func wait(baseline map[string]bool, ignores []string, cfg config) []goroutine {
 		if delay > cfg.maxWait-waited {
 			delay = cfg.maxWait - waited
 		}
-		cfg.clk.Sleep(delay)
+		obs.Real.Sleep(delay)
 		waited += delay
 		delay *= 2
 	}

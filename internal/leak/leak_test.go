@@ -6,6 +6,18 @@ import (
 	"time"
 )
 
+// MaxWait bounds how long the checker waits for stragglers to drain
+// before reporting a leak (default 4s).
+func MaxWait(d time.Duration) Option {
+	return func(c *config) { c.maxWait = d }
+}
+
+// IgnoreFunc ignores goroutines whose stack mentions the given function
+// name fragment.
+func IgnoreFunc(fragment string) Option {
+	return func(c *config) { c.ignores = append(c.ignores, fragment) }
+}
+
 // fakeTB records failures instead of failing the real test.
 type fakeTB struct {
 	errors   []string

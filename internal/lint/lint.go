@@ -381,6 +381,7 @@ func Default() []*Analyzer {
 		LockOrder(),
 		BlockHeld(),
 		HotAlloc(),
+		DeadCode(),
 		DeadIgnore(),
 	}
 }

@@ -65,14 +65,25 @@ func gotKeys(diags []lint.Diagnostic) map[string]bool {
 }
 
 // checkAgainstMarkers runs one analyzer over one fixture and compares
-// the findings with the // want markers — missing and unexpected
-// findings both fail, so seeded violations must fire and suppressed or
-// clean shapes must stay silent.
+// the findings with the // want markers.
 func checkAgainstMarkers(t *testing.T, a *lint.Analyzer, fixture string) {
 	t.Helper()
 	pkg := loadFixture(t, fixture)
-	diags := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
-	want := wantMarkers(t, filepath.Join("testdata", "src", fixture))
+	matchMarkers(t, lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a}), fixture)
+}
+
+// matchMarkers compares findings with the // want markers of the named
+// fixture directories — missing and unexpected findings both fail, so
+// seeded violations must fire and suppressed or clean shapes must stay
+// silent.
+func matchMarkers(t *testing.T, diags []lint.Diagnostic, fixtures ...string) {
+	t.Helper()
+	want := map[string]bool{}
+	for _, f := range fixtures {
+		for k := range wantMarkers(t, filepath.Join("testdata", "src", f)) {
+			want[k] = true
+		}
+	}
 	got := gotKeys(diags)
 	for k := range want {
 		if !got[k] {
@@ -169,22 +180,31 @@ func TestDeadIgnoreFixture(t *testing.T) {
 	pkg := loadFixture(t, "deadignore")
 	diags := lint.Run([]*lint.Package{pkg},
 		[]*lint.Analyzer{lint.RawClock("pervasivegrid/internal/obs"), lint.DeadIgnore()})
-	want := wantMarkers(t, filepath.Join("testdata", "src", "deadignore"))
-	got := gotKeys(diags)
-	for k := range want {
-		if !got[k] {
-			t.Errorf("missing expected finding %s", k)
-		}
+	matchMarkers(t, diags, "deadignore")
+}
+
+// TestDeadCodeFixture runs deadcode + deadignore over the fixture's main
+// package and the library it imports, loaded through one loader so both
+// share type objects.
+func TestDeadCodeFixture(t *testing.T) {
+	loader, err := lint.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k := range got {
-		if !want[k] {
-			t.Errorf("unexpected finding %s", k)
+	var pkgs []*lint.Package
+	for _, dir := range []string{"deadcode", "deadcode/lib"} {
+		pkg, err := loader.LoadDir(filepath.Join("testdata", "src", dir))
+		if err != nil {
+			t.Fatalf("LoadDir(%s): %v", dir, err)
 		}
+		pkgs = append(pkgs, pkg)
 	}
-	if t.Failed() {
-		for _, d := range diags {
-			t.Logf("got: %s", d)
-		}
+	diags := lint.Run(pkgs, []*lint.Analyzer{lint.DeadCode(), lint.DeadIgnore()})
+	matchMarkers(t, diags, "deadcode", "deadcode/lib")
+
+	// Without a package main nothing is a command's reach: no findings.
+	if diags := lint.Run(pkgs[1:], []*lint.Analyzer{lint.DeadCode()}); len(diags) != 0 {
+		t.Fatalf("deadcode reported without a package main: %v", diags)
 	}
 }
 
@@ -333,8 +353,9 @@ func TestLoadPatternsWalk(t *testing.T) {
 }
 
 // TestRepoIsClean is the in-suite version of make lint: the production
-// analyzer set over the whole module — internal/, cmd/, and examples/
-// alike — must report nothing.
+// analyzer set over the whole module — internal/, cmd/, examples/ and
+// bench/ alike — must report nothing. The commands, examples and bench
+// are also deadcode's roots.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -134,7 +134,7 @@ func RunFlood(opts FloodOptions) (*Report, error) {
 	base := agent.NewPlatform("evac-base")
 	defer base.Close()
 	reg := discovery.NewRegistry()
-	reg.Now = clk.Now
+	reg.Clock = clk
 
 	// evac-registry: shelters register/renew here; re-registering a name
 	// replaces its lease, so renewal is just another register.

@@ -12,7 +12,6 @@ package load
 import (
 	"fmt"
 	"math/bits"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -98,13 +97,6 @@ func (h *Histogram) RecordTraced(d time.Duration, trace uint64) {
 		h.traces[idx] = trace
 	}
 	h.mu.Unlock()
-}
-
-// Count reports recorded observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
 }
 
 // Max reports the largest recorded value.
@@ -199,40 +191,6 @@ func (h *Histogram) MaxExemplar() uint64 {
 	return h.maxTrace
 }
 
-// Merge folds other into h (exemplars included; other's win per bucket).
-func (h *Histogram) Merge(other *Histogram) {
-	other.mu.Lock()
-	counts := make([]int64, len(other.counts))
-	copy(counts, other.counts)
-	var traces []uint64
-	if other.traces != nil {
-		traces = make([]uint64, len(other.traces))
-		copy(traces, other.traces)
-	}
-	total, max, sum, maxTrace := other.total, other.max, other.sum, other.maxTrace
-	other.mu.Unlock()
-
-	h.mu.Lock()
-	for i, c := range counts {
-		h.counts[i] += c
-	}
-	for i, t := range traces {
-		if t != 0 {
-			if h.traces == nil {
-				h.traces = make([]uint64, len(h.counts))
-			}
-			h.traces[i] = t
-		}
-	}
-	h.total += total
-	h.sum += sum
-	if max > h.max {
-		h.max = max
-		h.maxTrace = maxTrace
-	}
-	h.mu.Unlock()
-}
-
 // HistBucket is one non-empty bucket in a serialized histogram.
 type HistBucket struct {
 	// High is the inclusive upper latency bound of the bucket in
@@ -260,31 +218,4 @@ func (h *Histogram) Snapshot() []HistBucket {
 		}
 	}
 	return out
-}
-
-// FromSnapshot rebuilds a histogram from serialized buckets (quantiles
-// and exemplars survive; the exact max degrades to its bucket bound).
-func FromSnapshot(buckets []HistBucket) *Histogram {
-	h := NewHistogram()
-	for _, b := range buckets {
-		idx := bucketIndex(b.High)
-		h.counts[idx] += b.Count
-		h.total += b.Count
-		h.sum += b.High * b.Count
-		var trace uint64
-		if b.Trace != "" {
-			trace, _ = strconv.ParseUint(b.Trace, 16, 64)
-		}
-		if trace != 0 {
-			if h.traces == nil {
-				h.traces = make([]uint64, len(h.counts))
-			}
-			h.traces[idx] = trace
-		}
-		if b.High > h.max {
-			h.max = b.High
-			h.maxTrace = trace
-		}
-	}
-	return h
 }

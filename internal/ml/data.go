@@ -69,28 +69,11 @@ func (d Dataset) Classes() []int {
 	return out
 }
 
-// Accuracy scores a classifier over a dataset.
-func Accuracy(predict func([]float64) int, d Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	hit := 0
-	for i, x := range d.X {
-		if predict(x) == d.Y[i] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(d.Len())
-}
-
 // Scaler standardises features to zero mean and unit variance, protecting
 // distance-based learners from dominant dimensions.
 type Scaler struct {
 	Mean, Std []float64
 }
-
-// FitScaler computes per-feature statistics.
-func FitScaler(X [][]float64) (*Scaler, error) { return (&Scaler{}).fit(X, nil) }
 
 // fit sets s to the statistics of X, reusing s's slices, with row i counted
 // count[i] times: the mean and deviation of the samples a multiset row

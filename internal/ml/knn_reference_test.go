@@ -18,6 +18,9 @@ type referenceKNN struct {
 	dirty  bool
 }
 
+// fitScaler computes per-feature statistics with every row weighted 1.
+func fitScaler(X [][]float64) (*Scaler, error) { return (&Scaler{}).fit(X, nil) }
+
 type referenceNeighbour struct {
 	dist float64
 	row  int
@@ -30,7 +33,7 @@ func (r *referenceKNN) add(x []float64) {
 
 func (r *referenceKNN) neighbours(x []float64) []referenceNeighbour {
 	if r.dirty {
-		if s, err := FitScaler(r.X); err == nil {
+		if s, err := fitScaler(r.X); err == nil {
 			r.scaler = s
 		}
 		r.dirty = false

@@ -48,7 +48,7 @@ func TestDatasetClasses(t *testing.T) {
 
 func TestScaler(t *testing.T) {
 	X := [][]float64{{0, 100}, {10, 300}, {20, 500}}
-	s, err := FitScaler(X)
+	s, err := fitScaler(X)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +57,50 @@ func TestScaler(t *testing.T) {
 		t.Fatalf("mean point should map to ~0, got %v", z)
 	}
 	// Constant feature must not divide by zero.
-	s2, err := FitScaler([][]float64{{5}, {5}})
+	s2, err := fitScaler([][]float64{{5}, {5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := s2.Transform([]float64{5})[0]; v != 0 {
 		t.Fatalf("constant feature transform = %v, want 0", v)
 	}
+}
+
+// accuracy scores a classifier over a dataset.
+func accuracy(predict func([]float64) int, d Dataset) float64 {
+	if d.Len() == 0 {
+		return 0
+	}
+	hit := 0
+	for i, x := range d.X {
+		if predict(x) == d.Y[i] {
+			hit++
+		}
+	}
+	return float64(hit) / float64(d.Len())
+}
+
+// treeDepth returns the tree height (a lone leaf has depth 0).
+func treeDepth(t *DecisionTree) int { return depthOf(t.root) }
+
+func depthOf(n *treeNode) int {
+	if n == nil || n.leaf {
+		return 0
+	}
+	return 1 + max(depthOf(n.left), depthOf(n.right))
+}
+
+// treeNodes counts all nodes including leaves.
+func treeNodes(t *DecisionTree) int { return countNodes(t.root) }
+
+func countNodes(n *treeNode) int {
+	if n == nil {
+		return 0
+	}
+	if n.leaf {
+		return 1
+	}
+	return 1 + countNodes(n.left) + countNodes(n.right)
 }
 
 // xorDataset is not linearly separable: a depth-2 tree must learn it.
@@ -86,11 +123,11 @@ func TestTreeLearnsXOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := Accuracy(tree.Predict, d); acc != 1.0 {
+	if acc := accuracy(tree.Predict, d); acc != 1.0 {
 		t.Fatalf("XOR accuracy = %v, want 1.0", acc)
 	}
-	if tree.Depth() < 2 {
-		t.Fatalf("XOR needs depth >= 2, got %d", tree.Depth())
+	if treeDepth(tree) < 2 {
+		t.Fatalf("XOR needs depth >= 2, got %d", treeDepth(tree))
 	}
 }
 
@@ -103,8 +140,8 @@ func TestTreePureLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Nodes() != 1 {
-		t.Fatalf("pure dataset should give a single leaf, got %d nodes", tree.Nodes())
+	if treeNodes(tree) != 1 {
+		t.Fatalf("pure dataset should give a single leaf, got %d nodes", treeNodes(tree))
 	}
 	if tree.Predict([]float64{99}) != 7 {
 		t.Fatal("pure tree should always predict the one class")
@@ -126,14 +163,14 @@ func TestTreeMaxDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shallow.Depth() > 2 {
-		t.Fatalf("depth = %d exceeds MaxDepth 2", shallow.Depth())
+	if treeDepth(shallow) > 2 {
+		t.Fatalf("depth = %d exceeds MaxDepth 2", treeDepth(shallow))
 	}
 	deep, err := TrainTree(d, TreeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Accuracy(deep.Predict, d) < Accuracy(shallow.Predict, d) {
+	if accuracy(deep.Predict, d) < accuracy(shallow.Predict, d) {
 		t.Fatal("unbounded tree should fit training data at least as well")
 	}
 }
@@ -145,8 +182,8 @@ func TestTreeMinLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With MinLeaf 30 of 40 samples, no split is possible.
-	if tree.Nodes() != 1 {
-		t.Fatalf("nodes = %d, want 1 (MinLeaf forbids splits)", tree.Nodes())
+	if treeNodes(tree) != 1 {
+		t.Fatalf("nodes = %d, want 1 (MinLeaf forbids splits)", treeNodes(tree))
 	}
 }
 
@@ -176,7 +213,7 @@ func TestTreeGeneralises(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := Accuracy(tree.Predict, test); acc < 0.95 {
+	if acc := accuracy(tree.Predict, test); acc < 0.95 {
 		t.Fatalf("held-out accuracy = %v, want >= 0.95", acc)
 	}
 }
@@ -316,7 +353,7 @@ func TestPropertyTreeFitsDistinctPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if acc := Accuracy(tree.Predict, d); acc != 1.0 {
+		if acc := accuracy(tree.Predict, d); acc != 1.0 {
 			t.Fatalf("trial %d: accuracy on distinct points = %v, want 1.0", trial, acc)
 		}
 	}

@@ -189,33 +189,6 @@ func (t *DecisionTree) Predict(x []float64) int {
 	return n.class
 }
 
-// Depth returns the tree height (a lone leaf has depth 0).
-func (t *DecisionTree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *treeNode) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-// Nodes counts all nodes including leaves.
-func (t *DecisionTree) Nodes() int { return countNodes(t.root) }
-
-func countNodes(n *treeNode) int {
-	if n == nil {
-		return 0
-	}
-	if n.leaf {
-		return 1
-	}
-	return 1 + countNodes(n.left) + countNodes(n.right)
-}
-
 // String renders the tree for debugging.
 func (t *DecisionTree) String() string {
 	var b strings.Builder

@@ -3,7 +3,6 @@ package ontology
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -217,70 +216,6 @@ func TestValueString(t *testing.T) {
 	}
 	if OpNear.String() != "near" || Op(99).String() == "" {
 		t.Fatal("op formatting broken")
-	}
-}
-
-func TestParseOntology(t *testing.T) {
-	src := `
-# building-fire domain
-Service
-SensorService < Service
-TemperatureSensor < SensorService   # mote-class
-SmokeSensor < SensorService
-Hybrid < TemperatureSensor, SmokeSensor
-Standalone
-`
-	o, err := ParseString(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o.IsA("TemperatureSensor", "Service") {
-		t.Fatal("transitivity lost")
-	}
-	if !o.IsA("Hybrid", "TemperatureSensor") || !o.IsA("Hybrid", "SmokeSensor") {
-		t.Fatal("multiple inheritance lost")
-	}
-	if !o.IsA("Standalone", Root) || o.Depth("Standalone") != 1 {
-		t.Fatal("bare concept should hang off Root")
-	}
-}
-
-func TestParseErrorsOntology(t *testing.T) {
-	bad := []string{
-		"Child < Missing",  // forward/undefined parent
-		"A\nA",             // duplicate
-		"Bad Name < Thing", // space in name
-		"X <",              // no parents after <
-		"Y < ,",            // empty parent
-	}
-	for _, src := range bad {
-		if _, err := ParseString(src); err == nil {
-			t.Errorf("ParseString(%q) should fail", src)
-		}
-	}
-}
-
-func TestDumpRoundTrip(t *testing.T) {
-	o := Pervasive()
-	var buf strings.Builder
-	if err := o.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	o2, err := ParseString(buf.String())
-	if err != nil {
-		t.Fatalf("re-parse: %v\n%s", err, buf.String())
-	}
-	if len(o2.Concepts()) != len(o.Concepts()) {
-		t.Fatalf("concepts %d != %d", len(o2.Concepts()), len(o.Concepts()))
-	}
-	for _, c := range o.Concepts() {
-		if o2.Depth(c) != o.Depth(c) {
-			t.Fatalf("depth of %s changed: %d -> %d", c, o.Depth(c), o2.Depth(c))
-		}
-	}
-	// Spot-check a similarity value survives.
-	if o.Similarity("TemperatureSensor", "SmokeSensor") != o2.Similarity("TemperatureSensor", "SmokeSensor") {
-		t.Fatal("similarity changed across round trip")
 	}
 }
 

@@ -84,56 +84,3 @@ func (g *Grid3D) Residual() float64 {
 	}
 	return max
 }
-
-// SolveJacobi3D runs parallel Jacobi iteration on a 3-D grid, banded over
-// z-slabs.
-func SolveJacobi3D(g *Grid3D, opt Options) (Result, error) {
-	opt = opt.withDefaults()
-	next := append([]float64(nil), g.V...)
-	slabs := newStencilBands(1, g.Nz-1, opt.Workers, (g.Nx-2)*(g.Ny-2))
-	h2 := g.H * g.H
-	nxy := g.Nx * g.Ny
-
-	cur := g.V
-	update := func(z0, z1 int) float64 {
-		maxd := 0.0
-		for z := z0; z < z1; z++ {
-			for y := 1; y < g.Ny-1; y++ {
-				base := (z*g.Ny + y) * g.Nx
-				for x := 1; x < g.Nx-1; x++ {
-					i := base + x
-					if g.Fixed[i] {
-						next[i] = cur[i]
-						continue
-					}
-					v := (cur[i-1] + cur[i+1] + cur[i-g.Nx] + cur[i+g.Nx] + cur[i-nxy] + cur[i+nxy] - h2*g.Source[i]) / 6
-					if d := math.Abs(v - cur[i]); d > maxd {
-						maxd = d
-					}
-					next[i] = v
-				}
-			}
-		}
-		return maxd
-	}
-
-	iter := 0
-	for ; iter < opt.MaxIter; iter++ {
-		cur = g.V
-		maxd := slabs.sweep(update)
-		g.V, next = next, g.V
-		if math.IsNaN(maxd) || math.IsInf(maxd, 0) {
-			return Result{Iterations: iter + 1}, ErrDiverged
-		}
-		if maxd < opt.Tol {
-			iter++
-			break
-		}
-	}
-	return Result{
-		Iterations: iter,
-		Converged:  iter < opt.MaxIter,
-		Residual:   g.Residual(),
-		Ops:        float64(iter) * float64(g.Nx*g.Ny*g.Nz) * 8,
-	}, nil
-}

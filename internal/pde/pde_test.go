@@ -200,50 +200,6 @@ func TestGridValidation(t *testing.T) {
 	}
 }
 
-func TestJacobi3DHarmonic(t *testing.T) {
-	// u = x² + y² - 2z² is harmonic in 3-D.
-	n := 13
-	g, err := NewGrid3D(n, n, n, 1.0/float64(n-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := func(x, y, z int) float64 {
-		fx := float64(x) / float64(n-1)
-		fy := float64(y) / float64(n-1)
-		fz := float64(z) / float64(n-1)
-		return fx*fx + fy*fy - 2*fz*fz
-	}
-	for z := 0; z < n; z++ {
-		for y := 0; y < n; y++ {
-			for x := 0; x < n; x++ {
-				if g.Fixed[g.Idx(x, y, z)] {
-					g.Pin(x, y, z, exact(x, y, z))
-				}
-			}
-		}
-	}
-	res, err := SolveJacobi3D(g, Options{Tol: 1e-9, MaxIter: 20000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("3d jacobi did not converge")
-	}
-	worst := 0.0
-	for z := 1; z < n-1; z++ {
-		for y := 1; y < n-1; y++ {
-			for x := 1; x < n-1; x++ {
-				if d := math.Abs(g.At(x, y, z) - exact(x, y, z)); d > worst {
-					worst = d
-				}
-			}
-		}
-	}
-	if worst > 1e-4 {
-		t.Fatalf("3d max error = %g", worst)
-	}
-}
-
 func TestPinSamples(t *testing.T) {
 	g, _ := harmonicGrid(t, 11)
 	PinSamples(g, 100, 100, []Sample{
@@ -430,33 +386,6 @@ func TestSOR3DHarmonic(t *testing.T) {
 	}
 	if worst > 1e-4 {
 		t.Fatalf("3d sor max error = %g", worst)
-	}
-}
-
-func TestSOR3DFasterThanJacobi3D(t *testing.T) {
-	build := func() *Grid3D {
-		g, _ := NewGrid3D(17, 17, 17, 1.0/16)
-		g.SetBoundary(0)
-		g.Pin(8, 8, 8, 100)
-		return g
-	}
-	gj, gs := build(), build()
-	rj, err := SolveJacobi3D(gj, Options{Tol: 1e-7, MaxIter: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := SolveSOR3D(gs, Options{Tol: 1e-7, MaxIter: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Iterations >= rj.Iterations {
-		t.Fatalf("3d SOR iters %d should beat Jacobi %d", rs.Iterations, rj.Iterations)
-	}
-	// Same answer within tolerance.
-	for i := range gj.V {
-		if math.Abs(gj.V[i]-gs.V[i]) > 1e-4 {
-			t.Fatalf("3d solvers disagree at %d: %g vs %g", i, gj.V[i], gs.V[i])
-		}
 	}
 }
 

@@ -111,17 +111,6 @@ type CityAggregate struct {
 	Alive   int     // alive node-ticks covered by merged reports
 }
 
-// CityStats is a post-run summary.
-type CityStats struct {
-	Nodes    int
-	Alive    int
-	Ticks    int
-	Samples  uint64
-	EnergyJ  float64 // joules drained across the city
-	Executed uint64  // event handlers run by the sharded kernel
-	Base     CityAggregate
-}
-
 // CitySim drives a sharded city-wide sensing population.
 type CitySim struct {
 	Cfg    CityConfig
@@ -227,22 +216,6 @@ func (cs *CitySim) Run(ticks int) error {
 	}
 	cs.ticks += ticks
 	return nil
-}
-
-// Stats summarises the run so far. Call only between Runs.
-func (cs *CitySim) Stats() CityStats {
-	st := CityStats{Nodes: cs.Cfg.Nodes, Ticks: cs.ticks, Executed: cs.Kernel.Executed(), Base: cs.base}
-	for _, sh := range cs.shards {
-		for k := range sh.nodes {
-			n := &sh.nodes[k]
-			st.Samples += uint64(n.samples)
-			st.EnergyJ += cs.Cfg.InitialEnergy - n.energy
-			if n.energy > 0 {
-				st.Alive++
-			}
-		}
-	}
-	return st
 }
 
 // Digest folds every node's state (iterated in global node-ID order, so

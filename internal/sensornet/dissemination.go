@@ -83,6 +83,8 @@ type GossipConfig struct {
 
 // Gossip disseminates payloadBytes from origin using probabilistic
 // gossiping, the second routing technique the paper names.
+//
+//lint:ignore deadcode S3 names gossiping as a routing technique; no experiment runs it yet
 func Gossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipConfig) DisseminationResult {
 	if cfg.Forward <= 0 {
 		cfg.Forward = 0.7

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a virtual simulation timestamp. The zero Time is the start of the
@@ -26,12 +25,6 @@ type Duration = Time
 
 // Infinity is a timestamp later than any schedulable event.
 const Infinity Time = Time(math.MaxFloat64)
-
-// Seconds converts a real time.Duration into virtual seconds. The simulator
-// uses seconds as its base unit throughout.
-func Seconds(d time.Duration) Duration {
-	return Duration(d.Seconds())
-}
 
 // Handler is a scheduled action. It runs with the kernel clock set to the
 // event's timestamp.

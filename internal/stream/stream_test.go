@@ -421,89 +421,3 @@ func BenchmarkTreeSpectrum10(b *testing.B) {
 		}
 	}
 }
-
-func TestAnomalyDetectorValidation(t *testing.T) {
-	if _, err := NewAnomalyDetector(0, 3); err == nil {
-		t.Fatal("lambda 0 should fail")
-	}
-	if _, err := NewAnomalyDetector(1.5, 3); err == nil {
-		t.Fatal("lambda > 1 should fail")
-	}
-	a, err := NewAnomalyDetector(0.1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Threshold != 3 {
-		t.Fatal("default threshold should be 3")
-	}
-}
-
-func TestAnomalyDetectorFlagsSpike(t *testing.T) {
-	a, err := NewAnomalyDetector(0.1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	falsePositives := 0
-	for i := 0; i < 200; i++ {
-		if anom, _ := a.Observe(20 + rng.NormFloat64()); anom {
-			falsePositives++
-		}
-	}
-	if falsePositives > 5 {
-		t.Fatalf("false positives = %d on a stationary stream", falsePositives)
-	}
-	anom, z := a.Observe(500) // fire!
-	if !anom {
-		t.Fatal("spike not flagged")
-	}
-	if z < 10 {
-		t.Fatalf("spike z = %v, want large", z)
-	}
-	if a.Flagged() < 1 {
-		t.Fatal("flag counter not incremented")
-	}
-}
-
-func TestAnomalyDetectorWarmup(t *testing.T) {
-	a, _ := NewAnomalyDetector(0.2, 3)
-	// Even wild values during warmup are not flagged.
-	for _, v := range []float64{0, 1000, -1000, 500, 2, 3, 4, 5, 6, 7} {
-		if anom, _ := a.Observe(v); anom {
-			t.Fatal("warmup reading flagged")
-		}
-	}
-	if a.Seen() != 10 {
-		t.Fatalf("seen = %d", a.Seen())
-	}
-}
-
-func TestAnomalyDetectorAdaptsToLevelShift(t *testing.T) {
-	a, _ := NewAnomalyDetector(0.2, 3)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 100; i++ {
-		a.Observe(10 + rng.NormFloat64()*0.5)
-	}
-	// A persistent level shift: first readings flag, but the detector
-	// adapts and stops flagging.
-	flagsEarly, flagsLate := 0, 0
-	for i := 0; i < 300; i++ {
-		anom, _ := a.Observe(14 + rng.NormFloat64()*0.5)
-		if i < 30 && anom {
-			flagsEarly++
-		}
-		if i >= 270 && anom {
-			flagsLate++
-		}
-	}
-	if flagsEarly == 0 {
-		t.Fatal("level shift not noticed at all")
-	}
-	if flagsLate > 3 {
-		t.Fatalf("detector failed to adapt: %d late flags", flagsLate)
-	}
-	mean, _ := a.Stats()
-	if mean < 12 {
-		t.Fatalf("mean = %v, should have tracked the shift", mean)
-	}
-}

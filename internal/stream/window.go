@@ -44,6 +44,8 @@ type TumblingWindow struct {
 
 // NewTumblingWindow creates a window of the given size in stream-time
 // units.
+//
+//lint:ignore deadcode S13 names stream windows; no query path runs one yet
 func NewTumblingWindow(size float64) (*TumblingWindow, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("stream: window size must be positive, got %v", size)
@@ -134,6 +136,8 @@ type Merge struct {
 }
 
 // NewMerge builds a merge over n input queues of the given buffer depth.
+//
+//lint:ignore deadcode S13 names non-blocking Fjords-like operators; no query path runs one yet
 func NewMerge(n, depth int) (*Merge, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("stream: merge needs inputs, got %d", n)
