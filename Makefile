@@ -4,7 +4,7 @@ GO ?= go
 # (85% at the time the observability layer landed).
 COVER_FLOOR ?= 84.0
 
-.PHONY: build test race vet fmt-check lint cover check bench bench-e2e bench-baseline benchcmp experiments load-smoke e18-smoke loc
+.PHONY: build test race vet fmt-check lint cover check bench-e2e experiments load-smoke e18-smoke loc
 
 # Generous wall-time ceiling for the whole lint run (call-graph build +
 # fixed point over every package). Today's run is well under a second;
@@ -52,10 +52,9 @@ cover:
 		printf "coverage %.1f%% (floor %.1f%%)\n", t, f }'
 
 # The verification gate: static analysis, the full suite under the race
-# detector, the coverage floor, the end-to-end scenario smoke, and (when
-# a fresh bench capture exists) the benchmark-regression gate. The agent
-# platform, transports, and solvers must stay race-clean.
-check: vet fmt-check lint race cover load-smoke e18-smoke benchcmp
+# detector, the coverage floor and the end-to-end scenario smoke. The
+# agent platform, transports, and solvers must stay race-clean.
+check: vet fmt-check lint race cover load-smoke e18-smoke
 
 # load-smoke runs both disaster scenarios end to end (real TCP, open-loop
 # load) at rates any CI box sustains, and fails unless the priority lane
@@ -77,17 +76,6 @@ experiments:
 	$(GO) run ./cmd/pgridbench -o results.txt
 	@echo "wrote results.txt"
 
-# bench runs the hot-path micro-benchmarks (delivery, discovery match,
-# envelope codec, ...) once each, then re-runs the regression-gated
-# Deliver/Route/WAL/Replan set best-of-3 at a fixed iteration count (single
-# iterations of microsecond benchmarks are too noisy to gate on).
-# Records everything as test2json events in BENCH_new.json for benchcmp.
-bench:
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x -json ./... > BENCH_new.json
-	$(GO) test -run '^$$' -bench='Deliver|Route|WAL|Replan' -benchtime=5000x -count=3 -json . >> BENCH_new.json
-	@grep -o '"Output":"Benchmark[^"]*ns/op[^"]*"' BENCH_new.json | sed 's/"Output":"//; s/\\n"$$//; s/\\t/\t/g' || true
-	@echo "wrote BENCH_new.json"
-
 # bench-e2e runs the repo's benchmark (bench/README.md, BENCHMARK.json):
 # closed-loop clients over loopback TCP against one in-process node, end to
 # end and then layer by layer. All five workloads take about 2.5 minutes;
@@ -101,27 +89,9 @@ bench-e2e:
 	@mkdir -p $(BENCH_E2E_OUT)
 	$(GO) run ./bench $(if $(W),-workload $(W)) -out $(BENCH_E2E_OUT)/bench.json -dir $(BENCH_E2E_OUT)
 
-# bench-baseline refreshes the tracked baseline capture with the same
-# recipe. Run it on a quiet machine when a deliberate perf change moves
-# the hot paths.
-bench-baseline:
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x -json ./... > BENCH_obs.json
-	$(GO) test -run '^$$' -bench='Deliver|Route|WAL|Replan' -benchtime=5000x -count=3 -json . >> BENCH_obs.json
-	@echo "wrote BENCH_obs.json (tracked baseline)"
-
-# benchcmp fails on a >20% ns/op regression of the Deliver/Route/WAL/Replan
-# benchmarks relative to the tracked baseline. Skips quietly when no
-# fresh capture exists (run `make bench` first to arm it).
-benchcmp:
-	@if [ -f BENCH_new.json ]; then \
-		$(GO) run ./cmd/pgridbench -compare BENCH_obs.json BENCH_new.json; \
-	else \
-		echo "benchcmp: no BENCH_new.json (run 'make bench' to arm the regression gate); skipping"; \
-	fi
-
 # loc prints non-test Go lines per package directory (testdata fixtures
 # excluded) and the total — the figure each consolidation PR reports
-# before/after (ROADMAP item 3).
+# before/after (ROADMAP item 8).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

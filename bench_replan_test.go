@@ -4,8 +4,8 @@ package pervasivegrid_test
 // a full adaptive conversation whose second step loses every provider, so
 // each Run exercises the re-plan path — ranked-plan selection, handoff
 // dataflow validation against the completed prefix, and migration onto
-// the degraded alternative. `make bench` gates this together with the
-// Deliver/Route/WAL set (see `pgridbench -compare`).
+// the degraded alternative. Run it at a fixed iteration count on both
+// commits when comparing.
 
 import (
 	"fmt"

@@ -2,10 +2,9 @@ package pervasivegrid_test
 
 // Durability micro-benchmarks: WAL append throughput under the cheapest
 // fsync policy (rotate — the interval and always policies measure the
-// disk, not the framing), and cold-start recovery replay. `make bench`
-// runs these alongside the delivery/routing benchmarks and records them
-// in BENCH_obs.json, so a framing or recovery-scan regression shows up
-// as a latency delta in the -compare gate.
+// disk, not the framing), and cold-start recovery replay: the per-layer
+// cross-check for `durable.wal_append_us`. Run them at a fixed iteration
+// count on both commits when comparing.
 
 import (
 	"bytes"

@@ -1,77 +1,27 @@
 // Command pgridbench regenerates the reproduction suite's tables (E1–E18
-// in DESIGN.md / EXPERIMENTS.md) and compares benchmark runs.
+// in DESIGN.md / EXPERIMENTS.md).
 //
 // Usage:
 //
 //	pgridbench                 # run every experiment
 //	pgridbench -only E1,E6     # run a subset
 //	pgridbench -o results.txt  # also write the tables to a file
-//	pgridbench -compare BENCH_obs.json BENCH_new.json
-//	                           # diff two `go test -bench -json` captures;
-//	                           # exits 1 on >20% ns/op regression of the
-//	                           # Deliver/Route benchmarks (make benchcmp).
-//	                           # When the new capture holds the
-//	                           # instrumented-vs-blackout Deliver pair
-//	                           # (PlatformDeliverSampled / ...SamplerOff)
-//	                           # it additionally gates the observability
-//	                           # pipeline's own cost: exits 1 when 1%
-//	                           # sampling costs more than -overhead-budget
-//	                           # (10%) over the sampler-off baseline
-//	pgridbench -compare old-load.json new-load.json
-//	                           # when both files are pgridload reports
-//	                           # (schema pgridload/v1), gate on tail
-//	                           # latency instead: exits 1 when p99/p999
-//	                           # grow >25% or the throughput ceiling
-//	                           # drops >20%
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"regexp"
-	"sort"
-	"strconv"
 	"strings"
 
 	"pervasivegrid/internal/experiments"
-	"pervasivegrid/internal/load"
 )
 
 func main() {
 	only := flag.String("only", "", "comma-separated experiment IDs (default: all)")
 	out := flag.String("o", "", "also write results to this file")
-	compare := flag.Bool("compare", false, "compare two bench captures: pgridbench -compare old.json new.json")
-	benchMatch := flag.String("bench-match", "Deliver|Route|WAL|Replan", "regexp selecting which benchmarks -compare gates on")
-	benchThreshold := flag.Float64("bench-threshold", 0.20, "-compare fails when a gated benchmark's ns/op grows by more than this fraction")
-	overheadBudget := flag.Float64("overhead-budget", 0.10, "-compare fails when the instrumented Deliver path (PlatformDeliverSampled) costs more than this fraction over the sampler-off blackout baseline")
-	p99Threshold := flag.Float64("p99-threshold", 0.25, "-compare on pgridload reports fails when p99/p999 grows by more than this fraction")
-	ceilingThreshold := flag.Float64("ceiling-threshold", 0.20, "-compare on pgridload reports fails when throughput/ceiling drops by more than this fraction")
 	flag.Parse()
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "pgridbench: -compare needs exactly two arguments: old.json new.json")
-			os.Exit(2)
-		}
-		// Two pgridload reports gate on tail latency; anything else is
-		// treated as a test2json bench capture and gates on ns/op.
-		if load.IsReport(flag.Arg(0)) && load.IsReport(flag.Arg(1)) {
-			if err := compareLoad(flag.Arg(0), flag.Arg(1), *p99Threshold, *ceilingThreshold); err != nil {
-				fmt.Fprintf(os.Stderr, "pgridbench: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		}
-		if err := compareBench(flag.Arg(0), flag.Arg(1), *benchMatch, *benchThreshold, *overheadBudget); err != nil {
-			fmt.Fprintf(os.Stderr, "pgridbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	want := map[string]bool{}
 	if *only != "" {
@@ -107,164 +57,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// benchResultRe matches a Go benchmark result line (the -N CPU suffix is
-// stripped so captures taken with different GOMAXPROCS still line up).
-var benchResultRe = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
-
-// readBench extracts name → ns/op from a `go test -bench -json`
-// (test2json) capture. Repeated samples (-count=N) keep the minimum:
-// best-of-N is robust against scheduler noise, which single samples of
-// microsecond-scale benchmarks are not.
-func readBench(path string) (map[string]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-
-	// Reassemble the raw test output stream, then scan it for result
-	// lines: test2json may split a single benchmark line across events.
-	var raw strings.Builder
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev struct {
-			Action string `json:"Action"`
-			Output string `json:"Output"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			continue // tolerate trailing garbage in hand-edited captures
-		}
-		if ev.Action == "output" {
-			raw.WriteString(ev.Output)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-
-	res := map[string]float64{}
-	for _, line := range strings.Split(raw.String(), "\n") {
-		m := benchResultRe.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
-			continue
-		}
-		v, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
-		}
-		if prev, ok := res[m[1]]; !ok || v < prev {
-			res[m[1]] = v
-		}
-	}
-	if len(res) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark results found", path)
-	}
-	return res, nil
-}
-
-// compareLoad diffs two pgridload reports and gates on tail latency and
-// the sustained-throughput ceiling.
-func compareLoad(oldPath, newPath string, p99Threshold, ceilingThreshold float64) error {
-	oldRep, err := load.ReadReport(oldPath)
-	if err != nil {
-		return err
-	}
-	newRep, err := load.ReadReport(newPath)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("load report compare: %s (%s) -> %s (%s)\n",
-		oldPath, oldRep.Scenario, newPath, newRep.Scenario)
-	table, err := load.CompareReports(oldRep, newRep, p99Threshold, ceilingThreshold)
-	fmt.Print(table)
-	return err
-}
-
-// compareBench diffs two captures and fails on regressions of the gated
-// benchmarks beyond the threshold. The gate is deliberately coarse — it
-// catches structural mistakes (an O(n) scan on the deliver path), not
-// single-digit drift; `make bench` records the gated set best-of-3 at a
-// fixed iteration count so the compared numbers are stable.
-func compareBench(oldPath, newPath, match string, threshold, overheadBudget float64) error {
-	gate, err := regexp.Compile(match)
-	if err != nil {
-		return fmt.Errorf("-bench-match: %w", err)
-	}
-	oldRes, err := readBench(oldPath)
-	if err != nil {
-		return err
-	}
-	newRes, err := readBench(newPath)
-	if err != nil {
-		return err
-	}
-
-	names := make([]string, 0, len(newRes))
-	for name := range newRes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	fmt.Printf("%-40s %14s %14s %8s\n", "benchmark", "old ns/op", "new ns/op", "delta")
-	gated, regressed := 0, 0
-	for _, name := range names {
-		oldV, ok := oldRes[name]
-		if !ok {
-			fmt.Printf("%-40s %14s %14.0f %8s\n", name, "-", newRes[name], "new")
-			continue
-		}
-		delta := newRes[name]/oldV - 1
-		mark := ""
-		if gate.MatchString(name) {
-			gated++
-			if delta > threshold {
-				regressed++
-				mark = "  REGRESSION"
-			}
-		}
-		fmt.Printf("%-40s %14.0f %14.0f %+7.1f%%%s\n", name, oldV, newRes[name], delta*100, mark)
-	}
-	if gated == 0 {
-		return fmt.Errorf("no benchmark matching %q present in both captures", match)
-	}
-	if regressed > 0 {
-		return fmt.Errorf("%d gated benchmark(s) regressed beyond %.0f%%", regressed, threshold*100)
-	}
-	fmt.Printf("ok: %d gated benchmark(s) within %.0f%% of baseline\n", gated, threshold*100)
-	return checkOverhead(newRes, overheadBudget)
-}
-
-// The instrumented-vs-blackout Deliver pair: Sampled runs the full
-// observability pipeline at 1% head sampling, SamplerOff runs the same
-// wiring in complete blackout — their ratio is the pipeline's own cost.
-const (
-	benchSampled    = "BenchmarkPlatformDeliverSampled"
-	benchSamplerOff = "BenchmarkPlatformDeliverSamplerOff"
-)
-
-// checkOverhead gates the observability pipeline's cost within a single
-// capture: 1% sampling may not cost more than budget over the blackout
-// baseline. Captures that don't carry the pair (older baselines) are not
-// gated — the check only ever tightens a run that opted in by recording
-// both benchmarks.
-func checkOverhead(res map[string]float64, budget float64) error {
-	sampled, okS := res[benchSampled]
-	off, okO := res[benchSamplerOff]
-	if !okS || !okO || off <= 0 {
-		return nil
-	}
-	overhead := sampled/off - 1
-	verdict := "ok"
-	if overhead > budget {
-		verdict = "REGRESSION"
-	}
-	fmt.Printf("sampling overhead: %.0f ns/op instrumented vs %.0f ns/op blackout = %+.1f%% (budget %.0f%%) %s\n",
-		sampled, off, overhead*100, budget*100, verdict)
-	if overhead > budget {
-		return fmt.Errorf("observability overhead %.1f%% exceeds the %.0f%% budget", overhead*100, budget*100)
-	}
-	return nil
 }

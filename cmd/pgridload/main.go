@@ -3,8 +3,8 @@
 // disaster scenarios — at a fixed open-loop arrival rate, measures
 // latency from each request's *scheduled* send time (so a stalling
 // server cannot silence its own tail — the coordinated-omission trap),
-// and reports p50/p99/p999 plus the sustained-throughput ceiling as
-// JSON that pgridbench -compare can gate on.
+// and reports p50/p99/p999 plus the sustained-throughput ceiling as a
+// pgridload/v1 JSON report.
 //
 // Usage:
 //

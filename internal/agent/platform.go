@@ -532,7 +532,7 @@ func (p *Platform) Routes() int {
 // first, then gateway routes in order. Undeliverable envelopes land in the
 // dead-letter ring with a drop reason.
 //
-//lint:hot budget=27
+//lint:hot budget=25
 func (p *Platform) Send(env Envelope) error {
 	p.mu.RLock()
 	if p.closed {

@@ -3,25 +3,11 @@ package load
 import (
 	"errors"
 	"net"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
-
-func TestQuantileClampsOutOfRangeQ(t *testing.T) {
-	h := NewHistogram()
-	for i := 1; i <= 100; i++ {
-		h.Record(time.Duration(i) * time.Millisecond)
-	}
-	if got := h.Quantile(-0.5); got <= 0 {
-		t.Fatalf("q<0 should clamp to the low end, got %v", got)
-	}
-	if got := h.Quantile(2); got != h.Max() {
-		t.Fatalf("q>1 = %v, want exact max %v", got, h.Max())
-	}
-}
 
 func TestErrorRateAndDeliveryRateEmpty(t *testing.T) {
 	var res Result
@@ -114,16 +100,6 @@ func TestAttachRamp(t *testing.T) {
 }
 
 func TestReportFileErrors(t *testing.T) {
-	if _, err := ReadReport(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Fatal("want error for missing file")
-	}
-	garbled := filepath.Join(t.TempDir(), "garbled.json")
-	if err := os.WriteFile(garbled, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReport(garbled); err == nil {
-		t.Fatal("want error for invalid JSON")
-	}
 	rep := &Report{Schema: ReportSchema}
 	if err := rep.WriteFile(filepath.Join(t.TempDir(), "no-such-dir", "r.json")); err == nil {
 		t.Fatal("want error writing into a missing directory")

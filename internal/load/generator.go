@@ -1,3 +1,11 @@
+// Package load is the city-scale load harness: an open-loop,
+// coordinated-omission-safe traffic generator (latency is measured from
+// each request's *scheduled* send time, never from when a stalled worker
+// finally got to send it) recording into obs histograms, a step-ramp
+// search for the sustained-throughput ceiling, and the two flagship
+// disaster scenarios (sensor-storm, flood evacuation) that saturate the
+// overload and recovery machinery. Results serialize to the pgridload/v1
+// JSON report.
 package load
 
 import (
@@ -80,13 +88,13 @@ type Result struct {
 	Elapsed time.Duration
 	// Throughput is completed requests per second of Elapsed.
 	Throughput float64
-	// Hist is the coordinated-omission-safe latency histogram
+	// Hist is the coordinated-omission-safe latency histogram in seconds
 	// (completion minus *scheduled* send time), excluding warmup.
-	Hist *Histogram
+	Hist *obs.Histogram
 	// NaiveHist measures the same requests from their actual send time —
 	// the number a closed-loop harness would report. Kept only to
 	// demonstrate the under-reporting; never gate on it.
-	NaiveHist *Histogram
+	NaiveHist *obs.Histogram
 	// Timeline buckets the run per scheduled second.
 	Timeline []Second
 }
@@ -119,8 +127,8 @@ func RunTraced(opts Options, do func(i int) (uint64, error)) (*Result, error) {
 	clk := opts.Clock
 	res := &Result{
 		Offered:   offered,
-		Hist:      NewHistogram(),
-		NaiveHist: NewHistogram(),
+		Hist:      obs.NewHistogram(),
+		NaiveHist: obs.NewHistogram(),
 		Timeline:  make([]Second, int(opts.Duration.Seconds())+1),
 	}
 	interval := time.Duration(float64(time.Second) / opts.Rate)
@@ -162,8 +170,8 @@ func RunTraced(opts Options, do func(i int) (uint64, error)) (*Result, error) {
 				}
 				mu.Unlock()
 				if measured && err == nil {
-					res.Hist.RecordTraced(end.Sub(req.scheduled), trace)
-					res.NaiveHist.Record(end.Sub(sendStart))
+					res.Hist.ObserveTraced(end.Sub(req.scheduled).Seconds(), trace)
+					res.NaiveHist.Observe(end.Sub(sendStart).Seconds())
 				}
 			}
 		})

@@ -108,9 +108,9 @@ func Ramp(opts RampOptions, do func(i int) error) (*RampResult, error) {
 			Rate:      rate,
 			Achieved:  res.Throughput,
 			ErrorRate: res.ErrorRate(),
-			P50:       res.Hist.Quantile(0.50),
-			P99:       res.Hist.Quantile(0.99),
-			P999:      res.Hist.Quantile(0.999),
+			P50:       seconds(res.Hist.Quantile(0.50)),
+			P99:       seconds(res.Hist.Quantile(0.99)),
+			P999:      seconds(res.Hist.Quantile(0.999)),
 			Sustained: true,
 		}
 		switch {
@@ -135,3 +135,6 @@ func Ramp(opts RampOptions, do func(i int) error) (*RampResult, error) {
 	}
 	return out, nil
 }
+
+// seconds converts a histogram reading to a duration.
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }

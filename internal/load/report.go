@@ -3,13 +3,13 @@ package load
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
-	"time"
+
+	"pervasivegrid/internal/obs"
 )
 
-// ReportSchema identifies a pgridload JSON report. pgridbench -compare
-// sniffs this to decide whether two files are latency reports (gate on
-// p99/p999/ceiling) or test2json bench captures (gate on ns/op).
+// ReportSchema identifies a pgridload JSON report.
 const ReportSchema = "pgridload/v1"
 
 // Percentiles is the latency summary of one run, in milliseconds for
@@ -53,18 +53,49 @@ type Report struct {
 	Exemplars map[string]string `json:"exemplars,omitempty"`
 }
 
-// ms converts a duration for the report.
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+// HistBucket is one non-empty bucket in a serialized histogram.
+type HistBucket struct {
+	// High is the upper latency bound of the bucket in nanoseconds.
+	High int64 `json:"highNs"`
+	// Count is the number of observations in the bucket.
+	Count int64 `json:"count"`
+	// Trace is the bucket's exemplar TraceID in hex (absent when no
+	// traced request landed here).
+	Trace string `json:"trace,omitempty"`
+}
 
-// SummarizeHist fills a Percentiles from a histogram.
-func SummarizeHist(h *Histogram) Percentiles {
+// histBuckets exports a latency histogram (in seconds) at the report's
+// nanosecond resolution; sub-nanosecond buckets fold into one.
+func histBuckets(h *obs.Histogram) []HistBucket {
+	var out []HistBucket
+	for _, b := range h.Buckets() {
+		hb := HistBucket{High: int64(math.Ceil(b.High * 1e9)), Count: int64(b.Count)}
+		if b.Trace != 0 {
+			hb.Trace = traceHex(b.Trace)
+		}
+		if n := len(out); n > 0 && out[n-1].High == hb.High {
+			out[n-1].Count += hb.Count
+			if hb.Trace != "" {
+				out[n-1].Trace = hb.Trace
+			}
+			continue
+		}
+		out = append(out, hb)
+	}
+	return out
+}
+
+func traceHex(t uint64) string { return fmt.Sprintf("%016x", t) }
+
+// SummarizeHist fills a Percentiles from a latency histogram in seconds.
+func SummarizeHist(h *obs.Histogram) Percentiles {
 	return Percentiles{
-		P50:  ms(h.Quantile(0.50)),
-		P90:  ms(h.Quantile(0.90)),
-		P99:  ms(h.Quantile(0.99)),
-		P999: ms(h.Quantile(0.999)),
-		Max:  ms(h.Max()),
-		Mean: ms(h.Mean()),
+		P50:  h.Quantile(0.50) * 1e3,
+		P90:  h.Quantile(0.90) * 1e3,
+		P99:  h.Quantile(0.99) * 1e3,
+		P999: h.Quantile(0.999) * 1e3,
+		Max:  h.Max() * 1e3,
+		Mean: h.Mean() * 1e3,
 	}
 }
 
@@ -82,19 +113,19 @@ func NewReport(scenario, target string, rate float64, res *Result) *Report {
 		ElapsedSec: res.Elapsed.Seconds(),
 		Throughput: res.Throughput,
 		Latency:    SummarizeHist(res.Hist),
-		NaiveP99Ms: ms(res.NaiveHist.Quantile(0.99)),
-		Histogram:  res.Hist.Snapshot(),
+		NaiveP99Ms: res.NaiveHist.Quantile(0.99) * 1e3,
+		Histogram:  histBuckets(res.Hist),
 		Timeline:   res.Timeline,
 	}
 	ex := map[string]string{}
 	if t := res.Hist.Exemplar(0.99); t != 0 {
-		ex["p99"] = fmt.Sprintf("%016x", t)
+		ex["p99"] = traceHex(t)
 	}
 	if t := res.Hist.Exemplar(0.999); t != 0 {
-		ex["p999"] = fmt.Sprintf("%016x", t)
+		ex["p999"] = traceHex(t)
 	}
 	if t := res.Hist.MaxExemplar(); t != 0 {
-		ex["max"] = fmt.Sprintf("%016x", t)
+		ex["max"] = traceHex(t)
 	}
 	if len(ex) > 0 {
 		r.Exemplars = ex
@@ -116,67 +147,4 @@ func (r *Report) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadReport parses a pgridload report, rejecting files with the wrong
-// schema tag (a bench capture, a fleet snapshot, hand-edited junk).
-func ReadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("load: %s: %w", path, err)
-	}
-	if r.Schema != ReportSchema {
-		return nil, fmt.Errorf("load: %s: schema %q is not %q", path, r.Schema, ReportSchema)
-	}
-	return &r, nil
-}
-
-// IsReport reports whether path parses as a pgridload report.
-func IsReport(path string) bool {
-	_, err := ReadReport(path)
-	return err == nil
-}
-
-// CompareReports gates new against old on tail latency and ceiling: p99
-// and p999 may not grow by more than latencyThreshold (fractional), and
-// the sustained-throughput ceiling may not drop by more than
-// ceilingThreshold. It returns a human-readable table plus the gate
-// verdict.
-func CompareReports(old, new *Report, latencyThreshold, ceilingThreshold float64) (string, error) {
-	if latencyThreshold <= 0 {
-		latencyThreshold = 0.25
-	}
-	if ceilingThreshold <= 0 {
-		ceilingThreshold = 0.20
-	}
-	out := fmt.Sprintf("%-24s %12s %12s %8s\n", "metric", "old", "new", "delta")
-	var failures []string
-	row := func(name string, oldV, newV float64, unit string, worseWhenUp bool, threshold float64) {
-		delta := 0.0
-		if oldV != 0 {
-			delta = newV/oldV - 1
-		}
-		mark := ""
-		bad := worseWhenUp && delta > threshold || !worseWhenUp && delta < -threshold
-		if oldV != 0 && bad {
-			mark = "  REGRESSION"
-			failures = append(failures, fmt.Sprintf("%s %.3g -> %.3g (%+.1f%%)", name, oldV, newV, delta*100))
-		}
-		out += fmt.Sprintf("%-24s %12.3g %12.3g %+7.1f%%%s\n", name+unit, oldV, newV, delta*100, mark)
-	}
-	row("p50", old.Latency.P50, new.Latency.P50, "(ms)", true, latencyThreshold*4) // informational slack: gate is the tail
-	row("p99", old.Latency.P99, new.Latency.P99, "(ms)", true, latencyThreshold)
-	row("p999", old.Latency.P999, new.Latency.P999, "(ms)", true, latencyThreshold)
-	row("throughput", old.Throughput, new.Throughput, "(rps)", false, ceilingThreshold)
-	if old.CeilingRPS > 0 && new.CeilingRPS > 0 {
-		row("ceiling", old.CeilingRPS, new.CeilingRPS, "(rps)", false, ceilingThreshold)
-	}
-	if len(failures) > 0 {
-		return out, fmt.Errorf("load report regressed: %v", failures)
-	}
-	return out, nil
 }

@@ -135,159 +135,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// histBuckets are the upper bounds (in seconds when timing, but the
-// histogram is unit-agnostic) of the default exponential bucket layout:
-// 1µs doubling up to ~34s, which spans an in-process deliver (~µs)
-// through a multi-attempt retry conversation (~s).
-var histBuckets = func() []float64 {
-	b := make([]float64, 0, 26)
-	for v := 1e-6; v < 40; v *= 2 {
-		b = append(b, v)
-	}
-	return b
-}()
-
-// Histogram accumulates observations into exponential buckets and can
-// report interpolated quantiles. All methods are lock-free.
-type Histogram struct {
-	counts  []atomic.Uint64 // len(histBuckets)+1; last is overflow
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
-	minBits atomic.Uint64 // float64 bits
-	maxBits atomic.Uint64 // float64 bits
-	hasObs  atomic.Bool
-}
-
-func newHistogram() *Histogram {
-	h := &Histogram{counts: make([]atomic.Uint64, len(histBuckets)+1)}
-	h.minBits.Store(math.Float64bits(math.Inf(1)))
-	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
-	return h
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil || math.IsNaN(v) {
-		return
-	}
-	idx := sort.SearchFloat64s(histBuckets, v)
-	h.counts[idx].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			break
-		}
-	}
-	for {
-		old := h.minBits.Load()
-		if math.Float64frombits(old) <= v {
-			break
-		}
-		if h.minBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		old := h.maxBits.Load()
-		if math.Float64frombits(old) >= v {
-			break
-		}
-		if h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	h.hasObs.Store(true)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Quantile returns the interpolated q-quantile (0 < q <= 1) of the
-// recorded distribution, or 0 when empty. Accuracy is bounded by the
-// bucket width (factor-of-two), with min/max used to tighten the tails.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	return h.snapshotLocked().quantile(q)
-}
-
-type histState struct {
-	counts   []uint64
-	total    uint64
-	min, max float64
-}
-
-func (h *Histogram) snapshotLocked() histState {
-	st := histState{counts: make([]uint64, len(h.counts))}
-	for i := range h.counts {
-		st.counts[i] = h.counts[i].Load()
-		st.total += st.counts[i]
-	}
-	st.min = math.Float64frombits(h.minBits.Load())
-	st.max = math.Float64frombits(h.maxBits.Load())
-	return st
-}
-
-func (st histState) quantile(q float64) float64 {
-	if st.total == 0 {
-		return 0
-	}
-	rank := q * float64(st.total)
-	if rank < 1 {
-		rank = 1
-	}
-	// With few observations a high quantile lands in (or past) the last
-	// occupied bucket, and interpolating inside a factor-of-two bucket
-	// invents a value no one observed — p99 of 3 samples must not read
-	// above the slowest of the 3. When the rank rounds up to the final
-	// observation, answer with the exact max instead of interpolating.
-	if math.Ceil(rank) >= float64(st.total) && !math.IsInf(st.max, -1) {
-		return st.max
-	}
-	var cum float64
-	for i, c := range st.counts {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += float64(c)
-		if cum < rank {
-			continue
-		}
-		lo, hi := bucketBounds(i)
-		if !math.IsInf(st.min, 1) && st.min > lo {
-			lo = st.min
-		}
-		if !math.IsInf(st.max, -1) && st.max < hi {
-			hi = st.max
-		}
-		if hi < lo {
-			hi = lo
-		}
-		frac := (rank - prev) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return st.max
-}
-
-func bucketBounds(i int) (lo, hi float64) {
-	if i == 0 {
-		return 0, histBuckets[0]
-	}
-	if i >= len(histBuckets) {
-		return histBuckets[len(histBuckets)-1], math.Inf(1)
-	}
-	return histBuckets[i-1], histBuckets[i]
-}
-
 // Counter returns (creating if needed) the counter for name+labels.
 // Nil-safe: on a nil registry it returns a nil *Counter whose methods
 // are no-ops.
@@ -347,7 +194,7 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.histograms[key]; h == nil {
-		h = newHistogram()
+		h = NewHistogram()
 		r.histograms[key] = h
 	}
 	return h
@@ -391,19 +238,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[k] = g.Value()
 	}
 	for k, h := range r.histograms {
-		st := h.snapshotLocked()
-		hs := HistogramSnapshot{
-			Count: h.count.Load(),
-			Sum:   math.Float64frombits(h.sumBits.Load()),
-			P50:   st.quantile(0.50),
-			P95:   st.quantile(0.95),
-			P99:   st.quantile(0.99),
-		}
-		if h.hasObs.Load() {
-			hs.Min = st.min
-			hs.Max = st.max
-		}
-		s.Histograms[k] = hs
+		s.Histograms[k] = h.snapshot()
 	}
 	return s
 }

@@ -94,12 +94,12 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramOverflowAndEmpty(t *testing.T) {
-	h := newHistogram()
+	h := NewHistogram()
 	if q := h.Quantile(0.99); q != 0 {
 		t.Fatalf("empty histogram quantile = %v", q)
 	}
-	h.Observe(1e9) // beyond the last bucket
-	if q := h.Quantile(0.99); q != 1e9 {
+	h.Observe(1e12) // beyond the last octave
+	if q := h.Quantile(0.99); q != 1e12 {
 		t.Fatalf("overflow quantile = %v, want max", q)
 	}
 }

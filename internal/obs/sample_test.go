@@ -143,6 +143,40 @@ func TestTracerTailKeepPromotesBufferedSpans(t *testing.T) {
 	}
 }
 
+// TestTracerKeepSurvivesOneRotation: a kept trace stays admitted while
+// its generation is the previous one and is forgotten after a second
+// rotation — through the kept-set filter, which is rebuilt each time.
+func TestTracerKeepSurvivesOneRotation(t *testing.T) {
+	smp := NewSampler(0.01)
+	var ids []uint64
+	for id := uint64(1); len(ids) < 9; id++ {
+		if !smp.Sampled(id) {
+			ids = append(ids, id)
+		}
+	}
+	tr := NewTracer(64)
+	tr.SetSampler(smp)
+	tr.keepCap = 4
+	admitted := func(id uint64) bool {
+		before := tr.SampledTotal()
+		tr.Record(span(id, SpanDeliver, time.Now()))
+		return tr.SampledTotal() > before
+	}
+	tr.KeepTrace(ids[0])
+	for _, id := range ids[1:5] { // fills the generation, then rotates it out
+		tr.KeepTrace(id)
+	}
+	if !admitted(ids[0]) || !admitted(ids[4]) {
+		t.Fatal("traces kept in the current or previous generation must be admitted")
+	}
+	for _, id := range ids[5:9] { // a second rotation drops ids[0]'s generation
+		tr.KeepTrace(id)
+	}
+	if admitted(ids[0]) || !admitted(ids[8]) {
+		t.Fatal("a trace two generations old must age out; the newest must stay")
+	}
+}
+
 func TestTracerDropSpanAutoKeeps(t *testing.T) {
 	smp := NewSampler(0.5)
 	_, out := pickTraces(t, smp)

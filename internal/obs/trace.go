@@ -83,6 +83,10 @@ type Tracer struct {
 	keep    map[uint64]struct{} // tail-kept traces (current generation)
 	keepOld map[uint64]struct{} // previous generation (approximate age-out)
 	keepCap int
+	// keepBits has bit id%(64·keepWords) set for every id in keep and
+	// keepOld, so the common miss — an unsampled span of an unkept
+	// trace — costs one load instead of two map lookups.
+	keepBits [keepWords]uint64
 
 	sampler atomic.Pointer[Sampler]
 
@@ -105,6 +109,10 @@ const recentCap = 512
 // keepGenCap bounds the tail-keep set per generation; two generations
 // are live at once, so at most 2×keepGenCap traces are pinned.
 const keepGenCap = 1024
+
+// keepWords sizes the kept-set filter: 32 768 bits for at most 2 048
+// pinned traces.
+const keepWords = 512
 
 // NewTracer returns a tracer retaining up to capacity spans
 // (default 4096 when capacity <= 0).
@@ -301,6 +309,9 @@ func (t *Tracer) bufferLocked(s Span) {
 
 // keptLocked reports whether id is tail-kept. Caller holds mu.
 func (t *Tracer) keptLocked(id uint64) bool {
+	if t.keepBits[id/64%keepWords]&(1<<(id%64)) == 0 {
+		return false
+	}
 	if _, ok := t.keep[id]; ok {
 		return true
 	}
@@ -320,8 +331,13 @@ func (t *Tracer) keepLocked(id uint64) {
 	if len(t.keep) >= t.keepCap {
 		t.keepOld = t.keep
 		t.keep = make(map[uint64]struct{}, 64)
+		clear(t.keepBits[:])
+		for old := range t.keepOld {
+			t.keepBits[old/64%keepWords] |= 1 << (old % 64)
+		}
 	}
 	t.keep[id] = struct{}{}
+	t.keepBits[id/64%keepWords] |= 1 << (id % 64)
 }
 
 // promoteLocked moves id's spans from the recent buffer into the ring,
