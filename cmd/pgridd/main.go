@@ -72,7 +72,7 @@ func main() {
 		if *dataDir == "" {
 			log.Fatalf("pgridd: -flight-dump needs -data-dir")
 		}
-		fr, err := durable.OpenFlight(filepath.Join(*dataDir, "flight"), durable.FlightOptions{})
+		fr, err := durable.OpenFlight(filepath.Join(*dataDir, "flight"))
 		if err != nil {
 			log.Fatalf("pgridd: flight open: %v", err)
 		}
@@ -189,7 +189,7 @@ func main() {
 		}
 		mon = m
 		platform.Tracer = mon.Tracer()
-		if err := telemetry.RegisterEcho(platform, telemetry.EchoID); err != nil {
+		if err := telemetry.RegisterEcho(platform); err != nil {
 			log.Fatalf("pgridd: echo: %v", err)
 		}
 	}
@@ -212,7 +212,7 @@ func main() {
 	platform.Events.AttachMetrics(rt.Metrics)
 	var flight *durable.FlightRecorder
 	if *dataDir != "" {
-		flight, err = durable.OpenFlight(filepath.Join(*dataDir, "flight"), durable.FlightOptions{})
+		flight, err = durable.OpenFlight(filepath.Join(*dataDir, "flight"))
 		if err != nil {
 			log.Fatalf("pgridd: flight recorder: %v", err)
 		}
@@ -389,13 +389,15 @@ func main() {
 		log.Printf("pgridd: -monitor/-healthz/-pprof endpoints need -metrics-addr to be served")
 	}
 
+	// Catch signals before announcing the listener: a SIGTERM sent as soon
+	// as "listening on" appears must drain, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
 	fmt.Printf("pgridd: %d sensors, %d grid resources, %d services advertised\n",
 		len(rt.Net.Sensors), len(rt.Cluster.Resources()), rt.Broker.Reg.Len())
 	fmt.Printf("pgridd: listening on %s (agents: %q, %q, solver bidders)\n",
 		gw.Addr(), core.QueryAgentID, core.BrokerAgentID)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
 	s := <-sig
 	if s == syscall.SIGQUIT && flight != nil {
 		// SIGQUIT is the operator's "preserve the black box" signal:

@@ -83,12 +83,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	horizon := rt.Cfg.Forecast.Horizon
-	if horizon == 0 {
-		horizon = 300 // the runtime default
-	}
 	fmt.Printf("[forecast] predicted field %.0fs ahead: model=%s peak=%.0f°C (%d time steps)\n",
-		horizon, res.Model, res.Value, res.Solve.Iterations)
+		core.ForecastHorizon, res.Model, res.Value, res.Solve.Iterations)
 	fmt.Println(heatmap(res))
 
 	// 7. The full 3-D temperature volume (the paper's "3D partial

@@ -98,8 +98,8 @@ func TestPlatformLocalDelivery(t *testing.T) {
 	if len(got) != 1 || got[0].Seq == 0 {
 		t.Fatalf("got %+v", got)
 	}
-	if p.Delivered() != 1 {
-		t.Fatalf("delivered = %d", p.Delivered())
+	if st := p.DeliveryStats(); st.Delivered != 1 {
+		t.Fatalf("delivered = %d", st.Delivered)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestPlatformUnknownDestination(t *testing.T) {
 	if err := p.Send(env); !errors.Is(err, ErrUnknownAgent) {
 		t.Fatalf("err = %v, want ErrUnknownAgent", err)
 	}
-	if p.Dropped() != 1 {
-		t.Fatalf("dropped = %d", p.Dropped())
+	if st := p.DeliveryStats(); st.Dropped != 1 {
+		t.Fatalf("dropped = %d", st.Dropped)
 	}
 }
 
@@ -179,7 +179,7 @@ func TestAttributesAndRoles(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := p.Attributes("b1")
-	if !ok || got.Role() != RoleBroker || got.Domain["market"] != "stocks" {
+	if !ok || got.Agent[AttrRole] != RoleBroker || got.Domain["market"] != "stocks" {
 		t.Fatalf("attributes = %+v ok=%v", got, ok)
 	}
 	// Mutating the copy must not affect the platform's view.
@@ -187,10 +187,6 @@ func TestAttributesAndRoles(t *testing.T) {
 	again, _ := p.Attributes("b1")
 	if again.Domain["market"] != "stocks" {
 		t.Fatal("attributes leaked by reference")
-	}
-	brokers := p.FindByRole(RoleBroker)
-	if len(brokers) != 1 || brokers[0] != "b1" {
-		t.Fatalf("brokers = %v", brokers)
 	}
 }
 
@@ -270,9 +266,8 @@ func TestDisconnectionDeputyBuffersAndFlushes(t *testing.T) {
 func TestDisconnectionDeputyOverflow(t *testing.T) {
 	base := &inbox{p: NewPlatform("test"), replies: make(chan Envelope, 1)}
 	dd := NewDisconnectionDeputy(base)
-	dd.MaxBuffer = 2
 	dd.SetConnected(false)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < storeForwardCap; i++ {
 		if err := dd.Deliver(Envelope{}); err != nil {
 			t.Fatal(err)
 		}
@@ -280,8 +275,8 @@ func TestDisconnectionDeputyOverflow(t *testing.T) {
 	if err := dd.Deliver(Envelope{}); err == nil {
 		t.Fatal("overflow should fail")
 	}
-	if dd.Dropped() != 1 {
-		t.Fatalf("dropped = %d", dd.Dropped())
+	if n := dd.Buffered(); n != storeForwardCap {
+		t.Fatalf("buffered = %d, want %d", n, storeForwardCap)
 	}
 }
 
@@ -463,7 +458,9 @@ func TestCallSynchronous(t *testing.T) {
 		t.Fatalf("sum = %d err=%v", sum, err)
 	}
 	// The ephemeral caller is gone.
-	for _, id := range p.Agents() {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	for id := range p.agents {
 		if id != "adder" {
 			t.Fatalf("ephemeral agent %s left behind", id)
 		}

@@ -202,13 +202,12 @@ func TestConversationIsNotAnAgent(t *testing.T) {
 	var inFlight atomic.Int64 // most goroutines seen from inside a handler
 	err := p.Register("echo", HandlerFunc(func(env Envelope, ctx *Context) {
 		p.mu.RLock()
-		sup := p.sup
+		reg := p.agents[env.From]
 		p.mu.RUnlock()
-		if sup.Proc("agent:"+string(env.From)) != nil || p.AgentAlive(env.From) {
-			t.Errorf("conversation %s runs as a supervised agent", env.From)
-		}
-		if p.Deputy(env.From) == nil {
+		if reg == nil || reg.deputy == nil {
 			t.Errorf("conversation %s has no deputy while its request is handled", env.From)
+		} else if reg.proc != nil || p.AgentAlive(env.From) {
+			t.Errorf("conversation %s runs as a supervised agent", env.From)
 		}
 		if n := int64(runtime.NumGoroutine()); n > inFlight.Load() {
 			inFlight.Store(n)

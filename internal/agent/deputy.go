@@ -24,15 +24,16 @@ type DisconnectionDeputy struct {
 
 	mu        sync.Mutex
 	connected bool
-	buffer    []Envelope
-	// MaxBuffer bounds the store-and-forward queue (default 256).
-	MaxBuffer int
-	dropped   int
+	buffer    []Envelope // at most storeForwardCap
 }
+
+// storeForwardCap bounds a store-and-forward queue: the disconnection
+// deputy's, and a Link's unless ReconnectOptions.MaxBuffer says otherwise.
+const storeForwardCap = 256
 
 // NewDisconnectionDeputy wraps next, starting connected.
 func NewDisconnectionDeputy(next Deputy) *DisconnectionDeputy {
-	return &DisconnectionDeputy{next: next, connected: true, MaxBuffer: 256}
+	return &DisconnectionDeputy{next: next, connected: true}
 }
 
 // Deliver implements Deputy: pass through when connected, buffer otherwise.
@@ -46,13 +47,8 @@ func (d *DisconnectionDeputy) Deliver(env Envelope) error {
 		//lint:ignore blockheld next.Deliver is non-blocking and never re-enters this deputy
 		return d.next.Deliver(env)
 	}
-	max := d.MaxBuffer
-	if max <= 0 {
-		max = 256
-	}
-	if len(d.buffer) >= max {
-		d.dropped++
-		return fmt.Errorf("agent: disconnection buffer full (%d)", max)
+	if len(d.buffer) >= storeForwardCap {
+		return fmt.Errorf("agent: disconnection buffer full (%d)", storeForwardCap)
 	}
 	d.buffer = append(d.buffer, env)
 	return nil
@@ -92,11 +88,4 @@ func (d *DisconnectionDeputy) Buffered() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.buffer)
-}
-
-// Dropped reports envelopes lost to buffer overflow.
-func (d *DisconnectionDeputy) Dropped() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.dropped
 }

@@ -142,6 +142,3 @@ func (a Attributes) Clone() Attributes {
 	}
 	return out
 }
-
-// Role returns the framework role attribute ("" when unset).
-func (a Attributes) Role() string { return a.Agent[AttrRole] }

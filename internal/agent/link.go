@@ -54,7 +54,7 @@ type ReconnectOptions struct {
 
 func (o ReconnectOptions) withDefaults() ReconnectOptions {
 	if o.MaxBuffer <= 0 {
-		o.MaxBuffer = 256
+		o.MaxBuffer = storeForwardCap
 	}
 	if o.BaseDelay <= 0 {
 		o.BaseDelay = 20 * time.Millisecond
@@ -123,6 +123,8 @@ func newLink(p *Platform, addr string, opts ReconnectOptions, conn net.Conn) *Li
 }
 
 // Connected reports whether the link currently has a live connection.
+//
+//lint:ignore deadcode test seam used by the agent and core chaos tests
 func (l *Link) Connected() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()

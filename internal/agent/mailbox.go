@@ -64,10 +64,9 @@ const DefaultHighCapacity = 16
 // MailboxOptions bounds agent mailboxes platform-wide. Read at Register
 // time; set before registering agents.
 type MailboxOptions struct {
-	// Capacity is the normal lane depth (default 64).
+	// Capacity is the normal lane depth (default 64). The priority lane
+	// is always DefaultHighCapacity deep.
 	Capacity int
-	// HighCapacity is the priority lane depth (default 16).
-	HighCapacity int
 	// Policy is the overload behaviour (default DropNewest).
 	Policy MailboxPolicy
 }
@@ -75,9 +74,6 @@ type MailboxOptions struct {
 func (m MailboxOptions) withDefaults() MailboxOptions {
 	if m.Capacity <= 0 {
 		m.Capacity = DefaultMailboxCapacity
-	}
-	if m.HighCapacity <= 0 {
-		m.HighCapacity = DefaultHighCapacity
 	}
 	return m
 }

@@ -87,7 +87,7 @@ func sendTo(t *testing.T, p *Platform, to ID, ontology string) error {
 
 func TestDropNewestOverflow(t *testing.T) {
 	p := NewPlatform("overflow")
-	p.Mailbox = MailboxOptions{Capacity: 2, HighCapacity: 2, Policy: DropNewest}
+	p.Mailbox = MailboxOptions{Capacity: 2, Policy: DropNewest}
 	defer p.Close()
 	h := newGatedHandler()
 	if err := p.Register("slow", h, Attributes{}, nil); err != nil {
@@ -122,7 +122,7 @@ func TestDropNewestOverflow(t *testing.T) {
 
 func TestDropOldestEvictsAndDeadLetters(t *testing.T) {
 	p := NewPlatform("evict")
-	p.Mailbox = MailboxOptions{Capacity: 4, HighCapacity: 2, Policy: DropOldest}
+	p.Mailbox = MailboxOptions{Capacity: 4, Policy: DropOldest}
 	defer p.Close()
 	h := newGatedHandler()
 	if err := p.Register("slow", h, Attributes{}, nil); err != nil {
@@ -169,7 +169,7 @@ func TestDropOldestEvictsAndDeadLetters(t *testing.T) {
 
 func TestBlockPolicyBackpressure(t *testing.T) {
 	p := NewPlatform("block")
-	p.Mailbox = MailboxOptions{Capacity: 1, HighCapacity: 1, Policy: Block}
+	p.Mailbox = MailboxOptions{Capacity: 1, Policy: Block}
 	defer p.Close()
 	h := newGatedHandler()
 	if err := p.Register("slow", h, Attributes{}, nil); err != nil {
@@ -253,7 +253,7 @@ func TestFullInboxRefusesUnderEveryPolicy(t *testing.T) {
 
 func TestPriorityLaneSurvivesSaturation(t *testing.T) {
 	p := NewPlatform("priority")
-	p.Mailbox = MailboxOptions{Capacity: 2, HighCapacity: 4, Policy: DropNewest}
+	p.Mailbox = MailboxOptions{Capacity: 2, Policy: DropNewest}
 	defer p.Close()
 	h := newGatedHandler()
 	if err := p.Register("worker", h, Attributes{}, nil); err != nil {
@@ -286,34 +286,6 @@ func TestPriorityLaneSurvivesSaturation(t *testing.T) {
 	}
 }
 
-func TestDeadLetterCapConfigurable(t *testing.T) {
-	p := NewPlatform("dl")
-	p.DeadLetterCap = 4
-	defer p.Close()
-	for i := 0; i < 6; i++ {
-		if err := sendTo(t, p, "ghost", "x-data"); !errors.Is(err, ErrUnknownAgent) {
-			t.Fatalf("send %d: err = %v, want ErrUnknownAgent", i, err)
-		}
-	}
-	letters := p.DeadLetters()
-	if len(letters) != 4 {
-		t.Fatalf("ring holds %d, want cap 4", len(letters))
-	}
-	// Oldest-first: sends 3..6 survive.
-	if letters[0].Env.Seq != 3 || letters[3].Env.Seq != 6 {
-		t.Fatalf("ring contents wrong: first seq %d, last seq %d", letters[0].Env.Seq, letters[3].Env.Seq)
-	}
-	if st := p.DeliveryStats(); st.DeadLettered != 6 {
-		t.Fatalf("DeadLettered = %d, want 6 (counter unbounded)", st.DeadLettered)
-	}
-	if got := p.Metrics().Gauge("agent_dead_letter_depth").Value(); got != 4 {
-		t.Fatalf("agent_dead_letter_depth = %v, want 4", got)
-	}
-	if got := p.Metrics().Counter("agent_dead_letter_evicted_total").Value(); got != 2 {
-		t.Fatalf("agent_dead_letter_evicted_total = %v, want 2", got)
-	}
-}
-
 func TestSendRetryConsultsBreaker(t *testing.T) {
 	fc := obs.NewFakeClock()
 	defer fc.AutoAdvance()()
@@ -336,13 +308,13 @@ func TestSendRetryConsultsBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped := p.Dropped()
+	dropped := p.DeliveryStats().Dropped
 	err = SendRetry(p, env, time.Second, RetryPolicy{MaxAttempts: 3, Seed: 1, Clock: fc})
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("SendRetry err = %v, want ErrCircuitOpen", err)
 	}
 	// The open breaker shed the attempts before they hit the send path.
-	if got := p.Dropped(); got != dropped {
+	if got := p.DeliveryStats().Dropped; got != dropped {
 		t.Fatalf("breaker-suppressed attempts still dropped envelopes: %d -> %d", dropped, got)
 	}
 	if got := p.Metrics().Counter("agent_breaker_rejected_total").Value(); got < 3 {

@@ -3,7 +3,6 @@ package agent
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -141,11 +140,6 @@ type DeliveryStats struct {
 type Platform struct {
 	Name string
 
-	// MaxHops bounds envelope forwarding across platforms (0 = the
-	// DefaultMaxHops budget). Transports increment Envelope.Hops at
-	// ingress; Send dead-letters envelopes over budget.
-	MaxHops int
-
 	// Tracer, when set, receives a span for every hop an envelope takes
 	// through this platform (send, deliver, route, ingress, retry,
 	// drop). Envelopes without a TraceID get one assigned on Send so
@@ -206,9 +200,6 @@ type Platform struct {
 	// Mailbox bounds agent mailboxes and picks the overload policy
 	// (see MailboxOptions). Read at Register time.
 	Mailbox MailboxOptions
-
-	// DeadLetterCap overrides DefaultDeadLetterCap (128) when positive.
-	DeadLetterCap int
 
 	mu      sync.RWMutex
 	agents  map[ID]*registration
@@ -332,7 +323,7 @@ func (p *Platform) Register(id ID, h Handler, attrs Attributes, wrap func(Deputy
 	reg := &registration{
 		attrs:   attrs.Clone(),
 		mailbox: make(chan Envelope, mb.Capacity),
-		high:    make(chan Envelope, mb.HighCapacity),
+		high:    make(chan Envelope, DefaultHighCapacity),
 	}
 	var d Deputy = &mailboxDeputy{p: p, reg: reg}
 	if wrap != nil {
@@ -439,18 +430,6 @@ func (p *Platform) Deregister(id ID) {
 	}
 }
 
-// Deputy returns the deputy fronting an agent, or nil. Other agents (and
-// transports) talk to the deputy, never to the agent directly — the Ronin
-// indirection.
-func (p *Platform) Deputy(id ID) Deputy {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if reg, ok := p.agents[id]; ok {
-		return reg.deputy
-	}
-	return nil
-}
-
 // Attributes returns a copy of an agent's attributes and whether it exists.
 func (p *Platform) Attributes(id ID) (Attributes, bool) {
 	p.mu.RLock()
@@ -460,32 +439,6 @@ func (p *Platform) Attributes(id ID) (Attributes, bool) {
 		return Attributes{}, false
 	}
 	return reg.attrs.Clone(), true
-}
-
-// Agents lists hosted agent IDs in sorted order.
-func (p *Platform) Agents() []ID {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]ID, 0, len(p.agents))
-	for id := range p.agents {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// FindByRole lists agents whose framework role attribute equals role.
-func (p *Platform) FindByRole(role string) []ID {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var out []ID
-	for id, reg := range p.agents {
-		if reg.attrs.Role() == role {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // AddRoute appends a gateway route for non-local destinations and returns
@@ -521,13 +474,6 @@ func (p *Platform) RemoveRoute(id RouteID) bool {
 	return false
 }
 
-// Routes reports how many gateway routes are installed.
-func (p *Platform) Routes() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.routes)
-}
-
 // Send assigns a sequence number and routes the envelope: local deputy
 // first, then gateway routes in order. Undeliverable envelopes land in the
 // dead-letter ring with a drop reason.
@@ -550,11 +496,7 @@ func (p *Platform) Send(env Envelope) error {
 		env.TraceID = obs.NewTraceID()
 	}
 	p.trace(obs.SpanSend, env, "")
-	maxHops := p.MaxHops
-	if maxHops <= 0 {
-		maxHops = DefaultMaxHops
-	}
-	if env.Hops > maxHops {
+	if env.Hops > DefaultMaxHops {
 		p.deadLetter(env, DropTTLExpired)
 		return fmt.Errorf("%w: %q after %d hops", ErrTTLExpired, env.To, env.Hops)
 	}
@@ -610,7 +552,7 @@ func (p *Platform) Send(env Envelope) error {
 }
 
 // deadLetter records a terminally undeliverable envelope. The ring is
-// bounded by DeadLetterCap (default DefaultDeadLetterCap); once full,
+// bounded by DefaultDeadLetterCap; once full,
 // the oldest retained letter is evicted and counted.
 func (p *Platform) deadLetter(env Envelope, reason DropReason) {
 	p.dropped.Add(1)
@@ -630,11 +572,7 @@ func (p *Platform) deadLetter(env Envelope, reason DropReason) {
 // pushDeadLetterLocked appends to the ring, evicting the oldest letter
 // once the ring is at capacity. Caller holds p.dlMu.
 func (p *Platform) pushDeadLetterLocked(dl DeadLetter) {
-	ringCap := p.DeadLetterCap
-	if ringCap <= 0 {
-		ringCap = DefaultDeadLetterCap
-	}
-	if len(p.dlRing) < ringCap {
+	if len(p.dlRing) < DefaultDeadLetterCap {
 		p.dlRing = append(p.dlRing, dl)
 		p.metrics.Gauge("agent_dead_letter_depth").Set(float64(len(p.dlRing)))
 		return
@@ -715,12 +653,6 @@ func (p *Platform) DeadLetters() []DeadLetter {
 	out = append(out, p.dlRing[:p.dlNext]...)
 	return out
 }
-
-// Delivered and Dropped report routing counters.
-func (p *Platform) Delivered() uint64 { return p.delivered.Load() }
-
-// Dropped reports envelopes that could not be routed or delivered.
-func (p *Platform) Dropped() uint64 { return p.dropped.Load() }
 
 // Close stops every agent. Subsequent Sends fail with ErrClosed.
 func (p *Platform) Close() {

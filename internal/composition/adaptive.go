@@ -120,9 +120,6 @@ type Adaptive struct {
 	Goal string
 	// Initial is the data available at conversation start.
 	Initial []string
-	// Resume, when set, continues a migrated conversation: its completed
-	// steps are skipped and their outputs credited.
-	Resume *Handoff
 	// Clock times signals, steps, and phases (default obs.Real).
 	Clock obs.Clock
 	// Events, when set, receives one wide event per conversation with
@@ -133,15 +130,9 @@ type Adaptive struct {
 	// MaxReplans bounds re-plans per conversation (default 3; negative =
 	// none, reproducing the static engine).
 	MaxReplans int
-	// MaxPlans caps ranked-plan enumeration (default DefaultMaxPlans).
-	MaxPlans int
 	// CostThreshold, when positive, fires a SignalCost against any
 	// service whose observed invocation wall time exceeds it.
 	CostThreshold time.Duration
-	// SignalBuffer sizes the signal queue (default 64). Enqueue is
-	// non-blocking: signals beyond a full buffer are counted and
-	// dropped, never stalling a breaker or monitor callback.
-	SignalBuffer int
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -155,6 +146,11 @@ type Adaptive struct {
 	dirty    bool              // unabsorbed degradation since last check
 	phases   []phaseMark       // wide-event phases for the current run
 }
+
+// signalBuffer sizes the signal queue. Enqueue is non-blocking: signals
+// beyond a full buffer are counted and dropped, never stalling a breaker or
+// monitor callback.
+const signalBuffer = 64
 
 func (a *Adaptive) clock() obs.Clock {
 	if a.Clock != nil {
@@ -176,11 +172,7 @@ func (a *Adaptive) metrics() *obs.Registry {
 // early lets signals accumulate before the conversation begins.
 func (a *Adaptive) Start() {
 	a.startOnce.Do(func() {
-		buf := a.SignalBuffer
-		if buf <= 0 {
-			buf = 64
-		}
-		a.signals = make(chan Signal, buf)
+		a.signals = make(chan Signal, signalBuffer)
 		a.quit = make(chan struct{})
 		a.degraded = map[string]Signal{}
 		if a.CostThreshold > 0 && a.Engine != nil && a.Engine.Invoke != nil {
@@ -371,17 +363,13 @@ func (a *Adaptive) Run() Execution {
 	}
 
 	planStart := clk.Now()
-	plans, err := a.Library.PlanRanked(a.Goal, a.MaxPlans)
+	plans, err := a.Library.PlanRanked(a.Goal, DefaultMaxPlans)
 	if err != nil {
 		return fail(err)
 	}
 	a.phase("plan", planStart)
 
-	hand := a.Resume
-	if hand == nil {
-		hand = NewHandoff(a.Initial)
-	}
-	exec := a.execute(plans, hand, maxReplans)
+	exec := a.execute(plans, NewHandoff(a.Initial), maxReplans)
 	a.emit(started, &exec)
 	return exec
 }

@@ -400,7 +400,7 @@ func TestHandoffCarriesCompleted(t *testing.T) {
 	}
 }
 
-// TestAdaptiveResumeSkipsCompleted: a conversation resumed from a
+// TestAdaptiveResumeSkipsCompleted: a conversation continued from a
 // handoff never re-executes the carried-forward steps.
 func TestAdaptiveResumeSkipsCompleted(t *testing.T) {
 	b, o, l := adaptiveWorld(t, 1)
@@ -419,10 +419,14 @@ func TestAdaptiveResumeSkipsCompleted(t *testing.T) {
 			return nil
 		},
 	}
-	a := &Adaptive{Engine: e, Library: l, Goal: "analyse", Resume: resumed}
+	a := &Adaptive{Engine: e, Library: l, Goal: "analyse"}
 	a.Start()
 	defer stopAdaptive(t, a)
-	exec := a.Run()
+	plans, err := l.PlanRanked("analyse", DefaultMaxPlans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := a.execute(plans, resumed, 3)
 	if !exec.Succeeded {
 		t.Fatalf("resumed run failed: %+v", exec.Err)
 	}

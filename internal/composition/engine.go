@@ -74,10 +74,6 @@ type Engine struct {
 	// MaxAttempts bounds invocation attempts per step, counting the
 	// first try (default 3).
 	MaxAttempts int
-	// MinScore is the minimum discovery score for a service to be
-	// bindable to a step (default 0.75). Composition needs substitutable
-	// services, a higher bar than browsing-style fuzzy discovery.
-	MinScore float64
 	// DiscoveryCost and InvokeCost are the modelled per-operation
 	// latencies accumulated into Execution.Latency.
 	DiscoveryCost, InvokeCost float64
@@ -90,12 +86,6 @@ type Engine struct {
 	// the breaker — so a service that keeps failing compositions stops
 	// being tried at all until its cool-down elapses.
 	Breakers *supervise.BreakerSet
-	// DeregisterAfter is how many consecutive invocation failures
-	// confirm a service dead and withdraw its advertisement from every
-	// broker (default 3; negative = never deregister). Below the
-	// threshold a failing service is only quarantined by its breaker —
-	// transient failures must not permanently nuke a registration.
-	DeregisterAfter int
 	// Metrics, when set, receives composition counters
 	// (composition_executions_total, composition_abandoned_total, ...).
 	Metrics *obs.Registry
@@ -103,13 +93,20 @@ type Engine struct {
 	// cache holds proactive bindings keyed by step concept.
 	cache map[string]*ontology.Profile
 	// failStreak counts consecutive invocation failures per service,
-	// reset on success; reaching DeregisterAfter confirms death.
+	// reset on success; reaching DefaultDeregisterAfter confirms death.
 	failStreak map[string]int
 }
 
-// DefaultDeregisterAfter is the consecutive-failure threshold that
-// confirms a service dead when Engine.DeregisterAfter is zero.
+// DefaultDeregisterAfter is how many consecutive invocation failures
+// confirm a service dead and withdraw its advertisement from every broker.
+// Below it a failing service is only quarantined by its breaker: transient
+// failures must not permanently nuke a registration.
 const DefaultDeregisterAfter = 3
+
+// minBindScore is the minimum discovery score for a service to be
+// bindable to a step. Composition needs substitutable services, a higher
+// bar than browsing-style fuzzy discovery.
+const minBindScore = 0.75
 
 // StepReport records one step's execution.
 type StepReport struct {
@@ -191,17 +188,13 @@ func (e *Engine) discover(step Step, max int, cost *float64) ([]discovery.Match,
 	if len(live) == 0 {
 		return nil, ErrNoBroker
 	}
-	minScore := e.MinScore
-	if minScore <= 0 {
-		minScore = 0.75
-	}
 	req := ontology.Request{Concept: step.Task.Concept, Outputs: step.Task.Outputs, Max: max}
 	for _, b := range live {
 		*cost += e.DiscoveryCost
 		ms := b.Lookup(req, 0)
 		// Ranked best first: the bindable matches are a prefix.
 		n := 0
-		for n < len(ms) && ms[n].Score >= minScore {
+		for n < len(ms) && ms[n].Score >= minBindScore {
 			n++
 		}
 		if n > 0 {
@@ -232,9 +225,6 @@ func (e *Engine) Prebind(plan []Step) int {
 	}
 	return bound
 }
-
-// InvalidateCache clears proactive bindings (e.g. after topology churn).
-func (e *Engine) InvalidateCache() { e.cache = nil }
 
 // stillAdvertised reports whether a cached profile is still live on any
 // usable broker.
@@ -349,7 +339,7 @@ func (e *Engine) runStep(step Step, avoid map[string]bool) (StepReport, error) {
 		// Fault tolerance: feed the failure to the breaker (which
 		// quarantines a flapping service without forgetting it), drop
 		// any stale proactive binding, and re-bind to the next
-		// candidate. Only a confirmed-dead service — DeregisterAfter
+		// candidate. Only a confirmed-dead service — DefaultDeregisterAfter
 		// consecutive failures — is withdrawn from the registries; a
 		// single transient failure must not permanently deregister it.
 		if e.Breakers != nil {
@@ -379,27 +369,20 @@ func belowWindow(all, window []discovery.Match) []discovery.Match {
 }
 
 // noteFailure bumps a service's consecutive-failure streak and confirms
-// it dead at the DeregisterAfter threshold.
+// it dead at the DefaultDeregisterAfter threshold.
 func (e *Engine) noteFailure(service string) {
-	n := e.DeregisterAfter
-	if n == 0 {
-		n = DefaultDeregisterAfter
-	}
-	if n < 0 {
-		return
-	}
 	if e.failStreak == nil {
 		e.failStreak = map[string]int{}
 	}
 	e.failStreak[service]++
-	if e.failStreak[service] >= n {
+	if e.failStreak[service] >= DefaultDeregisterAfter {
 		e.ConfirmDead(service)
 	}
 }
 
 // ConfirmDead withdraws a service's advertisement from every broker and
 // forgets its proactive bindings — the confirmed-dead path, reached by
-// DeregisterAfter consecutive failures or an external Down health
+// DefaultDeregisterAfter consecutive failures or an external Down health
 // verdict (Adaptive wires monitor verdicts here).
 func (e *Engine) ConfirmDead(service string) {
 	for _, b := range e.Brokers {
@@ -421,7 +404,7 @@ func (e *Engine) ConfirmDead(service string) {
 // Execute runs the plan. Each step is bound (proactively from cache or
 // reactively by discovery) and invoked; on invocation failure the engine
 // feeds the breaker, re-binds to the next candidate up to MaxAttempts,
-// and withdraws only confirmed-dead services (DeregisterAfter
+// and withdraws only confirmed-dead services (DefaultDeregisterAfter
 // consecutive failures). Optional-step failure degrades instead of
 // aborting. It is the adaptive executor's step loop with a single plan
 // and nothing to adapt with: no alternatives, no re-plan budget, no
@@ -486,15 +469,6 @@ func (x Execution) Rebinds() int {
 	n := 0
 	for _, s := range x.Steps {
 		n += s.Rebinds
-	}
-	return n
-}
-
-// BreakerSkips sums open-circuit candidate skips across steps.
-func (x Execution) BreakerSkips() int {
-	n := 0
-	for _, s := range x.Steps {
-		n += s.BreakerSkips
 	}
 	return n
 }

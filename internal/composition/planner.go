@@ -102,12 +102,6 @@ func (l *Library) Define(t *Task) error {
 	return nil
 }
 
-// Task looks a task up by name.
-func (l *Library) Task(name string) (*Task, bool) {
-	t, ok := l.tasks[name]
-	return t, ok
-}
-
 // Step is one primitive step of an expanded plan.
 type Step struct {
 	Task *Task

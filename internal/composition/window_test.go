@@ -124,7 +124,7 @@ func (m countingMatcher) Match(req ontology.Request, candidates []*ontology.Prof
 // newWindowWorld registers exact matches and weaker generic substitutes for
 // one step, so the ranking has two score tiers with name-ordered ties, and
 // opens the breakers of the named services.
-func newWindowWorld(t *testing.T, nBrokers, exact, generic, maxAttempts, deregisterAfter int,
+func newWindowWorld(t *testing.T, nBrokers, exact, generic, maxAttempts int,
 	strategy BindStrategy, open []string, failing map[string]bool) *windowWorld {
 	t.Helper()
 	o := ontology.Pervasive()
@@ -154,7 +154,7 @@ func newWindowWorld(t *testing.T, nBrokers, exact, generic, maxAttempts, deregis
 	}
 	w.engine = &Engine{
 		Brokers: brokers, Onto: o, Breakers: bs, Mode: Distributed, Strategy: strategy,
-		MaxAttempts: maxAttempts, DeregisterAfter: deregisterAfter,
+		MaxAttempts:   maxAttempts,
 		DiscoveryCost: 0.005, InvokeCost: 0.02,
 		Invoke: func(p *ontology.Profile, _ Step) error {
 			w.invoked = append(w.invoked, p.Name)
@@ -195,10 +195,9 @@ func TestRunStepWindowEqualsFullRanking(t *testing.T) {
 			failing[name] = true
 		}
 		nBrokers, maxAttempts := 1+rng.Intn(2), rng.Intn(5) // 0 is the default of 3
-		deregisterAfter := []int{0, 1, -1}[rng.Intn(3)]
 		strategy := BindStrategy(rng.Intn(2))
-		got := newWindowWorld(t, nBrokers, exact, generic, maxAttempts, deregisterAfter, strategy, open, failing)
-		want := newWindowWorld(t, nBrokers, exact, generic, maxAttempts, deregisterAfter, strategy, open, failing)
+		got := newWindowWorld(t, nBrokers, exact, generic, maxAttempts, strategy, open, failing)
+		want := newWindowWorld(t, nBrokers, exact, generic, maxAttempts, strategy, open, failing)
 
 		for round := 0; round < 3; round++ {
 			avoid := map[string]bool{}

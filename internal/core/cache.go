@@ -28,9 +28,6 @@ func (rt *Runtime) EnableCache(ttl float64) {
 	}
 }
 
-// CacheLen reports the live cache entries.
-func (rt *Runtime) CacheLen() int { return len(rt.cache) }
-
 // cacheable reports whether a query's result may be reused: one-shot
 // queries only (continuous queries stream by definition), and only when
 // caching is enabled.

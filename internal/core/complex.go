@@ -11,34 +11,20 @@ import (
 	"pervasivegrid/internal/sensornet"
 )
 
-// ForecastConfig controls forecast(...) queries: the runtime reconstructs
-// the current field from sensor readings and integrates the heat equation
-// forward to predict the field a horizon into the future (the fire
-// fighters' "where will it be hot in five minutes").
-type ForecastConfig struct {
-	// Alpha is the effective thermal diffusivity in m²/s (default 0.5,
-	// an air-with-convection scale for building fires).
-	Alpha float64
-	// Horizon is the prediction span in seconds (default 300).
-	Horizon float64
-	// SourceThreshold marks readings this far above ambient as
-	// persistent heat sources (pinned during integration; default 100).
-	SourceThreshold float64
-}
-
-// forecastDefaults fills zero fields.
-func (f ForecastConfig) withDefaults() ForecastConfig {
-	if f.Alpha <= 0 {
-		f.Alpha = 0.5
-	}
-	if f.Horizon <= 0 {
-		f.Horizon = 300
-	}
-	if f.SourceThreshold <= 0 {
-		f.SourceThreshold = 100
-	}
-	return f
-}
+// A forecast(...) query reconstructs the current field from sensor
+// readings and integrates the heat equation forward to predict the field a
+// horizon into the future (the fire fighters' "where will it be hot in
+// five minutes").
+const (
+	// forecastAlpha is the effective thermal diffusivity in m²/s, an
+	// air-with-convection scale for building fires.
+	forecastAlpha = 0.5
+	// ForecastHorizon is the prediction span in seconds.
+	ForecastHorizon = 300.0
+	// forecastSourceThreshold marks readings this far above ambient as
+	// persistent heat sources, pinned during integration.
+	forecastSourceThreshold = 100
+)
 
 // ambient returns the field's baseline temperature.
 func (rt *Runtime) ambient() float64 {
@@ -49,20 +35,19 @@ func (rt *Runtime) ambient() float64 {
 }
 
 // forecastOps estimates the integration work for the decision maker.
-func (rt *Runtime) forecastOps(fc ForecastConfig) float64 {
+func (rt *Runtime) forecastOps() float64 {
 	g := rt.Cfg.PDE
 	h := rt.Cfg.Net.Width / float64(g.Nx-1)
-	dt := 0.2 * h * h / fc.Alpha
-	steps := math.Ceil(fc.Horizon / dt)
+	dt := 0.2 * h * h / forecastAlpha
+	steps := math.Ceil(ForecastHorizon / dt)
 	return steps * float64(g.Nx*g.Ny) * 7
 }
 
 // executeForecast handles forecast(temp): reconstruct, pin sources, step
 // forward, report the predicted field.
 func (rt *Runtime) executeForecast(q *query.Query, sel func(*sensornet.Node) bool, at float64) (*Result, error) {
-	fc := rt.Cfg.Forecast.withDefaults()
 	f := rt.features(q, sel)
-	f.ComputeOps = rt.forecastOps(fc)
+	f.ComputeOps = rt.forecastOps()
 	dec, err := rt.DM.Choose(q, f)
 	if err != nil {
 		return nil, err
@@ -89,7 +74,7 @@ func (rt *Runtime) executeForecast(q *query.Query, sel func(*sensornet.Node) boo
 		}
 		s := pde.Sample{X: n.Pos.X, Y: n.Pos.Y, Value: r.Value}
 		samples = append(samples, s)
-		if r.Value > ambient+fc.SourceThreshold {
+		if r.Value > ambient+forecastSourceThreshold {
 			sources = append(sources, s)
 		}
 	}
@@ -97,7 +82,7 @@ func (rt *Runtime) executeForecast(q *query.Query, sel func(*sensornet.Node) boo
 	pde.FillIDW(g, rt.Cfg.Net.Width, rt.Cfg.Net.Height, samples, 4)
 	pde.PinSamples(g, rt.Cfg.Net.Width, rt.Cfg.Net.Height, sources)
 
-	tc := pde.TransientConfig{Alpha: fc.Alpha, Horizon: fc.Horizon}
+	tc := pde.TransientConfig{Alpha: forecastAlpha, Horizon: ForecastHorizon}
 	var tr pde.TransientResult
 	timeSec := col.Latency
 	switch dec.Model {
@@ -152,10 +137,7 @@ func (rt *Runtime) executeForecast(q *query.Query, sel func(*sensornet.Node) boo
 // differential equation" — a steady solve over the building volume with
 // sensor readings pinned at their instrument height.
 func (rt *Runtime) executeSolve3D(q *query.Query, sel func(*sensornet.Node) bool, at float64) (*Result, error) {
-	nz := rt.Cfg.PDE.Nz
-	if nz < 3 {
-		nz = 9
-	}
+	const nz = 9 // vertical resolution of the building volume
 	f := rt.features(q, sel)
 	f.ComputeOps = pde.EstimateJacobiOps(rt.Cfg.PDE.Nx, rt.Cfg.PDE.Ny, rt.Cfg.PDE.Tol) * float64(nz)
 	dec, err := rt.DM.Choose(q, f)

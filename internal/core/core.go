@@ -24,10 +24,8 @@ import (
 type Config struct {
 	// Net parameterises the sensor network.
 	Net sensornet.Config
-	// Rows, Cols deploy sensors on a lattice (both > 0); otherwise
-	// RandomN sensors are scattered.
+	// Rows, Cols deploy sensors on a lattice (both > 0).
 	Rows, Cols int
-	RandomN    int
 	// Field is the physical field being sensed (default: 20°C ambient
 	// temperature).
 	Field sensornet.Field
@@ -36,13 +34,8 @@ type Config struct {
 	// Platform parameterises the decision maker's cost model; its Net
 	// field is overwritten with Net.
 	Platform partition.Platform
-	// GridResources defines the wired grid; a default two-node cluster
-	// is built when empty.
-	GridResources []*grid.Resource
 	// PDE controls complex-query solves.
 	PDE PDEConfig
-	// Forecast controls forecast(...) queries.
-	Forecast ForecastConfig
 	// MaxRounds bounds continuous-query execution per Submit (default 3).
 	MaxRounds int
 }
@@ -51,9 +44,6 @@ type Config struct {
 type PDEConfig struct {
 	// Nx, Ny set the solve resolution (default 33x33).
 	Nx, Ny int
-	// Nz sets the vertical resolution for 3-D (isosurface) solves
-	// (default 9).
-	Nz int
 	// Method picks the solver (default SOR).
 	Method pde.Method
 	// Tol is the convergence tolerance (default 1e-6).
@@ -192,37 +182,29 @@ func New(cfg Config) (*Runtime, error) {
 		cfg.MaxRounds = 3
 	}
 
-	var nw *sensornet.Network
-	switch {
-	case cfg.Rows > 0 && cfg.Cols > 0:
-		nw = sensornet.NewGridNetwork(cfg.Net, cfg.Rows, cfg.Cols)
-	case cfg.RandomN > 0:
-		nw = sensornet.NewRandomNetwork(cfg.Net, cfg.RandomN)
-	default:
-		return nil, fmt.Errorf("core: config needs Rows/Cols or RandomN")
+	if cfg.Rows <= 0 || cfg.Cols <= 0 {
+		return nil, fmt.Errorf("core: config needs Rows/Cols")
 	}
+	nw := sensornet.NewGridNetwork(cfg.Net, cfg.Rows, cfg.Cols)
 	if cfg.Field == nil {
 		cfg.Field = sensornet.NewTemperatureField(20)
 	}
 	nw.SetField(cfg.Field, cfg.Noise)
 
-	resources := cfg.GridResources
-	if len(resources) == 0 {
-		ws, err := grid.NewResource("workstation", 2e8, 4, 0.9)
-		if err != nil {
-			return nil, err
-		}
-		super, err := grid.NewResource("supercomputer", 5e9, 32, 0.85)
-		if err != nil {
-			return nil, err
-		}
-		resources = []*grid.Resource{ws, super}
+	// The wired grid: a workstation and a supercomputer.
+	ws, err := grid.NewResource("workstation", 2e8, 4, 0.9)
+	if err != nil {
+		return nil, err
+	}
+	super, err := grid.NewResource("supercomputer", 5e9, 32, 0.85)
+	if err != nil {
+		return nil, err
 	}
 	link := grid.Link{BandwidthBps: cfg.Platform.GridLinkBps, LatencySec: cfg.Platform.GridLatencySec}
 	if link.BandwidthBps <= 0 {
 		link = grid.Link{BandwidthBps: 2e6, LatencySec: 0.05}
 	}
-	cluster, err := grid.NewCluster(link, grid.MinCompletion, resources...)
+	cluster, err := grid.NewCluster(link, grid.MinCompletion, ws, super)
 	if err != nil {
 		return nil, err
 	}
@@ -242,9 +224,6 @@ func New(cfg Config) (*Runtime, error) {
 	nw.Metrics = rt.Metrics
 	return rt, nil
 }
-
-// Clock reports the runtime's virtual time.
-func (rt *Runtime) Clock() float64 { return rt.clock }
 
 // AssignRooms labels sensors with room names on a rooms-x by rooms-y grid
 // ("r<i>" row-major), so WHERE room = '...' predicates select regions.

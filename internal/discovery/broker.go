@@ -4,7 +4,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"pervasivegrid/internal/ontology"
 )
@@ -12,7 +11,7 @@ import (
 // Broker is a discovery agent owning a registry and knowing peer brokers —
 // the "distributed set of brokers" the paper proposes instead of UDDI's
 // "highly centralized model". Lookups can stay local or fan out one hop to
-// peers; advertisements can be replicated by anti-entropy sync.
+// peers.
 type Broker struct {
 	Name    string
 	Reg     *Registry
@@ -98,20 +97,3 @@ func byNameThenRank(a, b Match) int {
 }
 
 func sameName(a, b Match) bool { return a.Profile.Name == b.Profile.Name }
-
-// SyncOnce replicates this broker's live advertisements to every peer under
-// short anti-entropy leases, so lookups local to a peer can see remote
-// services between syncs. Returns how many (broker, profile) replications
-// were pushed.
-func (b *Broker) SyncOnce(ttl time.Duration) int {
-	profiles := b.Reg.Profiles()
-	n := 0
-	for _, p := range b.Peers() {
-		for _, prof := range profiles {
-			if _, err := p.Reg.Register(prof, ttl); err == nil {
-				n++
-			}
-		}
-	}
-	return n
-}

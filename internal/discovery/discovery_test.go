@@ -428,7 +428,7 @@ func TestWatchNotifiesOnMatchingRegistration(t *testing.T) {
 	cancel := r.Watch(m, ontology.Request{Concept: "ColorPrinter"}, 0.8, func(match Match) {
 		got = append(got, match.Profile.Name)
 	})
-	if r.Watchers() != 1 {
+	if watcherCount(r) != 1 {
 		t.Fatal("watcher not installed")
 	}
 	// A matching service appears.
@@ -445,7 +445,7 @@ func TestWatchNotifiesOnMatchingRegistration(t *testing.T) {
 	// Cancel stops notifications.
 	cancel()
 	cancel() // idempotent
-	if r.Watchers() != 0 {
+	if watcherCount(r) != 0 {
 		t.Fatal("watcher not removed")
 	}
 	if _, err := r.Register(&ontology.Profile{Name: "another-color", Concept: "ColorPrinter"}, time.Hour); err != nil {
@@ -967,4 +967,28 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 	<-leasesDone
 	stop.Store(true)
 	others.Wait()
+}
+
+// SyncOnce replicates this broker's live advertisements to every peer under
+// short anti-entropy leases, so lookups local to a peer can see remote
+// services between syncs. Returns how many (broker, profile) replications
+// were pushed.
+func (b *Broker) SyncOnce(ttl time.Duration) int {
+	profiles := b.Reg.Profiles()
+	n := 0
+	for _, p := range b.Peers() {
+		for _, prof := range profiles {
+			if _, err := p.Reg.Register(prof, ttl); err == nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// watcherCount reports the number of standing subscriptions.
+func watcherCount(r *Registry) int {
+	r.watches.mu.Lock()
+	defer r.watches.mu.Unlock()
+	return len(r.watches.watchers)
 }

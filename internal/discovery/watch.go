@@ -34,6 +34,8 @@ type watchList struct {
 // registering goroutine) for every future advertisement whose match score
 // reaches minScore. It returns a cancel function. Existing advertisements
 // do not fire; pair Watch with an initial Lookup for a full picture.
+//
+//lint:ignore deadcode S17 names standing discovery watches; no experiment runs one yet
 func (r *Registry) Watch(m Matcher, req ontology.Request, minScore float64, fn func(Match)) func() {
 	r.watches.mu.Lock()
 	defer r.watches.mu.Unlock()
@@ -51,13 +53,6 @@ func (r *Registry) Watch(m Matcher, req ontology.Request, minScore float64, fn f
 			}
 		}
 	}
-}
-
-// Watchers reports the number of standing subscriptions.
-func (r *Registry) Watchers() int {
-	r.watches.mu.Lock()
-	defer r.watches.mu.Unlock()
-	return len(r.watches.watchers)
 }
 
 // notifyWatchers runs after a successful Register, outside r.mu.

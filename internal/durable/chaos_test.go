@@ -109,7 +109,7 @@ func TestDurableNodeProcess(t *testing.T) {
 	// so the crash marks chain onto the same platform hooks.
 	p.Tracer = obs.NewTracer(1024)
 	p.Events = obs.NewEventLog(256)
-	flight, err := durable.OpenFlight(filepath.Join(dir, "flight"), durable.FlightOptions{})
+	flight, err := durable.OpenFlight(filepath.Join(dir, "flight"))
 	if err != nil {
 		fmt.Printf("FAIL open flight: %v\n", err)
 		return
@@ -381,7 +381,7 @@ func TestChaosKillDashNine(t *testing.T) {
 	// renders every recovered conversation. Both lives' traffic is in
 	// there — at least the 5 pre-kill acks plus the in-flight inc that
 	// completed against the reborn node.
-	fr, err := durable.OpenFlight(filepath.Join(dir, "flight"), durable.FlightOptions{})
+	fr, err := durable.OpenFlight(filepath.Join(dir, "flight"))
 	if err != nil {
 		t.Fatalf("offline flight open: %v", err)
 	}

@@ -108,10 +108,6 @@ const DefaultSegmentBytes = 4 << 20
 // DefaultSyncEvery is the SyncInterval flush period.
 const DefaultSyncEvery = 50 * time.Millisecond
 
-// DefaultDeadLetterCap bounds how many recovered dead letters the store
-// retains (mirrors the platform ring's default).
-const DefaultDeadLetterCap = 128
-
 // Options parameterise a WAL / Store.
 type Options struct {
 	// SegmentBytes rotates the active segment once it would exceed this
@@ -128,9 +124,6 @@ type Options struct {
 	// the disk-fault seam (see faultinject.DiskInjector.WrapFile). Nil
 	// means raw *os.File.
 	WrapFile func(File) File
-	// DeadLetterCap bounds the store's recovered dead-letter ring
-	// (default DefaultDeadLetterCap).
-	DeadLetterCap int
 }
 
 func (o Options) withDefaults() Options {
@@ -142,9 +135,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Clock == nil {
 		o.Clock = obs.Real
-	}
-	if o.DeadLetterCap <= 0 {
-		o.DeadLetterCap = DefaultDeadLetterCap
 	}
 	return o
 }

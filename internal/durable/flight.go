@@ -20,48 +20,26 @@ import (
 // next boot replays what the node saw on its way down
 // (`pgridd -flight-dump`).
 //
-// It is a *bounded* black box, not an archive: tiny segments rotate
-// constantly and only the last KeepSegments are retained, so the disk
-// cost is fixed no matter how long the node runs. Appends are plain
+// It is a *bounded* black box, not an archive: small segments rotate
+// and only the last flightKeepSegments are retained, so the disk cost is
+// fixed no matter how long the node runs. Appends are plain
 // write(2)s — a killed process loses nothing (the page cache survives
 // process death); explicit Flush fsyncs for the machine-crash case and
 // runs on the crash hooks.
 
-// FlightOptions shapes the recorder.
-type FlightOptions struct {
-	// WAL tunes the underlying journal. Zero values mean: 256 KiB
-	// segments, fsync on rotate (write(2) per record regardless — see
-	// above), wall clock.
-	WAL Options
-	// EventCap / SpanCap bound the rings recovered at open
-	// (defaults 256 / 1024; the newest records win).
-	EventCap int
-	SpanCap  int
-	// KeepSegments bounds the on-disk window: segments older than the
-	// newest KeepSegments are deleted after each rotation (default 2,
-	// so the box holds between one and two segments' worth of history).
-	KeepSegments int
-}
-
-func (o FlightOptions) withDefaults() FlightOptions {
-	if o.WAL.SegmentBytes <= 0 {
-		o.WAL.SegmentBytes = 256 << 10
-	}
-	if o.WAL.Sync == 0 { // zero value is SyncAlways; flight default is rotate
-		o.WAL.Sync = SyncOnRotate
-	}
-	o.WAL = o.WAL.withDefaults()
-	if o.EventCap <= 0 {
-		o.EventCap = 256
-	}
-	if o.SpanCap <= 0 {
-		o.SpanCap = 1024
-	}
-	if o.KeepSegments <= 0 {
-		o.KeepSegments = 2
-	}
-	return o
-}
+// The recorder's shape. Its journal has 256 KiB segments and fsyncs on
+// rotate (a write(2) per record regardless, see above).
+const (
+	flightSegmentBytes = 256 << 10
+	// flightEventCap and flightSpanCap bound the rings recovered at open;
+	// the newest records win.
+	flightEventCap = 256
+	flightSpanCap  = 1024
+	// flightKeepSegments bounds the on-disk window: segments older than
+	// the newest two are deleted after each rotation, so the box holds
+	// between one and two segments' worth of history.
+	flightKeepSegments = 2
+)
 
 // FlightMark is a crash-context marker journaled when a flush hook
 // fires (agent restart, give-up, SIGQUIT), so the dump says not just
@@ -82,8 +60,7 @@ type flightRec struct {
 
 // FlightRecorder journals recent wide events and spans to disk.
 type FlightRecorder struct {
-	opts FlightOptions
-	wal  *WAL
+	wal *WAL
 
 	mu      sync.Mutex
 	events  []obs.Event // recovered from the previous life, oldest first
@@ -95,10 +72,10 @@ type FlightRecorder struct {
 
 // OpenFlight opens (creating if needed) the black box under dir,
 // replaying whatever the previous process life left behind.
-func OpenFlight(dir string, opts FlightOptions) (*FlightRecorder, error) {
-	o := opts.withDefaults()
-	fr := &FlightRecorder{opts: o}
-	w, err := OpenWAL(dir, 0, o.WAL, func(seg uint64, rec []byte) {
+func OpenFlight(dir string) (*FlightRecorder, error) {
+	fr := &FlightRecorder{}
+	opts := Options{SegmentBytes: flightSegmentBytes, Sync: SyncOnRotate}
+	w, err := OpenWAL(dir, 0, opts, func(seg uint64, rec []byte) {
 		var r flightRec
 		if err := json.Unmarshal(rec, &r); err != nil {
 			fr.badRecs++
@@ -106,9 +83,9 @@ func OpenFlight(dir string, opts FlightOptions) (*FlightRecorder, error) {
 		}
 		switch {
 		case r.K == "fev" && r.Ev != nil:
-			fr.events = appendBounded(fr.events, *r.Ev, o.EventCap)
+			fr.events = appendBounded(fr.events, *r.Ev, flightEventCap)
 		case r.K == "fsp" && r.Sp != nil:
-			fr.spans = appendBounded(fr.spans, *r.Sp, o.SpanCap)
+			fr.spans = appendBounded(fr.spans, *r.Sp, flightSpanCap)
 		case r.K == "fmk" && r.Mk != nil:
 			fr.marks = append(fr.marks, *r.Mk)
 		default:
@@ -160,18 +137,6 @@ func (fr *FlightRecorder) RecoveredSpans() []obs.Span {
 	return out
 }
 
-// RecoveredMarks returns the crash-context markers replayed at open.
-func (fr *FlightRecorder) RecoveredMarks() []FlightMark {
-	if fr == nil {
-		return nil
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	out := make([]FlightMark, len(fr.marks))
-	copy(out, fr.marks)
-	return out
-}
-
 // append journals one frame and garbage-collects old segments after a
 // rotation. Journal errors are swallowed: the black box must never
 // take down the flight it is recording.
@@ -191,12 +156,10 @@ func (fr *FlightRecorder) append(r flightRec) {
 	}
 }
 
-// gc trims the on-disk window to KeepSegments.
+// gc trims the on-disk window to flightKeepSegments.
 func (fr *FlightRecorder) gc() {
-	active := fr.wal.ActiveSegment()
-	keep := uint64(fr.opts.KeepSegments)
-	if active+1 > keep {
-		_ = fr.wal.RemoveBefore(active + 1 - keep)
+	if active := fr.wal.ActiveSegment(); active+1 > flightKeepSegments {
+		_ = fr.wal.RemoveBefore(active + 1 - flightKeepSegments)
 	}
 }
 
@@ -231,7 +194,7 @@ func (fr *FlightRecorder) Mark(note string, cause error) {
 	fr.append(flightRec{K: "fmk", Mk: &FlightMark{
 		Note: note,
 		Err:  errStr,
-		Time: fr.opts.WAL.Clock.Now(),
+		Time: obs.Real.Now(),
 	}})
 	_ = fr.Flush()
 }

@@ -151,7 +151,7 @@ func (s *Store) apply(rec []byte) {
 			return
 		}
 		s.dead = append(s.dead, *r.Dead)
-		if over := len(s.dead) - s.opts.DeadLetterCap; over > 0 {
+		if over := len(s.dead) - agent.DefaultDeadLetterCap; over > 0 {
 			s.dead = append(s.dead[:0:0], s.dead[over:]...)
 		}
 	case kindRegister:
@@ -396,7 +396,7 @@ func (s *Store) Checkpoints() map[agent.ID]json.RawMessage {
 }
 
 // DeadLetters returns a copy of the journaled dead letters, oldest
-// first (bounded by Options.DeadLetterCap).
+// first (bounded, like the platform's ring, by agent.DefaultDeadLetterCap).
 func (s *Store) DeadLetters() []agent.DeadLetter {
 	s.mu.Lock()
 	defer s.mu.Unlock()

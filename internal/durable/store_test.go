@@ -41,7 +41,7 @@ type storeOp struct {
 var propBase = time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
 
 // randomOps builds a deterministic mixed op sequence.
-func randomOps(rng *rand.Rand, n, dlCap int) []storeOp {
+func randomOps(rng *rand.Rand, n int) []storeOp {
 	agents := []string{"solver-1", "solver-2", "query-agent"}
 	services := []string{"printer", "sensor", "gateway"}
 	var ops []storeOp
@@ -67,8 +67,8 @@ func randomOps(rng *rand.Rand, n, dlCap int) []storeOp {
 				},
 				model: func(e *expectedState) {
 					e.dead = append(e.dead, seq)
-					if len(e.dead) > dlCap {
-						e.dead = e.dead[len(e.dead)-dlCap:]
+					if len(e.dead) > agent.DefaultDeadLetterCap {
+						e.dead = e.dead[len(e.dead)-agent.DefaultDeadLetterCap:]
 					}
 				},
 			})
@@ -129,13 +129,12 @@ func checkState(t *testing.T, tag string, s *durable.Store, want *expectedState)
 // the longest surviving record prefix.
 func TestStoreCrashAtEveryByteOffset(t *testing.T) {
 	defer leak.Check(t)()
-	const dlCap = 8
 	rng := rand.New(rand.NewSource(20260809))
-	ops := randomOps(rng, 25, dlCap)
+	ops := randomOps(rng, 25)
 
 	base := t.TempDir()
 	dir := filepath.Join(base, "node")
-	opts := durable.Options{DeadLetterCap: dlCap}
+	opts := durable.Options{}
 	s, err := durable.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -191,11 +190,10 @@ func TestStoreCrashAtEveryByteOffset(t *testing.T) {
 // segments must be gone from disk.
 func TestStoreCompaction(t *testing.T) {
 	defer leak.Check(t)()
-	const dlCap = 8
 	rng := rand.New(rand.NewSource(99))
-	ops := randomOps(rng, 40, dlCap)
+	ops := randomOps(rng, 40)
 	dir := t.TempDir()
-	opts := durable.Options{DeadLetterCap: dlCap, SegmentBytes: 256, Sync: durable.SyncOnRotate}
+	opts := durable.Options{SegmentBytes: 256, Sync: durable.SyncOnRotate}
 
 	want := newExpectedState()
 	s, err := durable.Open(dir, opts)
@@ -223,6 +221,38 @@ func TestStoreCompaction(t *testing.T) {
 	}
 	defer s2.Close()
 	checkState(t, "after compaction", s2, want)
+}
+
+// TestStoreDeadLettersBounded: replay keeps only the newest
+// agent.DefaultDeadLetterCap journaled dead letters, as the platform's
+// ring does.
+func TestStoreDeadLettersBounded(t *testing.T) {
+	defer leak.Check(t)()
+	dir := t.TempDir()
+	opts := durable.Options{Sync: durable.SyncOnRotate}
+	s, err := durable.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	n := agent.DefaultDeadLetterCap + 10
+	for i := 1; i <= n; i++ {
+		s.JournalDeadLetter(agent.DeadLetter{Env: agent.Envelope{Seq: uint64(i), To: "nobody"}, Reason: agent.DropNoRoute})
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s2, err := durable.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	dead := s2.DeadLetters()
+	if len(dead) != agent.DefaultDeadLetterCap {
+		t.Fatalf("recovered %d dead letters, want %d", len(dead), agent.DefaultDeadLetterCap)
+	}
+	if dead[0].Env.Seq != 11 || dead[len(dead)-1].Env.Seq != uint64(n) {
+		t.Fatalf("recovered seq %d..%d, want the newest 11..%d", dead[0].Env.Seq, dead[len(dead)-1].Env.Seq, n)
+	}
 }
 
 // counterAgent is a Checkpointer whose state survives both in-process

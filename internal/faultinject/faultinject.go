@@ -111,16 +111,6 @@ func (in *Injector) SetPartitioned(p bool) {
 	in.mu.Unlock()
 }
 
-// PartitionFor opens a partition that heals itself after d — a scheduled
-// network outage for chaos experiments.
-func (in *Injector) PartitionFor(d time.Duration) {
-	in.SetPartitioned(true)
-	go func() {
-		<-in.clk.After(d)
-		in.SetPartitioned(false)
-	}()
-}
-
 // CrashFor makes every wrapped handler panic on every envelope for the
 // next d on the injector's clock — a crash-looping service. Supervision
 // restarts the agent each time; the restart budget and breaker decide

@@ -124,25 +124,6 @@ func TestPartitionDropsEverythingUntilHealed(t *testing.T) {
 	}
 }
 
-func TestPartitionForHealsItself(t *testing.T) {
-	in := New(Config{})
-	sink := &countDeputy{}
-	d := in.WrapDeputy(sink)
-	in.PartitionFor(30 * time.Millisecond)
-	_ = d.Deliver(env(0))
-	if sink.count() != 0 {
-		t.Fatal("delivered during scheduled partition")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for sink.count() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("partition never healed")
-		}
-		_ = d.Deliver(env(1))
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 func TestDuplication(t *testing.T) {
 	in := New(Config{DupProb: 1})
 	sink := &countDeputy{}

@@ -1,9 +1,6 @@
 package grid
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestResourceBusyUntilTracksReservations(t *testing.T) {
 	c := testCluster(t, FastestFirst)
@@ -59,26 +56,6 @@ func TestStageRefreshGrowAndShrink(t *testing.T) {
 	}
 	if s.Hits("nope") != 0 {
 		t.Fatal("missing key should report zero hits")
-	}
-}
-
-func TestUtilisationBeforeClockAdvances(t *testing.T) {
-	c := testCluster(t, FastestFirst)
-	if _, err := c.Submit(Job{Name: "j", Ops: 1e12}); err != nil {
-		t.Fatal(err)
-	}
-	// Clock still at zero: utilisation must be 0, not NaN or Inf.
-	for name, u := range c.Utilisation() {
-		if u != 0 || math.IsNaN(u) {
-			t.Fatalf("%s utilisation = %v before any Advance", name, u)
-		}
-	}
-	// Reservations extending far past the clock clamp at 1.
-	c.Advance(1e-9)
-	for _, u := range c.Utilisation() {
-		if u > 1 {
-			t.Fatalf("utilisation %v exceeds 1", u)
-		}
 	}
 }
 

@@ -30,7 +30,6 @@ type Resource struct {
 
 	mu        sync.Mutex
 	busyUntil float64 // virtual seconds
-	jobsRun   int
 }
 
 // NewResource validates and builds a resource.
@@ -67,13 +66,6 @@ func (r *Resource) BusyUntil() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.busyUntil
-}
-
-// JobsRun reports how many jobs this resource has executed.
-func (r *Resource) JobsRun() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.jobsRun
 }
 
 // Link models the pipe between the base station and the grid.

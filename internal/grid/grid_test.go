@@ -116,9 +116,6 @@ func TestSubmitReservesTime(t *testing.T) {
 	if p2.Start < p1.Start+p1.Compute-1e-9 {
 		t.Fatalf("second job started at %v before first finished compute at %v", p2.Start, p1.Start+p1.Compute)
 	}
-	if p1.Resource.JobsRun()+p2.Resource.JobsRun() < 2 {
-		t.Fatal("jobs not counted")
-	}
 }
 
 func TestEstimateDoesNotReserve(t *testing.T) {
@@ -209,24 +206,14 @@ func TestAdvanceAndUtilisation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Advance(1000)
-	u := c.Utilisation()
-	if u["supercomputer"] <= 0 {
-		t.Fatalf("utilisation = %v, supercomputer should be busy", u)
-	}
-	if u["workstation"] != 0 {
-		t.Fatalf("workstation utilisation = %v, want 0", u["workstation"])
+	for _, r := range c.Resources() {
+		if busy := r.BusyUntil() > 0; busy != (r.Name == "supercomputer") {
+			t.Fatalf("%s busy until %v: only the supercomputer should have run the job", r.Name, r.BusyUntil())
+		}
 	}
 	c.Advance(-5) // ignored
 	if c.Now() != 1000 {
 		t.Fatal("negative advance should be ignored")
-	}
-}
-
-func TestSortedByRate(t *testing.T) {
-	c := testCluster(t, MinCompletion)
-	names := c.Sorted()
-	if names[0] != "supercomputer" || names[1] != "workstation" {
-		t.Fatalf("sorted = %v", names)
 	}
 }
 

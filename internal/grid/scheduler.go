@@ -3,7 +3,6 @@ package grid
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -175,7 +174,6 @@ func (c *Cluster) place(job Job, commit bool) (Placement, error) {
 		if end := best.Start + best.Compute; end > r.busyUntil {
 			r.busyUntil = end
 		}
-		r.jobsRun++
 		r.mu.Unlock()
 	}
 	return best, nil
@@ -217,46 +215,4 @@ func (c *Cluster) SubmitTo(name string, job Job) (Placement, error) {
 		p.Output = out
 	}
 	return p, nil
-}
-
-// Utilisation reports, per resource, the fraction of virtual time spent
-// busy up to the cluster clock (capped at 1 when reservations extend past
-// now).
-func (c *Cluster) Utilisation() map[string]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]float64, len(c.resources))
-	for _, r := range c.resources {
-		r.mu.Lock()
-		busy := r.busyUntil
-		r.mu.Unlock()
-		if c.now <= 0 {
-			out[r.Name] = 0
-			continue
-		}
-		u := busy / c.now
-		if u > 1 {
-			u = 1
-		}
-		out[r.Name] = u
-	}
-	return out
-}
-
-// Sorted returns resource names ordered by descending effective full-core
-// rate — handy for deterministic reporting.
-func (c *Cluster) Sorted() []string {
-	rs := c.Resources()
-	names := make([]string, len(rs))
-	rate := make(map[string]float64, len(rs))
-	for i, r := range rs {
-		names[i] = r.Name
-		rate[r.Name] = r.EffectiveRate(r.Cores)
-	}
-	sortByRate(names, rate)
-	return names
-}
-
-func sortByRate(names []string, rate map[string]float64) {
-	sort.SliceStable(names, func(i, j int) bool { return rate[names[i]] > rate[names[j]] })
 }

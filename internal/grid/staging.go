@@ -134,6 +134,8 @@ func (s *StageManager) StagedBytes() int {
 // key is staged, the job's InputBytes do not cross the link (they are
 // replaced by zero), otherwise the input is transferred and staged for
 // next time.
+//
+//lint:ignore deadcode S17 names grid data staging; no experiment stages data yet
 func (c *Cluster) SubmitStaged(s *StageManager, key string, job Job) (Placement, error) {
 	if s != nil && key != "" {
 		if _, ok := s.Resident(key); ok {

@@ -127,16 +127,6 @@ type Graph struct {
 	byName map[string]*FuncNode // "pkgpath\x00name" fallback
 }
 
-// FuncFor resolves a declaration back to its node (used by tests).
-func (g *Graph) FuncFor(pkg *Package, decl *ast.FuncDecl) *FuncNode {
-	for _, fn := range g.Funcs {
-		if fn.Pkg == pkg && fn.Decl == decl {
-			return fn
-		}
-	}
-	return nil
-}
-
 // blockingCalls are method/function names that block by convention in
 // this codebase: envelope delivery can park on a full mailbox, Wait and
 // Sleep are waits by contract, Accept parks on the listener. Lock/RLock

@@ -6,19 +6,31 @@ import (
 	"go/types"
 )
 
-// DeadCode reports top-level funcs and types that no package main
+// DeadCode reports top-level funcs, types and methods that no package main
 // reaches: the reproduction is what its commands, examples and benchmark
 // run. Roots are every declaration in a package main, every init, and every
-// package-level var and const. Reachability follows resolved identifiers,
-// and a reached type reaches all its methods, so interface satisfaction
-// needs no list. Test files are not loaded: code only tests call is dead.
-// A declaration under //lint:ignore deadcode <reason> is a root too, and
-// its finding is raised (and suppressed) only while nothing else reaches
-// it, so deadignore flags the directive once real code calls it. Consts
-// and vars are never reported; a load with no package main reports nothing.
+// package-level var and const. Reachability follows resolved identifiers.
+// A method is reached when its type is and reached code selects its name
+// (by name, so an interface call or a method value counts), or when its
+// name is one the standard library calls (stdlibMethods). The walk is a
+// fixpoint: a helper that only unselected methods call is dead too. Test
+// files are not loaded: code only tests call is dead. A declaration under
+// //lint:ignore deadcode <reason> is a root too, keeping every method of
+// the type it declares or returns, and its finding is raised (and
+// suppressed) only while nothing else reaches it, so deadignore flags the
+// directive once real code calls it. Consts and vars are never reported; a
+// load with no package main reports nothing.
 func DeadCode() *Analyzer {
-	return &Analyzer{Name: "deadcode", Doc: "func or type that no package main reaches", RunProgram: runDeadCode}
+	return &Analyzer{Name: "deadcode", Doc: "func, type or method that no package main reaches", RunProgram: runDeadCode}
 }
+
+// stdlibMethods are the method names the standard library calls through
+// interfaces the repo implements (fmt.Stringer, error, errors.Unwrap,
+// json.Marshaler, http.Handler, sort.Interface and heap.Interface,
+// io.ReadWriteCloser, types.Importer): selected from the start, since no
+// selector of ours names them.
+var stdlibMethods = []string{"String", "Error", "Unwrap", "MarshalJSON", "UnmarshalJSON",
+	"ServeHTTP", "Len", "Less", "Swap", "Push", "Pop", "Read", "Write", "Close", "Import"}
 
 // deadDecl is one top-level declaration.
 type deadDecl struct {
@@ -74,7 +86,25 @@ func runDeadCode(pass *ProgramPass) {
 		return
 	}
 	reached := map[types.Object]bool{}
+	selected := map[string]bool{}
+	waiting := map[string][]types.Object{} // methods of reached types, by unselected name
 	var mark func(obj types.Object)
+	markMethod := func(m types.Object) {
+		if selected[m.Name()] {
+			mark(m)
+		} else {
+			waiting[m.Name()] = append(waiting[m.Name()], m)
+		}
+	}
+	selectName := func(name string) {
+		if !selected[name] {
+			selected[name] = true
+			for _, m := range waiting[name] {
+				mark(m)
+			}
+			delete(waiting, name)
+		}
+	}
 	mark = func(obj types.Object) {
 		if fn, ok := obj.(*types.Func); ok {
 			obj = fn.Origin()
@@ -84,23 +114,32 @@ func runDeadCode(pass *ProgramPass) {
 			return
 		}
 		reached[obj] = true
+		info := d.pkg.Info
 		ast.Inspect(d.node, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if use := d.pkg.Info.Uses[id]; use != nil {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if isMethodSelector(info, n) {
+					selectName(n.Sel.Name)
+				}
+			case *ast.Ident:
+				if use := info.Uses[n]; use != nil {
 					mark(use)
-				} else if _, def := d.pkg.Info.Defs[id]; !def {
+				} else if _, def := info.Defs[n]; !def {
 					// Unresolved, as the argument of a stubbed stdlib
 					// generic (atomic.Pointer[T]) is: try the package scope.
-					mark(d.pkg.Types.Scope().Lookup(id.Name))
+					mark(d.pkg.Types.Scope().Lookup(n.Name))
 				}
 			}
 			return true
 		})
 		if named, ok := obj.Type().(*types.Named); ok && named.Obj() == obj {
 			for i := range named.NumMethods() {
-				mark(named.Method(i))
+				markMethod(named.Method(i))
 			}
 		}
+	}
+	for _, name := range stdlibMethods {
+		selectName(name)
 	}
 	for _, obj := range roots {
 		mark(obj)
@@ -109,12 +148,69 @@ func runDeadCode(pass *ProgramPass) {
 	// code reaches suppresses nothing and deadignore flags it. Vars and
 	// consts are roots, so never reported.
 	for i, obj := range append(kept, order...) {
-		if d := decls[obj]; !reached[obj] {
-			pass.Report(d.pkg.Fset.Position(d.id.Pos()), d.pkg.Types.Name()+"."+d.id.Name+" is reached from no package main",
-				"delete it, or keep a seam with //lint:ignore deadcode <reason>")
-			if i < len(kept) {
-				mark(obj) // the seam keeps what it calls
+		d := decls[obj]
+		if reached[obj] {
+			continue
+		}
+		name := d.id.Name
+		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+			if recv := namedOf(sig.Recv().Type()); recv != nil {
+				name = recv.Obj().Name() + "." + name
+			}
+		}
+		pass.Report(d.pkg.Fset.Position(d.id.Pos()), d.pkg.Types.Name()+"."+name+" is reached from no package main",
+			"delete it, or keep a seam with //lint:ignore deadcode <reason>")
+		if i < len(kept) {
+			mark(obj) // the seam keeps what it calls, and its types whole
+			keepWhole(obj, mark)
+		}
+	}
+}
+
+// isMethodSelector reports whether sel may name a method: it resolves to
+// one (concrete or interface), or it does not resolve at all, as a
+// selector on a value from a stubbed import does. Fields and qualified
+// package members are not selections of a method name.
+func isMethodSelector(info *types.Info, sel *ast.SelectorExpr) bool {
+	if x, ok := sel.X.(*ast.Ident); ok {
+		if _, pkg := info.Uses[x].(*types.PkgName); pkg {
+			return false
+		}
+	}
+	switch use := info.Uses[sel.Sel].(type) {
+	case nil:
+		return true
+	case *types.Func:
+		return use.Type().(*types.Signature).Recv() != nil
+	}
+	return false
+}
+
+// keepWhole marks every method of the named type a seam declares or
+// returns, whether or not reached code selects it: the seam is that type's
+// whole surface. Parameter and receiver types stay judged by name.
+func keepWhole(obj types.Object, mark func(types.Object)) {
+	ts := []types.Type{obj.Type()}
+	if sig, ok := obj.Type().(*types.Signature); ok {
+		ts = ts[:0]
+		for i := range sig.Results().Len() {
+			ts = append(ts, sig.Results().At(i).Type())
+		}
+	}
+	for _, t := range ts {
+		if named := namedOf(t); named != nil {
+			for i := range named.NumMethods() {
+				mark(named.Method(i))
 			}
 		}
 	}
+}
+
+// namedOf is t's named type, through one pointer, or nil.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
 }

@@ -9,7 +9,7 @@ import (
 // the constructors that keep the envelope conventions honest: JSON
 // content encoding (Decode refuses anything else), reply correlation
 // (InReplyTo/TraceID inheritance), and above all the hop accounting
-// that feeds the platform's MaxHops TTL — an envelope whose Hops field
+// that feeds the platform's DefaultMaxHops TTL — an envelope whose Hops field
 // is managed by hand can loop between gateways forever or be dropped on
 // its first hop. Inside internal/agent the literals ARE the
 // constructors; everywhere else they are a bug waiting for a route
@@ -17,7 +17,7 @@ import (
 func EnvHops() *Analyzer {
 	return &Analyzer{
 		Name: "envhops",
-		Doc:  "raw agent.Envelope literal outside internal/agent (bypasses NewEnvelope/Reply and MaxHops TTL accounting)",
+		Doc:  "raw agent.Envelope literal outside internal/agent (bypasses NewEnvelope/Reply and DefaultMaxHops TTL accounting)",
 		Run: func(pass *Pass) {
 			if pass.Pkg.Path == agentPkgPath {
 				return
@@ -53,6 +53,6 @@ func EnvHops() *Analyzer {
 
 func reportEnvLit(pass *Pass, lit *ast.CompositeLit) {
 	pass.Report(lit,
-		"raw agent.Envelope literal skips NewEnvelope/Reply (content encoding, reply correlation, MaxHops TTL accounting)",
+		"raw agent.Envelope literal skips NewEnvelope/Reply (content encoding, reply correlation, DefaultMaxHops TTL accounting)",
 		"build envelopes with agent.NewEnvelope or Envelope.Reply")
 }

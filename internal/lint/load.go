@@ -103,9 +103,6 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: %s has no module directive", gomod)
 }
 
-// Fset exposes the loader's shared position set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // LoadPatterns loads the packages named by patterns, resolved relative
 // to dir ("" = the module root). A pattern is a directory, or a
 // directory suffixed with "/..." for a recursive walk ("./..." walks

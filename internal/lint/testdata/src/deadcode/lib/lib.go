@@ -15,8 +15,45 @@ type Holder struct {
 // cell is named only as the argument of a stubbed stdlib generic.
 type cell struct{ n int }
 
-// Unused is called by nothing, but a method of a reached type is reached.
-func (h *Holder) Unused() int { return h.p.Load().n }
+// Unused is a method of a reached type that no reached code selects.
+func (h *Holder) Unused() int { return h.p.Load().n + unusedHelper() } // want deadcode
+
+// unusedHelper is called only by a dead method, so it is dead too.
+func unusedHelper() int { return 0 } // want deadcode
+
+// Tick is never called by name, but main passes it as a func value.
+func (h *Holder) Tick() {}
+
+// Every runs fn.
+func Every(fn func()) { fn() }
+
+// String is called by fmt through fmt.Stringer, never by name here.
+func (h *Holder) String() string { return "holder" }
+
+// Shape is the interface Measure calls through.
+type Shape interface{ Area() float64 }
+
+// Measure selects Area only through the interface.
+func Measure(s Shape) float64 { return s.Area() }
+
+// Square implements Shape.
+type Square struct{ Side float64 }
+
+// Area is reached only through the interface call in Measure.
+func (s Square) Area() float64 { return s.Side * s.Side }
+
+// Gadget is reached only through the NewGadget seam below.
+type Gadget struct{}
+
+// Spin is selected nowhere, but the seam keeps its type's methods whole.
+func (g *Gadget) Spin() int { return spinHelper() }
+
+func spinHelper() int { return 3 }
+
+// NewGadget is a seam by directive: the type it returns stays whole.
+//
+//lint:ignore deadcode fixture seam whose type only tests drive
+func NewGadget() *Gadget { return &Gadget{} }
 
 // Dead is exported and nothing reaches it.
 func Dead() int { return helper() } // want deadcode

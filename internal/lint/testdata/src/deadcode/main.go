@@ -5,8 +5,10 @@ package main
 import "pervasivegrid/internal/lint/testdata/src/deadcode/lib"
 
 func main() {
-	_ = lib.Live()
+	h := lib.Live()
 	lib.Reached()
+	_ = lib.Measure(lib.Square{Side: 2})
+	lib.Every(h.Tick)
 }
 
 // unused is never called, but a package main is all roots.

@@ -22,7 +22,7 @@ func TestErrorRateAndDeliveryRateEmpty(t *testing.T) {
 func TestStormAndFloodDefaults(t *testing.T) {
 	s := StormOptions{}.withDefaults()
 	if s.Duration != 10*time.Second || s.BulkRate != 3000 || s.PriorityRate != 20 ||
-		s.ServiceTime != 500*time.Microsecond || s.MailboxCapacity != 32 || s.Clock == nil {
+		s.ServiceTime != 500*time.Microsecond || s.Clock == nil {
 		t.Fatalf("storm defaults = %+v", s)
 	}
 	f := FloodOptions{}.withDefaults()
@@ -131,21 +131,6 @@ func TestRampFailReasons(t *testing.T) {
 	}
 	if got := res.Steps[0].FailReason; !strings.Contains(got, "error rate") {
 		t.Fatalf("fail reason = %q, want error rate", got)
-	}
-
-	// A p99 SLA far below the service time trips the third criterion.
-	res, err = Ramp(RampOptions{
-		Start: 20, StepDuration: 300 * time.Millisecond, StepWarmup: 1, Workers: 8,
-		MaxP99: time.Microsecond,
-	}, func(int) error {
-		time.Sleep(2 * time.Millisecond)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Saturated || !strings.Contains(res.Steps[0].FailReason, "SLA") {
-		t.Fatalf("steps = %+v, want p99 SLA failure", res.Steps)
 	}
 }
 

@@ -53,8 +53,6 @@ type FloodOptions struct {
 	HeartbeatRate float64
 	// Blips is how many times the link is severed mid-run (default 2).
 	Blips int
-	// Workers sizes each generator's pool.
-	Workers int
 	// Clock is the time source (default wall clock).
 	Clock obs.Clock
 }
@@ -258,7 +256,7 @@ func RunFlood(opts FloodOptions) (*Report, error) {
 	supervise.Spawn("flood-renew", func() {
 		defer wg.Done()
 		renewRes, renewErr = Run(Options{
-			Rate: opts.RegisterRate, Duration: opts.Duration, Workers: opts.Workers, Clock: clk,
+			Rate: opts.RegisterRate, Duration: opts.Duration, Clock: clk,
 		}, func(i int) error {
 			s := i % opts.Shelters
 			_, err := agent.CallRetry(client, FloodRegistryID, "request", FloodOntologyRegister,
@@ -269,7 +267,7 @@ func RunFlood(opts FloodOptions) (*Report, error) {
 	supervise.Spawn("flood-heartbeat", func() {
 		defer wg.Done()
 		hbRes, hbErr = Run(Options{
-			Rate: opts.HeartbeatRate, Duration: opts.Duration, Workers: opts.Workers, Clock: clk,
+			Rate: opts.HeartbeatRate, Duration: opts.Duration, Clock: clk,
 		}, func(int) error {
 			_, err := agent.CallRetry(client, FloodPlannerID, "request", FloodOntologyHeartbeat,
 				map[string]string{"op": "ping"}, 3*time.Second, policy)
@@ -278,7 +276,7 @@ func RunFlood(opts FloodOptions) (*Report, error) {
 	})
 
 	queryRes, err := Run(Options{
-		Rate: opts.QueryRate, Duration: opts.Duration, Workers: opts.Workers, Clock: clk,
+		Rate: opts.QueryRate, Duration: opts.Duration, Clock: clk,
 	}, func(i int) error {
 		env, err := agent.CallRetry(client, FloodPlannerID, "request", FloodOntologyRoute,
 			floodRouteReq{X: float64(i % 100), Y: float64(i % 37)}, 3*time.Second, policy)

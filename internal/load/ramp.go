@@ -32,8 +32,6 @@ type RampOptions struct {
 	SustainFraction float64
 	// MaxErrorRate fails a step when exceeded (default 0.01).
 	MaxErrorRate float64
-	// MaxP99 fails a step whose p99 exceeds it (0 = no latency SLA).
-	MaxP99 time.Duration
 	// Generator knobs shared by every step.
 	Workers int
 	Clock   obs.Clock
@@ -122,9 +120,6 @@ func Ramp(opts RampOptions, do func(i int) error) (*RampResult, error) {
 			step.Sustained = false
 			step.FailReason = fmt.Sprintf("error rate %.2f%% above %.2f%%",
 				step.ErrorRate*100, opts.MaxErrorRate*100)
-		case opts.MaxP99 > 0 && step.P99 > opts.MaxP99:
-			step.Sustained = false
-			step.FailReason = fmt.Sprintf("p99 %v above SLA %v", step.P99, opts.MaxP99)
 		}
 		out.Steps = append(out.Steps, step)
 		if !step.Sustained {

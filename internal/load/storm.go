@@ -39,14 +39,6 @@ type StormOptions struct {
 	// ServiceTime is the sink's per-envelope handling cost (default
 	// 500µs, i.e. a ~2000 msg/s service ceiling).
 	ServiceTime time.Duration
-	// MailboxCapacity bounds the base station's normal lane (default 32
-	// — deliberately tiny against the storm).
-	MailboxCapacity int
-	// Policy is the overload behaviour (default DropOldest: fresh sensor
-	// data beats stale).
-	Policy agent.MailboxPolicy
-	// Workers sizes each generator's pool.
-	Workers int
 	// Clock is the time source (default wall clock).
 	Clock obs.Clock
 }
@@ -63,9 +55,6 @@ func (o StormOptions) withDefaults() StormOptions {
 	}
 	if o.ServiceTime <= 0 {
 		o.ServiceTime = 500 * time.Microsecond
-	}
-	if o.MailboxCapacity <= 0 {
-		o.MailboxCapacity = 32
 	}
 	if o.Clock == nil {
 		o.Clock = obs.Real
@@ -89,10 +78,9 @@ func RunStorm(opts StormOptions) (*Report, error) {
 	clk := opts.Clock
 
 	base := agent.NewPlatform("storm-base")
-	base.Mailbox = agent.MailboxOptions{
-		Capacity: opts.MailboxCapacity,
-		Policy:   opts.Policy,
-	}
+	// A normal lane deliberately tiny against the storm, shedding the
+	// newest reading when full.
+	base.Mailbox = agent.MailboxOptions{Capacity: 32, Policy: agent.DropNewest}
 	defer base.Close()
 	err := base.Register(StormSinkID, agent.HandlerFunc(func(env agent.Envelope, ctx *agent.Context) {
 		clk.Sleep(opts.ServiceTime) // the per-message processing cost
@@ -135,7 +123,6 @@ func RunStorm(opts StormOptions) (*Report, error) {
 		bulkRes, bulkErr = Run(Options{
 			Rate:     opts.BulkRate,
 			Duration: opts.Duration,
-			Workers:  opts.Workers,
 			Clock:    clk,
 		}, func(i int) error {
 			env, err := agent.NewEnvelope("storm-sensor", StormSinkID, "inform",
@@ -150,7 +137,6 @@ func RunStorm(opts StormOptions) (*Report, error) {
 	prioRes, err := Run(Options{
 		Rate:     opts.PriorityRate,
 		Duration: opts.Duration,
-		Workers:  opts.Workers,
 		Clock:    clk,
 	}, func(int) error {
 		_, err := agent.Call(client, StormSinkID, "request", StormOntologyControl,

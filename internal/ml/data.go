@@ -51,24 +51,6 @@ func (d *Dataset) Add(x []float64, y int) {
 // Len reports the sample count.
 func (d Dataset) Len() int { return len(d.X) }
 
-// Classes returns the distinct labels present, in ascending order.
-func (d Dataset) Classes() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, y := range d.Y {
-		if !seen[y] {
-			seen[y] = true
-			out = append(out, y)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // Scaler standardises features to zero mean and unit variance, protecting
 // distance-based learners from dominant dimensions.
 type Scaler struct {
@@ -114,11 +96,6 @@ func (s *Scaler) fit(X [][]float64, count []int) (*Scaler, error) {
 		}
 	}
 	return s, nil
-}
-
-// Transform returns the standardised copy of x.
-func (s *Scaler) Transform(x []float64) []float64 {
-	return s.transformInto(make([]float64, len(x)), x)
 }
 
 // transformInto standardises x into dst, which must have x's length, and

@@ -40,13 +40,13 @@ func (r *referenceKNN) neighbours(x []float64) []referenceNeighbour {
 	}
 	q := x
 	if r.scaler != nil {
-		q = r.scaler.Transform(x)
+		q = r.scaler.transformInto(make([]float64, len(x)), x)
 	}
 	ns := make([]referenceNeighbour, 0, len(r.X))
 	for i, row := range r.X {
 		rr := row
 		if r.scaler != nil {
-			rr = r.scaler.Transform(row)
+			rr = r.scaler.transformInto(make([]float64, len(row)), row)
 		}
 		d := 0.0
 		for j := range q {

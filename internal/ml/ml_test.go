@@ -29,30 +29,13 @@ func TestDatasetValidate(t *testing.T) {
 	}
 }
 
-func TestDatasetClasses(t *testing.T) {
-	var d Dataset
-	for _, y := range []int{3, 1, 3, 2, 1} {
-		d.Add([]float64{0}, y)
-	}
-	got := d.Classes()
-	want := []int{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("classes = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("classes = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestScaler(t *testing.T) {
 	X := [][]float64{{0, 100}, {10, 300}, {20, 500}}
 	s, err := fitScaler(X)
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := s.Transform([]float64{10, 300})
+	z := s.transformInto(make([]float64, 2), []float64{10, 300})
 	if math.Abs(z[0]) > 1e-9 || math.Abs(z[1]) > 1e-9 {
 		t.Fatalf("mean point should map to ~0, got %v", z)
 	}
@@ -61,7 +44,7 @@ func TestScaler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := s2.Transform([]float64{5})[0]; v != 0 {
+	if v := s2.transformInto(make([]float64, 1), []float64{5})[0]; v != 0 {
 		t.Fatalf("constant feature transform = %v, want 0", v)
 	}
 }

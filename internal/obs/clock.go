@@ -100,6 +100,8 @@ func (f *FakeClock) fireLocked() {
 }
 
 // Waiters reports how many goroutines are currently parked on the clock.
+//
+//lint:ignore deadcode test seam used by the agent, durable, obs, supervise and telemetry tests
 func (f *FakeClock) Waiters() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -111,6 +113,8 @@ func (f *FakeClock) Waiters() int {
 // sleep-heavy code (retry backoff, attempt timers) run at full speed
 // while preserving deadline ordering. Call the returned stop function
 // when done.
+//
+//lint:ignore deadcode test seam used by the agent, core, obs and supervise tests
 func (f *FakeClock) AutoAdvance() (stop func()) {
 	f.mu.Lock()
 	if f.stop != nil {

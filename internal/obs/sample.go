@@ -46,14 +46,6 @@ func NewSampler(rate float64) *Sampler {
 // switch. Tail-keep does not apply — off is off.
 var SamplerOff = NewSampler(0)
 
-// Rate reports the configured keep fraction.
-func (s *Sampler) Rate() float64 {
-	if s == nil {
-		return 1
-	}
-	return s.rate
-}
-
 // Off reports whether the sampler blacks out capture entirely.
 func (s *Sampler) Off() bool { return s != nil && s.threshold == 0 }
 

@@ -132,14 +132,6 @@ func (t *Tracer) SetSampler(s *Sampler) {
 	t.sampler.Store(s)
 }
 
-// Sampler returns the installed sampler (nil = capture everything).
-func (t *Tracer) Sampler() *Sampler {
-	if t == nil {
-		return nil
-	}
-	return t.sampler.Load()
-}
-
 // AttachMetrics mirrors the ledger into reg as trace_sampled_total,
 // trace_dropped_total, and trace_evicted_total, seeding the counters
 // with anything counted before attachment.

@@ -17,9 +17,8 @@ const Root = "Thing"
 
 // Ontology is a directed acyclic is-a hierarchy of named concepts.
 type Ontology struct {
-	parents  map[string][]string
-	children map[string][]string
-	depth    map[string]int
+	parents map[string][]string
+	depth   map[string]int
 	// ancestors holds each concept's reflexive-transitive ancestor set,
 	// deepest first with ties in name order — the order LCS prefers. A
 	// concept's parents exist before it does and never change, so the set
@@ -32,7 +31,6 @@ type Ontology struct {
 func New() *Ontology {
 	return &Ontology{
 		parents:   map[string][]string{Root: nil},
-		children:  map[string][]string{},
 		depth:     map[string]int{Root: 0},
 		ancestors: map[string][]string{Root: {Root}},
 	}
@@ -61,9 +59,6 @@ func (o *Ontology) AddConcept(name string, parents ...string) error {
 		}
 	}
 	o.parents[name] = append([]string(nil), parents...)
-	for _, p := range parents {
-		o.children[p] = append(o.children[p], name)
-	}
 	o.depth[name] = minDepth + 1
 	closure := []string{name}
 	for _, p := range parents {
@@ -86,6 +81,8 @@ func (o *Ontology) Has(name string) bool {
 }
 
 // Concepts lists every concept in deterministic order.
+//
+//lint:ignore deadcode test seam used by the discovery and ontology tests
 func (o *Ontology) Concepts() []string {
 	out := make([]string, 0, len(o.parents))
 	for c := range o.parents {
@@ -93,15 +90,6 @@ func (o *Ontology) Concepts() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Depth returns the minimum is-a distance from Root, or -1 when unknown.
-func (o *Ontology) Depth(name string) int {
-	d, ok := o.depth[name]
-	if !ok {
-		return -1
-	}
-	return d
 }
 
 // IsA reports whether sub is (reflexively, transitively) a kind of super.
@@ -142,31 +130,6 @@ func (o *Ontology) Similarity(a, b string) float64 {
 		return 1 // both are Root
 	}
 	return 2 * float64(dl) / float64(da+db)
-}
-
-// Subtree lists name and every descendant, in deterministic order.
-func (o *Ontology) Subtree(name string) []string {
-	if !o.Has(name) {
-		return nil
-	}
-	seen := map[string]bool{}
-	var walk func(c string)
-	walk = func(c string) {
-		if seen[c] {
-			return
-		}
-		seen[c] = true
-		for _, ch := range o.children[c] {
-			walk(ch)
-		}
-	}
-	walk(name)
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Pervasive builds the default pervasive-computing ontology used by the

@@ -46,17 +46,17 @@ func TestIsAReflexiveTransitive(t *testing.T) {
 
 func TestDepth(t *testing.T) {
 	o := Pervasive()
-	if d := o.Depth(Root); d != 0 {
+	if d := o.depth[Root]; d != 0 {
 		t.Fatalf("depth(root) = %d", d)
 	}
-	if d := o.Depth("Service"); d != 1 {
+	if d := o.depth["Service"]; d != 1 {
 		t.Fatalf("depth(Service) = %d", d)
 	}
-	if d := o.Depth("HeatSolver"); d != 4 {
+	if d := o.depth["HeatSolver"]; d != 4 {
 		t.Fatalf("depth(HeatSolver) = %d, want 4", d)
 	}
-	if d := o.Depth("Nope"); d != -1 {
-		t.Fatalf("depth(unknown) = %d, want -1", d)
+	if _, ok := o.depth["Nope"]; ok {
+		t.Fatal("an unknown concept has a depth")
 	}
 }
 
@@ -105,27 +105,6 @@ func TestSimilarityProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSubtree(t *testing.T) {
-	o := Pervasive()
-	sub := o.Subtree("DataMiningService")
-	want := map[string]bool{
-		"DataMiningService": true, "ClusteringService": true,
-		"DecisionTreeService": true, "FourierSpectrumService": true,
-		"PredictiveScoringService": true,
-	}
-	if len(sub) != len(want) {
-		t.Fatalf("subtree = %v", sub)
-	}
-	for _, c := range sub {
-		if !want[c] {
-			t.Fatalf("unexpected subtree member %q", c)
-		}
-	}
-	if o.Subtree("Nope") != nil {
-		t.Fatal("unknown subtree should be nil")
 	}
 }
 

@@ -96,21 +96,18 @@ type Platform struct {
 	GridLatencySec float64
 	// GridOpsPerSec is the effective grid compute rate (parallel).
 	GridOpsPerSec float64
-	// ClusterHeadFraction mirrors the cluster strategy's head density.
-	ClusterHeadFraction float64
 }
 
 // DefaultPlatform pairs the default sensor network with a handheld-class
 // base station and a fast but far-away grid.
 func DefaultPlatform() Platform {
 	return Platform{
-		Net:                 sensornet.DefaultConfig(),
-		BaseOpsPerSec:       5e6,
-		SensorOpsPerSec:     5e5,
-		GridLinkBps:         2e6,
-		GridLatencySec:      0.05,
-		GridOpsPerSec:       5e9,
-		ClusterHeadFraction: 0.1,
+		Net:             sensornet.DefaultConfig(),
+		BaseOpsPerSec:   5e6,
+		SensorOpsPerSec: 5e5,
+		GridLinkBps:     2e6,
+		GridLatencySec:  0.05,
+		GridOpsPerSec:   5e9,
 	}
 }
 
@@ -183,7 +180,7 @@ func (e *Estimator) Estimate(m Model, f Features) Estimate {
 		if f.Base == query.Complex {
 			est.Feasible = false
 		}
-		heads := math.Max(1, n*p.ClusterHeadFraction)
+		heads := math.Max(1, n*sensornet.ClusterHeadFraction)
 		memberHops := n - heads
 		headHops := heads * avgD
 		est.Bytes = int(memberHops)*(raw+p.Net.HeaderBytes) + int(headHops)*(partial+p.Net.HeaderBytes)
@@ -202,13 +199,4 @@ func (e *Estimator) Estimate(m Model, f Features) Estimate {
 		est.TimeSec = collect + transfer + compute + ret
 	}
 	return est
-}
-
-// EstimateAll returns the estimates for every model, in Models() order.
-func (e *Estimator) EstimateAll(f Features) []Estimate {
-	out := make([]Estimate, 0, numModels)
-	for _, m := range Models() {
-		out = append(out, e.Estimate(m, f))
-	}
-	return out
 }

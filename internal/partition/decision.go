@@ -292,4 +292,6 @@ func (d *DecisionMaker) predictLearned(v []float64) (Model, bool) {
 }
 
 // Observations reports how much evidence the decision maker has absorbed.
+//
+//lint:ignore deadcode test seam used by the core and partition tests
 func (d *DecisionMaker) Observations() int { return d.observed }

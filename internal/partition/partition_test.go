@@ -98,19 +98,6 @@ func TestCrossoverExists(t *testing.T) {
 	}
 }
 
-func TestEstimateAllOrder(t *testing.T) {
-	e := NewEstimator(DefaultPlatform())
-	all := e.EstimateAll(testFeatures(query.Aggregate, 10, 0))
-	if len(all) != 4 {
-		t.Fatalf("estimates = %d", len(all))
-	}
-	for i, m := range Models() {
-		if all[i].Model != m {
-			t.Fatalf("order mismatch at %d", i)
-		}
-	}
-}
-
 func TestChooseRespectsCostClause(t *testing.T) {
 	d := NewDecisionMaker(NewEstimator(DefaultPlatform()))
 	f := testFeatures(query.Aggregate, 100, 0)

@@ -96,17 +96,6 @@ func (g *Grid2D) Clone() *Grid2D {
 	return c
 }
 
-// Unknowns counts non-fixed cells.
-func (g *Grid2D) Unknowns() int {
-	n := 0
-	for _, f := range g.Fixed {
-		if !f {
-			n++
-		}
-	}
-	return n
-}
-
 // Residual returns the max-norm of the discrete Laplacian residual over
 // non-fixed cells: |v[i,j] - (sum of 4 neighbors - h²·f)/4|.
 func (g *Grid2D) Residual() float64 {
@@ -135,11 +124,9 @@ type Options struct {
 	Tol float64
 	// MaxIter bounds the iteration count. Default 10000.
 	MaxIter int
-	// Workers is the number of goroutines; 0 means GOMAXPROCS.
+	// Workers is the number of goroutines; 0 means GOMAXPROCS. SOR's
+	// over-relaxation factor is always OptimalOmega for the grid.
 	Workers int
-	// Omega is the SOR over-relaxation factor in (0, 2); 0 selects the
-	// optimal value for the Laplacian on the grid automatically.
-	Omega float64
 }
 
 func (o Options) withDefaults() Options {

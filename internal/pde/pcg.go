@@ -13,13 +13,7 @@ import (
 // calls out for the grid substrate.
 func SolvePCG(g *Grid2D, opt Options) (Result, error) {
 	opt = opt.withDefaults()
-	omega := opt.Omega
-	if omega <= 0 {
-		omega = 1.2 // SSOR prefers milder over-relaxation than plain SOR
-	}
-	if omega >= 2 {
-		return Result{}, ErrDiverged
-	}
+	const omega = 1.2 // SSOR prefers milder over-relaxation than plain SOR
 	n := g.Nx * g.Ny
 	h2 := g.H * g.H
 	rows := bands(1, g.Ny-1, opt.Workers)

@@ -16,13 +16,7 @@ import (
 
 func referenceSolveSOR(g *Grid2D, opt Options) (Result, error) {
 	opt = opt.withDefaults()
-	omega := opt.Omega
-	if omega <= 0 {
-		omega = OptimalOmega(g.Nx, g.Ny)
-	}
-	if omega >= 2 {
-		return Result{}, ErrDiverged
-	}
+	omega := OptimalOmega(g.Nx, g.Ny)
 	rows := bands(1, g.Ny-1, opt.Workers)
 	h2 := g.H * g.H
 	deltas := make([]float64, len(rows))
@@ -89,14 +83,8 @@ func referenceSolveSOR(g *Grid2D, opt Options) (Result, error) {
 
 func referenceSolveSOR3D(g *Grid3D, opt Options) (Result, error) {
 	opt = opt.withDefaults()
-	omega := opt.Omega
-	if omega <= 0 {
-		rho := (math.Cos(math.Pi/float64(g.Nx)) + math.Cos(math.Pi/float64(g.Ny)) + math.Cos(math.Pi/float64(g.Nz))) / 3
-		omega = 2 / (1 + math.Sqrt(1-rho*rho))
-	}
-	if omega >= 2 {
-		return Result{}, ErrDiverged
-	}
+	rho := (math.Cos(math.Pi/float64(g.Nx)) + math.Cos(math.Pi/float64(g.Ny)) + math.Cos(math.Pi/float64(g.Nz))) / 3
+	omega := 2 / (1 + math.Sqrt(1-rho*rho))
 	slabs := bands(1, g.Nz-1, opt.Workers)
 	h2 := g.H * g.H
 	nxy := g.Nx * g.Ny

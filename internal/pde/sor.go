@@ -16,13 +16,7 @@ func OptimalOmega(nx, ny int) float64 {
 // colour, making every half-sweep embarrassingly parallel.
 func SolveSOR(g *Grid2D, opt Options) (Result, error) {
 	opt = opt.withDefaults()
-	omega := opt.Omega
-	if omega <= 0 {
-		omega = OptimalOmega(g.Nx, g.Ny)
-	}
-	if omega >= 2 {
-		return Result{}, ErrDiverged
-	}
+	omega := OptimalOmega(g.Nx, g.Ny)
 	rows := newStencilBands(1, g.Ny-1, opt.Workers, (g.Nx-2)/2)
 	h2 := g.H * g.H
 

@@ -7,15 +7,9 @@ import "math"
 // half-sweep only reads the other colour.
 func SolveSOR3D(g *Grid3D, opt Options) (Result, error) {
 	opt = opt.withDefaults()
-	omega := opt.Omega
-	if omega <= 0 {
-		// Spectral radius of 3-D Jacobi: (cos πx + cos πy + cos πz)/3.
-		rho := (math.Cos(math.Pi/float64(g.Nx)) + math.Cos(math.Pi/float64(g.Ny)) + math.Cos(math.Pi/float64(g.Nz))) / 3
-		omega = 2 / (1 + math.Sqrt(1-rho*rho))
-	}
-	if omega >= 2 {
-		return Result{}, ErrDiverged
-	}
+	// Spectral radius of 3-D Jacobi: (cos πx + cos πy + cos πz)/3.
+	rho := (math.Cos(math.Pi/float64(g.Nx)) + math.Cos(math.Pi/float64(g.Ny)) + math.Cos(math.Pi/float64(g.Nz))) / 3
+	omega := 2 / (1 + math.Sqrt(1-rho*rho))
 	slabs := newStencilBands(1, g.Nz-1, opt.Workers, (g.Nx-2)*(g.Ny-2)/2)
 	h2 := g.H * g.H
 	red := func(z0, z1 int) float64 { return sorSlabs(g, h2, omega, 0, z0, z1) }

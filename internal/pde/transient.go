@@ -14,9 +14,6 @@ type TransientConfig struct {
 	Alpha float64
 	// Horizon is the forecast span in seconds.
 	Horizon float64
-	// MaxDt caps the time step; 0 lets stability pick it. Explicit FTCS
-	// requires α·dt/h² ≤ 1/4 in 2-D; the integrator always respects it.
-	MaxDt float64
 	// Workers is the band-parallel worker count (0 = GOMAXPROCS).
 	Workers int
 }
@@ -42,11 +39,9 @@ func StepHeat2D(g *Grid2D, cfg TransientConfig) (TransientResult, error) {
 		return TransientResult{}, fmt.Errorf("pde: forecast horizon must be positive, got %v", cfg.Horizon)
 	}
 	h2 := g.H * g.H
-	// Stability bound with a safety margin.
+	// Stability bound with a safety margin: explicit FTCS requires
+	// α·dt/h² ≤ 1/4 in 2-D.
 	dt := 0.2 * h2 / cfg.Alpha
-	if cfg.MaxDt > 0 && cfg.MaxDt < dt {
-		dt = cfg.MaxDt
-	}
 	steps := int(math.Ceil(cfg.Horizon / dt))
 	if steps < 1 {
 		steps = 1

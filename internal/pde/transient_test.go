@@ -115,20 +115,6 @@ func TestTransientParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestTransientMaxDt(t *testing.T) {
-	g, _ := harmonicGrid(t, 9)
-	res, err := StepHeat2D(g, TransientConfig{Alpha: 1e-3, Horizon: 10, MaxDt: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Dt > 0.5+1e-12 {
-		t.Fatalf("dt = %v exceeds MaxDt", res.Dt)
-	}
-	if res.Steps < 20 {
-		t.Fatalf("steps = %d, want >= horizon/maxdt", res.Steps)
-	}
-}
-
 func TestFillIDW(t *testing.T) {
 	g, _ := NewGrid2D(11, 11, 10)
 	g.SetBoundary(0)

@@ -160,16 +160,6 @@ func (q *Query) TargetSensor() int {
 	return -1
 }
 
-// Room returns the room selected by an equality predicate, or "".
-func (q *Query) Room() string {
-	for _, p := range q.Where {
-		if strings.EqualFold(p.Field, "room") && p.Op == "=" {
-			return p.Value
-		}
-	}
-	return ""
-}
-
 // AggFunc returns the first aggregate function in the SELECT list, or "".
 func (q *Query) AggFunc() string {
 	for _, s := range q.Select {

@@ -65,7 +65,7 @@ func TestParseCaseInsensitiveKeywords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.AggFunc() != "avg" || q.Room() != "210" || q.Epoch != 5 {
+	if q.AggFunc() != "avg" || len(q.Where) != 1 || q.Where[0].Field != "ROOM" || q.Where[0].Value != "210" || q.Epoch != 5 {
 		t.Fatalf("parsed = %+v", q)
 	}
 }
@@ -78,7 +78,7 @@ func TestAccessors(t *testing.T) {
 	if q.TargetSensor() != 42 {
 		t.Fatalf("target = %d", q.TargetSensor())
 	}
-	if q.Room() != "" || q.AggFunc() != "" || q.ComplexFunc() != "" {
+	if q.AggFunc() != "" || q.ComplexFunc() != "" {
 		t.Fatal("empty accessors should return zero values")
 	}
 	q2, _ := Parse("SELECT tempdist(temp) FROM sensors")

@@ -21,6 +21,14 @@ import (
 // cross-shard merges happen in fixed source order, so a run is
 // byte-identical for any worker count: Digest() is the proof.
 
+const (
+	// cityTickPeriod is the virtual sampling period in seconds.
+	cityTickPeriod simevent.Duration = 1
+	// cityReportEvery posts each shard's aggregate to the base station
+	// every this many ticks.
+	cityReportEvery = 5
+)
+
 // CityConfig parameterises a city-scale simulation.
 type CityConfig struct {
 	// Nodes is the sensor population (required).
@@ -33,11 +41,6 @@ type CityConfig struct {
 	Workers int
 	// Seed makes the whole simulation reproducible.
 	Seed int64
-	// TickPeriod is the virtual sampling period in seconds (default 1).
-	TickPeriod simevent.Duration
-	// ReportEvery posts each shard's aggregate to the base station every
-	// N ticks (default 5).
-	ReportEvery int
 	// InitialEnergy is the per-node battery in joules (default 2).
 	InitialEnergy float64
 	// SampleCost is joules drained per sample (default 5e-5, roughly a
@@ -54,12 +57,6 @@ func (c CityConfig) withDefaults() CityConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.TickPeriod <= 0 {
-		c.TickPeriod = 1
-	}
-	if c.ReportEvery <= 0 {
-		c.ReportEvery = 5
 	}
 	if c.InitialEnergy <= 0 {
 		c.InitialEnergy = 2.0
@@ -131,7 +128,7 @@ func NewCitySim(cfg CityConfig) (*CitySim, error) {
 	}
 	cs := &CitySim{
 		Cfg:    cfg,
-		Kernel: simevent.NewSharded(cfg.Shards, cfg.TickPeriod, cfg.Workers),
+		Kernel: simevent.NewSharded(cfg.Shards, cityTickPeriod, cfg.Workers),
 		shards: make([]*cityShard, cfg.Shards),
 	}
 	for s := 0; s < cfg.Shards; s++ {
@@ -144,7 +141,7 @@ func NewCitySim(cfg CityConfig) (*CitySim, error) {
 			sh.nodes[k] = cityNode{rng: splitmix64(uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(id) + 1), energy: cfg.InitialEnergy}
 		}
 		cs.shards[s] = sh
-		tk := simevent.NewTicker(cs.Kernel.Shard(s), cfg.TickPeriod, fmt.Sprintf("city-tick-%d", s), func(now simevent.Time) {
+		tk := simevent.NewTicker(cs.Kernel.Shard(s), cityTickPeriod, fmt.Sprintf("city-tick-%d", s), func(now simevent.Time) {
 			cs.tickShard(sh, now)
 		})
 		if err := tk.Start(); err != nil {
@@ -167,8 +164,8 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// tickShard samples every alive node in the shard and, every ReportEvery
-// ticks, posts the rolling aggregate to the base station on shard 0.
+// tickShard samples every alive node in the shard and, every
+// cityReportEvery ticks, posts the rolling aggregate to the base station on shard 0.
 func (cs *CitySim) tickShard(sh *cityShard, now simevent.Time) {
 	wave := 20 + 8*math.Sin(float64(now)/300*2*math.Pi) // diurnal-ish city wave
 	sh.ticks++
@@ -189,7 +186,7 @@ func (cs *CitySim) tickShard(sh *cityShard, now simevent.Time) {
 		}
 		sh.alive++
 	}
-	if sh.ticks%cs.Cfg.ReportEvery == 0 {
+	if sh.ticks%cityReportEvery == 0 {
 		sum, peak, alive := sh.sum, sh.peak, sh.alive
 		covered := uint64(sh.alive)
 		sh.sum, sh.peak, sh.alive = 0, 0, 0
@@ -210,7 +207,7 @@ func (cs *CitySim) Run(ticks int) error {
 	if ticks <= 0 {
 		return nil
 	}
-	target := simevent.Time(cs.ticks+ticks) * cs.Cfg.TickPeriod
+	target := simevent.Time(cs.ticks+ticks) * cityTickPeriod
 	if _, err := cs.Kernel.Run(target); err != nil {
 		return err
 	}

@@ -251,12 +251,14 @@ func (TreeStrategy) Collect(nw *Network, req CollectRequest) (CollectResult, err
 // members send raw readings one hop to their head, heads aggregate locally
 // and ship one partial state record to the base station along the hop tree.
 type ClusterStrategy struct {
-	// HeadFraction is the fraction of alive sensors elected head each
-	// round (default 0.1). Heads are rotated by round counter so the
-	// role's energy burden is shared.
-	HeadFraction float64
-	round        int
+	round int
 }
+
+// ClusterHeadFraction is the fraction of alive sensors ClusterStrategy
+// elects head each round. Heads are rotated by round counter so the role's
+// energy burden is shared; the partition cost model prices cluster
+// collection at the same density.
+const ClusterHeadFraction = 0.1
 
 // Name implements Strategy.
 func (c *ClusterStrategy) Name() string { return "cluster" }
@@ -270,10 +272,6 @@ func (c *ClusterStrategy) Collect(nw *Network, req CollectRequest) (CollectResul
 	if len(selected) == 0 {
 		return CollectResult{}, ErrUnreachable
 	}
-	frac := c.HeadFraction
-	if frac <= 0 {
-		frac = 0.1
-	}
 	c.round++
 
 	// Deterministic rotating head election: a sensor is a head this
@@ -285,7 +283,7 @@ func (c *ClusterStrategy) Collect(nw *Network, req CollectRequest) (CollectResul
 		if h < 0 {
 			h += period
 		}
-		return float64(h) < frac*float64(period)
+		return float64(h) < ClusterHeadFraction*float64(period)
 	}
 
 	var heads []*Node

@@ -81,7 +81,7 @@ func TestTreeCheaperThanDirect(t *testing.T) {
 
 func TestClusterCollect(t *testing.T) {
 	nw := collectNetwork(t, 33)
-	cs := &ClusterStrategy{HeadFraction: 0.2}
+	cs := &ClusterStrategy{}
 	res, err := cs.Collect(nw, CollectRequest{Agg: AggAvg})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestRepeatedRoundsDrainEnergy(t *testing.T) {
 
 func TestClusterRotationSpreadsLoad(t *testing.T) {
 	nw := collectNetwork(t, 1)
-	cs := &ClusterStrategy{HeadFraction: 0.15}
+	cs := &ClusterStrategy{}
 	for i := 0; i < 20; i++ {
 		if _, err := cs.Collect(nw, CollectRequest{Agg: AggAvg, Time: float64(i)}); err != nil {
 			t.Fatal(err)

@@ -51,11 +51,11 @@ func TestMoveBase(t *testing.T) {
 func TestLossProbClamped(t *testing.T) {
 	nw := NewGridNetwork(testConfig(), 2, 2)
 	nw.SetLossProb(-1)
-	if nw.LossProb() != 0 {
+	if nw.lossProb != 0 {
 		t.Fatal("negative loss should clamp to 0")
 	}
 	nw.SetLossProb(2)
-	if nw.LossProb() != 1 {
+	if nw.lossProb != 1 {
 		t.Fatal("loss > 1 should clamp to 1")
 	}
 }
@@ -84,45 +84,6 @@ func TestTotalLossDropsEverything(t *testing.T) {
 	// Receiver heard nothing and paid nothing.
 	if nw.Node(1).Energy != nw.Node(1).InitialEnergy {
 		t.Fatal("receiver paid for a message it never heard")
-	}
-}
-
-func TestSendReliableRetries(t *testing.T) {
-	cfg := testConfig()
-	cfg.RadioRange = 60
-	cfg.Seed = 11
-	nw := NewGridNetwork(cfg, 2, 2)
-	nw.SetLossProb(0.5)
-	succ, totalAttempts := 0, 0
-	for i := 0; i < 50; i++ {
-		attempts, ok := nw.SendReliable(0, 1, 10, 8, nil)
-		totalAttempts += attempts
-		if ok {
-			succ++
-		}
-	}
-	if succ < 45 {
-		t.Fatalf("reliable delivery %d/50 with 8 attempts at 50%% loss", succ)
-	}
-	if totalAttempts <= 50 {
-		t.Fatal("retries should have occurred")
-	}
-}
-
-func TestSendReliableStructuralFailureNoRetry(t *testing.T) {
-	cfg := testConfig()
-	nw := NewGridNetwork(cfg, 5, 5)
-	nw.SetLossProb(0.5)
-	// Out of range: must give up immediately.
-	attempts, ok := nw.SendReliable(0, 24, 10, 10, nil)
-	if ok || attempts != 1 {
-		t.Fatalf("structural failure: attempts=%d ok=%v, want 1,false", attempts, ok)
-	}
-	// Dead receiver: same.
-	nw.Node(1).Energy = 0
-	attempts, ok = nw.SendReliable(0, 1, 10, 10, nil)
-	if ok || attempts != 1 {
-		t.Fatalf("dead receiver: attempts=%d ok=%v", attempts, ok)
 	}
 }
 

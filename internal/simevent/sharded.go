@@ -77,9 +77,6 @@ func NewSharded(shards int, window Duration, workers int) *ShardedKernel {
 	return sk
 }
 
-// Shards reports the shard count.
-func (sk *ShardedKernel) Shards() int { return len(sk.shards) }
-
 // Shard exposes one member kernel for setup-time scheduling (tickers,
 // initial events). During Run, shard i's kernel must only be touched by
 // handlers executing on shard i.
@@ -91,6 +88,8 @@ func (sk *ShardedKernel) Shard(i int) *Kernel { return sk.shards[i] }
 func (sk *ShardedKernel) Now() Time { return sk.now }
 
 // Executed reports handlers run across all shards.
+//
+//lint:ignore deadcode test seam used by the sensornet and simevent tests
 func (sk *ShardedKernel) Executed() uint64 { return sk.executed }
 
 // Post schedules h on shard dst at absolute time at, from a handler

@@ -123,8 +123,8 @@ func TestShardedConstructorValidation(t *testing.T) {
 	mustPanic("zero window", func() { NewSharded(4, 0, 1) })
 
 	sk := NewSharded(4, 10, 0) // workers <= 0 defaults to GOMAXPROCS
-	if sk.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", sk.Shards())
+	if len(sk.shards) != 4 {
+		t.Fatalf("%d shards, want 4", len(sk.shards))
 	}
 	if sk.Executed() != 0 {
 		t.Fatalf("Executed() = %d before any run", sk.Executed())

@@ -68,11 +68,6 @@ func NewKernel() *Kernel {
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Executed reports how many event handlers have run. One handler may stand
-// for several simultaneous occurrences: the sensor network schedules one
-// event per radio transmission, not one per receiver.
-func (k *Kernel) Executed() uint64 { return k.executed }
-
 // Pending reports how many events are scheduled and not cancelled.
 func (k *Kernel) Pending() int { return len(k.events) }
 

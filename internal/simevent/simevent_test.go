@@ -88,8 +88,8 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled event still ran")
 	}
-	if k.Executed() != 0 {
-		t.Fatalf("Executed = %d, want 0", k.Executed())
+	if k.executed != 0 {
+		t.Fatalf("executed = %d, want 0", k.executed)
 	}
 }
 
@@ -179,10 +179,11 @@ func TestTickerFiresPeriodically(t *testing.T) {
 	k := NewKernel()
 	var stamps []Time
 	tk := NewTicker(k, 2, "tick", func(now Time) { stamps = append(stamps, now) })
-	tk.MaxFires = 4
 	if err := tk.Start(); err != nil {
 		t.Fatal(err)
 	}
+	k.Run(8)
+	tk.Stop()
 	k.RunAll()
 	want := []Time{2, 4, 6, 8}
 	if len(stamps) != len(want) {
@@ -212,23 +213,19 @@ func TestTickerStopMidway(t *testing.T) {
 	if fires != 3 {
 		t.Fatalf("fires = %d, want 3", fires)
 	}
-	if tk.Fires() != 3 {
-		t.Fatalf("Fires() = %d, want 3", tk.Fires())
-	}
 }
 
 func TestTickerDoubleStartIsNoOp(t *testing.T) {
 	k := NewKernel()
 	fires := 0
 	tk := NewTicker(k, 1, "tick", func(Time) { fires++ })
-	tk.MaxFires = 2
 	if err := tk.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if err := tk.Start(); err != nil {
 		t.Fatal(err)
 	}
-	k.RunAll()
+	k.Run(2)
 	if fires != 2 {
 		t.Fatalf("fires = %d, want 2 (double Start must not double-fire)", fires)
 	}

@@ -10,9 +10,6 @@ type Ticker struct {
 	fn      func(Time)
 	pending EventID
 	stopped bool
-	fires   uint64
-	// MaxFires, when non-zero, stops the ticker after that many firings.
-	MaxFires uint64
 }
 
 // NewTicker creates a ticker that calls fn every period, with the first
@@ -43,12 +40,7 @@ func (t *Ticker) fire() {
 	if t.stopped {
 		return
 	}
-	t.fires++
 	t.fn(t.k.Now())
-	if t.MaxFires != 0 && t.fires >= t.MaxFires {
-		t.stopped = true
-		return
-	}
 	if !t.stopped {
 		// Re-arm; a handler that stops the kernel leaves the ticker dormant.
 		if err := t.arm(); err != nil {
@@ -65,6 +57,3 @@ func (t *Ticker) Stop() {
 		t.pending = 0
 	}
 }
-
-// Fires reports how many times the ticker has fired.
-func (t *Ticker) Fires() uint64 { return t.fires }

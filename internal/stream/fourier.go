@@ -237,9 +237,6 @@ func (e *EnsembleMiner) AddBlock(d ml.Dataset) (int, error) {
 	return spec.WireBytes(), nil
 }
 
-// Blocks reports how many blocks have been folded in.
-func (e *EnsembleMiner) Blocks() int { return len(e.spectra) }
-
 // Combined returns the ensemble spectrum, building it lazily.
 func (e *EnsembleMiner) Combined() (*Spectrum, error) {
 	if e.combined != nil {

@@ -338,8 +338,8 @@ func TestEnsembleMinerLearnsConcept(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if miner.Blocks() != 6 {
-		t.Fatalf("blocks = %d", miner.Blocks())
+	if len(miner.spectra) != 6 {
+		t.Fatalf("blocks = %d", len(miner.spectra))
 	}
 	// Evaluate on clean data.
 	hits := 0

@@ -213,13 +213,6 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// Counts snapshots cumulative activity.
-func (b *Breaker) Counts() BreakerCounts {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.counts
-}
-
 // view builds the serialisable snapshot.
 func (b *Breaker) view() BreakerView {
 	b.mu.Lock()
@@ -263,8 +256,6 @@ type BreakerSet struct {
 	mu       sync.Mutex
 	breakers map[string]*Breaker
 	metrics  *obs.Registry
-	// MaxTargets overrides DefaultBreakerTargets when positive.
-	MaxTargets int
 
 	// Transition subscribers live under their own mutex: notifications
 	// fire with the transitioning breaker's mutex held, and s.mu is held
@@ -360,11 +351,7 @@ func (s *BreakerSet) get(target string, create bool) *Breaker {
 	if ok || !create {
 		return b
 	}
-	max := s.MaxTargets
-	if max <= 0 {
-		max = DefaultBreakerTargets
-	}
-	if len(s.breakers) >= max {
+	if len(s.breakers) >= DefaultBreakerTargets {
 		return nil
 	}
 	b = NewBreaker(target, s.policy)
@@ -412,11 +399,6 @@ func (s *BreakerSet) State(target string) BreakerState {
 		return b.State()
 	}
 	return BreakerClosed
-}
-
-// Breaker returns the tracked breaker for target, or nil.
-func (s *BreakerSet) Breaker(target string) *Breaker {
-	return s.get(target, false)
 }
 
 // Snapshot lists every tracked breaker, sorted by target, for

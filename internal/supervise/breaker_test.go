@@ -1,6 +1,7 @@
 package supervise
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func TestBreakerOpensAtThreshold(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("open breaker allowed a send inside the cool-down")
 	}
-	if c := b.Counts(); c.Opened != 1 || c.Failures != 3 {
+	if c := countsOf(b); c.Opened != 1 || c.Failures != 3 {
 		t.Fatalf("counts = %+v", c)
 	}
 }
@@ -50,7 +51,7 @@ func TestBreakerHalfOpenProbeAndClose(t *testing.T) {
 	if b.State() != BreakerClosed {
 		t.Fatalf("state = %v after enough probe successes, want closed", b.State())
 	}
-	c := b.Counts()
+	c := countsOf(b)
 	if c.Opened != 1 || c.HalfOpened != 1 || c.Closed != 1 {
 		t.Fatalf("transition counts = %+v", c)
 	}
@@ -82,7 +83,7 @@ func TestBreakerForceOpenAndHeal(t *testing.T) {
 	if b.State() != BreakerOpen {
 		t.Fatal("ForceOpen did not open")
 	}
-	openedAt := b.Counts().Opened
+	openedAt := countsOf(b).Opened
 	// Repeated health syncs must not reset the cool-down.
 	fc.Advance(900 * time.Millisecond)
 	b.ForceOpen()
@@ -94,7 +95,7 @@ func TestBreakerForceOpenAndHeal(t *testing.T) {
 	if b.State() != BreakerClosed {
 		t.Fatalf("state = %v, want closed after heal", b.State())
 	}
-	if got := b.Counts().Opened; got != openedAt {
+	if got := countsOf(b).Opened; got != openedAt {
 		t.Fatalf("ForceOpen while open counted a transition: %d -> %d", openedAt, got)
 	}
 }
@@ -105,11 +106,11 @@ func TestBreakerSetLazyCreation(t *testing.T) {
 		t.Fatal("untracked target not allowed")
 	}
 	s.Success("never-seen")
-	if s.Breaker("never-seen") != nil {
+	if s.get("never-seen", false) != nil {
 		t.Fatal("Success created a breaker")
 	}
 	s.Failure("svc")
-	if s.Breaker("svc") == nil {
+	if s.get("svc", false) == nil {
 		t.Fatal("Failure did not create a breaker")
 	}
 	if s.State("svc") != BreakerClosed {
@@ -123,18 +124,18 @@ func TestBreakerSetLazyCreation(t *testing.T) {
 
 func TestBreakerSetBoundsTargets(t *testing.T) {
 	s := NewBreakerSet(BreakerPolicy{})
-	s.MaxTargets = 2
-	s.Failure("a")
-	s.Failure("b")
+	for i := 0; i < DefaultBreakerTargets; i++ {
+		s.Failure(fmt.Sprintf("svc-%d", i))
+	}
 	s.Failure("c") // over the cap: not tracked
-	if s.Breaker("c") != nil {
-		t.Fatal("set grew past MaxTargets")
+	if s.get("c", false) != nil {
+		t.Fatal("set grew past DefaultBreakerTargets")
 	}
 	if !s.Allow("c") {
 		t.Fatal("untracked over-cap target must stay allowed")
 	}
-	if got := len(s.Snapshot()); got != 2 {
-		t.Fatalf("snapshot has %d entries, want 2", got)
+	if got := len(s.Snapshot()); got != DefaultBreakerTargets {
+		t.Fatalf("snapshot has %d entries, want %d", got, DefaultBreakerTargets)
 	}
 }
 
@@ -229,4 +230,11 @@ func TestBreakerSetOnTransitionWithMetrics(t *testing.T) {
 	if got := reg.Gauge("breaker_state", "target", "svc").Value(); got != float64(BreakerOpen) {
 		t.Fatalf("breaker_state gauge = %v, want %v (metrics must keep working alongside subscribers)", got, float64(BreakerOpen))
 	}
+}
+
+// countsOf snapshots a breaker's cumulative activity.
+func countsOf(b *Breaker) BreakerCounts {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.counts
 }

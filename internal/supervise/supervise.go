@@ -42,8 +42,6 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the grown backoff (default 1s).
 	MaxDelay time.Duration
-	// Multiplier grows the backoff per consecutive restart (default 2).
-	Multiplier float64
 	// Clock is the time source for backoff and the restart window. Nil
 	// means the wall clock; tests inject obs.FakeClock.
 	Clock obs.Clock
@@ -57,7 +55,6 @@ func DefaultPolicy() Policy {
 		Window:      10 * time.Second,
 		BaseDelay:   10 * time.Millisecond,
 		MaxDelay:    time.Second,
-		Multiplier:  2,
 	}
 }
 
@@ -76,9 +73,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = def.MaxDelay
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = def.Multiplier
 	}
 	return p
 }
@@ -116,7 +110,6 @@ type Proc struct {
 	restarts int
 	lastErr  error
 	alive    bool
-	gaveUp   bool
 }
 
 // Name returns the child name the Proc was spawned under.
@@ -151,14 +144,6 @@ func (pr *Proc) Alive() bool {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	return pr.alive
-}
-
-// GaveUp reports whether the supervisor exhausted the restart budget and
-// escalated.
-func (pr *Proc) GaveUp() bool {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	return pr.gaveUp
 }
 
 // Err returns the most recent recovered panic (a *PanicError), or nil if
@@ -198,7 +183,6 @@ func (pr *Proc) noteRestart() {
 
 func (pr *Proc) noteGiveUp() {
 	pr.mu.Lock()
-	pr.gaveUp = true
 	pr.alive = false
 	pr.mu.Unlock()
 }
@@ -250,7 +234,6 @@ type Supervisor struct {
 	policy Policy
 
 	mu       sync.Mutex
-	procs    map[string]*Proc
 	restarts uint64
 	panics   uint64
 	giveups  uint64
@@ -266,7 +249,6 @@ func NewSupervisor(name string, policy Policy) *Supervisor {
 	return &Supervisor{
 		name:   name,
 		policy: policy.withDefaults(),
-		procs:  map[string]*Proc{},
 	}
 }
 
@@ -313,38 +295,18 @@ func (s *Supervisor) Stats() Stats {
 	return Stats{Panics: s.panics, Restarts: s.restarts, GiveUps: s.giveups}
 }
 
-// Proc returns the handle for a named child, or nil.
-func (s *Supervisor) Proc(name string) *Proc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.procs[name]
-}
-
 // Spawn starts a supervised child. run receives the stop signal and
-// should return when it fires; a panic triggers the restart policy. The
-// latest Spawn under a name replaces the supervisor's handle for it (the
-// previous child, if any, keeps running until stopped).
+// should return when it fires; a panic triggers the restart policy.
+// Callers keep the returned *Proc: it is the child's only handle.
 func (s *Supervisor) Spawn(name string, run func(stop <-chan struct{})) *Proc {
 	proc := newProc(name)
-	s.mu.Lock()
-	s.procs[name] = proc
-	s.mu.Unlock()
 	go s.loop(proc, run)
 	return proc
 }
 
 // loop is the per-child supervision loop: run, recover, decide, back
-// off, restart — until a clean exit, a stop, or budget exhaustion. The
-// handle is dropped from the supervisor on exit; callers keep the *Proc
-// returned by Spawn.
+// off, restart — until a clean exit, a stop, or budget exhaustion.
 func (s *Supervisor) loop(proc *Proc, run func(stop <-chan struct{})) {
-	defer func() {
-		s.mu.Lock()
-		if s.procs[proc.name] == proc {
-			delete(s.procs, proc.name)
-		}
-		s.mu.Unlock()
-	}()
 	defer close(proc.done)
 	clk := s.policy.clock()
 	delay := s.policy.BaseDelay
@@ -391,7 +353,7 @@ func (s *Supervisor) loop(proc *Proc, run func(stop <-chan struct{})) {
 			return
 		case <-clk.After(delay):
 		}
-		grown := time.Duration(float64(delay) * s.policy.Multiplier)
+		grown := 2 * delay // the backoff doubles per consecutive restart
 		if grown > s.policy.MaxDelay {
 			grown = s.policy.MaxDelay
 		}

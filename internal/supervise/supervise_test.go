@@ -105,8 +105,8 @@ func TestSupervisorGivesUpAndEscalates(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("supervisor never gave up")
 	}
-	if !proc.GaveUp() {
-		t.Fatal("GaveUp() = false after budget exhaustion")
+	if got := sup.Stats().GiveUps; got != 1 {
+		t.Fatalf("GiveUps = %d after budget exhaustion, want 1", got)
 	}
 	if got := proc.Restarts(); got != 2 {
 		t.Fatalf("Restarts() = %d, want 2 (the budget)", got)
@@ -187,8 +187,8 @@ func TestSupervisorWindowRecoversBudget(t *testing.T) {
 	if runs.Load() < 4 {
 		t.Fatalf("child ran %d times, want 4 (window should refill the budget)", runs.Load())
 	}
-	if proc.GaveUp() {
-		t.Fatal("supervisor gave up despite crashes aging out of the window")
+	if got := sup.Stats().GiveUps; got != 0 {
+		t.Fatalf("supervisor gave up %d times despite crashes aging out of the window", got)
 	}
 	proc.Stop()
 }

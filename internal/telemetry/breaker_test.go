@@ -31,7 +31,7 @@ func TestMonitorHealthDrivesBreakers(t *testing.T) {
 		t.Fatalf("healthy node breaker = %v, want closed", got)
 	}
 
-	// The node goes quiet past SuspectAfter (4×Interval): its circuit is
+	// The node goes quiet past 4×Interval (suspect): its circuit is
 	// forced open so senders shed traffic toward it.
 	clk.Advance(5 * time.Second)
 	mon.SyncBreakers()

@@ -26,7 +26,7 @@ func TestChaosPartitionHealthLifecycle(t *testing.T) {
 		return rec.Code
 	}
 
-	f.Partition(victim, true)
+	f.Nodes[victim].Injector.SetPartitioned(true)
 	baseline := f.Monitor.Reports("node-2")
 
 	// Walk the staleness ladder one report interval at a time. The
@@ -67,7 +67,7 @@ func TestChaosPartitionHealthLifecycle(t *testing.T) {
 	// Heal: the next delivered report resets staleness; the resync logic
 	// must bring the stored snapshot back with a full report (the
 	// reporter saw only "successes", so the monitor relies on seq gaps).
-	f.Partition(victim, false)
+	f.Nodes[victim].Injector.SetPartitioned(false)
 	clk.Advance(time.Second)
 	waitFor(t, "post-heal report", func() bool {
 		return f.Monitor.Reports("node-2") > baseline

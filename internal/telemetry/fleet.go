@@ -22,9 +22,6 @@ type FleetConfig struct {
 	Nodes int
 	// Interval is the report period (default 200ms).
 	Interval time.Duration
-	// Addr is the monitor gateway's listen address (default
-	// "127.0.0.1:0").
-	Addr string
 	// Clock drives reporters and the monitor's staleness health machine
 	// (default wall clock; tests pass obs.FakeClock).
 	Clock obs.Clock
@@ -32,9 +29,6 @@ type FleetConfig struct {
 	// (missing entries mean a clean link). Every node gets an injector
 	// regardless, so partitions can be opened later.
 	NodeFaults []faultinject.Config
-	// Monitor overrides monitor options (Interval/Clock are filled from
-	// the fields above when zero).
-	Monitor MonitorOptions
 }
 
 // FleetNode is one simulated node.
@@ -71,7 +65,6 @@ type Fleet struct {
 	Platform *agent.Platform // the monitor-side platform
 	Gateway  *agent.Gateway
 	Nodes    []*FleetNode
-	clock    obs.Clock
 }
 
 // StartFleet boots the monitor (platform + gateway + monitor agent +
@@ -85,40 +78,30 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 200 * time.Millisecond
 	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = obs.Real
 	}
 
 	mp := agent.NewPlatform("monitor")
 	mp.Clock = cfg.Clock
-	mopts := cfg.Monitor
-	if mopts.Interval <= 0 {
-		mopts.Interval = cfg.Interval
-	}
-	if mopts.Clock == nil {
-		mopts.Clock = cfg.Clock
-	}
-	mon, err := RegisterMonitor(mp, mopts)
+	mon, err := RegisterMonitor(mp, MonitorOptions{Interval: cfg.Interval, Clock: cfg.Clock})
 	if err != nil {
 		mp.Close()
 		return nil, err
 	}
 	// Local monitor-side hops join the stitched ring directly.
 	mp.Tracer = mon.Tracer()
-	if err := RegisterEcho(mp, EchoID); err != nil {
+	if err := RegisterEcho(mp); err != nil {
 		mp.Close()
 		return nil, err
 	}
-	gw, err := agent.ListenAndServe(mp, cfg.Addr)
+	gw, err := agent.ListenAndServe(mp, "127.0.0.1:0")
 	if err != nil {
 		mp.Close()
 		return nil, err
 	}
 
-	f := &Fleet{Monitor: mon, Platform: mp, Gateway: gw, clock: cfg.Clock}
+	f := &Fleet{Monitor: mon, Platform: mp, Gateway: gw}
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("node-%d", i+1)
 		np := agent.NewPlatform(name)
@@ -159,7 +142,7 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 			f.Close()
 			return nil, err
 		}
-		prober := NewProber(np, ProbeOptions{Target: EchoID, Interval: cfg.Interval})
+		prober := NewProber(np, ProbeOptions{Interval: cfg.Interval})
 		f.Nodes = append(f.Nodes, &FleetNode{
 			Name:     name,
 			Platform: np,
@@ -170,11 +153,6 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 		})
 	}
 	return f, nil
-}
-
-// Partition opens (true) or heals (false) node i's uplink.
-func (f *Fleet) Partition(i int, on bool) {
-	f.Nodes[i].Injector.SetPartitioned(on)
 }
 
 // StopNode kills node i: reporter, prober, link, and platform all go

@@ -114,8 +114,8 @@ func TestReporterIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rep.Close()
-	if rep.ID() != "telemetry-reporter-node-x" {
-		t.Fatalf("reporter id = %q (must be fleet-unique)", rep.ID())
+	if rep.id != "telemetry-reporter-node-x" {
+		t.Fatalf("reporter id = %q (must be fleet-unique)", rep.id)
 	}
 	waitFor(t, "announce report", func() bool { return rep.Seq() >= 1 })
 }

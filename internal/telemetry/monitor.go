@@ -41,23 +41,10 @@ func healthRank(h Health) int {
 
 // MonitorOptions tunes the fleet monitor.
 type MonitorOptions struct {
-	// ID is the monitor's agent ID (default MonitorID).
-	ID agent.ID
 	// Interval is the report period the monitor expects from nodes
-	// (default 1s); the staleness thresholds default to multiples of it.
+	// (default 1s). A node whose last report is older than 2× Interval is
+	// degraded, older than 4× suspect, older than 8× down.
 	Interval time.Duration
-	// DegradedAfter / SuspectAfter / DownAfter are staleness thresholds
-	// (defaults 2×, 4×, and 8× Interval). A node whose last report is
-	// older than DownAfter is down.
-	DegradedAfter time.Duration
-	SuspectAfter  time.Duration
-	DownAfter     time.Duration
-	// TraceCapacity bounds the stitched cross-node span ring
-	// (default 8192).
-	TraceCapacity int
-	// EventCapacity bounds the fleet-merged wide-event ring
-	// (default 4096).
-	EventCapacity int
 	// Clock is the staleness time source (default: the platform's
 	// clock); tests drive health transitions with obs.FakeClock.
 	Clock obs.Clock
@@ -70,27 +57,16 @@ type MonitorOptions struct {
 	Breakers *supervise.BreakerSet
 }
 
+// The monitor's rings: stitched cross-node spans and fleet-merged wide
+// events.
+const (
+	monitorTraceCapacity = 8192
+	monitorEventCapacity = 4096
+)
+
 func (o MonitorOptions) withDefaults(p *agent.Platform) MonitorOptions {
-	if o.ID == "" {
-		o.ID = MonitorID
-	}
 	if o.Interval <= 0 {
 		o.Interval = time.Second
-	}
-	if o.DegradedAfter <= 0 {
-		o.DegradedAfter = 2 * o.Interval
-	}
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = 4 * o.Interval
-	}
-	if o.DownAfter <= 0 {
-		o.DownAfter = 8 * o.Interval
-	}
-	if o.TraceCapacity <= 0 {
-		o.TraceCapacity = 8192
-	}
-	if o.EventCapacity <= 0 {
-		o.EventCapacity = 4096
 	}
 	if o.Clock == nil {
 		if p.Clock != nil {
@@ -147,17 +123,17 @@ type Monitor struct {
 }
 
 // RegisterMonitor registers the monitor agent on p. Nodes reach it by
-// sending Report envelopes to opts.ID (default MonitorID) — from the
-// same platform or across any number of gateways.
+// sending Report envelopes to MonitorID — from the same platform or
+// across any number of gateways.
 func RegisterMonitor(p *agent.Platform, opts MonitorOptions) (*Monitor, error) {
 	m := &Monitor{
 		platform: p,
 		opts:     opts.withDefaults(p),
 		nodes:    map[string]*nodeState{},
 	}
-	m.tracer = obs.NewTracer(m.opts.TraceCapacity)
-	m.events = obs.NewEventLog(m.opts.EventCapacity)
-	err := p.Register(m.opts.ID, agent.HandlerFunc(m.handle),
+	m.tracer = obs.NewTracer(monitorTraceCapacity)
+	m.events = obs.NewEventLog(monitorEventCapacity)
+	err := p.Register(MonitorID, agent.HandlerFunc(m.handle),
 		agent.Attributes{Agent: map[string]string{agent.AttrRole: "fleet-monitor"}}, nil)
 	if err != nil {
 		return nil, err
@@ -344,11 +320,11 @@ func (m *Monitor) notifyHealth(node string, from, to Health) {
 // health classifies staleness against the thresholds.
 func (m *Monitor) health(staleness time.Duration) Health {
 	switch {
-	case staleness <= m.opts.DegradedAfter:
+	case staleness <= 2*m.opts.Interval:
 		return Healthy
-	case staleness <= m.opts.SuspectAfter:
+	case staleness <= 4*m.opts.Interval:
 		return Degraded
-	case staleness <= m.opts.DownAfter:
+	case staleness <= 8*m.opts.Interval:
 		return Suspect
 	default:
 		return Down
@@ -360,40 +336,6 @@ func (m *Monitor) NodeCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.nodes)
-}
-
-// Reports returns the total report count for one node (0 if unknown).
-func (m *Monitor) Reports(node string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ns := m.nodes[node]; ns != nil {
-		return ns.reports
-	}
-	return 0
-}
-
-// Health returns a node's current health (Down for unknown nodes).
-func (m *Monitor) Health(node string) Health {
-	now := m.opts.Clock.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ns := m.nodes[node]
-	if ns == nil {
-		return Down
-	}
-	return m.health(now.Sub(ns.lastSeen))
-}
-
-// NodeSnapshot returns the reconstructed full metric snapshot of one
-// node and whether the node is known.
-func (m *Monitor) NodeSnapshot(node string) (obs.Snapshot, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ns := m.nodes[node]
-	if ns == nil {
-		return obs.Snapshot{}, false
-	}
-	return ns.snap.Clone(), true
 }
 
 // ObservedTransport derives the measured transport view of one node from
@@ -561,4 +503,4 @@ func (m *Monitor) Events() *obs.EventLog { return m.events }
 func (m *Monitor) Timeline(traceID uint64) string { return m.tracer.Timeline(traceID) }
 
 // Close deregisters the monitor agent.
-func (m *Monitor) Close() { m.platform.Deregister(m.opts.ID) }
+func (m *Monitor) Close() { m.platform.Deregister(MonitorID) }

@@ -23,20 +23,15 @@ import (
 // partition.ObservedFromSnapshot reads on the monitor side, which makes
 // the probe → report → aggregate → ApplyObserved chain fully automatic.
 
-// ProbeOptions tunes a transport prober.
+// ProbeOptions tunes a transport prober. Probes round-trip against
+// EchoID, on the monitor platform.
 type ProbeOptions struct {
-	// Target is the echo agent to round-trip against (typically
-	// EchoID on the monitor platform).
-	Target agent.ID
 	// Interval separates periodic probes (default 1s; only used by the
 	// background loop).
 	Interval time.Duration
 	// Timeout bounds one probe conversation (default 250ms). A probe
 	// that times out counts as lost.
 	Timeout time.Duration
-	// Retry shapes the probe conversation. Defaults to a single attempt
-	// so each probe measures one shot of the link, not the retry layer.
-	Retry agent.RetryPolicy
 	// Clock is the RTT time source (default: the platform's clock).
 	Clock obs.Clock
 }
@@ -45,17 +40,11 @@ type ProbeOptions struct {
 const EchoID agent.ID = "telemetry-echo"
 
 func (o ProbeOptions) withDefaults(p *agent.Platform) ProbeOptions {
-	if o.Target == "" {
-		o.Target = EchoID
-	}
 	if o.Interval <= 0 {
 		o.Interval = time.Second
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 250 * time.Millisecond
-	}
-	if o.Retry.MaxAttempts <= 0 {
-		o.Retry.MaxAttempts = 1
 	}
 	if o.Clock == nil {
 		if p.Clock != nil {
@@ -64,20 +53,13 @@ func (o ProbeOptions) withDefaults(p *agent.Platform) ProbeOptions {
 			o.Clock = obs.Real
 		}
 	}
-	if o.Retry.Clock == nil {
-		o.Retry.Clock = o.Clock
-	}
 	return o
 }
 
-// RegisterEcho registers the telemetry echo responder on p under id
-// ("" = EchoID): every probe request is answered with an inform carrying
-// the same body.
-func RegisterEcho(p *agent.Platform, id agent.ID) error {
-	if id == "" {
-		id = EchoID
-	}
-	return p.Register(id, agent.HandlerFunc(func(env agent.Envelope, ctx *agent.Context) {
+// RegisterEcho registers the telemetry echo responder on p as EchoID:
+// every probe request is answered with an inform carrying the same body.
+func RegisterEcho(p *agent.Platform) error {
+	return p.Register(EchoID, agent.HandlerFunc(func(env agent.Envelope, ctx *agent.Context) {
 		if out, err := env.Reply("inform", "pong"); err == nil {
 			out.From = ctx.Self
 			// A retried echo reply would hide the loss the probe exists to
@@ -118,8 +100,10 @@ func (pr *Prober) ProbeOnce() (time.Duration, bool) {
 	reg.Counter(partition.SeriesTransportProbeSent).Inc()
 	clk := pr.opts.Clock
 	start := clk.Now()
-	_, err := agent.CallRetry(pr.platform, pr.opts.Target, "request", OntologyProbe,
-		"ping", pr.opts.Timeout, pr.opts.Retry)
+	// A single attempt, so each probe measures one shot of the link, not
+	// the retry layer.
+	_, err := agent.CallRetry(pr.platform, EchoID, "request", OntologyProbe,
+		"ping", pr.opts.Timeout, agent.RetryPolicy{MaxAttempts: 1, Clock: clk})
 	if err != nil {
 		reg.Counter(partition.SeriesTransportProbeLost).Inc()
 		return 0, false

@@ -13,7 +13,7 @@ import (
 func TestProbeOnceRecordsRTTAndLoss(t *testing.T) {
 	p := agent.NewPlatform("probe-node")
 	defer p.Close()
-	if err := RegisterEcho(p, ""); err != nil {
+	if err := RegisterEcho(p); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,7 +54,7 @@ func TestProberLoopProbesOnClockTicks(t *testing.T) {
 	p := agent.NewPlatform("probe-node")
 	p.Clock = clk
 	defer p.Close()
-	if err := RegisterEcho(p, ""); err != nil {
+	if err := RegisterEcho(p); err != nil {
 		t.Fatal(err)
 	}
 

@@ -9,16 +9,10 @@ import (
 	"pervasivegrid/internal/supervise"
 )
 
-// ReporterOptions tunes a node's reporter deputy.
+// ReporterOptions tunes a node's reporter deputy. Reports go to
+// MonitorID, which may live on the local platform or behind any route
+// (gateway, reconnecting link) — the reporter only sees an ID.
 type ReporterOptions struct {
-	// Monitor is the destination agent (default MonitorID). It may live
-	// on the local platform or behind any route (gateway, reconnecting
-	// link) — the reporter only sees an ID.
-	Monitor agent.ID
-	// ID is the reporter's own agent ID (default "telemetry-reporter-"
-	// + platform name; reporters crossing one gateway must be unique
-	// fleet-wide so reverse routes don't collide).
-	ID agent.ID
 	// Interval is the reporting period (default 1s).
 	Interval time.Duration
 	// Sources are extra metric registries merged into the node snapshot
@@ -29,37 +23,23 @@ type ReporterOptions struct {
 	Retry agent.RetryPolicy
 	// SendTimeout bounds one report's retried send (default Interval).
 	SendTimeout time.Duration
-	// MaxSpans caps the spans shipped per report (default 512; the most
-	// recent are kept).
-	MaxSpans int
-	// MaxEvents caps the wide events shipped per report (default 256;
-	// the most recent are kept).
-	MaxEvents int
-	// DisableRuntime skips capturing runtime gauges (goroutines, heap,
-	// GC pauses) into the platform registry before each snapshot.
-	DisableRuntime bool
 	// Clock overrides the time source (default: the platform's clock).
 	Clock obs.Clock
 }
 
+// A report ships at most the newest reportMaxSpans spans and
+// reportMaxEvents wide events.
+const (
+	reportMaxSpans  = 512
+	reportMaxEvents = 256
+)
+
 func (o ReporterOptions) withDefaults(p *agent.Platform) ReporterOptions {
-	if o.Monitor == "" {
-		o.Monitor = MonitorID
-	}
-	if o.ID == "" {
-		o.ID = agent.ID("telemetry-reporter-" + p.Name)
-	}
 	if o.Interval <= 0 {
 		o.Interval = time.Second
 	}
 	if o.SendTimeout <= 0 {
 		o.SendTimeout = o.Interval
-	}
-	if o.MaxSpans <= 0 {
-		o.MaxSpans = 512
-	}
-	if o.MaxEvents <= 0 {
-		o.MaxEvents = 256
 	}
 	if o.Clock == nil {
 		if p.Clock != nil {
@@ -82,8 +62,12 @@ func (o ReporterOptions) withDefaults(p *agent.Platform) ReporterOptions {
 type Reporter struct {
 	platform *agent.Platform
 	opts     ReporterOptions
-	done     chan struct{}
-	stopped  chan struct{}
+	// id is the reporter's own agent ID, "telemetry-reporter-" + platform
+	// name: reporters crossing one gateway must be unique fleet-wide so
+	// reverse routes don't collide.
+	id      agent.ID
+	done    chan struct{}
+	stopped chan struct{}
 
 	mu         sync.Mutex
 	last       obs.Snapshot // last snapshot acked onto the wire
@@ -101,13 +85,14 @@ func StartReporter(p *agent.Platform, opts ReporterOptions) (*Reporter, error) {
 	r := &Reporter{
 		platform: p,
 		opts:     opts.withDefaults(p),
+		id:       agent.ID("telemetry-reporter-" + p.Name),
 		done:     make(chan struct{}),
 		stopped:  make(chan struct{}),
 	}
 	// The reporter's inbound side is the monitor→node control channel:
 	// a resync request means the monitor saw a seq gap (deltas silently
 	// lost), so the next report must be a full snapshot.
-	err := p.Register(r.opts.ID, agent.HandlerFunc(func(env agent.Envelope, _ *agent.Context) {
+	err := p.Register(r.id, agent.HandlerFunc(func(env agent.Envelope, _ *agent.Context) {
 		if env.Ontology != OntologyResync {
 			return
 		}
@@ -121,16 +106,6 @@ func StartReporter(p *agent.Platform, opts ReporterOptions) (*Reporter, error) {
 	}
 	supervise.Spawn("telemetry-reporter", r.loop)
 	return r, nil
-}
-
-// ID returns the reporter's agent ID.
-func (r *Reporter) ID() agent.ID { return r.opts.ID }
-
-// Seq returns how many reports have been sent.
-func (r *Reporter) Seq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
 }
 
 func (r *Reporter) loop() {
@@ -155,9 +130,7 @@ func (r *Reporter) loop() {
 // snapshot captures the node's merged metric view (platform registry +
 // extra sources), refreshing the runtime gauges first.
 func (r *Reporter) snapshot() obs.Snapshot {
-	if !r.opts.DisableRuntime {
-		obs.CaptureRuntime(r.platform.Metrics())
-	}
+	obs.CaptureRuntime(r.platform.Metrics())
 	snaps := []obs.Snapshot{r.platform.MetricsSnapshot()}
 	for _, src := range r.opts.Sources {
 		if src != nil {
@@ -168,7 +141,7 @@ func (r *Reporter) snapshot() obs.Snapshot {
 }
 
 // newSpans returns the spans recorded since the previous report, capped
-// at MaxSpans (most recent kept), and the tracer total to remember.
+// at reportMaxSpans (most recent kept), and the tracer total to remember.
 func (r *Reporter) newSpans(prevTotal uint64) ([]obs.Span, uint64) {
 	tr := r.platform.Tracer
 	if tr == nil {
@@ -183,8 +156,8 @@ func (r *Reporter) newSpans(prevTotal uint64) ([]obs.Span, uint64) {
 	if uint64(len(spans)) > fresh {
 		spans = spans[uint64(len(spans))-fresh:]
 	}
-	if len(spans) > r.opts.MaxSpans {
-		spans = spans[len(spans)-r.opts.MaxSpans:]
+	if len(spans) > reportMaxSpans {
+		spans = spans[len(spans)-reportMaxSpans:]
 	}
 	out := make([]obs.Span, len(spans))
 	copy(out, spans)
@@ -192,15 +165,15 @@ func (r *Reporter) newSpans(prevTotal uint64) ([]obs.Span, uint64) {
 }
 
 // newEvents returns the wide events emitted since the previous report,
-// capped at MaxEvents (most recent kept), and the log total to remember.
+// capped at reportMaxEvents (most recent kept), and the log total to remember.
 func (r *Reporter) newEvents(prevTotal uint64) ([]obs.Event, uint64) {
 	el := r.platform.Events
 	if el == nil {
 		return nil, 0
 	}
 	events, total := el.Since(prevTotal)
-	if len(events) > r.opts.MaxEvents {
-		events = events[len(events)-r.opts.MaxEvents:]
+	if len(events) > reportMaxEvents {
+		events = events[len(events)-reportMaxEvents:]
 	}
 	return events, total
 }
@@ -244,11 +217,10 @@ func (r *Reporter) ReportNow() error {
 	r.last, r.haveLast = cur, true
 	r.spanTotal = spanTotal
 	r.eventTotal = eventTotal
-	monitor, id := r.opts.Monitor, r.opts.ID
 	timeout, policy := r.opts.SendTimeout, r.opts.Retry
 	r.mu.Unlock()
 
-	env, err := agent.NewEnvelope(id, monitor, "inform", OntologyReport, rep)
+	env, err := agent.NewEnvelope(r.id, MonitorID, "inform", OntologyReport, rep)
 	if err == nil {
 		err = agent.SendRetry(r.platform, env, timeout, policy)
 	}
@@ -271,5 +243,5 @@ func (r *Reporter) Close() {
 	r.mu.Unlock()
 	close(r.done)
 	<-r.stopped
-	r.platform.Deregister(r.opts.ID)
+	r.platform.Deregister(r.id)
 }

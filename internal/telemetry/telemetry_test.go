@@ -308,7 +308,7 @@ func TestSeqGapTriggersFullResyncAtLoadRates(t *testing.T) {
 
 	// Blackout: five report intervals of heavy local traffic, every
 	// report silently dropped on the uplink.
-	f.Partition(0, true)
+	f.Nodes[0].Injector.SetPartitioned(true)
 	repBaseline := node.Reporter.Seq()
 	for i := 0; i < 5; i++ {
 		node.Work(2000)
@@ -326,7 +326,7 @@ func TestSeqGapTriggersFullResyncAtLoadRates(t *testing.T) {
 
 	// Heal. The first post-heal delta exposes the seq gap; the monitor
 	// must request a resync and the next report must be full.
-	f.Partition(0, false)
+	f.Nodes[0].Injector.SetPartitioned(false)
 	advanceAndSettle(t, clk, f, 0)
 	waitFor(t, "monitor-side resync after seq gap", func() bool {
 		clk.Advance(time.Second)
@@ -349,4 +349,45 @@ func TestSeqGapTriggersFullResyncAtLoadRates(t *testing.T) {
 	if got < liveCount {
 		t.Fatalf("stored deliver count = %d, want >= %d (the blackout-era samples must arrive via the full resync)", got, liveCount)
 	}
+}
+
+// Reports returns the total report count for one node (0 if unknown).
+func (m *Monitor) Reports(node string) uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ns := m.nodes[node]; ns != nil {
+		return ns.reports
+	}
+	return 0
+}
+
+// Health returns a node's current health (Down for unknown nodes).
+func (m *Monitor) Health(node string) Health {
+	now := m.opts.Clock.Now()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ns := m.nodes[node]
+	if ns == nil {
+		return Down
+	}
+	return m.health(now.Sub(ns.lastSeen))
+}
+
+// NodeSnapshot returns the reconstructed full metric snapshot of one
+// node and whether the node is known.
+func (m *Monitor) NodeSnapshot(node string) (obs.Snapshot, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ns := m.nodes[node]
+	if ns == nil {
+		return obs.Snapshot{}, false
+	}
+	return ns.snap.Clone(), true
+}
+
+// Seq returns how many reports have been sent.
+func (r *Reporter) Seq() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seq
 }
