@@ -10,7 +10,9 @@ package pervasivegrid_test
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -50,6 +52,40 @@ func BenchmarkPlatformDeliver(b *testing.B) {
 	if h, ok := snap.Histograms["agent_deliver_latency_seconds"]; ok && h.Count > 0 {
 		b.ReportMetric(h.P99*1e9, "p99-ns")
 	}
+}
+
+// BenchmarkRegisterIdleAgent registers agents that are never sent anything
+// and reports the live heap each one holds (B/agent): the per-layer figure
+// behind compose_local's heap_mb, whose ~2 000 provider agents are almost
+// all idle. Agents are hosted a thousand to a platform, which is closed
+// before the next, so a large b.N does not hold a goroutine per iteration.
+func BenchmarkRegisterIdleAgent(b *testing.B) {
+	const batch = 1000
+	noop := agent.HandlerFunc(func(agent.Envelope, *agent.Context) {})
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	var held int64
+	b.ResetTimer()
+	for done := 0; done < b.N; done += batch {
+		b.StopTimer()
+		p := agent.NewPlatform("idle")
+		before := liveHeap()
+		b.StartTimer()
+		for i := done; i < min(done+batch, b.N); i++ {
+			if err := p.Register(agent.ID("idle-"+strconv.Itoa(i)), noop, agent.Attributes{}, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		held += liveHeap() - before
+		p.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(held)/float64(b.N), "B/agent")
 }
 
 // echoPlatform hosts an agent that answers every request with "pong".

@@ -37,16 +37,16 @@ func NewDisconnectionDeputy(next Deputy) *DisconnectionDeputy {
 }
 
 // Deliver implements Deputy: pass through when connected, buffer otherwise.
+// The pass-through runs outside d.mu: under MailboxPolicy Block the next
+// deputy may park on a full lane, and Buffered, SetConnected and other
+// senders must not wait behind it.
 func (d *DisconnectionDeputy) Deliver(env Envelope) error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.connected {
-		// next is the non-blocking inbox (or another deputy whose
-		// Deliver never re-enters this one); the re-entrant flush path in
-		// SetConnected already delivers outside the lock.
-		//lint:ignore blockheld next.Deliver is non-blocking and never re-enters this deputy
+		d.mu.Unlock()
 		return d.next.Deliver(env)
 	}
+	defer d.mu.Unlock()
 	if len(d.buffer) >= storeForwardCap {
 		return fmt.Errorf("agent: disconnection buffer full (%d)", storeForwardCap)
 	}

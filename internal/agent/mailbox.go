@@ -1,6 +1,10 @@
 package agent
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // Mailbox overload control: the paper's grid must keep its control plane
 // alive when the data plane saturates ("mission control" still needs
@@ -78,8 +82,127 @@ func (m MailboxOptions) withDefaults() MailboxOptions {
 	return m
 }
 
+// firstRingSlots is what a lane allocates on its first envelope; it
+// doubles from there up to the lane's cap.
+const firstRingSlots = 4
+
+// mailbox is a hosted agent's two lanes under one mutex, so an agent that
+// is never sent anything holds no slots. depth counts what both lanes
+// hold, for the gauge and Drain; the run loop parks on wake while both
+// are empty.
+type mailbox struct {
+	mu     sync.Mutex
+	normal ring
+	high   ring // priority lane (telemetry / control ontologies)
+	policy MailboxPolicy
+	depth  atomic.Int64
+	wake   chan struct{} // cap 1: a delivery into an empty mailbox
+}
+
+// ring is one lane: n envelopes from buf[head], wrapping, at most limit.
+// Under Block, room (cap 1) carries "a slot was freed" from the run loop
+// to one parked sender, and each admitted sender passes it on, so every
+// sender parked while slots free up is woken in turn.
+type ring struct {
+	buf     []Envelope
+	head, n int
+	limit   int
+	room    chan struct{} // nil unless the policy is Block
+}
+
+func newMailbox(opts MailboxOptions) *mailbox {
+	m := &mailbox{
+		normal: ring{limit: opts.Capacity},
+		high:   ring{limit: DefaultHighCapacity},
+		policy: opts.Policy,
+		wake:   make(chan struct{}, 1),
+	}
+	if opts.Policy == Block {
+		m.normal.room = make(chan struct{}, 1)
+		m.high.room = make(chan struct{}, 1)
+	}
+	return m
+}
+
+// admit queues env on lane r and reports whether it fit. A full lane
+// refuses it unless evict is set; then the oldest envelope is pushed out
+// and returned as old. first reports a delivery into an empty mailbox,
+// whose run loop the caller must wake.
+//
+//lint:hot budget=1
+func (m *mailbox) admit(r *ring, env Envelope, evict bool) (old Envelope, evicted, ok, first bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r.n == r.limit {
+		if !evict {
+			return old, false, false, false
+		}
+		old, evicted = r.pop(), true
+	} else {
+		first = m.depth.Add(1) == 1
+	}
+	r.push(env)
+	return old, evicted, true, first
+}
+
+// take removes the next envelope, priority lane first, and returns the
+// lane it freed a slot in; from is nil when both lanes are empty.
+//
+//lint:hot budget=0
+func (m *mailbox) take() (env Envelope, from *ring) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	from = &m.high
+	if from.n == 0 {
+		from = &m.normal
+		if from.n == 0 {
+			return env, nil
+		}
+	}
+	m.depth.Add(-1)
+	return from.pop(), from
+}
+
+// push appends env; the caller has checked the ring is below its limit.
+func (r *ring) push(env Envelope) {
+	if r.n == len(r.buf) {
+		size := min(max(2*len(r.buf), firstRingSlots), r.limit)
+		buf := make([]Envelope, size)
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = env
+	r.n++
+}
+
+// pop removes the oldest envelope, zeroing its slot so the ring does not
+// pin a handled envelope's Content.
+func (r *ring) pop() Envelope {
+	var zero Envelope
+	env := r.buf[r.head]
+	r.buf[r.head] = zero
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+	return env
+}
+
+// poke leaves a token on a cap-1 signal channel unless one is waiting.
+func poke(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
 // mailboxDeputy is the innermost deputy: it admits envelopes into the
-// registration's lanes under the platform's overload policy. It is the
+// registration's mailbox under the platform's overload policy. It is the
 // deputy Register builds.
 type mailboxDeputy struct {
 	p   *Platform
@@ -88,48 +211,36 @@ type mailboxDeputy struct {
 
 // Deliver implements Deputy.
 func (d *mailboxDeputy) Deliver(env Envelope) error {
-	lane := d.reg.mailbox
+	box := d.reg.box
+	r := &box.normal
 	if env.HighPriority() {
-		lane = d.reg.high
+		r = &box.high
 	}
-	select {
-	case lane <- env:
-		return nil
-	default:
-	}
-	switch d.p.Mailbox.Policy {
-	case DropOldest:
-		// Evict until the new envelope fits. Bounded attempts: under
-		// heavy producer contention the slot we free can be stolen, and
-		// losing that race a few times means the lane is churning fast
-		// enough that rejecting is fair.
-		for i := 0; i < 4; i++ {
-			select {
-			case old := <-lane:
-				d.p.shed(old, DropShedOldest)
-			default:
-				// The agent drained the lane between probes.
-			}
-			select {
-			case lane <- env:
-				return nil
-			default:
-			}
+	for {
+		old, evicted, ok, first := box.admit(r, env, box.policy == DropOldest)
+		if evicted {
+			d.p.shed(old, DropShedOldest)
 		}
-		d.p.noteShed()
-		return ErrMailboxFull
-	case Block:
-		select {
-		case lane <- env:
+		if ok {
+			if first {
+				poke(box.wake)
+			}
+			if r.room != nil {
+				poke(r.room) // another parked sender may fit too
+			}
 			return nil
+		}
+		if box.policy != Block {
+			d.p.noteShed()
+			return ErrMailboxFull
+		}
+		select {
+		case <-r.room:
 		case <-d.reg.proc.Stopping():
 			// The agent is stopping; unblock the sender with the
 			// transient error so its retry layer can re-route.
 			return ErrMailboxFull
 		}
-	default: // DropNewest
-		d.p.noteShed()
-		return ErrMailboxFull
 	}
 }
 

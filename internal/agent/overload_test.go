@@ -199,6 +199,120 @@ func TestBlockPolicyBackpressure(t *testing.T) {
 	}
 }
 
+// parkSenders hosts "slow" under Block with a lane of capacity lane,
+// wedges it on its first envelope, fills the lane, and starts n more
+// senders, which must park. Their results arrive on errs; release
+// un-wedges the handler, and runs at cleanup if the test has not called it.
+func parkSenders(t *testing.T, lane, n int, wrap func(Deputy) Deputy) (p *Platform, h *gatedHandler, errs <-chan error, release func()) {
+	t.Helper()
+	p = NewPlatform("block")
+	p.Mailbox = MailboxOptions{Capacity: lane, Policy: Block}
+	h = newGatedHandler()
+	release = sync.OnceFunc(func() { close(h.gate) })
+	t.Cleanup(p.Close)
+	t.Cleanup(release) // first: Close waits for the wedged handler
+	if err := p.Register("slow", h, Attributes{}, wrap); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= lane; i++ {
+		if err := sendTo(t, p, "slow", "x-data"); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-h.first
+		}
+	}
+	env, err := NewEnvelope("tester", "slow", "inform", "x-data", "payload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { results <- p.Send(env) }()
+	}
+	select {
+	case err := <-results:
+		t.Fatalf("send did not park on a full lane (err = %v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	return p, h, results, release
+}
+
+// TestBlockWakesEveryParkedSender: senders parked on a full lane are all
+// admitted once the agent drains, with no further delivery to wake them.
+// Two slots can free up before one room signal is consumed; a single-token
+// signal that loses the second strands a sender for good.
+func TestBlockWakesEveryParkedSender(t *testing.T) {
+	const lane, parked = 2, 4
+	_, h, errs, release := parkSenders(t, lane, parked, nil)
+	release()
+	for i := 0; i < parked; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("parked send failed after the agent drained: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d parked senders never admitted", parked-i, parked)
+		}
+	}
+	h.waitFor(t, 1+lane+parked)
+}
+
+// TestDeregisterReleasesParkedSenders: stopping an agent releases every
+// sender parked on its full lane with the transient ErrMailboxFull.
+func TestDeregisterReleasesParkedSenders(t *testing.T) {
+	const parked = 3
+	p, _, errs, release := parkSenders(t, 1, parked, nil)
+	stopped := make(chan struct{})
+	go func() {
+		p.Deregister("slow") // waits for the wedged handler
+		close(stopped)
+	}()
+	for i := 0; i < parked; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrMailboxFull) {
+				t.Fatalf("parked send on a stopping agent: err = %v, want ErrMailboxFull", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d parked senders still parked after Deregister", parked-i, parked)
+		}
+	}
+	release()
+	<-stopped
+}
+
+// TestDisconnectionDeputyForwardsUnlocked: a sender parked in the mailbox
+// behind a DisconnectionDeputy does not hold the deputy's lock, so its
+// other callers are not wedged with it.
+func TestDisconnectionDeputyForwardsUnlocked(t *testing.T) {
+	var dd *DisconnectionDeputy
+	_, h, errs, release := parkSenders(t, 1, 1, func(next Deputy) Deputy {
+		dd = NewDisconnectionDeputy(next)
+		return dd
+	})
+	done := make(chan int, 1)
+	go func() {
+		n := dd.Buffered()
+		dd.SetConnected(false)
+		done <- n
+	}()
+	select {
+	case n := <-done:
+		if n != 0 {
+			t.Fatalf("Buffered = %d, want 0", n)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Buffered/SetConnected waited behind a sender parked in the mailbox")
+	}
+	release()
+	if err := <-errs; err != nil {
+		t.Fatalf("parked send failed after the agent drained: %v", err)
+	}
+	h.waitFor(t, 3)
+}
+
 // TestFullInboxRefusesUnderEveryPolicy: a conversation's reply queue is
 // not an agent mailbox. Whatever the platform's policy, the envelope that
 // does not fit is refused at once — never parked (Block), never admitted by

@@ -40,21 +40,20 @@ func (c *Context) Send(env Envelope) error {
 }
 
 // registration is one reachable ID: its deputy chain and attributes, and —
-// for a hosted agent — mailbox lanes and a run loop. A conversation inbox
-// is a registration that is only a deputy: no lanes, no proc (see
-// openInbox). The lane channels are never closed — concurrent deliveries
-// (including delayed ones from decorating deputies) may race a
-// deregistration, and a send on a closed channel would panic the sender.
+// for a hosted agent — a mailbox and a run loop. A conversation inbox is a
+// registration that is only a deputy: no mailbox, no proc (see openInbox).
+// The mailbox is never torn down: a delivery racing a deregistration
+// (including a delayed one from a decorating deputy) queues where no run
+// loop reads it, or, under Block, is released by the stop.
 // The run loop executes as a supervised child (see supervision.go) and
 // proc is its handle: stopping it is the termination signal, on which the
 // agent goroutine drains what is already queued and exits.
 type registration struct {
-	deputy  Deputy
-	attrs   Attributes
-	mailbox chan Envelope // normal lane
-	high    chan Envelope // priority lane (telemetry / control ontologies)
-	proc    *supervise.Proc
-	depth   atomic.Pointer[obs.Gauge] // agent_mailbox_depth{agent}, from the first delivery
+	deputy Deputy
+	attrs  Attributes
+	box    *mailbox
+	proc   *supervise.Proc
+	depth  atomic.Pointer[obs.Gauge] // agent_mailbox_depth{agent}, from the first delivery
 
 	// Checkpoint storage for handlers implementing Checkpointer: the
 	// last snapshot taken after a successful Handle, restored when
@@ -319,11 +318,9 @@ func (p *Platform) Register(id ID, h Handler, attrs Attributes, wrap func(Deputy
 	if err := p.vacantLocked(id); err != nil {
 		return err
 	}
-	mb := p.Mailbox.withDefaults()
 	reg := &registration{
-		attrs:   attrs.Clone(),
-		mailbox: make(chan Envelope, mb.Capacity),
-		high:    make(chan Envelope, DefaultHighCapacity),
+		attrs: attrs.Clone(),
+		box:   newMailbox(p.Mailbox.withDefaults()),
 	}
 	var d Deputy = &mailboxDeputy{p: p, reg: reg}
 	if wrap != nil {
@@ -363,23 +360,25 @@ func (p *Platform) Register(id ID, h Handler, attrs Attributes, wrap func(Deputy
 				cp.Restore(snap)
 			}
 		}
+		// Priority lane first (take): telemetry and control envelopes are
+		// handled ahead of queued data-plane traffic. After a stop the
+		// loop drains what is queued, then exits.
+		box, stopped := reg.box, false
 		for {
-			// Priority lane first: telemetry and control envelopes are
-			// handled ahead of queued data-plane traffic.
-			select {
-			case env := <-reg.high:
+			if env, from := box.take(); from != nil {
+				if from.room != nil {
+					poke(from.room) // the freed slot, to a sender parked under Block
+				}
 				handle(env)
 				continue
-			default:
+			}
+			if stopped {
+				return
 			}
 			select {
-			case env := <-reg.high:
-				handle(env)
-			case env := <-reg.mailbox:
-				handle(env)
+			case <-box.wake:
 			case <-stop:
-				drainLanes(reg, handle)
-				return
+				stopped = true
 			}
 		}
 	})
@@ -396,24 +395,6 @@ func (p *Platform) vacantLocked(id ID) error {
 		return fmt.Errorf("agent: id %q already registered", id)
 	}
 	return nil
-}
-
-// drainLanes handles whatever was queued before a stop, priority lane
-// first, then exits.
-func drainLanes(reg *registration, handle func(Envelope)) {
-	for {
-		select {
-		case env := <-reg.high:
-			handle(env)
-		default:
-			select {
-			case env := <-reg.mailbox:
-				handle(env)
-			default:
-				return
-			}
-		}
-	}
 }
 
 // Deregister removes an agent and stops its goroutine (after it drains its
@@ -516,13 +497,13 @@ func (p *Platform) Send(env Envelope) error {
 		p.metrics.Histogram("agent_deliver_latency_seconds").
 			Observe(lat.Seconds())
 		p.noteSlow(env.TraceID, lat)
-		if reg.mailbox != nil { // a conversation inbox has no mailbox to gauge
+		if reg.box != nil { // a conversation inbox has no mailbox to gauge
 			g := reg.depth.Load()
 			if g == nil {
 				g = p.metrics.Gauge("agent_mailbox_depth", "agent", string(env.To))
 				reg.depth.Store(g)
 			}
-			g.Set(float64(len(reg.mailbox) + len(reg.high)))
+			g.Set(float64(reg.box.depth.Load()))
 		}
 		p.metrics.Counter("agent_delivered_total").Inc()
 		p.trace(obs.SpanDeliver, env, "")

@@ -183,7 +183,9 @@ func (p *Platform) QueuedEnvelopes() int {
 	defer p.mu.RUnlock()
 	n := 0
 	for _, reg := range p.agents {
-		n += len(reg.mailbox) + len(reg.high)
+		if reg.box != nil {
+			n += int(reg.box.depth.Load())
+		}
 	}
 	return n
 }
