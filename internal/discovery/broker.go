@@ -59,13 +59,14 @@ func (b *Broker) LookupLocal(req ontology.Request) []Match {
 // returns every local match; the bound on the result is req.Max, which
 // each registry's matcher applies and the merge applies again.
 //
-// Budget 14: the snapshot rebuild that the first read after a mutation
-// pays (3), the peer merge (2), and obs.Registry creating the four
-// discovery_* series on first use (9). The matcher sits behind an
-// interface, out of the linter's sight; bench/ holds it through
-// discovery.lookup_allocs instead.
+// Budget 27: the snapshot rebuild that the first read after a mutation
+// pays (3) and its signature interning (1), the SemanticMatcher's
+// constraint pass and scoring (12), which Registry.Lookup calls directly,
+// the peer merge (2), and obs.Registry creating the discovery_* series on
+// first use (9). Any other Matcher sits behind the interface, out of the
+// linter's sight.
 //
-//lint:hot budget=14
+//lint:hot budget=27
 func (b *Broker) Lookup(req ontology.Request, want int) []Match {
 	local := b.LookupLocal(req)
 	if want > 0 && len(local) >= want {

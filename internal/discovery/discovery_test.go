@@ -3,6 +3,7 @@ package discovery
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -536,13 +537,36 @@ func benchRequests(max int) []ontology.Request {
 	return reqs
 }
 
+// benchBroker registers n profiles drawn by profile with a broker.
+func benchBroker(b *testing.B, n int, profile func(rng *rand.Rand, i int) *ontology.Profile) (*Broker, []*ontology.Profile, *rand.Rand) {
+	rng := rand.New(rand.NewSource(1))
+	broker := NewBroker("b", NewSemanticMatcher(ontology.Pervasive()))
+	profiles := make([]*ontology.Profile, n)
+	for i := range profiles {
+		profiles[i] = profile(rng, i)
+		if _, err := broker.Reg.Register(profiles[i], time.Hour); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return broker, profiles, rng
+}
+
 // BenchmarkRegistryLookup is the isolated probe of the discovery read path:
 // a top-5 lookup through the broker at three registry sizes, read-only and
 // with every fiftieth operation re-advertising a service (which drops the
 // snapshot). The constraint pass and the preference range are over the
 // whole registry by definition, so the cost per lookup grows with it; the
-// figure to watch is the slope, ns per profile.
+// figure to watch is the slope, ns per profile. Two more cases probe the
+// snapshot's index: one where 961 distinct signatures make finding each
+// candidate's the work, and lease_churn's write-heavy shape, where every
+// lookup follows a write and so pays for a rebuild.
 func BenchmarkRegistryLookup(b *testing.B) {
+	reqs := benchRequests(5)
+	lookup := func(b *testing.B, broker *Broker, i int) {
+		if got := broker.Lookup(reqs[i%len(reqs)], 5); len(got) != 5 {
+			b.Fatalf("%d matches, want 5", len(got))
+		}
+	}
 	for _, n := range []int{500, 5000, 50000} {
 		for _, renewEvery := range []int{0, 50} {
 			name := fmt.Sprintf("profiles=%d/read-only", n)
@@ -550,16 +574,7 @@ func BenchmarkRegistryLookup(b *testing.B) {
 				name = fmt.Sprintf("profiles=%d/renewals=2%%", n)
 			}
 			b.Run(name, func(b *testing.B) {
-				rng := rand.New(rand.NewSource(1))
-				broker := NewBroker("b", NewSemanticMatcher(ontology.Pervasive()))
-				profiles := make([]*ontology.Profile, n)
-				for i := range profiles {
-					profiles[i] = benchProfile(rng, i)
-					if _, err := broker.Reg.Register(profiles[i], time.Hour); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reqs := benchRequests(5)
+				broker, profiles, rng := benchBroker(b, n, benchProfile)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -570,14 +585,53 @@ func BenchmarkRegistryLookup(b *testing.B) {
 						}
 						continue
 					}
-					if got := broker.Lookup(reqs[i%len(reqs)], 5); len(got) != 5 {
-						b.Fatalf("%d matches, want 5", len(got))
-					}
+					lookup(b, broker, i)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/profile")
 			})
 		}
 	}
+
+	concepts := ontology.Pervasive().Concepts()
+	b.Run("profiles=5000/signatures=distinct", func(b *testing.B) {
+		broker, _, _ := benchBroker(b, 5000, func(rng *rand.Rand, i int) *ontology.Profile {
+			p := benchProfile(rng, i)
+			s := i % 961 // 31 inputs times 31 outputs
+			p.Concept = benchConcepts[s%len(benchConcepts)]
+			p.Inputs = []string{concepts[s%31]}
+			p.Outputs = []string{concepts[s/31]}
+			return p
+		})
+		if got := broker.Reg.view().sigs; got != 961 {
+			b.Fatalf("%d signatures, want 961", got)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lookup(b, broker, i)
+		}
+	})
+
+	// lease_churn's mix: three writes in four re-advertise a name of a
+	// window of 500 beyond the seeded 2 000 (with new properties), the
+	// fourth withdraws one. Each iteration is a write and the lookup that
+	// rebuilds the snapshot after it.
+	b.Run("profiles=2000/write-then-read", func(b *testing.B) {
+		const n = 2000
+		broker, _, rng := benchBroker(b, n, benchProfile)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := n + rng.Intn(500)
+			if i%4 == 3 {
+				broker.Reg.Deregister(fmt.Sprintf("svc-%06d", k))
+			} else if _, err := broker.Reg.Register(benchProfile(rng, k), time.Hour); err != nil {
+				b.Fatal(err)
+			}
+			lookup(b, broker, i)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/rebuild")
+	})
 }
 
 // referencePrefScore and referenceMatch are SemanticMatcher's scoring as it
@@ -797,6 +851,148 @@ func TestSemanticMatchEqualsReference(t *testing.T) {
 	}
 }
 
+// TestRegistryLookupEqualsLinearUnderChurn is the differential test of the
+// indexed read path. Random registrations (a name may come back with a new
+// signature), renewals, withdrawals and clock steps run against a model of
+// the leases. After each burst, Profiles must be exactly the model's live
+// advertisements, and Registry.Lookup through a SemanticMatcher must return
+// the profiles and scores (==) that the linear reference gives over them,
+// at Max 0, 1 and 5. Bursts of every length reach both kinds of rebuild.
+func TestRegistryLookupEqualsLinearUnderChurn(t *testing.T) {
+	onto := ontology.Pervasive()
+	concepts := onto.Concepts()
+	rng := rand.New(rand.NewSource(7919))
+	clk := obs.NewFakeClock()
+	r := NewRegistry()
+	r.Clock = clk
+	r.Metrics = obs.NewRegistry()
+	m := NewSemanticMatcher(onto)
+	rebuilds := func(kind string) int64 {
+		return int64(r.Metrics.Counter("discovery_view_rebuilds_total", "kind", kind).Value())
+	}
+
+	type advert struct {
+		p     *ontology.Profile
+		lease Lease
+	}
+	model := map[string]advert{}
+	live := func() []*ontology.Profile {
+		var out []*ontology.Profile
+		for _, a := range model {
+			if !a.lease.Expires.Before(clk.Now()) {
+				out = append(out, a.p)
+			}
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+		return out
+	}
+	var sweptTouched, sweptUntouched, renewDrops, matched int
+	for round := 0; round < 2000; round++ {
+		burst := 1 + rng.Intn(4)
+		if rng.Intn(10) == 0 {
+			burst = 20 + rng.Intn(40) // more than a quarter of the view
+		}
+		for op := 0; op < burst; op++ {
+			name := fmt.Sprintf("svc-%03d", rng.Intn(200))
+			switch k := rng.Intn(10); {
+			case k < 5:
+				p := randomProfile(rng, name, concepts)
+				l, err := r.Register(p, time.Duration(1+rng.Intn(20))*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				model[name] = advert{p, l}
+			case k < 7:
+				a, ok := model[name]
+				viewed := r.snap.Load() != nil
+				ttl := time.Duration(1+rng.Intn(20)) * time.Second
+				if rng.Intn(2) == 0 {
+					ttl = time.Second / 2 // sooner than anything a view may know of
+				}
+				l, err := r.Renew(a.lease, ttl)
+				if want := ok && !a.lease.Expires.Before(clk.Now()); (err == nil) != want {
+					t.Fatalf("round %d: renew %s: %v, want success %v", round, name, err, want)
+				}
+				if err == nil {
+					model[name] = advert{a.p, l}
+					if viewed && r.snap.Load() == nil {
+						renewDrops++
+					}
+				}
+			case k < 8:
+				r.Deregister(name)
+				delete(model, name)
+			default:
+				clk.Advance(time.Duration(1+rng.Intn(3)) * time.Second)
+			}
+		}
+
+		// Which lapsed entries will the next read sweep, and from where?
+		r.mu.Lock()
+		for name, e := range r.entries {
+			if e.lease.Expires.Before(clk.Now()) && r.last != nil {
+				if slices.Contains(r.touched, name) {
+					sweptTouched++
+				} else {
+					sweptUntouched++
+				}
+			}
+		}
+		r.mu.Unlock()
+
+		want := live()
+		got := r.Profiles()
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: Profiles has %d advertisements, the model %d live ones", round, len(got), len(want))
+		}
+		req := randomRequest(rng, concepts)
+		ref := referenceMatch(m, req, got)
+		matched += len(ref)
+		for _, max := range []int{0, 1, 5} {
+			req.Max = max
+			got := r.Lookup(m, req)
+			ref := ref
+			if max > 0 && len(ref) > max {
+				ref = ref[:max]
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("round %d max %d: %d matches, reference has %d (request %+v)", round, max, len(got), len(ref), req)
+			}
+			for i := range got {
+				if got[i].Profile != ref[i].Profile || got[i].Score != ref[i].Score {
+					t.Fatalf("round %d max %d rank %d: %s (%v), reference has %s (%v) (request %+v)", round, max, i,
+						got[i].Profile.Name, got[i].Score, ref[i].Profile.Name, ref[i].Score, req)
+				}
+			}
+		}
+	}
+
+	// A write and then a read merges; it does not start over.
+	if r.Len() < 8 {
+		t.Fatalf("only %d advertisements left to merge into", r.Len())
+	}
+	merges, fulls := rebuilds("merge"), rebuilds("full")
+	if _, err := r.Register(&ontology.Profile{Name: "svc-new", Concept: "Service"}, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Lookup(m, ontology.Request{Concept: "Service"}); len(got) == 0 {
+		t.Fatal("no match after a registration")
+	}
+	if rebuilds("merge") != merges+1 || rebuilds("full") != fulls {
+		t.Fatalf("write then read: %d merges and %d full rebuilds, want %d and %d",
+			rebuilds("merge"), rebuilds("full"), merges+1, fulls)
+	}
+
+	// The test is only as good as the paths it reached.
+	if merges < 200 || fulls < 20 || sweptTouched == 0 || sweptUntouched == 0 || renewDrops == 0 || matched < 5000 {
+		t.Fatalf("weak churn: %d merges, %d full rebuilds, %d touched and %d untouched lapsed names swept, "+
+			"%d renewals that dropped the view, %d reference matches",
+			merges, fulls, sweptTouched, sweptUntouched, renewDrops, matched)
+	}
+	t.Logf("%d merges, %d full rebuilds, %d touched and %d untouched lapsed names swept, %d view drops on renewal, %d reference matches",
+		merges, fulls, sweptTouched, sweptUntouched, renewDrops, matched)
+}
+
 // everyMatcher returns every candidate in the order given, so a test sees
 // exactly the slice Registry.Lookup hands its matcher.
 type everyMatcher struct{}
@@ -933,11 +1129,12 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 		go func() {
 			defer others.Done()
 			broker := &Broker{Name: "b", Reg: r, Matcher: everyMatcher{}}
+			semantic := &Broker{Name: "s", Reg: r, Matcher: NewSemanticMatcher(ontology.Pervasive())}
 			for n := 0; !stop.Load() && !t.Failed(); n++ {
 				// What had lapsed or been withdrawn before the read began
 				// must not be in it.
 				before, gone := elapsed(), withdrawn.Load()
-				switch n % 4 {
+				switch n % 5 {
 				case 0:
 					check("Profiles", before, gone, r.Profiles())
 				case 1:
@@ -946,6 +1143,20 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 						got = append(got, m.Profile)
 					}
 					check("Lookup", before, gone, got)
+				case 4:
+					// Through the snapshot's signature index: every
+					// advertisement is a Service, so all of them match.
+					matches := semantic.Lookup(ontology.Request{Concept: "Service"}, 0)
+					got := make([]*ontology.Profile, len(matches))
+					for i, m := range matches {
+						if i > 0 && rank(matches[i-1], m) >= 0 {
+							t.Errorf("semantic Lookup: %s (%v) before %s (%v): not in rank order",
+								matches[i-1].Profile.Name, matches[i-1].Score, m.Profile.Name, m.Score)
+						}
+						got[i] = m.Profile
+					}
+					slices.SortFunc(got, func(a, b *ontology.Profile) int { return strings.Compare(a.Name, b.Name) })
+					check("semantic Lookup", before, gone, got)
 				case 2:
 					if n := r.Len(); n < steady {
 						t.Errorf("Len: %d, below the %d renewed leases", n, steady)

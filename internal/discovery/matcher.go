@@ -105,7 +105,7 @@ type prefRange struct{ lo, hi float64 }
 
 // prefRanges measures each PreferLow property over the whole pool — every
 // constraint survivor of every concept — so that prefScore is scale-free.
-func prefRanges(keys []string, pool []*ontology.Profile) []prefRange {
+func prefRanges(keys []string, pool survivors) []prefRange {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -113,8 +113,8 @@ func prefRanges(keys []string, pool []*ontology.Profile) []prefRange {
 	for i, key := range keys {
 		r := &ranges[i]
 		first := true
-		for _, p := range pool {
-			v, ok := p.Prop(key)
+		for j := range pool.len() {
+			v, ok := pool.candidates[pool.index(j)].Prop(key)
 			if !ok || v.Kind != ontology.KindNumber {
 				continue
 			}
@@ -159,8 +159,9 @@ func prefScore(req ontology.Request, p *ontology.Profile, ranges []prefRange) fl
 
 // signature is what the concept and IO parts of a score depend on: the
 // candidate's Concept, Inputs and Outputs. A registry of thousands of
-// services holds about a dozen distinct ones, so Match keeps the ones it
-// has met in a slice and finds a candidate's by scanning it.
+// services holds about a dozen distinct ones. A registry snapshot numbers
+// them (Registry.intern), so a lookup finds a candidate's by number; Match
+// over a plain slice keeps the ones it has met in a slice and scans it.
 type signature struct {
 	of *ontology.Profile // the first candidate seen with it
 	// base is cw·concept + iw·io; a candidate's score is base + pw·pref.
@@ -184,10 +185,39 @@ func rank(a, b Match) int {
 	return strings.Compare(a.Profile.Name, b.Profile.Name)
 }
 
+// survivors is the pool a match scores, the candidates that meet every
+// constraint: the ones keep indexes, or all of them when keep is nil.
+type survivors struct {
+	candidates []*ontology.Profile
+	keep       []int32
+}
+
+func (p survivors) len() int {
+	if p.keep == nil {
+		return len(p.candidates)
+	}
+	return len(p.keep)
+}
+
+// index returns the position in candidates of the pool's j-th member.
+func (p survivors) index(j int) int {
+	if p.keep == nil {
+		return j
+	}
+	return int(p.keep[j])
+}
+
 // Match implements Matcher. It returns the req.Max best candidates (all of
 // them when Max is 0) that meet every constraint and score at least
 // MinScore, best first.
 func (m *SemanticMatcher) Match(req ontology.Request, candidates []*ontology.Profile) []Match {
+	return m.match(req, candidates, nil)
+}
+
+// match is Match over candidates, which are view's profiles when view is not
+// nil: a candidate's signature is then read from view.sig, not found by
+// scanning the ones met so far. That is the only difference.
+func (m *SemanticMatcher) match(req ontology.Request, candidates []*ontology.Profile, view *snapshot) []Match {
 	cw, iw, pw := m.ConceptWeight, m.IOWeight, m.PrefWeight
 	if cw <= 0 && iw <= 0 && pw <= 0 {
 		cw, iw, pw = 0.6, 0.2, 0.2
@@ -203,17 +233,17 @@ func (m *SemanticMatcher) Match(req ontology.Request, candidates []*ontology.Pro
 	// surviving pool. This pass is linear in the candidates on purpose: an
 	// index by concept could narrow what is scored below, but narrowing
 	// what feeds the ranges would change the scores.
-	pool := candidates
+	pool := survivors{candidates: candidates}
 	if len(req.Constraints) > 0 {
-		pool = make([]*ontology.Profile, 0, len(candidates))
+		pool.keep = make([]int32, 0, len(candidates))
 	next:
-		for _, p := range candidates {
+		for i, p := range candidates {
 			for _, c := range req.Constraints {
 				if !ontology.Satisfies(p, c, req) {
 					continue next
 				}
 			}
-			pool = append(pool, p)
+			pool.keep = append(pool.keep, int32(i))
 		}
 	}
 	ranges := prefRanges(req.PreferLow, pool)
@@ -221,24 +251,33 @@ func (m *SemanticMatcher) Match(req ontology.Request, candidates []*ontology.Pro
 	// Pass 2: score. The ontology is consulted once per signature; only
 	// the preference part is per candidate. With a bound, the best Max are
 	// kept in order by insertion instead of ranking everyone.
-	keep, bounded := len(pool), false
+	keep, bounded := pool.len(), false
 	if req.Max > 0 && req.Max < keep {
 		keep, bounded = req.Max, true
 	}
 	out := make([]Match, 0, keep)
-	var sigs []signature
-	for _, p := range pool {
+	var met []signature // by number with a view, else in the order met
+	if view != nil && keep > 0 {
+		met = make([]signature, view.sigs)
+	}
+	for j := range pool.len() {
+		i := pool.index(j)
+		p := candidates[i]
 		var sig *signature
-		for i := range sigs {
-			if sigs[i].covers(p) {
-				sig = &sigs[i]
-				break
+		if view != nil {
+			sig = &met[view.sig[i]]
+		} else {
+			k := 0
+			for k < len(met) && !met[k].covers(p) {
+				k++
 			}
+			if k == len(met) {
+				met = append(met, signature{})
+			}
+			sig = &met[k]
 		}
-		if sig == nil {
-			sigs = append(sigs, signature{of: p,
-				base: cw*m.conceptScore(req.Concept, p.Concept) + iw*m.ioScore(req, p)})
-			sig = &sigs[len(sigs)-1]
+		if sig.of == nil { // met for the first time
+			*sig = signature{of: p, base: cw*m.conceptScore(req.Concept, p.Concept) + iw*m.ioScore(req, p)}
 		}
 		bar := minScore
 		if len(out) == keep {

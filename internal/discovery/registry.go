@@ -1,7 +1,9 @@
 package discovery
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -24,17 +26,20 @@ type Lease struct {
 // Registry stores service advertisements under leases. It is safe for
 // concurrent use, and reads take no lock: Profiles, Len, Has and Lookup
 // serve an immutable name-ordered snapshot published through an atomic
-// pointer. A mutation that changes the set of advertisements drops the
-// snapshot and the first read after it rebuilds, so a burst of writes pays
-// for one rebuild. The clock is injectable so simulations can drive expiry
-// deterministically.
+// pointer, with each advertisement's signature numbered for a
+// SemanticMatcher. A mutation that changes the set of advertisements drops
+// the snapshot and records the name; the first read after it merges those
+// names into the last snapshot, so a burst of writes pays for one merge.
+// The clock is injectable so simulations can drive expiry deterministically.
 type Registry struct {
 	// Clock supplies the current time; nil means obs.Real.
 	Clock obs.Clock
 
 	// Metrics, when set, receives discovery_match_latency_seconds,
-	// discovery_lookup_{hits,misses}_total, and a discovery_registry_size
-	// gauge. Nil disables instrumentation (obs.Registry is nil-safe).
+	// discovery_lookup_{hits,misses}_total,
+	// discovery_view_rebuilds_total{kind="merge"|"full"}, and a
+	// discovery_registry_size gauge set when a snapshot is published. Nil
+	// disables instrumentation (obs.Registry is nil-safe).
 	Metrics *obs.Registry
 
 	// OnRegister, when set, observes every successful Register and Renew
@@ -54,7 +59,14 @@ type Registry struct {
 	entries map[string]*entry // by profile name
 	// snap is the published view of entries; nil after a mutation that
 	// changed the set. Written under mu, read without it.
-	snap    atomic.Pointer[snapshot]
+	snap atomic.Pointer[snapshot]
+	// last is the view the next rebuild merges into, touched the names
+	// written since; no names are kept while last is nil.
+	last    *snapshot
+	touched []string
+	// sigNum numbers the signatures met since the last full rebuild, by key.
+	sigNum  map[string]int32
+	key     []byte // scratch for signature keys
 	watches watchList
 }
 
@@ -63,9 +75,13 @@ type entry struct {
 	lease   Lease
 }
 
-// snapshot is an immutable view of the live advertisements.
+// snapshot is an immutable view of the live advertisements and the match
+// index over them: sig[i] is the number of profiles[i]'s signature, in
+// [0, sigs).
 type snapshot struct {
 	profiles []*ontology.Profile // name order
+	sig      []int32
+	sigs     int
 	// horizon is the earliest expiry among the leases the view was built
 	// from: until the clock passes it nothing in the view has lapsed, so
 	// the view is served as it is. Renew either leaves every expiry at or
@@ -81,7 +97,7 @@ func (s *snapshot) current(now time.Time) bool {
 
 // NewRegistry builds an empty registry on the wall clock.
 func NewRegistry() *Registry {
-	return &Registry{entries: map[string]*entry{}}
+	return &Registry{entries: map[string]*entry{}, sigNum: map[string]int32{}}
 }
 
 func (r *Registry) now() time.Time {
@@ -106,7 +122,7 @@ func (r *Registry) Register(p *ontology.Profile, ttl time.Duration) (Lease, erro
 	r.nextID++
 	l := Lease{ID: r.nextID, Name: p.Name, Expires: r.now().Add(ttl)}
 	r.entries[p.Name] = &entry{profile: p, lease: l}
-	r.snap.Store(nil)
+	r.touch(p.Name)
 	r.mu.Unlock()
 	// Watchers and the journal hook run outside the lock so their
 	// callbacks may use the registry freely.
@@ -152,13 +168,26 @@ func (r *Registry) Deregister(name string) {
 	_, had := r.entries[name]
 	if had {
 		delete(r.entries, name)
-		r.snap.Store(nil)
+		r.touch(name)
 	}
 	r.mu.Unlock()
 	if had {
 		if fn := r.OnDeregister; fn != nil {
 			fn(name)
 		}
+	}
+}
+
+// touch unpublishes the view after name was registered or withdrawn, and
+// records the name for the next rebuild to merge. Called under r.mu.
+func (r *Registry) touch(name string) {
+	r.snap.Store(nil)
+	if r.last == nil {
+		return
+	}
+	r.touched = append(r.touched, name)
+	if 4*len(r.touched) > len(r.last.profiles) {
+		r.last, r.touched = nil, r.touched[:0] // cheaper to start over
 	}
 }
 
@@ -174,24 +203,87 @@ func (r *Registry) view() *snapshot {
 	if s := r.snap.Load(); s.current(now) {
 		return s // another reader rebuilt it first
 	}
-	// Sweep expired entries and publish what is left.
-	s := &snapshot{profiles: make([]*ontology.Profile, 0, len(r.entries))}
-	for name, e := range r.entries {
+	return r.rebuild(now)
+}
+
+var noView = &snapshot{} // what a full rebuild merges into
+
+// rebuild publishes the view at now, in O(n + k log k) for k touched names:
+// it merges the last view minus the touched names, whose entries keep their
+// signature numbers, with the touched names still live, and sweeps lapsed
+// leases from both. With no last view, or more than twice as many
+// signatures numbered as there are entries, it merges an empty view with
+// every entry and numbers afresh: a full rebuild. Called under r.mu.
+func (r *Registry) rebuild(now time.Time) *snapshot {
+	prev, kind, touched := r.last, "merge", r.touched
+	if prev == nil || len(r.sigNum) > 2*len(r.entries) {
+		prev, kind, touched = noView, "full", slices.Collect(maps.Keys(r.entries))
+		clear(r.sigNum)
+	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	profiles := make([]*ontology.Profile, len(r.entries))
+	sig := make([]int32, len(r.entries))
+	s := &snapshot{}
+	n := 0
+	for i, j := 0, 0; i < len(prev.profiles) || j < len(touched); {
+		var e *entry
+		num := int32(-1)
+		if j == len(touched) || i < len(prev.profiles) && prev.profiles[i].Name < touched[j] {
+			e, num = r.entries[prev.profiles[i].Name], prev.sig[i]
+			i++
+		} else {
+			if i < len(prev.profiles) && prev.profiles[i].Name == touched[j] {
+				i++ // touched since: its entry, not the view, says what it is
+			}
+			e = r.entries[touched[j]]
+			j++
+		}
+		if e == nil {
+			continue // withdrawn
+		}
 		if e.lease.Expires.Before(now) {
-			delete(r.entries, name)
+			delete(r.entries, e.lease.Name)
 			continue
 		}
-		if len(s.profiles) == 0 || e.lease.Expires.Before(s.horizon) {
+		if num < 0 {
+			num = r.intern(e.profile)
+		}
+		if n == 0 || e.lease.Expires.Before(s.horizon) {
 			s.horizon = e.lease.Expires
 		}
-		s.profiles = append(s.profiles, e.profile)
+		profiles[n], sig[n] = e.profile, num
+		n++
 	}
-	slices.SortFunc(s.profiles, byName)
+	s.profiles, s.sig, s.sigs = profiles[:n], sig[:n], len(r.sigNum)
 	r.snap.Store(s)
+	r.last, r.touched = s, r.touched[:0]
+	r.Metrics.Counter("discovery_view_rebuilds_total", "kind", kind).Inc()
+	r.Metrics.Gauge("discovery_registry_size").Set(float64(n))
 	return s
 }
 
-func byName(a, b *ontology.Profile) int { return strings.Compare(a.Name, b.Name) }
+// intern returns the number of p's signature, numbering it if it is new.
+// The key holds Concept, Inputs and Outputs, each list counted and each
+// string length-prefixed, so two keys are equal exactly when
+// signature.covers says the signatures are. Called under r.mu.
+func (r *Registry) intern(p *ontology.Profile) int32 {
+	r.key = appendStrings(appendStrings(appendStrings(r.key[:0], p.Concept), p.Inputs...), p.Outputs...)
+	num, ok := r.sigNum[string(r.key)]
+	if !ok {
+		num = int32(len(r.sigNum))
+		r.sigNum[string(r.key)] = num
+	}
+	return num
+}
+
+func appendStrings(b []byte, list ...string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(list)))
+	for _, s := range list {
+		b = append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
+	return b
+}
 
 // Profiles returns the live advertisements in name order. The slice is the
 // caller's own.
@@ -210,12 +302,17 @@ func (r *Registry) Has(name string) bool {
 }
 
 // Lookup runs the matcher over the live advertisements. The matcher sees
-// the shared snapshot and must not modify it.
+// the shared snapshot and must not modify it. Only a *SemanticMatcher is
+// handed its signature numbers; a decorator around one is not.
 func (r *Registry) Lookup(m Matcher, req ontology.Request) []Match {
-	profiles := r.view().profiles
-	r.Metrics.Gauge("discovery_registry_size").Set(float64(len(profiles)))
+	s := r.view()
 	start := r.now()
-	matches := m.Match(req, profiles)
+	var matches []Match
+	if sm, ok := m.(*SemanticMatcher); ok {
+		matches = sm.match(req, s.profiles, s)
+	} else {
+		matches = m.Match(req, s.profiles)
+	}
 	r.Metrics.Histogram("discovery_match_latency_seconds").
 		Observe(r.now().Sub(start).Seconds())
 	if len(matches) > 0 {
