@@ -4,7 +4,7 @@ GO ?= go
 # (85% at the time the observability layer landed).
 COVER_FLOOR ?= 84.0
 
-.PHONY: build test race vet fmt-check lint cover check bench-e2e experiments load-smoke e18-smoke loc
+.PHONY: build test race vet fmt-check lint cover check fuzz-smoke bench-e2e experiments load-smoke e18-smoke loc
 
 # Generous wall-time ceiling for the whole lint run (call-graph build +
 # fixed point over every package). Today's run is well under a second;
@@ -52,9 +52,21 @@ cover:
 		printf "coverage %.1f%% (floor %.1f%%)\n", t, f }'
 
 # The verification gate: static analysis, the full suite under the race
-# detector, the coverage floor and the end-to-end scenario smoke. The
+# detector, the coverage floor, a short fuzz of every decoder and the
+# end-to-end scenario smoke. The
 # agent platform, transports, and solvers must stay race-clean.
-check: vet fmt-check lint race cover load-smoke e18-smoke
+check: vet fmt-check lint race cover fuzz-smoke load-smoke e18-smoke
+
+# fuzz-smoke fuzzes each decoder that reads hostile bytes for FUZZTIME
+# (go test only replays the seed corpus): the agent wire frame, the WAL
+# frame, the query parser and the telemetry report. Two workers each, to
+# stay small on a shared box.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/agent
+	$(GO) test -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzReport$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/telemetry
 
 # load-smoke runs both disaster scenarios end to end (real TCP, open-loop
 # load) at rates any CI box sustains, and fails unless the priority lane

@@ -8,8 +8,10 @@ import (
 	"time"
 )
 
-// callCounter mints conversation caller IDs, unique per process so two client
-// platforms behind one gateway never share a reverse route.
+// callCounter numbers conversation caller IDs within one process. A caller ID
+// is "<platform>/caller-N": the counter keeps it unique within the process and
+// the platform name across processes, so two clients behind one gateway never
+// share a reverse route.
 var callCounter atomic.Uint64
 
 // ErrCallTimeout reports a Call that received no reply in time.
@@ -63,7 +65,7 @@ func (p *Platform) openInbox(depth int) (*inbox, error) {
 	if n := len(p.idleCallers); n > 0 {
 		id, p.idleCallers = p.idleCallers[n-1], p.idleCallers[:n-1]
 	} else {
-		id = ID("caller-" + strconv.FormatUint(callCounter.Add(1), 10))
+		id = ID(p.Name + "/caller-" + strconv.FormatUint(callCounter.Add(1), 10))
 	}
 	p.idleMu.Unlock()
 	in := &inbox{p: p, id: id, replies: make(chan Envelope, depth)}

@@ -310,3 +310,74 @@ func TestConcurrentCallsSurviveLateReplies(t *testing.T) {
 		t.Errorf("a late reply was lost some other way: %+v", st)
 	}
 }
+
+// TestCallerIDsDoNotCollideAcrossProcesses: two processes each number their
+// conversations from one, so the caller IDs they mint must still differ, or
+// the gateway's reverse route (keyed by sender, last sender wins) hands one
+// client's reply to the other. Resetting callCounter between the two client
+// platforms makes them mint as two processes would.
+func TestCallerIDsDoNotCollideAcrossProcesses(t *testing.T) {
+	server := NewPlatform("server")
+	defer server.Close()
+	// The echo holds each request until both have arrived, so both reverse
+	// routes are learned before either reply is sent.
+	var held []Envelope
+	err := server.Register("echo", HandlerFunc(func(env Envelope, ctx *Context) {
+		if held = append(held, env); len(held) < 2 {
+			return
+		}
+		for _, req := range held {
+			var who string
+			_ = req.Decode(&who)
+			if r, err := req.Reply("inform", who); err == nil {
+				_ = ctx.Send(r)
+			}
+		}
+	}), Attributes{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := ListenAndServe(server, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+
+	type result struct {
+		want string
+		got  Envelope
+		err  error
+	}
+	results := make(chan result, 2)
+	for _, name := range []string{"handheld-a", "handheld-b"} {
+		client := NewPlatform(name)
+		defer client.Close()
+		link, err := Dial(client, gw.Addr(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer link.Close()
+		// Mint this process's first caller ID now and leave it idle, so the
+		// Call below takes it from the free list.
+		callCounter.Store(0)
+		in, err := client.openInbox(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.close()
+		go func() {
+			got, err := Call(client, "echo", "request", "o", name, 2*time.Second)
+			results <- result{name, got, err}
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		r := <-results
+		if r.err != nil {
+			t.Fatalf("%s: %v", r.want, r.err)
+		}
+		var body string
+		if err := r.got.Decode(&body); err != nil || body != r.want {
+			t.Fatalf("%s received the reply to %s", r.want, body)
+		}
+	}
+}

@@ -1,10 +1,13 @@
 package query
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzParse drives the parser with arbitrary inputs: it must never panic,
 // and any query that parses must re-parse from its own String() with the
-// same classification.
+// same classification and the same predicates.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT temp FROM sensors WHERE sensor = 10",
@@ -26,7 +29,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("String() output %q does not re-parse: %v", rendered, err)
 		}
-		if q.Kind() != q2.Kind() || q.GroupBy != q2.GroupBy || q.Epoch != q2.Epoch {
+		if q.Kind() != q2.Kind() || q.GroupBy != q2.GroupBy || q.Epoch != q2.Epoch || !slices.Equal(q.Where, q2.Where) {
 			t.Fatalf("round trip changed semantics: %q -> %q", src, rendered)
 		}
 	})

@@ -15,7 +15,9 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Type is the paper's query taxonomy.
@@ -67,8 +69,44 @@ type Predicate struct {
 	Value string // numeric or string literal (unquoted)
 }
 
+// String renders the predicate so that it parses back to itself: a value
+// that is not one bare identifier or number is quoted, with whichever quote
+// it does not contain (a parsed value never holds both).
 func (p Predicate) String() string {
-	return fmt.Sprintf("%s %s %s", p.Field, p.Op, p.Value)
+	v := p.Value
+	if !bare(v) {
+		quote := "'"
+		if strings.Contains(v, quote) {
+			quote = `"`
+		}
+		v = quote + v + quote
+	}
+	return fmt.Sprintf("%s %s %s", p.Field, p.Op, v)
+}
+
+// bare reports whether v lexes as one identifier or one number token, by the
+// lexer's rules: an identifier starts with a letter or '_' and continues with
+// letters, digits and '_'; a number is digits and dots, starting with a digit
+// or with a dot before a digit.
+func bare(v string) bool {
+	if v == "" {
+		return false
+	}
+	c0 := rune(v[0])
+	ident := unicode.IsLetter(c0) || c0 == '_'
+	if !ident && !unicode.IsDigit(c0) && !(c0 == '.' && len(v) > 1 && unicode.IsDigit(rune(v[1]))) {
+		return false
+	}
+	for i := 0; i < len(v); i++ {
+		switch c := rune(v[i]); {
+		case unicode.IsDigit(c):
+		case ident && (unicode.IsLetter(c) || c == '_'):
+		case !ident && c == '.':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // CostMetric names what the COST clause bounds.
@@ -202,11 +240,12 @@ func (q *Query) String() string {
 	if q.GroupBy != "" {
 		fmt.Fprintf(&b, " GROUP BY %s", q.GroupBy)
 	}
+	// Numbers are written without an exponent, which the lexer does not read.
 	if q.CostMetric != CostNone {
-		fmt.Fprintf(&b, " COST %s %g", q.CostMetric, q.CostLimit)
+		fmt.Fprintf(&b, " COST %s %s", q.CostMetric, strconv.FormatFloat(q.CostLimit, 'f', -1, 64))
 	}
 	if q.Epoch > 0 {
-		fmt.Fprintf(&b, " EPOCH %g", q.Epoch)
+		fmt.Fprintf(&b, " EPOCH %s", strconv.FormatFloat(q.Epoch, 'f', -1, 64))
 	}
 	return b.String()
 }

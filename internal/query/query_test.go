@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -138,6 +139,11 @@ func TestStringRoundTrip(t *testing.T) {
 		"SELECT temp FROM sensors WHERE sensor = 10",
 		"SELECT avg(temp) FROM sensors WHERE room = '210' COST time 5 EPOCH 10",
 		"SELECT tempdist(temp), count(temp) FROM sensors WHERE temp >= 100",
+		// String values that are not one bare word, and numbers %g would
+		// write with an exponent.
+		"SELECT avg(temp) FROM sensors WHERE room = ''",
+		`SELECT temp FROM sensors WHERE room = 'the lab' AND tag = "it's"`,
+		"SELECT avg(temp) FROM sensors COST energy 1000000 EPOCH 0.000001",
 	}
 	for _, src := range srcs {
 		q1, err := Parse(src)
@@ -148,7 +154,8 @@ func TestStringRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-parse %q: %v", q1.String(), err)
 		}
-		if q1.Kind() != q2.Kind() || len(q1.Select) != len(q2.Select) || len(q1.Where) != len(q2.Where) {
+		if q1.Kind() != q2.Kind() || !slices.Equal(q1.Select, q2.Select) || !slices.Equal(q1.Where, q2.Where) ||
+			q1.CostLimit != q2.CostLimit || q1.Epoch != q2.Epoch {
 			t.Fatalf("round trip changed query: %q -> %q", src, q2.String())
 		}
 	}

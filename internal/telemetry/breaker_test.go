@@ -26,7 +26,7 @@ func TestMonitorHealthDrivesBreakers(t *testing.T) {
 	}
 	defer mon.Close()
 
-	mon.Ingest(Report{Node: "edge", Seq: 1, Full: true})
+	mon.Ingest(Report{Node: "edge", Seq: 1})
 	if got := bs.State("edge"); got != supervise.BreakerClosed {
 		t.Fatalf("healthy node breaker = %v, want closed", got)
 	}
@@ -92,7 +92,7 @@ func TestMonitorOnHealthChange(t *testing.T) {
 	})
 
 	// First report: node arrives healthy — no change fires.
-	mon.Ingest(Report{Node: "edge", Seq: 1, Full: true})
+	mon.Ingest(Report{Node: "edge", Seq: 1})
 	if len(got) != 0 {
 		t.Fatalf("healthy arrival fired %v", got)
 	}

@@ -64,9 +64,10 @@ func TestChaosPartitionHealthLifecycle(t *testing.T) {
 		}
 	}
 
-	// Heal: the next delivered report resets staleness; the resync logic
-	// must bring the stored snapshot back with a full report (the
-	// reporter saw only "successes", so the monitor relies on seq gaps).
+	// Heal: the next delivered report resets staleness. It is a delta
+	// whose base the monitor never saw (the reporter saw only
+	// "successes"), so the monitor refuses its snapshot and the reply
+	// makes the report after it full.
 	f.Nodes[victim].Injector.SetPartitioned(false)
 	clk.Advance(time.Second)
 	waitFor(t, "post-heal report", func() bool {

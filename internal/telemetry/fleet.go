@@ -127,15 +127,7 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 		link := agent.DialReconnect(np, gw.Addr(), agent.ReconnectOptions{
 			WrapRoute: inj.WrapRoute,
 		})
-		rep, err := StartReporter(np, ReporterOptions{
-			Interval: cfg.Interval,
-			Clock:    cfg.Clock,
-			// One fast retry: a report racing a link redial gets a
-			// second chance, but a partitioned node must not block.
-			Retry: agent.RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond,
-				Seed: int64(i + 1), Clock: cfg.Clock},
-			SendTimeout: cfg.Interval,
-		})
+		rep, err := StartReporter(np, ReporterOptions{Interval: cfg.Interval, Clock: cfg.Clock})
 		if err != nil {
 			link.Close()
 			np.Close()

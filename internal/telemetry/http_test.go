@@ -24,7 +24,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("c_total").Add(3)
 	id := obs.NewTraceID()
-	mon.Ingest(Report{Node: "n1", Seq: 1, Full: true, Snap: reg.Snapshot(),
+	mon.Ingest(Report{Node: "n1", Seq: 1, Snap: reg.Snapshot(),
 		Spans: []obs.Span{{Trace: id, Time: clk.Now(), Node: "n1", Kind: obs.SpanSend, From: "a", To: "b"}}})
 
 	extra := obs.NewRegistry()

@@ -81,12 +81,13 @@ func (o MonitorOptions) withDefaults(p *agent.Platform) MonitorOptions {
 // nodeState is everything the monitor knows about one node.
 type nodeState struct {
 	snap      obs.Snapshot // reconstructed full view
+	snapSeq   uint64       // the report snap came from (0: none yet)
 	lastSeen  time.Time    // monitor clock at last report
 	sentAt    time.Time    // node clock when the last report was built
-	seq       uint64
+	boot      time.Time    // the reporter incarnation seq counts within
+	seq       uint64       // highest seq seen from boot
 	reports   uint64
 	missed    uint64 // seq gaps (reports lost in transit)
-	resyncs   uint64 // full snapshots after the first
 	spans     uint64
 	events    uint64
 	delivered uint64
@@ -141,8 +142,10 @@ func RegisterMonitor(p *agent.Platform, opts MonitorOptions) (*Monitor, error) {
 	return m, nil
 }
 
-// handle ingests one envelope delivered to the monitor agent.
-func (m *Monitor) handle(env agent.Envelope, ctx *agent.Context) {
+// handle ingests one envelope delivered to the monitor agent. A refused
+// report is answered once, naming the seq the monitor holds; the reporter
+// takes any reply as "next report full".
+func (m *Monitor) handle(env agent.Envelope, _ *agent.Context) {
 	if env.Ontology != OntologyReport {
 		return
 	}
@@ -151,35 +154,23 @@ func (m *Monitor) handle(env agent.Envelope, ctx *agent.Context) {
 		m.platform.Metrics().Counter("telemetry_bad_reports_total").Inc()
 		return
 	}
-	if gapped := m.Ingest(rep); gapped {
-		// Deltas died in transit and the reporter believed they arrived;
-		// the stored view may hold stale series until each one changes
-		// again. Ask the node for a full snapshot instead of waiting.
-		// The request is retried off the mailbox goroutine: a dropped
-		// resync is lost forever (the next report's seq is continuous),
-		// so this one envelope must try harder than fire-and-forget.
-		if reply, err := env.Reply("request", nil); err == nil {
-			reply.Ontology = OntologyResync
-			m.platform.Metrics().Counter("telemetry_resync_requests_total").Inc()
-			policy := agent.RetryPolicy{
-				MaxAttempts: 3,
-				BaseDelay:   m.opts.Interval / 4,
-				MaxDelay:    m.opts.Interval,
-				Clock:       m.opts.Clock,
-			}
-			timeout := 2 * m.opts.Interval
-			supervise.Spawn("telemetry-resync", func() {
-				_ = agent.SendRetry(m.platform, reply, timeout, policy)
-			})
+	if held, refused := m.Ingest(rep); refused {
+		if reply, err := env.Reply("refuse", held); err == nil {
+			//lint:ignore rawsend refusals are sent once — a lost one is repeated when the next delta is refused
+			_ = m.platform.Send(reply)
 		}
 	}
 }
 
-// Ingest merges one report into the fleet state, reporting whether it
-// exposed a seq gap (reports lost in transit since the node's previous
-// one). Exported so in-process deployments (and tests) can bypass the
-// envelope layer.
-func (m *Monitor) Ingest(rep Report) (gapped bool) {
+// Ingest merges one report into the fleet state. A report at or below
+// the highest seq seen from the same reporter incarnation is stale and
+// dropped whole. A newer report's snapshot is applied only when it is
+// full or its Base is the seq the stored snapshot came from; otherwise
+// Ingest refuses it, returning the seq the stored snapshot came from, and
+// keeps the rest of the report (liveness, ledgers, spans, events).
+// Exported so in-process deployments (and tests) can bypass the envelope
+// layer.
+func (m *Monitor) Ingest(rep Report) (held uint64, refused bool) {
 	now := m.opts.Clock.Now()
 	m.mu.Lock()
 	ns := m.nodes[rep.Node]
@@ -187,24 +178,27 @@ func (m *Monitor) Ingest(rep Report) (gapped bool) {
 		ns = &nodeState{}
 		m.nodes[rep.Node] = ns
 	}
-	if rep.Full || ns.reports == 0 {
-		ns.snap = rep.Snap.Clone()
-		if ns.reports > 0 {
-			ns.resyncs++
-		}
-	} else {
-		ns.snap = ns.snap.Apply(rep.Snap)
+	switch {
+	case rep.Boot.After(ns.boot): // the reporter restarted
+		ns.boot, ns.seq, ns.snapSeq = rep.Boot, 0, 0
+	case rep.Boot.Before(ns.boot) || rep.Seq <= ns.seq:
+		m.mu.Unlock()
+		return 0, false
 	}
-	// A duplicated envelope (fault injector, retry overlap) replays a
-	// seq we already saw; idempotent overlay makes that harmless. A gap
-	// means reports died in transit — telemetry observing its own loss.
+	switch {
+	case rep.Base == 0:
+		ns.snap, ns.snapSeq = rep.Snap.Clone(), rep.Seq
+	case rep.Base == ns.snapSeq:
+		ns.snap, ns.snapSeq = ns.snap.Apply(rep.Snap), rep.Seq
+	default:
+		held, refused = ns.snapSeq, true
+	}
+	// A gap means reports died in transit — telemetry observing its own
+	// loss.
 	if ns.seq > 0 && rep.Seq > ns.seq+1 {
 		ns.missed += rep.Seq - ns.seq - 1
-		gapped = !rep.Full // a full report already healed the gap
 	}
-	if rep.Seq > ns.seq {
-		ns.seq = rep.Seq
-	}
+	ns.seq = rep.Seq
 	ns.reports++
 	ns.spans += uint64(len(rep.Spans))
 	ns.events += uint64(len(rep.Events))
@@ -226,9 +220,12 @@ func (m *Monitor) Ingest(rep Report) (gapped bool) {
 	reg.Counter("telemetry_reports_total", "node", rep.Node).Inc()
 	reg.Counter("telemetry_spans_total").Add(float64(len(rep.Spans)))
 	reg.Counter("telemetry_events_total").Add(float64(len(rep.Events)))
+	if refused {
+		reg.Counter("telemetry_refused_reports_total").Inc()
+	}
 	reg.Gauge("telemetry_nodes").Set(float64(m.NodeCount()))
 	m.SyncBreakers()
-	return gapped
+	return held, refused
 }
 
 // SyncBreakers pushes the monitor's current health verdicts into the
@@ -383,7 +380,6 @@ type NodeView struct {
 	Seq          uint64    `json:"seq"`
 	Reports      uint64    `json:"reports"`
 	Missed       uint64    `json:"missedReports"`
-	Resyncs      uint64    `json:"resyncs"`
 	Spans        uint64    `json:"spans"`
 	Events       uint64    `json:"events"`
 	Delivered    uint64    `json:"delivered"`
@@ -443,7 +439,6 @@ func (m *Monitor) Fleet() FleetView {
 			Seq:          ns.seq,
 			Reports:      ns.reports,
 			Missed:       ns.missed,
-			Resyncs:      ns.resyncs,
 			Spans:        ns.spans,
 			Events:       ns.events,
 			Delivered:    ns.delivered,

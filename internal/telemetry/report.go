@@ -2,9 +2,11 @@
 // monitoring system *on the same substrate it observes* (Kirby et al.'s
 // active-architecture argument). Every node runs a lightweight reporter
 // deputy that periodically ships its metric snapshot (delta-encoded) and
-// recent trace spans to a MonitorAgent over ordinary envelopes — using
-// the resilience layer (SendRetry / reconnecting links), so telemetry
-// itself survives the faults the rest of the system is tested against.
+// recent trace spans to a MonitorAgent over ordinary envelopes. A report
+// is sent once: a delta names the report it was computed against, the
+// monitor applies only a delta whose base it holds, and it refuses the
+// rest with one reply that makes the next report full — so a lost report
+// costs freshness, never correctness.
 // The monitor merges per-node snapshots, derives health states from
 // report staleness, stitches cross-node trace timelines, and feeds the
 // measured per-node transport cost back into the partition decision
@@ -29,24 +31,21 @@ const (
 	OntologyReport = "pgrid-telemetry-report"
 	// OntologyProbe marks a transport probe (echo) conversation.
 	OntologyProbe = "pgrid-telemetry-probe"
-	// OntologyResync marks a monitor→node control envelope asking the
-	// reporter to ship its next report as a full snapshot. Sent when the
-	// monitor observes a seq gap: the missing deltas died in transit
-	// while the reporter believed they arrived (a silently lossy uplink),
-	// so only the monitor knows the stored view may be stale.
-	OntologyResync = "pgrid-telemetry-resync"
 )
 
 // Report is one node's periodic telemetry shipment.
 type Report struct {
 	// Node is the reporting platform's name.
 	Node string `json:"node"`
-	// Seq numbers this node's reports; the monitor detects gaps (lost
-	// reports) by discontinuities.
+	// Boot is the reporter's start time on its clock. It names the
+	// reporter's incarnation: a newer Boot restarts the node's seq state.
+	Boot time.Time `json:"boot"`
+	// Seq numbers this incarnation's reports; the monitor drops one at or
+	// below the highest it has seen and counts gaps as lost reports.
 	Seq uint64 `json:"seq"`
-	// Full marks a complete snapshot; otherwise Snap holds only the
-	// series changed since the previous report (obs.Snapshot.Delta).
-	Full bool `json:"full"`
+	// Base is the seq of the report this delta was computed against
+	// (obs.Snapshot.Delta); 0 means Snap is a full snapshot.
+	Base uint64 `json:"base,omitempty"`
 	// Snap is the delta-encoded (or full) metric snapshot.
 	Snap obs.Snapshot `json:"snap"`
 	// Spans are the trace spans recorded since the previous report.

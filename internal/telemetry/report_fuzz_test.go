@@ -1,0 +1,91 @@
+package telemetry
+
+import (
+	"bytes"
+	"encoding/json"
+	"runtime"
+	"testing"
+	"time"
+
+	"pervasivegrid/internal/agent"
+	"pervasivegrid/internal/obs"
+)
+
+// A report envelope may cost the monitor at most reportAllocPerByte heap
+// bytes per content byte, plus reportAllocFixed for its bookkeeping (the
+// node's ledgers, the metric series, a refusal envelope). The worst case
+// is an array of empty objects: each "{}," decodes to a ~230-byte
+// obs.Event, and the decoder's slice growth allocates about four times
+// the final slice, which measures ~330 bytes per content byte.
+const (
+	reportAllocPerByte = 512
+	reportAllocFixed   = 64 << 10
+)
+
+// FuzzReport: the monitor's envelope decode plus Ingest never panics and
+// allocates within the stated bound for any content, and every report it
+// accepts re-encodes to itself. Each input meets the same monitor state: a
+// node "n" whose stored snapshot came from full report 5.
+func FuzzReport(f *testing.F) {
+	clk := obs.NewFakeClock()
+	p := agent.NewPlatform("monitor")
+	p.Clock = clk
+	f.Cleanup(p.Close)
+	mon, err := RegisterMonitor(p, MonitorOptions{Interval: time.Second})
+	if err != nil {
+		f.Fatal(err)
+	}
+	boot := clk.Now()
+	snap := func(g float64) obs.Snapshot {
+		return obs.Snapshot{Counters: map[string]float64{"c_total": 3},
+			Gauges:     map[string]float64{"g": g},
+			Histograms: map[string]obs.HistogramSnapshot{"h_seconds": {Count: 2, Sum: 0.5, Max: 0.4}}}
+	}
+	prior := Report{Node: "n", Boot: boot, Seq: 5, Snap: snap(1), SentAt: boot}
+	for _, r := range []Report{
+		{Node: "n", Boot: boot, Seq: 6, Snap: snap(2), SentAt: boot,
+			Spans:  []obs.Span{{Trace: 7, Seq: 1, Time: boot, Node: "n", Kind: obs.SpanSend}},
+			Events: []obs.Event{obs.NewEvent("n", 7, "a", "b", OntologyProbe, boot)}}, // full
+		{Node: "n", Boot: boot, Seq: 6, Base: 5, Snap: obs.Snapshot{Gauges: map[string]float64{"g": 2}}}, // delta
+		{Node: "n", Boot: boot, Seq: 4, Base: 3, Snap: snap(0)},                                          // stale
+		{Node: "n", Boot: boot, Seq: 7, Base: 6, Snap: obs.Snapshot{Gauges: map[string]float64{"g": 3}}}, // refused
+	} {
+		b, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mon.mu.Lock()
+		mon.nodes = map[string]*nodeState{}
+		mon.mu.Unlock()
+		mon.Ingest(prior)
+		env := agent.Envelope{Seq: 1, From: "telemetry-reporter-n", To: MonitorID, Performative: "inform",
+			ContentType: "application/json", Ontology: OntologyReport, Content: data}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mon.handle(env, nil)
+		runtime.ReadMemStats(&after)
+		if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(reportAllocPerByte*len(data)+reportAllocFixed); n > limit {
+			t.Fatalf("a %d-byte report allocated %d bytes, past %d", len(data), n, limit)
+		}
+
+		var rep Report
+		if env.Decode(&rep) != nil || rep.Node == "" {
+			return // counted as a bad report
+		}
+		enc, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatalf("accepted report does not encode: %v", err)
+		}
+		var again Report
+		if err := json.Unmarshal(enc, &again); err != nil {
+			t.Fatalf("accepted report does not decode after encoding: %v", err)
+		}
+		if re, _ := json.Marshal(again); !bytes.Equal(re, enc) {
+			t.Fatalf("accepted report changed in a round trip:\n%s\n%s", enc, re)
+		}
+	})
+}

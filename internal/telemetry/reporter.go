@@ -18,11 +18,6 @@ type ReporterOptions struct {
 	// Sources are extra metric registries merged into the node snapshot
 	// alongside the platform's own registry (e.g. core.Runtime.Metrics).
 	Sources []obs.Source
-	// Retry shapes the SendRetry policy for shipping reports. The
-	// reporter pins the policy clock to the reporter clock.
-	Retry agent.RetryPolicy
-	// SendTimeout bounds one report's retried send (default Interval).
-	SendTimeout time.Duration
 	// Clock overrides the time source (default: the platform's clock).
 	Clock obs.Clock
 }
@@ -38,9 +33,6 @@ func (o ReporterOptions) withDefaults(p *agent.Platform) ReporterOptions {
 	if o.Interval <= 0 {
 		o.Interval = time.Second
 	}
-	if o.SendTimeout <= 0 {
-		o.SendTimeout = o.Interval
-	}
 	if o.Clock == nil {
 		if p.Clock != nil {
 			o.Clock = p.Clock
@@ -48,20 +40,19 @@ func (o ReporterOptions) withDefaults(p *agent.Platform) ReporterOptions {
 			o.Clock = obs.Real
 		}
 	}
-	if o.Retry.Clock == nil {
-		o.Retry.Clock = o.Clock
-	}
 	return o
 }
 
 // Reporter is the reporter deputy: a lightweight agent that periodically
 // snapshots its node's observability state and ships it to the fleet
 // monitor, delta-encoded so a quiet node costs almost nothing on the
-// wire. The first report (and any report after a send failure) is a full
-// snapshot, so the monitor can always rebuild the node view.
+// wire. Each delta is computed against the previous report and names its
+// seq as Base. The first report, and the next one after a send failure or
+// a refusal from the monitor, is a full snapshot.
 type Reporter struct {
 	platform *agent.Platform
 	opts     ReporterOptions
+	boot     time.Time // the incarnation every report names
 	// id is the reporter's own agent ID, "telemetry-reporter-" + platform
 	// name: reporters crossing one gateway must be unique fleet-wide so
 	// reverse routes don't collide.
@@ -70,8 +61,8 @@ type Reporter struct {
 	stopped chan struct{}
 
 	mu         sync.Mutex
-	last       obs.Snapshot // last snapshot acked onto the wire
-	haveLast   bool
+	last       obs.Snapshot // the snapshot report seq carried
+	haveLast   bool         // false: the next report is full
 	seq        uint64
 	spanTotal  uint64 // tracer total at the previous report
 	eventTotal uint64 // event-log total at the previous report
@@ -89,23 +80,26 @@ func StartReporter(p *agent.Platform, opts ReporterOptions) (*Reporter, error) {
 		done:     make(chan struct{}),
 		stopped:  make(chan struct{}),
 	}
-	// The reporter's inbound side is the monitor→node control channel:
-	// a resync request means the monitor saw a seq gap (deltas silently
-	// lost), so the next report must be a full snapshot.
-	err := p.Register(r.id, agent.HandlerFunc(func(env agent.Envelope, _ *agent.Context) {
-		if env.Ontology != OntologyResync {
-			return
-		}
-		r.mu.Lock()
-		r.haveLast = false
-		r.mu.Unlock()
-	}),
+	r.boot = r.opts.Clock.Now()
+	err := p.Register(r.id, agent.HandlerFunc(r.handle),
 		agent.Attributes{Agent: map[string]string{agent.AttrRole: "telemetry-reporter"}}, nil)
 	if err != nil {
 		return nil, err
 	}
 	supervise.Spawn("telemetry-reporter", r.loop)
 	return r, nil
+}
+
+// handle is the reporter's inbound side. The monitor replies only to
+// refuse a delta whose base it does not hold, so any reply makes the next
+// report full.
+func (r *Reporter) handle(env agent.Envelope, _ *agent.Context) {
+	if env.Ontology != OntologyReport {
+		return
+	}
+	r.mu.Lock()
+	r.haveLast = false
+	r.mu.Unlock()
 }
 
 func (r *Reporter) loop() {
@@ -179,8 +173,9 @@ func (r *Reporter) newEvents(prevTotal uint64) ([]obs.Event, uint64) {
 }
 
 // ReportNow builds and ships one report immediately (also used by the
-// periodic loop). On send failure the reporter forgets its delta base so
-// the next report is full again — the monitor may have missed this one.
+// periodic loop). It is sent once: if it is lost, the monitor refuses the
+// next delta, whose base it never saw, and its reply makes the report
+// after that full. A send that fails here makes the next report full.
 func (r *Reporter) ReportNow() error {
 	r.mu.Lock()
 	if r.closed {
@@ -188,10 +183,9 @@ func (r *Reporter) ReportNow() error {
 		return agent.ErrClosed
 	}
 	cur := r.snapshot()
-	full := !r.haveLast
-	ship := cur
-	if !full {
-		ship = cur.Delta(r.last)
+	ship, base := cur, uint64(0)
+	if r.haveLast {
+		ship, base = cur.Delta(r.last), r.seq
 	}
 	spans, spanTotal := r.newSpans(r.spanTotal)
 	events, eventTotal := r.newEvents(r.eventTotal)
@@ -200,8 +194,9 @@ func (r *Reporter) ReportNow() error {
 	tr := r.platform.Tracer
 	rep := Report{
 		Node:         r.platform.Name,
+		Boot:         r.boot,
 		Seq:          r.seq,
-		Full:         full,
+		Base:         base,
 		Snap:         ship,
 		Spans:        spans,
 		Events:       events,
@@ -213,20 +208,19 @@ func (r *Reporter) ReportNow() error {
 		Retries:      st.Retries,
 		SentAt:       r.opts.Clock.Now(),
 	}
-	// Optimistically advance the delta base; rolled back below on error.
 	r.last, r.haveLast = cur, true
 	r.spanTotal = spanTotal
 	r.eventTotal = eventTotal
-	timeout, policy := r.opts.SendTimeout, r.opts.Retry
 	r.mu.Unlock()
 
 	env, err := agent.NewEnvelope(r.id, MonitorID, "inform", OntologyReport, rep)
 	if err == nil {
-		err = agent.SendRetry(r.platform, env, timeout, policy)
+		//lint:ignore rawsend reports are sent once — the monitor refuses the delta after a lost one, and its reply makes the next report full
+		err = r.platform.Send(env)
 	}
 	if err != nil {
 		r.mu.Lock()
-		r.haveLast = false // resync with a full snapshot next time
+		r.haveLast = false
 		r.mu.Unlock()
 	}
 	return err

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -60,8 +61,11 @@ func TestReporterShipsDeltasToLocalMonitor(t *testing.T) {
 	}
 
 	// Change one app series; the next report is a delta that must merge
-	// onto the stored view without losing the untouched series.
+	// onto the stored view without losing the untouched series. The
+	// reporter must be parked on the clock before it moves, or the
+	// advance skips its tick.
 	app.Counter("app_things_total").Add(5)
+	waitFor(t, "reporter parked on the clock", func() bool { return clk.Waiters() >= 1 })
 	clk.Advance(time.Second)
 	waitFor(t, "second report", func() bool { return mon.Reports("node-a") >= 2 })
 	snap, _ = mon.NodeSnapshot("node-a")
@@ -129,7 +133,7 @@ func TestHealthDecaysWithStalenessAndRecovers(t *testing.T) {
 	waitFor(t, "recovery report", func() bool { return mon.Health("node-b") == Healthy })
 }
 
-func TestMonitorCountsSeqGapsAndResyncs(t *testing.T) {
+func TestMonitorCountsSeqGaps(t *testing.T) {
 	clk := obs.NewFakeClock()
 	p := agent.NewPlatform("monitor")
 	p.Clock = clk
@@ -142,14 +146,14 @@ func TestMonitorCountsSeqGapsAndResyncs(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("c_total").Add(1)
 	full := reg.Snapshot()
-	mon.Ingest(Report{Node: "n", Seq: 1, Full: true, Snap: full})
-	mon.Ingest(Report{Node: "n", Seq: 2, Snap: obs.Snapshot{}})
-	// Reports 3 and 4 lost in transit.
-	mon.Ingest(Report{Node: "n", Seq: 5, Snap: obs.Snapshot{}})
-	// The reporter noticed a failure and resynced with a full snapshot.
-	mon.Ingest(Report{Node: "n", Seq: 6, Full: true, Snap: full})
-	// A duplicated envelope replays an old seq; must not corrupt counts.
-	mon.Ingest(Report{Node: "n", Seq: 5, Snap: obs.Snapshot{}})
+	mon.Ingest(Report{Node: "n", Seq: 1, Snap: full})
+	mon.Ingest(Report{Node: "n", Seq: 2, Base: 1, Snap: obs.Snapshot{}})
+	// Reports 3 and 4 lost in transit; 5 is refused, its base unseen.
+	mon.Ingest(Report{Node: "n", Seq: 5, Base: 4, Snap: obs.Snapshot{}})
+	// The refusal's reply made the reporter's next report full.
+	mon.Ingest(Report{Node: "n", Seq: 6, Snap: full})
+	// A duplicated envelope replays an old seq: stale, so not counted.
+	mon.Ingest(Report{Node: "n", Seq: 5, Base: 4, Snap: obs.Snapshot{}})
 
 	fv := mon.Fleet()
 	if len(fv.Nodes) != 1 {
@@ -159,14 +163,108 @@ func TestMonitorCountsSeqGapsAndResyncs(t *testing.T) {
 	if nv.Missed != 2 {
 		t.Fatalf("missed = %d, want 2", nv.Missed)
 	}
-	if nv.Resyncs != 1 {
-		t.Fatalf("resyncs = %d, want 1", nv.Resyncs)
-	}
 	if nv.Seq != 6 {
 		t.Fatalf("seq = %d, want 6", nv.Seq)
 	}
-	if nv.Reports != 5 {
-		t.Fatalf("reports = %d, want 5", nv.Reports)
+	if nv.Reports != 4 {
+		t.Fatalf("reports = %d, want 4", nv.Reports)
+	}
+}
+
+// gauges builds a snapshot holding only the given gauges.
+func gauges(kv map[string]float64) obs.Snapshot { return obs.Snapshot{Gauges: kv} }
+
+// TestIngestAppliesOnlyADeltaItsBaseHolds drives Ingest through the report
+// sequences a lossy uplink produces. A report a step leaves out was lost in
+// transit. After every step the stored view must be one the node really
+// held: the newest applied report's, never a mix.
+func TestIngestAppliesOnlyADeltaItsBaseHolds(t *testing.T) {
+	type step struct {
+		rep     Report
+		refused bool
+		held    uint64 // the seq a refusal names
+		want    map[string]float64
+	}
+	boot := obs.NewFakeClock().Now()
+	reboot := boot.Add(time.Minute)
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"a stale duplicate after a newer report", []step{
+			{rep: Report{Seq: 1, Snap: gauges(map[string]float64{"g": 1})},
+				want: map[string]float64{"g": 1}},
+			{rep: Report{Seq: 2, Base: 1, Snap: gauges(map[string]float64{"g": 2})},
+				want: map[string]float64{"g": 2}},
+			{rep: Report{Seq: 3, Base: 2, Snap: gauges(map[string]float64{"g": 3})},
+				want: map[string]float64{"g": 3}},
+			{rep: Report{Seq: 2, Base: 1, Snap: gauges(map[string]float64{"g": 2})},
+				want: map[string]float64{"g": 3}},
+		}},
+		{"a fresh monitor meets a delta", []step{
+			{rep: Report{Seq: 7, Base: 6, Snap: gauges(map[string]float64{"a": 2})},
+				refused: true, held: 0, want: map[string]float64{}},
+			{rep: Report{Seq: 8, Snap: gauges(map[string]float64{"a": 2, "b": 1})},
+				want: map[string]float64{"a": 2, "b": 1}},
+		}},
+		{"the delta after a lost report", []step{
+			{rep: Report{Seq: 1, Snap: gauges(map[string]float64{"a": 1, "b": 1})},
+				want: map[string]float64{"a": 1, "b": 1}},
+			// Seq 2 {a: 2} lost.
+			{rep: Report{Seq: 3, Base: 2, Snap: gauges(map[string]float64{"b": 2})},
+				refused: true, held: 1, want: map[string]float64{"a": 1, "b": 1}},
+			{rep: Report{Seq: 4, Snap: gauges(map[string]float64{"a": 2, "b": 2})},
+				want: map[string]float64{"a": 2, "b": 2}},
+		}},
+		{"a gauge goes 5, 7, 5 across a lost report", []step{
+			{rep: Report{Seq: 1, Snap: gauges(map[string]float64{"g": 5})},
+				want: map[string]float64{"g": 5}},
+			{rep: Report{Seq: 2, Base: 1, Snap: gauges(map[string]float64{"g": 7})},
+				want: map[string]float64{"g": 7}},
+			// Seq 3 {g: 5} lost; the node's gauge does not move again.
+			{rep: Report{Seq: 4, Base: 3, Snap: gauges(map[string]float64{})},
+				refused: true, held: 2, want: map[string]float64{"g": 7}},
+			// The refusal is lost too: the next delta is refused again.
+			{rep: Report{Seq: 5, Base: 4, Snap: gauges(map[string]float64{})},
+				refused: true, held: 2, want: map[string]float64{"g": 7}},
+			{rep: Report{Seq: 6, Snap: gauges(map[string]float64{"g": 5})},
+				want: map[string]float64{"g": 5}},
+		}},
+		{"a restarted reporter starts over", []step{
+			{rep: Report{Boot: boot, Seq: 5, Snap: gauges(map[string]float64{"g": 1})},
+				want: map[string]float64{"g": 1}},
+			{rep: Report{Boot: reboot, Seq: 1, Snap: gauges(map[string]float64{"g": 2})},
+				want: map[string]float64{"g": 2}},
+			{rep: Report{Boot: reboot, Seq: 2, Base: 1, Snap: gauges(map[string]float64{"g": 3})},
+				want: map[string]float64{"g": 3}},
+			// A late report from the previous incarnation is stale.
+			{rep: Report{Boot: boot, Seq: 6, Base: 5, Snap: gauges(map[string]float64{"g": 9})},
+				want: map[string]float64{"g": 3}},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := agent.NewPlatform("monitor")
+			p.Clock = obs.NewFakeClock()
+			defer p.Close()
+			mon, err := RegisterMonitor(p, MonitorOptions{Interval: time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range c.steps {
+				st.rep.Node = "n"
+				held, refused := mon.Ingest(st.rep)
+				if refused != st.refused || (refused && held != st.held) {
+					t.Fatalf("step %d (seq %d base %d): refused=%v held=%d, want refused=%v held=%d",
+						i, st.rep.Seq, st.rep.Base, refused, held, st.refused, st.held)
+				}
+				snap, _ := mon.NodeSnapshot("n")
+				if !reflect.DeepEqual(snap.Gauges, st.want) {
+					t.Fatalf("step %d (seq %d base %d): stored %v, want %v",
+						i, st.rep.Seq, st.rep.Base, snap.Gauges, st.want)
+				}
+			}
+		})
 	}
 }
 
@@ -187,7 +285,7 @@ func TestObservedTransportFeedsPartitionDecision(t *testing.T) {
 	}
 	reg.Counter(partition.SeriesTransportProbeSent).Add(40)
 	reg.Counter(partition.SeriesTransportProbeLost).Add(4)
-	mon.Ingest(Report{Node: "remote", Seq: 1, Full: true, Snap: reg.Snapshot()})
+	mon.Ingest(Report{Node: "remote", Seq: 1, Snap: reg.Snapshot()})
 
 	o, ok := mon.ObservedTransport("remote")
 	if !ok {
@@ -240,7 +338,7 @@ func TestObservedTransportFallsBackToDeliveryAccounting(t *testing.T) {
 	}
 	// No probe series: drop rate comes from the platform's delivery
 	// accounting (90 delivered / 10 dropped).
-	mon.Ingest(Report{Node: "n", Seq: 1, Full: true, Snap: obs.Snapshot{},
+	mon.Ingest(Report{Node: "n", Seq: 1, Snap: obs.Snapshot{},
 		Delivered: 90, Dropped: 10})
 	o, _ := mon.ObservedTransport("n")
 	if o.DropRate != 0.1 {
@@ -265,11 +363,11 @@ func TestTraceStitchingAcrossReportedSpans(t *testing.T) {
 	// stitch them into one timeline, in time order, node-tagged.
 	id := obs.NewTraceID()
 	t0 := clk.Now()
-	mon.Ingest(Report{Node: "a", Seq: 1, Full: true, Spans: []obs.Span{
+	mon.Ingest(Report{Node: "a", Seq: 1, Spans: []obs.Span{
 		{Trace: id, Seq: 1, Time: t0, Node: "a", Kind: obs.SpanSend, From: "x", To: "y"},
 		{Trace: id, Seq: 1, Time: t0.Add(time.Millisecond), Node: "a", Kind: obs.SpanRoute, From: "x", To: "y"},
 	}})
-	mon.Ingest(Report{Node: "b", Seq: 1, Full: true, Spans: []obs.Span{
+	mon.Ingest(Report{Node: "b", Seq: 1, Spans: []obs.Span{
 		{Trace: id, Seq: 1, Time: t0.Add(2 * time.Millisecond), Node: "b", Kind: obs.SpanIngress, From: "x", To: "y"},
 		{Trace: id, Seq: 1, Time: t0.Add(3 * time.Millisecond), Node: "b", Kind: obs.SpanDeliver, From: "x", To: "y"},
 	}})
@@ -292,62 +390,92 @@ func TestTraceStitchingAcrossReportedSpans(t *testing.T) {
 	}
 }
 
-// TestSeqGapTriggersFullResyncAtLoadRates runs the silent-loss scenario
-// at load-harness rates: a node doing thousands of local deliveries per
-// virtual second keeps reporting into a partitioned uplink (the injector
-// drops silently, so the reporter believes every delta arrived and its
-// delta base keeps advancing). After the heal, the series that changed
-// only during the blackout are stale on the monitor forever — unless the
-// monitor notices the seq gap and requests a full resync, which is the
-// contract under test.
-func TestSeqGapTriggersFullResyncAtLoadRates(t *testing.T) {
+// TestLostReportIsRefusedThenResentFull loses exactly one report between a
+// reporter and its monitor. The uplink and the downlink are channels the
+// test drains itself, and the clock never moves, so every hop happens when
+// the test makes it: the report after the lost one must be refused and
+// answered, the one after that must be full, and the monitor must then hold
+// the node's snapshot series for series.
+func TestLostReportIsRefusedThenResentFull(t *testing.T) {
 	clk := obs.NewFakeClock()
-	f := startTestFleet(t, clk, 1)
-	node := f.Nodes[0]
-	advanceAndSettle(t, clk, f, 0)
-
-	// Blackout: five report intervals of heavy local traffic, every
-	// report silently dropped on the uplink.
-	f.Nodes[0].Injector.SetPartitioned(true)
-	repBaseline := node.Reporter.Seq()
-	for i := 0; i < 5; i++ {
-		node.Work(2000)
-		clk.Advance(time.Second)
-		seqTarget := repBaseline + uint64(i+1)
-		waitFor(t, "blackout report attempt", func() bool {
-			return node.Reporter.Seq() >= seqTarget
-		})
-		waitParked(t, clk, f)
+	np := agent.NewPlatform("node")
+	np.Clock = clk
+	defer np.Close()
+	mp := agent.NewPlatform("monitor")
+	mp.Clock = clk
+	defer mp.Close()
+	mon, err := RegisterMonitor(mp, MonitorOptions{Interval: time.Second})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The deliver histogram moved only during the blackout; nothing
-	// after the heal touches it (reporter traffic leaves over the link,
-	// not through a local mailbox).
-	liveCount := node.Platform.MetricsSnapshot().Histograms["agent_deliver_latency_seconds"].Count
+	up, down := make(chan agent.Envelope, 1), make(chan agent.Envelope, 1)
+	np.AddRoute(func(env agent.Envelope) bool { up <- env; return true })
+	mp.AddRoute(func(env agent.Envelope) bool { down <- env; return true })
+	app := obs.NewRegistry()
+	rep, err := StartReporter(np, ReporterOptions{Interval: time.Second, Sources: []obs.Source{app}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
 
-	// Heal. The first post-heal delta exposes the seq gap; the monitor
-	// must request a resync and the next report must be full.
-	f.Nodes[0].Injector.SetPartitioned(false)
-	advanceAndSettle(t, clk, f, 0)
-	waitFor(t, "monitor-side resync after seq gap", func() bool {
-		clk.Advance(time.Second)
-		for _, nv := range f.Monitor.Fleet().Nodes {
-			if nv.Node == node.Name {
-				return nv.Missed >= 1 && nv.Resyncs >= 1
-			}
+	// deliver hands the next report to the monitor and returns it with the
+	// monitor's reply, if it sent one.
+	deliver := func() (Report, *agent.Envelope) {
+		t.Helper()
+		env := <-up
+		mon.handle(env, nil)
+		var r Report
+		if err := env.Decode(&r); err != nil {
+			t.Fatal(err)
 		}
-		return false
-	})
-	snap, ok := f.Monitor.NodeSnapshot(node.Name)
-	if !ok {
-		t.Fatalf("node %s unknown to monitor", node.Name)
+		select {
+		case reply := <-down:
+			return r, &reply
+		default:
+			return r, nil
+		}
 	}
-	// The resync control envelope is itself one more local delivery on
-	// the node, so the stored count may run slightly ahead of the
-	// pre-heal capture — what matters is that the ~10k blackout-era
-	// samples are not missing.
-	got := snap.Histograms["agent_deliver_latency_seconds"].Count
-	if got < liveCount {
-		t.Fatalf("stored deliver count = %d, want >= %d (the blackout-era samples must arrive via the full resync)", got, liveCount)
+	reportNow := func() {
+		t.Helper()
+		if err := rep.ReportNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	first, reply := deliver() // the loop's announcement
+	if first.Base != 0 || reply != nil {
+		t.Fatalf("first report base=%d reply=%v, want a full report applied", first.Base, reply)
+	}
+	app.Gauge("g").Set(7)
+	reportNow()
+	<-up // lost
+	app.Gauge("g").Set(5)
+	app.Counter("c_total").Inc()
+	reportNow()
+	refused, reply := deliver()
+	if refused.Base != first.Seq+1 || reply == nil {
+		t.Fatalf("report after the lost one: base=%d reply=%v, want base %d refused", refused.Base, reply, first.Seq+1)
+	}
+	var held uint64
+	if err := reply.Decode(&held); err != nil || held != first.Seq || reply.To != rep.id {
+		t.Fatalf("refusal to %s names seq %d (%v), want %s and seq %d", reply.To, held, err, rep.id, first.Seq)
+	}
+	rep.handle(*reply, nil)
+
+	reportNow()
+	full, reply := deliver()
+	if full.Base != 0 || reply != nil {
+		t.Fatalf("report after the refusal: base=%d reply=%v, want a full report applied", full.Base, reply)
+	}
+	stored, _ := mon.NodeSnapshot("node")
+	rep.mu.Lock()
+	node := rep.last
+	rep.mu.Unlock()
+	if !reflect.DeepEqual(stored, node) {
+		t.Fatalf("monitor holds\n%+v\nnode holds\n%+v", stored, node)
+	}
+	if nv := mon.Fleet().Nodes[0]; nv.Missed != 1 || nv.Reports != 3 {
+		t.Fatalf("missed=%d reports=%d, want 1 and 3", nv.Missed, nv.Reports)
 	}
 }
 
