@@ -28,11 +28,14 @@ fmt-check:
 	fi
 
 # lint runs the project's own invariant analyzers (see
-# docs/static-analysis.md) — per-package rules (rawclock, rawsend,
-# rawspawn, envhops, ...) plus the whole-program set (lockorder,
-# blockheld, hotalloc, deadcode). Any finding fails; the one way to excuse one is
-# a //lint:ignore <rule> <reason> at the site. Prints the lint wall time
-# and fails past the budget.
+# docs/static-analysis.md) — per-package rules (the forbid table's
+# rawclock, rawsend, envhops, rawevent, rawfsync, plus rawspawn) and the
+# whole-program set (lockorder, blockheld, hotalloc, deadcode). Any
+# finding fails; the one way to excuse one is a //lint:ignore <rule>
+# <reason> at the site. The loader type-checks against the standard
+# library's export data, found with one `go list -export` in the build
+# cache that vet has already filled; a type error fails the run. Prints
+# the lint wall time and fails past the budget.
 # Exit 1 = findings, exit 2 = the linter could not run or was slow.
 lint:
 	$(GO) run ./cmd/pgridlint -time-budget $(LINT_TIME_BUDGET) ./...

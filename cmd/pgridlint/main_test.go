@@ -100,13 +100,32 @@ func TestParseErrorExitsTwo(t *testing.T) {
 	}
 }
 
+func TestTypeErrorExitsTwo(t *testing.T) {
+	// Code that parses but does not type-check: load error, exit 2, and
+	// the message names the file and line.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module brokenmod\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "broken.go"), []byte("package broken\n\nfunc Oops() int {\n\treturn \"one\"\n}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := runCLI(t, dir, "./...")
+	if code != exitError {
+		t.Fatalf("exit = %d, want %d (stderr=%q)", code, exitError, stderr)
+	}
+	if !strings.Contains(stderr, "broken.go:4:") {
+		t.Fatalf("stderr should name the file and line of the type error: %q", stderr)
+	}
+}
+
 func TestListFlag(t *testing.T) {
 	code, stdout, _ := runCLI(t, ".", "-list")
 	if code != exitClean {
 		t.Fatalf("exit = %d, want %d", code, exitClean)
 	}
 	for _, rule := range []string{
-		"rawclock", "rawsend", "envhops", "rawspawn", "rawfsync",
+		"rawclock", "rawsend", "envhops", "rawevent", "rawspawn", "rawfsync",
 		"lockorder", "blockheld", "hotalloc", "deadcode", "deadignore",
 	} {
 		if !strings.Contains(stdout, rule) {

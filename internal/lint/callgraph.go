@@ -22,9 +22,10 @@ import (
 // Design, in the order things happen:
 //
 //  1. BuildGraph indexes every FuncDecl of every package by its
-//     *types.Func object (with a per-package name fallback for files
-//     whose type info is incomplete — the loader stubs out-of-module
-//     imports, so some resolution noise is expected and tolerated).
+//     *types.Func object. The loader type-checks every package against
+//     the real standard library, so a call resolves through go/types or
+//     not at all: a callee outside the loaded code (a stdlib function,
+//     an interface method, a function value) is no edge.
 //
 //  2. One AST walk per function collects its direct facts in source
 //     order: lock/unlock events, calls (resolved against the index),
@@ -44,22 +45,22 @@ import (
 // Lock identity is a *class*, not an instance: "x.mu" where x has named
 // type agent.Platform becomes "agent.Platform.mu", so two functions
 // locking the same field of the same type agree on the key even through
-// different receivers. When types don't resolve the key degrades to the
-// rendered expression, scoped to the package, which keeps unrelated
-// locals from aliasing each other.
+// different receivers. A mutex that is not a field (a local, a
+// package-level var) is keyed by its rendered expression, scoped to the
+// package, which keeps unrelated locals from aliasing each other.
 //
 // Soundness limits (documented in docs/static-analysis.md): calls
 // through interfaces or function values are not resolved (no edges), so
 // facts reached only that way are missed; lock tracking is a straight-line
-// source-order scan, not path sensitive; allocations hidden
-// behind stubbed stdlib calls are counted only for a known allocating
-// set (fmt, encoding/json, strconv, strings builders).
+// source-order scan, not path sensitive; standard-library bodies are not
+// in the graph, so their allocations are counted only for a known
+// allocating set (allocStdlib) and their blocking only for the
+// name-keyed blockingCalls and net dials.
 
 // FuncNode is one function declaration in the program graph.
 type FuncNode struct {
 	Pkg  *Package
 	Decl *ast.FuncDecl
-	Obj  *types.Func // nil when type resolution failed
 	// Name is the qualified display name: "agent.(*Platform).Send" or
 	// "durable.Open".
 	Name string
@@ -69,11 +70,9 @@ type FuncNode struct {
 	Events []FuncEvent
 	// Allocs are the direct allocation sites in this body.
 	Allocs []AllocSite
-	// HotBudget is the parsed //lint:hot budget (see ParseHotDirective);
-	// nil when the function is not marked hot.
+	// HotBudget is the parsed //lint:hot budget (see hotBudget); nil
+	// when the function is not marked hot.
 	HotBudget *int
-	// hotPos anchors hotalloc diagnostics at the directive's decl.
-	hotPos token.Pos
 
 	// Summaries, valid after propagate():
 
@@ -98,7 +97,6 @@ type FuncEvent struct {
 	Deferred bool
 	// Callee is set for EventCall when the target resolved in-graph.
 	Callee *FuncNode
-	Node   ast.Node
 }
 
 // EventKind discriminates FuncEvent.
@@ -123,8 +121,7 @@ type Graph struct {
 	// (package path, then file, then source position).
 	Funcs []*FuncNode
 
-	byObj  map[*types.Func]*FuncNode
-	byName map[string]*FuncNode // "pkgpath\x00name" fallback
+	byObj map[*types.Func]*FuncNode
 }
 
 // blockingCalls are method/function names that block by convention in
@@ -140,14 +137,13 @@ var blockingCalls = map[string]string{
 	"Accept":  "Accept",
 }
 
-// blockingNetFuncs are package-qualified stdlib calls that block on the
-// network.
-var blockingNetFuncs = map[string]map[string]bool{
-	"net": {"Dial": true, "DialTimeout": true, "Listen": true},
-}
+// blockingNetFuncs are the stdlib functions of package net that block on
+// the network.
+var blockingNetFuncs = map[string]bool{"Dial": true, "DialTimeout": true, "Listen": true}
 
-// allocStdlib maps stubbed stdlib packages to the call names that
-// allocate. "*" means every exported call in the package does.
+// allocStdlib maps stdlib packages, whose bodies are not in the graph,
+// to the call names that allocate. "*" means every exported call in the
+// package does.
 var allocStdlib = map[string]map[string]bool{
 	"fmt":           {"*": true},
 	"encoding/json": {"Marshal": true, "MarshalIndent": true, "Unmarshal": true, "NewEncoder": true, "NewDecoder": true},
@@ -159,10 +155,7 @@ var allocStdlib = map[string]map[string]bool{
 // BuildGraph indexes every function declaration across pkgs, collects
 // direct facts, and propagates summaries to a fixed point.
 func BuildGraph(pkgs []*Package) *Graph {
-	g := &Graph{
-		byObj:  map[*types.Func]*FuncNode{},
-		byName: map[string]*FuncNode{},
-	}
+	g := &Graph{byObj: map[*types.Func]*FuncNode{}}
 	// Pass 1: index declarations so calls can resolve forward.
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -172,27 +165,13 @@ func BuildGraph(pkgs []*Package) *Graph {
 					continue
 				}
 				fn := &FuncNode{
-					Pkg:      pkg,
-					Decl:     fd,
-					Name:     qualifiedName(pkg, fd),
-					Acquires: map[string]string{},
+					Pkg:       pkg,
+					Decl:      fd,
+					Name:      qualifiedName(pkg, fd),
+					HotBudget: hotBudget(fd),
+					Acquires:  map[string]string{},
 				}
-				if pkg.Info != nil {
-					if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						fn.Obj = obj
-						g.byObj[obj] = fn
-					}
-				}
-				// Name fallback: only plain functions — method names
-				// collide too easily across receivers.
-				if fd.Recv == nil {
-					g.byName[pkg.Path+"\x00"+fd.Name.Name] = fn
-				}
-				if budget, pos, ok := ParseHotDirective(pkg.Fset, fd); ok {
-					b := budget
-					fn.HotBudget = &b
-					fn.hotPos = pos
-				}
+				g.byObj[pkg.Info.Defs[fd.Name].(*types.Func)] = fn
 				g.Funcs = append(g.Funcs, fn)
 			}
 		}
@@ -234,23 +213,22 @@ func typeExprString(e ast.Expr) string {
 	}
 }
 
-// ParseHotDirective scans a function's doc comment for //lint:hot,
-// returning the allocation budget (default 0) and the directive's
-// position. The directive form is:
+// hotBudget scans a function's doc comment for //lint:hot and returns
+// its allocation budget (default 0), or nil when the function is not
+// marked hot. The directive form is:
 //
 //	//lint:hot budget=<n>
 //
 // marking the function as a hot-path root for the hotalloc analyzer.
-func ParseHotDirective(fset *token.FileSet, fd *ast.FuncDecl) (budget int, pos token.Pos, ok bool) {
+func hotBudget(fd *ast.FuncDecl) *int {
 	if fd.Doc == nil {
-		return 0, token.NoPos, false
+		return nil
 	}
 	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if !strings.HasPrefix(text, "lint:hot") {
+		rest, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "lint:hot")
+		if !ok {
 			continue
 		}
-		rest := strings.TrimSpace(strings.TrimPrefix(text, "lint:hot"))
 		budget := 0
 		for _, f := range strings.Fields(rest) {
 			if v, found := strings.CutPrefix(f, "budget="); found {
@@ -259,15 +237,14 @@ func ParseHotDirective(fset *token.FileSet, fd *ast.FuncDecl) (budget int, pos t
 				}
 			}
 		}
-		return budget, c.Pos(), true
+		return &budget
 	}
-	return 0, token.NoPos, false
+	return nil
 }
 
 // collectFacts walks one body gathering events and allocation sites.
 func (g *Graph) collectFacts(fn *FuncNode) {
 	pkg := fn.Pkg
-	file := fileOf(pkg, fn.Decl)
 	deferred := map[*ast.CallExpr]bool{}
 	// A go statement's call runs in a fresh goroutine: it cannot block
 	// the spawner, so it contributes no block/call event (rawspawn owns
@@ -308,15 +285,15 @@ func (g *Graph) collectFacts(fn *FuncNode) {
 		switch node := n.(type) {
 		case *ast.SendStmt:
 			if !selectComm[node] {
-				fn.Events = append(fn.Events, FuncEvent{Pos: node.Pos(), Kind: EventBlock, Detail: "channel send", Node: node})
+				fn.Events = append(fn.Events, FuncEvent{Pos: node.Pos(), Kind: EventBlock, Detail: "channel send"})
 			}
 		case *ast.UnaryExpr:
 			if node.Op == token.ARROW && !selectComm[node] {
-				fn.Events = append(fn.Events, FuncEvent{Pos: node.Pos(), Kind: EventBlock, Detail: "channel receive", Node: node})
+				fn.Events = append(fn.Events, FuncEvent{Pos: node.Pos(), Kind: EventBlock, Detail: "channel receive"})
 			}
 		case *ast.SelectStmt:
 			if !selectHasDefault(node) {
-				fn.Events = append(fn.Events, FuncEvent{Pos: node.Pos(), Kind: EventBlock, Detail: "select without default", Node: node})
+				fn.Events = append(fn.Events, FuncEvent{Pos: node.Pos(), Kind: EventBlock, Detail: "select without default"})
 			}
 		case *ast.CompositeLit:
 			fn.Allocs = append(fn.Allocs, AllocSite{Pos: node.Pos(), Kind: "composite literal"})
@@ -326,12 +303,12 @@ func (g *Graph) collectFacts(fn *FuncNode) {
 			// the engine cannot see; skip the body (soundness limit).
 			return false
 		case *ast.BinaryExpr:
-			if node.Op == token.ADD && isStringExpr(pkg, node.X) {
+			if node.Op == token.ADD && isString(pkg.Info.TypeOf(node.X)) {
 				fn.Allocs = append(fn.Allocs, AllocSite{Pos: node.Pos(), Kind: "string concatenation"})
 			}
 		case *ast.CallExpr:
 			if !goCalls[node] {
-				g.collectCall(fn, file, node, deferred[node])
+				g.collectCall(fn, node, deferred[node])
 			}
 		}
 		return true
@@ -341,72 +318,68 @@ func (g *Graph) collectFacts(fn *FuncNode) {
 
 // collectCall classifies one call expression: lock event, blocking op,
 // allocation, resolved in-graph call — possibly several at once.
-func (g *Graph) collectCall(fn *FuncNode, file *ast.File, call *ast.CallExpr, isDeferred bool) {
+func (g *Graph) collectCall(fn *FuncNode, call *ast.CallExpr, isDeferred bool) {
 	pkg := fn.Pkg
 	switch target := unparen(call.Fun).(type) {
 	case *ast.Ident:
 		switch target.Name {
 		case "make", "new", "append":
-			if isBuiltin(pkg, target) {
+			if _, ok := pkg.Info.Uses[target].(*types.Builtin); ok {
 				fn.Allocs = append(fn.Allocs, AllocSite{Pos: call.Pos(), Kind: target.Name})
 			}
 			return
 		}
 		if callee := g.resolve(pkg, target); callee != nil {
-			fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventCall, Callee: callee, Node: call})
+			fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventCall, Callee: callee})
 		}
 	case *ast.SelectorExpr:
 		name := target.Sel.Name
-		// Package-qualified call?
+		// A package member: the qualifier is an import.
 		if id, ok := target.X.(*ast.Ident); ok {
-			if path := (&Pass{Pkg: pkg}).ImportedPath(file, id); path != "" {
-				if names, ok := allocStdlib[path]; ok && (names["*"] || names[name]) {
-					short := path[strings.LastIndex(path, "/")+1:]
-					fn.Allocs = append(fn.Allocs, AllocSite{Pos: call.Pos(), Kind: short + "." + name})
+			if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
+				path := pn.Imported().Path()
+				if names := allocStdlib[path]; names["*"] || names[name] {
+					fn.Allocs = append(fn.Allocs, AllocSite{Pos: call.Pos(), Kind: pn.Imported().Name() + "." + name})
 				}
-				if fns, ok := blockingNetFuncs[path]; ok && fns[name] {
-					fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventBlock, Detail: "net." + name, Node: call})
+				if path == "net" && blockingNetFuncs[name] {
+					fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventBlock, Detail: "net." + name})
 				}
 				if callee := g.resolve(pkg, target.Sel); callee != nil {
-					fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventCall, Callee: callee, Node: call})
+					fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventCall, Callee: callee})
 				}
 				return
 			}
 		}
 		switch name {
 		case "Lock", "RLock":
-			fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventLock, Detail: lockClass(pkg, target.X), Node: call})
+			fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventLock, Detail: lockClass(pkg, target.X)})
 			return
 		case "Unlock", "RUnlock":
-			fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventUnlock, Detail: lockClass(pkg, target.X), Deferred: isDeferred, Node: call})
+			fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventUnlock, Detail: lockClass(pkg, target.X), Deferred: isDeferred})
 			return
 		}
 		if desc, ok := blockingCalls[name]; ok {
 			// Blocking-by-convention calls are terminal: the name is the
 			// fact, and a call edge on top would double-report the site.
-			fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventBlock, Detail: desc, Node: call})
+			fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventBlock, Detail: desc})
 			return
 		}
 		if callee := g.resolve(pkg, target.Sel); callee != nil {
-			fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventCall, Callee: callee, Node: call})
+			fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventCall, Callee: callee})
 		}
 	}
 }
 
-// resolve maps a called identifier to its FuncNode, via type objects
-// when possible and the same-package name table otherwise.
+// resolve maps a called identifier to its FuncNode: nil for anything
+// but a function declared in the loaded code.
 func (g *Graph) resolve(pkg *Package, id *ast.Ident) *FuncNode {
-	if pkg.Info != nil {
-		if obj, ok := pkg.Info.Uses[id].(*types.Func); ok {
-			return g.byObj[obj] // nil for out-of-graph callees
-		}
-	}
-	return g.byName[pkg.Path+"\x00"+id.Name]
+	fn, _ := pkg.Info.Uses[id].(*types.Func)
+	return g.byObj[fn]
 }
 
 // exprKey renders a selector chain ("d.mu", "l.platform.mu") for use as
-// a lock key when types do not resolve; unrenderable expressions share
-// one bucket.
+// the lock key of a mutex that is not a field; unrenderable expressions
+// share one bucket.
 func exprKey(e ast.Expr) string {
 	switch x := e.(type) {
 	case *ast.Ident:
@@ -423,15 +396,13 @@ func exprKey(e ast.Expr) string {
 }
 
 // lockClass names the lock so different holders of the same field
-// agree: "agent.Platform.mu" when the owner's type resolves, otherwise
-// the rendered expression scoped to the package.
+// agree: "agent.Platform.mu" when the mutex is a field of a named type,
+// otherwise the rendered expression scoped to the package.
 func lockClass(pkg *Package, mutexExpr ast.Expr) string {
-	if sel, ok := unparen(mutexExpr).(*ast.SelectorExpr); ok && pkg.Info != nil {
-		if tv, ok := pkg.Info.Types[sel.X]; ok {
-			if path, name, ok := NamedType(tv.Type); ok {
-				short := path[strings.LastIndex(path, "/")+1:]
-				return short + "." + name + "." + sel.Sel.Name
-			}
+	if sel, ok := unparen(mutexExpr).(*ast.SelectorExpr); ok {
+		if named := namedOf(pkg.Info.TypeOf(sel.X)); named != nil && named.Obj().Pkg() != nil {
+			path := named.Obj().Pkg().Path()
+			return path[strings.LastIndex(path, "/")+1:] + "." + named.Obj().Name() + "." + sel.Sel.Name
 		}
 	}
 	return pkg.Path + "\x00" + exprKey(mutexExpr)
@@ -493,16 +464,6 @@ func (g *Graph) propagate() {
 	}
 }
 
-// fileOf finds the file containing a declaration.
-func fileOf(pkg *Package, decl ast.Node) *ast.File {
-	for _, f := range pkg.Files {
-		if f.Pos() <= decl.Pos() && decl.Pos() <= f.End() {
-			return f
-		}
-	}
-	return nil
-}
-
 // selectHasDefault reports whether a select statement has a default
 // clause (a non-blocking poll).
 func selectHasDefault(sel *ast.SelectStmt) bool {
@@ -514,34 +475,10 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 	return false
 }
 
-// isStringExpr reports whether an expression is string-typed (resolved
-// type, or a string literal when types are unavailable).
-func isStringExpr(pkg *Package, e ast.Expr) bool {
-	if pkg.Info != nil {
-		if tv, ok := pkg.Info.Types[e]; ok && tv.Type != nil {
-			if b, ok := tv.Type.Underlying().(*types.Basic); ok {
-				return b.Info()&types.IsString != 0
-			}
-			return false
-		}
-	}
-	if lit, ok := unparen(e).(*ast.BasicLit); ok {
-		return lit.Kind == token.STRING
-	}
-	return false
-}
-
-// isBuiltin reports whether an identifier resolves to the universe-scope
-// builtin of the same name (true also when unresolved — shadowing a
-// builtin is rare enough to accept the approximation).
-func isBuiltin(pkg *Package, id *ast.Ident) bool {
-	if pkg.Info != nil {
-		if obj, ok := pkg.Info.Uses[id]; ok {
-			_, isB := obj.(*types.Builtin)
-			return isB
-		}
-	}
-	return true
+// isString reports whether t is a string type.
+func isString(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
 }
 
 // shortPos renders "file.go:12" for witness chains.

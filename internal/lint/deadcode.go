@@ -124,10 +124,6 @@ func runDeadCode(pass *ProgramPass) {
 			case *ast.Ident:
 				if use := info.Uses[n]; use != nil {
 					mark(use)
-				} else if _, def := info.Defs[n]; !def {
-					// Unresolved, as the argument of a stubbed stdlib
-					// generic (atomic.Pointer[T]) is: try the package scope.
-					mark(d.pkg.Types.Scope().Lookup(n.Name))
 				}
 			}
 			return true
@@ -167,23 +163,12 @@ func runDeadCode(pass *ProgramPass) {
 	}
 }
 
-// isMethodSelector reports whether sel may name a method: it resolves to
-// one (concrete or interface), or it does not resolve at all, as a
-// selector on a value from a stubbed import does. Fields and qualified
-// package members are not selections of a method name.
+// isMethodSelector reports whether sel names a method, concrete or
+// interface. Fields and qualified package members are not selections of
+// a method name.
 func isMethodSelector(info *types.Info, sel *ast.SelectorExpr) bool {
-	if x, ok := sel.X.(*ast.Ident); ok {
-		if _, pkg := info.Uses[x].(*types.PkgName); pkg {
-			return false
-		}
-	}
-	switch use := info.Uses[sel.Sel].(type) {
-	case nil:
-		return true
-	case *types.Func:
-		return use.Type().(*types.Signature).Recv() != nil
-	}
-	return false
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Signature().Recv() != nil
 }
 
 // keepWhole marks every method of the named type a seam declares or
@@ -204,13 +189,4 @@ func keepWhole(obj types.Object, mark func(types.Object)) {
 			}
 		}
 	}
-}
-
-// namedOf is t's named type, through one pointer, or nil.
-func namedOf(t types.Type) *types.Named {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
 }

@@ -2,14 +2,17 @@
 // static-analysis harness built directly on go/parser, go/ast, and
 // go/types (no x/tools), matching the module's from-scratch ethos.
 //
-// Three PRs of resilience, observability, and telemetry work accreted
-// project invariants that nothing enforced mechanically: all time flows
-// through the obs.Clock seam, cross-node sends go through the retry
-// layer, deputies never deliver while holding a lock, spawned goroutines
-// need a stop path, and envelopes are built by the constructors that
-// keep hop accounting honest. Each invariant is one Analyzer here; the
-// cmd/pgridlint driver runs them over every package and make check
-// fails on any finding.
+// The project's invariants are ones ordinary tests guard badly: all time
+// flows through the obs.Clock seam, cross-node sends go through the
+// retry layer, deputies never deliver while holding a lock, spawned
+// goroutines need a stop path, and envelopes are built by the
+// constructors that keep hop accounting honest. Each invariant is one
+// Analyzer here; the cmd/pgridlint command runs them over every package
+// and make check fails on any finding. The loader type-checks every
+// package against the real standard library (load.go), so the analyzers
+// resolve every name through go/types and guess none from its spelling.
+// The "forbidden here" rules are rows of one table (forbid.go); the
+// whole-program rules share the call graph in callgraph.go.
 //
 // Findings are suppressed inline with
 //
@@ -102,36 +105,6 @@ func (p *Pass) Report(node ast.Node, message, fix string) {
 	})
 }
 
-// ImportedPath resolves an identifier used as a package qualifier (the
-// "time" in time.Now) to the import path it names, or "" when the
-// identifier is not a package name. Resolution goes through go/types
-// when available and falls back to matching the file's import table,
-// so a package whose type information is incomplete still resolves its
-// qualifiers.
-func (p *Pass) ImportedPath(file *ast.File, id *ast.Ident) string {
-	if obj, ok := p.Pkg.Info.Uses[id]; ok {
-		if pn, ok := obj.(*types.PkgName); ok {
-			return pn.Imported().Path()
-		}
-		return "" // a variable, type, etc. shadowing the package name
-	}
-	// Fallback: an unresolved identifier that matches an import's name.
-	for _, imp := range file.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		name := path
-		if i := strings.LastIndex(name, "/"); i >= 0 {
-			name = name[i+1:]
-		}
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		if name == id.Name {
-			return path
-		}
-	}
-	return ""
-}
-
 // unparen strips any parentheses around an expression.
 func unparen(e ast.Expr) ast.Expr {
 	for {
@@ -143,25 +116,13 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
-// NamedType reduces a type to its named type's (package path, name),
-// unwrapping one level of pointer. It returns ok=false for unnamed,
-// builtin, or invalid types.
-func NamedType(t types.Type) (path, name string, ok bool) {
-	if t == nil {
-		return "", "", false
+// namedOf is t's named type, through one pointer, or nil.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed {
-		return "", "", false
-	}
-	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil {
-		return "", "", false
-	}
-	return obj.Pkg().Path(), obj.Name(), true
+	named, _ := t.(*types.Named)
+	return named
 }
 
 // ignoreDirective is one parsed //lint:ignore comment.
@@ -207,13 +168,9 @@ func parseDirectives(fset *token.FileSet, file *ast.File, bad func(Diagnostic)) 
 					rules[r] = true
 				}
 			}
-			d := ignoreDirective{rules: rules, reason: strings.Join(fields[1:], " "), pos: pos, line: pos.Line}
-			// A directive alone on its line suppresses the next line; a
-			// trailing directive suppresses its own line. Distinguish by
-			// whether any node of the file starts on the directive line
-			// before the comment's column — cheap approximation: treat
-			// the directive as covering both its own line and the next.
-			out = append(out, d)
+			// The directive covers its own line (the trailing form) and
+			// the next (the standalone form); see suppressed.
+			out = append(out, ignoreDirective{rules: rules, reason: strings.Join(fields[1:], " "), pos: pos, line: pos.Line})
 		}
 	}
 	return out
@@ -368,16 +325,15 @@ const agentPkgPath = "pervasivegrid/internal/agent"
 const obsPkgPath = "pervasivegrid/internal/obs"
 
 // Default returns the production analyzer set, configured for this
-// module's layout: obs owns raw time, telemetry and core must use the
-// retry layer for sends.
+// module's layout: forbidTable holds where each forbid rule applies.
 func Default() []*Analyzer {
 	return []*Analyzer{
-		RawClock("pervasivegrid/internal/obs"),
-		RawSend("pervasivegrid/internal/telemetry", "pervasivegrid/internal/core"),
-		EnvHops(),
-		RawEvent(),
-		RawSpawn("pervasivegrid/internal/supervise", "pervasivegrid/internal/obs"),
-		RawFsync("pervasivegrid/internal/durable"),
+		Forbid("rawclock"),
+		Forbid("rawsend"),
+		Forbid("envhops"),
+		Forbid("rawevent"),
+		RawSpawn("pervasivegrid/internal/supervise", obsPkgPath),
+		Forbid("rawfsync"),
 		LockOrder(),
 		BlockHeld(),
 		HotAlloc(),

@@ -103,13 +103,13 @@ func matchMarkers(t *testing.T, diags []lint.Diagnostic, fixtures ...string) {
 }
 
 func TestRawClockFixture(t *testing.T) {
-	checkAgainstMarkers(t, lint.RawClock("pervasivegrid/internal/obs"), "rawclock")
+	checkAgainstMarkers(t, lint.Forbid("rawclock"), "rawclock")
 }
 
 func TestRawClockExemptPackage(t *testing.T) {
 	pkg := loadFixture(t, "rawclock")
 	// Exempting the fixture's own path silences every finding.
-	diags := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.RawClock(pkg.Path)})
+	diags := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.Forbid("rawclock", pkg.Path)})
 	if len(diags) != 0 {
 		t.Fatalf("exempt package still flagged: %v", diags)
 	}
@@ -117,23 +117,23 @@ func TestRawClockExemptPackage(t *testing.T) {
 
 func TestRawSendFixture(t *testing.T) {
 	pkg := loadFixture(t, "rawsend")
-	checkAgainstMarkers(t, lint.RawSend(pkg.Path), "rawsend")
+	checkAgainstMarkers(t, lint.Forbid("rawsend", pkg.Path), "rawsend")
 }
 
 func TestRawSendOffListPackage(t *testing.T) {
 	pkg := loadFixture(t, "rawsend")
-	diags := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.RawSend("pervasivegrid/internal/telemetry")})
+	diags := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.Forbid("rawsend")})
 	if len(diags) != 0 {
 		t.Fatalf("off-list package flagged: %v", diags)
 	}
 }
 
 func TestEnvHopsFixture(t *testing.T) {
-	checkAgainstMarkers(t, lint.EnvHops(), "envhops")
+	checkAgainstMarkers(t, lint.Forbid("envhops"), "envhops")
 }
 
 func TestRawEventFixture(t *testing.T) {
-	checkAgainstMarkers(t, lint.RawEvent(), "rawevent")
+	checkAgainstMarkers(t, lint.Forbid("rawevent"), "rawevent")
 }
 
 func TestRawSpawnFixture(t *testing.T) {
@@ -151,12 +151,12 @@ func TestRawSpawnExemptPackage(t *testing.T) {
 }
 
 func TestRawFsyncFixture(t *testing.T) {
-	checkAgainstMarkers(t, lint.RawFsync(), "rawfsync")
+	checkAgainstMarkers(t, lint.Forbid("rawfsync"), "rawfsync")
 }
 
 func TestRawFsyncExemptPackage(t *testing.T) {
 	pkg := loadFixture(t, "rawfsync")
-	diags := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.RawFsync(pkg.Path)})
+	diags := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.Forbid("rawfsync", pkg.Path)})
 	if len(diags) != 0 {
 		t.Fatalf("exempt package still flagged: %v", diags)
 	}
@@ -179,7 +179,7 @@ func TestHotAllocFixture(t *testing.T) {
 func TestDeadIgnoreFixture(t *testing.T) {
 	pkg := loadFixture(t, "deadignore")
 	diags := lint.Run([]*lint.Package{pkg},
-		[]*lint.Analyzer{lint.RawClock("pervasivegrid/internal/obs"), lint.DeadIgnore()})
+		[]*lint.Analyzer{lint.Forbid("rawclock"), lint.DeadIgnore()})
 	matchMarkers(t, diags, "deadignore")
 }
 
@@ -295,7 +295,7 @@ func TestMalformedDirectives(t *testing.T) {
 // gate and editors rely on.
 func TestDiagnosticString(t *testing.T) {
 	pkg := loadFixture(t, "envhops")
-	diags := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.EnvHops()})
+	diags := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.Forbid("envhops")})
 	if len(diags) == 0 {
 		t.Fatal("no diagnostics")
 	}

@@ -3,16 +3,21 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 )
 
-// Package is one loaded, parsed, and (best-effort) type-checked package.
+// Package is one loaded, parsed, and type-checked package.
 type Package struct {
 	// Path is the import path ("pervasivegrid/internal/agent").
 	Path string
@@ -23,27 +28,19 @@ type Package struct {
 	Fset *token.FileSet
 	// Files are the parsed non-test sources, comments included.
 	Files []*ast.File
-	// Types is the type-checked package object. In-module imports are
-	// checked from source; imports outside the module are stubbed, so
-	// Types may carry errors for expressions that touch them — the
-	// analyzers only rely on identifier and named-type resolution,
-	// which survives stubbing.
+	// Types is the type-checked package object.
 	Types *types.Package
 	// Info holds the resolution maps the analyzers consult.
 	Info *types.Info
-	// TypeErrors collects what the checker complained about (expected
-	// and non-fatal when external imports are stubbed).
-	TypeErrors []error
 }
 
-// Loader loads packages of one module from source. It is deliberately
-// minimal: it understands a single module rooted at a go.mod, resolves
-// in-module imports by type-checking them from source (recursively,
-// with memoization), and stubs every import outside the module with an
-// empty package object. That is exactly enough type information for
-// pgridlint's analyzers — qualifier identity (is this ident package
-// "time"?) and named-type identity (is this receiver *agent.Platform?)
-// — without dragging in export data, cgo, or x/tools.
+// Loader loads packages of one module: it parses them from source and
+// type-checks them with no errors tolerated. In-module imports are
+// checked from source (recursively, with memoization); every other
+// import, the standard library above all, is read from the compiler's
+// export data, which `go list -export` locates in the build cache. So
+// every name an analyzer meets resolves through go/types, and none is
+// guessed from its spelling.
 type Loader struct {
 	// ModuleRoot is the directory containing go.mod.
 	ModuleRoot string
@@ -51,9 +48,11 @@ type Loader struct {
 	ModulePath string
 
 	fset    *token.FileSet
-	pkgs    map[string]*Package // memo by import path
-	loading map[string]bool     // cycle guard
-	stubs   map[string]*types.Package
+	files   map[string][]*ast.File // parsed sources by directory
+	walked  map[string]bool        // directories listExports has seen
+	pkgs    map[string]*Package    // memo by import path
+	loading map[string]bool        // cycle guard
+	std     types.Importer         // export data of every out-of-module import
 }
 
 // NewLoader finds the enclosing module by walking up from dir to the
@@ -78,13 +77,16 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
+	fset := token.NewFileSet()
 	return &Loader{
 		ModuleRoot: root,
 		ModulePath: modPath,
-		fset:       token.NewFileSet(),
+		fset:       fset,
+		files:      map[string][]*ast.File{},
+		walked:     map[string]bool{},
 		pkgs:       map[string]*Package{},
 		loading:    map[string]bool{},
-		stubs:      map[string]*types.Package{},
+		std:        importer.ForCompiler(fset, "gc", openExport),
 	}, nil
 }
 
@@ -154,6 +156,9 @@ func (l *Loader) LoadPatterns(dir string, patterns ...string) ([]*Package, error
 		add(p)
 	}
 	sort.Strings(dirs)
+	if err := l.listExports(dirs); err != nil {
+		return nil, err
+	}
 	out := make([]*Package, 0, len(dirs))
 	for _, d := range dirs {
 		pkg, err := l.LoadDir(d)
@@ -181,12 +186,21 @@ func hasGoFiles(dir string) bool {
 }
 
 // LoadDir parses and type-checks the package in dir (non-test files
-// only), memoized by import path.
+// only), memoized by import path. The first type error fails the load.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
+	if err := l.listExports([]string{abs}); err != nil {
+		return nil, err
+	}
+	return l.load(abs)
+}
+
+// load type-checks the package in the absolute directory abs, loading
+// its in-module imports first.
+func (l *Loader) load(abs string) (*Package, error) {
 	importPath, err := l.importPathFor(abs)
 	if err != nil {
 		return nil, err
@@ -200,9 +214,37 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	l.loading[importPath] = true
 	defer delete(l.loading, importPath)
 
-	entries, err := os.ReadDir(abs)
+	files, err := l.parseDir(abs)
 	if err != nil {
-		return nil, fmt.Errorf("lint: read %s: %w", abs, err)
+		return nil, err
+	}
+	pkg := &Package{
+		Path:  importPath,
+		Dir:   abs,
+		Fset:  l.fset,
+		Files: files,
+		Info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Defs:  map[*ast.Ident]types.Object{},
+		},
+	}
+	conf := types.Config{Importer: importerFunc(l.importPkg)}
+	if pkg.Types, err = conf.Check(importPath, l.fset, files, pkg.Info); err != nil {
+		return nil, fmt.Errorf("lint: type-check: %w", err)
+	}
+	l.pkgs[importPath] = pkg
+	return pkg, nil
+}
+
+// parseDir parses the non-test sources of dir once.
+func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
+	if files, ok := l.files[dir]; ok {
+		return files, nil
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("lint: read %s: %w", dir, err)
 	}
 	var files []*ast.File
 	for _, e := range entries {
@@ -210,43 +252,17 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(abs, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: parse: %w", err)
 		}
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: %s contains no Go files", abs)
+		return nil, fmt.Errorf("lint: %s contains no Go files", dir)
 	}
-
-	pkg := &Package{
-		Path: importPath,
-		Dir:  abs,
-		Fset: l.fset,
-		Info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Implicits:  map[ast.Node]types.Object{},
-		},
-	}
-	conf := types.Config{
-		Importer:    importerFunc(l.importPkg),
-		FakeImportC: true,
-		Error:       func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
-		// Stubbed external imports make many expressions untypeable;
-		// keep checking past them.
-		DisableUnusedImportCheck: true,
-	}
-	// Check never returns a useful error here beyond what the Error
-	// callback already captured; stubbed imports guarantee some noise.
-	tpkg, _ := conf.Check(importPath, l.fset, files, pkg.Info)
-	pkg.Types = tpkg
-	pkg.Files = files
-	l.pkgs[importPath] = pkg
-	return pkg, nil
+	l.files[dir] = files
+	return files, nil
 }
 
 // importPathFor maps an absolute directory inside the module to its
@@ -262,39 +278,111 @@ func (l *Loader) importPathFor(abs string) (string, error) {
 	return l.ModulePath + "/" + filepath.ToSlash(rel), nil
 }
 
-// importPkg resolves one import during type checking: unsafe is the
-// real unsafe, in-module paths are loaded from source, and everything
-// else (stdlib, would-be third-party) becomes an empty stub package.
-// Stubbing keeps the loader hermetic — no export data, no cgo, no
-// network — at the cost of type errors on expressions that reach into
-// stubbed packages, which the analyzers are built to tolerate.
-func (l *Loader) importPkg(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
+// dirOf maps an in-module import path to its directory; ok is false for
+// any other path.
+func (l *Loader) dirOf(path string) (dir string, ok bool) {
+	rel, ok := strings.CutPrefix(path, l.ModulePath)
+	if !ok || rel != "" && rel[0] != '/' {
+		return "", false
 	}
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		rel := strings.TrimPrefix(path, l.ModulePath)
-		rel = strings.TrimPrefix(rel, "/")
-		pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot, filepath.FromSlash(rel)))
+	return filepath.Join(l.ModuleRoot, filepath.FromSlash(rel)), true
+}
+
+// importPkg resolves one import during type checking: in-module paths
+// are loaded from source, everything else from export data.
+func (l *Loader) importPkg(path string) (*types.Package, error) {
+	if dir, ok := l.dirOf(path); ok {
+		pkg, err := l.load(dir)
 		if err != nil {
 			return nil, err
 		}
 		return pkg.Types, nil
 	}
-	if stub, ok := l.stubs[path]; ok {
-		return stub, nil
-	}
-	name := path
-	if i := strings.LastIndex(name, "/"); i >= 0 {
-		name = name[i+1:]
-	}
-	stub := types.NewPackage(path, name)
-	stub.MarkComplete()
-	l.stubs[path] = stub
-	return stub, nil
+	return l.std.Import(path)
 }
 
 // importerFunc adapts a function to types.Importer.
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// exportFiles maps each out-of-module import path the process has met
+// to its export data file ("" when go list found none). It is filled by
+// listExports and shared by every loader: the files sit in the build
+// cache and do not change under a running process.
+var exportFiles = struct {
+	sync.Mutex
+	m map[string]string
+}{m: map[string]string{}}
+
+// listExports runs `go list -export` once for every out-of-module
+// import reachable from dirs through in-module imports that the process
+// has not listed yet. Only those packages are listed, not all of std:
+// after a build or vet of the module their export data is already in
+// the build cache, so the run reads it rather than compiling.
+func (l *Loader) listExports(dirs []string) error {
+	exportFiles.Lock()
+	defer exportFiles.Unlock()
+	seen := map[string]bool{}
+	var missing []string
+	var walk func(dir string) error
+	walk = func(dir string) error {
+		if l.walked[dir] {
+			return nil
+		}
+		l.walked[dir] = true
+		files, err := l.parseDir(dir)
+		if err != nil {
+			return err
+		}
+		for _, f := range files {
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				if sub, ok := l.dirOf(path); ok {
+					if err := walk(sub); err != nil {
+						return err
+					}
+				} else if _, listed := exportFiles.m[path]; !listed && !seen[path] {
+					seen[path] = true
+					missing = append(missing, path)
+				}
+			}
+		}
+		return nil
+	}
+	for _, dir := range dirs {
+		if err := walk(dir); err != nil {
+			return err
+		}
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	// -e keeps going past a path go list cannot find: it gets no export
+	// file, and the type checker reports the import at its position.
+	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, missing...)...)
+	cmd.Dir = l.ModuleRoot
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("lint: go list -export: %v: %s", err, stderr.String())
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok {
+			exportFiles.m[path] = file
+		}
+	}
+	return nil
+}
+
+// openExport is the export-data importer's lookup.
+func openExport(path string) (io.ReadCloser, error) {
+	exportFiles.Lock()
+	file := exportFiles.m[path]
+	exportFiles.Unlock()
+	if file == "" {
+		return nil, fmt.Errorf("no export data for %s", path)
+	}
+	return os.Open(file)
+}

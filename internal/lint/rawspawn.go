@@ -32,7 +32,7 @@ var stopNamePattern = regexp.MustCompile(`(?i)^(done|quit|stop|stopped|exit|clos
 //
 // Run-to-completion goroutines (no unbounded loop) are fine raw: they
 // end, and a panic in them surfaces through whatever result path they
-// already have. Cross-package calls are not resolved — the callee's
+// already have. A callee in another package is not checked — its
 // package is responsible for its own spawn discipline.
 func RawSpawn(exempt ...string) *Analyzer {
 	ex := map[string]bool{}
@@ -43,7 +43,7 @@ func RawSpawn(exempt ...string) *Analyzer {
 		Name: "rawspawn",
 		Doc:  "long-running goroutine (unbounded loop) with no stop signal, or launched with raw go instead of supervise.Spawn",
 		Run: func(pass *Pass) {
-			byObj, byName := loopingFuncs(pass.Pkg)
+			looping := loopingFuncs(pass.Pkg)
 			for _, file := range pass.Pkg.Files {
 				ast.Inspect(file, func(n ast.Node) bool {
 					g, ok := n.(*ast.GoStmt)
@@ -56,7 +56,7 @@ func RawSpawn(exempt ...string) *Analyzer {
 							"goroutine loops forever with no stop signal in scope",
 							"select on a done/quit channel (or ctx.Done()) inside the loop, or bound the loop")
 					}
-					if !ex[pass.Pkg.Path] && spawnedBodyLoops(pass.Pkg, g, byObj, byName) {
+					if !ex[pass.Pkg.Path] && spawnedBodyLoops(pass.Pkg.Info, g, looping) {
 						pass.Report(g,
 							"long-running goroutine spawned raw: a panic here dies silently",
 							"launch it with supervise.Spawn(name, fn) (or a Supervisor) so panics are fenced and counted")
@@ -105,71 +105,35 @@ func referencesStopSignal(body *ast.BlockStmt) bool {
 	return found
 }
 
-// loopingFuncs indexes the package's function declarations whose bodies
-// contain an unbounded loop: by types.Func object when resolution is
-// available, and by bare name as a fallback for files whose type info is
-// incomplete.
-func loopingFuncs(pkg *Package) (map[*types.Func]bool, map[string]bool) {
-	byObj := map[*types.Func]bool{}
-	byName := map[string]bool{}
+// loopingFuncs indexes the package's functions and methods whose bodies
+// contain an unbounded loop.
+func loopingFuncs(pkg *Package) map[*types.Func]bool {
+	looping := map[*types.Func]bool{}
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasUnboundedLoop(fd.Body) {
-				continue
-			}
-			byName[fd.Name.Name] = true
-			if pkg.Info != nil {
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					byObj[fn] = true
-				}
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && hasUnboundedLoop(fd.Body) {
+				looping[pkg.Info.Defs[fd.Name].(*types.Func)] = true
 			}
 		}
 	}
-	return byObj, byName
+	return looping
 }
 
 // spawnedBodyLoops reports whether the go statement's callee has an
-// unbounded loop: directly for a literal, via the declaration index for
-// a named same-package function or method.
-func spawnedBodyLoops(pkg *Package, g *ast.GoStmt, byObj map[*types.Func]bool, byName map[string]bool) bool {
+// unbounded loop: directly for a literal, through the index for a named
+// function or method (one of another package is not in it).
+func spawnedBodyLoops(info *types.Info, g *ast.GoStmt, looping map[*types.Func]bool) bool {
+	var id *ast.Ident
 	switch fun := unparen(g.Call.Fun).(type) {
 	case *ast.FuncLit:
 		return hasUnboundedLoop(fun.Body)
 	case *ast.Ident:
-		return calleeLoops(pkg, fun, byObj, byName)
+		id = fun
 	case *ast.SelectorExpr:
-		// Methods (d.drain) and package-qualified calls (other.Fn). A
-		// qualifier naming another package resolves to a *types.Func of
-		// that package, absent from byObj — and the name fallback only
-		// applies when the qualifier is not an import.
-		if id, ok := fun.X.(*ast.Ident); ok {
-			for _, f := range pkg.Files {
-				if containsNode(f, g) {
-					if (&Pass{Pkg: pkg}).ImportedPath(f, id) != "" {
-						return false
-					}
-					break
-				}
-			}
-		}
-		return calleeLoops(pkg, fun.Sel, byObj, byName)
+		id = fun.Sel
+	default:
+		return false
 	}
-	return false
-}
-
-// calleeLoops resolves an identifier used as a go-call target against
-// the looping-declaration index.
-func calleeLoops(pkg *Package, id *ast.Ident, byObj map[*types.Func]bool, byName map[string]bool) bool {
-	if pkg.Info != nil {
-		if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
-			return byObj[fn]
-		}
-	}
-	return byName[id.Name]
-}
-
-// containsNode reports whether file's extent covers n.
-func containsNode(file *ast.File, n ast.Node) bool {
-	return file.Pos() <= n.Pos() && n.Pos() <= file.End()
+	fn, _ := info.Uses[id].(*types.Func)
+	return looping[fn]
 }

@@ -12,7 +12,7 @@ type Holder struct {
 	p atomic.Pointer[cell]
 }
 
-// cell is named only as the argument of a stubbed stdlib generic.
+// cell is named only as the type argument of a stdlib generic.
 type cell struct{ n int }
 
 // Unused is a method of a reached type that no reached code selects.

@@ -42,6 +42,18 @@ func BadTruncate(path string) error {
 	return f.Truncate(0) // want rawfsync
 }
 
+// BadParam writes through a handle it was given: the rule keys on the
+// receiver type *os.File, not on where the handle came from.
+func BadParam(f *os.File, rec []byte) error {
+	_, err := f.Write(rec) // want rawfsync
+	return err
+}
+
+// BadStdout writes through a package-level handle.
+func BadStdout(rec []byte) {
+	_, _ = os.Stdout.Write(rec) // want rawfsync
+}
+
 // Suppressed demonstrates the trailing-directive form.
 func Suppressed(path string, rec []byte) error {
 	f, err := os.Create(path)
@@ -53,9 +65,9 @@ func Suppressed(path string, rec []byte) error {
 	return err
 }
 
-// Allowed shapes: one-shot helpers hold no handle to mis-fsync, a
-// read-only handle cannot corrupt a journal, and writing through an
-// io.Writer seam is the decorator pattern durable itself uses.
+// Allowed shapes: one-shot helpers hold no handle to mis-fsync, closing
+// a handle is no durability hazard, and writing through an io.Writer
+// seam is the decorator pattern durable itself uses.
 func Allowed(path string, rec []byte, w io.Writer) error {
 	if err := os.WriteFile(path, rec, 0o644); err != nil {
 		return err

@@ -23,6 +23,19 @@ func BadContext(ctx *agent.Context, env agent.Envelope) {
 	_ = ctx.Send(env) // want rawsend
 }
 
+// BadMethodValue hands the raw Send on as a value.
+func BadMethodValue(p *agent.Platform) func(agent.Envelope) error {
+	return p.Send // want rawsend
+}
+
+// node embeds the platform, which promotes its Send.
+type node struct{ *agent.Platform }
+
+// BadPromoted sends through the promoted method.
+func BadPromoted(n node, env agent.Envelope) {
+	_ = n.Send(env) // want rawsend
+}
+
 // Good rides the retry layer.
 func Good(p *agent.Platform, env agent.Envelope) {
 	_ = agent.SendRetry(p, env, time.Second, agent.RetryPolicy{})
