@@ -5,7 +5,8 @@ package pervasivegrid_test
 // semantic discovery matching, and a request/reply over loopback TCP. They
 // are the per-layer cross-check of the end-to-end benchmark (bench/): run
 // them at a fixed iteration count on both commits when comparing.
-// TestCallLocalAllocs pins the conversation's allocations and
+// TestCallLocalAllocs pins the conversation's allocations,
+// TestRadioPathAllocs the query handler's over the simulated radio, and
 // TestSamplingOverheadBudget the observability pipeline's own cost.
 
 import (
@@ -20,6 +21,7 @@ import (
 	"pervasivegrid/internal/discovery"
 	"pervasivegrid/internal/obs"
 	"pervasivegrid/internal/ontology"
+	"pervasivegrid/internal/sensornet"
 	"pervasivegrid/internal/supervise"
 )
 
@@ -135,6 +137,45 @@ func TestCallLocalAllocs(t *testing.T) {
 	callEcho(t, p)
 	if got := testing.AllocsPerRun(200, func() { callEcho(t, p) }); got != callLocalAllocs {
 		t.Fatalf("a local Call allocates %v times, pinned at %d", got, callLocalAllocs)
+	}
+}
+
+// radioPathAllocs is what the query handler path allocates on the 10×10
+// deployment of BenchmarkSubmitAggregate, the simulated radio included. The
+// radio itself allocates nothing per message: a flood is its round's state
+// (the seen set and the relay handler with what it captures); the rest of a
+// query is parsing, planning, the round's ID-indexed slices and the reply.
+// A per-message allocation in the kernel or on a radio path multiplies into
+// these figures, so one that comes back fails here.
+var radioPathAllocs = []struct {
+	name   string
+	query  string // "" is one Flood of a 40-byte query
+	allocs float64
+}{
+	{"flood", "", 5},
+	{"aggregate", "SELECT avg(temp) FROM sensors", 102},
+	{"aggregate by room", "SELECT max(temp) FROM sensors WHERE room = 'r1'", 54},
+	{"aggregate grouped", "SELECT count(temp) FROM sensors GROUP BY room", 163},
+	{"aggregate by reading", "SELECT avg(temp) FROM sensors WHERE temp > 25", 85},
+	{"point", "SELECT temp FROM sensors WHERE sensor = 42", 28},
+}
+
+func TestRadioPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	rt := queryRuntime(t)
+	for _, c := range radioPathAllocs {
+		run := func() {
+			if c.query == "" {
+				sensornet.Flood(rt.Net, sensornet.BaseStationID, 40)
+			} else if _, err := rt.Submit(c.query); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(100, run); got != c.allocs {
+			t.Errorf("%s allocates %v times, pinned at %v", c.name, got, c.allocs)
+		}
 	}
 }
 

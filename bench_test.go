@@ -168,7 +168,7 @@ func BenchmarkQueryCaching(b *testing.B) {
 
 // queryRuntime is bench/node.go's runtimeConfig: no sensor noise, a fire that
 // neither grows nor spreads, batteries that outlast the run.
-func queryRuntime(b *testing.B) *core.Runtime {
+func queryRuntime(b testing.TB) *core.Runtime {
 	b.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Net.InitialEnergy = 1e9

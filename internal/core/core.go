@@ -17,6 +17,7 @@ import (
 	"pervasivegrid/internal/ontology"
 	"pervasivegrid/internal/partition"
 	"pervasivegrid/internal/pde"
+	"pervasivegrid/internal/query"
 	"pervasivegrid/internal/sensornet"
 )
 
@@ -98,6 +99,27 @@ type Runtime struct {
 
 	// stats accumulates execution counters.
 	stats Snapshot
+	// meters holds the series record writes.
+	meters meters
+}
+
+// meters are the series record writes, held per registry (Metrics is a
+// field anyone may repoint) as Network.mirror holds its gauges, so a query
+// builds no metric key. Each is resolved on its first write, as before.
+type meters struct {
+	reg                            *obs.Registry
+	hits, misses, energy, messages *obs.Counter
+	kinds                          [query.Continuous + 1]*obs.Counter
+	models                         [partition.ModelGrid + 1]*obs.Counter
+	virtualSec, perEpoch           *obs.Histogram
+}
+
+// counter returns *slot, resolving name+labels into it the first time.
+func (m *meters) counter(slot **obs.Counter, name string, labels ...string) *obs.Counter {
+	if *slot == nil {
+		*slot = m.reg.Counter(name, labels...)
+	}
+	return *slot
 }
 
 // Snapshot is the runtime's execution counters, for operators ("the main
@@ -146,25 +168,31 @@ func (rt *Runtime) record(res *Result) {
 	}
 	rt.stats.Queries[res.Kind.String()]++
 	rt.stats.Models[res.Model.String()]++
+	m := &rt.meters
+	if m.reg != rt.Metrics {
+		*m = meters{reg: rt.Metrics}
+	}
 	if res.Cached {
 		rt.stats.CacheHits++
-		rt.Metrics.Counter("core_cache_hits_total").Inc()
+		m.counter(&m.hits, "core_cache_hits_total").Inc()
 	} else {
-		rt.Metrics.Counter("core_cache_misses_total").Inc()
+		m.counter(&m.misses, "core_cache_misses_total").Inc()
 	}
 	rt.stats.EnergyJ += res.EnergyJ
 	rt.stats.Messages += res.Messages
-	rt.Metrics.Counter("core_queries_total", "kind", res.Kind.String()).Inc()
-	rt.Metrics.Counter("core_models_total", "model", res.Model.String()).Inc()
-	rt.Metrics.Counter("core_energy_joules_total").Add(res.EnergyJ)
-	rt.Metrics.Counter("core_messages_total").Add(float64(res.Messages))
-	rt.Metrics.Histogram("core_query_virtual_seconds").Observe(res.TimeSec)
+	m.counter(&m.kinds[res.Kind], "core_queries_total", "kind", res.Kind.String()).Inc()
+	m.counter(&m.models[res.Model], "core_models_total", "model", res.Model.String()).Inc()
+	m.counter(&m.energy, "core_energy_joules_total").Add(res.EnergyJ)
+	m.counter(&m.messages, "core_messages_total").Add(float64(res.Messages))
+	if m.virtualSec == nil {
+		m.virtualSec, m.perEpoch = m.reg.Histogram("core_query_virtual_seconds"), m.reg.Histogram("sensornet_messages_per_epoch")
+	}
+	m.virtualSec.Observe(res.TimeSec)
 	epochs := len(res.Rounds)
 	if epochs == 0 {
 		epochs = 1 // a one-shot query is a single epoch
 	}
-	rt.Metrics.Histogram("sensornet_messages_per_epoch").
-		Observe(float64(res.Messages) / float64(epochs))
+	m.perEpoch.Observe(float64(res.Messages) / float64(epochs))
 }
 
 // New assembles a runtime from the config.

@@ -190,7 +190,7 @@ func (cs *CitySim) tickShard(sh *cityShard, now simevent.Time) {
 		sum, peak, alive := sh.sum, sh.peak, sh.alive
 		covered := uint64(sh.alive)
 		sh.sum, sh.peak, sh.alive = 0, 0, 0
-		_ = cs.Kernel.Post(sh.idx, 0, now, fmt.Sprintf("city-report-%d", sh.idx), func() {
+		_ = cs.Kernel.Post(sh.idx, 0, now, "city-report", func() {
 			cs.base.Reports++
 			cs.base.Samples += covered
 			cs.base.Sum += sum

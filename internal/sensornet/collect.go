@@ -71,6 +71,21 @@ func selectedReachable(nw *Network, tree map[NodeID]NodeID, sel func(*Node) bool
 	return out
 }
 
+// collected closes a collection round that began at start with the
+// accounting before; base is what reached the base station.
+func (nw *Network) collected(req CollectRequest, before Stats, start, last simevent.Time, base Partial, selected int) CollectResult {
+	after := nw.Stats()
+	return CollectResult{
+		Value:    base.Final(req.Agg),
+		Coverage: int(base.Count),
+		Selected: selected,
+		Latency:  float64(last - start),
+		Messages: after.Messages - before.Messages,
+		Bytes:    after.Bytes - before.Bytes,
+		EnergyJ:  after.EnergyJ - before.EnergyJ,
+	}
+}
+
 // DirectStrategy ships every raw reading hop-by-hop to the base station,
 // which computes the aggregate centrally. This is the paper's "all sensors
 // send their data to the base station" baseline.
@@ -92,45 +107,31 @@ func (DirectStrategy) Collect(nw *Network, req CollectRequest) (CollectResult, e
 	var agg Partial
 	var readings []Reading
 	last := start
+	sample := make([]Reading, len(nw.Sensors)) // by the reading's sensor
 
-	// forward pushes one raw reading from cur toward the base station.
-	var forward func(cur NodeID, r Reading)
-	forward = func(cur NodeID, r Reading) {
-		parent, ok := tree[cur]
-		if !ok && cur != BaseStationID {
-			return // route lost (node died mid-round)
+	// hop carries the reading of sensor origin one hop toward the base
+	// station, cur being the node that holds it.
+	var hop Deliver
+	hop = func(cur, origin NodeID, at simevent.Time) {
+		last = max(last, at)
+		if cur == BaseStationID {
+			nw.Compute(BaseStationID, 1) // one aggregation step at base
+			agg.Add(sample[origin].Value)
+			readings = append(readings, sample[origin])
+		} else if parent, ok := tree[cur]; ok { // else the route was lost
+			nw.Send(cur, parent, RawReadingBytes, hop, origin)
 		}
-		nw.Send(cur, parent, RawReadingBytes, func(at simevent.Time) {
-			if float64(at) > float64(last) {
-				last = at
-			}
-			if parent == BaseStationID {
-				nw.Compute(BaseStationID, 1) // one aggregation step at base
-				agg.Add(r.Value)
-				readings = append(readings, r)
-				return
-			}
-			forward(parent, r)
-		})
 	}
 
 	for _, s := range selected {
-		r := nw.Sampler.Sample(s, req.Time)
-		forward(s.ID, r)
+		sample[s.ID] = nw.Sampler.Sample(s, req.Time)
+		nw.Send(s.ID, tree[s.ID], RawReadingBytes, hop, s.ID)
 	}
 	nw.Kernel.RunAll()
 
-	statsAfter := nw.Stats()
-	return CollectResult{
-		Value:    agg.Final(req.Agg),
-		Coverage: int(agg.Count),
-		Selected: len(selected),
-		Latency:  float64(last - start),
-		Messages: statsAfter.Messages - statsBefore.Messages,
-		Bytes:    statsAfter.Bytes - statsBefore.Bytes,
-		EnergyJ:  statsAfter.EnergyJ - statsBefore.EnergyJ,
-		Readings: readings,
-	}, nil
+	res := nw.collected(req, statsBefore, start, last, agg, len(selected))
+	res.Readings = readings
+	return res, nil
 }
 
 // TreeStrategy performs TAG-style in-network aggregation over a hop tree:
@@ -187,26 +188,26 @@ func (TreeStrategy) Collect(nw *Network, req CollectRequest) (CollectResult, err
 	last := start
 	received := make([]int, n)
 
+	// A node sends once, after every child has reported or failed, so its
+	// state no longer changes and the parent merges it on arrival.
 	var sendUp func(id NodeID)
+	merge := func(parent, child NodeID, at simevent.Time) {
+		last = max(last, at)
+		if parent == BaseStationID {
+			nw.Compute(BaseStationID, 1)
+			baseAgg.Merge(state[child])
+			return
+		}
+		nw.Compute(parent, 1)
+		state[parent].Merge(state[child])
+		received[parent]++
+		if received[parent] >= expected[parent] {
+			sendUp(parent)
+		}
+	}
 	sendUp = func(id NodeID) {
 		parent := tree[id]
-		payload := state[id]
-		ok := nw.Send(id, parent, PartialStateBytes, func(at simevent.Time) {
-			if float64(at) > float64(last) {
-				last = at
-			}
-			if parent == BaseStationID {
-				nw.Compute(BaseStationID, 1)
-				baseAgg.Merge(payload)
-				return
-			}
-			nw.Compute(parent, 1)
-			state[parent].Merge(payload)
-			received[parent]++
-			if received[parent] >= expected[parent] {
-				sendUp(parent)
-			}
-		})
+		ok := nw.Send(id, parent, PartialStateBytes, merge, id)
 		if !ok && parent != BaseStationID {
 			// The link failed (a node died mid-round). The parent will
 			// never hear from this child; lower its expectation so the
@@ -235,16 +236,7 @@ func (TreeStrategy) Collect(nw *Network, req CollectRequest) (CollectResult, err
 	}
 	nw.Kernel.RunAll()
 
-	statsAfter := nw.Stats()
-	return CollectResult{
-		Value:    baseAgg.Final(req.Agg),
-		Coverage: int(baseAgg.Count),
-		Selected: len(selected),
-		Latency:  float64(last - start),
-		Messages: statsAfter.Messages - statsBefore.Messages,
-		Bytes:    statsAfter.Bytes - statsBefore.Bytes,
-		EnergyJ:  statsAfter.EnergyJ - statsBefore.EnergyJ,
-	}, nil
+	return nw.collected(req, statsBefore, start, last, baseAgg, len(selected)), nil
 }
 
 // ClusterStrategy groups sensors into clusters with heads (LEACH-style):
@@ -336,29 +328,33 @@ func (c *ClusterStrategy) Collect(nw *Network, req CollectRequest) (CollectResul
 		nw.Compute(NodeID(head), 1)
 	}
 
-	// shipUp forwards one partial record from a head to the base along
-	// the hop tree.
-	var shipUp func(cur NodeID, payload Partial)
-	shipUp = func(cur NodeID, payload Partial) {
-		parent, ok := tree[cur]
-		if !ok {
-			return
+	// ship forwards a head's partial record, cur holding it, one hop along
+	// the hop tree toward the base. A head ships once, after its last
+	// member reported or failed, so the record no longer changes.
+	var ship Deliver
+	ship = func(cur, head NodeID, at simevent.Time) {
+		last = max(last, at)
+		if cur == BaseStationID {
+			nw.Compute(BaseStationID, 1)
+			baseAgg.Merge(headState[head])
+		} else if parent, ok := tree[cur]; ok {
+			nw.Send(cur, parent, PartialStateBytes, ship, head)
 		}
-		nw.Send(cur, parent, PartialStateBytes, func(at simevent.Time) {
-			if float64(at) > float64(last) {
-				last = at
-			}
-			if parent == BaseStationID {
-				nw.Compute(BaseStationID, 1)
-				baseAgg.Merge(payload)
-				return
-			}
-			shipUp(parent, payload)
-		})
 	}
-
 	headDone := func(head NodeID) {
-		shipUp(head, headState[head])
+		if parent, ok := tree[head]; ok {
+			nw.Send(head, parent, PartialStateBytes, ship, head)
+		}
+	}
+	reading := make([]float64, n) // each member's raw reading, by ID
+	report := func(head, member NodeID, at simevent.Time) {
+		last = max(last, at)
+		nw.Compute(head, 1)
+		headState[head].Add(reading[member])
+		expected[head]--
+		if expected[head] == 0 {
+			headDone(head)
+		}
 	}
 
 	for id, ms := range members {
@@ -374,20 +370,8 @@ func (c *ClusterStrategy) Collect(nw *Network, req CollectRequest) (CollectResul
 			if m.ID == head {
 				continue
 			}
-			r := nw.Sampler.Sample(m, req.Time)
-			v := r.Value
-			ok := nw.Send(m.ID, head, RawReadingBytes, func(at simevent.Time) {
-				if float64(at) > float64(last) {
-					last = at
-				}
-				nw.Compute(head, 1)
-				headState[head].Add(v)
-				expected[head]--
-				if expected[head] == 0 {
-					headDone(head)
-				}
-			})
-			if !ok {
+			reading[m.ID] = nw.Sampler.Sample(m, req.Time).Value
+			if !nw.Send(m.ID, head, RawReadingBytes, report, m.ID) {
 				expected[head]--
 				if expected[head] == 0 {
 					headDone(head)
@@ -397,16 +381,7 @@ func (c *ClusterStrategy) Collect(nw *Network, req CollectRequest) (CollectResul
 	}
 	nw.Kernel.RunAll()
 
-	statsAfter := nw.Stats()
-	return CollectResult{
-		Value:    baseAgg.Final(req.Agg),
-		Coverage: int(baseAgg.Count),
-		Selected: len(selected),
-		Latency:  float64(last - start),
-		Messages: statsAfter.Messages - statsBefore.Messages,
-		Bytes:    statsAfter.Bytes - statsBefore.Bytes,
-		EnergyJ:  statsAfter.EnergyJ - statsBefore.EnergyJ,
-	}, nil
+	return nw.collected(req, statsBefore, start, last, baseAgg, len(selected)), nil
 }
 
 // StrategyByName resolves a solution-model name used in experiment tables.

@@ -31,6 +31,19 @@ func newSeen(nw *Network, origin NodeID) []bool {
 	return seen
 }
 
+// disseminated closes a dissemination round that began at start with the
+// accounting before.
+func (nw *Network) disseminated(before Stats, start, last simevent.Time, reached int) DisseminationResult {
+	after := nw.Stats()
+	return DisseminationResult{
+		Reached:  reached,
+		Latency:  float64(last - start),
+		Messages: after.Messages - before.Messages,
+		Bytes:    after.Bytes - before.Bytes,
+		EnergyJ:  after.EnergyJ - before.EnergyJ,
+	}
+}
+
 // Flood disseminates payloadBytes from origin using classic flooding: every
 // node rebroadcasts the first copy it receives exactly once. The paper
 // names flooding as one data-routing technique a network may use.
@@ -41,31 +54,20 @@ func Flood(nw *Network, origin NodeID, payloadBytes int) DisseminationResult {
 	reached := 0 // first receptions, so the origin is not counted
 	last := start
 
-	var relay func(id NodeID)
-	relay = func(id NodeID) {
-		nw.Broadcast(id, payloadBytes, func(to NodeID, at simevent.Time) {
-			if seen[to+1] {
-				return
-			}
-			seen[to+1] = true
-			reached++
-			if float64(at) > float64(last) {
-				last = at
-			}
-			relay(to)
-		})
+	var relay Deliver
+	relay = func(to, _ NodeID, at simevent.Time) {
+		if seen[to+1] {
+			return
+		}
+		seen[to+1] = true
+		reached++
+		last = max(last, at)
+		nw.Broadcast(to, payloadBytes, relay)
 	}
-	relay(origin)
+	nw.Broadcast(origin, payloadBytes, relay)
 	nw.Kernel.RunAll()
 
-	statsAfter := nw.Stats()
-	return DisseminationResult{
-		Reached:  reached,
-		Latency:  float64(last - start),
-		Messages: statsAfter.Messages - statsBefore.Messages,
-		Bytes:    statsAfter.Bytes - statsBefore.Bytes,
-		EnergyJ:  statsAfter.EnergyJ - statsBefore.EnergyJ,
-	}
+	return nw.disseminated(statsBefore, start, last, reached)
 }
 
 // GossipConfig parameterises probabilistic gossip dissemination.
@@ -97,20 +99,18 @@ func Gossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipConfig) Diss
 	last := start
 
 	var relay func(id NodeID, force bool)
+	onFirst := func(to, _ NodeID, at simevent.Time) {
+		if seen[to+1] {
+			return
+		}
+		seen[to+1] = true
+		reached++
+		last = max(last, at)
+		relay(to, false)
+	}
 	relay = func(id NodeID, force bool) {
 		if !force && rng.Float64() > cfg.Forward {
 			return
-		}
-		onFirst := func(to NodeID, at simevent.Time) {
-			if seen[to+1] {
-				return
-			}
-			seen[to+1] = true
-			reached++
-			if float64(at) > float64(last) {
-				last = at
-			}
-			relay(to, false)
 		}
 		if cfg.Fanout <= 0 {
 			nw.Broadcast(id, payloadBytes, onFirst)
@@ -129,21 +129,13 @@ func Gossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipConfig) Diss
 			k = len(nbrs)
 		}
 		for _, to := range nbrs[:k] {
-			to := to
-			nw.Send(id, to, payloadBytes, func(at simevent.Time) { onFirst(to, at) })
+			nw.Send(id, to, payloadBytes, onFirst, 0)
 		}
 	}
 	relay(origin, true)
 	nw.Kernel.RunAll()
 
-	statsAfter := nw.Stats()
-	return DisseminationResult{
-		Reached:  reached,
-		Latency:  float64(last - start),
-		Messages: statsAfter.Messages - statsBefore.Messages,
-		Bytes:    statsAfter.Bytes - statsBefore.Bytes,
-		EnergyJ:  statsAfter.EnergyJ - statsBefore.EnergyJ,
-	}
+	return nw.disseminated(statsBefore, start, last, reached)
 }
 
 // Unicast routes a payload from a sensor to the base station hop-by-hop
@@ -157,37 +149,19 @@ func Unicast(nw *Network, from NodeID, payloadBytes int) (DisseminationResult, e
 		return DisseminationResult{}, fmt.Errorf("sensornet: node %d cannot reach base station", from)
 	}
 	last := start
-	delivered := false
+	reached := 0 // 1 once the payload reaches the base station
 
-	var forward func(cur NodeID)
-	forward = func(cur NodeID) {
-		parent, ok := tree[cur]
-		if !ok {
-			return
+	var hop Deliver
+	hop = func(cur, _ NodeID, at simevent.Time) {
+		last = max(last, at)
+		if cur == BaseStationID {
+			reached = 1
+		} else if parent, ok := tree[cur]; ok {
+			nw.Send(cur, parent, payloadBytes, hop, 0)
 		}
-		nw.Send(cur, parent, payloadBytes, func(at simevent.Time) {
-			if float64(at) > float64(last) {
-				last = at
-			}
-			if parent == BaseStationID {
-				delivered = true
-				return
-			}
-			forward(parent)
-		})
 	}
-	forward(from)
+	nw.Send(from, tree[from], payloadBytes, hop, 0)
 	nw.Kernel.RunAll()
 
-	statsAfter := nw.Stats()
-	res := DisseminationResult{
-		Latency:  float64(last - start),
-		Messages: statsAfter.Messages - statsBefore.Messages,
-		Bytes:    statsAfter.Bytes - statsBefore.Bytes,
-		EnergyJ:  statsAfter.EnergyJ - statsBefore.EnergyJ,
-	}
-	if delivered {
-		res.Reached = 1
-	}
-	return res, nil
+	return nw.disseminated(statsBefore, start, last, reached), nil
 }

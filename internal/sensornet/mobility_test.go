@@ -66,7 +66,7 @@ func TestTotalLossDropsEverything(t *testing.T) {
 	nw := NewGridNetwork(cfg, 2, 2)
 	nw.SetLossProb(1)
 	delivered := false
-	if nw.Send(0, 1, 10, func(simevent.Time) { delivered = true }) {
+	if nw.Send(0, 1, 10, func(NodeID, NodeID, simevent.Time) { delivered = true }, 0) {
 		t.Fatal("send should report loss")
 	}
 	nw.Kernel.RunAll()

@@ -77,6 +77,25 @@ type Network struct {
 	// tree caches the hop tree; see currentTree.
 	tree   *hopTree
 	gauges statGauges
+
+	// inflight holds the deliveries of the messages on the air, each
+	// kernel event a run of them (one for a send, every receiver of a
+	// broadcast). It is cut back whenever the kernel drains.
+	inflight []delivery
+	land     simevent.Func // nw.dispatch, bound once
+}
+
+// Deliver handles a radio message arriving at node to at virtual time at;
+// arg is what the sender passed with it (the broadcaster, for Broadcast). A
+// round binds its Deliver once and keeps per-message state in slices the
+// arg indexes, so a message in flight costs no closure.
+type Deliver func(to, arg NodeID, at simevent.Time)
+
+// delivery is one receiver of one message in flight. A flood's peak holds
+// every reception at once, so node IDs are packed into 32 bits.
+type delivery struct {
+	h       Deliver
+	to, arg int32
 }
 
 // statGauges are the handles of the sensornet_* series in one registry.
@@ -134,6 +153,7 @@ func NewNetwork(cfg Config, positions []Position) *Network {
 		}
 	}
 	nw.Sampler = NewSampler(UniformField(0), 0, cfg.Seed+1)
+	nw.land = nw.dispatch
 	nw.rebuildNeighbors()
 	return nw
 }
@@ -227,61 +247,78 @@ func (nw *Network) txDuration(payloadBytes int) simevent.Duration {
 	return simevent.Duration(total/nw.Cfg.BandwidthBps) + simevent.Duration(nw.Cfg.HopDelay)
 }
 
-// Send transmits payloadBytes from one node to a specific neighbor,
-// invoking deliver at the virtual delivery time. It reports false (and
+// Send transmits payloadBytes from one node to a specific neighbor, calling
+// h(to, arg, at) at the virtual delivery time. It reports false (and
 // counts a drop) when the sender is dead, the receiver is dead, or the pair
 // is out of range. Energy is charged to both endpoints.
 //
-// Budget 11: the delivery closure (1), Kernel.Schedule's event and its two
-// error paths (3), and mirror resolving the seven sensornet_* gauges the
-// first time a registry is seen (7). A send that succeeds after that
-// allocates the closure and the event.
+// Budget 13: the delivery and its growth of inflight (2), what
+// Kernel.ScheduleFunc lists (4), and mirror resolving the seven sensornet_*
+// gauges the first time a registry is seen (7). Every site is a value,
+// an error, a first use, or growth of a buffer that is reused, so a send
+// past a run's peak allocates nothing (TestRadioPathAllocs).
 //
-//lint:hot budget=11
-func (nw *Network) Send(from, to NodeID, payloadBytes int, deliver func(at simevent.Time)) bool {
+//lint:hot budget=13
+func (nw *Network) Send(from, to NodeID, payloadBytes int, h Deliver, arg NodeID) bool {
 	src, dst := nw.Node(from), nw.Node(to)
-	if src == nil || dst == nil {
-		nw.stats.Dropped++
-		return false
-	}
-	if !src.Alive() || !dst.Alive() || !nw.InRange(from, to) {
+	if src == nil || dst == nil || !src.Alive() || !dst.Alive() || !nw.InRange(from, to) {
 		nw.stats.Dropped++
 		return false
 	}
 	size := payloadBytes + nw.Cfg.HeaderBytes
-	d := src.Pos.Distance(dst.Pos)
+	tx := nw.Cfg.Energy.TxCost(size, src.Pos.Distance(dst.Pos))
+	src.drain(tx)
+	src.Sent++
+	src.TxBytes += size
+	nw.stats.Messages++
+	nw.stats.Bytes += size
 	if nw.lost() {
 		// The sender transmits into the void: it pays, nobody hears.
-		src.drain(nw.Cfg.Energy.TxCost(size, d))
-		src.Sent++
-		src.TxBytes += size
-		nw.stats.Messages++
-		nw.stats.Bytes += size
 		nw.stats.Lost++
-		nw.stats.EnergyJ += nw.Cfg.Energy.TxCost(size, d)
+		nw.stats.EnergyJ += tx
 		nw.mirror()
 		return false
 	}
-	src.drain(nw.Cfg.Energy.TxCost(size, d))
-	dst.drain(nw.Cfg.Energy.RxCost(size))
-	src.Sent++
-	src.TxBytes += size
+	rx := nw.Cfg.Energy.RxCost(size)
+	dst.drain(rx)
 	dst.Received++
 	dst.RxBytes += size
-	nw.stats.Messages++
 	nw.stats.Deliveries++
-	nw.stats.Bytes += size
-	nw.stats.EnergyJ += nw.Cfg.Energy.TxCost(size, d) + nw.Cfg.Energy.RxCost(size)
+	nw.stats.EnergyJ += tx + rx
 	nw.mirror()
-	if deliver != nil {
-		at := nw.reserveTx(src, payloadBytes)
-		if _, err := nw.Kernel.Schedule(at, "deliver", func() {
-			deliver(nw.Kernel.Now())
-		}); err != nil {
-			return false
-		}
+	if h == nil {
+		return true
+	}
+	start := len(nw.inflight)
+	nw.inflight = append(nw.inflight, delivery{h: h, to: int32(to), arg: int32(arg)})
+	return nw.post(nw.reserveTx(src, payloadBytes), start)
+}
+
+// post puts the deliveries inflight[start:] on the air as one kernel event
+// at time at, reporting false (and taking them back) when the kernel
+// refuses it.
+func (nw *Network) post(at simevent.Time, start int) bool {
+	run := uint64(start)<<32 | uint64(len(nw.inflight)-start)
+	if _, err := nw.Kernel.ScheduleFunc(at, "deliver", nw.land, run); err != nil {
+		nw.inflight = nw.inflight[:start]
+		return false
 	}
 	return true
+}
+
+// dispatch runs one event's deliveries in order, all at the event's time,
+// and stops with the kernel: the order and times one event per delivery
+// would give, since those events would carry equal timestamps and
+// consecutive sequence numbers.
+func (nw *Network) dispatch(run uint64) {
+	now := nw.Kernel.Now()
+	for i, end := int(run>>32), int(run>>32)+int(uint32(run)); i < end && !nw.Kernel.Stopped(); i++ {
+		d := nw.inflight[i] // a copy: the handler may grow inflight
+		d.h(NodeID(d.to), NodeID(d.arg), now)
+	}
+	if nw.Kernel.Pending() == 0 {
+		nw.inflight = nw.inflight[:0]
+	}
 }
 
 // reserveTx serialises a node's transmissions: the radio is half-duplex,
@@ -299,18 +336,15 @@ func (nw *Network) reserveTx(src *Node, payloadBytes int) simevent.Time {
 
 // Broadcast transmits payloadBytes from a node to every alive neighbor in
 // one radio transmission (the sender pays once at full range; each receiver
-// pays reception). deliver is invoked once per receiving neighbor, in
-// Neighbors order, from a single kernel event at the transmission's end —
-// the order and virtual time one event per receiver would give, since those
-// events would carry equal timestamps and consecutive sequence numbers.
+// pays reception). h(to, from, at) is called once per receiving neighbor,
+// in Neighbors order, from one kernel event at the transmission's end.
 //
-// Budget 13: the receiver list and the delivery closure (3 sites), and what
-// Send's budget lists for Kernel.Schedule (3) and mirror's first use (7).
-// A broadcast after that allocates the list, the closure and one event,
-// however many neighbors hear it.
+// Budget 13: the sites Send's budget lists. A broadcast appends its
+// receivers to inflight and schedules one event, so past a run's peak it
+// allocates nothing, however many neighbors hear it.
 //
 //lint:hot budget=13
-func (nw *Network) Broadcast(from NodeID, payloadBytes int, deliver func(to NodeID, at simevent.Time)) int {
+func (nw *Network) Broadcast(from NodeID, payloadBytes int, h Deliver) int {
 	src := nw.Node(from)
 	if src == nil || !src.Alive() {
 		nw.stats.Dropped++
@@ -324,10 +358,7 @@ func (nw *Network) Broadcast(from NodeID, payloadBytes int, deliver func(to Node
 	nw.stats.Bytes += size
 	nw.stats.EnergyJ += nw.Cfg.Energy.TxCost(size, nw.Cfg.RadioRange)
 	bcastAt := nw.reserveTx(src, payloadBytes)
-	var receivers []NodeID
-	if deliver != nil {
-		receivers = make([]NodeID, 0, len(src.Neighbors))
-	}
+	start := len(nw.inflight)
 	reached := 0
 	for _, nbrID := range src.Neighbors {
 		dst := nw.Node(nbrID)
@@ -344,25 +375,15 @@ func (nw *Network) Broadcast(from NodeID, payloadBytes int, deliver func(to Node
 		nw.stats.Deliveries++
 		nw.stats.EnergyJ += nw.Cfg.Energy.RxCost(size)
 		reached++
-		if deliver != nil {
+		if h != nil {
 			if nw.Kernel.Stopped() {
 				break // nothing more can be delivered
 			}
-			receivers = append(receivers, nbrID)
+			nw.inflight = append(nw.inflight, delivery{h: h, to: int32(nbrID), arg: int32(from)})
 		}
 	}
-	if len(receivers) > 0 {
-		// bcastAt is never in the past and the kernel is running, so
-		// Schedule cannot fail here.
-		_, _ = nw.Kernel.Schedule(bcastAt, "bcast", func() {
-			now := nw.Kernel.Now()
-			for _, to := range receivers {
-				if nw.Kernel.Stopped() {
-					return
-				}
-				deliver(to, now)
-			}
-		})
+	if len(nw.inflight) > start {
+		nw.post(bcastAt, start) // cannot fail: bcastAt is not past, the kernel runs
 	}
 	nw.mirror()
 	return reached

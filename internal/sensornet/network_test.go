@@ -70,7 +70,7 @@ func TestSendChargesEnergyAndCounts(t *testing.T) {
 		t.Fatal("adjacent grid nodes should be in range")
 	}
 	delivered := false
-	if !nw.Send(0, 1, 10, func(at simevent.Time) { delivered = true }) {
+	if !nw.Send(0, 1, 10, func(_, _ NodeID, at simevent.Time) { delivered = true }, 0) {
 		t.Fatal("Send failed")
 	}
 	nw.Kernel.RunAll()
@@ -103,7 +103,7 @@ func TestSendOutOfRangeFails(t *testing.T) {
 	cfg := testConfig()
 	nw := NewGridNetwork(cfg, 5, 5)
 	// Node 0 and node 24 are opposite corners, far out of range.
-	if nw.Send(0, 24, 10, nil) {
+	if nw.Send(0, 24, 10, nil, 0) {
 		t.Fatal("out-of-range send should fail")
 	}
 	if nw.Stats().Dropped != 1 {
@@ -116,10 +116,10 @@ func TestDeadNodeCannotSendOrReceive(t *testing.T) {
 	cfg.RadioRange = 60
 	nw := NewGridNetwork(cfg, 2, 2)
 	nw.Node(0).Energy = 0
-	if nw.Send(0, 1, 10, nil) {
+	if nw.Send(0, 1, 10, nil, 0) {
 		t.Fatal("dead sender should fail")
 	}
-	if nw.Send(1, 0, 10, nil) {
+	if nw.Send(1, 0, 10, nil, 0) {
 		t.Fatal("send to dead receiver should fail")
 	}
 }
@@ -131,7 +131,7 @@ func TestBroadcastReachesAliveNeighbors(t *testing.T) {
 	center := nw.Node(4)
 	nw.Node(1).Energy = 0 // kill one neighbor
 	var got []NodeID
-	reached := nw.Broadcast(4, 10, func(to NodeID, at simevent.Time) { got = append(got, to) })
+	reached := nw.Broadcast(4, 10, func(to, _ NodeID, at simevent.Time) { got = append(got, to) })
 	nw.Kernel.RunAll()
 	if reached != len(center.Neighbors)-1 {
 		t.Fatalf("reached = %d, want %d (one neighbor dead)", reached, len(center.Neighbors)-1)
@@ -309,10 +309,10 @@ func TestTxSerialisation(t *testing.T) {
 	cfg.RadioRange = 60
 	nw := NewGridNetwork(cfg, 2, 2)
 	var first, second simevent.Time
-	if !nw.Send(0, 1, 100, func(at simevent.Time) { first = at }) {
+	if !nw.Send(0, 1, 100, func(_, _ NodeID, at simevent.Time) { first = at }, 0) {
 		t.Fatal("send 1 failed")
 	}
-	if !nw.Send(0, 1, 100, func(at simevent.Time) { second = at }) {
+	if !nw.Send(0, 1, 100, func(_, _ NodeID, at simevent.Time) { second = at }, 0) {
 		t.Fatal("send 2 failed")
 	}
 	nw.Kernel.RunAll()

@@ -14,13 +14,13 @@ import (
 // made cheap (DESIGN.md "Query handler path"), kept as oracles: one kernel
 // event per receiving neighbour, and a fresh BFS per call.
 
-type broadcastFunc func(nw *Network, from NodeID, payloadBytes int, deliver func(to NodeID, at simevent.Time)) int
+type broadcastFunc func(nw *Network, from NodeID, payloadBytes int, deliver Deliver) int
 
-func batchedBroadcast(nw *Network, from NodeID, payloadBytes int, deliver func(to NodeID, at simevent.Time)) int {
+func batchedBroadcast(nw *Network, from NodeID, payloadBytes int, deliver Deliver) int {
 	return nw.Broadcast(from, payloadBytes, deliver)
 }
 
-func referenceBroadcast(nw *Network, from NodeID, payloadBytes int, deliver func(to NodeID, at simevent.Time)) int {
+func referenceBroadcast(nw *Network, from NodeID, payloadBytes int, deliver Deliver) int {
 	src := nw.Node(from)
 	if src == nil || !src.Alive() {
 		nw.stats.Dropped++
@@ -53,7 +53,7 @@ func referenceBroadcast(nw *Network, from NodeID, payloadBytes int, deliver func
 		if deliver != nil {
 			to := nbrID
 			if _, err := nw.Kernel.Schedule(bcastAt, fmt.Sprintf("bcast %d->%d", from, to), func() {
-				deliver(to, nw.Kernel.Now())
+				deliver(to, from, nw.Kernel.Now())
 			}); err != nil {
 				break
 			}
@@ -99,25 +99,25 @@ func referenceDepth(tree map[NodeID]NodeID, id NodeID) int {
 	return d
 }
 
-// delivery is one invocation of a broadcast's deliver callback.
-type delivery struct {
+// heard is one invocation of a broadcast's deliver callback.
+type heard struct {
 	to NodeID
 	at simevent.Time
 }
 
 // floodVia is Flood over a chosen broadcast, recording every delivery and
 // letting the caller act on each (stop the kernel, kill a node).
-func floodVia(nw *Network, bcast broadcastFunc, origin NodeID, payloadBytes int, onDeliver func(n int)) (DisseminationResult, []delivery) {
+func floodVia(nw *Network, bcast broadcastFunc, origin NodeID, payloadBytes int, onDeliver func(n int)) (DisseminationResult, []heard) {
 	start := nw.Kernel.Now()
 	statsBefore := nw.Stats()
 	seen := map[NodeID]bool{origin: true}
 	last := start
-	var log []delivery
+	var log []heard
 
 	var relay func(id NodeID)
 	relay = func(id NodeID) {
-		bcast(nw, id, payloadBytes, func(to NodeID, at simevent.Time) {
-			log = append(log, delivery{to, at})
+		bcast(nw, id, payloadBytes, func(to, _ NodeID, at simevent.Time) {
+			log = append(log, heard{to, at})
 			if onDeliver != nil {
 				onDeliver(len(log))
 			}
@@ -158,7 +158,7 @@ func referenceGossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipCon
 		if !force && rng.Float64() > cfg.Forward {
 			return
 		}
-		referenceBroadcast(nw, id, payloadBytes, func(to NodeID, at simevent.Time) {
+		referenceBroadcast(nw, id, payloadBytes, func(to, _ NodeID, at simevent.Time) {
 			if seen[to] {
 				return
 			}
@@ -205,7 +205,7 @@ func mapGossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipConfig) D
 		if !force && rng.Float64() > cfg.Forward {
 			return
 		}
-		onFirst := func(to NodeID, at simevent.Time) {
+		onFirst := func(to, _ NodeID, at simevent.Time) {
 			if seen[to] {
 				return
 			}
@@ -231,8 +231,7 @@ func mapGossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipConfig) D
 			k = len(nbrs)
 		}
 		for _, to := range nbrs[:k] {
-			to := to
-			nw.Send(id, to, payloadBytes, func(at simevent.Time) { onFirst(to, at) })
+			nw.Send(id, to, payloadBytes, onFirst, 0)
 		}
 	}
 	relay(origin, true)
@@ -432,7 +431,7 @@ func TestBroadcastStopMidBatch(t *testing.T) {
 	}
 	sameState(t, "stopped flood", a, b)
 
-	noop := func(NodeID, simevent.Time) {}
+	noop := func(NodeID, NodeID, simevent.Time) {}
 	if got, want := batchedBroadcast(a, 7, 40, noop), referenceBroadcast(b, 7, 40, noop); got != want {
 		t.Fatalf("broadcast on a stopped kernel reached %d, reference %d", got, want)
 	}

@@ -30,7 +30,6 @@ import (
 type crossPost struct {
 	dst     int
 	at      Time
-	label   string
 	handler Handler
 }
 
@@ -102,7 +101,7 @@ func (sk *ShardedKernel) Post(src, dst int, at Time, label string, h Handler) er
 	if src < 0 || src >= len(sk.shards) || dst < 0 || dst >= len(sk.shards) {
 		return fmt.Errorf("simevent: post %q from shard %d to %d of %d", label, src, dst, len(sk.shards))
 	}
-	sk.cross[src] = append(sk.cross[src], crossPost{dst: dst, at: at, label: label, handler: h})
+	sk.cross[src] = append(sk.cross[src], crossPost{dst: dst, at: at, handler: h})
 	return nil
 }
 
@@ -132,7 +131,7 @@ func (sk *ShardedKernel) barrier() error {
 			if at < sk.now {
 				at = sk.now
 			}
-			if _, err := sk.shards[post.dst].Schedule(at, post.label, post.handler); err != nil {
+			if _, err := sk.shards[post.dst].Schedule(at, "post", post.handler); err != nil {
 				return err
 			}
 		}

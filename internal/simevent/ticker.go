@@ -8,6 +8,7 @@ type Ticker struct {
 	period  Duration
 	label   string
 	fn      func(Time)
+	fire    Handler // t.tick, bound once so re-arming allocates nothing
 	pending EventID
 	stopped bool
 }
@@ -15,7 +16,9 @@ type Ticker struct {
 // NewTicker creates a ticker that calls fn every period, with the first
 // firing one period from now. Call Start to arm it.
 func NewTicker(k *Kernel, period Duration, label string, fn func(Time)) *Ticker {
-	return &Ticker{k: k, period: period, label: label, fn: fn}
+	t := &Ticker{k: k, period: period, label: label, fn: fn}
+	t.fire = t.tick
+	return t
 }
 
 // Start arms the ticker. Starting an already-started ticker is a no-op.
@@ -26,34 +29,25 @@ func (t *Ticker) Start() error {
 	return t.arm()
 }
 
-func (t *Ticker) arm() error {
-	id, err := t.k.After(t.period, t.label, t.fire)
-	if err != nil {
-		return err
-	}
-	t.pending = id
-	return nil
+func (t *Ticker) arm() (err error) {
+	t.pending, err = t.k.After(t.period, t.label, t.fire)
+	return err
 }
 
-func (t *Ticker) fire() {
+// tick runs fn and re-arms. Stop cancels the pending tick, so a tick never
+// runs after it; Stop from inside fn leaves the ticker dormant, and so does
+// a handler that stops the kernel.
+func (t *Ticker) tick() {
 	t.pending = 0
-	if t.stopped {
-		return
-	}
 	t.fn(t.k.Now())
-	if !t.stopped {
-		// Re-arm; a handler that stops the kernel leaves the ticker dormant.
-		if err := t.arm(); err != nil {
-			t.stopped = true
-		}
+	if !t.stopped && t.arm() != nil {
+		t.stopped = true
 	}
 }
 
 // Stop disarms the ticker. A stopped ticker never fires again.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.pending != 0 {
-		t.k.Cancel(t.pending)
-		t.pending = 0
-	}
+	t.k.Cancel(t.pending) // 0 when nothing is armed: no event has that ID
+	t.pending = 0
 }
