@@ -280,6 +280,41 @@ func TestDisconnectionDeputyOverflow(t *testing.T) {
 	}
 }
 
+// TestFullDeputyDeadLettersLinkDown: a disconnection deputy's full queue is
+// a store-and-forward overflow, not a full mailbox. Send dead-letters the
+// refused envelope link_down and leaves Shed, which counts mailbox overload
+// (mailbox_full + shed_oldest), alone.
+func TestFullDeputyDeadLettersLinkDown(t *testing.T) {
+	p := NewPlatform("test")
+	defer p.Close()
+	var dd *DisconnectionDeputy
+	err := p.Register("mobile", HandlerFunc(func(Envelope, *Context) {}), Attributes{}, func(next Deputy) Deputy {
+		dd = NewDisconnectionDeputy(next)
+		return dd
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dd.SetConnected(false)
+	for i := 0; i < storeForwardCap; i++ {
+		env, _ := NewEnvelope("src", "mobile", "inform", "o", i)
+		if err := p.Send(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env, _ := NewEnvelope("src", "mobile", "inform", "o", "one too many")
+	if err := p.Send(env); !errors.Is(err, errQueueFull) {
+		t.Fatalf("send to a full deputy: err = %v, want errQueueFull", err)
+	}
+	ds := p.DeliveryStats()
+	if ds.Reasons[DropLinkDown] != 1 || ds.Reasons[DropMailboxFull] != 0 {
+		t.Fatalf("reasons = %v, want one link_down", ds.Reasons)
+	}
+	if ds.Shed != 0 || ds.Shed != ds.Reasons[DropMailboxFull]+ds.Reasons[DropShedOldest] {
+		t.Fatalf("shed = %d, want 0 = mailbox_full + shed_oldest", ds.Shed)
+	}
+}
+
 func TestMailboxOverflow(t *testing.T) {
 	block := make(chan struct{})
 	p := NewPlatform("test")

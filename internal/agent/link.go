@@ -12,11 +12,11 @@ import (
 
 // Link is the client-side connection from one platform to a remote
 // gateway. It outlives its TCP connection: on loss it redials with capped
-// exponential backoff, buffers outbound envelopes while down (the
-// DisconnectionDeputy's store-and-forward semantics applied to a
-// transport), and replays the buffer in order on reconnect. Overflowed and
-// abandoned envelopes land in the platform's dead-letter ring with reason
-// link_down.
+// exponential backoff. Outbound envelopes go through the link's one
+// store-and-forward queue, the DisconnectionDeputy's (fifo): written as soon
+// as the connection is free, held while it is down, and written in order once
+// a redial brings it back. Overflowed and abandoned envelopes land in the
+// platform's dead-letter ring with reason link_down.
 type Link struct {
 	platform *Platform
 	addr     string
@@ -26,7 +26,7 @@ type Link struct {
 
 	mu         sync.Mutex
 	wc         *wireConn // nil while disconnected
-	buffer     []Envelope
+	out        fifo      // written to wc outside mu
 	closed     bool
 	connects   int
 	replayed   int
@@ -38,8 +38,8 @@ type ReconnectOptions struct {
 	// Filter restricts which destinations the link forwards (nil = every
 	// non-local ID), like Dial's filter.
 	Filter func(ID) bool
-	// MaxBuffer bounds the store-and-forward queue while disconnected
-	// (default 256). On overflow the oldest envelope is dead-lettered.
+	// MaxBuffer bounds the store-and-forward queue (default 256). On
+	// overflow the oldest waiting envelope is dead-lettered.
 	MaxBuffer int
 	// BaseDelay and MaxDelay shape the capped-exponential redial backoff
 	// (defaults 20ms and 2s).
@@ -70,7 +70,7 @@ type ReconnectStats struct {
 	// Connects counts successful connection establishments (1 = the
 	// initial connect; more = reconnections happened).
 	Connects int
-	// Replayed counts buffered envelopes re-sent after a reconnect.
+	// Replayed counts queued envelopes written after a reconnect.
 	Replayed int
 	// Buffered is the current store-and-forward queue length.
 	Buffered int
@@ -108,10 +108,11 @@ func newLink(p *Platform, addr string, opts ReconnectOptions, conn net.Conn) *Li
 		opts:     opts.withDefaults(),
 		done:     make(chan struct{}),
 	}
+	l.out.limit, l.out.room = l.opts.MaxBuffer, make(chan struct{}, 1)
 	var first *wireConn
 	if conn != nil {
 		first = newWireConn(conn)
-		l.install(first) // nothing buffered yet, so there is no replay to fail
+		l.install(first)
 	}
 	route := RouteFunc(l.route)
 	if l.opts.WrapRoute != nil {
@@ -138,13 +139,13 @@ func (l *Link) Stats() ReconnectStats {
 	return ReconnectStats{
 		Connects:   l.connects,
 		Replayed:   l.replayed,
-		Buffered:   len(l.buffer),
+		Buffered:   l.out.n,
 		Overflowed: l.overflowed,
 	}
 }
 
 // Close stops redialling, uninstalls the route, and dead-letters whatever
-// is still buffered.
+// is still queued.
 func (l *Link) Close() {
 	l.mu.Lock()
 	if l.closed {
@@ -152,58 +153,120 @@ func (l *Link) Close() {
 		return
 	}
 	l.closed = true
-	wc := l.wc
-	l.wc = nil
-	buf := l.buffer
-	l.buffer = nil
+	wc, abandoned := l.wc, l.out.ring
+	l.wc, l.out.ring = nil, ring{}
 	l.mu.Unlock()
 	close(l.done)
 	l.platform.RemoveRoute(l.routeID)
 	if wc != nil {
 		wc.conn.Close()
 	}
-	for _, env := range buf {
-		l.platform.deadLetter(env, DropLinkDown)
+	for abandoned.n > 0 {
+		l.platform.deadLetter(abandoned.pop(), DropLinkDown)
 	}
 }
 
-// route implements RouteFunc: write when up, store-and-forward when down.
-// It accepts the envelope either way, unless no frame can carry it; loss is
-// only possible by buffer overflow, which is dead-lettered rather than
-// silent.
+// route implements RouteFunc: env joins the queue, and a sender that finds
+// the connection up and the turn free writes the queue out. It accepts what
+// a frame can carry; a full queue makes the sender wait while the link is
+// up, and dead-letters its oldest envelope while it is down.
+//
+//lint:hot budget=22
 func (l *Link) route(env Envelope) bool {
+	if (l.opts.Filter != nil && !l.opts.Filter(env.To)) || frameSize(&env) > maxFrame {
+		return false // Send dead-letters what no frame carries
+	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return false
-	}
-	if l.opts.Filter != nil && !l.opts.Filter(env.To) {
-		return false
-	}
-	if l.wc != nil {
-		wc := l.wc
-		if err := wc.write(env); err == nil || err == errOversize {
-			return err == nil // no frame carries it: Send dead-letters it
+	waited := false
+	for l.wc != nil && l.out.n == l.out.limit && !l.closed {
+		// Up and full: wait for the turn to free a slot, the backpressure a
+		// live connection gives. Down, the oldest is evicted instead.
+		l.mu.Unlock()
+		select {
+		case <-l.out.room:
+		case <-l.done:
 		}
-		// The connection died under us: take it down and buffer this
-		// envelope. Closing the socket fails the read loop, which redials.
-		l.wc = nil
-		wc.conn.Close()
+		l.mu.Lock()
+		waited = true
 	}
-	if len(l.buffer) >= l.opts.MaxBuffer {
-		oldest := l.buffer[0]
-		l.buffer = l.buffer[1:]
+	if l.closed {
+		l.mu.Unlock()
+		return false
+	}
+	var oldest Envelope
+	full := l.out.n == l.out.limit
+	if full {
+		oldest = l.out.pop()
 		l.overflowed++
+	}
+	l.out.push(env)
+	from := l.wc
+	if waited || from == nil {
+		poke(l.out.room) // the next waiting sender may fit, or find the link down
+	}
+	drain := l.out.claim(from != nil)
+	l.mu.Unlock()
+	if full {
 		l.platform.deadLetter(oldest, DropLinkDown)
 	}
-	l.buffer = append(l.buffer, env)
-	l.platform.trace(obs.SpanBuffer, env, "link down")
+	if from == nil {
+		l.platform.trace(obs.SpanBuffer, env, "link down")
+	}
+	if drain {
+		l.drain(from)
+	}
 	return true
 }
 
+// drain writes the queue out in order for the holder of its turn, outside
+// l.mu. A write over a connection other than from is a replay, counted before
+// the write so Stats never trails the peer. A failed write takes its
+// connection down and returns the envelope to the head, unless the link
+// closed or the queue filled behind it: then the envelope, the oldest, is
+// dead-lettered.
+//
+//lint:hot budget=22
+func (l *Link) drain(from *wireConn) {
+	for {
+		l.mu.Lock()
+		wc := l.wc
+		env, ok := l.out.next(wc != nil)
+		replay := ok && wc != from
+		if replay {
+			l.replayed++
+		}
+		l.mu.Unlock()
+		if !ok {
+			return
+		}
+		if wc.write(env) == nil {
+			if replay {
+				l.platform.trace(obs.SpanReplay, env, "reconnected")
+			}
+			continue
+		}
+		l.markDown(wc)
+		l.mu.Lock()
+		if replay {
+			l.replayed--
+		}
+		lost := l.closed || l.out.n == l.out.limit
+		if !lost {
+			l.out.unpop(env)
+		} else if !l.closed {
+			l.overflowed++
+		}
+		l.mu.Unlock()
+		if lost {
+			l.platform.deadLetter(env, DropLinkDown)
+		}
+	}
+}
+
 // run keeps the link connected: read from the live connection until it is
-// lost, then dial with capped exponential backoff, replay the buffer, and
-// read again. wc is the connection Dial already installed, if any.
+// lost, then dial with capped exponential backoff, install the new
+// connection, and read again. wc is the connection Dial already installed,
+// if any.
 func (l *Link) run(wc *wireConn) {
 	delay := l.opts.BaseDelay
 	for {
@@ -231,44 +294,36 @@ func (l *Link) run(wc *wireConn) {
 		if fresh := newWireConn(conn); l.install(fresh) {
 			wc = fresh
 		} else {
-			conn.Close() // closed, or the replay write failed: redial
+			conn.Close() // the link closed while dialling
 		}
 	}
 }
 
-// install replays the store-and-forward buffer over the new connection and
-// makes it the live one. Replay happens under l.mu so concurrently routed
-// envelopes queue behind the replayed ones — order is preserved.
+// install makes wc the live connection and drains what queued while the
+// link was down, unless a sender holds the turn. It reports false once the
+// link has closed.
 func (l *Link) install(wc *wireConn) bool {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return false
 	}
-	for len(l.buffer) > 0 {
-		switch err := wc.write(l.buffer[0]); err {
-		case nil:
-			l.platform.trace(obs.SpanReplay, l.buffer[0], "reconnected")
-			l.replayed++
-		case errOversize: // buffered while down, but no frame carries it
-			l.platform.deadLetter(l.buffer[0], DropLinkDown)
-		default:
-			return false
-		}
-		l.buffer = l.buffer[1:]
-	}
-	l.buffer = nil
 	l.wc = wc
 	l.connects++
+	drain := l.out.claim(true)
+	l.mu.Unlock()
+	if drain {
+		l.drain(nil)
+	}
 	return true
 }
 
-// markDown reacts to a read error: drop the connection if it is still the
-// live one.
+// markDown drops wc if it is still the live connection, and closes it.
 func (l *Link) markDown(wc *wireConn) {
 	l.mu.Lock()
 	if l.wc == wc {
 		l.wc = nil
+		poke(l.out.room) // a sender waiting for room finds the link down
 	}
 	l.mu.Unlock()
 	wc.conn.Close()

@@ -102,12 +102,13 @@ type mailbox struct {
 // ring is one lane: n envelopes from buf[head], wrapping, at most limit.
 // Under Block, room (cap 1) carries "a slot was freed" from the run loop
 // to one parked sender, and each admitted sender passes it on, so every
-// sender parked while slots free up is woken in turn.
+// sender parked while slots free up is woken in turn. A link's queue uses
+// room the same way (fifo).
 type ring struct {
 	buf     []Envelope
 	head, n int
 	limit   int
-	room    chan struct{} // nil unless the policy is Block
+	room    chan struct{} // nil unless senders wait for a slot
 }
 
 func newMailbox(opts MailboxOptions) *mailbox {
@@ -165,6 +166,29 @@ func (m *mailbox) take() (env Envelope, from *ring) {
 
 // push appends env; the caller has checked the ring is below its limit.
 func (r *ring) push(env Envelope) {
+	r.grow()
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = env
+	r.n++
+}
+
+// unpop puts env back at the head, where pop took it from; the caller has
+// checked the ring is below its limit.
+func (r *ring) unpop(env Envelope) {
+	r.grow()
+	if r.head == 0 {
+		r.head = len(r.buf)
+	}
+	r.head--
+	r.buf[r.head] = env
+	r.n++
+}
+
+// grow makes room for one more envelope if every slot is taken.
+func (r *ring) grow() {
 	if r.n == len(r.buf) {
 		size := min(max(2*len(r.buf), firstRingSlots), r.limit)
 		buf := make([]Envelope, size)
@@ -172,12 +196,6 @@ func (r *ring) push(env Envelope) {
 		copy(buf[k:], r.buf[:r.head])
 		r.buf, r.head = buf, 0
 	}
-	i := r.head + r.n
-	if i >= len(r.buf) {
-		i -= len(r.buf)
-	}
-	r.buf[i] = env
-	r.n++
 }
 
 // pop removes the oldest envelope, zeroing its slot so the ring does not

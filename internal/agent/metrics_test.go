@@ -96,6 +96,11 @@ func TestTraceIDPropagatesThroughReply(t *testing.T) {
 		t.Fatal("reply lost the trace id")
 	}
 	spans := p.Tracer.Trace(reply.TraceID)
+	// Send records the reply's deliver span after the inbox holds the reply,
+	// so Call can return first: give that span the call's timeout to land.
+	for deadline := time.Now().Add(2 * time.Second); len(spans) < 4 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		spans = p.Tracer.Trace(reply.TraceID)
+	}
 	if len(spans) < 4 {
 		t.Fatalf("want >= 4 spans (send+deliver each way), got %d:\n%s",
 			len(spans), p.Tracer.Timeline(reply.TraceID))

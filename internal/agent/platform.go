@@ -82,12 +82,13 @@ type DropReason string
 // Drop reasons recorded in the dead-letter ring.
 const (
 	// DropMailboxFull: the destination deputy rejected the envelope
-	// (agent mailbox or disconnection buffer full).
+	// (agent mailbox full).
 	DropMailboxFull DropReason = "mailbox_full"
 	// DropNoRoute: no local agent and no gateway route accepted it.
 	DropNoRoute DropReason = "no_route"
-	// DropLinkDown: a link's store-and-forward buffer overflowed or was
-	// abandoned while its transport was disconnected.
+	// DropLinkDown: a store-and-forward queue (a Link's or a
+	// DisconnectionDeputy's) overflowed or was abandoned while its peer was
+	// disconnected.
 	DropLinkDown DropReason = "link_down"
 	// DropTTLExpired: the envelope exceeded the platform hop budget
 	// (a routing loop, or a retry storm bouncing between gateways).
@@ -485,8 +486,11 @@ func (p *Platform) Send(env Envelope) error {
 		start := p.clock().Now()
 		if err := p.safeDeliver(reg.deputy, env); err != nil {
 			reason := DropMailboxFull
-			if errors.Is(err, ErrDeliverPanic) {
+			switch {
+			case errors.Is(err, ErrDeliverPanic):
 				reason = DropDeliverPanic
+			case errors.Is(err, errQueueFull):
+				reason = DropLinkDown
 			}
 			p.deadLetter(env, reason)
 			p.breakerFailure(env.To)

@@ -1,12 +1,15 @@
 package agent
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -208,6 +211,227 @@ func TestDisconnectionDeputyFlushFailureKeepsTail(t *testing.T) {
 	}
 	if dd.Buffered() != 3 {
 		t.Fatalf("buffered = %d, want the 3-envelope tail", dd.Buffered())
+	}
+}
+
+// gateDeputy records the sequence numbers it is handed, and holds its first
+// hand-off until release is closed.
+type gateDeputy struct {
+	calls            atomic.Int64
+	entered, release chan struct{}
+	mu               sync.Mutex
+	got              []uint64
+}
+
+func (g *gateDeputy) Deliver(env Envelope) error {
+	if g.calls.Add(1) == 1 {
+		close(g.entered)
+		<-g.release
+	}
+	g.mu.Lock()
+	g.got = append(g.got, env.Seq)
+	g.mu.Unlock()
+	return nil
+}
+
+// TestDisconnectionDeputyTailIsNotOvertaken: a connected deputy never hands
+// on an envelope ahead of one it already holds — neither ahead of the tail a
+// failed flush left queued, nor ahead of what a flush is still handing on.
+func TestDisconnectionDeputyTailIsNotOvertaken(t *testing.T) {
+	base := &inbox{p: NewPlatform("test"), replies: make(chan Envelope, 2)}
+	dd := NewDisconnectionDeputy(base)
+	dd.SetConnected(false)
+	for i := 1; i <= 5; i++ {
+		if err := dd.Deliver(Envelope{Seq: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if flushed := dd.SetConnected(true); flushed != 2 {
+		t.Fatalf("flushed = %d, want 2", flushed)
+	}
+	var got []uint64
+	take := func(n int) {
+		for ; n > 0; n-- {
+			select {
+			case env := <-base.replies:
+				got = append(got, env.Seq)
+			default:
+				t.Fatalf("nothing more was handed on; got %v", got)
+			}
+		}
+	}
+	take(2)
+	// Connected with 3..5 queued: seq 6 goes behind them, and its
+	// delivery hands the tail on until the inbox is full again.
+	if err := dd.Deliver(Envelope{Seq: 6}); err != nil {
+		t.Fatal(err)
+	}
+	take(2)
+	if flushed := dd.SetConnected(true); flushed != 2 {
+		t.Fatalf("second flush = %d, want 2", flushed)
+	}
+	take(2)
+	if want := []uint64{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("handed on %v, want %v", got, want)
+	}
+
+	// A delivery racing the flush: the flush is inside its first
+	// hand-off, so the deputy already says it is connected.
+	gate := &gateDeputy{entered: make(chan struct{}), release: make(chan struct{})}
+	dd = NewDisconnectionDeputy(gate)
+	dd.SetConnected(false)
+	for i := 1; i <= 3; i++ {
+		if err := dd.Deliver(Envelope{Seq: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushed := make(chan int, 1)
+	go func() { flushed <- dd.SetConnected(true) }()
+	<-gate.entered
+	if err := dd.Deliver(Envelope{Seq: 4}); err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release)
+	<-flushed
+	gate.mu.Lock()
+	defer gate.mu.Unlock()
+	if want := []uint64{1, 2, 3, 4}; !reflect.DeepEqual(gate.got, want) {
+		t.Fatalf("handed on %v, want %v", gate.got, want)
+	}
+	if n := dd.Buffered(); n != 0 {
+		t.Fatalf("buffered = %d after the flush", n)
+	}
+}
+
+// TestDisconnectionDeputyConcurrentSendersKeepOrder: senders racing a
+// device that keeps flapping each see their own envelopes handed on in
+// order, and every envelope is handed on or refused, none twice.
+func TestDisconnectionDeputyConcurrentSendersKeepOrder(t *testing.T) {
+	gate := &gateDeputy{entered: make(chan struct{}), release: make(chan struct{})}
+	close(gate.release) // a plain recorder
+	dd := NewDisconnectionDeputy(gate)
+	const senders, each = 4, 200
+	var refused atomic.Int64
+	stop, flapped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(flapped)
+		for up := false; ; up = !up {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			dd.SetConnected(up)
+		}
+	}()
+	var wg sync.WaitGroup
+	for s := 1; s <= senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 1; i <= each; i++ {
+				if err := dd.Deliver(Envelope{Seq: uint64(s*1000 + i)}); err != nil {
+					refused.Add(1)
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	close(stop)
+	<-flapped
+	dd.SetConnected(true)
+	gate.mu.Lock()
+	defer gate.mu.Unlock()
+	last := map[uint64]uint64{}
+	for _, seq := range gate.got {
+		if s := seq / 1000; seq <= last[s] {
+			t.Fatalf("sender %d: %d handed on after %d", s, seq, last[s])
+		}
+		last[seq/1000] = seq
+	}
+	if n := int64(len(gate.got)) + refused.Load(); n != senders*each || dd.Buffered() != 0 {
+		t.Fatalf("handed on %d + refused %d of %d, %d still buffered", len(gate.got), refused.Load(), senders*each, dd.Buffered())
+	}
+}
+
+// gatedConn is a link's connection whose writes wait for open and whose
+// reads wait for Close; it records the Seq of every frame written.
+type gatedConn struct {
+	net.Conn // unused: only Read, Write and Close are called
+	open     chan struct{}
+	closed   chan struct{}
+	once     sync.Once
+	mu       sync.Mutex
+	got      []uint64
+}
+
+func (c *gatedConn) Write(b []byte) (int, error) {
+	select {
+	case <-c.open:
+	case <-c.closed:
+		return 0, net.ErrClosed
+	}
+	env, err := newFrameReader(bytes.NewReader(b)).next()
+	if err != nil {
+		return 0, err
+	}
+	c.mu.Lock()
+	c.got = append(c.got, env.Seq)
+	c.mu.Unlock()
+	return len(b), nil
+}
+
+func (c *gatedConn) Read([]byte) (int, error) {
+	<-c.closed
+	return 0, io.EOF
+}
+
+func (c *gatedConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// TestLinkConcurrentSendersKeepOrder: senders sharing a live link queue
+// behind whichever of them holds the turn, and wait while the queue is full
+// instead of evicting; once the peer takes frames again, each sender's
+// envelopes are written in order, and all of them are written.
+func TestLinkConcurrentSendersKeepOrder(t *testing.T) {
+	client := NewPlatform("client")
+	defer client.Close()
+	conn := &gatedConn{open: make(chan struct{}), closed: make(chan struct{})}
+	link := newLink(client, "gated", ReconnectOptions{MaxBuffer: 2}, conn)
+	defer link.Close()
+	const senders, each = 4, 100
+	var wg sync.WaitGroup
+	for s := 1; s <= senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 1; i <= each; i++ {
+				env := Envelope{From: "src", To: "sink", Performative: "inform", Seq: uint64(s*1000 + i)}
+				if err := client.Send(env); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	// One sender's write holds the turn; the queue fills behind it and the
+	// other senders wait.
+	waitFor(t, "the queue to fill", func() bool { return link.Stats().Buffered == 2 })
+	close(conn.open)
+	wg.Wait()
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	last := map[uint64]uint64{}
+	for _, seq := range conn.got {
+		if s := seq / 1000; seq <= last[s] {
+			t.Fatalf("sender %d: %d written after %d", s, seq, last[s])
+		}
+		last[seq/1000] = seq
+	}
+	if st := link.Stats(); len(conn.got) != senders*each || st.Buffered != 0 || st.Overflowed != 0 {
+		t.Fatalf("%d of %d written, stats = %+v", len(conn.got), senders*each, st)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -123,7 +124,11 @@ func TestFrameEqualsJSONReference(t *testing.T) {
 		envs := make([]Envelope, 500)
 		for i := range envs {
 			envs[i] = randEnvelope(rng)
-			stream = append(stream, encodeFrame(envs[i])...)
+			frame := encodeFrame(envs[i])
+			if n := frameSize(&envs[i]); n != len(frame)-4 {
+				t.Fatalf("seed %d envelope %d: frameSize = %d, the frame's body is %d bytes", seed, i, n, len(frame)-4)
+			}
+			stream = append(stream, frame...)
 		}
 		fr := newFrameReader(bytes.NewReader(stream))
 		for i, env := range envs {
@@ -238,6 +243,42 @@ func TestFrameCodecAllocs(t *testing.T) {
 	fr := newFrameReader(&loopReader{b: encodeFrame(env)})
 	if got := testing.AllocsPerRun(200, func() { _, _ = fr.next() }); got != 1 {
 		t.Errorf("next allocates %v times per frame, pinned at 1", got)
+	}
+}
+
+// TestLinkRouteAllocs pins the link's send path: once its queue and frame
+// buffer have grown, routing an envelope over a live connection — queue it,
+// take the turn, write the queue out — allocates nothing.
+func TestLinkRouteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		_, _ = io.Copy(io.Discard, c)
+	}()
+	client := NewPlatform("client")
+	defer client.Close()
+	link, err := Dial(client, ln.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	env := benchFrameEnvelope()
+	if got := testing.AllocsPerRun(200, func() { link.route(env) }); got != 0 {
+		t.Errorf("route allocates %v times per envelope, pinned at 0", got)
+	}
+	if st := link.Stats(); st.Buffered != 0 || st.Connects != 1 {
+		t.Fatalf("stats = %+v, want every envelope written over the first connection", st)
 	}
 }
 
@@ -379,5 +420,96 @@ func TestStalledPeerDoesNotStallOthers(t *testing.T) {
 	start := time.Now()
 	if _, err := Call(client, "echo", "request", "o", "ping", time.Second); err != nil {
 		t.Fatalf("healthy peer's call behind a stalled one: %v after %v", err, time.Since(start))
+	}
+	t.Run("link", stalledLinkPeer)
+}
+
+// stalledLinkPeer is the stall behind a Link: a Dial'ed link to a peer that
+// accepts and never reads. The sender whose write fills the socket waits in
+// it, but the link's lock is not held across the write, so Stats, another
+// sender's Send and Close each return at once. Afterwards every envelope
+// sent was either written whole to the peer or dead-lettered link_down.
+func stalledLinkPeer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	client := NewPlatform("client")
+	defer client.Close()
+	link, err := Dial(client, ln.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	peer := <-accepted
+	defer peer.Close() // runs first: resets a write still blocked on a failed test
+
+	stop, flooded := make(chan struct{}), make(chan struct{})
+	stopFlood := sync.OnceFunc(func() { close(stop) })
+	defer stopFlood()
+	var sent atomic.Int64
+	go func() {
+		defer close(flooded)
+		body := make([]byte, 64<<10)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sent.Add(1)
+			_ = client.Send(Envelope{From: "flood", To: "stalled", Performative: "inform", Content: body})
+		}
+	}()
+	for last, deadline := int64(-1), time.Now().Add(10*time.Second); ; {
+		time.Sleep(100 * time.Millisecond)
+		n := sent.Load()
+		if n == last {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the stalled peer's socket never filled (%d envelopes sent)", n)
+		}
+		last = n
+	}
+
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("%s waited behind the stalled write", what)
+		}
+	}
+	within("Stats", func() { link.Stats() })
+	sent.Add(1)
+	within("another sender's Send", func() {
+		_ = client.Send(Envelope{From: "small", To: "stalled", Performative: "inform"})
+	})
+	stopFlood() // the flood sends nothing more once its stalled Send returns
+	within("Close", link.Close)
+	within("the stalled sender", func() { <-flooded })
+
+	written := 0
+	for fr := newFrameReader(peer); ; written++ {
+		if _, err := fr.next(); err != nil {
+			break // EOF, or the frame Close cut short
+		}
+	}
+	dead := client.DeliveryStats().Reasons[DropLinkDown]
+	if got := sent.Load(); got != int64(written)+int64(dead) {
+		t.Fatalf("sent %d, but %d written whole + %d dead-lettered link_down", got, written, dead)
 	}
 }

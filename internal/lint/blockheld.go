@@ -15,9 +15,10 @@ import (
 // helpers at its peril.
 //
 // Blocking operations: channel send/receive, select without a default,
-// Deliver/deliver, Wait, Sleep, Accept, and net dials. The held-set
-// tracking is a straight-line source-order scan per function: Lock/RLock
-// opens a critical section keyed by the lock's class, a non-deferred
+// Deliver/deliver, Wait, Sleep, Accept, net dials, and the Read and Write
+// methods of package net's connections. The held-set tracking is a
+// straight-line source-order scan per function: Lock/RLock opens a
+// critical section keyed by the lock's class, a non-deferred
 // Unlock/RUnlock closes it, and a *deferred* Unlock holds to function
 // exit. That trades path sensitivity for zero false negatives on the
 // idioms this codebase actually uses.

@@ -30,9 +30,9 @@ import (
 //  2. One AST walk per function collects its direct facts in source
 //     order: lock/unlock events, calls (resolved against the index),
 //     blocking operations (channel send/receive, select without a
-//     default, Deliver, Wait/Sleep/Accept, net dials), and allocation
-//     sites (composite literals, make/new/append, fmt and friends,
-//     string concatenation, closures).
+//     default, Deliver, Wait/Sleep/Accept, net dials, socket reads and
+//     writes), and allocation sites (composite literals,
+//     make/new/append, fmt and friends, string concatenation, closures).
 //
 //  3. propagate() iterates two monotone summaries to a fixed point:
 //     Blocks (does calling this function ever reach a blocking op?) with
@@ -55,7 +55,7 @@ import (
 // source-order scan, not path sensitive; standard-library bodies are not
 // in the graph, so their allocations are counted only for a known
 // allocating set (allocStdlib) and their blocking only for the
-// name-keyed blockingCalls and net dials.
+// name-keyed blockingCalls and package net's dials and socket I/O.
 
 // FuncNode is one function declaration in the program graph.
 type FuncNode struct {
@@ -137,9 +137,10 @@ var blockingCalls = map[string]string{
 	"Accept":  "Accept",
 }
 
-// blockingNetFuncs are the stdlib functions of package net that block on
-// the network.
-var blockingNetFuncs = map[string]bool{"Dial": true, "DialTimeout": true, "Listen": true}
+// blockingNet names the functions and methods of package net that block on
+// the network: dials, listens, and socket reads and writes (net.Conn's
+// Read and Write, and every concrete connection's).
+var blockingNet = map[string]bool{"Dial": true, "DialTimeout": true, "Listen": true, "Read": true, "Write": true}
 
 // allocStdlib maps stdlib packages, whose bodies are not in the graph,
 // to the call names that allocate. "*" means every exported call in the
@@ -334,15 +335,16 @@ func (g *Graph) collectCall(fn *FuncNode, call *ast.CallExpr, isDeferred bool) {
 		}
 	case *ast.SelectorExpr:
 		name := target.Sel.Name
+		if f, ok := pkg.Info.Uses[target.Sel].(*types.Func); ok && f.Pkg() != nil && f.Pkg().Path() == "net" && blockingNet[name] {
+			fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventBlock, Detail: "net." + name})
+			return
+		}
 		// A package member: the qualifier is an import.
 		if id, ok := target.X.(*ast.Ident); ok {
 			if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
 				path := pn.Imported().Path()
 				if names := allocStdlib[path]; names["*"] || names[name] {
 					fn.Allocs = append(fn.Allocs, AllocSite{Pos: call.Pos(), Kind: pn.Imported().Name() + "." + name})
-				}
-				if path == "net" && blockingNetFuncs[name] {
-					fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventBlock, Detail: "net." + name})
 				}
 				if callee := g.resolve(pkg, target.Sel); callee != nil {
 					fn.Events = append(fn.Events, FuncEvent{Pos: call.Pos(), Kind: EventCall, Callee: callee})
