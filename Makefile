@@ -62,14 +62,17 @@ check: vet fmt-check lint race cover fuzz-smoke load-smoke e18-smoke
 
 # fuzz-smoke fuzzes each decoder that reads hostile bytes for FUZZTIME
 # (go test only replays the seed corpus): the agent wire frame, the WAL
-# frame, the query parser and the telemetry report. Two workers each, to
-# stay small on a shared box.
+# frame, the query parser and the telemetry report; and the discovery
+# constraint predicate, read from the registry view's columns against the
+# profiles' maps, on arbitrary property values. Two workers each, to stay
+# small on a shared box.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/agent
 	$(GO) test -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzReport$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzColumnSatisfies$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/discovery
 
 # load-smoke runs both disaster scenarios end to end (real TCP, open-loop
 # load) at rates any CI box sustains, and fails unless the priority lane

@@ -39,13 +39,12 @@ type inbox struct {
 // Deliver implements Deputy. A full inbox refuses under every MailboxPolicy:
 // a conversation that is not reading must neither park a replying agent
 // (Block) nor evict a reply it may still be waiting for (DropOldest). The
-// refusal is counted as shed here and dead-lettered mailbox_full by Send.
+// refusal is dead-lettered mailbox_full, and counted as shed, by Send.
 func (in *inbox) Deliver(env Envelope) error {
 	select {
 	case in.replies <- env:
 		return nil
 	default:
-		in.p.noteShed()
 		return ErrMailboxFull
 	}
 }

@@ -249,7 +249,6 @@ func (d *mailboxDeputy) Deliver(env Envelope) error {
 			return nil
 		}
 		if box.policy != Block {
-			d.p.noteShed()
 			return ErrMailboxFull
 		}
 		select {

@@ -279,6 +279,10 @@ func TestDeregisterReleasesParkedSenders(t *testing.T) {
 			t.Fatalf("%d of %d parked senders still parked after Deregister", parked-i, parked)
 		}
 	}
+	// Each release is dead-lettered mailbox_full, and so is shed.
+	if st := p.DeliveryStats(); st.Reasons[DropMailboxFull] != parked || st.Shed != parked {
+		t.Fatalf("mailbox_full = %d, Shed = %d, want %d each", st.Reasons[DropMailboxFull], st.Shed, parked)
+	}
 	release()
 	<-stopped
 }
@@ -311,6 +315,58 @@ func TestDisconnectionDeputyForwardsUnlocked(t *testing.T) {
 		t.Fatalf("parked send failed after the agent drained: %v", err)
 	}
 	h.waitFor(t, 3)
+}
+
+// TestDisconnectionDeputyRefusalIsNotShed: a drain the full mailbox refuses
+// keeps its envelope at the head of the deputy's queue, so nothing is lost
+// and nothing is shed. Shed counts exactly the mailbox_full and shed_oldest
+// dead letters.
+func TestDisconnectionDeputyRefusalIsNotShed(t *testing.T) {
+	p := NewPlatform("held")
+	p.Mailbox = MailboxOptions{Capacity: 1, Policy: DropNewest}
+	defer p.Close()
+	h := newGatedHandler()
+	release := sync.OnceFunc(func() { close(h.gate) })
+	defer release() // before Close, which waits for the wedged handler
+	var dd *DisconnectionDeputy
+	err := p.Register("mobile", h, Attributes{}, func(next Deputy) Deputy {
+		dd = NewDisconnectionDeputy(next)
+		return dd
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sendTo(t, p, "mobile", "x-data"); err != nil {
+		t.Fatal(err)
+	}
+	<-h.first // the handler is wedged; the mailbox has room for one
+	dd.SetConnected(false)
+	for i := 0; i < 5; i++ {
+		if err := sendTo(t, p, "mobile", "x-data"); err != nil {
+			t.Fatalf("held send %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		dd.SetConnected(true) // the first drain fills the mailbox, then each is refused
+	}
+	if n := dd.Buffered(); n != 4 {
+		t.Fatalf("Buffered = %d, want 4 held behind the full mailbox", n)
+	}
+	st := p.DeliveryStats()
+	if st.Shed != st.Reasons[DropMailboxFull]+st.Reasons[DropShedOldest] {
+		t.Fatalf("Shed = %d, want mailbox_full %d + shed_oldest %d",
+			st.Shed, st.Reasons[DropMailboxFull], st.Reasons[DropShedOldest])
+	}
+	if st.Shed != 0 || st.Dropped != 0 {
+		t.Fatalf("Shed = %d, Dropped = %d: a held envelope was lost", st.Shed, st.Dropped)
+	}
+	release()
+	deadline := time.Now().Add(5 * time.Second)
+	for dd.Buffered() > 0 && time.Now().Before(deadline) {
+		dd.SetConnected(true)
+		time.Sleep(time.Millisecond)
+	}
+	h.waitFor(t, 6)
 }
 
 // TestFullInboxRefusesUnderEveryPolicy: a conversation's reply queue is

@@ -492,6 +492,9 @@ func (p *Platform) Send(env Envelope) error {
 			case errors.Is(err, errQueueFull):
 				reason = DropLinkDown
 			}
+			if reason == DropMailboxFull {
+				p.noteShed() // counted where it is dead-lettered, so Shed = mailbox_full + shed_oldest
+			}
 			p.deadLetter(env, reason)
 			p.breakerFailure(env.To)
 			return err

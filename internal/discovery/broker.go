@@ -59,14 +59,20 @@ func (b *Broker) LookupLocal(req ontology.Request) []Match {
 // returns every local match; the bound on the result is req.Max, which
 // each registry's matcher applies and the merge applies again.
 //
-// Budget 27: the snapshot rebuild that the first read after a mutation
-// pays (3) and its signature interning (1), the SemanticMatcher's
-// constraint pass and scoring (12), which Registry.Lookup calls directly,
-// the peer merge (2), and obs.Registry creating the discovery_* series on
-// first use (9). Any other Matcher sits behind the interface, out of the
-// linter's sight.
+// Budget 39: the snapshot rebuild that the first read after a mutation
+// pays (4, one the slot array) and its signature interning (1), the
+// SemanticMatcher's constraint pass and scoring (11), which
+// Registry.Lookup calls directly, the peer merge (2), obs.Registry creating
+// the discovery_* series on first use (9), and the columns (12). A full
+// rebuild starts a key map and a queue of profiles to write (a make);
+// placing a profile queues it (an append); writing starts a column (an
+// append and its literal), grows its cells (an append, the make it
+// appends and the make that first sizes them) and keeps a new distinct
+// string (a map and an append); a match binds a field and a constraint
+// (two value literals that allocate nothing). Any other Matcher sits
+// behind the interface, out of the linter's sight.
 //
-//lint:hot budget=27
+//lint:hot budget=39
 func (b *Broker) Lookup(req ontology.Request, want int) []Match {
 	local := b.LookupLocal(req)
 	if want > 0 && len(local) >= want {

@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -538,7 +539,7 @@ func benchRequests(max int) []ontology.Request {
 }
 
 // benchBroker registers n profiles drawn by profile with a broker.
-func benchBroker(b *testing.B, n int, profile func(rng *rand.Rand, i int) *ontology.Profile) (*Broker, []*ontology.Profile, *rand.Rand) {
+func benchBroker(b testing.TB, n int, profile func(rng *rand.Rand, i int) *ontology.Profile) (*Broker, []*ontology.Profile, *rand.Rand) {
 	rng := rand.New(rand.NewSource(1))
 	broker := NewBroker("b", NewSemanticMatcher(ontology.Pervasive()))
 	profiles := make([]*ontology.Profile, n)
@@ -728,8 +729,9 @@ func referenceMatch(m *SemanticMatcher, req ontology.Request, candidates []*onto
 
 // randomProfile draws an advertisement over the whole vocabulary. Values
 // come from small ranges so that scores tie often; properties go missing,
-// or turn up with the wrong kind, so that every branch of Satisfies and
-// prefScore is reached.
+// turn up with the wrong kind, or hold a value no column cell can (a number
+// with S set, a string with N set, an unknown Kind) or a NaN, so that every
+// branch of Satisfies and prefScore, and of the view's columns, is reached.
 func randomProfile(rng *rand.Rand, name string, concepts []string) *ontology.Profile {
 	pick := func() []string {
 		var out []string
@@ -751,15 +753,32 @@ func randomProfile(rng *rand.Rand, name string, concepts []string) *ontology.Pro
 		p.Inputs, p.Outputs = pick(), pick()
 	}
 	for _, key := range []string{"cost", "load", "x", "y"} {
-		switch r := rng.Intn(10); {
-		case r < 7:
-			p.Properties[key] = ontology.Num(float64(rng.Intn(6)))
-		case r < 8:
+		n := float64(rng.Intn(6))
+		switch r := rng.Intn(24); {
+		case r < 14:
+			p.Properties[key] = ontology.Num(n)
+		case r < 16:
 			p.Properties[key] = ontology.Str("n/a")
+		case r == 16:
+			p.Properties[key] = ontology.Value{Kind: ontology.KindNumber, S: "n", N: n}
+		case r == 17:
+			p.Properties[key] = ontology.Value{Kind: ontology.KindString, S: "n/a", N: n + 1}
+		case r == 18:
+			p.Properties[key] = ontology.Num(math.NaN())
+		case r == 19:
+			p.Properties[key] = ontology.Value{Kind: 7, N: n}
 		}
 	}
 	if rng.Intn(4) > 0 {
-		p.Properties["room"] = ontology.Str(fmt.Sprintf("r%d", rng.Intn(3)))
+		room := fmt.Sprintf("r%d", rng.Intn(3))
+		switch rng.Intn(8) {
+		case 0:
+			p.Properties["room"] = ontology.Num(1) // numeric here, a string elsewhere
+		case 1:
+			p.Properties["room"] = ontology.Value{Kind: ontology.KindString, S: room, N: 1}
+		default:
+			p.Properties["room"] = ontology.Str(room)
+		}
 	}
 	return p
 }
@@ -803,7 +822,8 @@ func randomRequest(rng *rand.Rand, concepts []string) ontology.Request {
 // TestSemanticMatchEqualsReference is the differential test of the matcher:
 // on random registries and requests, Match returns exactly the profiles,
 // scores (==, not nearly) and order that the rank-everything reference
-// gives, cut to Max.
+// gives, cut to Max. So does Registry.Lookup, which reads the properties
+// from its view's columns, over the same population registered.
 func TestSemanticMatchEqualsReference(t *testing.T) {
 	onto := ontology.Pervasive()
 	concepts := onto.Concepts()
@@ -826,6 +846,16 @@ func TestSemanticMatchEqualsReference(t *testing.T) {
 		req := randomRequest(rng, concepts)
 		want := referenceMatch(m, req, registry)
 		matched += len(want)
+		reg := NewRegistry()
+		reg.Clock = obs.NewFakeClock()
+		for _, p := range registry {
+			if _, err := reg.Register(p, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Over the registry's name order: a NaN met first sets a
+		// preference range, so the range depends on the order.
+		inView := referenceMatch(m, req, reg.Profiles())
 		for _, max := range []int{0, 1, 5, 50} {
 			req.Max = max
 			got := m.Match(req, registry)
@@ -840,6 +870,19 @@ func TestSemanticMatchEqualsReference(t *testing.T) {
 			for i := range got {
 				if got[i].Profile != ref[i].Profile || got[i].Score != ref[i].Score {
 					t.Fatalf("trial %d max %d rank %d: %s (%v), reference has %s (%v) (request %+v)", trial, max, i,
+						got[i].Profile.Name, got[i].Score, ref[i].Profile.Name, ref[i].Score, req)
+				}
+			}
+			got, ref = reg.Lookup(m, req), inView
+			if max > 0 && len(ref) > max {
+				ref = ref[:max]
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("trial %d max %d: Lookup has %d matches, reference %d (request %+v)", trial, max, len(got), len(ref), req)
+			}
+			for i := range got {
+				if got[i].Profile != ref[i].Profile || got[i].Score != ref[i].Score {
+					t.Fatalf("trial %d max %d rank %d: Lookup has %s (%v), reference %s (%v) (request %+v)", trial, max, i,
 						got[i].Profile.Name, got[i].Score, ref[i].Profile.Name, ref[i].Score, req)
 				}
 			}
@@ -1014,7 +1057,9 @@ func (everyMatcher) Match(_ ontology.Request, candidates []*ontology.Profile) []
 // in every read; "brief" services registered once on a short lease, each
 // carrying its own expiry so a reader can tell it has lapsed; and "gone"
 // services withdrawn in sequence, so a reader knows which were withdrawn
-// before its read began.
+// before its read began. Lookups constrained on and preferring "expires"
+// read it from the view's columns while writes grow them, and the run
+// places enough profiles to compact them.
 func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 	const (
 		tick    = time.Second
@@ -1027,6 +1072,7 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 	elapsed := func() int64 { return int64(clk.Now().Sub(start)) }
 	r := NewRegistry()
 	r.Clock = clk
+	r.Metrics = obs.NewRegistry()
 
 	leases := make([]Lease, steady)
 	for i := range leases {
@@ -1134,7 +1180,7 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 				// What had lapsed or been withdrawn before the read began
 				// must not be in it.
 				before, gone := elapsed(), withdrawn.Load()
-				switch n % 5 {
+				switch n % 8 {
 				case 0:
 					check("Profiles", before, gone, r.Profiles())
 				case 1:
@@ -1157,6 +1203,22 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 					}
 					slices.SortFunc(got, func(a, b *ontology.Profile) int { return strings.Compare(a.Name, b.Name) })
 					check("semantic Lookup", before, gone, got)
+				case 5, 6, 7:
+					// Through the columns: only the brief services carry
+					// expires, each one in the view meets the constraint,
+					// and with one signature among them the preference
+					// ranks them soonest first.
+					req := ontology.Request{Concept: "Service", PreferLow: []string{"expires"}, Constraints: []ontology.Constraint{
+						{Property: "expires", Op: ontology.OpGe, Value: ontology.Num(float64(before))}}}
+					var last float64
+					for i, m := range semantic.Lookup(req, 0) {
+						exp, _ := m.Profile.Prop("expires")
+						if !strings.HasPrefix(m.Profile.Name, "brief-") || exp.N < float64(before) || i > 0 && exp.N < last {
+							t.Errorf("constrained Lookup: %s (expires %v) at rank %d, after expires %v, read at %v",
+								m.Profile.Name, exp.N, i, last, before)
+						}
+						last = exp.N
+					}
 				case 2:
 					if n := r.Len(); n < steady {
 						t.Errorf("Len: %d, below the %d renewed leases", n, steady)
@@ -1178,6 +1240,10 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 	<-leasesDone
 	stop.Store(true)
 	others.Wait()
+	// The first read's full rebuild is not a compaction.
+	if fulls := r.Metrics.Counter("discovery_view_rebuilds_total", "kind", "full").Value(); fulls < 2 {
+		t.Errorf("%v full rebuilds: the columns were never compacted", fulls)
+	}
 }
 
 // SyncOnce replicates this broker's live advertisements to every peer under

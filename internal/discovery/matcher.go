@@ -100,21 +100,27 @@ func (m *SemanticMatcher) ioScore(req ontology.Request, p *ontology.Profile) flo
 	return (outs + ins) / 2
 }
 
-// prefRange is the span of one PreferLow property over the candidate pool.
-type prefRange struct{ lo, hi float64 }
+// pref is one PreferLow property: the field it is read through and its
+// span over the candidate pool.
+type pref struct {
+	field
+	lo, hi float64
+}
 
 // prefRanges measures each PreferLow property over the whole pool — every
 // constraint survivor of every concept — so that prefScore is scale-free.
-func prefRanges(keys []string, pool survivors) []prefRange {
+func prefRanges(keys []string, pool survivors, view *snapshot) []pref {
 	if len(keys) == 0 {
 		return nil
 	}
-	ranges := make([]prefRange, len(keys))
+	prefs := make([]pref, len(keys))
 	for i, key := range keys {
-		r := &ranges[i]
+		r := &prefs[i]
+		r.field = view.field(key)
 		first := true
 		for j := range pool.len() {
-			v, ok := pool.candidates[pool.index(j)].Prop(key)
+			k := pool.index(j)
+			v, ok := r.get(pool.candidates[k], pool.slotOf(k))
 			if !ok || v.Kind != ontology.KindNumber {
 				continue
 			}
@@ -127,23 +133,23 @@ func prefRanges(keys []string, pool survivors) []prefRange {
 			first = false
 		}
 	}
-	return ranges
+	return prefs
 }
 
 // prefScore rewards candidates with smaller values on PreferLow properties,
-// scaled against the candidate pool's observed ranges (one per PreferLow
-// key). It never exceeds 1.
-func prefScore(req ontology.Request, p *ontology.Profile, ranges []prefRange) float64 {
-	if len(req.PreferLow) == 0 {
+// scaled against the candidate pool's observed ranges: p, whose slot is s,
+// is read through each PreferLow key's pref. It never exceeds 1.
+func prefScore(prefs []pref, p *ontology.Profile, s int32) float64 {
+	if len(prefs) == 0 {
 		return 1
 	}
 	total, n := 0.0, 0
-	for i, key := range req.PreferLow {
-		v, ok := p.Prop(key)
+	for i := range prefs {
+		v, ok := prefs[i].get(p, s)
 		if !ok || v.Kind != ontology.KindNumber {
 			continue
 		}
-		l, h := ranges[i].lo, ranges[i].hi
+		l, h := prefs[i].lo, prefs[i].hi
 		n++
 		if h <= l {
 			total += 1
@@ -186,10 +192,20 @@ func rank(a, b Match) int {
 }
 
 // survivors is the pool a match scores, the candidates that meet every
-// constraint: the ones keep indexes, or all of them when keep is nil.
+// constraint: the ones keep indexes, or all of them when keep is nil. With
+// a view, slot holds the candidates' slots in its columns.
 type survivors struct {
 	candidates []*ontology.Profile
+	slot       []int32
 	keep       []int32
+}
+
+// slotOf returns the slot of candidates[i], 0 without a view.
+func (p survivors) slotOf(i int) int32 {
+	if p.slot == nil {
+		return 0
+	}
+	return p.slot[i]
 }
 
 func (p survivors) len() int {
@@ -216,7 +232,8 @@ func (m *SemanticMatcher) Match(req ontology.Request, candidates []*ontology.Pro
 
 // match is Match over candidates, which are view's profiles when view is not
 // nil: a candidate's signature is then read from view.sig, not found by
-// scanning the ones met so far. That is the only difference.
+// scanning the ones met so far, and its properties from the view's columns,
+// not its map. Those are the only differences.
 func (m *SemanticMatcher) match(req ontology.Request, candidates []*ontology.Profile, view *snapshot) []Match {
 	cw, iw, pw := m.ConceptWeight, m.IOWeight, m.PrefWeight
 	if cw <= 0 && iw <= 0 && pw <= 0 {
@@ -234,19 +251,17 @@ func (m *SemanticMatcher) match(req ontology.Request, candidates []*ontology.Pro
 	// index by concept could narrow what is scored below, but narrowing
 	// what feeds the ranges would change the scores.
 	pool := survivors{candidates: candidates}
+	if view != nil {
+		pool.slot = view.slot
+	}
 	if len(req.Constraints) > 0 {
-		pool.keep = make([]int32, 0, len(candidates))
-	next:
-		for i, p := range candidates {
-			for _, c := range req.Constraints {
-				if !ontology.Satisfies(p, c, req) {
-					continue next
-				}
-			}
-			pool.keep = append(pool.keep, int32(i))
+		keep := make([]int32, 0, len(candidates))
+		for _, c := range req.Constraints {
+			b := view.constraint(c)
+			pool.keep = b.filter(pool, keep, &req) // each filters what the last kept
 		}
 	}
-	ranges := prefRanges(req.PreferLow, pool)
+	prefs := prefRanges(req.PreferLow, pool, view)
 
 	// Pass 2: score. The ontology is consulted once per signature; only
 	// the preference part is per candidate. With a bound, the best Max are
@@ -286,7 +301,7 @@ func (m *SemanticMatcher) match(req ontology.Request, candidates []*ontology.Pro
 		if sig.base+max(pw, 0) < bar {
 			continue // out of reach even with a perfect preference score
 		}
-		match := Match{Profile: p, Score: sig.base + pw*prefScore(req, p, ranges)}
+		match := Match{Profile: p, Score: sig.base + pw*prefScore(prefs, p, pool.slotOf(i))}
 		if !(match.Score >= minScore) { // too low, or NaN from a NaN property
 			continue
 		}

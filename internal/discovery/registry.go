@@ -26,10 +26,11 @@ type Lease struct {
 // Registry stores service advertisements under leases. It is safe for
 // concurrent use, and reads take no lock: Profiles, Len, Has and Lookup
 // serve an immutable name-ordered snapshot published through an atomic
-// pointer, with each advertisement's signature numbered for a
-// SemanticMatcher. A mutation that changes the set of advertisements drops
-// the snapshot and records the name; the first read after it merges those
-// names into the last snapshot, so a burst of writes pays for one merge.
+// pointer, with each advertisement's signature numbered and its properties
+// in columns for a SemanticMatcher. A mutation that changes the set of
+// advertisements drops the snapshot and records the name; the first read
+// after it merges those names into the last snapshot, so a burst of writes
+// pays for one merge.
 // The clock is injectable so simulations can drive expiry deterministically.
 type Registry struct {
 	// Clock supplies the current time; nil means obs.Real.
@@ -67,6 +68,7 @@ type Registry struct {
 	// sigNum numbers the signatures met since the last full rebuild, by key.
 	sigNum  map[string]int32
 	key     []byte // scratch for signature keys
+	props   columns
 	watches watchList
 }
 
@@ -77,11 +79,17 @@ type entry struct {
 
 // snapshot is an immutable view of the live advertisements and the match
 // index over them: sig[i] is the number of profiles[i]'s signature, in
-// [0, sigs).
+// [0, sigs), and slot[i] the slot its properties hold in the columns, whose
+// index by key is at; a view published before a lookup needed its columns
+// has none (at is nil).
 type snapshot struct {
 	profiles []*ontology.Profile // name order
 	sig      []int32
 	sigs     int
+	slot     []int32
+	epoch    int // of the slots
+	at       map[string]int32
+	cols     []column
 	// horizon is the earliest expiry among the leases the view was built
 	// from: until the clock passes it nothing in the view has lapsed, so
 	// the view is served as it is. Renew either leaves every expiry at or
@@ -210,27 +218,31 @@ var noView = &snapshot{} // what a full rebuild merges into
 
 // rebuild publishes the view at now, in O(n + k log k) for k touched names:
 // it merges the last view minus the touched names, whose entries keep their
-// signature numbers, with the touched names still live, and sweeps lapsed
-// leases from both. With no last view, or more than twice as many
-// signatures numbered as there are entries, it merges an empty view with
-// every entry and numbers afresh: a full rebuild. Called under r.mu.
+// signature numbers and slots, with the touched names still live, and
+// sweeps lapsed leases from both. With no last view, or more than twice as
+// many slots given out as there are entries, it merges an empty view with
+// every entry and numbers and places afresh: a full rebuild. A profile has
+// a slot of its own, so there are never more signatures than slots. Called
+// under r.mu.
 func (r *Registry) rebuild(now time.Time) *snapshot {
 	prev, kind, touched := r.last, "merge", r.touched
-	if prev == nil || len(r.sigNum) > 2*len(r.entries) {
+	if prev == nil || int(r.props.slots) > 2*len(r.entries) {
 		prev, kind, touched = noView, "full", slices.Collect(maps.Keys(r.entries))
 		clear(r.sigNum)
+		r.props.reset(len(r.entries))
 	}
 	slices.Sort(touched)
 	touched = slices.Compact(touched)
 	profiles := make([]*ontology.Profile, len(r.entries))
 	sig := make([]int32, len(r.entries))
+	slot := make([]int32, len(r.entries))
 	s := &snapshot{}
 	n := 0
 	for i, j := 0, 0; i < len(prev.profiles) || j < len(touched); {
 		var e *entry
-		num := int32(-1)
+		num, at := int32(-1), int32(-1)
 		if j == len(touched) || i < len(prev.profiles) && prev.profiles[i].Name < touched[j] {
-			e, num = r.entries[prev.profiles[i].Name], prev.sig[i]
+			e, num, at = r.entries[prev.profiles[i].Name], prev.sig[i], prev.slot[i]
 			i++
 		} else {
 			if i < len(prev.profiles) && prev.profiles[i].Name == touched[j] {
@@ -247,15 +259,16 @@ func (r *Registry) rebuild(now time.Time) *snapshot {
 			continue
 		}
 		if num < 0 {
-			num = r.intern(e.profile)
+			num, at = r.intern(e.profile), r.props.place(e.profile)
 		}
 		if n == 0 || e.lease.Expires.Before(s.horizon) {
 			s.horizon = e.lease.Expires
 		}
-		profiles[n], sig[n] = e.profile, num
+		profiles[n], sig[n], slot[n] = e.profile, num, at
 		n++
 	}
-	s.profiles, s.sig, s.sigs = profiles[:n], sig[:n], len(r.sigNum)
+	s.profiles, s.sig, s.sigs, s.slot = profiles[:n], sig[:n], len(r.sigNum), slot[:n]
+	s.epoch = r.props.epoch
 	r.snap.Store(s)
 	r.last, r.touched = s, r.touched[:0]
 	r.Metrics.Counter("discovery_view_rebuilds_total", "kind", kind).Inc()
@@ -301,14 +314,43 @@ func (r *Registry) Has(name string) bool {
 	return found
 }
 
+// columns returns s with its property columns: it writes the cells of the
+// profiles placed since they were last written, and publishes s again with
+// the columns if s is still the published view. A full rebuild since s was
+// read started other columns, so s is returned as it is and read from the
+// maps.
+func (r *Registry) columns(s *snapshot) *snapshot {
+	if s.at != nil {
+		return s
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s.epoch != r.props.epoch {
+		return s
+	}
+	r.props.write()
+	c := *s
+	c.at, c.cols = r.props.publish()
+	if r.snap.Load() == s {
+		r.snap.Store(&c)
+	}
+	return &c
+}
+
 // Lookup runs the matcher over the live advertisements. The matcher sees
 // the shared snapshot and must not modify it. Only a *SemanticMatcher is
-// handed its signature numbers; a decorator around one is not.
+// handed its signature numbers and, when the request has a constraint or a
+// preference to read them for, its property columns; a decorator around
+// one is not.
 func (r *Registry) Lookup(m Matcher, req ontology.Request) []Match {
 	s := r.view()
+	sm, semantic := m.(*SemanticMatcher)
+	if semantic && (len(req.Constraints) > 0 || len(req.PreferLow) > 0) {
+		s = r.columns(s)
+	}
 	start := r.now()
 	var matches []Match
-	if sm, ok := m.(*SemanticMatcher); ok {
+	if semantic {
 		matches = sm.match(req, s.profiles, s)
 	} else {
 		matches = m.Match(req, s.profiles)

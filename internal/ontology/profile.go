@@ -158,22 +158,26 @@ type Request struct {
 // OpNe.
 func Satisfies(p *Profile, c Constraint, req Request) bool {
 	if c.Op == OpNear {
-		if !req.HasLoc {
-			return false
-		}
-		xv, okx := p.Prop("x")
-		yv, oky := p.Prop("y")
-		if !okx || !oky || xv.Kind != KindNumber || yv.Kind != KindNumber || c.Value.Kind != KindNumber {
-			return false
-		}
-		dx, dy := xv.N-req.X, yv.N-req.Y
-		return math.Sqrt(dx*dx+dy*dy) <= c.Value.N
+		x, okx := p.Prop("x")
+		y, oky := p.Prop("y")
+		return c.Holds(x, y, okx && oky, &req)
 	}
 	v, ok := p.Prop(c.Property)
-	if !ok {
-		return c.Op == OpNe
+	return c.Holds(v, Value{}, ok, &req)
+}
+
+// Holds is Satisfies on property values, however they were read: v is the
+// candidate's value of c.Property and ok whether it has one. For OpNear, v
+// and y are its "x" and "y", and ok whether it has both.
+func (c *Constraint) Holds(v, y Value, ok bool, req *Request) bool {
+	if c.Op == OpNear {
+		if !req.HasLoc || !ok || v.Kind != KindNumber || y.Kind != KindNumber || c.Value.Kind != KindNumber {
+			return false
+		}
+		dx, dy := v.N-req.X, y.N-req.Y
+		return math.Sqrt(dx*dx+dy*dy) <= c.Value.N
 	}
-	if v.Kind != c.Value.Kind {
+	if !ok || v.Kind != c.Value.Kind {
 		return c.Op == OpNe
 	}
 	switch c.Op {
