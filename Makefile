@@ -62,14 +62,15 @@ check: vet fmt-check lint race cover fuzz-smoke load-smoke e18-smoke
 
 # fuzz-smoke fuzzes each decoder that reads hostile bytes for FUZZTIME
 # (go test only replays the seed corpus): the agent wire frame, the WAL
-# frame, the query parser and the telemetry report; and the discovery
-# constraint predicate, read from the registry view's columns against the
-# profiles' maps, on arbitrary property values. Two workers each, to stay
-# small on a shared box.
+# frame, the flight recorder's record, the query parser and the telemetry
+# report; and the discovery constraint predicate, read from the registry
+# view's columns against the profiles' maps, on arbitrary property values.
+# Two workers each, to stay small on a shared box.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/agent
 	$(GO) test -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzFlightRecord$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzReport$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnSatisfies$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/discovery

@@ -391,7 +391,7 @@ func TestShortLivedServices(t *testing.T) {
 	b.Reg.Clock = clk
 
 	p := &ontology.Profile{Name: "ephemeral", Concept: "DecisionTreeService"}
-	if err := RegisterShortLived(b, p, 5*time.Second); err != nil {
+	if _, err := b.Reg.Register(p, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	e := &Engine{Brokers: []*discovery.Broker{b}, Onto: o,

@@ -3,7 +3,6 @@ package composition
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"pervasivegrid/internal/discovery"
 	"pervasivegrid/internal/obs"
@@ -471,14 +470,4 @@ func (x Execution) Rebinds() int {
 		n += s.Rebinds
 	}
 	return n
-}
-
-// RegisterShortLived advertises a profile on a broker with the given
-// lifetime, modelling the paper's "short-lived services which stay in the
-// vicinity for a finite amount of time and then disappear".
-//
-//lint:ignore deadcode S7 names short-lived services; no experiment registers one yet
-func RegisterShortLived(b *discovery.Broker, p *ontology.Profile, lifetime time.Duration) error {
-	_, err := b.Reg.Register(p, lifetime)
-	return err
 }

@@ -160,18 +160,19 @@ func fuzzValue(kind uint8, s string, n float64) (ontology.Value, bool) {
 // FuzzColumnSatisfies: whatever a property holds, reading it from the
 // view's column gives the constraint test ontology.Satisfies gives on the
 // profile's map, the preference range and score that reading the maps
-// gives (bit for bit), and Registry.Lookup what the reference gives.
+// gives (bit for bit), and Registry.Lookup what the reference gives. A
+// preference range is finite whatever the values it is measured over.
 func FuzzColumnSatisfies(f *testing.F) {
-	f.Add(uint8(2), "", 3.0, uint8(2), "", 1.0, uint8(2), "", 2.0, uint8(4), uint8(2), "", 4.0, 1.0, 2.0, true)
-	f.Add(uint8(1), "r1", 0.0, uint8(1), "n/a", 0.0, uint8(4), "", 0.0, uint8(0), uint8(1), "r1", 0.0, 0.0, 0.0, false)
-	f.Add(uint8(2), "n", 3.0, uint8(1), "s", 2.0, uint8(0), "", 1.0, uint8(6), uint8(2), "", 5.0, 1.0, 1.0, true)
-	f.Add(uint8(2), "", math.NaN(), uint8(2), "", math.Inf(1), uint8(2), "", -0.0, uint8(3), uint8(2), "", math.NaN(), 0.0, 0.0, true)
-	f.Add(uint8(1), "r1", 1.0, uint8(4), "", 0.0, uint8(4), "", 0.0, uint8(0), uint8(1), "r1", 0.0, 0.0, 0.0, false)
-	f.Add(uint8(0), "", 7.0, uint8(3), "x", 0.0, uint8(2), "", 1.0, uint8(1), uint8(0), "", 7.0, 0.0, 0.0, false)
+	f.Add(uint8(2), "", 3.0, uint8(2), "", 1.0, uint8(2), "", 2.0, uint8(4), uint8(2), "", 4.0, 1.0, 2.0, true, uint8(0))
+	f.Add(uint8(1), "r1", 0.0, uint8(1), "n/a", 0.0, uint8(4), "", 0.0, uint8(0), uint8(1), "r1", 0.0, 0.0, 0.0, false, uint8(1))
+	f.Add(uint8(2), "n", 3.0, uint8(1), "s", 2.0, uint8(0), "", 1.0, uint8(6), uint8(2), "", 5.0, 1.0, 1.0, true, uint8(2))
+	f.Add(uint8(2), "", math.NaN(), uint8(2), "", math.Inf(1), uint8(2), "", -0.0, uint8(3), uint8(2), "", math.NaN(), 0.0, 0.0, true, uint8(3))
+	f.Add(uint8(1), "r1", 1.0, uint8(4), "", 0.0, uint8(4), "", 0.0, uint8(0), uint8(1), "r1", 0.0, 0.0, 0.0, false, uint8(1))
+	f.Add(uint8(0), "", 7.0, uint8(3), "x", 0.0, uint8(2), "", 1.0, uint8(1), uint8(0), "", 7.0, 0.0, 0.0, false, uint8(0))
 	onto := ontology.Pervasive()
 	m := NewSemanticMatcher(onto)
 	f.Fuzz(func(t *testing.T, kind uint8, s string, n float64, xk uint8, xs string, xn float64, yk uint8, ys string, yn float64,
-		op, ck uint8, cs string, cn float64, rx, ry float64, hasLoc bool) {
+		op, ck uint8, cs string, cn float64, rx, ry float64, hasLoc bool, an uint8) {
 		p := &ontology.Profile{Name: "m", Concept: "Service", Properties: map[string]ontology.Value{}}
 		for _, prop := range []struct {
 			key  string
@@ -190,10 +191,13 @@ func FuzzColumnSatisfies(f *testing.F) {
 
 		// Neighbours on either side put the profile's cells off the
 		// columns' first slot and give its keys another kind of value.
+		// The first, met first, holds a preference value that may be
+		// NaN or an infinity.
 		r := NewRegistry()
 		r.Clock = obs.NewFakeClock()
+		ap := []float64{1, math.NaN(), math.Inf(1), math.Inf(-1)}[an%4]
 		for _, q := range []*ontology.Profile{p,
-			{Name: "a", Concept: "Service", Properties: map[string]ontology.Value{"p": ontology.Num(1), "x": ontology.Str("a")}},
+			{Name: "a", Concept: "Service", Properties: map[string]ontology.Value{"p": ontology.Num(ap), "x": ontology.Str("a")}},
 			{Name: "z", Concept: "Service", Properties: map[string]ontology.Value{"y": ontology.Num(2)}}} {
 			if _, err := r.Register(q, time.Hour); err != nil {
 				t.Fatal(err)
@@ -214,6 +218,9 @@ func FuzzColumnSatisfies(f *testing.F) {
 		for i := range cols {
 			if bits(cols[i].lo) != bits(maps[i].lo) || bits(cols[i].hi) != bits(maps[i].hi) {
 				t.Fatalf("%s range: columns [%v, %v], maps [%v, %v]", req.PreferLow[i], cols[i].lo, cols[i].hi, maps[i].lo, maps[i].hi)
+			}
+			if lo, hi := cols[i].lo, cols[i].hi; math.IsNaN(lo-lo) || math.IsNaN(hi-hi) {
+				t.Fatalf("%s range [%v, %v] is not finite", req.PreferLow[i], lo, hi)
 			}
 		}
 		for i, q := range view.profiles {

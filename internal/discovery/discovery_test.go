@@ -422,81 +422,6 @@ func BenchmarkSemanticMatch1000(b *testing.B) {
 	}
 }
 
-func TestWatchNotifiesOnMatchingRegistration(t *testing.T) {
-	o := ontology.Pervasive()
-	m := NewSemanticMatcher(o)
-	r := NewRegistry()
-	var got []string
-	cancel := r.Watch(m, ontology.Request{Concept: "ColorPrinter"}, 0.8, func(match Match) {
-		got = append(got, match.Profile.Name)
-	})
-	if watcherCount(r) != 1 {
-		t.Fatal("watcher not installed")
-	}
-	// A matching service appears.
-	if _, err := r.Register(&ontology.Profile{Name: "new-color", Concept: "ColorPrinter"}, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	// An unrelated service appears.
-	if _, err := r.Register(&ontology.Profile{Name: "scanner", Concept: "StorageService"}, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "new-color" {
-		t.Fatalf("watch fired for %v, want [new-color]", got)
-	}
-	// Cancel stops notifications.
-	cancel()
-	cancel() // idempotent
-	if watcherCount(r) != 0 {
-		t.Fatal("watcher not removed")
-	}
-	if _, err := r.Register(&ontology.Profile{Name: "another-color", Concept: "ColorPrinter"}, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatal("cancelled watcher still fired")
-	}
-}
-
-func TestWatchMinScoreFilters(t *testing.T) {
-	o := ontology.Pervasive()
-	m := NewSemanticMatcher(o)
-	r := NewRegistry()
-	fired := 0
-	r.Watch(m, ontology.Request{Concept: "ColorPrinter"}, 0.95, func(Match) { fired++ })
-	// A sibling concept matches fuzzily but under the bar.
-	if _, err := r.Register(&ontology.Profile{Name: "mono", Concept: "PrinterService"}, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 0 {
-		t.Fatal("low-score match should not fire a 0.95 watcher")
-	}
-	if _, err := r.Register(&ontology.Profile{Name: "exact", Concept: "ColorPrinter"}, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("exact match fired %d times", fired)
-	}
-}
-
-func TestWatchSupportsRebindingScenario(t *testing.T) {
-	// The composition use case: a standing watch re-binds a degraded
-	// pipeline when a better service appears.
-	o := ontology.Pervasive()
-	m := NewSemanticMatcher(o)
-	b := NewBroker("b", m)
-	bound := "fallback-miner"
-	b.Reg.Watch(m, ontology.Request{Concept: "DecisionTreeService"}, 0.9, func(match Match) {
-		bound = match.Profile.Name
-	})
-	if _, err := b.Reg.Register(&ontology.Profile{Name: "fresh-miner", Concept: "DecisionTreeService"}, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if bound != "fresh-miner" {
-		t.Fatalf("rebinding watch did not fire: bound=%s", bound)
-	}
-}
-
 // benchConcepts are the service categories of the benchmark population.
 var benchConcepts = []string{
 	"TemperatureSensor", "SmokeSensor", "HeatSolver", "ClusteringService",
@@ -635,18 +560,29 @@ func BenchmarkRegistryLookup(b *testing.B) {
 	})
 }
 
+// referenceNum is p's value of key when it is a finite number: a NaN or an
+// infinity counts as no value, as a missing property does.
+func referenceNum(p *ontology.Profile, key string) (float64, bool) {
+	v, ok := p.Prop(key)
+	if !ok || v.Kind != ontology.KindNumber || math.IsNaN(v.N) || math.IsInf(v.N, 0) {
+		return 0, false
+	}
+	return v.N, true
+}
+
 // referencePrefScore and referenceMatch are SemanticMatcher's scoring as it
 // stood before Match was rewritten to select instead of rank: every
 // candidate scored against the ontology, every survivor stable-sorted. They
-// are kept verbatim as the oracle for the differential test below.
+// are kept as the oracle for the differential test below; the one change
+// since is that a preference value reads through referenceNum.
 func referencePrefScore(req ontology.Request, p *ontology.Profile, lo, hi map[string]float64) float64 {
 	if len(req.PreferLow) == 0 {
 		return 1
 	}
 	total, n := 0.0, 0
 	for _, key := range req.PreferLow {
-		v, ok := p.Prop(key)
-		if !ok || v.Kind != ontology.KindNumber {
+		v, ok := referenceNum(p, key)
+		if !ok {
 			continue
 		}
 		l, h := lo[key], hi[key]
@@ -655,7 +591,7 @@ func referencePrefScore(req ontology.Request, p *ontology.Profile, lo, hi map[st
 			total += 1
 			continue
 		}
-		total += 1 - (v.N-l)/(h-l)
+		total += 1 - (v-l)/(h-l)
 	}
 	if n == 0 {
 		return 0.5 // no preference data available
@@ -694,15 +630,15 @@ func referenceMatch(m *SemanticMatcher, req ontology.Request, candidates []*onto
 	for _, key := range req.PreferLow {
 		first := true
 		for _, p := range pool {
-			v, ok := p.Prop(key)
-			if !ok || v.Kind != ontology.KindNumber {
+			v, ok := referenceNum(p, key)
+			if !ok {
 				continue
 			}
-			if first || v.N < lo[key] {
-				lo[key] = v.N
+			if first || v < lo[key] {
+				lo[key] = v
 			}
-			if first || v.N > hi[key] {
-				hi[key] = v.N
+			if first || v > hi[key] {
+				hi[key] = v
 			}
 			first = false
 		}
@@ -730,8 +666,9 @@ func referenceMatch(m *SemanticMatcher, req ontology.Request, candidates []*onto
 // randomProfile draws an advertisement over the whole vocabulary. Values
 // come from small ranges so that scores tie often; properties go missing,
 // turn up with the wrong kind, or hold a value no column cell can (a number
-// with S set, a string with N set, an unknown Kind) or a NaN, so that every
-// branch of Satisfies and prefScore, and of the view's columns, is reached.
+// with S set, a string with N set, an unknown Kind), a NaN or an infinity,
+// so that every branch of Satisfies and prefScore, and of the view's
+// columns, is reached.
 func randomProfile(rng *rand.Rand, name string, concepts []string) *ontology.Profile {
 	pick := func() []string {
 		var out []string
@@ -765,6 +702,10 @@ func randomProfile(rng *rand.Rand, name string, concepts []string) *ontology.Pro
 			p.Properties[key] = ontology.Value{Kind: ontology.KindString, S: "n/a", N: n + 1}
 		case r == 18:
 			p.Properties[key] = ontology.Num(math.NaN())
+		case r == 20:
+			p.Properties[key] = ontology.Num(math.Inf(1))
+		case r == 21:
+			p.Properties[key] = ontology.Num(math.Inf(-1))
 		case r == 19:
 			p.Properties[key] = ontology.Value{Kind: 7, N: n}
 		}
@@ -853,9 +794,6 @@ func TestSemanticMatchEqualsReference(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Over the registry's name order: a NaN met first sets a
-		// preference range, so the range depends on the order.
-		inView := referenceMatch(m, req, reg.Profiles())
 		for _, max := range []int{0, 1, 5, 50} {
 			req.Max = max
 			got := m.Match(req, registry)
@@ -873,10 +811,7 @@ func TestSemanticMatchEqualsReference(t *testing.T) {
 						got[i].Profile.Name, got[i].Score, ref[i].Profile.Name, ref[i].Score, req)
 				}
 			}
-			got, ref = reg.Lookup(m, req), inView
-			if max > 0 && len(ref) > max {
-				ref = ref[:max]
-			}
+			got = reg.Lookup(m, req)
 			if len(got) != len(ref) {
 				t.Fatalf("trial %d max %d: Lookup has %d matches, reference %d (request %+v)", trial, max, len(got), len(ref), req)
 			}
@@ -891,6 +826,71 @@ func TestSemanticMatchEqualsReference(t *testing.T) {
 	// The test is only as good as its coverage of non-trivial answers.
 	if matched < 5000 || cut < 100 {
 		t.Fatalf("weak differential: %d reference matches, %d answers cut by Max", matched, cut)
+	}
+}
+
+// TestNonFinitePreferenceIsNoValue: a NaN or infinite cost, met first,
+// neither blanks nor skews a preference-ranked answer. Registry.Lookup and
+// Match rank the 49 finite costs in ascending order, and score the
+// non-finite profile as one with no cost at all.
+func TestNonFinitePreferenceIsNoValue(t *testing.T) {
+	m := NewSemanticMatcher(ontology.Pervasive())
+	req := ontology.Request{Concept: "Service", PreferLow: []string{"cost"}}
+	registry := func(cost *float64) *Registry {
+		r := NewRegistry()
+		r.Clock = obs.NewFakeClock()
+		for i := range 50 {
+			p := &ontology.Profile{Name: fmt.Sprintf("svc-%02d", i), Concept: "Service",
+				Properties: map[string]ontology.Value{"cost": ontology.Num(float64(i))}}
+			if i == 0 { // named first, so met first
+				delete(p.Properties, "cost")
+				if cost != nil {
+					p.Properties["cost"] = ontology.Num(*cost)
+				}
+			}
+			if _, err := r.Register(p, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+	type ranked struct {
+		name  string
+		score float64
+	}
+	answer := func(ms []Match) []ranked {
+		out := make([]ranked, len(ms))
+		for i, mt := range ms {
+			out[i] = ranked{mt.Profile.Name, mt.Score}
+		}
+		return out
+	}
+	noCost := registry(nil)
+	want := answer(noCost.Lookup(m, req))
+	if len(want) != 50 {
+		t.Fatalf("%d matches without svc-00's cost, want 50", len(want))
+	}
+	var costed []string
+	for _, r := range want {
+		if r.name != "svc-00" {
+			costed = append(costed, r.name)
+		}
+	}
+	for i, name := range costed {
+		if name != fmt.Sprintf("svc-%02d", i+1) {
+			t.Fatalf("rank %d among the finite costs is %s: not ascending by cost (%v)", i, name, costed)
+		}
+	}
+	for _, cost := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		r := registry(&cost)
+		for path, got := range map[string][]Match{
+			"Lookup": r.Lookup(m, req),
+			"Match":  m.Match(req, r.Profiles()),
+		} {
+			if got := answer(got); !slices.Equal(got, want) {
+				t.Fatalf("cost %v: %s has %d matches %v, want the answer without a cost %v", cost, path, len(got), got, want)
+			}
+		}
 	}
 }
 
@@ -1261,11 +1261,4 @@ func (b *Broker) SyncOnce(ttl time.Duration) int {
 		}
 	}
 	return n
-}
-
-// watcherCount reports the number of standing subscriptions.
-func watcherCount(r *Registry) int {
-	r.watches.mu.Lock()
-	defer r.watches.mu.Unlock()
-	return len(r.watches.watchers)
 }

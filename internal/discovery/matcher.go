@@ -10,6 +10,7 @@
 package discovery
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -107,8 +108,16 @@ type pref struct {
 	lo, hi float64
 }
 
-// prefRanges measures each PreferLow property over the whole pool — every
-// constraint survivor of every concept — so that prefScore is scale-free.
+// finite reads a property, as field.get returns it, as a preference value:
+// a finite number. A NaN or an infinity is no value, as a missing or
+// non-numeric property is: it neither stretches the range nor is scored.
+func finite(v ontology.Value, ok bool) (float64, bool) {
+	return v.N, ok && v.Kind == ontology.KindNumber && !math.IsNaN(v.N) && !math.IsInf(v.N, 0)
+}
+
+// prefRanges measures each PreferLow property's finite values over the
+// whole pool — every constraint survivor of every concept — so that
+// prefScore is scale-free.
 func prefRanges(keys []string, pool survivors, view *snapshot) []pref {
 	if len(keys) == 0 {
 		return nil
@@ -120,15 +129,15 @@ func prefRanges(keys []string, pool survivors, view *snapshot) []pref {
 		first := true
 		for j := range pool.len() {
 			k := pool.index(j)
-			v, ok := r.get(pool.candidates[k], pool.slotOf(k))
-			if !ok || v.Kind != ontology.KindNumber {
+			v, ok := finite(r.get(pool.candidates[k], pool.slotOf(k)))
+			if !ok {
 				continue
 			}
-			if first || v.N < r.lo {
-				r.lo = v.N
+			if first || v < r.lo {
+				r.lo = v
 			}
-			if first || v.N > r.hi {
-				r.hi = v.N
+			if first || v > r.hi {
+				r.hi = v
 			}
 			first = false
 		}
@@ -145,8 +154,8 @@ func prefScore(prefs []pref, p *ontology.Profile, s int32) float64 {
 	}
 	total, n := 0.0, 0
 	for i := range prefs {
-		v, ok := prefs[i].get(p, s)
-		if !ok || v.Kind != ontology.KindNumber {
+		v, ok := finite(prefs[i].get(p, s))
+		if !ok {
 			continue
 		}
 		l, h := prefs[i].lo, prefs[i].hi
@@ -155,7 +164,7 @@ func prefScore(prefs []pref, p *ontology.Profile, s int32) float64 {
 			total += 1
 			continue
 		}
-		total += 1 - (v.N-l)/(h-l)
+		total += 1 - (v-l)/(h-l)
 	}
 	if n == 0 {
 		return 0.5 // no preference data available
@@ -302,7 +311,7 @@ func (m *SemanticMatcher) match(req ontology.Request, candidates []*ontology.Pro
 			continue // out of reach even with a perfect preference score
 		}
 		match := Match{Profile: p, Score: sig.base + pw*prefScore(prefs, p, pool.slotOf(i))}
-		if !(match.Score >= minScore) { // too low, or NaN from a NaN property
+		if !(match.Score >= minScore) { // too low, or NaN from a range wider than a float64
 			continue
 		}
 		if len(out) == keep {

@@ -66,10 +66,9 @@ type Registry struct {
 	last    *snapshot
 	touched []string
 	// sigNum numbers the signatures met since the last full rebuild, by key.
-	sigNum  map[string]int32
-	key     []byte // scratch for signature keys
-	props   columns
-	watches watchList
+	sigNum map[string]int32
+	key    []byte // scratch for signature keys
+	props  columns
 }
 
 type entry struct {
@@ -132,9 +131,8 @@ func (r *Registry) Register(p *ontology.Profile, ttl time.Duration) (Lease, erro
 	r.entries[p.Name] = &entry{profile: p, lease: l}
 	r.touch(p.Name)
 	r.mu.Unlock()
-	// Watchers and the journal hook run outside the lock so their
-	// callbacks may use the registry freely.
-	r.notifyWatchers(p)
+	// The journal hook runs outside the lock so it may use the registry
+	// freely.
 	if fn := r.OnRegister; fn != nil {
 		fn(p, l)
 	}

@@ -75,23 +75,7 @@ type FlightRecorder struct {
 func OpenFlight(dir string) (*FlightRecorder, error) {
 	fr := &FlightRecorder{}
 	opts := Options{SegmentBytes: flightSegmentBytes, Sync: SyncOnRotate}
-	w, err := OpenWAL(dir, 0, opts, func(seg uint64, rec []byte) {
-		var r flightRec
-		if err := json.Unmarshal(rec, &r); err != nil {
-			fr.badRecs++
-			return
-		}
-		switch {
-		case r.K == "fev" && r.Ev != nil:
-			fr.events = appendBounded(fr.events, *r.Ev, flightEventCap)
-		case r.K == "fsp" && r.Sp != nil:
-			fr.spans = appendBounded(fr.spans, *r.Sp, flightSpanCap)
-		case r.K == "fmk" && r.Mk != nil:
-			fr.marks = append(fr.marks, *r.Mk)
-		default:
-			fr.badRecs++
-		}
-	})
+	w, err := OpenWAL(dir, 0, opts, fr.replay)
 	if err != nil {
 		return nil, err
 	}
@@ -99,6 +83,26 @@ func OpenFlight(dir string) (*FlightRecorder, error) {
 	fr.lastSeg = w.ActiveSegment()
 	fr.gc()
 	return fr, nil
+}
+
+// replay decodes one journal record into the recovered rings. A record
+// that does not decode, or whose kind does not name its payload, is bad.
+func (fr *FlightRecorder) replay(_ uint64, rec []byte) {
+	var r flightRec
+	if err := json.Unmarshal(rec, &r); err != nil {
+		fr.badRecs++
+		return
+	}
+	switch {
+	case r.K == "fev" && r.Ev != nil:
+		fr.events = appendBounded(fr.events, *r.Ev, flightEventCap)
+	case r.K == "fsp" && r.Sp != nil:
+		fr.spans = appendBounded(fr.spans, *r.Sp, flightSpanCap)
+	case r.K == "fmk" && r.Mk != nil:
+		fr.marks = append(fr.marks, *r.Mk)
+	default:
+		fr.badRecs++
+	}
 }
 
 // appendBounded keeps the newest capacity entries.

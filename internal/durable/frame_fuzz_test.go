@@ -3,9 +3,14 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
+
+	"pervasivegrid/internal/obs"
 )
 
 // walFrame frames rec the way WAL.Append writes it: u32 length, u32
@@ -47,6 +52,79 @@ func FuzzWALFrame(f *testing.F) {
 				t.Fatalf("accepted frame at %d re-frames to % x", off, re)
 			}
 			off = next
+		}
+	})
+}
+
+// A flight record may cost the replay at most flightAllocPerByte heap
+// bytes per record byte, plus flightAllocFixed for the decoder's state
+// and the recovered ring it lands in. The worst case is an event whose
+// phases are empty objects: each "{}," decodes to a 24-byte obs.Phase, and
+// the decoder's slice growth measures ~43 bytes per record byte.
+const (
+	flightAllocPerByte = 64
+	flightAllocFixed   = 8 << 10
+)
+
+// FuzzFlightRecord: replaying a flight record never panics and allocates
+// within the stated bound for any bytes, and every record it accepts lands
+// in exactly one recovered ring and re-encodes to itself after one round
+// trip.
+func FuzzFlightRecord(f *testing.F) {
+	at := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
+	ev := obs.NewEvent("n1", 7, "a", "b", "test-ontology", at)
+	ev.AddPhase("attempt-1", time.Millisecond)
+	ev.Attrs = map[string]string{"k": "v"}
+	ev.Finish(obs.OutcomeTimeout, at.Add(time.Millisecond))
+	for _, r := range []flightRec{
+		{K: "fev", Ev: &ev},
+		{K: "fsp", Sp: &obs.Span{Trace: 7, Seq: 1, Time: at, Node: "n1", Kind: obs.SpanSend, From: "a", To: "b"}},
+		{K: "fmk", Mk: &FlightMark{Note: "agent-giveup:b", Err: "deadline", Time: at}},
+		{K: "fsp", Ev: &ev}, // a kind that does not name its payload
+	} {
+		b, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"k":"fev","ev":{"phases":[{},{},{},{}],"attrs":{"a":"","b":""}}}`))
+	f.Add([]byte(`{"k":"fmk","mk":{"time":"2026-08-09T12:00:00+05:30"}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr := &FlightRecorder{}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fr.replay(0, data)
+		runtime.ReadMemStats(&after)
+		if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(flightAllocPerByte*len(data)+flightAllocFixed); n > limit {
+			t.Fatalf("a %d-byte record allocated %d bytes, past %d", len(data), n, limit)
+		}
+
+		if fr.badRecs > 0 {
+			return
+		}
+		var rec flightRec
+		switch {
+		case len(fr.events) == 1 && len(fr.spans)+len(fr.marks) == 0:
+			rec = flightRec{K: "fev", Ev: &fr.events[0]}
+		case len(fr.spans) == 1 && len(fr.events)+len(fr.marks) == 0:
+			rec = flightRec{K: "fsp", Sp: &fr.spans[0]}
+		case len(fr.marks) == 1 && len(fr.events)+len(fr.spans) == 0:
+			rec = flightRec{K: "fmk", Mk: &fr.marks[0]}
+		default:
+			t.Fatalf("an accepted record recovered %d events, %d spans and %d marks, want one record",
+				len(fr.events), len(fr.spans), len(fr.marks))
+		}
+		enc, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatalf("accepted record does not encode: %v", err)
+		}
+		var again flightRec
+		if err := json.Unmarshal(enc, &again); err != nil {
+			t.Fatalf("accepted record does not decode after encoding: %v", err)
+		}
+		if re, _ := json.Marshal(again); !bytes.Equal(re, enc) {
+			t.Fatalf("accepted record changed in a round trip:\n%s\n%s", enc, re)
 		}
 	})
 }

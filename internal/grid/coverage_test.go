@@ -35,34 +35,3 @@ func TestPlacementResponseTime(t *testing.T) {
 			p.ResponseTime(), p.TransferIn, p.Compute)
 	}
 }
-
-func TestStageRefreshGrowAndShrink(t *testing.T) {
-	s := NewStageManager(0)
-	if _, err := s.Stage("k", 1000); err != nil {
-		t.Fatal(err)
-	}
-	// Growing pays only the delta across the link.
-	moved, err := s.Stage("k", 1500)
-	if err != nil || moved != 500 {
-		t.Fatalf("grow moved %d err=%v, want 500", moved, err)
-	}
-	// Shrinking moves nothing.
-	moved, err = s.Stage("k", 200)
-	if err != nil || moved != 0 {
-		t.Fatalf("shrink moved %d err=%v, want 0", moved, err)
-	}
-	if n, ok := s.Resident("k"); !ok || n != 200 {
-		t.Fatalf("resident = %d %v, want 200", n, ok)
-	}
-	if s.Hits("nope") != 0 {
-		t.Fatal("missing key should report zero hits")
-	}
-}
-
-func TestSubmitStagedPropagatesStageError(t *testing.T) {
-	c := testCluster(t, MinCompletion)
-	s := NewStageManager(0)
-	if _, err := c.SubmitStaged(s, "bad", Job{Name: "j", Ops: 1e6, InputBytes: -1}); err == nil {
-		t.Fatal("negative input bytes should fail staging")
-	}
-}

@@ -226,82 +226,6 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-func TestStageManagerBasics(t *testing.T) {
-	s := NewStageManager(0)
-	if _, err := s.Stage("", 10); err == nil {
-		t.Fatal("empty key should fail")
-	}
-	if _, err := s.Stage("k", -1); err == nil {
-		t.Fatal("negative size should fail")
-	}
-	moved, err := s.Stage("readings-r8", 1000)
-	if err != nil || moved != 1000 {
-		t.Fatalf("first stage moved %d err=%v", moved, err)
-	}
-	moved, err = s.Stage("readings-r8", 1000)
-	if err != nil || moved != 0 {
-		t.Fatalf("re-stage moved %d, want 0", moved)
-	}
-	if n, ok := s.Resident("readings-r8"); !ok || n != 1000 {
-		t.Fatalf("resident = %d %v", n, ok)
-	}
-	if s.Hits("readings-r8") != 1 {
-		t.Fatalf("hits = %d", s.Hits("readings-r8"))
-	}
-	s.Evict("readings-r8")
-	if _, ok := s.Resident("readings-r8"); ok {
-		t.Fatal("evicted key still resident")
-	}
-}
-
-func TestStageManagerCapacityEviction(t *testing.T) {
-	s := NewStageManager(2500)
-	for i, key := range []string{"a", "b", "c"} {
-		if _, err := s.Stage(key, 1000); err != nil {
-			t.Fatalf("stage %d: %v", i, err)
-		}
-	}
-	// Capacity 2500 holds only 2 datasets: "a" (oldest) evicted.
-	if _, ok := s.Resident("a"); ok {
-		t.Fatal("oldest dataset should be evicted")
-	}
-	if _, ok := s.Resident("c"); !ok {
-		t.Fatal("newest dataset missing")
-	}
-	if s.StagedBytes() > 2500 {
-		t.Fatalf("staged bytes %d exceed capacity", s.StagedBytes())
-	}
-}
-
-func TestSubmitStagedSkipsTransfer(t *testing.T) {
-	c := testCluster(t, MinCompletion)
-	s := NewStageManager(0)
-	job := Job{Name: "solve", Ops: 1e6, InputBytes: 10_000_000}
-	p1, err := c.SubmitStaged(s, "dataset-1", job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := c.SubmitStaged(s, "dataset-1", job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.TransferIn >= p1.TransferIn {
-		t.Fatalf("staged resubmission transfer %v should beat first %v", p2.TransferIn, p1.TransferIn)
-	}
-	// A different dataset pays the full transfer again.
-	p3, err := c.SubmitStaged(s, "dataset-2", job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3.TransferIn != p1.TransferIn {
-		t.Fatal("unstaged dataset should pay the full uplink")
-	}
-	// No staging manager: plain submit.
-	if _, err := c.SubmitStaged(nil, "x", job); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPropertyTransferTimeMonotone(t *testing.T) {
 	f := func(bw uint32, lat uint16, a, b uint16) bool {
 		l := Link{BandwidthBps: 1 + float64(bw%1_000_000), LatencySec: float64(lat) / 1000}

@@ -202,28 +202,6 @@ func TestFloodReachesAll(t *testing.T) {
 	}
 }
 
-func TestGossipTradesCoverageForCost(t *testing.T) {
-	flooded := Flood(collectNetwork(t, 0), BaseStationID, 20)
-	low := Gossip(collectNetwork(t, 0), BaseStationID, 20, GossipConfig{Forward: 0.3, Seed: 5})
-	if low.Messages >= flooded.Messages {
-		t.Fatalf("gossip(0.3) messages %d, flood %d: gossip should transmit less", low.Messages, flooded.Messages)
-	}
-	if low.Reached > flooded.Reached {
-		t.Fatal("gossip cannot reach more nodes than flooding")
-	}
-}
-
-func TestGossipFanout(t *testing.T) {
-	nw := collectNetwork(t, 0)
-	res := Gossip(nw, BaseStationID, 20, GossipConfig{Forward: 1.0, Fanout: 2, Seed: 9})
-	if res.Reached == 0 {
-		t.Fatal("fanout gossip reached nobody")
-	}
-	if res.Reached > 25 {
-		t.Fatalf("reached %d > network size", res.Reached)
-	}
-}
-
 func TestUnicastToBase(t *testing.T) {
 	nw := collectNetwork(t, 0)
 	res, err := Unicast(nw, 24, 10) // far corner, multi-hop
@@ -293,18 +271,6 @@ func TestFloodOnDisconnectedNetwork(t *testing.T) {
 	res := Flood(nw, BaseStationID, 20)
 	if res.Reached != 0 {
 		t.Fatalf("reached %d on a disconnected network", res.Reached)
-	}
-}
-
-func TestGossipDeterministicWithSeed(t *testing.T) {
-	run := func() DisseminationResult {
-		cfg := testConfig()
-		nw := NewGridNetwork(cfg, 5, 5)
-		return Gossip(nw, BaseStationID, 20, GossipConfig{Forward: 0.5, Seed: 77})
-	}
-	a, b := run(), run()
-	if a.Reached != b.Reached || a.Messages != b.Messages {
-		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
 }
 

@@ -2,7 +2,6 @@ package sensornet
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pervasivegrid/internal/simevent"
 )
@@ -65,74 +64,6 @@ func Flood(nw *Network, origin NodeID, payloadBytes int) DisseminationResult {
 		nw.Broadcast(to, payloadBytes, relay)
 	}
 	nw.Broadcast(origin, payloadBytes, relay)
-	nw.Kernel.RunAll()
-
-	return nw.disseminated(statsBefore, start, last, reached)
-}
-
-// GossipConfig parameterises probabilistic gossip dissemination.
-type GossipConfig struct {
-	// Forward is the probability a node relays the first copy it
-	// receives (the origin always transmits). Classic gossiping trades
-	// coverage for energy as Forward drops below 1.
-	Forward float64
-	// Fanout is how many random neighbors a relaying node unicasts to;
-	// 0 means broadcast to all neighbors.
-	Fanout int
-	// Seed drives the protocol's randomness.
-	Seed int64
-}
-
-// Gossip disseminates payloadBytes from origin using probabilistic
-// gossiping, the second routing technique the paper names.
-//
-//lint:ignore deadcode S3 names gossiping as a routing technique; no experiment runs it yet
-func Gossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipConfig) DisseminationResult {
-	if cfg.Forward <= 0 {
-		cfg.Forward = 0.7
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	start := nw.Kernel.Now()
-	statsBefore := nw.Stats()
-	seen := newSeen(nw, origin)
-	reached := 0
-	last := start
-
-	var relay func(id NodeID, force bool)
-	onFirst := func(to, _ NodeID, at simevent.Time) {
-		if seen[to+1] {
-			return
-		}
-		seen[to+1] = true
-		reached++
-		last = max(last, at)
-		relay(to, false)
-	}
-	relay = func(id NodeID, force bool) {
-		if !force && rng.Float64() > cfg.Forward {
-			return
-		}
-		if cfg.Fanout <= 0 {
-			nw.Broadcast(id, payloadBytes, onFirst)
-			return
-		}
-		node := nw.Node(id)
-		if node == nil {
-			return
-		}
-		// Pick Fanout random distinct neighbors.
-		nbrs := make([]NodeID, len(node.Neighbors))
-		copy(nbrs, node.Neighbors)
-		rng.Shuffle(len(nbrs), func(i, j int) { nbrs[i], nbrs[j] = nbrs[j], nbrs[i] })
-		k := cfg.Fanout
-		if k > len(nbrs) {
-			k = len(nbrs)
-		}
-		for _, to := range nbrs[:k] {
-			nw.Send(id, to, payloadBytes, onFirst, 0)
-		}
-	}
-	relay(origin, true)
 	nw.Kernel.RunAll()
 
 	return nw.disseminated(statsBefore, start, last, reached)

@@ -1,7 +1,7 @@
 // Package sensornet simulates wireless sensor networks: node placement,
 // radio connectivity, a first-order energy model, data routing (flooding,
-// gossiping, cluster heads, TAG-style aggregation trees), and collection of
-// sensor readings toward a base station.
+// cluster heads, TAG-style aggregation trees), and collection of sensor
+// readings toward a base station.
 //
 // The simulator plays the role GloMoSim plays in the paper: it provides the
 // measurable substrate (energy, messages, latency) over which the pervasive

@@ -144,107 +144,12 @@ func floodVia(nw *Network, bcast broadcastFunc, origin NodeID, payloadBytes int,
 	}, log
 }
 
-// referenceGossip is Gossip's broadcast mode (Fanout 0) over
-// referenceBroadcast.
-func referenceGossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipConfig) DisseminationResult {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	start := nw.Kernel.Now()
-	statsBefore := nw.Stats()
-	seen := map[NodeID]bool{origin: true}
-	last := start
-
-	var relay func(id NodeID, force bool)
-	relay = func(id NodeID, force bool) {
-		if !force && rng.Float64() > cfg.Forward {
-			return
-		}
-		referenceBroadcast(nw, id, payloadBytes, func(to, _ NodeID, at simevent.Time) {
-			if seen[to] {
-				return
-			}
-			seen[to] = true
-			if float64(at) > float64(last) {
-				last = at
-			}
-			relay(to, false)
-		})
-	}
-	relay(origin, true)
-	nw.Kernel.RunAll()
-
-	statsAfter := nw.Stats()
-	return DisseminationResult{
-		Reached:  len(seen) - 1,
-		Latency:  float64(last - start),
-		Messages: statsAfter.Messages - statsBefore.Messages,
-		Bytes:    statsAfter.Bytes - statsBefore.Bytes,
-		EnergyJ:  statsAfter.EnergyJ - statsBefore.EnergyJ,
-	}
-}
-
-// mapFlood and mapGossip are Flood and Gossip as they stood while the set
-// of reached nodes was a map[NodeID]bool and Reached was its size less the
-// origin, kept as oracles for the dense seen slice.
+// mapFlood is Flood as it stood while the set of reached nodes was a
+// map[NodeID]bool and Reached was its size less the origin, kept as the
+// oracle for the dense seen slice.
 func mapFlood(nw *Network, origin NodeID, payloadBytes int) DisseminationResult {
 	res, _ := floodVia(nw, batchedBroadcast, origin, payloadBytes, nil)
 	return res
-}
-
-func mapGossip(nw *Network, origin NodeID, payloadBytes int, cfg GossipConfig) DisseminationResult {
-	if cfg.Forward <= 0 {
-		cfg.Forward = 0.7
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	start := nw.Kernel.Now()
-	statsBefore := nw.Stats()
-	seen := map[NodeID]bool{origin: true}
-	last := start
-
-	var relay func(id NodeID, force bool)
-	relay = func(id NodeID, force bool) {
-		if !force && rng.Float64() > cfg.Forward {
-			return
-		}
-		onFirst := func(to, _ NodeID, at simevent.Time) {
-			if seen[to] {
-				return
-			}
-			seen[to] = true
-			if float64(at) > float64(last) {
-				last = at
-			}
-			relay(to, false)
-		}
-		if cfg.Fanout <= 0 {
-			nw.Broadcast(id, payloadBytes, onFirst)
-			return
-		}
-		node := nw.Node(id)
-		if node == nil {
-			return
-		}
-		nbrs := make([]NodeID, len(node.Neighbors))
-		copy(nbrs, node.Neighbors)
-		rng.Shuffle(len(nbrs), func(i, j int) { nbrs[i], nbrs[j] = nbrs[j], nbrs[i] })
-		k := cfg.Fanout
-		if k > len(nbrs) {
-			k = len(nbrs)
-		}
-		for _, to := range nbrs[:k] {
-			nw.Send(id, to, payloadBytes, onFirst, 0)
-		}
-	}
-	relay(origin, true)
-	nw.Kernel.RunAll()
-
-	statsAfter := nw.Stats()
-	return DisseminationResult{
-		Reached:  len(seen) - 1,
-		Latency:  float64(last - start),
-		Messages: statsAfter.Messages - statsBefore.Messages,
-		Bytes:    statsAfter.Bytes - statsBefore.Bytes,
-		EnergyJ:  statsAfter.EnergyJ - statsBefore.EnergyJ,
-	}
 }
 
 // twins builds two identical random deployments.
@@ -336,17 +241,6 @@ func TestBroadcastEqualsPerReceiverEvents(t *testing.T) {
 				a.MoveNode(mover, to)
 				b.MoveNode(mover, to)
 
-				gcfg := GossipConfig{Forward: 0.7, Seed: seed}
-				if got, want := Gossip(a, BaseStationID, 40, gcfg), referenceGossip(b, BaseStationID, 40, gcfg); got != want {
-					t.Fatalf("gossip: %+v, reference %+v", got, want)
-				}
-				sameState(t, "gossip", a, b)
-				gcfg.Fanout = 3 // unicast mode: Send on both twins
-				if got, want := Gossip(a, BaseStationID, 40, gcfg), Gossip(b, BaseStationID, 40, gcfg); got != want {
-					t.Fatalf("gossip fanout: %+v, reference %+v", got, want)
-				}
-				sameState(t, "gossip fanout", a, b)
-
 				for i := 0; i < 5; i++ {
 					from := NodeID(rng.Intn(len(a.Sensors)))
 					got, errA := Unicast(a, from, RawReadingBytes)
@@ -376,11 +270,10 @@ func TestBroadcastEqualsPerReceiverEvents(t *testing.T) {
 	}
 }
 
-// TestDisseminationEqualsMapSeen runs rounds of Flood and of Gossip in both
-// modes from the base station, from sensors and from an ID that is no node,
-// on twin networks — one with the dense seen slice, the other with the map
-// bodies above — and requires identical results and identical network
-// state after each. Traffic drains batteries, so later rounds run on a
+// TestDisseminationEqualsMapSeen runs rounds of Flood from the base
+// station, from sensors and from an ID that is no node, on twin networks —
+// one with the dense seen slice, the other with the map body above — and
+// requires identical results and identical network state after each. Traffic drains batteries, so later rounds run on a
 // network with dead nodes.
 func TestDisseminationEqualsMapSeen(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
@@ -395,13 +288,6 @@ func TestDisseminationEqualsMapSeen(t *testing.T) {
 						t.Fatalf("%s: flood %+v, map seen %+v", step, got, want)
 					}
 					sameState(t, step+": flood", a, b)
-					for _, fanout := range []int{0, 3} {
-						cfg := GossipConfig{Forward: 0.7, Fanout: fanout, Seed: seed + int64(round)}
-						if got, want := Gossip(a, origin, 40, cfg), mapGossip(b, origin, 40, cfg); got != want {
-							t.Fatalf("%s: gossip fanout %d %+v, map seen %+v", step, fanout, got, want)
-						}
-						sameState(t, fmt.Sprintf("%s: gossip fanout %d", step, fanout), a, b)
-					}
 				}
 			})
 		}

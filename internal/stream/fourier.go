@@ -1,3 +1,9 @@
+// Package stream provides data-stream processing for the pervasive grid:
+// a bounded-memory sliding summary of one sensor's readings, and the
+// paper's worked stream-mining example — ensembles of decision trees whose
+// Walsh–Fourier spectra are truncated to their dominant components and
+// combined into a single classifier, so that distributed data sources ship
+// compact spectra instead of raw data.
 package stream
 
 import (

@@ -9,64 +9,9 @@ import (
 	"pervasivegrid/internal/ml"
 )
 
-func TestTumblingWindowBasic(t *testing.T) {
-	w, err := NewTumblingWindow(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range []Element{
-		{T: 1, V: 5}, {T: 4, V: 7}, {T: 11, V: 100}, {T: 25, V: 1},
-	} {
-		w.Push(e)
-	}
-	got := w.Results()
-	if len(got) != 2 {
-		t.Fatalf("closed windows = %d, want 2", len(got))
-	}
-	if got[0].Agg.Final(0 /* sum */) != 12 || got[0].Start != 0 || got[0].End != 10 {
-		t.Fatalf("window 0 = %+v", got[0])
-	}
-	if got[1].Agg.Count != 1 || got[1].Agg.Max != 100 {
-		t.Fatalf("window 1 = %+v", got[1])
-	}
-	w.Flush()
-	final := w.Results()
-	if len(final) != 1 || final[0].Agg.Sum != 1 {
-		t.Fatalf("flush = %+v", final)
-	}
-}
-
-func TestTumblingWindowLateElements(t *testing.T) {
-	w, err := NewTumblingWindow(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Push(Element{T: 35, V: 1})
-	w.Push(Element{T: 5, V: 2}) // late: before the open window
-	if w.Late() != 1 {
-		t.Fatalf("late = %d, want 1", w.Late())
-	}
-}
-
-func TestTumblingWindowGap(t *testing.T) {
-	w, _ := NewTumblingWindow(1)
-	w.Push(Element{T: 0.5, V: 1})
-	w.Push(Element{T: 5.5, V: 2}) // 4 empty windows skipped
-	got := w.Results()
-	if len(got) != 1 {
-		t.Fatalf("windows emitted = %d, want 1 (empty windows not emitted as data)", len(got))
-	}
-}
-
 func TestWindowValidation(t *testing.T) {
-	if _, err := NewTumblingWindow(0); err == nil {
-		t.Fatal("zero window should fail")
-	}
 	if _, err := NewSlidingStats(0); err == nil {
 		t.Fatal("zero sliding window should fail")
-	}
-	if _, err := NewMerge(0, 4); err == nil {
-		t.Fatal("empty merge should fail")
 	}
 }
 
@@ -81,51 +26,6 @@ func TestSlidingStats(t *testing.T) {
 	p := s.Snapshot()
 	if p.Count != 3 || p.Min != 3 || p.Max != 5 || p.Sum != 12 {
 		t.Fatalf("snapshot = %+v, want last 3 values", p)
-	}
-}
-
-func TestMergeNonBlocking(t *testing.T) {
-	m, err := NewMerge(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One quiet source must not block the others — the Fjords property.
-	if !m.Offer(0, Element{Source: 0, V: 1}) {
-		t.Fatal("offer failed")
-	}
-	if !m.Offer(2, Element{Source: 2, V: 3}) {
-		t.Fatal("offer failed")
-	}
-	got := m.Poll(0)
-	if len(got) != 2 {
-		t.Fatalf("polled %d, want 2", len(got))
-	}
-	if more := m.Poll(0); len(more) != 0 {
-		t.Fatal("second poll should be empty")
-	}
-}
-
-func TestMergeBackpressure(t *testing.T) {
-	m, _ := NewMerge(1, 2)
-	if !m.Offer(0, Element{}) || !m.Offer(0, Element{}) {
-		t.Fatal("offers within capacity failed")
-	}
-	if m.Offer(0, Element{}) {
-		t.Fatal("offer past capacity should report false")
-	}
-	if m.Offer(5, Element{}) {
-		t.Fatal("offer to invalid input should report false")
-	}
-}
-
-func TestMergeBudget(t *testing.T) {
-	m, _ := NewMerge(2, 8)
-	for i := 0; i < 6; i++ {
-		m.Offer(i%2, Element{V: float64(i)})
-	}
-	got := m.Poll(4)
-	if len(got) != 4 {
-		t.Fatalf("budgeted poll = %d, want 4", len(got))
 	}
 }
 
