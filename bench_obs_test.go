@@ -280,7 +280,7 @@ func benchDeliverSampled(b *testing.B, smp *obs.Sampler) {
 // BenchmarkPlatformDeliverSampled is the instrumented Deliver path at the
 // production sampling rate (1%): spans head-sampled by TraceID hash,
 // wide-event log attached. TestSamplingOverheadBudget holds it within
-// 10% of BenchmarkPlatformDeliverSamplerOff.
+// 5% of BenchmarkPlatformDeliverSamplerOff.
 func BenchmarkPlatformDeliverSampled(b *testing.B) {
 	benchDeliverSampled(b, obs.NewSampler(0.01))
 }
@@ -293,16 +293,17 @@ func BenchmarkPlatformDeliverSamplerOff(b *testing.B) {
 }
 
 // TestSamplingOverheadBudget holds the observability pipeline to its
-// budget: at 1% sampling, delivery may cost at most 10% more than the
+// budget: at 1% sampling, delivery may cost at most 5% more than the
 // same wiring with sampling off. Seven timed pairs of 20 000 deliveries
-// each, alternating which side runs first. A single pair on a shared
-// host drifts by ±5%, and the pipeline sits near 9%, so the gate is the
+// each, alternating which side runs first. An unsampled span costs what
+// sampling off costs, so the two sides differ only by the 1% of spans
+// kept; a single pair on a shared host drifts by ±5%, so the gate is the
 // best pair: the test fails only when every pair is over budget.
 func TestSamplingOverheadBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing comparison: needs a full, unraced run")
 	}
-	const deliveries, pairs, budget = 20_000, 7, 1.10
+	const deliveries, pairs, budget = 20_000, 7, 1.05
 	sampled := sampledDeliverer(t, obs.NewSampler(0.01))
 	off := sampledDeliverer(t, obs.SamplerOff)
 	sampled(deliveries) // touch every histogram octave and ring slot once

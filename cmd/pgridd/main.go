@@ -61,7 +61,7 @@ func main() {
 	fsyncPolicy := flag.String("fsync", "always", "WAL fsync policy: always (fsync per append), interval (batched), or rotate (per segment)")
 	fsyncEvery := flag.Duration("fsync-interval", 50*time.Millisecond, "sync period when -fsync=interval")
 	walSegment := flag.Int64("wal-segment", 0, "WAL segment rotation threshold in bytes (0 = default 4MB)")
-	traceSample := flag.Float64("trace-sample", 1, "head-sampling rate for span traces by TraceID hash (1 = keep all, 0.01 = ~1%; error/shed/breaker-open/p99-slow traces are always tail-kept)")
+	traceSample := flag.Float64("trace-sample", 1, "head-sampling rate for span traces by TraceID hash (1 = keep all, 0.01 = ~1%; drop spans are always kept, and every conversation, sampled or not, emits its wide event to /events.json)")
 	recomposeOn := flag.Bool("recompose", false, "host a provider agent per advertised service and arm adaptive re-composition: breaker transitions and fleet health verdicts trigger mid-plan re-planning with live conversation migration")
 	recomposeCost := flag.Duration("recompose-cost", 0, "adaptive re-composition: a step invocation slower than this fires a cost degradation signal against its service (0 = off)")
 	recomposeMaxReplans := flag.Int("recompose-max-replans", 3, "adaptive re-composition: re-plans allowed per conversation (negative = never, reproducing static execution)")

@@ -171,7 +171,7 @@ func (l *Link) Close() {
 // a frame can carry; a full queue makes the sender wait while the link is
 // up, and dead-letters its oldest envelope while it is down.
 //
-//lint:hot budget=22
+//lint:hot budget=17
 func (l *Link) route(env Envelope) bool {
 	if (l.opts.Filter != nil && !l.opts.Filter(env.To)) || frameSize(&env) > maxFrame {
 		return false // Send dead-letters what no frame carries
@@ -225,7 +225,7 @@ func (l *Link) route(env Envelope) bool {
 // closed or the queue filled behind it: then the envelope, the oldest, is
 // dead-lettered.
 //
-//lint:hot budget=22
+//lint:hot budget=17
 func (l *Link) drain(from *wireConn) {
 	for {
 		l.mu.Lock()

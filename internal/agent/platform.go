@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pervasivegrid/internal/obs"
 	"pervasivegrid/internal/supervise"
@@ -226,13 +225,6 @@ type Platform struct {
 	retries   atomic.Uint64
 	shedded   atomic.Uint64
 
-	// p99 slow-keep cache: deliver latencies above slowNanos tail-keep
-	// their trace; refreshed from the latency histogram every
-	// slowRefreshEvery sends (slowTick) to keep Quantile off the hot
-	// path.
-	slowNanos atomic.Uint64
-	slowTick  atomic.Uint64
-
 	// Dead-letter accounting: a bounded ring of the most recent
 	// undeliverable envelopes plus an unbounded per-reason counter.
 	dlMu    sync.Mutex
@@ -286,21 +278,25 @@ func (p *Platform) clock() obs.Clock {
 	return obs.Real
 }
 
-// trace records a hop span when tracing is enabled.
+// trace records a hop span when tracing is enabled. On the wall clock
+// the tracer stamps the span itself, after deciding to keep it.
 func (p *Platform) trace(kind string, env Envelope, note string) {
 	if p.Tracer == nil || env.TraceID == 0 {
 		return
 	}
-	p.Tracer.Record(obs.Span{
+	s := obs.Span{
 		Trace: env.TraceID,
 		Seq:   env.Seq,
-		Time:  p.clock().Now(),
 		Node:  p.Name,
 		Kind:  kind,
 		From:  string(env.From),
 		To:    string(env.To),
 		Note:  note,
-	})
+	}
+	if p.Clock != nil {
+		s.Time = p.Clock.Now()
+	}
+	p.Tracer.Record(s)
 }
 
 // Register hosts an agent under id with the given behaviour and attributes.
@@ -460,7 +456,7 @@ func (p *Platform) RemoveRoute(id RouteID) bool {
 // first, then gateway routes in order. Undeliverable envelopes land in the
 // dead-letter ring with a drop reason.
 //
-//lint:hot budget=25
+//lint:hot budget=20
 func (p *Platform) Send(env Envelope) error {
 	p.mu.RLock()
 	if p.closed {
@@ -500,10 +496,8 @@ func (p *Platform) Send(env Envelope) error {
 			return err
 		}
 		p.delivered.Add(1)
-		lat := p.clock().Now().Sub(start)
 		p.metrics.Histogram("agent_deliver_latency_seconds").
-			Observe(lat.Seconds())
-		p.noteSlow(env.TraceID, lat)
+			Observe(p.clock().Now().Sub(start).Seconds())
 		if reg.box != nil { // a conversation inbox has no mailbox to gauge
 			g := reg.depth.Load()
 			if g == nil {
@@ -583,27 +577,6 @@ func (p *Platform) RestoreDeadLetters(letters []DeadLetter) {
 		p.dlTotal++
 		p.dlWhy[dl.Reason]++
 		p.pushDeadLetterLocked(dl)
-	}
-}
-
-// slowRefreshEvery spaces out the Quantile(0.99) lookups that feed the
-// slow-keep threshold; a power of two so the tick check is a mask.
-const slowRefreshEvery = 256
-
-// noteSlow tail-keeps the trace of any deliver slower than the cached
-// p99 of agent_deliver_latency_seconds — the "why was this one slow?"
-// conversations survive head sampling. The threshold refreshes lazily
-// so the hot path pays two atomic ops, not a histogram scan.
-func (p *Platform) noteSlow(trace uint64, lat time.Duration) {
-	if p.Tracer == nil || trace == 0 {
-		return
-	}
-	if p.slowTick.Add(1)&(slowRefreshEvery-1) == 1 {
-		p99 := p.metrics.Histogram("agent_deliver_latency_seconds").Quantile(0.99)
-		p.slowNanos.Store(uint64(p99 * float64(time.Second)))
-	}
-	if thr := p.slowNanos.Load(); thr > 0 && lat > 0 && uint64(lat) > thr {
-		p.Tracer.KeepTrace(trace)
 	}
 }
 

@@ -104,8 +104,8 @@ func (b *backoffSource) next() time.Duration {
 }
 
 // finishEvent stamps outcome/err/breaker on a conversation's wide event
-// and emits it, tail-keeping the trace when anything went wrong so the
-// event always points at a retained timeline.
+// and emits it. The event is emitted whatever the head-sampling verdict,
+// so a failed, unsampled conversation still leaves its record.
 func (p *Platform) finishEvent(ev *obs.Event, callErr error, clk obs.Clock) {
 	if p.Events == nil {
 		return
@@ -127,9 +127,6 @@ func (p *Platform) finishEvent(ev *obs.Event, callErr error, clk obs.Clock) {
 		ev.Breaker = p.Breakers.State(ev.To).String()
 	}
 	ev.Finish(outcome, clk.Now())
-	if ev.Failed() {
-		p.Tracer.KeepTrace(ev.Trace)
-	}
 	p.Events.Emit(*ev)
 }
 
@@ -226,7 +223,6 @@ func (p *Platform) converse(env Envelope, in *inbox, timeout time.Duration, poli
 			// — the breaker needs its cool-down to elapse before
 			// half-opening, and a reply to an earlier attempt may land.
 			p.noteBreakerReject()
-			p.Tracer.KeepTrace(env.TraceID)
 			ev.Sheds++
 			err = fmt.Errorf("%w: %q", ErrCircuitOpen, env.To)
 		}

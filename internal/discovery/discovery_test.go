@@ -573,8 +573,9 @@ func referenceNum(p *ontology.Profile, key string) (float64, bool) {
 // referencePrefScore and referenceMatch are SemanticMatcher's scoring as it
 // stood before Match was rewritten to select instead of rank: every
 // candidate scored against the ontology, every survivor stable-sorted. They
-// are kept as the oracle for the differential test below; the one change
-// since is that a preference value reads through referenceNum.
+// are kept as the oracle for the differential test below; the changes
+// since are that a preference value reads through referenceNum and that a
+// span overflowing a float64 is halved.
 func referencePrefScore(req ontology.Request, p *ontology.Profile, lo, hi map[string]float64) float64 {
 	if len(req.PreferLow) == 0 {
 		return 1
@@ -591,7 +592,11 @@ func referencePrefScore(req ontology.Request, p *ontology.Profile, lo, hi map[st
 			total += 1
 			continue
 		}
-		total += 1 - (v-l)/(h-l)
+		d, w := v-l, h-l
+		if math.IsInf(w, 0) {
+			d, w = v/2-l/2, h/2-l/2
+		}
+		total += 1 - d/w
 	}
 	if n == 0 {
 		return 0.5 // no preference data available
@@ -890,6 +895,36 @@ func TestNonFinitePreferenceIsNoValue(t *testing.T) {
 			if got := answer(got); !slices.Equal(got, want) {
 				t.Fatalf("cost %v: %s has %d matches %v, want the answer without a cost %v", cost, path, len(got), got, want)
 			}
+		}
+	}
+}
+
+// TestPreferenceSpanOverflow: finite costs whose span overflows a float64
+// still score every candidate, cheapest first, on both matching paths and
+// in the reference.
+func TestPreferenceSpanOverflow(t *testing.T) {
+	m := NewSemanticMatcher(ontology.Pervasive())
+	req := ontology.Request{Concept: "Service", PreferLow: []string{"cost"}}
+	r := NewRegistry()
+	r.Clock = obs.NewFakeClock()
+	for name, cost := range map[string]float64{"a": -1e308, "b": 0, "c": 1e308} {
+		p := &ontology.Profile{Name: name, Concept: "Service",
+			Properties: map[string]ontology.Value{"cost": ontology.Num(cost)}}
+		if _, err := r.Register(p, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for path, got := range map[string][]Match{
+		"Lookup":    r.Lookup(m, req),
+		"Match":     m.Match(req, r.Profiles()),
+		"reference": referenceMatch(m, req, r.Profiles()),
+	} {
+		var names []string
+		for _, mt := range got {
+			names = append(names, fmt.Sprintf("%s %.2f", mt.Profile.Name, mt.Score))
+		}
+		if want := []string{"a 1.00", "b 0.90", "c 0.80"}; !slices.Equal(names, want) {
+			t.Errorf("%s = %v, want %v", path, names, want)
 		}
 	}
 }

@@ -164,7 +164,13 @@ func prefScore(prefs []pref, p *ontology.Profile, s int32) float64 {
 			total += 1
 			continue
 		}
-		total += 1 - (v-l)/(h-l)
+		d, w := v-l, h-l
+		if math.IsInf(w, 0) {
+			// The span overflows a float64. Halving both sides keeps
+			// the ratio (exactly, for normal floats) and the span finite.
+			d, w = v/2-l/2, h/2-l/2
+		}
+		total += 1 - d/w
 	}
 	if n == 0 {
 		return 0.5 // no preference data available

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -15,8 +16,8 @@ import (
 // are served at /events.json, and feed the flight recorder, so the last
 // conversations before a crash are on disk.
 
-// Conversation outcomes. Everything that is not OutcomeOK is always
-// tail-kept by the tracer.
+// Conversation outcomes. The event is emitted whatever the outcome and
+// whatever the trace's head-sampling verdict.
 const (
 	OutcomeOK          = "ok"
 	OutcomeTimeout     = "timeout"
@@ -69,6 +70,9 @@ func NewEvent(node string, trace uint64, from, to, ontology string, start time.T
 	}
 }
 
+// String renders a phase as name=ms, as Monitor.Timeline prints it.
+func (p Phase) String() string { return fmt.Sprintf("%s=%.3fms", p.Name, p.Ms) }
+
 // AddPhase appends one latency-breakdown slice.
 func (e *Event) AddPhase(name string, d time.Duration) {
 	e.Phases = append(e.Phases, Phase{Name: name, Ms: float64(d) / float64(time.Millisecond)})
@@ -90,9 +94,6 @@ func (e *Event) Finish(outcome string, end time.Time) {
 		e.Ms = float64(end.Sub(e.Start)) / float64(time.Millisecond)
 	}
 }
-
-// Failed reports whether the conversation ended in anything but OK.
-func (e *Event) Failed() bool { return e.Outcome != "" && e.Outcome != OutcomeOK }
 
 // EventLog is a bounded ring of wide events. A nil *EventLog is a valid
 // no-op sink, mirroring Tracer.

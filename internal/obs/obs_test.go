@@ -200,8 +200,8 @@ func TestTracerRingAndTimeline(t *testing.T) {
 		tr.Record(Span{Trace: id, Seq: uint64(i), Time: base.Add(time.Duration(i) * time.Millisecond),
 			Node: "n", Kind: SpanSend, From: "a", To: "b"})
 	}
-	if tr.Total() != 6 {
-		t.Fatalf("total = %d", tr.Total())
+	if tr.SampledTotal() != 6 {
+		t.Fatalf("sampled = %d", tr.SampledTotal())
 	}
 	spans := tr.Spans()
 	if len(spans) != 4 {
@@ -216,7 +216,7 @@ func TestTracerRingAndTimeline(t *testing.T) {
 	}
 	var nilT *Tracer
 	nilT.Record(Span{}) // must not panic
-	if nilT.Total() != 0 || len(nilT.Spans()) != 0 {
+	if nilT.SampledTotal() != 0 || len(nilT.Spans()) != 0 {
 		t.Fatal("nil tracer should be empty")
 	}
 }

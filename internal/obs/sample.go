@@ -6,17 +6,18 @@ import "math"
 // everything silently or taxes every envelope on the hot path. The
 // sampler makes the trade explicit: a deterministic head decision per
 // TraceID (every node keeps or drops the *same* traces, so cross-node
-// stitching still works without coordination), plus a tail-keep escape
-// hatch — error, shed, breaker-open, and p99-slow traces are always
-// retained, promoted out of a short recent-span buffer after the fact.
-// The sampled/dropped ledger means loss is never silent: the counters
-// say exactly how many spans each decision cost.
+// stitching still works without coordination), made once, when a span
+// is recorded. Only a drop span is kept whatever the verdict. A failed
+// conversation on an unsampled trace is explained by its wide event,
+// which is emitted whatever the verdict. The sampled/dropped ledger
+// means loss is never silent: the counters say exactly how many spans
+// each decision cost.
 
 // Sampler is a deterministic head sampler keyed on TraceID. The zero
-// rate (SamplerOff) disables span capture entirely — not even the
-// tail-keep buffer is fed — which is the baseline the overhead
-// benchmark compares against. A nil *Sampler means "no sampling":
-// every span is captured (the pre-sampling v1 behavior).
+// rate (SamplerOff) disables span capture entirely — not even drop
+// spans are kept — which is the baseline the overhead benchmark
+// compares against. A nil *Sampler means "no sampling": every span is
+// captured (the pre-sampling v1 behavior).
 type Sampler struct {
 	rate      float64
 	threshold uint64
@@ -43,7 +44,7 @@ func NewSampler(rate float64) *Sampler {
 
 // SamplerOff captures nothing: the cheapest possible Record path, used
 // as the overhead-benchmark baseline and as the "black out tracing"
-// switch. Tail-keep does not apply — off is off.
+// switch. Off is off: drop spans are not kept either.
 var SamplerOff = NewSampler(0)
 
 // Off reports whether the sampler blacks out capture entirely.

@@ -88,10 +88,10 @@ func TestTracerHeadSamplingLedger(t *testing.T) {
 	if got := tr.SampledTotal(); got != 1 {
 		t.Fatalf("sampled = %d, want 1", got)
 	}
-	// The head-dropped span is in limbo (buffered, promotable): it is
-	// not yet counted dropped, because its loss is not yet irrevocable.
-	if got := tr.DroppedTotal(); got != 0 {
-		t.Fatalf("dropped = %d, want 0 (buffered spans are not lost yet)", got)
+	// The head decision is final: the unsampled span is counted dropped
+	// the moment it is recorded.
+	if got := tr.DroppedTotal(); got != 1 {
+		t.Fatalf("dropped = %d, want 1", got)
 	}
 	if got := len(tr.Trace(in)); got != 1 {
 		t.Fatalf("sampled trace has %d spans in ring, want 1", got)
@@ -102,96 +102,87 @@ func TestTracerHeadSamplingLedger(t *testing.T) {
 	if v := reg.Counter("trace_sampled_total").Value(); v != 1 {
 		t.Fatalf("trace_sampled_total = %g, want 1", v)
 	}
+	if v := reg.Counter("trace_dropped_total").Value(); v != 1 {
+		t.Fatalf("trace_dropped_total = %g, want 1", v)
+	}
 }
 
-func TestTracerTailKeepPromotesBufferedSpans(t *testing.T) {
+// TestTracerUnsampledTraceKeepsOnlyItsDropSpan: a dead-lettered envelope
+// is always kept, but it does not bring back the hops its unsampled
+// trace recorded before it.
+func TestTracerUnsampledTraceKeepsOnlyItsDropSpan(t *testing.T) {
 	smp := NewSampler(0.5)
 	_, out := pickTraces(t, smp)
 	tr := NewTracer(64)
 	tr.SetSampler(smp)
-	var recorded []Span
-	tr.SetOnRecord(func(s Span) { recorded = append(recorded, s) })
+	var hooked []Span
+	tr.SetOnRecord(func(s Span) { hooked = append(hooked, s) })
 	t0 := time.Now()
 
 	tr.Record(span(out, SpanSend, t0))
 	tr.Record(span(out, SpanRoute, t0.Add(time.Millisecond)))
-	if len(tr.Trace(out)) != 0 || len(recorded) != 0 {
-		t.Fatal("head-dropped spans must not reach the ring or the hook yet")
+	tr.Record(span(out, SpanDrop, t0.Add(2*time.Millisecond)))
+	got := tr.Trace(out)
+	if len(got) != 1 || got[0].Kind != SpanDrop {
+		t.Fatalf("unsampled trace kept %d spans, want only its drop span", len(got))
+	}
+	if len(hooked) != 1 || hooked[0].Kind != SpanDrop {
+		t.Fatalf("OnRecord saw %d spans, want the drop span alone", len(hooked))
+	}
+	if tr.SampledTotal() != 1 || tr.DroppedTotal() != 2 {
+		t.Fatalf("ledger sampled=%d dropped=%d, want 1/2", tr.SampledTotal(), tr.DroppedTotal())
 	}
 
-	// Tail-keep: the conversation turned out to matter. Its buffered
-	// spans promote in order and future spans are admitted.
-	tr.KeepTrace(out)
-	tr.Record(span(out, SpanDeliver, t0.Add(2*time.Millisecond)))
-	got := tr.Trace(out)
-	if len(got) != 3 {
-		t.Fatalf("tail-kept trace has %d spans, want 3 (2 promoted + 1 live)", len(got))
-	}
-	if got[0].Kind != SpanSend || got[1].Kind != SpanRoute || got[2].Kind != SpanDeliver {
-		t.Fatalf("span order after promotion: %v %v %v", got[0].Kind, got[1].Kind, got[2].Kind)
-	}
-	if len(recorded) != 3 {
-		t.Fatalf("OnRecord saw %d spans, want 3 (promotions fire it too)", len(recorded))
-	}
-	if tr.SampledTotal() != 3 || tr.DroppedTotal() != 0 {
-		t.Fatalf("ledger sampled=%d dropped=%d, want 3/0", tr.SampledTotal(), tr.DroppedTotal())
-	}
-	// Idempotent: keeping again must not re-promote the tombstoned spans.
-	tr.KeepTrace(out)
-	if got := len(tr.Trace(out)); got != 3 {
-		t.Fatalf("re-keep duplicated spans: %d", got)
+	// Off is off: not even a drop span is kept.
+	off := NewTracer(8)
+	off.SetSampler(SamplerOff)
+	off.Record(span(out, SpanDrop, t0))
+	if off.SampledTotal() != 0 || off.DroppedTotal() != 1 || len(off.Spans()) != 0 {
+		t.Fatalf("off mode: sampled=%d dropped=%d spans=%d, want 0/1/0",
+			off.SampledTotal(), off.DroppedTotal(), len(off.Spans()))
 	}
 }
 
-// TestTracerKeepSurvivesOneRotation: a kept trace stays admitted while
-// its generation is the previous one and is forgotten after a second
-// rotation — through the kept-set filter, which is rebuilt each time.
-func TestTracerKeepSurvivesOneRotation(t *testing.T) {
-	smp := NewSampler(0.01)
-	var ids []uint64
-	for id := uint64(1); len(ids) < 9; id++ {
-		if !smp.Sampled(id) {
-			ids = append(ids, id)
+// TestTracerLedgerLaw holds the sampler's conservation law under
+// concurrent recorders: every Record call is counted exactly once, as
+// sampled or dropped, and every sampled span is either in the ring or
+// counted evicted.
+func TestTracerLedgerLaw(t *testing.T) {
+	const recorders, perRecorder, capacity = 8, 500, 256
+	for _, smp := range []*Sampler{NewSampler(1), NewSampler(0.5), SamplerOff} {
+		tr := NewTracer(capacity)
+		tr.SetSampler(smp)
+		reg := NewRegistry()
+		tr.AttachMetrics(reg)
+		var wg sync.WaitGroup
+		for g := 0; g < recorders; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perRecorder; i++ {
+					kind := SpanSend
+					if i%10 == 9 {
+						kind = SpanDrop
+					}
+					tr.Record(span(uint64(g*perRecorder+i+1), kind, time.Time{}))
+				}
+			}(g)
 		}
-	}
-	tr := NewTracer(64)
-	tr.SetSampler(smp)
-	tr.keepCap = 4
-	admitted := func(id uint64) bool {
-		before := tr.SampledTotal()
-		tr.Record(span(id, SpanDeliver, time.Now()))
-		return tr.SampledTotal() > before
-	}
-	tr.KeepTrace(ids[0])
-	for _, id := range ids[1:5] { // fills the generation, then rotates it out
-		tr.KeepTrace(id)
-	}
-	if !admitted(ids[0]) || !admitted(ids[4]) {
-		t.Fatal("traces kept in the current or previous generation must be admitted")
-	}
-	for _, id := range ids[5:9] { // a second rotation drops ids[0]'s generation
-		tr.KeepTrace(id)
-	}
-	if admitted(ids[0]) || !admitted(ids[8]) {
-		t.Fatal("a trace two generations old must age out; the newest must stay")
-	}
-}
-
-func TestTracerDropSpanAutoKeeps(t *testing.T) {
-	smp := NewSampler(0.5)
-	_, out := pickTraces(t, smp)
-	tr := NewTracer(64)
-	tr.SetSampler(smp)
-	t0 := time.Now()
-
-	tr.Record(span(out, SpanSend, t0))
-	// A dead-letter is exactly the trace worth keeping: the drop span
-	// must promote the buffered history and admit itself, no KeepTrace
-	// call needed at the drop site.
-	tr.Record(span(out, SpanDrop, t0.Add(time.Millisecond)))
-	got := tr.Trace(out)
-	if len(got) != 2 || got[1].Kind != SpanDrop {
-		t.Fatalf("drop span did not auto-keep: %d spans", len(got))
+		wg.Wait()
+		sampled, dropped, evicted := tr.SampledTotal(), tr.DroppedTotal(), tr.Evicted()
+		if sampled+dropped != recorders*perRecorder {
+			t.Errorf("rate %g: sampled %d + dropped %d != %d records",
+				smp.rate, sampled, dropped, recorders*perRecorder)
+		}
+		if want := uint64(max(0, int(sampled)-capacity)); evicted != want {
+			t.Errorf("rate %g: evicted %d, want %d", smp.rate, evicted, want)
+		}
+		if got := uint64(len(tr.Spans())); got != sampled-evicted {
+			t.Errorf("rate %g: ring holds %d spans, want sampled-evicted = %d", smp.rate, got, sampled-evicted)
+		}
+		if v := reg.Counter("trace_sampled_total").Value() + reg.Counter("trace_dropped_total").Value(); v != recorders*perRecorder {
+			t.Errorf("rate %g: mirrored counters sum to %g", smp.rate, v)
+		}
 	}
 }
 
@@ -202,34 +193,23 @@ func TestTracerLedgerCountsIrrevocableLoss(t *testing.T) {
 	tr.SetSampler(smp)
 	t0 := time.Now()
 
-	// Overflow the recent side buffer with unsampled spans: every
-	// overwrite is one span whose loss became irrevocable.
-	for i := 0; i < recentCap+10; i++ {
+	// Nothing waits for a later verdict: every unsampled span is lost,
+	// and counted, when it is recorded.
+	for i := 0; i < 600; i++ {
 		tr.Record(span(out, SpanSend, t0))
 	}
-	if got := tr.DroppedTotal(); got != 10 {
-		t.Fatalf("dropped = %d, want 10 (buffer overwrites only)", got)
+	if got := tr.DroppedTotal(); got != 600 {
+		t.Fatalf("dropped = %d, want 600", got)
 	}
 
-	// Off mode: count-and-return, nothing retained, KeepTrace no-op.
+	// Ring eviction: keep more than capacity with full capture.
 	tr2 := NewTracer(8)
-	tr2.SetSampler(SamplerOff)
-	tr2.Record(span(out, SpanSend, t0))
-	tr2.KeepTrace(out)
-	tr2.Record(span(out, SpanSend, t0))
-	if tr2.SampledTotal() != 0 || tr2.DroppedTotal() != 2 || tr2.Total() != 0 {
-		t.Fatalf("off mode: sampled=%d dropped=%d total=%d, want 0/2/0",
-			tr2.SampledTotal(), tr2.DroppedTotal(), tr2.Total())
-	}
-
-	// Ring eviction: admit more than capacity with full capture.
-	tr3 := NewTracer(8)
 	reg := NewRegistry()
-	tr3.AttachMetrics(reg)
+	tr2.AttachMetrics(reg)
 	for i := 0; i < 11; i++ {
-		tr3.Record(span(uint64(i+1), SpanSend, t0))
+		tr2.Record(span(uint64(i+1), SpanSend, t0))
 	}
-	if got := tr3.Evicted(); got != 3 {
+	if got := tr2.Evicted(); got != 3 {
 		t.Fatalf("evicted = %d, want 3", got)
 	}
 	if v := reg.Counter("trace_evicted_total").Value(); v != 3 {
@@ -305,8 +285,8 @@ func TestWideEventLifecycle(t *testing.T) {
 	ev.SetAttr("k", "v")
 	ev.Retries = 1
 	ev.Finish(OutcomeTimeout, t0.Add(10*time.Millisecond))
-	if !ev.Failed() {
-		t.Fatal("timeout outcome must count as failed")
+	if ev.Outcome != OutcomeTimeout || ev.End != t0.Add(10*time.Millisecond) {
+		t.Fatalf("outcome %q ending %v, want the timeout stamped at +10ms", ev.Outcome, ev.End)
 	}
 	if ev.Ms < 9.9 || ev.Ms > 10.1 {
 		t.Fatalf("Ms = %g, want ~10", ev.Ms)
@@ -317,10 +297,11 @@ func TestWideEventLifecycle(t *testing.T) {
 	if ev.Attrs["k"] != "v" {
 		t.Fatalf("attrs = %v", ev.Attrs)
 	}
-	ok := NewEvent("node", 43, "a", "b", "ont", t0)
-	ok.Finish(OutcomeOK, t0.Add(time.Millisecond))
-	if ok.Failed() {
-		t.Fatal("ok outcome must not count as failed")
+	// An end before the start stamps no duration.
+	early := NewEvent("node", 43, "a", "b", "ont", t0)
+	early.Finish(OutcomeOK, t0.Add(-time.Millisecond))
+	if early.Ms != 0 || early.Outcome != OutcomeOK {
+		t.Fatalf("early finish: Ms=%g outcome=%q, want 0 and ok", early.Ms, early.Outcome)
 	}
 }
 

@@ -47,46 +47,30 @@ type Span struct {
 	Note  string    `json:"note,omitempty"`
 }
 
-// Tracer is a bounded ring of spans with optional head sampling and
-// tail-keep. Recording is cheap (one mutexed append on the sampled
-// path, a pair of atomic adds on the blacked-out path); the ring keeps
-// the most recent retained spans and evicts the oldest, counting every
-// eviction. A nil *Tracer is a valid no-op sink.
+// Tracer is a bounded ring of spans with optional head sampling.
+// Recording is cheap: one mutexed append for a kept span, a pair of
+// atomic adds for one the sampler passes over, with no clock read and
+// no lock. The ring keeps the most recent kept spans and evicts the
+// oldest, counting every eviction. A nil *Tracer is a valid no-op sink.
 //
 // With no sampler (SetSampler never called, or called with nil) every
-// span is retained — the original full-capture behavior. With a
-// sampler, the deterministic head decision (see Sampler) routes each
-// span either into the ring or into a short "recent" side buffer.
-// KeepTrace promotes a trace after the fact: its buffered spans move
-// into the ring in order and all its future spans are retained, which
-// is how error, shed, breaker-open, and p99-slow conversations survive
-// a 1% sampling rate. Drop spans trigger the promotion automatically.
+// span is kept, the original full-capture behavior. With a sampler, a
+// span is kept if and only if its trace is head-sampled (see Sampler)
+// or it is a drop span: a dead-lettered envelope is always kept, unless
+// the sampler is SamplerOff. What a failed, unsampled conversation
+// leaves behind is its wide event (EventLog), which is always emitted.
 //
-// The ledger is exact and loss is never silent:
+// The ledger is exact and loss is never silent; every Record call
+// counts once as sampled or dropped:
 //
-//	trace_sampled_total — spans retained in the ring (head or tail keep)
-//	trace_dropped_total — spans whose loss became irrevocable (evicted
-//	                      from the recent buffer unpromoted, or recorded
-//	                      while the sampler was off)
-//	trace_evicted_total — retained spans later overwritten by ring wrap
+//	trace_sampled_total — spans kept in the ring
+//	trace_dropped_total — spans the sampler passed over
+//	trace_evicted_total — kept spans later overwritten by ring wrap
 type Tracer struct {
-	mu    sync.Mutex
-	ring  []Span
-	next  int
-	full  bool
-	total uint64
-
-	// Tail-keep machinery, all guarded by mu.
-	recent  []Span // head-dropped spans, promotion candidates
-	rnext   int
-	rfull   bool
-	keep    map[uint64]struct{} // tail-kept traces (current generation)
-	keepOld map[uint64]struct{} // previous generation (approximate age-out)
-	keepCap int
-	// keepBits has bit id%(64·keepWords) set for every id in keep and
-	// keepOld, so the common miss — an unsampled span of an unkept
-	// trace — costs one load instead of two map lookups.
-	keepBits [keepWords]uint64
+	mu   sync.Mutex
+	ring []Span
+	next int
+	full bool
 
 	sampler atomic.Pointer[Sampler]
 
@@ -102,25 +86,13 @@ type Tracer struct {
 	onRecord atomic.Value // func(Span)
 }
 
-// recentCap sizes the tail-keep side buffer: it only needs to cover the
-// spans of conversations still in flight, not history.
-const recentCap = 512
-
-// keepGenCap bounds the tail-keep set per generation; two generations
-// are live at once, so at most 2×keepGenCap traces are pinned.
-const keepGenCap = 1024
-
-// keepWords sizes the kept-set filter: 32 768 bits for at most 2 048
-// pinned traces.
-const keepWords = 512
-
 // NewTracer returns a tracer retaining up to capacity spans
 // (default 4096 when capacity <= 0).
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Tracer{ring: make([]Span, capacity), keepCap: keepGenCap}
+	return &Tracer{ring: make([]Span, capacity)}
 }
 
 // SetSampler installs (or with nil, removes) the head sampler. Safe on
@@ -151,8 +123,8 @@ func (t *Tracer) AttachMetrics(reg *Registry) {
 }
 
 // SetOnRecord installs a hook called (outside the tracer lock) for
-// every span retained in the ring — the flight-recorder feed. Promoted
-// spans fire it too, in order. Pass nil to detach.
+// every span kept in the ring — the flight-recorder feed. Pass nil to
+// detach.
 func (t *Tracer) SetOnRecord(fn func(Span)) {
 	if t == nil {
 		return
@@ -164,17 +136,7 @@ func (t *Tracer) SetOnRecord(fn func(Span)) {
 	t.onRecord.Store(fn)
 }
 
-func (t *Tracer) fireOnRecord(spans ...Span) {
-	fn, _ := t.onRecord.Load().(func(Span))
-	if fn == nil {
-		return
-	}
-	for _, s := range spans {
-		fn(s)
-	}
-}
-
-// SampledTotal reports spans retained in the ring since start.
+// SampledTotal reports spans kept in the ring since start.
 func (t *Tracer) SampledTotal() uint64 {
 	if t == nil {
 		return 0
@@ -182,7 +144,7 @@ func (t *Tracer) SampledTotal() uint64 {
 	return t.sampled.Load()
 }
 
-// DroppedTotal reports spans irrevocably lost to sampling since start.
+// DroppedTotal reports spans the sampler passed over since start.
 func (t *Tracer) DroppedTotal() uint64 {
 	if t == nil {
 		return 0
@@ -190,7 +152,7 @@ func (t *Tracer) DroppedTotal() uint64 {
 	return t.dropped.Load()
 }
 
-// Evicted reports retained spans since overwritten by ring wrap — the
+// Evicted reports kept spans since overwritten by ring wrap — the
 // "full-capture loss" that used to be silent.
 func (t *Tracer) Evicted() uint64 {
 	if t == nil {
@@ -199,15 +161,15 @@ func (t *Tracer) Evicted() uint64 {
 	return t.evicted.Load()
 }
 
-// Record appends a span, applying the sampling policy. Safe on nil.
+// Record keeps a span if its trace is head-sampled or it is a drop span
+// (never under SamplerOff), and counts it dropped otherwise. The
+// decision comes before the clock read and the lock. Safe on nil.
 func (t *Tracer) Record(s Span) {
 	if t == nil {
 		return
 	}
 	smp := t.sampler.Load()
-	if smp.Off() {
-		// Blacked out: count the loss and get off the hot path without
-		// touching the clock or the lock.
+	if !smp.Sampled(s.Trace) && (s.Kind != SpanDrop || smp.Off()) {
 		t.dropped.Add(1)
 		t.cDropped.Load().Add(1)
 		return
@@ -216,161 +178,22 @@ func (t *Tracer) Record(s Span) {
 		s.Time = time.Now()
 	}
 	t.mu.Lock()
-	admit := smp.Sampled(s.Trace) || t.keptLocked(s.Trace)
-	if !admit && s.Kind == SpanDrop {
-		// A dead-lettered envelope is exactly the trace worth keeping:
-		// promote everything buffered for it, then admit this span.
-		t.keepLocked(s.Trace)
-		promoted := t.promoteLocked(s.Trace)
-		t.appendLocked(s)
-		t.mu.Unlock()
-		t.fireOnRecord(promoted...)
-		t.fireOnRecord(s)
-		return
-	}
-	if admit {
-		t.appendLocked(s)
-		t.mu.Unlock()
-		t.fireOnRecord(s)
-		return
-	}
-	t.bufferLocked(s)
-	t.mu.Unlock()
-}
-
-// KeepTrace pins a trace: its buffered recent spans are promoted into
-// the ring and all its future spans are retained regardless of the head
-// decision. This is the tail-keep entry point for error, shed,
-// breaker-open, and p99-slow conversations. Safe on nil; a no-op for
-// trace 0, with no sampler (everything is kept already), or when
-// sampling is off.
-func (t *Tracer) KeepTrace(id uint64) {
-	if t == nil || id == 0 {
-		return
-	}
-	smp := t.sampler.Load()
-	if smp == nil || smp.Off() {
-		return
-	}
-	t.mu.Lock()
-	if smp.Sampled(id) || t.keptLocked(id) {
-		t.mu.Unlock()
-		return
-	}
-	t.keepLocked(id)
-	promoted := t.promoteLocked(id)
-	t.mu.Unlock()
-	t.fireOnRecord(promoted...)
-}
-
-// appendLocked retains s in the main ring. Caller holds mu.
-func (t *Tracer) appendLocked(s Span) {
 	if t.full {
 		t.evicted.Add(1)
 		t.cEvicted.Load().Add(1)
 	}
 	t.ring[t.next] = s
 	t.next++
-	t.total++
 	if t.next == len(t.ring) {
 		t.next = 0
 		t.full = true
 	}
 	t.sampled.Add(1)
 	t.cSampled.Load().Add(1)
-}
-
-// bufferLocked parks a head-dropped span in the recent side buffer; the
-// span it overwrites (if any) is now irrevocably lost and counted.
-// Caller holds mu.
-func (t *Tracer) bufferLocked(s Span) {
-	if t.recent == nil {
-		t.recent = make([]Span, recentCap)
+	t.mu.Unlock()
+	if fn, _ := t.onRecord.Load().(func(Span)); fn != nil {
+		fn(s)
 	}
-	if t.rfull {
-		t.dropped.Add(1)
-		t.cDropped.Load().Add(1)
-	}
-	t.recent[t.rnext] = s
-	t.rnext++
-	if t.rnext == len(t.recent) {
-		t.rnext = 0
-		t.rfull = true
-	}
-}
-
-// keptLocked reports whether id is tail-kept. Caller holds mu.
-func (t *Tracer) keptLocked(id uint64) bool {
-	if t.keepBits[id/64%keepWords]&(1<<(id%64)) == 0 {
-		return false
-	}
-	if _, ok := t.keep[id]; ok {
-		return true
-	}
-	_, ok := t.keepOld[id]
-	return ok
-}
-
-// keepLocked marks id tail-kept, rotating generations when the current
-// one fills (approximate age-out with bounded memory). Caller holds mu.
-func (t *Tracer) keepLocked(id uint64) {
-	if t.keep == nil {
-		t.keep = make(map[uint64]struct{}, 64)
-	}
-	if t.keepCap <= 0 {
-		t.keepCap = keepGenCap
-	}
-	if len(t.keep) >= t.keepCap {
-		t.keepOld = t.keep
-		t.keep = make(map[uint64]struct{}, 64)
-		clear(t.keepBits[:])
-		for old := range t.keepOld {
-			t.keepBits[old/64%keepWords] |= 1 << (old % 64)
-		}
-	}
-	t.keep[id] = struct{}{}
-	t.keepBits[id/64%keepWords] |= 1 << (id % 64)
-}
-
-// promoteLocked moves id's spans from the recent buffer into the ring,
-// oldest first, returning them for the OnRecord hook. Caller holds mu.
-func (t *Tracer) promoteLocked(id uint64) []Span {
-	if t.recent == nil {
-		return nil
-	}
-	n := len(t.recent)
-	if !t.rfull {
-		n = t.rnext
-	}
-	var promoted []Span
-	scan := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if t.recent[i].Trace != id {
-				continue
-			}
-			t.appendLocked(t.recent[i])
-			promoted = append(promoted, t.recent[i])
-			t.recent[i].Trace = 0 // tombstone; never promote twice
-		}
-	}
-	if t.rfull {
-		scan(t.rnext, len(t.recent))
-		scan(0, t.rnext)
-	} else {
-		scan(0, n)
-	}
-	return promoted
-}
-
-// Total reports how many spans have ever been retained in the ring
-// (including those already evicted from it).
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 // Spans returns the retained spans, oldest first.

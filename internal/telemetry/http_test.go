@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -118,4 +120,56 @@ func TestReporterIdentity(t *testing.T) {
 		t.Fatalf("reporter id = %q (must be fleet-unique)", rep.id)
 	}
 	waitFor(t, "announce report", func() bool { return rep.Seq() >= 1 })
+}
+
+// TestTraceShowsFailedUnsampledConversation: a conversation that times out
+// on a node sampling 1% of traces keeps no spans, but GET /trace?id= on
+// the monitor still explains it, from the wide event the node reported.
+func TestTraceShowsFailedUnsampledConversation(t *testing.T) {
+	p := agent.NewPlatform("node-1")
+	defer p.Close()
+	smp := obs.NewSampler(0.01)
+	p.Tracer = obs.NewTracer(64)
+	p.Tracer.SetSampler(smp)
+	p.Events = obs.NewEventLog(64)
+	mon, err := RegisterMonitor(p, MonitorOptions{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	silent := agent.HandlerFunc(func(agent.Envelope, *agent.Context) {}) // never replies
+	if err := p.Register("silent", silent, agent.Attributes{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	policy := agent.RetryPolicy{MaxAttempts: 2, AttemptTimeout: 10 * time.Millisecond, BaseDelay: time.Millisecond}
+	if _, err := agent.CallRetry(p, "silent", "request", "ping", nil, time.Second, policy); !errors.Is(err, agent.ErrCallTimeout) {
+		t.Fatalf("CallRetry to a silent agent = %v, want a timeout", err)
+	}
+	var trace uint64
+	for _, ev := range p.Events.Events() {
+		if ev.To == "silent" {
+			trace = ev.Trace
+		}
+	}
+	if trace == 0 {
+		t.Fatal("the timed-out conversation emitted no wide event")
+	}
+	rep, err := StartReporter(p, ReporterOptions{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	waitFor(t, "the event at the monitor", func() bool { return len(mon.Events().Events()) > 0 })
+
+	rec := httptest.NewRecorder()
+	Handler(mon).ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/trace?id=%016x", trace), nil))
+	body := rec.Body.String()
+	for _, want := range []string{"event [node-1]", "-> silent", " timeout ", "retries=1", "attempt-1=", "attempt-2="} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/trace?id=%016x lacks %q:\n%s", trace, want, body)
+		}
+	}
+	if !smp.Sampled(trace) && !strings.Contains(body, "(0 spans)") {
+		t.Fatalf("an unsampled trace kept spans:\n%s", body)
+	}
 }

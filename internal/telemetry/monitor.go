@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -494,8 +496,24 @@ func (m *Monitor) Tracer() *obs.Tracer { return m.tracer }
 // with the reported ones, and mount it at /events.json.
 func (m *Monitor) Events() *obs.EventLog { return m.events }
 
-// Timeline renders one stitched cross-node trace.
-func (m *Monitor) Timeline(traceID uint64) string { return m.tracer.Timeline(traceID) }
+// Timeline renders one stitched cross-node trace, then the wide events
+// reported under it (a failed, unsampled conversation has only these).
+func (m *Monitor) Timeline(traceID uint64) string {
+	var b strings.Builder
+	b.WriteString(m.tracer.Timeline(traceID))
+	for _, ev := range m.events.Events() {
+		if ev.Trace != traceID {
+			continue
+		}
+		fmt.Fprintf(&b, "  event [%s]  %s -> %s  %s  %.3fms  retries=%d sheds=%d hops=%d  %v",
+			ev.Node, ev.From, ev.To, ev.Outcome, ev.Ms, ev.Retries, ev.Sheds, ev.Hops, ev.Phases)
+		if ev.Err != "" {
+			fmt.Fprintf(&b, "  err=%s", ev.Err)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
 
 // Close deregisters the monitor agent.
 func (m *Monitor) Close() { m.platform.Deregister(MonitorID) }

@@ -141,7 +141,7 @@ func (r *Reporter) newSpans(prevTotal uint64) ([]obs.Span, uint64) {
 	if tr == nil {
 		return nil, 0
 	}
-	total := tr.Total()
+	total := tr.SampledTotal()
 	fresh := total - prevTotal
 	if fresh == 0 {
 		return nil, total
