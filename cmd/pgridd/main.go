@@ -173,8 +173,9 @@ func main() {
 
 	// Telemetry plane. With -monitor this daemon is the fleet aggregator:
 	// it hosts the monitor agent (remote nodes report in over the same
-	// envelope gateway queries use) and the probe echo responder, and its
-	// own local hops feed the stitched trace ring.
+	// envelope gateway queries use) and the probe echo responder. Its own
+	// hops reach the stitched trace ring the way its events reach the
+	// fleet ring: through the self-reporter below.
 	var mon *telemetry.Monitor
 	if *monitorOn {
 		// The monitor shares the platform's breaker set: a node the
@@ -188,25 +189,20 @@ func main() {
 			log.Fatalf("pgridd: monitor: %v", err)
 		}
 		mon = m
-		platform.Tracer = mon.Tracer()
 		if err := telemetry.RegisterEcho(platform); err != nil {
 			log.Fatalf("pgridd: echo: %v", err)
 		}
 	}
 
-	// Observability pipeline. Every node records spans through a
-	// head-sampled tracer (the monitor's aggregate tracer stays
-	// unsampled: remote spans arriving in reports already survived
+	// Observability pipeline. Every node, the monitor host included,
+	// records spans through a head-sampled tracer (the monitor's
+	// aggregate ring stays unsampled: reported spans already survived
 	// sampling at their source) and emits one wide event per
 	// conversation. With -data-dir both feed the flight recorder — a
 	// WAL-journaled black box that survives kill -9 and is read back
 	// with -flight-dump.
-	if platform.Tracer == nil {
-		platform.Tracer = obs.NewTracer(4096)
-		platform.Tracer.SetSampler(obs.NewSampler(*traceSample))
-	} else if *traceSample != 1 {
-		log.Printf("pgridd: -trace-sample ignored with -monitor (the aggregator keeps every reported span)")
-	}
+	platform.Tracer = obs.NewTracer(4096)
+	platform.Tracer.SetSampler(obs.NewSampler(*traceSample))
 	platform.Tracer.AttachMetrics(rt.Metrics)
 	platform.Events = obs.NewEventLog(4096)
 	platform.Events.AttachMetrics(rt.Metrics)
@@ -433,8 +429,8 @@ func main() {
 	}
 
 	st := platform.DeliveryStats()
-	fmt.Printf("pgridd: shutting down (delivered=%d dropped=%d shed=%d retries=%d dead-letters=%d",
-		st.Delivered, st.Dropped, st.Shed, st.Retries, st.DeadLettered)
+	fmt.Printf("pgridd: shutting down (delivered=%d shed=%d retries=%d dead-letters=%d",
+		st.Delivered, st.Shed, st.Retries, st.DeadLettered)
 	if sv := platform.SupervisionStats(); sv.Panics > 0 || sv.Restarts > 0 {
 		fmt.Printf(" agent-panics=%d restarts=%d give-ups=%d", sv.Panics, sv.Restarts, sv.GiveUps)
 	}

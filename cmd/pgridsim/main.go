@@ -142,7 +142,7 @@ func runFleetDemo(n, seconds, kill int, addr string) error {
 		}
 	}
 	st := fleet.Platform.DeliveryStats()
-	fmt.Printf("fleet: done (monitor delivered=%d dropped=%d dead-letters=%d)\n",
-		st.Delivered, st.Dropped, st.DeadLettered)
+	fmt.Printf("fleet: done (monitor delivered=%d dead-letters=%d)\n",
+		st.Delivered, st.DeadLettered)
 	return nil
 }

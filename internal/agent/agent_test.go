@@ -110,8 +110,8 @@ func TestPlatformUnknownDestination(t *testing.T) {
 	if err := p.Send(env); !errors.Is(err, ErrUnknownAgent) {
 		t.Fatalf("err = %v, want ErrUnknownAgent", err)
 	}
-	if st := p.DeliveryStats(); st.Dropped != 1 {
-		t.Fatalf("dropped = %d", st.Dropped)
+	if st := p.DeliveryStats(); st.DeadLettered != 1 {
+		t.Fatalf("dead-lettered = %d", st.DeadLettered)
 	}
 }
 

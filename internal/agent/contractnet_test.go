@@ -86,7 +86,7 @@ func TestContractNetWiderThanAMailbox(t *testing.T) {
 	if want := contractors[n/2]; res.Winner != want || res.Cost != 10 || res.Proposals != n {
 		t.Fatalf("result = %+v, want %s@10 from %d proposals", res, want, n)
 	}
-	if st := p.DeliveryStats(); st.Shed != 0 || st.Dropped != 0 {
+	if st := p.DeliveryStats(); st.Shed != 0 || st.DeadLettered != 0 {
 		t.Fatalf("a bid was shed or dropped: %+v", st)
 	}
 }

@@ -306,7 +306,7 @@ func TestConcurrentCallsSurviveLateReplies(t *testing.T) {
 	if st.Reasons[DropNoRoute] == 0 {
 		t.Errorf("no late reply found its conversation closed: %+v", st)
 	}
-	if st.Dropped != st.Reasons[DropNoRoute]+st.Reasons[DropMailboxFull] || st.Shed != st.Reasons[DropMailboxFull] {
+	if st.DeadLettered != st.Reasons[DropNoRoute]+st.Reasons[DropMailboxFull] || st.Shed != st.Reasons[DropMailboxFull] {
 		t.Errorf("a late reply was lost some other way: %+v", st)
 	}
 }

@@ -268,8 +268,13 @@ func (p *Platform) shed(env Envelope, reason DropReason) {
 	p.deadLetter(env, reason)
 }
 
-// noteShed bumps the shed-load accounting.
+// noteShed bumps the shed-load accounting, agent_shed_total labelled
+// with the mailbox policy of the platform's first shed.
 func (p *Platform) noteShed() {
-	p.shedded.Add(1)
-	p.metrics.Counter("agent_shed_total", "policy", p.Mailbox.Policy.String()).Inc()
+	c := p.shedded.Load()
+	if c == nil {
+		c = p.metrics.Counter("agent_shed_total", "policy", p.Mailbox.Policy.String())
+		p.shedded.Store(c)
+	}
+	c.Inc()
 }

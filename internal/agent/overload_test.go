@@ -357,8 +357,8 @@ func TestDisconnectionDeputyRefusalIsNotShed(t *testing.T) {
 		t.Fatalf("Shed = %d, want mailbox_full %d + shed_oldest %d",
 			st.Shed, st.Reasons[DropMailboxFull], st.Reasons[DropShedOldest])
 	}
-	if st.Shed != 0 || st.Dropped != 0 {
-		t.Fatalf("Shed = %d, Dropped = %d: a held envelope was lost", st.Shed, st.Dropped)
+	if st.Shed != 0 || st.DeadLettered != 0 {
+		t.Fatalf("Shed = %d, DeadLettered = %d: a held envelope was lost", st.Shed, st.DeadLettered)
 	}
 	release()
 	deadline := time.Now().Add(5 * time.Second)
@@ -478,13 +478,13 @@ func TestSendRetryConsultsBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped := p.DeliveryStats().Dropped
+	dropped := p.DeliveryStats().DeadLettered
 	err = SendRetry(p, env, time.Second, RetryPolicy{MaxAttempts: 3, Seed: 1, Clock: fc})
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("SendRetry err = %v, want ErrCircuitOpen", err)
 	}
 	// The open breaker shed the attempts before they hit the send path.
-	if got := p.DeliveryStats().Dropped; got != dropped {
+	if got := p.DeliveryStats().DeadLettered; got != dropped {
 		t.Fatalf("breaker-suppressed attempts still dropped envelopes: %d -> %d", dropped, got)
 	}
 	if got := p.Metrics().Counter("agent_breaker_rejected_total").Value(); got < 3 {

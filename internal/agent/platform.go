@@ -115,22 +115,25 @@ const DefaultMaxHops = 16
 
 // DeliveryStats is a point-in-time snapshot of a platform's envelope
 // accounting, the paper's "mission control ... evaluating the overall
-// performance" view of the messaging layer.
+// performance" view of the messaging layer. Every field reads the
+// counter behind one metric series (see docs/observability.md).
 type DeliveryStats struct {
-	// Delivered counts envelopes accepted by a deputy or a route.
+	// Delivered counts envelopes accepted by a deputy or a route
+	// (agent_delivered_total).
 	Delivered uint64
-	// Dropped counts terminally undeliverable envelopes.
-	Dropped uint64
-	// Retries counts re-attempted sends (CallRetry / SendRetry).
+	// Retries counts re-attempted sends (CallRetry / SendRetry;
+	// agent_retries_total).
 	Retries uint64
-	// DeadLettered counts envelopes pushed into the dead-letter ring
-	// (equals Dropped; kept separate so the ring can be bounded while
-	// the counter is not).
+	// DeadLettered counts terminally undeliverable envelopes, restored
+	// ones included: the sum of Reasons. The ring that holds them is
+	// bounded; the count is not.
 	DeadLettered uint64
 	// Shed counts envelopes refused or evicted by mailbox overload
-	// control (both rejected-newest and evicted-oldest).
+	// control (both rejected-newest and evicted-oldest;
+	// agent_shed_total).
 	Shed uint64
-	// Reasons breaks Dropped down by drop reason.
+	// Reasons breaks DeadLettered down by drop reason
+	// (agent_dead_letter_total{reason}).
 	Reasons map[DropReason]uint64
 }
 
@@ -216,26 +219,24 @@ type Platform struct {
 	idleMu      sync.Mutex
 	idleCallers []ID
 
-	// delivered counts envelopes successfully handed to a deputy or
-	// accepted by a route; dropped counts undeliverable envelopes;
-	// retries counts re-attempted sends; shedded counts envelopes
-	// refused or evicted by mailbox overload control.
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
-	retries   atomic.Uint64
-	shedded   atomic.Uint64
+	// metrics is always non-nil for platforms built via NewPlatform;
+	// see docs/observability.md for the series catalog. The counts
+	// DeliveryStats reads are its series, resolved once: delivered
+	// and retries and the deliver-latency histogram in NewPlatform,
+	// shedded at the first shed (its label is the Mailbox policy then).
+	metrics   *obs.Registry
+	delivered *obs.Counter   // agent_delivered_total
+	retries   *obs.Counter   // agent_retries_total
+	latency   *obs.Histogram // agent_deliver_latency_seconds
+	shedded   atomic.Pointer[obs.Counter]
 
 	// Dead-letter accounting: a bounded ring of the most recent
-	// undeliverable envelopes plus an unbounded per-reason counter.
-	dlMu    sync.Mutex
-	dlRing  []DeadLetter
-	dlNext  int // next write position once the ring is full
-	dlTotal uint64
-	dlWhy   map[DropReason]uint64
-
-	// metrics is always non-nil for platforms built via NewPlatform;
-	// see docs/observability.md for the series catalog.
-	metrics *obs.Registry
+	// undeliverable envelopes, and an unbounded count per reason
+	// (agent_dead_letter_total{reason}, resolved at its first letter).
+	dlMu   sync.Mutex
+	dlRing []DeadLetter
+	dlNext int // next write position once the ring is full
+	dlWhy  map[DropReason]*obs.Counter
 }
 
 // RouteFunc tries to deliver an envelope to a non-local destination. It
@@ -253,12 +254,16 @@ var ErrTTLExpired = errors.New("agent: envelope hop budget exhausted")
 
 // NewPlatform builds an empty platform.
 func NewPlatform(name string) *Platform {
+	reg := obs.NewRegistry()
 	return &Platform{
-		Name:    name,
-		agents:  map[ID]*registration{},
-		seeds:   map[ID]any{},
-		dlWhy:   map[DropReason]uint64{},
-		metrics: obs.NewRegistry(),
+		Name:      name,
+		agents:    map[ID]*registration{},
+		seeds:     map[ID]any{},
+		dlWhy:     map[DropReason]*obs.Counter{},
+		metrics:   reg,
+		delivered: reg.Counter("agent_delivered_total"),
+		retries:   reg.Counter("agent_retries_total"),
+		latency:   reg.Histogram("agent_deliver_latency_seconds"),
 	}
 }
 
@@ -456,7 +461,7 @@ func (p *Platform) RemoveRoute(id RouteID) bool {
 // first, then gateway routes in order. Undeliverable envelopes land in the
 // dead-letter ring with a drop reason.
 //
-//lint:hot budget=20
+//lint:hot budget=19
 func (p *Platform) Send(env Envelope) error {
 	p.mu.RLock()
 	if p.closed {
@@ -495,9 +500,8 @@ func (p *Platform) Send(env Envelope) error {
 			p.breakerFailure(env.To)
 			return err
 		}
-		p.delivered.Add(1)
-		p.metrics.Histogram("agent_deliver_latency_seconds").
-			Observe(p.clock().Now().Sub(start).Seconds())
+		p.delivered.Inc()
+		p.latency.Observe(p.clock().Now().Sub(start).Seconds())
 		if reg.box != nil { // a conversation inbox has no mailbox to gauge
 			g := reg.depth.Load()
 			if g == nil {
@@ -506,7 +510,6 @@ func (p *Platform) Send(env Envelope) error {
 			}
 			g.Set(float64(reg.box.depth.Load()))
 		}
-		p.metrics.Counter("agent_delivered_total").Inc()
 		p.trace(obs.SpanDeliver, env, "")
 		p.breakerSuccess(env.To)
 		return nil
@@ -516,8 +519,7 @@ func (p *Platform) Send(env Envelope) error {
 		accepted, panicked := safeRoute(r.fn, env)
 		anyPanicked = anyPanicked || panicked
 		if accepted {
-			p.delivered.Add(1)
-			p.metrics.Counter("agent_delivered_total").Inc()
+			p.delivered.Inc()
 			r.delivered.Inc()
 			p.trace(obs.SpanRoute, env, r.note)
 			p.breakerSuccess(env.To)
@@ -537,13 +539,9 @@ func (p *Platform) Send(env Envelope) error {
 // bounded by DefaultDeadLetterCap; once full,
 // the oldest retained letter is evicted and counted.
 func (p *Platform) deadLetter(env Envelope, reason DropReason) {
-	p.dropped.Add(1)
-	p.metrics.Counter("agent_dead_letter_total", "reason", string(reason)).Inc()
 	p.trace(obs.SpanDrop, env, string(reason))
 	dl := DeadLetter{Env: env, Reason: reason}
 	p.dlMu.Lock()
-	p.dlTotal++
-	p.dlWhy[reason]++
 	p.pushDeadLetterLocked(dl)
 	p.dlMu.Unlock()
 	if fn := p.OnDeadLetter; fn != nil {
@@ -551,9 +549,16 @@ func (p *Platform) deadLetter(env Envelope, reason DropReason) {
 	}
 }
 
-// pushDeadLetterLocked appends to the ring, evicting the oldest letter
-// once the ring is at capacity. Caller holds p.dlMu.
+// pushDeadLetterLocked counts the letter under its reason and appends
+// it to the ring, evicting the oldest letter once the ring is at
+// capacity. Caller holds p.dlMu.
 func (p *Platform) pushDeadLetterLocked(dl DeadLetter) {
+	c := p.dlWhy[dl.Reason]
+	if c == nil {
+		c = p.metrics.Counter("agent_dead_letter_total", "reason", string(dl.Reason))
+		p.dlWhy[dl.Reason] = c
+	}
+	c.Inc()
 	if len(p.dlRing) < DefaultDeadLetterCap {
 		p.dlRing = append(p.dlRing, dl)
 		p.metrics.Gauge("agent_dead_letter_depth").Set(float64(len(p.dlRing)))
@@ -566,40 +571,34 @@ func (p *Platform) pushDeadLetterLocked(dl DeadLetter) {
 }
 
 // RestoreDeadLetters refills the ring with letters recovered from
-// durable storage (oldest first), counting them into the per-reason
-// totals but not firing OnDeadLetter — the recovered letters are
-// already journaled. Call before traffic starts.
+// durable storage (oldest first), counting them under their reasons but
+// not firing OnDeadLetter — the recovered letters are already
+// journaled. Call before traffic starts.
 func (p *Platform) RestoreDeadLetters(letters []DeadLetter) {
 	p.dlMu.Lock()
 	defer p.dlMu.Unlock()
 	for _, dl := range letters {
-		p.dropped.Add(1)
-		p.dlTotal++
-		p.dlWhy[dl.Reason]++
 		p.pushDeadLetterLocked(dl)
 	}
 }
 
 // noteRetry bumps the retry counter (CallRetry / SendRetry attempts beyond
 // the first).
-func (p *Platform) noteRetry() {
-	p.retries.Add(1)
-	p.metrics.Counter("agent_retries_total").Inc()
-}
+func (p *Platform) noteRetry() { p.retries.Inc() }
 
 // DeliveryStats snapshots the platform's envelope accounting.
 func (p *Platform) DeliveryStats() DeliveryStats {
 	st := DeliveryStats{
-		Delivered: p.delivered.Load(),
-		Dropped:   p.dropped.Load(),
-		Retries:   p.retries.Load(),
-		Shed:      p.shedded.Load(),
+		Delivered: uint64(p.delivered.Value()),
+		Retries:   uint64(p.retries.Value()),
+		Shed:      uint64(p.shedded.Load().Value()),
 		Reasons:   map[DropReason]uint64{},
 	}
 	p.dlMu.Lock()
-	st.DeadLettered = p.dlTotal
-	for k, v := range p.dlWhy {
-		st.Reasons[k] = v
+	for k, c := range p.dlWhy {
+		n := uint64(c.Value())
+		st.Reasons[k] = n
+		st.DeadLettered += n
 	}
 	p.dlMu.Unlock()
 	return st

@@ -663,7 +663,7 @@ func TestDeadLetterReasons(t *testing.T) {
 	if st.Reasons[DropMailboxFull] != 1 {
 		t.Fatalf("mailbox_full = %d, want 1", st.Reasons[DropMailboxFull])
 	}
-	if st.DeadLettered != 2 || st.Dropped != 2 {
+	if st.DeadLettered != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 	dls := p.DeadLetters()

@@ -288,22 +288,12 @@ func (fr *FlightRecorder) DumpText() string {
 	if len(events) > 0 {
 		b.WriteString("\nwide events (oldest first):\n")
 		for _, ev := range events {
-			fmt.Fprintf(&b, "  %s  trace=%016x  %s->%s  %s  %.3fms  retries=%d sheds=%d hops=%d",
-				ev.Start.Format("15:04:05.000"), ev.Trace, ev.From, ev.To, ev.Outcome, ev.Ms,
-				ev.Retries, ev.Sheds, ev.Hops)
-			if ev.Breaker != "" {
-				fmt.Fprintf(&b, " breaker=%s", ev.Breaker)
-			}
-			if ev.Err != "" {
-				fmt.Fprintf(&b, "  err=%s", ev.Err)
-			}
-			b.WriteByte('\n')
+			fmt.Fprintf(&b, "  %s  %s\n", ev.Start.Format("15:04:05.000"), ev.Line())
 		}
 	}
 	if len(spans) > 0 {
 		// Group spans per trace, traces in first-seen order, spans in
-		// time order — the same shape as obs.Tracer.Timeline, rebuilt
-		// from the journal.
+		// time order, rendered as obs.Tracer.Timeline renders a trace.
 		order := []uint64{}
 		byTrace := map[uint64][]obs.Span{}
 		for _, s := range spans {
@@ -316,16 +306,7 @@ func (fr *FlightRecorder) DumpText() string {
 		for _, id := range order {
 			ss := byTrace[id]
 			sort.SliceStable(ss, func(i, j int) bool { return ss[i].Time.Before(ss[j].Time) })
-			fmt.Fprintf(&b, "  trace %016x (%d spans)\n", id, len(ss))
-			t0 := ss[0].Time
-			for _, s := range ss {
-				fmt.Fprintf(&b, "    +%9.6fs  [%s]  %-8s seq=%-4d %s -> %s",
-					s.Time.Sub(t0).Seconds(), s.Node, s.Kind, s.Seq, s.From, s.To)
-				if s.Note != "" {
-					fmt.Fprintf(&b, "  (%s)", s.Note)
-				}
-				b.WriteByte('\n')
-			}
+			obs.WriteTimeline(&b, "  ", id, ss)
 		}
 	}
 	return b.String()

@@ -379,7 +379,7 @@ func (s *Store) Close() error {
 	return s.wal.Close()
 }
 
-// AttachMetrics mirrors WAL activity into reg (durable_wal_* series).
+// AttachMetrics publishes the WAL's counts in reg (durable_wal_* series).
 func (s *Store) AttachMetrics(reg *obs.Registry) {
 	s.wal.AttachMetrics(reg)
 }

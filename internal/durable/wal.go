@@ -85,15 +85,16 @@ type WAL struct {
 	unsynced bool   // bytes appended since last fsync
 	closed   bool
 
-	appends     uint64
-	syncs       uint64
-	rotations   uint64
-	replayed    uint64
-	truncated   uint64
-	writeErrors uint64
+	// Each count Stats reports is one counter, published by
+	// AttachMetrics as durable_wal_<name>_total.
+	appends     obs.Counter
+	syncs       obs.Counter
+	rotations   obs.Counter
+	replayed    obs.Counter
+	truncated   obs.Counter
+	writeErrors obs.Counter
 
-	metrics *obs.Registry
-	syncer  *supervise.Proc
+	syncer *supervise.Proc
 }
 
 // OpenWAL opens (creating if needed) the log in dir, replays every
@@ -127,7 +128,7 @@ func OpenWAL(dir string, firstSeg uint64, opts Options, replay func(seg uint64, 
 			if serr != nil {
 				return nil, serr
 			}
-			w.replayed += n
+			w.replayed.Add(float64(n))
 			if last {
 				// Amputate a torn tail so the next append lands after
 				// the last good frame.
@@ -136,7 +137,7 @@ func OpenWAL(dir string, firstSeg uint64, opts Options, replay func(seg uint64, 
 					if err := os.Truncate(path, goodEnd); err != nil {
 						return nil, fmt.Errorf("durable: truncate torn tail: %w", err)
 					}
-					w.truncated++
+					w.truncated.Inc()
 				}
 				w.seg = seg
 				w.size = goodEnd
@@ -253,7 +254,7 @@ func (w *WAL) openSegmentLocked() error {
 // even that fails, the segment is sealed dirty and the next append
 // rotates past it — a fault injects loss, never a wedged log.
 //
-//lint:hot budget=11
+//lint:hot budget=5
 func (w *WAL) Append(rec []byte) error {
 	if len(rec) == 0 {
 		return errors.New("durable: empty record")
@@ -278,8 +279,7 @@ func (w *WAL) Append(rec []byte) error {
 	}
 	n, err := w.f.Write(frame)
 	if err != nil {
-		w.writeErrors++
-		w.counter("durable_wal_write_errors_total")
+		w.writeErrors.Inc()
 		// A partial frame on disk would mask every frame behind it in
 		// this segment; cut it off, or seal the segment if we cannot.
 		if n > 0 {
@@ -290,9 +290,8 @@ func (w *WAL) Append(rec []byte) error {
 		return fmt.Errorf("durable: append: %w", err)
 	}
 	w.size += int64(len(frame))
-	w.appends++
+	w.appends.Inc()
 	w.unsynced = true
-	w.counter("durable_wal_appends_total")
 	if w.opts.Sync == SyncAlways {
 		if serr := w.syncLocked(); serr != nil {
 			return serr
@@ -309,9 +308,8 @@ func (w *WAL) rotateLocked() error {
 		_ = w.f.Close()
 	}
 	w.seg++
-	w.rotations++
+	w.rotations.Inc()
 	w.unsynced = false
-	w.counter("durable_wal_rotations_total")
 	return w.openSegmentLocked()
 }
 
@@ -371,8 +369,7 @@ func (w *WAL) syncLocked() error {
 		return fmt.Errorf("durable: fsync: %w", err)
 	}
 	w.unsynced = false
-	w.syncs++
-	w.counter("durable_wal_syncs_total")
+	w.syncs.Inc()
 	return nil
 }
 
@@ -401,19 +398,16 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// AttachMetrics mirrors WAL activity into reg as durable_wal_* counters.
-// Safe to call with nil (no-op registry semantics are obs's contract).
+// AttachMetrics publishes the WAL's counts in reg as durable_wal_*
+// counters, the replay and truncation done at open included. Safe to
+// call with nil (no-op registry semantics are obs's contract).
 func (w *WAL) AttachMetrics(reg *obs.Registry) {
-	w.mu.Lock()
-	w.metrics = reg
-	w.mu.Unlock()
-}
-
-// counter bumps a metrics counter; caller holds w.mu.
-func (w *WAL) counter(name string) {
-	if w.metrics != nil {
-		w.metrics.Counter(name).Inc()
-	}
+	reg.Publish(&w.appends, "durable_wal_appends_total")
+	reg.Publish(&w.syncs, "durable_wal_syncs_total")
+	reg.Publish(&w.rotations, "durable_wal_rotations_total")
+	reg.Publish(&w.replayed, "durable_wal_replayed_total")
+	reg.Publish(&w.truncated, "durable_wal_truncated_total")
+	reg.Publish(&w.writeErrors, "durable_wal_write_errors_total")
 }
 
 // Stats snapshots log activity.
@@ -421,12 +415,12 @@ func (w *WAL) Stats() WALStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return WALStats{
-		Appends:       w.appends,
-		Syncs:         w.syncs,
-		Rotations:     w.rotations,
-		Replayed:      w.replayed,
-		Truncated:     w.truncated,
-		WriteErrors:   w.writeErrors,
+		Appends:       uint64(w.appends.Value()),
+		Syncs:         uint64(w.syncs.Value()),
+		Rotations:     uint64(w.rotations.Value()),
+		Replayed:      uint64(w.replayed.Value()),
+		Truncated:     uint64(w.truncated.Value()),
+		WriteErrors:   uint64(w.writeErrors.Value()),
 		ActiveSegment: w.seg,
 		ActiveBytes:   w.size,
 	}

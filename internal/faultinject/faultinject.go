@@ -84,10 +84,11 @@ type Injector struct {
 	clk         obs.Clock
 	partitioned bool
 	crashUntil  time.Time
-	count       uint64
 	handleCount uint64
-	stats       Stats
-	metrics     *obs.Registry
+
+	// Each count Stats reports is one counter, published by
+	// AttachMetrics.
+	seen, passed, dropped, duplicated, delayed, panicked obs.Counter
 }
 
 // New builds an injector.
@@ -121,25 +122,32 @@ func (in *Injector) CrashFor(d time.Duration) {
 	in.mu.Unlock()
 }
 
-// Stats snapshots the fault counters.
+// Stats snapshots the fault counters under the lock that decides each
+// envelope's fate, so Seen agrees with Dropped, Duplicated and Delayed
+// (Passed counts deliveries, which may still be on a delay line).
 func (in *Injector) Stats() Stats {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.stats
+	return Stats{
+		Seen:       uint64(in.seen.Value()),
+		Passed:     uint64(in.passed.Value()),
+		Dropped:    uint64(in.dropped.Value()),
+		Duplicated: uint64(in.duplicated.Value()),
+		Delayed:    uint64(in.delayed.Value()),
+		Panicked:   uint64(in.panicked.Value()),
+	}
 }
 
-// AttachMetrics mirrors every fault event into reg as
-// faultinject_{seen,passed,dropped,duplicated,delayed}_total counters,
+// AttachMetrics publishes the fault counters in reg as
+// faultinject_{seen,passed,dropped,duplicated,delayed,panics}_total,
 // so injected chaos shows up next to the platform's delivery metrics.
 func (in *Injector) AttachMetrics(reg *obs.Registry) {
-	in.mu.Lock()
-	in.metrics = reg
-	in.mu.Unlock()
-}
-
-// countLocked bumps a mirrored metric; callers hold in.mu.
-func (in *Injector) countLocked(name string) {
-	in.metrics.Counter(name).Inc()
+	reg.Publish(&in.seen, "faultinject_seen_total")
+	reg.Publish(&in.passed, "faultinject_passed_total")
+	reg.Publish(&in.dropped, "faultinject_dropped_total")
+	reg.Publish(&in.duplicated, "faultinject_duplicated_total")
+	reg.Publish(&in.delayed, "faultinject_delayed_total")
+	reg.Publish(&in.panicked, "faultinject_panics_total")
 }
 
 // verdict is one envelope's fate.
@@ -152,46 +160,33 @@ type verdict struct {
 func (in *Injector) decide() verdict {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.count++
-	in.stats.Seen++
+	in.seen.Inc()
 	v := verdict{}
 	if in.partitioned {
 		v.drop = true
 	}
-	if in.cfg.DropEveryN > 0 && in.count%uint64(in.cfg.DropEveryN) == 0 {
+	if in.cfg.DropEveryN > 0 && uint64(in.seen.Value())%uint64(in.cfg.DropEveryN) == 0 {
 		v.drop = true
 	}
 	if in.cfg.DropProb > 0 && in.rng.Float64() < in.cfg.DropProb {
 		v.drop = true
 	}
 	if v.drop {
-		in.stats.Dropped++
-		in.countLocked("faultinject_dropped_total")
+		in.dropped.Inc()
 		return v
 	}
 	if in.cfg.DupProb > 0 && in.rng.Float64() < in.cfg.DupProb {
 		v.dup = true
-		in.stats.Duplicated++
-		in.countLocked("faultinject_duplicated_total")
+		in.duplicated.Inc()
 	}
 	if in.cfg.Latency > 0 || in.cfg.LatencyJitter > 0 {
 		v.delay = in.cfg.Latency
 		if in.cfg.LatencyJitter > 0 {
 			v.delay += time.Duration(in.rng.Int63n(int64(in.cfg.LatencyJitter)))
 		}
-		in.stats.Delayed++
-		in.countLocked("faultinject_delayed_total")
+		in.delayed.Inc()
 	}
 	return v
-}
-
-func (in *Injector) notePassed(n uint64) {
-	in.mu.Lock()
-	in.stats.Passed += n
-	if in.metrics != nil {
-		in.metrics.Counter("faultinject_passed_total").Add(float64(n))
-	}
-	in.mu.Unlock()
 }
 
 // delayLine serialises deliveries for one wrapped target so injected
@@ -257,15 +252,15 @@ func (in *Injector) apply(dl *delayLine, deliver func()) {
 	if v.drop {
 		return
 	}
-	n := uint64(1)
+	n := 1
 	if v.dup {
 		n = 2
 	}
 	dl.dispatch(v.delay, func() {
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			deliver()
 		}
-		in.notePassed(n)
+		in.passed.Add(float64(n))
 	})
 }
 
@@ -305,8 +300,7 @@ func (in *Injector) decidePanic() bool {
 		boom = true
 	}
 	if boom {
-		in.stats.Panicked++
-		in.countLocked("faultinject_panics_total")
+		in.panicked.Inc()
 	}
 	return boom
 }
@@ -370,7 +364,7 @@ func (in *Injector) WrapRoute(next agent.RouteFunc) agent.RouteFunc {
 			for i := 0; i < n; i++ {
 				accepted = next(env) && accepted
 			}
-			in.notePassed(uint64(n))
+			in.passed.Add(float64(n))
 		})
 		if inline {
 			return accepted

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 )
@@ -70,8 +71,28 @@ func NewEvent(node string, trace uint64, from, to, ontology string, start time.T
 	}
 }
 
-// String renders a phase as name=ms, as Monitor.Timeline prints it.
+// String renders a phase as name=ms, as Event.Line prints it.
 func (p Phase) String() string { return fmt.Sprintf("%s=%.3fms", p.Name, p.Ms) }
+
+// Line renders the event on one line, as the monitor's stitched
+// timeline and the flight recorder's dump print it:
+//
+//	[node-1]  trace=8000018f3a…  caller -> silent  timeout  9.000ms  retries=1 sheds=0 hops=0  breaker=open  [attempt-1=4.000ms]  err=…
+func (e Event) Line() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "[%s]  trace=%016x  %s -> %s  %s  %.3fms  retries=%d sheds=%d hops=%d",
+		e.Node, e.Trace, e.From, e.To, e.Outcome, e.Ms, e.Retries, e.Sheds, e.Hops)
+	if e.Breaker != "" {
+		fmt.Fprintf(&b, "  breaker=%s", e.Breaker)
+	}
+	if len(e.Phases) > 0 {
+		fmt.Fprintf(&b, "  %v", e.Phases)
+	}
+	if e.Err != "" {
+		fmt.Fprintf(&b, "  err=%s", e.Err)
+	}
+	return b.String()
+}
 
 // AddPhase appends one latency-breakdown slice.
 func (e *Event) AddPhase(name string, d time.Duration) {
@@ -96,19 +117,17 @@ func (e *Event) Finish(outcome string, end time.Time) {
 }
 
 // EventLog is a bounded ring of wide events. A nil *EventLog is a valid
-// no-op sink, mirroring Tracer.
+// no-op sink, like Tracer. Its two counts are Counters, read by Total
+// and Evicted and published by AttachMetrics.
 type EventLog struct {
 	mu      sync.Mutex
 	ring    []Event
 	next    int
 	full    bool
-	total   uint64
-	evicted uint64
+	emitted Counter
+	evicted Counter
 
 	onEmit func(Event) // chained; called under mu in emit order
-
-	cEmitted *Counter
-	cEvicted *Counter
 }
 
 // NewEventLog returns a log retaining up to capacity events
@@ -120,18 +139,14 @@ func NewEventLog(capacity int) *EventLog {
 	return &EventLog{ring: make([]Event, capacity)}
 }
 
-// AttachMetrics mirrors the log into reg as events_emitted_total and
-// events_evicted_total, seeding with anything counted before attach.
+// AttachMetrics publishes the log's counts in reg as
+// events_emitted_total and events_evicted_total.
 func (l *EventLog) AttachMetrics(reg *Registry) {
-	if l == nil || reg == nil {
+	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.cEmitted = reg.Counter("events_emitted_total")
-	l.cEvicted = reg.Counter("events_evicted_total")
-	l.cEmitted.Add(float64(l.total))
-	l.cEvicted.Add(float64(l.evicted))
+	reg.Publish(&l.emitted, "events_emitted_total")
+	reg.Publish(&l.evicted, "events_evicted_total")
 }
 
 // OnEmit chains a hook called for every emitted event (the flight
@@ -158,13 +173,11 @@ func (l *EventLog) Emit(e Event) {
 	}
 	l.mu.Lock()
 	if l.full {
-		l.evicted++
-		l.cEvicted.Add(1)
+		l.evicted.Inc()
 	}
 	l.ring[l.next] = e
 	l.next++
-	l.total++
-	l.cEmitted.Add(1)
+	l.emitted.Inc()
 	if l.next == len(l.ring) {
 		l.next = 0
 		l.full = true
@@ -181,9 +194,7 @@ func (l *EventLog) Total() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
+	return uint64(l.emitted.Value())
 }
 
 // Evicted reports events overwritten by ring wrap.
@@ -191,9 +202,7 @@ func (l *EventLog) Evicted() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.evicted
+	return uint64(l.evicted.Value())
 }
 
 // Events returns the retained events, oldest first.
@@ -222,9 +231,7 @@ func (l *EventLog) Since(fromTotal uint64) ([]Event, uint64) {
 	if l == nil {
 		return nil, 0
 	}
-	l.mu.Lock()
-	total := l.total
-	l.mu.Unlock()
+	total := l.Total()
 	if total <= fromTotal {
 		return nil, total
 	}

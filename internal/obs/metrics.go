@@ -158,6 +158,20 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	return c
 }
 
+// Publish makes c the counter for name+labels, replacing any counter
+// already there. A component that counts in a counter it owns publishes
+// that same counter, so its own stats and the series read one number
+// and counts taken before the publish are in the series. Nil-safe.
+func (r *Registry) Publish(c *Counter, name string, labels ...string) {
+	if r == nil || c == nil {
+		return
+	}
+	key := metricKey(name, labels)
+	r.mu.Lock()
+	r.counters[key] = c
+	r.mu.Unlock()
+}
+
 // Gauge returns (creating if needed) the gauge for name+labels.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {

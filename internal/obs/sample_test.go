@@ -90,7 +90,7 @@ func TestTracerHeadSamplingLedger(t *testing.T) {
 	}
 	// The head decision is final: the unsampled span is counted dropped
 	// the moment it is recorded.
-	if got := tr.DroppedTotal(); got != 1 {
+	if got := uint64(tr.dropped.Value()); got != 1 {
 		t.Fatalf("dropped = %d, want 1", got)
 	}
 	if got := len(tr.Trace(in)); got != 1 {
@@ -129,17 +129,17 @@ func TestTracerUnsampledTraceKeepsOnlyItsDropSpan(t *testing.T) {
 	if len(hooked) != 1 || hooked[0].Kind != SpanDrop {
 		t.Fatalf("OnRecord saw %d spans, want the drop span alone", len(hooked))
 	}
-	if tr.SampledTotal() != 1 || tr.DroppedTotal() != 2 {
-		t.Fatalf("ledger sampled=%d dropped=%d, want 1/2", tr.SampledTotal(), tr.DroppedTotal())
+	if tr.SampledTotal() != 1 || uint64(tr.dropped.Value()) != 2 {
+		t.Fatalf("ledger sampled=%d dropped=%d, want 1/2", tr.SampledTotal(), uint64(tr.dropped.Value()))
 	}
 
 	// Off is off: not even a drop span is kept.
 	off := NewTracer(8)
 	off.SetSampler(SamplerOff)
 	off.Record(span(out, SpanDrop, t0))
-	if off.SampledTotal() != 0 || off.DroppedTotal() != 1 || len(off.Spans()) != 0 {
+	if off.SampledTotal() != 0 || uint64(off.dropped.Value()) != 1 || len(off.Spans()) != 0 {
 		t.Fatalf("off mode: sampled=%d dropped=%d spans=%d, want 0/1/0",
-			off.SampledTotal(), off.DroppedTotal(), len(off.Spans()))
+			off.SampledTotal(), uint64(off.dropped.Value()), len(off.Spans()))
 	}
 }
 
@@ -169,7 +169,7 @@ func TestTracerLedgerLaw(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		sampled, dropped, evicted := tr.SampledTotal(), tr.DroppedTotal(), tr.Evicted()
+		sampled, dropped, evicted := tr.SampledTotal(), uint64(tr.dropped.Value()), uint64(tr.evicted.Value())
 		if sampled+dropped != recorders*perRecorder {
 			t.Errorf("rate %g: sampled %d + dropped %d != %d records",
 				smp.rate, sampled, dropped, recorders*perRecorder)
@@ -198,7 +198,7 @@ func TestTracerLedgerCountsIrrevocableLoss(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		tr.Record(span(out, SpanSend, t0))
 	}
-	if got := tr.DroppedTotal(); got != 600 {
+	if got := uint64(tr.dropped.Value()); got != 600 {
 		t.Fatalf("dropped = %d, want 600", got)
 	}
 
@@ -209,7 +209,7 @@ func TestTracerLedgerCountsIrrevocableLoss(t *testing.T) {
 	for i := 0; i < 11; i++ {
 		tr2.Record(span(uint64(i+1), SpanSend, t0))
 	}
-	if got := tr2.Evicted(); got != 3 {
+	if got := uint64(tr2.evicted.Value()); got != 3 {
 		t.Fatalf("evicted = %d, want 3", got)
 	}
 	if v := reg.Counter("trace_evicted_total").Value(); v != 3 {

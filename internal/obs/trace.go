@@ -22,7 +22,6 @@ const (
 	SpanDrop    = "drop"    // envelope dead-lettered
 	SpanBuffer  = "buffer"  // reconnect link buffered while down
 	SpanReplay  = "replay"  // reconnect link replayed after redial
-	SpanFault   = "fault"   // fault injector acted on the envelope
 )
 
 var (
@@ -48,10 +47,10 @@ type Span struct {
 }
 
 // Tracer is a bounded ring of spans with optional head sampling.
-// Recording is cheap: one mutexed append for a kept span, a pair of
-// atomic adds for one the sampler passes over, with no clock read and
-// no lock. The ring keeps the most recent kept spans and evicts the
-// oldest, counting every eviction. A nil *Tracer is a valid no-op sink.
+// Recording is cheap: one mutexed append for a kept span, one atomic
+// add for one the sampler passes over, with no clock read and no lock.
+// The ring keeps the most recent kept spans and evicts the oldest,
+// counting every eviction. A nil *Tracer is a valid no-op sink.
 //
 // With no sampler (SetSampler never called, or called with nil) every
 // span is kept, the original full-capture behavior. With a sampler, a
@@ -61,7 +60,8 @@ type Span struct {
 // leaves behind is its wide event (EventLog), which is always emitted.
 //
 // The ledger is exact and loss is never silent; every Record call
-// counts once as sampled or dropped:
+// counts once as sampled or dropped. Each count is one Counter, published
+// by AttachMetrics (SampledTotal reads the first):
 //
 //	trace_sampled_total — spans kept in the ring
 //	trace_dropped_total — spans the sampler passed over
@@ -74,16 +74,11 @@ type Tracer struct {
 
 	sampler atomic.Pointer[Sampler]
 
-	sampled atomic.Uint64
-	dropped atomic.Uint64
-	evicted atomic.Uint64
+	sampled Counter
+	dropped Counter
+	evicted Counter
 
-	// Optional mirrors into a metrics registry (AttachMetrics) and the
-	// flight-recorder feed (SetOnRecord).
-	cSampled atomic.Pointer[Counter]
-	cDropped atomic.Pointer[Counter]
-	cEvicted atomic.Pointer[Counter]
-	onRecord atomic.Value // func(Span)
+	onRecord atomic.Value // func(Span): the flight-recorder feed (SetOnRecord)
 }
 
 // NewTracer returns a tracer retaining up to capacity spans
@@ -104,22 +99,15 @@ func (t *Tracer) SetSampler(s *Sampler) {
 	t.sampler.Store(s)
 }
 
-// AttachMetrics mirrors the ledger into reg as trace_sampled_total,
-// trace_dropped_total, and trace_evicted_total, seeding the counters
-// with anything counted before attachment.
+// AttachMetrics publishes the ledger in reg as trace_sampled_total,
+// trace_dropped_total, and trace_evicted_total.
 func (t *Tracer) AttachMetrics(reg *Registry) {
-	if t == nil || reg == nil {
+	if t == nil {
 		return
 	}
-	cs := reg.Counter("trace_sampled_total")
-	cd := reg.Counter("trace_dropped_total")
-	ce := reg.Counter("trace_evicted_total")
-	cs.Add(float64(t.sampled.Load()))
-	cd.Add(float64(t.dropped.Load()))
-	ce.Add(float64(t.evicted.Load()))
-	t.cSampled.Store(cs)
-	t.cDropped.Store(cd)
-	t.cEvicted.Store(ce)
+	reg.Publish(&t.sampled, "trace_sampled_total")
+	reg.Publish(&t.dropped, "trace_dropped_total")
+	reg.Publish(&t.evicted, "trace_evicted_total")
 }
 
 // SetOnRecord installs a hook called (outside the tracer lock) for
@@ -141,24 +129,7 @@ func (t *Tracer) SampledTotal() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.sampled.Load()
-}
-
-// DroppedTotal reports spans the sampler passed over since start.
-func (t *Tracer) DroppedTotal() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
-}
-
-// Evicted reports kept spans since overwritten by ring wrap — the
-// "full-capture loss" that used to be silent.
-func (t *Tracer) Evicted() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.evicted.Load()
+	return uint64(t.sampled.Value())
 }
 
 // Record keeps a span if its trace is head-sampled or it is a drop span
@@ -170,8 +141,7 @@ func (t *Tracer) Record(s Span) {
 	}
 	smp := t.sampler.Load()
 	if !smp.Sampled(s.Trace) && (s.Kind != SpanDrop || smp.Off()) {
-		t.dropped.Add(1)
-		t.cDropped.Load().Add(1)
+		t.dropped.Inc()
 		return
 	}
 	if s.Time.IsZero() {
@@ -179,8 +149,7 @@ func (t *Tracer) Record(s Span) {
 	}
 	t.mu.Lock()
 	if t.full {
-		t.evicted.Add(1)
-		t.cEvicted.Load().Add(1)
+		t.evicted.Inc()
 	}
 	t.ring[t.next] = s
 	t.next++
@@ -188,8 +157,7 @@ func (t *Tracer) Record(s Span) {
 		t.next = 0
 		t.full = true
 	}
-	t.sampled.Add(1)
-	t.cSampled.Load().Add(1)
+	t.sampled.Inc()
 	t.mu.Unlock()
 	if fn, _ := t.onRecord.Load().(func(Span)); fn != nil {
 		fn(s)
@@ -242,19 +210,26 @@ func (t *Tracer) Traces() []uint64 {
 	return out
 }
 
-// Timeline renders one trace as a human-readable causal hop timeline,
-// with offsets relative to the first span:
+// Timeline renders one trace as a human-readable causal hop timeline
+// (see WriteTimeline).
+func (t *Tracer) Timeline(id uint64) string {
+	var b strings.Builder
+	WriteTimeline(&b, "", id, t.Trace(id))
+	return b.String()
+}
+
+// WriteTimeline renders one trace's spans, in time order, as a causal
+// hop timeline with offsets relative to the first span, every line
+// prefixed by indent:
 //
 //	trace 8000018f3a... (7 spans)
 //	  +0.000000s  [client]  send     seq=3  handheld -> query-agent
 //	  +0.000184s  [client]  route    seq=3  handheld -> query-agent  (route 1)
 //	  ...
-func (t *Tracer) Timeline(id uint64) string {
-	spans := t.Trace(id)
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace %016x (%d spans)\n", id, len(spans))
+func WriteTimeline(b *strings.Builder, indent string, id uint64, spans []Span) {
+	fmt.Fprintf(b, "%strace %016x (%d spans)\n", indent, id, len(spans))
 	if len(spans) == 0 {
-		return b.String()
+		return
 	}
 	t0 := spans[0].Time
 	nodeW, kindW := 0, 0
@@ -267,12 +242,11 @@ func (t *Tracer) Timeline(id uint64) string {
 		}
 	}
 	for _, s := range spans {
-		fmt.Fprintf(&b, "  +%9.6fs  [%-*s]  %-*s  seq=%-4d %s -> %s",
-			s.Time.Sub(t0).Seconds(), nodeW, s.Node, kindW, s.Kind, s.Seq, s.From, s.To)
+		fmt.Fprintf(b, "%s  +%9.6fs  [%-*s]  %-*s  seq=%-4d %s -> %s",
+			indent, s.Time.Sub(t0).Seconds(), nodeW, s.Node, kindW, s.Kind, s.Seq, s.From, s.To)
 		if s.Note != "" {
-			fmt.Fprintf(&b, "  (%s)", s.Note)
+			fmt.Fprintf(b, "  (%s)", s.Note)
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
 }

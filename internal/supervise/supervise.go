@@ -234,22 +234,48 @@ type Supervisor struct {
 	policy Policy
 
 	mu       sync.Mutex
-	restarts uint64
-	panics   uint64
-	giveups  uint64
+	children map[string]*childCounts // by child name; Stats sums them
 	metrics  *obs.Registry
 
 	onRestart func(name string, err error, restarts int)
 	onGiveUp  func(exit Exit)
 }
 
+// childCounts is one child name's supervision record. Each count is one
+// counter, published by AttachMetrics as supervise_<name>_total{child}.
+type childCounts struct {
+	panics, restarts, giveups obs.Counter
+}
+
+// publish puts one child's counters in reg.
+func (c *childCounts) publish(reg *obs.Registry, child string) {
+	reg.Publish(&c.panics, "supervise_panics_total", "child", child)
+	reg.Publish(&c.restarts, "supervise_restarts_total", "child", child)
+	reg.Publish(&c.giveups, "supervise_giveups_total", "child", child)
+}
+
 // NewSupervisor builds a supervisor with the given policy (zero fields
 // filled with defaults; see Policy).
 func NewSupervisor(name string, policy Policy) *Supervisor {
 	return &Supervisor{
-		name:   name,
-		policy: policy.withDefaults(),
+		name:     name,
+		policy:   policy.withDefaults(),
+		children: map[string]*childCounts{},
 	}
+}
+
+// counts returns child's record, creating (and publishing) it at the
+// child's first crash. A respawned name keeps its record.
+func (s *Supervisor) counts(child string) *childCounts {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.children[child]
+	if c == nil {
+		c = &childCounts{}
+		s.children[child] = c
+		c.publish(s.metrics, child)
+	}
+	return c
 }
 
 // OnRestart installs a hook called after each restart decision, before
@@ -269,13 +295,16 @@ func (s *Supervisor) OnGiveUp(fn func(exit Exit)) {
 	s.mu.Unlock()
 }
 
-// AttachMetrics mirrors supervision events into reg:
-// supervise_panics_total / supervise_restarts_total (labelled by child)
-// and supervise_giveups_total.
+// AttachMetrics publishes the supervision counts in reg:
+// supervise_panics_total, supervise_restarts_total and
+// supervise_giveups_total, each labelled by child.
 func (s *Supervisor) AttachMetrics(reg *obs.Registry) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.metrics = reg
-	s.mu.Unlock()
+	for child, c := range s.children {
+		c.publish(reg, child)
+	}
 }
 
 // Stats is a point-in-time snapshot of supervision activity.
@@ -288,11 +317,17 @@ type Stats struct {
 	GiveUps uint64
 }
 
-// Stats snapshots the supervisor's counters.
+// Stats sums the supervisor's per-child counters.
 func (s *Supervisor) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{Panics: s.panics, Restarts: s.restarts, GiveUps: s.giveups}
+	var st Stats
+	for _, c := range s.children {
+		st.Panics += uint64(c.panics.Value())
+		st.Restarts += uint64(c.restarts.Value())
+		st.GiveUps += uint64(c.giveups.Value())
+	}
+	return st
 }
 
 // Spawn starts a supervised child. run receives the stop signal and
@@ -311,6 +346,7 @@ func (s *Supervisor) loop(proc *Proc, run func(stop <-chan struct{})) {
 	clk := s.policy.clock()
 	delay := s.policy.BaseDelay
 	var crashes []time.Time
+	var counts *childCounts // from the first crash
 	for {
 		err := runSafe(proc.name, func() { run(proc.stop) })
 		if err == nil {
@@ -319,7 +355,10 @@ func (s *Supervisor) loop(proc *Proc, run func(stop <-chan struct{})) {
 			return
 		}
 		proc.noteCrash(err)
-		s.notePanic(proc.name)
+		if counts == nil {
+			counts = s.counts(proc.name)
+		}
+		counts.panics.Inc()
 		select {
 		case <-proc.stop:
 			proc.setAlive(false)
@@ -342,10 +381,12 @@ func (s *Supervisor) loop(proc *Proc, run func(stop <-chan struct{})) {
 		}
 		if !s.policy.Restart || len(crashes) > s.policy.MaxRestarts {
 			proc.noteGiveUp()
+			counts.giveups.Inc()
 			s.escalate(Exit{Name: proc.name, Err: err, Restarts: proc.Restarts()})
 			return
 		}
 		proc.noteRestart()
+		counts.restarts.Inc()
 		s.noteRestart(proc.name, err, proc.Restarts())
 		select {
 		case <-proc.stop:
@@ -361,21 +402,8 @@ func (s *Supervisor) loop(proc *Proc, run func(stop <-chan struct{})) {
 	}
 }
 
-func (s *Supervisor) notePanic(child string) {
-	s.mu.Lock()
-	s.panics++
-	if s.metrics != nil {
-		s.metrics.Counter("supervise_panics_total", "child", child).Inc()
-	}
-	s.mu.Unlock()
-}
-
 func (s *Supervisor) noteRestart(child string, err error, restarts int) {
 	s.mu.Lock()
-	s.restarts++
-	if s.metrics != nil {
-		s.metrics.Counter("supervise_restarts_total", "child", child).Inc()
-	}
 	hook := s.onRestart
 	s.mu.Unlock()
 	if hook != nil {
@@ -412,10 +440,6 @@ func Periodic(name string, clk obs.Clock, interval time.Duration, fn func()) *Pr
 
 func (s *Supervisor) escalate(exit Exit) {
 	s.mu.Lock()
-	s.giveups++
-	if s.metrics != nil {
-		s.metrics.Counter("supervise_giveups_total", "child", exit.Name).Inc()
-	}
 	hook := s.onGiveUp
 	s.mu.Unlock()
 	if hook != nil {

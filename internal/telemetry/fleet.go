@@ -107,6 +107,7 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 		np := agent.NewPlatform(name)
 		np.Clock = cfg.Clock
 		np.Tracer = obs.NewTracer(2048)
+		np.Tracer.AttachMetrics(np.Metrics()) // the ledger rides the node's snapshot
 		// A sink, not an echo: local work should not leak replies onto
 		// the uplink.
 		if err := np.Register(WorkerID, agent.HandlerFunc(func(agent.Envelope, *agent.Context) {}),

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -82,24 +81,16 @@ func (o MonitorOptions) withDefaults(p *agent.Platform) MonitorOptions {
 
 // nodeState is everything the monitor knows about one node.
 type nodeState struct {
-	snap      obs.Snapshot // reconstructed full view
-	snapSeq   uint64       // the report snap came from (0: none yet)
-	lastSeen  time.Time    // monitor clock at last report
-	sentAt    time.Time    // node clock when the last report was built
-	boot      time.Time    // the reporter incarnation seq counts within
-	seq       uint64       // highest seq seen from boot
-	reports   uint64
-	missed    uint64 // seq gaps (reports lost in transit)
-	spans     uint64
-	events    uint64
-	delivered uint64
-	dropped   uint64
-	retries   uint64
-
-	// Tracer sampling ledger, as last reported by the node.
-	spansSampled uint64
-	spansDropped uint64
-	spansEvicted uint64
+	snap     obs.Snapshot // reconstructed full view
+	snapSeq  uint64       // the report snap came from (0: none yet)
+	lastSeen time.Time    // monitor clock at last report
+	sentAt   time.Time    // node clock when the last report was built
+	boot     time.Time    // the reporter incarnation seq counts within
+	seq      uint64       // highest seq seen from boot
+	reports  uint64
+	missed   uint64 // seq gaps (reports lost in transit)
+	spans    uint64
+	events   uint64
 
 	// lastHealth is the verdict announced to health subscribers at the
 	// last evaluation ("" until the node is first evaluated).
@@ -152,7 +143,7 @@ func (m *Monitor) handle(env agent.Envelope, _ *agent.Context) {
 		return
 	}
 	var rep Report
-	if err := env.Decode(&rep); err != nil || rep.Node == "" {
+	if len(env.Content) > reportMaxBytes || env.Decode(&rep) != nil || rep.Node == "" {
 		m.platform.Metrics().Counter("telemetry_bad_reports_total").Inc()
 		return
 	}
@@ -206,9 +197,6 @@ func (m *Monitor) Ingest(rep Report) (held uint64, refused bool) {
 	ns.events += uint64(len(rep.Events))
 	ns.lastSeen = now
 	ns.sentAt = rep.SentAt
-	ns.delivered, ns.dropped, ns.retries = rep.Delivered, rep.Dropped, rep.Retries
-	ns.spansSampled, ns.spansDropped, ns.spansEvicted =
-		rep.SpansSampled, rep.SpansDropped, rep.SpansEvicted
 	m.mu.Unlock()
 
 	for _, s := range rep.Spans {
@@ -341,7 +329,8 @@ func (m *Monitor) NodeCount() int {
 // its reported metrics — the feedback edge into the partition decision
 // maker. The latency comes from the node's probe RTT (or deliver
 // latency) histogram; the drop rate prefers probe losses and falls back
-// to the node's delivery accounting (dropped vs delivered envelopes).
+// to the node's delivery accounting in the same snapshot (dead-lettered
+// vs delivered envelopes).
 func (m *Monitor) ObservedTransport(node string) (partition.ObservedTransport, bool) {
 	m.mu.Lock()
 	ns := m.nodes[node]
@@ -350,14 +339,27 @@ func (m *Monitor) ObservedTransport(node string) (partition.ObservedTransport, b
 		return partition.ObservedTransport{}, false
 	}
 	snap := ns.snap
-	delivered, dropped := ns.delivered, ns.dropped
 	m.mu.Unlock()
 	o := partition.ObservedFromSnapshot(snap)
-	if o.DropRate == 0 && delivered+dropped > 0 {
-		o.DropRate = float64(dropped) / float64(delivered+dropped)
+	if o.DropRate == 0 {
+		delivered, dropped := snap.Counters[seriesDelivered], 0.0
+		for k, v := range snap.Counters {
+			if strings.HasPrefix(k, seriesDeadLetter+"{") {
+				dropped += v
+			}
+		}
+		if delivered+dropped > 0 {
+			o.DropRate = dropped / (delivered + dropped)
+		}
 	}
 	return o, true
 }
+
+// The platform's delivery-accounting series, the drop-rate fallback.
+const (
+	seriesDelivered  = "agent_delivered_total"
+	seriesDeadLetter = "agent_dead_letter_total"
+)
 
 // Correct applies one node's observed transport to a decision maker,
 // returning the observation used (zero-valued fields leave the
@@ -384,21 +386,13 @@ type NodeView struct {
 	Missed       uint64    `json:"missedReports"`
 	Spans        uint64    `json:"spans"`
 	Events       uint64    `json:"events"`
-	Delivered    uint64    `json:"delivered"`
-	Dropped      uint64    `json:"dropped"`
-	Retries      uint64    `json:"retries"`
 	Series       int       `json:"series"`
-	// The node's tracer sampling ledger: how many spans it retained,
-	// head-dropped, and overwrote. A climbing SpansEvicted on a
-	// full-capture node means the ring is too small (or it is time to
-	// sample); SpansDropped quantifies what sampling cost.
-	SpansSampled uint64 `json:"spansSampled"`
-	SpansDropped uint64 `json:"spansDropped"`
-	SpansEvicted uint64 `json:"spansEvicted"`
 	Observed     struct {
 		AvgDeliverSec float64 `json:"avgDeliverSec"`
 		DropRate      float64 `json:"dropRate"`
 	} `json:"observed"`
+	// Snapshot is the node's reconstructed metric view: its delivery
+	// accounting and tracer ledger are read here.
 	Snapshot obs.Snapshot `json:"snapshot"`
 }
 
@@ -443,13 +437,7 @@ func (m *Monitor) Fleet() FleetView {
 			Missed:       ns.missed,
 			Spans:        ns.spans,
 			Events:       ns.events,
-			Delivered:    ns.delivered,
-			Dropped:      ns.dropped,
-			Retries:      ns.retries,
 			Series:       ns.snap.Len(),
-			SpansSampled: ns.spansSampled,
-			SpansDropped: ns.spansDropped,
-			SpansEvicted: ns.spansEvicted,
 			Snapshot:     ns.snap.Clone(),
 		}
 		if healthRank(nv.Health) > healthRank(fv.Worst) {
@@ -486,9 +474,11 @@ func (m *Monitor) Snapshot() obs.Snapshot {
 	return obs.MergeByNode(per)
 }
 
-// Tracer exposes the stitched cross-node span ring. Give it to the
-// monitor platform (Platform.Tracer) to interleave local hops with the
-// reported ones.
+// Tracer exposes the stitched cross-node span ring. Giving it to the
+// monitor platform (Platform.Tracer) interleaves local hops with the
+// reported ones; a platform that shares the ring this way must not also
+// run a reporter, or every report ships the ring back into itself and
+// each span gains one copy per report.
 func (m *Monitor) Tracer() *obs.Tracer { return m.tracer }
 
 // Events exposes the fleet-merged wide-event ring. Give it to the
@@ -505,11 +495,8 @@ func (m *Monitor) Timeline(traceID uint64) string {
 		if ev.Trace != traceID {
 			continue
 		}
-		fmt.Fprintf(&b, "  event [%s]  %s -> %s  %s  %.3fms  retries=%d sheds=%d hops=%d  %v",
-			ev.Node, ev.From, ev.To, ev.Outcome, ev.Ms, ev.Retries, ev.Sheds, ev.Hops, ev.Phases)
-		if ev.Err != "" {
-			fmt.Fprintf(&b, "  err=%s", ev.Err)
-		}
+		b.WriteString("  event ")
+		b.WriteString(ev.Line())
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -46,25 +46,17 @@ type Report struct {
 	// Base is the seq of the report this delta was computed against
 	// (obs.Snapshot.Delta); 0 means Snap is a full snapshot.
 	Base uint64 `json:"base,omitempty"`
-	// Snap is the delta-encoded (or full) metric snapshot.
+	// Snap is the delta-encoded (or full) metric snapshot. It carries
+	// the node's delivery accounting (agent_delivered_total,
+	// agent_dead_letter_total, agent_retries_total) and, where the
+	// node's tracer is attached to a reported registry, its sampling
+	// ledger (trace_sampled_total, trace_dropped_total,
+	// trace_evicted_total); the report copies none of them.
 	Snap obs.Snapshot `json:"snap"`
 	// Spans are the trace spans recorded since the previous report.
 	Spans []obs.Span `json:"spans,omitempty"`
 	// Events are the wide events emitted since the previous report.
 	Events []obs.Event `json:"events,omitempty"`
-	// SpansSampled/SpansDropped/SpansEvicted mirror the tracer's
-	// sampling ledger (lifetime totals), so the monitor can tell how
-	// much of each node's trace volume was retained, head-dropped, or
-	// overwritten — loss is never silent, fleet-wide.
-	SpansSampled uint64 `json:"spansSampled,omitempty"`
-	SpansDropped uint64 `json:"spansDropped,omitempty"`
-	SpansEvicted uint64 `json:"spansEvicted,omitempty"`
-	// Delivered/Dropped/Retries mirror the platform's DeliveryStats
-	// totals so the monitor can compute delivery ratios without
-	// depending on metric names.
-	Delivered uint64 `json:"delivered"`
-	Dropped   uint64 `json:"dropped"`
-	Retries   uint64 `json:"retries"`
 	// SentAt is the node's clock when the report was built (virtual
 	// under FakeClock); the monitor tracks staleness on its own clock.
 	SentAt time.Time `json:"sentAt"`

@@ -13,10 +13,12 @@ import (
 
 // A report envelope may cost the monitor at most reportAllocPerByte heap
 // bytes per content byte, plus reportAllocFixed for its bookkeeping (the
-// node's ledgers, the metric series, a refusal envelope). The worst case
+// node's state, the metric series, a refusal envelope). The worst case
 // is an array of empty objects: each "{}," decodes to a ~230-byte
 // obs.Event, and the decoder's slice growth allocates about four times
-// the final slice, which measures ~330 bytes per content byte.
+// the final slice, which measures ~330 bytes per content byte. Content
+// over reportMaxBytes is refused undecoded, so it costs at most
+// reportAllocFixed.
 const (
 	reportAllocPerByte = 512
 	reportAllocFixed   = 64 << 10
@@ -56,6 +58,13 @@ func FuzzReport(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// A 4 MiB frame: a report whose events are empty objects, the
+	// costliest content per byte.
+	huge := []byte(`{"node":"n","seq":6,"events":[{}`)
+	for len(huge) < 4<<20-2 {
+		huge = append(huge, ",{}"...)
+	}
+	f.Add(append(huge, "]}"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mon.mu.Lock()
 		mon.nodes = map[string]*nodeState{}
@@ -64,12 +73,24 @@ func FuzzReport(f *testing.F) {
 		env := agent.Envelope{Seq: 1, From: "telemetry-reporter-n", To: MonitorID, Performative: "inform",
 			ContentType: "application/json", Ontology: OntologyReport, Content: data}
 
+		bad := p.Metrics().Counter("telemetry_bad_reports_total")
+		badBefore := bad.Value()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		mon.handle(env, nil)
 		runtime.ReadMemStats(&after)
-		if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(reportAllocPerByte*len(data)+reportAllocFixed); n > limit {
+		limit := uint64(reportAllocPerByte*len(data) + reportAllocFixed)
+		if len(data) > reportMaxBytes {
+			limit = reportAllocFixed
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > limit {
 			t.Fatalf("a %d-byte report allocated %d bytes, past %d", len(data), n, limit)
+		}
+		if len(data) > reportMaxBytes {
+			if bad.Value() != badBefore+1 {
+				t.Fatalf("a %d-byte report was not counted bad", len(data))
+			}
+			return
 		}
 
 		var rep Report

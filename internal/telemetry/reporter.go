@@ -23,10 +23,16 @@ type ReporterOptions struct {
 }
 
 // A report ships at most the newest reportMaxSpans spans and
-// reportMaxEvents wide events.
+// reportMaxEvents wide events. The monitor refuses report content over
+// reportMaxBytes before decoding it. The largest legitimate report
+// measured, 512 spans and 256 events as long as a -recompose node's
+// longest ones (203 and 376 bytes) with that node's full 44-series
+// snapshot, encodes to 203 406 bytes; the bound leaves five times that
+// for longer names, error strings and series.
 const (
 	reportMaxSpans  = 512
 	reportMaxEvents = 256
+	reportMaxBytes  = 1 << 20
 )
 
 func (o ReporterOptions) withDefaults(p *agent.Platform) ReporterOptions {
@@ -190,23 +196,15 @@ func (r *Reporter) ReportNow() error {
 	spans, spanTotal := r.newSpans(r.spanTotal)
 	events, eventTotal := r.newEvents(r.eventTotal)
 	r.seq++
-	st := r.platform.DeliveryStats()
-	tr := r.platform.Tracer
 	rep := Report{
-		Node:         r.platform.Name,
-		Boot:         r.boot,
-		Seq:          r.seq,
-		Base:         base,
-		Snap:         ship,
-		Spans:        spans,
-		Events:       events,
-		SpansSampled: tr.SampledTotal(),
-		SpansDropped: tr.DroppedTotal(),
-		SpansEvicted: tr.Evicted(),
-		Delivered:    st.Delivered,
-		Dropped:      st.Dropped,
-		Retries:      st.Retries,
-		SentAt:       r.opts.Clock.Now(),
+		Node:   r.platform.Name,
+		Boot:   r.boot,
+		Seq:    r.seq,
+		Base:   base,
+		Snap:   ship,
+		Spans:  spans,
+		Events: events,
+		SentAt: r.opts.Clock.Now(),
 	}
 	r.last, r.haveLast = cur, true
 	r.spanTotal = spanTotal

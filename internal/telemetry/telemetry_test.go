@@ -337,9 +337,12 @@ func TestObservedTransportFallsBackToDeliveryAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No probe series: drop rate comes from the platform's delivery
-	// accounting (90 delivered / 10 dropped).
-	mon.Ingest(Report{Node: "n", Seq: 1, Snap: obs.Snapshot{},
-		Delivered: 90, Dropped: 10})
+	// accounting in the snapshot (90 delivered / 10 dead-lettered).
+	mon.Ingest(Report{Node: "n", Seq: 1, Snap: obs.Snapshot{Counters: map[string]float64{
+		"agent_delivered_total":                       90,
+		`agent_dead_letter_total{reason="no_route"}`:  6,
+		`agent_dead_letter_total{reason="link_down"}`: 4,
+	}}})
 	o, _ := mon.ObservedTransport("n")
 	if o.DropRate != 0.1 {
 		t.Fatalf("fallback DropRate = %v, want 0.1", o.DropRate)
