@@ -63,8 +63,9 @@ check: vet fmt-check lint race cover fuzz-smoke load-smoke e18-smoke
 # fuzz-smoke fuzzes each decoder that reads hostile bytes for FUZZTIME
 # (go test only replays the seed corpus): the agent wire frame, the WAL
 # frame, the flight recorder's record, the query parser and the telemetry
-# report; and the discovery constraint predicate, read from the registry
-# view's columns against the profiles' maps, on arbitrary property values.
+# report; the discovery constraint predicate, read from the registry
+# view's columns against the profiles' maps, on arbitrary property values;
+# and the registry's posting-list walk against the linear reference.
 # Two workers each, to stay small on a shared box.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -74,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzReport$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnSatisfies$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/discovery
+	$(GO) test -run '^$$' -fuzz '^FuzzLookupEqualsReference$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/discovery
 
 # load-smoke runs both disaster scenarios end to end (real TCP, open-loop
 # load) at rates any CI box sustains, and fails unless the priority lane

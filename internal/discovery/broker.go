@@ -59,11 +59,15 @@ func (b *Broker) LookupLocal(req ontology.Request) []Match {
 // returns every local match; the bound on the result is req.Max, which
 // each registry's matcher applies and the merge applies again.
 //
-// Budget 39: the snapshot rebuild that the first read after a mutation
-// pays (4, one the slot array) and its signature interning (1), the
-// SemanticMatcher's constraint pass and scoring (11), which
-// Registry.Lookup calls directly, the peer merge (2), obs.Registry creating
-// the discovery_* series on first use (9), and the columns (12). A full
+// Budget 46: the snapshot rebuild that the first read after a mutation
+// pays (4, one the slot array), its signature interning (1) and its
+// posting lists (1, the offsets and the positions in one array), the SemanticMatcher's
+// constraint pass and scoring (11), which Registry.Lookup calls directly,
+// and its walk of the posting lists for a request with no preference (6:
+// the signatures ranked, a value and an append that spills past the
+// stack buffer; the constraints bound, an append; the result, its make,
+// an append and a value), the peer merge (2), obs.Registry creating the
+// discovery_* series on first use (9), and the columns (12). A full
 // rebuild starts a key map and a queue of profiles to write (a make);
 // placing a profile queues it (an append); writing starts a column (an
 // append and its literal), grows its cells (an append, the make it
@@ -72,7 +76,7 @@ func (b *Broker) LookupLocal(req ontology.Request) []Match {
 // (two value literals that allocate nothing). Any other Matcher sits
 // behind the interface, out of the linter's sight.
 //
-//lint:hot budget=39
+//lint:hot budget=46
 func (b *Broker) Lookup(req ontology.Request, want int) []Match {
 	local := b.LookupLocal(req)
 	if want > 0 && len(local) >= want {

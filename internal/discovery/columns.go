@@ -231,25 +231,30 @@ func (v *snapshot) constraint(c ontology.Constraint) constraint {
 	return b
 }
 
+// holds reports whether p, whose slot is s, meets the constraint. The test
+// is the one predicate ontology.Satisfies also calls, on values read from
+// the fields.
+func (b *constraint) holds(p *ontology.Profile, s int32, req *ontology.Request) bool {
+	v, ok := b.v.get(p, s)
+	var y ontology.Value
+	if b.c.Op == ontology.OpNear {
+		var oky bool
+		y, oky = b.y.get(p, s)
+		ok = ok && oky
+	}
+	return b.c.Holds(v, y, ok, req)
+}
+
 // filter returns the members of the pool that meet the constraint, in
 // order, in keep's array, which has room for them all and may be the pool's
-// own. The test is the one predicate ontology.Satisfies also calls, on
-// values read from the fields.
+// own.
 func (b *constraint) filter(pool survivors, keep []int32, req *ontology.Request) []int32 {
-	n, near := 0, b.c.Op == ontology.OpNear
+	n := 0
 	keep = keep[:pool.len()]
-	var y ontology.Value
 	for j := range keep {
 		i := pool.index(j)
-		p, s := pool.candidates[i], pool.slotOf(i)
-		v, ok := b.v.get(p, s)
-		if near {
-			var oky bool
-			y, oky = b.y.get(p, s)
-			ok = ok && oky
-		}
 		keep[n] = int32(i) // kept if it holds: no branch to mispredict
-		if b.c.Holds(v, y, ok, req) {
+		if b.holds(pool.candidates[i], pool.slotOf(i), req) {
 			n++
 		}
 	}

@@ -17,8 +17,14 @@ import (
 // columns cost nothing per lookup.
 const lookupAllocs = 4
 
+// composeAllocs is what a steady lookup with no constraint and no
+// preference allocates: the result. The signatures it ranks stay on the
+// stack.
+const composeAllocs = 1
+
 // TestRegistryLookupAllocs pins the allocations of a top-5 lookup over
-// 2 000 profiles, constrained on a number, a string and a location.
+// 2 000 profiles, constrained on a number, a string and a location and
+// ranked by a preference, and of a composition step's top-3 lookup.
 func TestRegistryLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")
@@ -31,6 +37,12 @@ func TestRegistryLookupAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(50, func() { broker.Lookup(req, 5) }); got != lookupAllocs {
 			t.Fatalf("a lookup constrained by %v allocates %v times, pinned at %d", req.Constraints, got, lookupAllocs)
 		}
+	}
+	if got := broker.Lookup(composeRequest, 3); len(got) != 3 {
+		t.Fatalf("%d matches, want 3 (request %+v)", len(got), composeRequest)
+	}
+	if got := testing.AllocsPerRun(50, func() { broker.Lookup(composeRequest, 3) }); got != composeAllocs {
+		t.Fatalf("a composition step's lookup allocates %v times, pinned at %d", got, composeAllocs)
 	}
 }
 

@@ -477,15 +477,22 @@ func benchBroker(b testing.TB, n int, profile func(rng *rand.Rand, i int) *ontol
 	return broker, profiles, rng
 }
 
+// composeRequest is the shape of a composition step's lookup: a concept
+// and the outputs wanted, no constraint, no preference, the best three.
+var composeRequest = ontology.Request{Concept: "TemperatureSensor", Outputs: []string{"TemperatureSensor"}, Max: 3}
+
 // BenchmarkRegistryLookup is the isolated probe of the discovery read path:
 // a top-5 lookup through the broker at three registry sizes, read-only and
 // with every fiftieth operation re-advertising a service (which drops the
 // snapshot). The constraint pass and the preference range are over the
 // whole registry by definition, so the cost per lookup grows with it; the
-// figure to watch is the slope, ns per profile. Two more cases probe the
-// snapshot's index: one where 961 distinct signatures make finding each
-// candidate's the work, and lease_churn's write-heavy shape, where every
-// lookup follows a write and so pays for a rebuild.
+// figure to watch is the slope, ns per profile. A composition step's
+// lookup has no preference, so it walks the best signatures' posting lists
+// and stops after three: its ns per lookup, timed with the view built, is
+// flat in the registry's size. Two more cases probe the snapshot's index:
+// one where 961 distinct signatures make finding each candidate's the
+// work, and lease_churn's write-heavy shape, where every lookup follows a
+// write and so pays for a rebuild.
 func BenchmarkRegistryLookup(b *testing.B) {
 	reqs := benchRequests(5)
 	lookup := func(b *testing.B, broker *Broker, i int) {
@@ -494,6 +501,18 @@ func BenchmarkRegistryLookup(b *testing.B) {
 		}
 	}
 	for _, n := range []int{500, 5000, 50000} {
+		b.Run(fmt.Sprintf("profiles=%d/compose", n), func(b *testing.B) {
+			broker, _, _ := benchBroker(b, n, benchProfile)
+			broker.Lookup(composeRequest, 3) // builds the view
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := broker.Lookup(composeRequest, 3); len(got) != 3 {
+					b.Fatalf("%d matches, want 3", len(got))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/lookup")
+		})
 		for _, renewEvery := range []int{0, 50} {
 			name := fmt.Sprintf("profiles=%d/read-only", n)
 			if renewEvery > 0 {
@@ -774,12 +793,7 @@ func TestSemanticMatchEqualsReference(t *testing.T) {
 	onto := ontology.Pervasive()
 	concepts := onto.Concepts()
 	rng := rand.New(rand.NewSource(20031))
-	matchers := []*SemanticMatcher{
-		NewSemanticMatcher(onto),
-		{Onto: onto}, // zero weights and MinScore fall back to the defaults
-		{Onto: onto, MinScore: 0.7, ConceptWeight: 1, IOWeight: 1, PrefWeight: 3},
-		{Onto: onto, MinScore: 0.5, ConceptWeight: 2, IOWeight: 1, PrefWeight: 0},
-	}
+	matchers := referenceMatchers(onto)
 	sizes := []int{0, 1, 7, 60, 400}
 	matched, cut := 0, 0
 	for trial := 0; trial < 300; trial++ {

@@ -10,6 +10,7 @@
 package discovery
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -194,6 +195,12 @@ func (s *signature) covers(p *ontology.Profile) bool {
 		slices.Equal(s.of.Inputs, p.Inputs) && slices.Equal(s.of.Outputs, p.Outputs)
 }
 
+// base is the part of p's score that its signature fixes: cw·concept +
+// iw·io.
+func (m *SemanticMatcher) base(req ontology.Request, p *ontology.Profile, cw, iw float64) float64 {
+	return cw*m.conceptScore(req.Concept, p.Concept) + iw*m.ioScore(req, p)
+}
+
 // rank is the result order: score descending, then name ascending. Names
 // are unique in a registry, which makes the order total.
 func rank(a, b Match) int {
@@ -248,7 +255,8 @@ func (m *SemanticMatcher) Match(req ontology.Request, candidates []*ontology.Pro
 // match is Match over candidates, which are view's profiles when view is not
 // nil: a candidate's signature is then read from view.sig, not found by
 // scanning the ones met so far, and its properties from the view's columns,
-// not its map. Those are the only differences.
+// not its map; and a request with no preference walks the view's posting
+// lists instead of scanning the candidates. Those are the only differences.
 func (m *SemanticMatcher) match(req ontology.Request, candidates []*ontology.Profile, view *snapshot) []Match {
 	cw, iw, pw := m.ConceptWeight, m.IOWeight, m.PrefWeight
 	if cw <= 0 && iw <= 0 && pw <= 0 {
@@ -259,6 +267,9 @@ func (m *SemanticMatcher) match(req ontology.Request, candidates []*ontology.Pro
 	minScore := m.MinScore
 	if minScore <= 0 {
 		minScore = 0.35
+	}
+	if view != nil && len(req.PreferLow) == 0 {
+		return m.walk(req, view, cw, iw, pw, minScore)
 	}
 
 	// Pass 1: constraint filter, then the preference ranges over the
@@ -307,7 +318,7 @@ func (m *SemanticMatcher) match(req ontology.Request, candidates []*ontology.Pro
 			sig = &met[k]
 		}
 		if sig.of == nil { // met for the first time
-			*sig = signature{of: p, base: cw*m.conceptScore(req.Concept, p.Concept) + iw*m.ioScore(req, p)}
+			*sig = signature{of: p, base: m.base(req, p, cw, iw)}
 		}
 		bar := minScore
 		if len(out) == keep {
@@ -337,6 +348,100 @@ func (m *SemanticMatcher) match(req ontology.Request, candidates []*ontology.Pro
 		slices.SortFunc(out, rank)
 	}
 	return out
+}
+
+// run is one signature's part of a preference-free answer: the score each
+// of its candidates has, and the unread part of its posting list,
+// bySig[at:end].
+type run struct {
+	score   float64
+	at, end int32
+}
+
+// walk is match over a view for a request with no PreferLow. Every
+// candidate of a signature then scores the same, base + pw (prefScore is
+// 1), so the answer is the best signatures' candidates in name order: walk
+// scores each signature that has profiles once, drops those below minScore,
+// ranks the rest, and reads their posting lists best first, testing the
+// constraints per candidate, until it has kept Max. Signatures that score
+// exactly alike are one group, whose lists merge by position, which is name
+// order; that is rank's order, so the answer is the one a scan gives.
+func (m *SemanticMatcher) walk(req ontology.Request, view *snapshot, cw, iw, pw, minScore float64) []Match {
+	var runBuf [32]run
+	runs, keep := runBuf[:0], 0
+	for g := range view.sigs {
+		at, end := view.from[g], view.from[g+1]
+		if at == end {
+			continue // every profile with it has gone
+		}
+		score := m.base(req, view.profiles[view.bySig[at]], cw, iw) + pw
+		if !(score >= minScore) {
+			continue
+		}
+		runs = append(runs, run{score, at, end})
+		keep += int(end - at)
+	}
+	slices.SortFunc(runs, bestFirst)
+	var consBuf [4]constraint
+	cons := consBuf[:0]
+	for _, c := range req.Constraints {
+		cons = append(cons, view.constraint(c))
+	}
+
+	if req.Max > 0 && req.Max < keep {
+		keep = req.Max
+	}
+	out := make([]Match, 0, keep)
+	for len(runs) > 0 && len(out) < keep {
+		score, n := runs[0].score, 1
+		for n < len(runs) && runs[n].score == score {
+			n++
+		}
+		group := runs[:n] // a heap on where each unread list starts
+		runs = runs[n:]
+		for k := n/2 - 1; k >= 0; k-- {
+			view.down(group, k)
+		}
+	next:
+		for len(group) > 0 && len(out) < keep {
+			i := view.bySig[group[0].at]
+			if group[0].at++; group[0].at == group[0].end {
+				group[0] = group[len(group)-1]
+				group = group[:len(group)-1]
+			}
+			view.down(group, 0)
+			p, s := view.profiles[i], view.slot[i]
+			for k := range cons {
+				if !cons[k].holds(p, s, &req) {
+					continue next
+				}
+			}
+			out = append(out, Match{Profile: p, Score: score})
+		}
+	}
+	return out
+}
+
+func bestFirst(a, b run) int { return cmp.Compare(b.score, a.score) }
+
+// down sifts runs[k] down the heap of runs, ordered by the position that
+// each one's unread list starts at. Posting lists are disjoint, so no two
+// runs start at the same position.
+func (v *snapshot) down(runs []run, k int) {
+	for {
+		c := 2*k + 1
+		if c >= len(runs) {
+			return
+		}
+		if c+1 < len(runs) && v.bySig[runs[c+1].at] < v.bySig[runs[c].at] {
+			c++
+		}
+		if v.bySig[runs[k].at] < v.bySig[runs[c].at] {
+			return
+		}
+		runs[k], runs[c] = runs[c], runs[k]
+		k = c
+	}
 }
 
 // JiniMatcher reproduces interface-based exact matching: a candidate

@@ -80,11 +80,15 @@ type entry struct {
 // index over them: sig[i] is the number of profiles[i]'s signature, in
 // [0, sigs), and slot[i] the slot its properties hold in the columns, whose
 // index by key is at; a view published before a lookup needed its columns
-// has none (at is nil).
+// has none (at is nil). The positions in profiles of signature g's
+// profiles, in name order, are bySig[from[g]:from[g+1]]: its posting list,
+// empty for a number whose profiles have all gone since it was given.
 type snapshot struct {
 	profiles []*ontology.Profile // name order
 	sig      []int32
 	sigs     int
+	from     []int32
+	bySig    []int32
 	slot     []int32
 	epoch    int // of the slots
 	at       map[string]int32
@@ -216,10 +220,11 @@ var noView = &snapshot{} // what a full rebuild merges into
 
 // rebuild publishes the view at now, in O(n + k log k) for k touched names:
 // it merges the last view minus the touched names, whose entries keep their
-// signature numbers and slots, with the touched names still live, and
-// sweeps lapsed leases from both. With no last view, or more than twice as
-// many slots given out as there are entries, it merges an empty view with
-// every entry and numbers and places afresh: a full rebuild. A profile has
+// signature numbers and slots, with the touched names still live, sweeps
+// lapsed leases from both, and lists the merged positions by signature.
+// With no last view, or more than twice as many slots given out as there
+// are entries, it merges an empty view with every entry and numbers and
+// places afresh: a full rebuild. A profile has
 // a slot of its own, so there are never more signatures than slots. Called
 // under r.mu.
 func (r *Registry) rebuild(now time.Time) *snapshot {
@@ -266,12 +271,35 @@ func (r *Registry) rebuild(now time.Time) *snapshot {
 		n++
 	}
 	s.profiles, s.sig, s.sigs, s.slot = profiles[:n], sig[:n], len(r.sigNum), slot[:n]
+	s.from, s.bySig = postings(s.sig, s.sigs)
 	s.epoch = r.props.epoch
 	r.snap.Store(s)
 	r.last, r.touched = s, r.touched[:0]
 	r.Metrics.Counter("discovery_view_rebuilds_total", "kind", kind).Inc()
 	r.Metrics.Gauge("discovery_registry_size").Set(float64(n))
 	return s
+}
+
+// postings groups the positions 0..len(sig)-1 by signature number in one
+// counting pass: number g's positions are list[from[g]:from[g+1]], in
+// ascending order, for they are placed in the order they are visited. The
+// two arrays share one allocation.
+func postings(sig []int32, sigs int) (from, list []int32) {
+	both := make([]int32, sigs+1+len(sig))
+	from, list = both[:sigs+1:sigs+1], both[sigs+1:]
+	for _, g := range sig {
+		from[g+1]++
+	}
+	for g := range sigs {
+		from[g+1] += from[g]
+	}
+	for i, g := range sig {
+		list[from[g]] = int32(i)
+		from[g]++ // now the end of g's list, which is where g+1's starts
+	}
+	copy(from[1:], from[:sigs])
+	from[0] = 0
+	return from, list
 }
 
 // intern returns the number of p's signature, numbering it if it is new.
@@ -337,9 +365,9 @@ func (r *Registry) columns(s *snapshot) *snapshot {
 
 // Lookup runs the matcher over the live advertisements. The matcher sees
 // the shared snapshot and must not modify it. Only a *SemanticMatcher is
-// handed its signature numbers and, when the request has a constraint or a
-// preference to read them for, its property columns; a decorator around
-// one is not.
+// handed its signature numbers and posting lists and, when the request has
+// a constraint or a preference to read them for, its property columns; a
+// decorator around one is not.
 func (r *Registry) Lookup(m Matcher, req ontology.Request) []Match {
 	s := r.view()
 	sm, semantic := m.(*SemanticMatcher)

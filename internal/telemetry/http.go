@@ -58,8 +58,21 @@ func Handler(m *Monitor, extra ...obs.Source) http.Handler {
 
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, id := range m.Tracer().Traces() {
-			fmt.Fprintf(w, "%016x (%d spans)\n", id, len(m.Tracer().Trace(id)))
+		// One copy of the ring, counted in one pass: IDs in first-seen
+		// order, as Tracer.Traces lists them.
+		var ids []uint64
+		spans := map[uint64]int{}
+		for _, s := range m.Tracer().Spans() {
+			if s.Trace == 0 {
+				continue
+			}
+			if spans[s.Trace] == 0 {
+				ids = append(ids, s.Trace)
+			}
+			spans[s.Trace]++
+		}
+		for _, id := range ids {
+			fmt.Fprintf(w, "%016x (%d spans)\n", id, spans[id])
 		}
 	})
 

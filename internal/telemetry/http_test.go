@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pervasivegrid/internal/agent"
 	"pervasivegrid/internal/obs"
@@ -68,6 +70,44 @@ func TestHandlerEndpoints(t *testing.T) {
 	clk.Advance(9 * time.Second)
 	if rec := get("/healthz"); rec.Code != 503 {
 		t.Fatalf("/healthz = %d after 9s staleness, want 503", rec.Code)
+	}
+}
+
+// TestTracesPageCopiesTheRingOnce: with the monitor's ring full and
+// wrapped, 4 096 traces of two spans each, /traces lists every ID in
+// first-seen order with its span count, and serving it allocates a few
+// copies of the ring's worth of memory, not one copy per trace.
+func TestTracesPageCopiesTheRingOnce(t *testing.T) {
+	p := agent.NewPlatform("monitor")
+	defer p.Close()
+	mon, err := RegisterMonitor(p, MonitorOptions{Interval: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	const traces = monitorTraceCapacity / 2
+	const first = 1001 // the traces before it were evicted
+	now := time.Now()
+	for i := range 2 * (first - 1 + traces) {
+		mon.Tracer().Record(obs.Span{Trace: uint64(i/2 + 1), Seq: uint64(i), Time: now, Node: "n1", Kind: obs.SpanSend})
+	}
+	var want strings.Builder
+	for id := first; id < first+traces; id++ {
+		fmt.Fprintf(&want, "%016x (2 spans)\n", id)
+	}
+
+	h := Handler(mon)
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/traces", nil))
+	runtime.ReadMemStats(&after)
+	if got := rec.Body.String(); got != want.String() {
+		t.Fatalf("/traces is %d bytes, want %d: starts %q", len(got), want.Len(), got[:min(len(got), 80)])
+	}
+	ring := uint64(monitorTraceCapacity) * uint64(unsafe.Sizeof(obs.Span{}))
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 4*ring {
+		t.Fatalf("/traces allocated %d bytes, %.1f copies of the %d-byte ring", spent, float64(spent)/float64(ring), ring)
 	}
 }
 
