@@ -62,8 +62,9 @@ check: vet fmt-check lint race cover fuzz-smoke load-smoke e18-smoke
 
 # fuzz-smoke fuzzes each decoder that reads hostile bytes for FUZZTIME
 # (go test only replays the seed corpus): the agent wire frame, the WAL
-# frame, the flight recorder's record, the query parser and the telemetry
-# report; the discovery constraint predicate, read from the registry
+# frame, the flight recorder's record, the query parser, the telemetry
+# report and the broker's discovery bodies (their direct JSON codec against
+# encoding/json); the discovery constraint predicate, read from the registry
 # view's columns against the profiles' maps, on arbitrary property values;
 # and the registry's posting-list walk against the linear reference.
 # Two workers each, to stay small on a shared box.
@@ -74,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFlightRecord$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzReport$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzDiscoveryCodec$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnSatisfies$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/discovery
 	$(GO) test -run '^$$' -fuzz '^FuzzLookupEqualsReference$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/discovery
 

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -65,6 +66,29 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	env.ContentType = "text/plain"
 	if err := env.Decode(&out); err == nil {
 		t.Fatal("decoding non-JSON content type should fail")
+	}
+}
+
+// TestEnvelopeRawMessageBody: json.RawMessage has Marshaler and Unmarshaler
+// methods that neither compact nor validate, and it is not a body that
+// writes or reads itself, so a raw body is still compacted, an invalid one
+// still refused, and Decode into a *json.RawMessage still refuses invalid
+// JSON.
+func TestEnvelopeRawMessageBody(t *testing.T) {
+	env, err := NewEnvelope("a", "b", "inform", "o", json.RawMessage(" { \"x\" : [1, 2] }\n"))
+	if err != nil || string(env.Content) != `{"x":[1,2]}` {
+		t.Fatalf("raw body written as %q (%v), want it compacted", env.Content, err)
+	}
+	if _, err := NewEnvelope("a", "b", "inform", "o", json.RawMessage(`{"x":`)); err == nil {
+		t.Fatal("an invalid raw body was written")
+	}
+	var raw json.RawMessage
+	if err := env.Decode(&raw); err != nil || string(raw) != `{"x":[1,2]}` {
+		t.Fatalf("decoded %q (%v)", raw, err)
+	}
+	env.Content = []byte(`{"x":[1,`)
+	if err := env.Decode(&raw); err == nil {
+		t.Fatalf("invalid JSON decoded into a RawMessage as %q", raw)
 	}
 }
 

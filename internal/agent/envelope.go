@@ -53,11 +53,28 @@ type Envelope struct {
 	Content []byte `json:"content"`
 }
 
-// NewEnvelope builds an envelope with a JSON-encoded body.
+// A jsonEncoder is a body that writes its own JSON: compact, the bytes
+// json.Marshal would write, and an error where json.Marshal gives one.
+type jsonEncoder interface{ EncodeJSON() ([]byte, error) }
+
+// A jsonDecoder is a body that reads its own JSON: it decodes to what
+// json.Unmarshal decodes to, and refuses what it refuses.
+type jsonDecoder interface{ DecodeJSON([]byte) error }
+
+// NewEnvelope builds an envelope with a JSON-encoded body: compact JSON,
+// written by the body itself when it is a jsonEncoder and otherwise by
+// json.Marshal, which also compacts a json.RawMessage and refuses an
+// invalid one.
 //
 //lint:hot budget=4
 func NewEnvelope(from, to ID, performative, ontology string, body any) (Envelope, error) {
-	content, err := json.Marshal(body)
+	var content []byte
+	var err error
+	if b, ok := body.(jsonEncoder); ok {
+		content, err = b.EncodeJSON()
+	} else {
+		content, err = json.Marshal(body)
+	}
 	if err != nil {
 		return Envelope{}, fmt.Errorf("agent: encode envelope body: %w", err)
 	}
@@ -70,12 +87,17 @@ func NewEnvelope(from, to ID, performative, ontology string, body any) (Envelope
 	}, nil
 }
 
-// Decode unmarshals a JSON envelope body into out.
+// Decode unmarshals a JSON envelope body into out, by out's own reader when
+// it is a jsonDecoder and otherwise by json.Unmarshal; either way invalid
+// JSON is refused, into a *json.RawMessage too.
 //
 //lint:hot budget=2
 func (e Envelope) Decode(out any) error {
 	if e.ContentType != "application/json" {
 		return fmt.Errorf("agent: envelope content type %q is not JSON", e.ContentType)
+	}
+	if d, ok := out.(jsonDecoder); ok {
+		return d.DecodeJSON(e.Content)
 	}
 	return json.Unmarshal(e.Content, out)
 }

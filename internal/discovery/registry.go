@@ -82,7 +82,8 @@ type entry struct {
 // index by key is at; a view published before a lookup needed its columns
 // has none (at is nil). The positions in profiles of signature g's
 // profiles, in name order, are bySig[from[g]:from[g+1]]: its posting list,
-// empty for a number whose profiles have all gone since it was given.
+// empty for a number whose profiles have all gone since it was given; a
+// view published before a walk needed them has none (from is nil).
 type snapshot struct {
 	profiles []*ontology.Profile // name order
 	sig      []int32
@@ -220,8 +221,8 @@ var noView = &snapshot{} // what a full rebuild merges into
 
 // rebuild publishes the view at now, in O(n + k log k) for k touched names:
 // it merges the last view minus the touched names, whose entries keep their
-// signature numbers and slots, with the touched names still live, sweeps
-// lapsed leases from both, and lists the merged positions by signature.
+// signature numbers and slots, with the touched names still live, and
+// sweeps lapsed leases from both.
 // With no last view, or more than twice as many slots given out as there
 // are entries, it merges an empty view with every entry and numbers and
 // places afresh: a full rebuild. A profile has
@@ -271,7 +272,6 @@ func (r *Registry) rebuild(now time.Time) *snapshot {
 		n++
 	}
 	s.profiles, s.sig, s.sigs, s.slot = profiles[:n], sig[:n], len(r.sigNum), slot[:n]
-	s.from, s.bySig = postings(s.sig, s.sigs)
 	s.epoch = r.props.epoch
 	r.snap.Store(s)
 	r.last, r.touched = s, r.touched[:0]
@@ -363,16 +363,37 @@ func (r *Registry) columns(s *snapshot) *snapshot {
 	return &c
 }
 
+// posted returns s with its posting lists, publishing s again with them if
+// s is still the published view.
+func (r *Registry) posted(s *snapshot) *snapshot {
+	if s.from != nil {
+		return s
+	}
+	c := *s
+	c.from, c.bySig = postings(s.sig, s.sigs)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.snap.Load() == s {
+		r.snap.Store(&c)
+	}
+	return &c
+}
+
 // Lookup runs the matcher over the live advertisements. The matcher sees
 // the shared snapshot and must not modify it. Only a *SemanticMatcher is
 // handed its signature numbers and posting lists and, when the request has
 // a constraint or a preference to read them for, its property columns; a
-// decorator around one is not.
+// decorator around one is not. Both are built when a lookup first needs
+// them: the posting lists only for a request with no preference, which
+// walks them.
 func (r *Registry) Lookup(m Matcher, req ontology.Request) []Match {
 	s := r.view()
 	sm, semantic := m.(*SemanticMatcher)
 	if semantic && (len(req.Constraints) > 0 || len(req.PreferLow) > 0) {
 		s = r.columns(s)
+	}
+	if semantic && len(req.PreferLow) == 0 {
+		s = r.posted(s)
 	}
 	start := r.now()
 	var matches []Match

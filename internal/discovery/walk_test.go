@@ -131,7 +131,7 @@ func TestPreferenceFreeLookupEqualsReference(t *testing.T) {
 		}
 
 		live := r.Profiles()
-		view := r.view()
+		view := r.posted(r.view())
 		for g := range view.sigs {
 			if view.from[g] == view.from[g+1] {
 				emptyLists++

@@ -122,7 +122,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 	wal, err := OpenWAL(dir, firstSeg, opts, func(seg uint64, rec []byte) {
-		s.apply(rec)
+		var r walRecord
+		if err := json.Unmarshal(rec, &r); err != nil {
+			s.bad++
+			return
+		}
+		s.apply(r)
 	})
 	if err != nil {
 		return nil, err
@@ -131,13 +136,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// apply folds one replayed record into the in-memory mirror.
-func (s *Store) apply(rec []byte) {
-	var r walRecord
-	if err := json.Unmarshal(rec, &r); err != nil {
-		s.bad++
-		return
-	}
+// apply folds one record, replayed or just journaled, into the in-memory
+// mirror.
+func (s *Store) apply(r walRecord) {
 	switch r.Kind {
 	case kindCheckpoint:
 		if r.ID == "" || len(r.Snap) == 0 {
@@ -171,7 +172,8 @@ func (s *Store) apply(rec []byte) {
 	}
 }
 
-// journal appends one record to the WAL and mirrors it in memory. An
+// journal appends one record to the WAL and mirrors the record it was
+// handed, not the bytes, which would read back the same. An
 // append failure (injected or real disk fault) is counted, not
 // propagated: the live node keeps running on its in-memory state and
 // only that entry's durability is lost.
@@ -185,7 +187,7 @@ func (s *Store) journal(r walRecord) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.apply(rec)
+	s.apply(r)
 	if err := s.wal.Append(rec); err != nil {
 		s.appendErr++
 	}
@@ -193,14 +195,15 @@ func (s *Store) journal(r walRecord) {
 
 // JournalCheckpoint records an agent checkpoint. Snapshots must be
 // JSON-marshalable; agent.RecoveredSnapshot and json.RawMessage pass
-// through as raw bytes (a recovered snapshot re-journals verbatim).
+// through as raw bytes (a recovered snapshot re-journals verbatim), copied
+// so that the mirror's are its own.
 func (s *Store) JournalCheckpoint(id agent.ID, snapshot any) {
 	var raw json.RawMessage
 	switch v := snapshot.(type) {
 	case agent.RecoveredSnapshot:
-		raw = json.RawMessage(v)
+		raw = append(raw, v...)
 	case json.RawMessage:
-		raw = v
+		raw = append(raw, v...)
 	default:
 		b, err := json.Marshal(snapshot)
 		if err != nil {

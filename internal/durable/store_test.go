@@ -1,6 +1,7 @@
 package durable_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -405,6 +406,90 @@ func TestStoreAttachRegistryRoundTrip(t *testing.T) {
 			names = append(names, p.Name)
 		}
 		t.Fatalf("recovered profiles = %v, want [svc-long]", names)
+	}
+}
+
+// TestStoreLiveMirrorEqualsReplay: the mirror the live path keeps, from
+// the records it journals, equals the one Open replays from disk. Times are
+// compared with Equal (JSON drops the monotonic reading) and checkpoint
+// payloads as compacted bytes (the journal compacts a raw one).
+func TestStoreLiveMirrorEqualsReplay(t *testing.T) {
+	defer leak.Check(t)()
+	dir := t.TempDir()
+	s, err := durable.Open(dir, durable.Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	r := discovery.NewRegistry()
+	s.AttachRegistry(r)
+	leases := map[string]discovery.Lease{}
+	for i := range 12 {
+		name := fmt.Sprintf("svc-%d", i%5)
+		p := &ontology.Profile{Name: name, Concept: "Service", Outputs: []string{"Service"},
+			Properties: map[string]ontology.Value{"cost": ontology.Num(float64(i)), "room": ontology.Str("r1")}}
+		if i%3 == 2 {
+			p.Inputs = []string{}
+		}
+		l, err := r.Register(p, time.Duration(i+1)*time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leases[name] = l
+	}
+	if _, err := r.Renew(leases["svc-1"], time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	r.Deregister("svc-3")
+	s.JournalCheckpoint("solver-1", json.RawMessage(`{ "count" : 1 }`))
+	s.JournalCheckpoint("solver-2", map[string]int{"count": 2})
+	s.JournalCheckpoint("query-agent", agent.RecoveredSnapshot(`{"count":[3, 4]}`))
+	s.JournalCheckpoint("solver-1", json.RawMessage(`{"count":5}`))
+	for i := range 3 {
+		s.JournalDeadLetter(agent.DeadLetter{Reason: agent.DropNoRoute,
+			Env: agent.Envelope{Seq: uint64(i + 1), To: "nobody", Content: []byte(`{"n":1}`)}})
+	}
+	live := struct {
+		ckpts map[agent.ID]json.RawMessage
+		dead  []agent.DeadLetter
+		regs  map[string]durable.Registration
+	}{s.Checkpoints(), s.DeadLetters(), s.Registrations()}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s2, err := durable.Open(dir, durable.Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+
+	if st := s2.Stats(); st.BadRecords != 0 || st.Registrations != 4 || st.Checkpoints != 3 || st.DeadLetters != 3 {
+		t.Fatalf("replayed %+v", st)
+	}
+	replayed := s2.Checkpoints()
+	if len(replayed) != len(live.ckpts) {
+		t.Fatalf("%d checkpoints live, %d replayed", len(live.ckpts), len(replayed))
+	}
+	for id, raw := range live.ckpts {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, raw); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(replayed[id]); got != compact.String() {
+			t.Fatalf("checkpoint %q: live %s, replayed %s", id, raw, got)
+		}
+	}
+	if got := s2.DeadLetters(); !reflect.DeepEqual(got, live.dead) {
+		t.Fatalf("dead letters: live %+v, replayed %+v", live.dead, got)
+	}
+	regs := s2.Registrations()
+	if len(regs) != len(live.regs) {
+		t.Fatalf("%d registrations live, %d replayed", len(live.regs), len(regs))
+	}
+	for name, want := range live.regs {
+		got, ok := regs[name]
+		if !ok || !got.Expires.Equal(want.Expires) || !reflect.DeepEqual(got.Profile, want.Profile) {
+			t.Fatalf("registration %q: live %+v, replayed %+v", name, want, got)
+		}
 	}
 }
 
