@@ -64,15 +64,18 @@ check: vet fmt-check lint race cover fuzz-smoke load-smoke e18-smoke
 # (go test only replays the seed corpus): the agent wire frame, the WAL
 # frame, the flight recorder's record, the query parser, the telemetry
 # report and the broker's discovery bodies (their direct JSON codec against
-# encoding/json); the discovery constraint predicate, read from the registry
-# view's columns against the profiles' maps, on arbitrary property values;
-# and the registry's posting-list walk against the linear reference.
+# encoding/json); the journal's reg and dereg records, written by the same
+# codec, against encoding/json; the discovery constraint predicate, read
+# from the registry view's columns against the profiles' maps, on arbitrary
+# property values; and the registry's posting-list walk against the linear
+# reference.
 # Two workers each, to stay small on a shared box.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/agent
 	$(GO) test -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzFlightRecord$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalRecord$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzReport$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzDiscoveryCodec$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/core

@@ -1,37 +1,10 @@
 package core
 
-import (
-	"encoding/json"
+import "pervasivegrid/internal/ontology"
 
-	"pervasivegrid/internal/ontology"
-)
-
-// A body is a broker body that writes and reads its own JSON by code, as
-// encoding/json would, and otherwise by encoding/json, which finds no
-// method on it (DESIGN.md "The discovery bodies' codec").
-type body[T any] interface {
-	*T
-	code(*ontology.JSON)
-}
-
-func encodeJSON[T any, P body[T]](v T, size int) ([]byte, error) {
-	c := ontology.JSON{B: make([]byte, 0, size)}
-	if P(&v).code(&c); c.Bad {
-		return json.Marshal(v)
-	}
-	return c.B, nil
-}
-
-func decodeJSON[T any, P body[T]](v P, data []byte) error {
-	if v != nil {
-		was, c := *v, ontology.JSON{B: data, Read: true}
-		if v.code(&c); c.End() {
-			return nil
-		}
-		*v = was
-	}
-	return json.Unmarshal(data, v)
-}
+// Each broker body writes and reads its own JSON by code, as encoding/json
+// would, and otherwise by encoding/json, which finds no method on it
+// (DESIGN.md "The discovery bodies' codec").
 
 func (r *DiscoverReply) code(c *ontology.JSON) {
 	c.Bool(`{"ok":`, &r.OK)
@@ -60,11 +33,54 @@ func (a *AdvertiseRequest) code(c *ontology.JSON) {
 	c.Lit("}")
 }
 
+func (r *AdvertiseReply) code(c *ontology.JSON) {
+	c.Bool(`{"ok":`, &r.OK)
+	if c.Opt(`,"error":`, r.Error != "") {
+		c.Str("", &r.Error)
+	}
+	if c.Opt(`,"leaseId":`, r.LeaseID != 0) {
+		c.Uint("", &r.LeaseID)
+	}
+	if c.Opt(`,"expiresUnix":`, r.Expires != 0) {
+		c.Float("", &r.Expires)
+	}
+	c.Lit("}")
+}
+
+func (q *DeregisterRequest) code(c *ontology.JSON) {
+	c.Str(`{"name":`, &q.Name)
+	c.Lit("}")
+}
+
 // EncodeJSON writes its body as json.Marshal does, and DecodeJSON reads
 // one as json.Unmarshal does.
-func (r DiscoverReply) EncodeJSON() ([]byte, error)      { return encodeJSON(r, 64+384*len(r.Matches)) }
-func (r *DiscoverReply) DecodeJSON(data []byte) error    { return decodeJSON(r, data) }
-func (q DiscoverRequest) EncodeJSON() ([]byte, error)    { return encodeJSON(q, 256) }
-func (q *DiscoverRequest) DecodeJSON(data []byte) error  { return decodeJSON(q, data) }
-func (a AdvertiseRequest) EncodeJSON() ([]byte, error)   { return encodeJSON(a, 384) }
-func (a *AdvertiseRequest) DecodeJSON(data []byte) error { return decodeJSON(a, data) }
+func (r DiscoverReply) EncodeJSON() ([]byte, error) {
+	return ontology.Encode(r, (*DiscoverReply).code, 64+384*len(r.Matches))
+}
+func (r *DiscoverReply) DecodeJSON(data []byte) error {
+	return ontology.Decode(r, (*DiscoverReply).code, data)
+}
+func (q DiscoverRequest) EncodeJSON() ([]byte, error) {
+	return ontology.Encode(q, (*DiscoverRequest).code, 256)
+}
+func (q *DiscoverRequest) DecodeJSON(data []byte) error {
+	return ontology.Decode(q, (*DiscoverRequest).code, data)
+}
+func (a AdvertiseRequest) EncodeJSON() ([]byte, error) {
+	return ontology.Encode(a, (*AdvertiseRequest).code, 384)
+}
+func (a *AdvertiseRequest) DecodeJSON(data []byte) error {
+	return ontology.Decode(a, (*AdvertiseRequest).code, data)
+}
+func (r AdvertiseReply) EncodeJSON() ([]byte, error) {
+	return ontology.Encode(r, (*AdvertiseReply).code, 64+len(r.Error))
+}
+func (r *AdvertiseReply) DecodeJSON(data []byte) error {
+	return ontology.Decode(r, (*AdvertiseReply).code, data)
+}
+func (q DeregisterRequest) EncodeJSON() ([]byte, error) {
+	return ontology.Encode(q, (*DeregisterRequest).code, 16+len(q.Name))
+}
+func (q *DeregisterRequest) DecodeJSON(data []byte) error {
+	return ontology.Decode(q, (*DeregisterRequest).code, data)
+}

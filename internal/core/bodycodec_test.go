@@ -60,6 +60,11 @@ func codecAdvertise() AdvertiseRequest {
 	return AdvertiseRequest{Profile: codecProfile(3), TTLSeconds: 0.25}
 }
 
+// codecLease is the reply to an advertisement, lease_churn's commonest body.
+func codecLease() AdvertiseReply {
+	return AdvertiseReply{OK: true, LeaseID: 48213, Expires: 1760912345}
+}
+
 // sameEncode: the direct encode writes json.Marshal's bytes, or fails where
 // it fails.
 func sameEncode(t *testing.T, v jsonBody) {
@@ -132,6 +137,21 @@ func (g *codecGen) float() float64 {
 	return 0
 }
 
+// id is 0, a small number or any 64 bits.
+func (g *codecGen) id() uint64 {
+	switch g.next() % 3 {
+	case 0:
+		return 0
+	case 1:
+		return uint64(g.next())
+	}
+	var bits uint64
+	for range 8 {
+		bits = bits<<8 | uint64(g.next())
+	}
+	return bits
+}
+
 func (g *codecGen) strs() []string {
 	n := int(g.next() % 4)
 	if n == 0 {
@@ -188,7 +208,7 @@ func (g *codecGen) reply() DiscoverReply {
 	return r
 }
 
-// codecSeeds are the three bodies as the writer writes them, and bodies
+// codecSeeds are the five bodies as the writer writes them, and bodies
 // the direct reader must hand to encoding/json or read as it reads them: a
 // failure reply, escapes and non-ASCII, reordered and repeated keys, and
 // numbers outside what the writer writes.
@@ -196,10 +216,11 @@ func codecSeeds() [][]byte {
 	reply, _ := json.Marshal(codecReply())
 	discover, _ := json.Marshal(codecDiscover())
 	advertise, _ := json.Marshal(codecAdvertise())
+	lease, _ := json.Marshal(codecLease())
 	edit := func(body []byte, old, new string) []byte {
 		return []byte(strings.Replace(string(body), old, new, 1))
 	}
-	seeds := [][]byte{reply, discover, advertise,
+	seeds := [][]byte{reply, discover, advertise, lease, []byte(`{"name":"svc-0042"}`),
 		[]byte(`{"ok":false,"error":"discovery: profile \"x\" uses unknown concept \"Y\"","matches":null}`),
 		[]byte(`{"ok":true,"matches":[]}`),
 		[]byte(`{"matches":null,"ok":true}`),
@@ -224,6 +245,17 @@ func codecSeeds() [][]byte {
 		edit(discover, `"max":5`, `"max":-0`),
 		edit(discover, `"max":5`, `"max":12345678901234567890`),
 		edit(discover, `"Constraints":[`, `"Constraints":[{"Property":"a","Op":1,"Value":{"Kind":0,"S":"b","N":2}},`),
+		edit(lease, `48213`, `-0`),
+		edit(lease, `48213`, `-1`),
+		edit(lease, `48213`, `1.0`),
+		edit(lease, `48213`, `9007199254740993`),
+		edit(lease, `48213`, `18446744073709551615`),
+		edit(lease, `48213`, `18446744073709551616`),
+		edit(lease, `"ok":true,`, `"ok":false,"error":"discovery: register \"x\" with non-positive ttl",`),
+		[]byte(`{"ok":false,"leaseId":0,"expiresUnix":0}`),
+		[]byte(`{"name":"svc<0042>"}`),
+		[]byte(`{"name":null}`),
+		[]byte(`{}`),
 	}
 	return seeds
 }
@@ -241,11 +273,15 @@ func FuzzDiscoveryCodec(f *testing.F) {
 		sameDecode(t, data, new(DiscoverReply), new(DiscoverReply))
 		sameDecode(t, data, new(DiscoverRequest), new(DiscoverRequest))
 		sameDecode(t, data, new(AdvertiseRequest), new(AdvertiseRequest))
+		sameDecode(t, data, new(AdvertiseReply), new(AdvertiseReply))
+		sameDecode(t, data, new(DeregisterRequest), new(DeregisterRequest))
 		g := codecGen{data}
 		reply := g.reply()
 		discover := DiscoverRequest{Request: g.request(), Max: int(int8(g.next()) % 3)}
 		advertise := AdvertiseRequest{Profile: g.profile(), TTLSeconds: g.float()}
-		for _, v := range []jsonBody{reply, discover, advertise} {
+		lease := AdvertiseReply{OK: g.next()%2 == 0, Error: g.str(), LeaseID: g.id(), Expires: g.float()}
+		deregister := DeregisterRequest{Name: g.str()}
+		for _, v := range []jsonBody{reply, discover, advertise, lease, deregister} {
 			sameEncode(t, v)
 		}
 		if b, err := reply.EncodeJSON(); err == nil {
@@ -256,6 +292,12 @@ func FuzzDiscoveryCodec(f *testing.F) {
 		}
 		if b, err := advertise.EncodeJSON(); err == nil {
 			sameDecode(t, b, new(AdvertiseRequest), new(AdvertiseRequest))
+		}
+		if b, err := lease.EncodeJSON(); err == nil {
+			sameDecode(t, b, new(AdvertiseReply), new(AdvertiseReply))
+		}
+		if b, err := deregister.EncodeJSON(); err == nil {
+			sameDecode(t, b, new(DeregisterRequest), new(DeregisterRequest))
 		}
 	})
 }
@@ -304,7 +346,7 @@ func TestDiscoveryCodecNonFinite(t *testing.T) {
 }
 
 // BenchmarkDiscoveryCodec times the direct codec against encoding/json on
-// a 5-match reply and an advertise request.
+// a 5-match reply, an advertise request and its lease reply.
 func BenchmarkDiscoveryCodec(b *testing.B) {
 	for _, body := range []struct {
 		name  string
@@ -313,6 +355,7 @@ func BenchmarkDiscoveryCodec(b *testing.B) {
 	}{
 		{"reply", codecReply(), func() any { return new(DiscoverReply) }},
 		{"advertise", codecAdvertise(), func() any { return new(AdvertiseRequest) }},
+		{"lease", codecLease(), func() any { return new(AdvertiseReply) }},
 	} {
 		data, err := json.Marshal(body.v)
 		if err != nil {

@@ -949,7 +949,9 @@ func TestPreferenceSpanOverflow(t *testing.T) {
 // the leases. After each burst, Profiles must be exactly the model's live
 // advertisements, and Registry.Lookup through a SemanticMatcher must return
 // the profiles and scores (==) that the linear reference gives over them,
-// at Max 0, 1 and 5. Bursts of every length reach both kinds of rebuild.
+// at Max 0, 1 and 5. Bursts of every length reach every kind of rebuild:
+// a merge that copies the view, a sweep past its horizon and a full one; a
+// renewal to lapse before the horizon must touch the name.
 func TestRegistryLookupEqualsLinearUnderChurn(t *testing.T) {
 	onto := ontology.Pervasive()
 	concepts := onto.Concepts()
@@ -978,7 +980,7 @@ func TestRegistryLookupEqualsLinearUnderChurn(t *testing.T) {
 		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 		return out
 	}
-	var sweptTouched, sweptUntouched, renewDrops, matched int
+	var sweptTouched, sweptUntouched, renewDrops, renewEarlier, matched int
 	for round := 0; round < 2000; round++ {
 		burst := 1 + rng.Intn(4)
 		if rng.Intn(10) == 0 {
@@ -997,6 +999,7 @@ func TestRegistryLookupEqualsLinearUnderChurn(t *testing.T) {
 			case k < 7:
 				a, ok := model[name]
 				viewed := r.snap.Load() != nil
+				last := r.last
 				ttl := time.Duration(1+rng.Intn(20)) * time.Second
 				if rng.Intn(2) == 0 {
 					ttl = time.Second / 2 // sooner than anything a view may know of
@@ -1009,6 +1012,14 @@ func TestRegistryLookupEqualsLinearUnderChurn(t *testing.T) {
 					model[name] = advert{a.p, l}
 					if viewed && r.snap.Load() == nil {
 						renewDrops++
+					}
+					// Renewed to lapse before the horizon of the view the
+					// next merge copies: the name must be merged again.
+					if last != nil && l.Expires.Before(last.horizon) {
+						renewEarlier++
+						if r.last != nil && !slices.Contains(r.touched, name) {
+							t.Fatalf("round %d: %s renewed to lapse before the horizon, not touched", round, name)
+						}
 					}
 				}
 			case k < 8:
@@ -1063,26 +1074,28 @@ func TestRegistryLookupEqualsLinearUnderChurn(t *testing.T) {
 	if r.Len() < 8 {
 		t.Fatalf("only %d advertisements left to merge into", r.Len())
 	}
-	merges, fulls := rebuilds("merge"), rebuilds("full")
+	merges, sweeps, fulls := rebuilds("merge"), rebuilds("sweep"), rebuilds("full")
 	if _, err := r.Register(&ontology.Profile{Name: "svc-new", Concept: "Service"}, time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Lookup(m, ontology.Request{Concept: "Service"}); len(got) == 0 {
 		t.Fatal("no match after a registration")
 	}
-	if rebuilds("merge") != merges+1 || rebuilds("full") != fulls {
-		t.Fatalf("write then read: %d merges and %d full rebuilds, want %d and %d",
-			rebuilds("merge"), rebuilds("full"), merges+1, fulls)
+	if rebuilds("merge") != merges+1 || rebuilds("sweep") != sweeps || rebuilds("full") != fulls {
+		t.Fatalf("write then read: %d merges, %d sweeps and %d full rebuilds, want %d, %d and %d",
+			rebuilds("merge"), rebuilds("sweep"), rebuilds("full"), merges+1, sweeps, fulls)
 	}
 
 	// The test is only as good as the paths it reached.
-	if merges < 200 || fulls < 20 || sweptTouched == 0 || sweptUntouched == 0 || renewDrops == 0 || matched < 5000 {
-		t.Fatalf("weak churn: %d merges, %d full rebuilds, %d touched and %d untouched lapsed names swept, "+
-			"%d renewals that dropped the view, %d reference matches",
-			merges, fulls, sweptTouched, sweptUntouched, renewDrops, matched)
+	if merges < 200 || sweeps < 100 || fulls < 20 || sweptTouched == 0 || sweptUntouched == 0 ||
+		renewDrops == 0 || renewEarlier == 0 || matched < 5000 {
+		t.Fatalf("weak churn: %d merges, %d sweeps, %d full rebuilds, %d touched and %d untouched lapsed names swept, "+
+			"%d renewals that dropped the view, %d before the horizon, %d reference matches",
+			merges, sweeps, fulls, sweptTouched, sweptUntouched, renewDrops, renewEarlier, matched)
 	}
-	t.Logf("%d merges, %d full rebuilds, %d touched and %d untouched lapsed names swept, %d view drops on renewal, %d reference matches",
-		merges, fulls, sweptTouched, sweptUntouched, renewDrops, matched)
+	t.Logf("%d merges, %d sweeps, %d full rebuilds, %d touched and %d untouched lapsed names swept, "+
+		"%d view drops on renewal, %d renewals before the horizon, %d reference matches",
+		merges, sweeps, fulls, sweptTouched, sweptUntouched, renewDrops, renewEarlier, matched)
 }
 
 // everyMatcher returns every candidate in the order given, so a test sees

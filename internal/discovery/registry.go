@@ -28,9 +28,10 @@ type Lease struct {
 // serve an immutable name-ordered snapshot published through an atomic
 // pointer, with each advertisement's signature numbered and its properties
 // in columns for a SemanticMatcher. A mutation that changes the set of
-// advertisements drops the snapshot and records the name; the first read
-// after it merges those names into the last snapshot, so a burst of writes
-// pays for one merge.
+// advertisements, or renews a lease to lapse before the snapshot's
+// horizon, drops the snapshot and records the name; the first read after
+// it merges those names into the last snapshot, copying the runs of names
+// between them, so a burst of writes pays for one merge.
 // The clock is injectable so simulations can drive expiry deterministically.
 type Registry struct {
 	// Clock supplies the current time; nil means obs.Real.
@@ -38,7 +39,7 @@ type Registry struct {
 
 	// Metrics, when set, receives discovery_match_latency_seconds,
 	// discovery_lookup_{hits,misses}_total,
-	// discovery_view_rebuilds_total{kind="merge"|"full"}, and a
+	// discovery_view_rebuilds_total{kind="merge"|"sweep"|"full"}, and a
 	// discovery_registry_size gauge set when a snapshot is published. Nil
 	// disables instrumentation (obs.Registry is nil-safe).
 	Metrics *obs.Registry
@@ -94,10 +95,11 @@ type snapshot struct {
 	epoch    int // of the slots
 	at       map[string]int32
 	cols     []column
-	// horizon is the earliest expiry among the leases the view was built
-	// from: until the clock passes it nothing in the view has lapsed, so
-	// the view is served as it is. Renew either leaves every expiry at or
-	// past it, or drops the view.
+	// horizon is at or before every expiry in the view: the earliest after
+	// a sweep or a full rebuild, a lower bound after a merge. Until the
+	// clock passes it nothing in the view has lapsed, so the view is served
+	// as it is and a merge copies it. Renew either leaves every expiry at
+	// or past it, or touches the name.
 	horizon time.Time
 }
 
@@ -159,9 +161,10 @@ func (r *Registry) Renew(l Lease, ttl time.Duration) (Lease, error) {
 		return Lease{}, fmt.Errorf("discovery: lease %d for %q not active", l.ID, l.Name)
 	}
 	e.lease.Expires = now.Add(ttl)
-	if s := r.snap.Load(); s != nil && e.lease.Expires.Before(s.horizon) {
-		// Renewed to lapse sooner than anything the view knew of.
-		r.snap.Store(nil)
+	if r.last != nil && e.lease.Expires.Before(r.last.horizon) {
+		// Renewed to lapse before the horizon, which a merge would copy
+		// the name past unread.
+		r.touch(l.Name)
 	}
 	renewed := e.lease
 	profile := e.profile
@@ -189,8 +192,9 @@ func (r *Registry) Deregister(name string) {
 	}
 }
 
-// touch unpublishes the view after name was registered or withdrawn, and
-// records the name for the next rebuild to merge. Called under r.mu.
+// touch unpublishes the view after name was registered, withdrawn or
+// renewed to lapse before the horizon, and records the name for the next
+// rebuild to merge. Called under r.mu.
 func (r *Registry) touch(name string) {
 	r.snap.Store(nil)
 	if r.last == nil {
@@ -219,33 +223,59 @@ func (r *Registry) view() *snapshot {
 
 var noView = &snapshot{} // what a full rebuild merges into
 
-// rebuild publishes the view at now, in O(n + k log k) for k touched names:
-// it merges the last view minus the touched names, whose entries keep their
-// signature numbers and slots, with the touched names still live, and
-// sweeps lapsed leases from both.
+func byName(p *ontology.Profile, name string) int { return strings.Compare(p.Name, name) }
+
+// rebuild publishes the view at now: it merges the last view minus the
+// touched names, whose entries keep their signature numbers and slots, with
+// the touched names still live. While the last view's horizon holds nothing
+// untouched in it has lapsed, so a merge copies each run of untouched names,
+// found by a binary search for the next touched name from where the last
+// one stopped: O(k log n) for k touched names, plus one copy per run. Its
+// horizon, the least of the last view's and the touched entries' expiries,
+// is a lower bound on every expiry in it. Past the horizon a sweep reads
+// every name's entry, drops the lapsed ones and finds the horizon exactly,
+// in O(n + k log k).
 // With no last view, or more than twice as many slots given out as there
 // are entries, it merges an empty view with every entry and numbers and
-// places afresh: a full rebuild. A profile has
-// a slot of its own, so there are never more signatures than slots. Called
-// under r.mu.
+// places afresh: a full rebuild. A profile has a slot of its own, so there
+// are never more signatures than slots. Called under r.mu.
 func (r *Registry) rebuild(now time.Time) *snapshot {
 	prev, kind, touched := r.last, "merge", r.touched
-	if prev == nil || int(r.props.slots) > 2*len(r.entries) {
+	switch {
+	case prev == nil || int(r.props.slots) > 2*len(r.entries):
 		prev, kind, touched = noView, "full", slices.Collect(maps.Keys(r.entries))
 		clear(r.sigNum)
 		r.props.reset(len(r.entries))
+	case !prev.current(now):
+		kind = "sweep"
 	}
 	slices.Sort(touched)
 	touched = slices.Compact(touched)
-	profiles := make([]*ontology.Profile, len(r.entries))
-	sig := make([]int32, len(r.entries))
-	slot := make([]int32, len(r.entries))
+	size := len(r.entries)
+	profiles := make([]*ontology.Profile, size)
+	both := make([]int32, 2*size) // sig and slot
+	sig, slot := both[:size:size], both[size:]
 	s := &snapshot{}
+	if kind == "merge" && len(prev.profiles) > 0 {
+		s.horizon = prev.horizon
+	}
 	n := 0
 	for i, j := 0, 0; i < len(prev.profiles) || j < len(touched); {
 		var e *entry
 		num, at := int32(-1), int32(-1)
 		if j == len(touched) || i < len(prev.profiles) && prev.profiles[i].Name < touched[j] {
+			if kind == "merge" { // copy the run of untouched names up to touched[j]
+				end := len(prev.profiles)
+				if j < len(touched) {
+					k, _ := slices.BinarySearchFunc(prev.profiles[i:], touched[j], byName)
+					end = i + k
+				}
+				copy(profiles[n:], prev.profiles[i:end])
+				copy(sig[n:], prev.sig[i:end])
+				copy(slot[n:], prev.slot[i:end])
+				n, i = n+end-i, end
+				continue
+			}
 			e, num, at = r.entries[prev.profiles[i].Name], prev.sig[i], prev.slot[i]
 			i++
 		} else {
@@ -265,7 +295,7 @@ func (r *Registry) rebuild(now time.Time) *snapshot {
 		if num < 0 {
 			num, at = r.intern(e.profile), r.props.place(e.profile)
 		}
-		if n == 0 || e.lease.Expires.Before(s.horizon) {
+		if s.horizon.IsZero() || e.lease.Expires.Before(s.horizon) {
 			s.horizon = e.lease.Expires
 		}
 		profiles[n], sig[n], slot[n] = e.profile, num, at
@@ -335,8 +365,7 @@ func (r *Registry) Len() int { return len(r.view().profiles) }
 
 // Has reports whether name is advertised under a live lease.
 func (r *Registry) Has(name string) bool {
-	_, found := slices.BinarySearchFunc(r.view().profiles, name,
-		func(p *ontology.Profile, name string) int { return strings.Compare(p.Name, name) })
+	_, found := slices.BinarySearchFunc(r.view().profiles, name, byName)
 	return found
 }
 

@@ -34,6 +34,22 @@ type walRecord struct {
 	Reg  *Registration     `json:"reg,omitempty"`
 }
 
+// code writes a reg or dereg record as encoding/json does; any other sets
+// Bad, and goes to encoding/json.
+func (r *walRecord) code(c *ontology.JSON) {
+	c.Str(`{"k":`, &r.Kind)
+	if c.Opt(`,"id":`, r.ID != "") {
+		c.Str("", &r.ID)
+	}
+	c.Bad = c.Bad || len(r.Snap) > 0 || r.Dead != nil || r.Reg != nil && r.Reg.Profile == nil
+	if c.Opt(`,"reg":`, r.Reg != nil && !c.Bad) {
+		c.Profile(`{"Profile":`, r.Reg.Profile)
+		c.Time(`,"Expires":`, &r.Reg.Expires)
+		c.Lit("}")
+	}
+	c.Lit("}")
+}
+
 // Registration is a journaled service advertisement: the profile plus
 // the absolute lease expiry, so recovery can re-register with the
 // remaining TTL (or skip the entry if the lease died while the node
@@ -178,7 +194,7 @@ func (s *Store) apply(r walRecord) {
 // propagated: the live node keeps running on its in-memory state and
 // only that entry's durability is lost.
 func (s *Store) journal(r walRecord) {
-	rec, err := json.Marshal(r)
+	rec, err := ontology.Encode(r, (*walRecord).code, 512)
 	if err != nil {
 		s.mu.Lock()
 		s.appendErr++

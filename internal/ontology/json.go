@@ -1,9 +1,11 @@
 package ontology
 
 import (
+	"encoding/json"
 	"math"
 	"slices"
 	"strconv"
+	"time"
 )
 
 // JSON codes the wire shapes of Profile, Value, Constraint and Request, of
@@ -15,6 +17,29 @@ type JSON struct {
 	B         []byte
 	Read, Bad bool
 	i         int
+}
+
+// Encode writes v by code, in a buffer of size bytes to start with, and
+// where code cannot, by encoding/json, which must find no method on T.
+func Encode[T any](v T, code func(*T, *JSON), size int) ([]byte, error) {
+	c := JSON{B: make([]byte, 0, size)}
+	if code(&v, &c); c.Bad {
+		return json.Marshal(v)
+	}
+	return c.B, nil
+}
+
+// Decode reads data into *v by code, and where code cannot, puts *v back
+// and reads it by encoding/json.
+func Decode[T any](v *T, code func(*T, *JSON), data []byte) error {
+	if v != nil {
+		was, c := *v, JSON{B: data, Read: true}
+		if code(v, &c); c.End() {
+			return nil
+		}
+		*v = was
+	}
+	return json.Unmarshal(data, v)
 }
 
 // Lit writes s, or reads it: it must come next.
@@ -115,6 +140,30 @@ func (c *JSON) Int(key string, n *int) {
 	}
 	f, integer := c.number()
 	*n, c.Bad = int(f), c.Bad || !integer || math.Abs(f) >= 1<<53
+}
+
+// Uint codes *n as Int does. Written, 2^63 and above set Bad; read, so
+// does a sign, even on 0, which encoding/json refuses for an unsigned
+// field.
+func (c *JSON) Uint(key string, n *uint64) {
+	c.Lit(key)
+	i := int(*n)
+	c.Bad = c.Bad || c.Opt("-", false)
+	c.Int("", &i)
+	*n, c.Bad = uint64(i), c.Bad || i < 0
+}
+
+// Time writes *t as time.Time's MarshalJSON does: RFC 3339 with
+// nanoseconds, quoted. It sets Bad where that fails, for a year outside
+// 0–9999 or a zone a day or more from UTC, and when reading.
+func (c *JSON) Time(key string, t *time.Time) {
+	c.Lit(key)
+	_, zone := t.Zone()
+	if y := t.Year(); c.Read || y < 0 || y > 9999 || zone <= -24*3600 || zone >= 24*3600 {
+		c.Bad = true
+		return
+	}
+	c.B = append(t.AppendFormat(append(c.B, '"'), time.RFC3339Nano), '"')
 }
 
 // Bool codes *b; written, it stores *b back.

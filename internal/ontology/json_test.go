@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // jsonShape is a Profile and a Request coded one after the other, the way
@@ -106,5 +107,48 @@ func TestJSONGivesUp(t *testing.T) {
 	r := JSON{B: body, Read: true}
 	if held.code(&r); !r.Bad {
 		t.Error("read into a list it would have replaced")
+	}
+}
+
+// TestJSONTime: a time is written as time.Time's MarshalJSON writes it, and
+// one it refuses (a year outside 0–9999, a zone a day or more from UTC)
+// sets Bad.
+func TestJSONTime(t *testing.T) {
+	at := time.Date(2026, 10, 19, 21, 39, 19, 120034000, time.UTC)
+	for _, tm := range []time.Time{at, at.Truncate(time.Second), at.Local(), {},
+		at.In(time.FixedZone("", 5*3600+30*60)), at.In(time.FixedZone("", -24*3600+1)),
+		at.In(time.FixedZone("", 24*3600)), at.In(time.FixedZone("", -24*3600)),
+		time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC), time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC)} {
+		w := JSON{}
+		w.Time("", &tm)
+		want, err := tm.MarshalJSON()
+		if w.Bad != (err != nil) || err == nil && string(w.B) != string(want) {
+			t.Errorf("%v: wrote %s (bad %v), MarshalJSON %s (%v)", tm, w.B, w.Bad, want, err)
+		}
+	}
+}
+
+// TestJSONUint: an unsigned number is written as encoding/json writes it up
+// to 2^63, and read as it reads it up to 2^53; a sign, even on 0, sets Bad.
+func TestJSONUint(t *testing.T) {
+	for _, n := range []uint64{0, 7, 1<<53 - 1, 1<<63 - 1} {
+		w := JSON{}
+		w.Uint("", &n)
+		if want, _ := json.Marshal(n); w.Bad || string(w.B) != string(want) {
+			t.Errorf("%d: wrote %s (bad %v), json.Marshal %s", n, w.B, w.Bad, want)
+		}
+	}
+	big := uint64(1 << 63)
+	w := JSON{}
+	if w.Uint("", &big); !w.Bad {
+		t.Errorf("2^63: wrote %s", w.B)
+	}
+	for in, ok := range map[string]bool{"0": true, "9007199254740991": true, "-0": false, "-1": false, "1.0": false, "9007199254740992": false} {
+		var n uint64
+		r := JSON{B: []byte(in), Read: true}
+		if r.Uint("", &n); r.End() != ok {
+			t.Errorf("read %s: %d, end %v", in, n, r.End())
+		}
 	}
 }
