@@ -308,11 +308,11 @@ func avoidSet(degraded map[string]Signal) map[string]bool {
 // degraded service: the "signal fired against a service bound to a
 // remaining or in-flight step" condition that justifies a re-plan.
 //
-// Budget 47: this runs once per degradation signal (not per delivery).
-// The top-1 discovery probe for uncached steps is Broker.Lookup (45), and
+// Budget 46: this runs once per degradation signal (not per delivery).
+// The top-1 discovery probe for uncached steps is Broker.Lookup (44), and
 // the engine's request and broker list are the other 2.
 //
-//lint:hot budget=47
+//lint:hot budget=46
 func (a *Adaptive) boundTo(remaining []Step, degraded map[string]Signal) bool {
 	if len(degraded) == 0 {
 		return false
@@ -469,12 +469,12 @@ func (a *Adaptive) applyDead(degraded map[string]Signal) {
 // any dataflow-valid alternative is taken (its steps will steer via the
 // avoid set). Reports false when no alternative plan remains.
 //
-// Budget 55: at most MaxReplans runs per conversation. The boundTo
-// discovery probe is 47 of it, dataflow validation 4, the handoff's
+// Budget 53: at most MaxReplans runs per conversation. The boundTo
+// discovery probe is 46 of it, dataflow validation 3, the handoff's
 // available set 2 and the remaining steps 2; all are bounded by the
 // ranked-plan cap.
 //
-//lint:hot budget=55
+//lint:hot budget=53
 func (a *Adaptive) replan(plans [][]Step, current int, hand *Handoff, degraded map[string]Signal) (int, bool) {
 	available := hand.Available()
 	fallback := -1

@@ -59,11 +59,11 @@ func (b *Broker) LookupLocal(req ontology.Request) []Match {
 // returns every local match; the bound on the result is req.Max, which
 // each registry's matcher applies and the merge applies again.
 //
-// Budget 45: the snapshot rebuild that the first read after a mutation
+// Budget 44: the snapshot rebuild that the first read after a mutation
 // pays (3: the view, its profiles, and its signature numbers and slots in
 // one array), its signature interning (1) and its posting lists (1, the
 // offsets and the positions in one array), the SemanticMatcher's
-// constraint pass and scoring (11), which Registry.Lookup calls directly,
+// constraint pass and scoring (10), which Registry.Lookup calls directly,
 // and its walk of the posting lists for a request with no preference (6:
 // the signatures ranked, a value and an append that spills past the
 // stack buffer; the constraints bound, an append; the result, its make,
@@ -77,7 +77,7 @@ func (b *Broker) LookupLocal(req ontology.Request) []Match {
 // (two value literals that allocate nothing). Any other Matcher sits
 // behind the interface, out of the linter's sight.
 //
-//lint:hot budget=45
+//lint:hot budget=44
 func (b *Broker) Lookup(req ontology.Request, want int) []Match {
 	local := b.LookupLocal(req)
 	if want > 0 && len(local) >= want {

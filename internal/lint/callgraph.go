@@ -51,7 +51,10 @@ import (
 //
 // Soundness limits (documented in docs/static-analysis.md): calls
 // through interfaces or function values are not resolved (no edges), so
-// facts reached only that way are missed; lock tracking is a straight-line
+// facts reached only that way are missed; a function literal's body is
+// read only when the literal runs in place (called where it stands, or
+// bound to a local that is only called), and then only for its
+// allocation sites and calls; lock tracking is a straight-line
 // source-order scan, not path sensitive; standard-library bodies are not
 // in the graph, so their allocations are counted only for a known
 // allocating set (allocStdlib) and their blocking only for the
@@ -282,6 +285,7 @@ func (g *Graph) collectFacts(fn *FuncNode) {
 		}
 		return true
 	})
+	inline := inlineLits(pkg.Info, fn.Decl.Body, deferred, goCalls)
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.SendStmt:
@@ -299,6 +303,9 @@ func (g *Graph) collectFacts(fn *FuncNode) {
 		case *ast.CompositeLit:
 			fn.Allocs = append(fn.Allocs, AllocSite{Pos: node.Pos(), Kind: "composite literal"})
 		case *ast.FuncLit:
+			if inline[node] {
+				return true
+			}
 			fn.Allocs = append(fn.Allocs, AllocSite{Pos: node.Pos(), Kind: "closure"})
 			// Facts inside the literal belong to whoever runs it, which
 			// the engine cannot see; skip the body (soundness limit).
@@ -314,7 +321,78 @@ func (g *Graph) collectFacts(fn *FuncNode) {
 		}
 		return true
 	})
+	if len(inline) > 0 {
+		// An inlined body lends the function its allocation sites and
+		// calls only: its locks and blocking operations run at its call,
+		// not where it is written, so they stay unseen (soundness limit).
+		kept := fn.Events[:0]
+		for _, ev := range fn.Events {
+			if ev.Kind == EventCall || !insideAny(inline, ev.Pos) {
+				kept = append(kept, ev)
+			}
+		}
+		fn.Events = kept
+	}
 	sort.SliceStable(fn.Events, func(i, j int) bool { return fn.Events[i].Pos < fn.Events[j].Pos })
+}
+
+// inlineLits returns the function literals in body that run only as part
+// of the function itself: one called where it stands, or one bound with
+// := to a local that the function only ever calls. A literal run by a go
+// or defer statement, or one that escapes as a value, is not inline: it
+// stays a closure allocation with an unseen body.
+func inlineLits(info *types.Info, body *ast.BlockStmt, deferred, goCalls map[*ast.CallExpr]bool) map[*ast.FuncLit]bool {
+	inline := map[*ast.FuncLit]bool{}
+	bound := map[types.Object]*ast.FuncLit{}
+	called := map[*ast.Ident]bool{} // a plain call's callee
+	escaped := map[*ast.FuncLit]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch node := n.(type) {
+		case *ast.CallExpr:
+			if deferred[node] || goCalls[node] {
+				break
+			}
+			switch callee := unparen(node.Fun).(type) {
+			case *ast.FuncLit:
+				inline[callee] = true
+			case *ast.Ident:
+				called[callee] = true
+			}
+		case *ast.AssignStmt:
+			if node.Tok != token.DEFINE || len(node.Lhs) != len(node.Rhs) {
+				break
+			}
+			for i, lhs := range node.Lhs {
+				lit, isLit := unparen(node.Rhs[i]).(*ast.FuncLit)
+				if id, ok := lhs.(*ast.Ident); ok && isLit && info.Defs[id] != nil {
+					bound[info.Defs[id]] = lit
+				}
+			}
+		case *ast.Ident:
+			// A local's uses follow its declaration, so bound is complete
+			// for every use seen here.
+			if lit := bound[info.Uses[node]]; lit != nil && !called[node] {
+				escaped[lit] = true
+			}
+		}
+		return true
+	})
+	for _, lit := range bound {
+		if !escaped[lit] {
+			inline[lit] = true
+		}
+	}
+	return inline
+}
+
+// insideAny reports whether pos lies within one of the literals.
+func insideAny(lits map[*ast.FuncLit]bool, pos token.Pos) bool {
+	for lit := range lits {
+		if lit.Pos() <= pos && pos < lit.End() {
+			return true
+		}
+	}
+	return false
 }
 
 // collectCall classifies one call expression: lock event, blocking op,

@@ -174,6 +174,23 @@ func TestHotAllocFixture(t *testing.T) {
 	checkAgainstMarkers(t, lint.HotAlloc(), "hotalloc")
 }
 
+// TestHotAllocReadsLocalLiterals: a literal called where it stands, or
+// bound to a local that is only called, counts the sites of its body and
+// is no closure, so both forms reach what the closure-free root reaches.
+func TestHotAllocReadsLocalLiterals(t *testing.T) {
+	diags := lint.Run([]*lint.Package{loadFixture(t, "hotalloc")}, []*lint.Analyzer{lint.HotAlloc()})
+	for _, root := range []string{"Direct", "Called", "Bound"} {
+		want := "hot root hotalloc." + root + " reaches 3 allocation sites"
+		found := false
+		for _, d := range diags {
+			found = found || strings.HasPrefix(d.Message, want+",")
+		}
+		if !found {
+			t.Errorf("no finding %q in %v", want, diags)
+		}
+	}
+}
+
 // TestDeadIgnoreFixture runs rawclock + deadignore together: the live
 // suppression stays silent, the stale one is the only finding.
 func TestDeadIgnoreFixture(t *testing.T) {

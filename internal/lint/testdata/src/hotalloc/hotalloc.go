@@ -1,6 +1,7 @@
 // Package hotalloc is the fixture corpus for the hotalloc analyzer: a
 // hot root whose reachable allocation sites exceed its budget, one that
-// fits, and an allocation-free root with the default zero budget.
+// fits, and an allocation-free root with the default zero budget;
+// closure.go holds roots that run a helper through a local literal.
 package hotalloc
 
 import "fmt"

@@ -175,9 +175,9 @@ func (r *KNNRegressor) Len() int { return r.n }
 // It gives what one row per sample would: the scaler weighs rows by count,
 // and a row fills min(count, slots left) of the k slots one term at a time.
 //
-// Budget 11: refit scratch that grows only with the rows, the comparator, the error.
+// Budget 10: refit scratch that grows only with the rows, the comparator, the error.
 //
-//lint:hot budget=11
+//lint:hot budget=10
 func (r *KNNRegressor) Predict(x []float64) (float64, error) {
 	if r.n == 0 {
 		return 0, ErrEmpty

@@ -125,9 +125,9 @@ func (d *DecisionMaker) calibrated(m Model, f Features, v []float64) Estimate {
 // scored by the objective. An error is returned when no model is feasible
 // within the cost limit.
 //
-// Budget 44: mostly the tree selector's training (18); a known shape allocates 3 times.
+// Budget 41: mostly the tree selector's training (14); a known shape allocates 3 times.
 //
-//lint:hot budget=44
+//lint:hot budget=41
 func (d *DecisionMaker) Choose(q *query.Query, f Features) (Decision, error) {
 	dec := Decision{Estimates: make([]Estimate, 0, numModels)}
 	v := f.Vector()

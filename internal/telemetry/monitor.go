@@ -81,8 +81,7 @@ func (o MonitorOptions) withDefaults(p *agent.Platform) MonitorOptions {
 
 // nodeState is everything the monitor knows about one node.
 type nodeState struct {
-	snap     obs.Snapshot // reconstructed full view
-	snapSeq  uint64       // the report snap came from (0: none yet)
+	snap     obs.Snapshot // the newest report's snapshot
 	lastSeen time.Time    // monitor clock at last report
 	sentAt   time.Time    // node clock when the last report was built
 	boot     time.Time    // the reporter incarnation seq counts within
@@ -135,35 +134,29 @@ func RegisterMonitor(p *agent.Platform, opts MonitorOptions) (*Monitor, error) {
 	return m, nil
 }
 
-// handle ingests one envelope delivered to the monitor agent. A refused
-// report is answered once, naming the seq the monitor holds; the reporter
-// takes any reply as "next report full".
+// handle ingests one envelope delivered to the monitor agent. A report
+// that does not decode, or is over the size bound or the span and event
+// caps a reporter keeps, is counted bad and dropped, so one node cannot
+// flush the others' entries from the trace and event rings.
 func (m *Monitor) handle(env agent.Envelope, _ *agent.Context) {
 	if env.Ontology != OntologyReport {
 		return
 	}
 	var rep Report
-	if len(env.Content) > reportMaxBytes || env.Decode(&rep) != nil || rep.Node == "" {
+	if len(env.Content) > reportMaxBytes || env.Decode(&rep) != nil || rep.Node == "" ||
+		len(rep.Spans) > reportMaxSpans || len(rep.Events) > reportMaxEvents {
 		m.platform.Metrics().Counter("telemetry_bad_reports_total").Inc()
 		return
 	}
-	if held, refused := m.Ingest(rep); refused {
-		if reply, err := env.Reply("refuse", held); err == nil {
-			//lint:ignore rawsend refusals are sent once — a lost one is repeated when the next delta is refused
-			_ = m.platform.Send(reply)
-		}
-	}
+	m.Ingest(rep)
 }
 
 // Ingest merges one report into the fleet state. A report at or below
 // the highest seq seen from the same reporter incarnation is stale and
-// dropped whole. A newer report's snapshot is applied only when it is
-// full or its Base is the seq the stored snapshot came from; otherwise
-// Ingest refuses it, returning the seq the stored snapshot came from, and
-// keeps the rest of the report (liveness, ledgers, spans, events).
-// Exported so in-process deployments (and tests) can bypass the envelope
-// layer.
-func (m *Monitor) Ingest(rep Report) (held uint64, refused bool) {
+// dropped whole; a newer one replaces the node's stored snapshot with
+// its own. Exported so in-process deployments (and tests) can bypass the
+// envelope layer.
+func (m *Monitor) Ingest(rep Report) {
 	now := m.opts.Clock.Now()
 	m.mu.Lock()
 	ns := m.nodes[rep.Node]
@@ -173,19 +166,12 @@ func (m *Monitor) Ingest(rep Report) (held uint64, refused bool) {
 	}
 	switch {
 	case rep.Boot.After(ns.boot): // the reporter restarted
-		ns.boot, ns.seq, ns.snapSeq = rep.Boot, 0, 0
+		ns.boot, ns.seq = rep.Boot, 0
 	case rep.Boot.Before(ns.boot) || rep.Seq <= ns.seq:
 		m.mu.Unlock()
-		return 0, false
+		return
 	}
-	switch {
-	case rep.Base == 0:
-		ns.snap, ns.snapSeq = rep.Snap.Clone(), rep.Seq
-	case rep.Base == ns.snapSeq:
-		ns.snap, ns.snapSeq = ns.snap.Apply(rep.Snap), rep.Seq
-	default:
-		held, refused = ns.snapSeq, true
-	}
+	ns.snap = rep.Snap.Clone()
 	// A gap means reports died in transit — telemetry observing its own
 	// loss.
 	if ns.seq > 0 && rep.Seq > ns.seq+1 {
@@ -210,12 +196,8 @@ func (m *Monitor) Ingest(rep Report) (held uint64, refused bool) {
 	reg.Counter("telemetry_reports_total", "node", rep.Node).Inc()
 	reg.Counter("telemetry_spans_total").Add(float64(len(rep.Spans)))
 	reg.Counter("telemetry_events_total").Add(float64(len(rep.Events)))
-	if refused {
-		reg.Counter("telemetry_refused_reports_total").Inc()
-	}
 	reg.Gauge("telemetry_nodes").Set(float64(m.NodeCount()))
 	m.SyncBreakers()
-	return held, refused
 }
 
 // SyncBreakers pushes the monitor's current health verdicts into the
@@ -391,7 +373,7 @@ type NodeView struct {
 		AvgDeliverSec float64 `json:"avgDeliverSec"`
 		DropRate      float64 `json:"dropRate"`
 	} `json:"observed"`
-	// Snapshot is the node's reconstructed metric view: its delivery
+	// Snapshot is the node's newest reported metric view: its delivery
 	// accounting and tracer ledger are read here.
 	Snapshot obs.Snapshot `json:"snapshot"`
 }

@@ -1,12 +1,11 @@
 // Package telemetry is the fleet observability plane: it hosts the
 // monitoring system *on the same substrate it observes* (Kirby et al.'s
 // active-architecture argument). Every node runs a lightweight reporter
-// deputy that periodically ships its metric snapshot (delta-encoded) and
-// recent trace spans to a MonitorAgent over ordinary envelopes. A report
-// is sent once: a delta names the report it was computed against, the
-// monitor applies only a delta whose base it holds, and it refuses the
-// rest with one reply that makes the next report full — so a lost report
-// costs freshness, never correctness.
+// deputy that periodically ships its full metric snapshot and recent
+// trace spans to a MonitorAgent over ordinary envelopes. A report is sent
+// once and needs no earlier one: the monitor keeps the newest report's
+// snapshot, so a lost report costs one interval of freshness, never
+// correctness.
 // The monitor merges per-node snapshots, derives health states from
 // report staleness, stitches cross-node trace timelines, and feeds the
 // measured per-node transport cost back into the partition decision
@@ -43,10 +42,7 @@ type Report struct {
 	// Seq numbers this incarnation's reports; the monitor drops one at or
 	// below the highest it has seen and counts gaps as lost reports.
 	Seq uint64 `json:"seq"`
-	// Base is the seq of the report this delta was computed against
-	// (obs.Snapshot.Delta); 0 means Snap is a full snapshot.
-	Base uint64 `json:"base,omitempty"`
-	// Snap is the delta-encoded (or full) metric snapshot. It carries
+	// Snap is the node's full metric snapshot. It carries
 	// the node's delivery accounting (agent_delivered_total,
 	// agent_dead_letter_total, agent_retries_total) and, where the
 	// node's tracer is attached to a reported registry, its sampling

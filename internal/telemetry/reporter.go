@@ -23,12 +23,14 @@ type ReporterOptions struct {
 }
 
 // A report ships at most the newest reportMaxSpans spans and
-// reportMaxEvents wide events. The monitor refuses report content over
-// reportMaxBytes before decoding it. The largest legitimate report
+// reportMaxEvents wide events; the monitor refuses a report over either
+// cap, and report content over reportMaxBytes before decoding it. Every
+// report carries the node's full snapshot. The largest legitimate report
 // measured, 512 spans and 256 events as long as a -recompose node's
-// longest ones (203 and 376 bytes) with that node's full 44-series
-// snapshot, encodes to 203 406 bytes; the bound leaves five times that
-// for longer names, error strings and series.
+// longest ones (203 and 376 bytes) with the snapshot of a node hosting
+// 2 000 agents (one agent_mailbox_depth gauge each, 2 008 series, 100 001
+// bytes), encodes to 301 104 bytes; the bound leaves over three times
+// that for longer names, error strings and series.
 const (
 	reportMaxSpans  = 512
 	reportMaxEvents = 256
@@ -49,35 +51,30 @@ func (o ReporterOptions) withDefaults(p *agent.Platform) ReporterOptions {
 	return o
 }
 
-// Reporter is the reporter deputy: a lightweight agent that periodically
-// snapshots its node's observability state and ships it to the fleet
-// monitor, delta-encoded so a quiet node costs almost nothing on the
-// wire. Each delta is computed against the previous report and names its
-// seq as Base. The first report, and the next one after a send failure or
-// a refusal from the monitor, is a full snapshot.
+// Reporter is the reporter deputy: it periodically snapshots its node's
+// observability state and ships it to the fleet monitor. Every report
+// carries the node's full snapshot, so the monitor needs no earlier
+// report to read one.
 type Reporter struct {
 	platform *agent.Platform
 	opts     ReporterOptions
 	boot     time.Time // the incarnation every report names
-	// id is the reporter's own agent ID, "telemetry-reporter-" + platform
-	// name: reporters crossing one gateway must be unique fleet-wide so
-	// reverse routes don't collide.
+	// id is the reports' sender, "telemetry-reporter-" + platform name:
+	// reporters crossing one gateway must be unique fleet-wide so reverse
+	// routes don't collide.
 	id      agent.ID
 	done    chan struct{}
 	stopped chan struct{}
 
 	mu         sync.Mutex
-	last       obs.Snapshot // the snapshot report seq carried
-	haveLast   bool         // false: the next report is full
 	seq        uint64
 	spanTotal  uint64 // tracer total at the previous report
 	eventTotal uint64 // event-log total at the previous report
 	closed     bool
 }
 
-// StartReporter registers the reporter agent on p and begins the report
-// loop: one immediate full report, then one report per interval. Close
-// stops the loop and deregisters the agent.
+// StartReporter begins p's report loop: one immediate report, then one
+// report per interval. Close stops the loop.
 func StartReporter(p *agent.Platform, opts ReporterOptions) (*Reporter, error) {
 	r := &Reporter{
 		platform: p,
@@ -87,25 +84,8 @@ func StartReporter(p *agent.Platform, opts ReporterOptions) (*Reporter, error) {
 		stopped:  make(chan struct{}),
 	}
 	r.boot = r.opts.Clock.Now()
-	err := p.Register(r.id, agent.HandlerFunc(r.handle),
-		agent.Attributes{Agent: map[string]string{agent.AttrRole: "telemetry-reporter"}}, nil)
-	if err != nil {
-		return nil, err
-	}
 	supervise.Spawn("telemetry-reporter", r.loop)
 	return r, nil
-}
-
-// handle is the reporter's inbound side. The monitor replies only to
-// refuse a delta whose base it does not hold, so any reply makes the next
-// report full.
-func (r *Reporter) handle(env agent.Envelope, _ *agent.Context) {
-	if env.Ontology != OntologyReport {
-		return
-	}
-	r.mu.Lock()
-	r.haveLast = false
-	r.mu.Unlock()
 }
 
 func (r *Reporter) loop() {
@@ -179,20 +159,15 @@ func (r *Reporter) newEvents(prevTotal uint64) ([]obs.Event, uint64) {
 }
 
 // ReportNow builds and ships one report immediately (also used by the
-// periodic loop). It is sent once: if it is lost, the monitor refuses the
-// next delta, whose base it never saw, and its reply makes the report
-// after that full. A send that fails here makes the next report full.
+// periodic loop). It is sent once: a lost report costs the monitor one
+// interval of freshness, and the next report replaces it whole.
 func (r *Reporter) ReportNow() error {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return agent.ErrClosed
 	}
-	cur := r.snapshot()
-	ship, base := cur, uint64(0)
-	if r.haveLast {
-		ship, base = cur.Delta(r.last), r.seq
-	}
+	snap := r.snapshot()
 	spans, spanTotal := r.newSpans(r.spanTotal)
 	events, eventTotal := r.newEvents(r.eventTotal)
 	r.seq++
@@ -200,31 +175,24 @@ func (r *Reporter) ReportNow() error {
 		Node:   r.platform.Name,
 		Boot:   r.boot,
 		Seq:    r.seq,
-		Base:   base,
-		Snap:   ship,
+		Snap:   snap,
 		Spans:  spans,
 		Events: events,
 		SentAt: r.opts.Clock.Now(),
 	}
-	r.last, r.haveLast = cur, true
 	r.spanTotal = spanTotal
 	r.eventTotal = eventTotal
 	r.mu.Unlock()
 
 	env, err := agent.NewEnvelope(r.id, MonitorID, "inform", OntologyReport, rep)
-	if err == nil {
-		//lint:ignore rawsend reports are sent once — the monitor refuses the delta after a lost one, and its reply makes the next report full
-		err = r.platform.Send(env)
-	}
 	if err != nil {
-		r.mu.Lock()
-		r.haveLast = false
-		r.mu.Unlock()
+		return err
 	}
-	return err
+	//lint:ignore rawsend reports are sent once — a lost report costs one interval, and the next one carries the whole snapshot
+	return r.platform.Send(env)
 }
 
-// Close stops the report loop and deregisters the reporter agent.
+// Close stops the report loop.
 func (r *Reporter) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -235,5 +203,4 @@ func (r *Reporter) Close() {
 	r.mu.Unlock()
 	close(r.done)
 	<-r.stopped
-	r.platform.Deregister(r.id)
 }

@@ -27,7 +27,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func TestReporterShipsDeltasToLocalMonitor(t *testing.T) {
+func TestReporterShipsSnapshotsToLocalMonitor(t *testing.T) {
 	clk := obs.NewFakeClock()
 	p := agent.NewPlatform("node-a")
 	p.Clock = clk
@@ -47,7 +47,7 @@ func TestReporterShipsDeltasToLocalMonitor(t *testing.T) {
 	}
 	defer rep.Close()
 
-	// The reporter announces itself immediately (full snapshot).
+	// The reporter announces itself immediately.
 	waitFor(t, "first report", func() bool { return mon.Reports("node-a") >= 1 })
 	snap, ok := mon.NodeSnapshot("node-a")
 	if !ok {
@@ -60,20 +60,19 @@ func TestReporterShipsDeltasToLocalMonitor(t *testing.T) {
 		t.Fatalf("health = %v, want healthy", mon.Health("node-a"))
 	}
 
-	// Change one app series; the next report is a delta that must merge
-	// onto the stored view without losing the untouched series. The
-	// reporter must be parked on the clock before it moves, or the
-	// advance skips its tick.
+	// Change one app series; the next report replaces the stored view
+	// and still carries the untouched series. The reporter must be parked
+	// on the clock before it moves, or the advance skips its tick.
 	app.Counter("app_things_total").Add(5)
 	waitFor(t, "reporter parked on the clock", func() bool { return clk.Waiters() >= 1 })
 	clk.Advance(time.Second)
 	waitFor(t, "second report", func() bool { return mon.Reports("node-a") >= 2 })
 	snap, _ = mon.NodeSnapshot("node-a")
 	if snap.Counters["app_things_total"] != 5 {
-		t.Fatalf("delta did not merge: %v", snap.Counters)
+		t.Fatalf("second report not stored: %v", snap.Counters)
 	}
 	if snap.Gauges["runtime_goroutines"] < 1 {
-		t.Fatalf("delta merge lost prior series: %v", snap.Gauges)
+		t.Fatalf("second report lost the untouched series: %v", snap.Gauges)
 	}
 
 	fv := mon.Fleet()
@@ -147,13 +146,12 @@ func TestMonitorCountsSeqGaps(t *testing.T) {
 	reg.Counter("c_total").Add(1)
 	full := reg.Snapshot()
 	mon.Ingest(Report{Node: "n", Seq: 1, Snap: full})
-	mon.Ingest(Report{Node: "n", Seq: 2, Base: 1, Snap: obs.Snapshot{}})
-	// Reports 3 and 4 lost in transit; 5 is refused, its base unseen.
-	mon.Ingest(Report{Node: "n", Seq: 5, Base: 4, Snap: obs.Snapshot{}})
-	// The refusal's reply made the reporter's next report full.
+	mon.Ingest(Report{Node: "n", Seq: 2, Snap: full})
+	// Reports 3 and 4 lost in transit.
+	mon.Ingest(Report{Node: "n", Seq: 5, Snap: full})
 	mon.Ingest(Report{Node: "n", Seq: 6, Snap: full})
 	// A duplicated envelope replays an old seq: stale, so not counted.
-	mon.Ingest(Report{Node: "n", Seq: 5, Base: 4, Snap: obs.Snapshot{}})
+	mon.Ingest(Report{Node: "n", Seq: 5, Snap: full})
 
 	fv := mon.Fleet()
 	if len(fv.Nodes) != 1 {
@@ -171,20 +169,16 @@ func TestMonitorCountsSeqGaps(t *testing.T) {
 	}
 }
 
-// gauges builds a snapshot holding only the given gauges.
-func gauges(kv map[string]float64) obs.Snapshot { return obs.Snapshot{Gauges: kv} }
-
-// TestIngestAppliesOnlyADeltaItsBaseHolds drives Ingest through the report
-// sequences a lossy uplink produces. A report a step leaves out was lost in
-// transit. After every step the stored view must be one the node really
-// held: the newest applied report's, never a mix.
-func TestIngestAppliesOnlyADeltaItsBaseHolds(t *testing.T) {
+// TestIngestKeepsTheNewestReport drives Ingest through the report
+// sequences a lossy uplink produces. A report a step leaves out was lost
+// in transit. After every step the stored view must be the snapshot of
+// the newest report the monitor applied, never a mix.
+func TestIngestKeepsTheNewestReport(t *testing.T) {
 	type step struct {
 		rep     Report
-		refused bool
-		held    uint64 // the seq a refusal names
-		want    map[string]float64
+		applied bool // false: stale, dropped whole
 	}
+	g := func(kv map[string]float64) obs.Snapshot { return obs.Snapshot{Gauges: kv} }
 	boot := obs.NewFakeClock().Now()
 	reboot := boot.Add(time.Minute)
 	cases := []struct {
@@ -192,54 +186,34 @@ func TestIngestAppliesOnlyADeltaItsBaseHolds(t *testing.T) {
 		steps []step
 	}{
 		{"a stale duplicate after a newer report", []step{
-			{rep: Report{Seq: 1, Snap: gauges(map[string]float64{"g": 1})},
-				want: map[string]float64{"g": 1}},
-			{rep: Report{Seq: 2, Base: 1, Snap: gauges(map[string]float64{"g": 2})},
-				want: map[string]float64{"g": 2}},
-			{rep: Report{Seq: 3, Base: 2, Snap: gauges(map[string]float64{"g": 3})},
-				want: map[string]float64{"g": 3}},
-			{rep: Report{Seq: 2, Base: 1, Snap: gauges(map[string]float64{"g": 2})},
-				want: map[string]float64{"g": 3}},
+			{Report{Seq: 1, Snap: g(map[string]float64{"g": 1})}, true},
+			{Report{Seq: 2, Snap: g(map[string]float64{"g": 2})}, true},
+			{Report{Seq: 3, Snap: g(map[string]float64{"g": 3})}, true},
+			{Report{Seq: 2, Snap: g(map[string]float64{"g": 2})}, false},
 		}},
-		{"a fresh monitor meets a delta", []step{
-			{rep: Report{Seq: 7, Base: 6, Snap: gauges(map[string]float64{"a": 2})},
-				refused: true, held: 0, want: map[string]float64{}},
-			{rep: Report{Seq: 8, Snap: gauges(map[string]float64{"a": 2, "b": 1})},
-				want: map[string]float64{"a": 2, "b": 1}},
+		{"a fresh monitor meets a report mid-run", []step{
+			{Report{Seq: 7, Snap: g(map[string]float64{"a": 2, "b": 1})}, true},
 		}},
-		{"the delta after a lost report", []step{
-			{rep: Report{Seq: 1, Snap: gauges(map[string]float64{"a": 1, "b": 1})},
-				want: map[string]float64{"a": 1, "b": 1}},
-			// Seq 2 {a: 2} lost.
-			{rep: Report{Seq: 3, Base: 2, Snap: gauges(map[string]float64{"b": 2})},
-				refused: true, held: 1, want: map[string]float64{"a": 1, "b": 1}},
-			{rep: Report{Seq: 4, Snap: gauges(map[string]float64{"a": 2, "b": 2})},
-				want: map[string]float64{"a": 2, "b": 2}},
+		{"the report after a lost one", []step{
+			{Report{Seq: 1, Snap: g(map[string]float64{"a": 1, "b": 1})}, true},
+			// Seq 2 {a: 2, b: 1} lost.
+			{Report{Seq: 3, Snap: g(map[string]float64{"a": 2, "b": 2})}, true},
 		}},
 		{"a gauge goes 5, 7, 5 across a lost report", []step{
-			{rep: Report{Seq: 1, Snap: gauges(map[string]float64{"g": 5})},
-				want: map[string]float64{"g": 5}},
-			{rep: Report{Seq: 2, Base: 1, Snap: gauges(map[string]float64{"g": 7})},
-				want: map[string]float64{"g": 7}},
+			{Report{Seq: 1, Snap: g(map[string]float64{"g": 5})}, true},
+			{Report{Seq: 2, Snap: g(map[string]float64{"g": 7})}, true},
 			// Seq 3 {g: 5} lost; the node's gauge does not move again.
-			{rep: Report{Seq: 4, Base: 3, Snap: gauges(map[string]float64{})},
-				refused: true, held: 2, want: map[string]float64{"g": 7}},
-			// The refusal is lost too: the next delta is refused again.
-			{rep: Report{Seq: 5, Base: 4, Snap: gauges(map[string]float64{})},
-				refused: true, held: 2, want: map[string]float64{"g": 7}},
-			{rep: Report{Seq: 6, Snap: gauges(map[string]float64{"g": 5})},
-				want: map[string]float64{"g": 5}},
+			{Report{Seq: 4, Snap: g(map[string]float64{"g": 5})}, true},
 		}},
 		{"a restarted reporter starts over", []step{
-			{rep: Report{Boot: boot, Seq: 5, Snap: gauges(map[string]float64{"g": 1})},
-				want: map[string]float64{"g": 1}},
-			{rep: Report{Boot: reboot, Seq: 1, Snap: gauges(map[string]float64{"g": 2})},
-				want: map[string]float64{"g": 2}},
-			{rep: Report{Boot: reboot, Seq: 2, Base: 1, Snap: gauges(map[string]float64{"g": 3})},
-				want: map[string]float64{"g": 3}},
-			// A late report from the previous incarnation is stale.
-			{rep: Report{Boot: boot, Seq: 6, Base: 5, Snap: gauges(map[string]float64{"g": 9})},
-				want: map[string]float64{"g": 3}},
+			{Report{Boot: boot, Seq: 5, Snap: g(map[string]float64{"g": 1})}, true},
+			{Report{Boot: reboot, Seq: 1, Snap: g(map[string]float64{"g": 2})}, true},
+			{Report{Boot: reboot, Seq: 2, Snap: g(map[string]float64{"g": 3})}, true},
+		}},
+		{"a late report from the previous incarnation", []step{
+			{Report{Boot: boot, Seq: 5, Snap: g(map[string]float64{"g": 1})}, true},
+			{Report{Boot: reboot, Seq: 1, Snap: g(map[string]float64{"g": 2})}, true},
+			{Report{Boot: boot, Seq: 6, Snap: g(map[string]float64{"g": 9})}, false},
 		}},
 	}
 	for _, c := range cases {
@@ -251,17 +225,20 @@ func TestIngestAppliesOnlyADeltaItsBaseHolds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var newest obs.Snapshot
 			for i, st := range c.steps {
 				st.rep.Node = "n"
-				held, refused := mon.Ingest(st.rep)
-				if refused != st.refused || (refused && held != st.held) {
-					t.Fatalf("step %d (seq %d base %d): refused=%v held=%d, want refused=%v held=%d",
-						i, st.rep.Seq, st.rep.Base, refused, held, st.refused, st.held)
+				before := mon.Reports("n")
+				mon.Ingest(st.rep)
+				if applied := mon.Reports("n") > before; applied != st.applied {
+					t.Fatalf("step %d (seq %d): applied=%v, want %v", i, st.rep.Seq, applied, st.applied)
+				}
+				if st.applied {
+					newest = st.rep.Snap
 				}
 				snap, _ := mon.NodeSnapshot("n")
-				if !reflect.DeepEqual(snap.Gauges, st.want) {
-					t.Fatalf("step %d (seq %d base %d): stored %v, want %v",
-						i, st.rep.Seq, st.rep.Base, snap.Gauges, st.want)
+				if !reflect.DeepEqual(snap.Gauges, newest.Gauges) {
+					t.Fatalf("step %d (seq %d): stored %v, want %v", i, st.rep.Seq, snap.Gauges, newest.Gauges)
 				}
 			}
 		})
@@ -393,13 +370,13 @@ func TestTraceStitchingAcrossReportedSpans(t *testing.T) {
 	}
 }
 
-// TestLostReportIsRefusedThenResentFull loses exactly one report between a
+// TestLostReportCostsOneInterval loses exactly one report between a
 // reporter and its monitor. The uplink and the downlink are channels the
 // test drains itself, and the clock never moves, so every hop happens when
-// the test makes it: the report after the lost one must be refused and
-// answered, the one after that must be full, and the monitor must then hold
-// the node's snapshot series for series.
-func TestLostReportIsRefusedThenResentFull(t *testing.T) {
+// the test makes it: the report after the lost one must be applied, the
+// monitor must then hold that report's snapshot series for series, and it
+// must send nothing back.
+func TestLostReportCostsOneInterval(t *testing.T) {
 	clk := obs.NewFakeClock()
 	np := agent.NewPlatform("node")
 	np.Clock = clk
@@ -421,9 +398,8 @@ func TestLostReportIsRefusedThenResentFull(t *testing.T) {
 	}
 	defer rep.Close()
 
-	// deliver hands the next report to the monitor and returns it with the
-	// monitor's reply, if it sent one.
-	deliver := func() (Report, *agent.Envelope) {
+	// deliver hands the next report to the monitor and returns it.
+	deliver := func() Report {
 		t.Helper()
 		env := <-up
 		mon.handle(env, nil)
@@ -431,12 +407,7 @@ func TestLostReportIsRefusedThenResentFull(t *testing.T) {
 		if err := env.Decode(&r); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case reply := <-down:
-			return r, &reply
-		default:
-			return r, nil
-		}
+		return r
 	}
 	reportNow := func() {
 		t.Helper()
@@ -445,40 +416,84 @@ func TestLostReportIsRefusedThenResentFull(t *testing.T) {
 		}
 	}
 
-	first, reply := deliver() // the loop's announcement
-	if first.Base != 0 || reply != nil {
-		t.Fatalf("first report base=%d reply=%v, want a full report applied", first.Base, reply)
-	}
+	deliver() // the loop's announcement
 	app.Gauge("g").Set(7)
 	reportNow()
 	<-up // lost
 	app.Gauge("g").Set(5)
 	app.Counter("c_total").Inc()
 	reportNow()
-	refused, reply := deliver()
-	if refused.Base != first.Seq+1 || reply == nil {
-		t.Fatalf("report after the lost one: base=%d reply=%v, want base %d refused", refused.Base, reply, first.Seq+1)
-	}
-	var held uint64
-	if err := reply.Decode(&held); err != nil || held != first.Seq || reply.To != rep.id {
-		t.Fatalf("refusal to %s names seq %d (%v), want %s and seq %d", reply.To, held, err, rep.id, first.Seq)
-	}
-	rep.handle(*reply, nil)
-
-	reportNow()
-	full, reply := deliver()
-	if full.Base != 0 || reply != nil {
-		t.Fatalf("report after the refusal: base=%d reply=%v, want a full report applied", full.Base, reply)
-	}
+	next := deliver()
 	stored, _ := mon.NodeSnapshot("node")
-	rep.mu.Lock()
-	node := rep.last
-	rep.mu.Unlock()
-	if !reflect.DeepEqual(stored, node) {
-		t.Fatalf("monitor holds\n%+v\nnode holds\n%+v", stored, node)
+	if !reflect.DeepEqual(stored, next.Snap) {
+		t.Fatalf("monitor holds\n%+v\nthe report carried\n%+v", stored, next.Snap)
 	}
-	if nv := mon.Fleet().Nodes[0]; nv.Missed != 1 || nv.Reports != 3 {
-		t.Fatalf("missed=%d reports=%d, want 1 and 3", nv.Missed, nv.Reports)
+	if stored.Gauges["g"] != 5 || stored.Counters["c_total"] != 1 {
+		t.Fatalf("stored g=%v c_total=%v, want 5 and 1", stored.Gauges["g"], stored.Counters["c_total"])
+	}
+	if nv := mon.Fleet().Nodes[0]; nv.Missed != 1 || nv.Reports != 2 {
+		t.Fatalf("missed=%d reports=%d, want 1 and 2", nv.Missed, nv.Reports)
+	}
+	select {
+	case env := <-down:
+		t.Fatalf("monitor sent %s %q downlink", env.Performative, env.Ontology)
+	default:
+	}
+}
+
+// TestMonitorRefusesReportsOverCaps: a report with more spans or events
+// than a reporter ships is counted bad and dropped whole, so it cannot
+// flush the other nodes' entries from the monitor's rings.
+func TestMonitorRefusesReportsOverCaps(t *testing.T) {
+	clk := obs.NewFakeClock()
+	p := agent.NewPlatform("monitor")
+	p.Clock = clk
+	defer p.Close()
+	mon, err := RegisterMonitor(p, MonitorOptions{Interval: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(rep Report) {
+		t.Helper()
+		env, err := agent.NewEnvelope(agent.ID("telemetry-reporter-"+rep.Node), MonitorID, "inform", OntologyReport, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(env.Content) > reportMaxBytes {
+			t.Fatalf("a %d-byte report is refused for its size, not its caps", len(env.Content))
+		}
+		mon.handle(env, nil)
+	}
+	t0 := clk.Now()
+	send(Report{Node: "a", Seq: 1,
+		Spans:  []obs.Span{{Trace: 1, Seq: 1, Time: t0, Node: "a", Kind: obs.SpanSend}},
+		Events: []obs.Event{obs.NewEvent("a", 1, "x", "y", OntologyProbe, t0)}})
+
+	events := make([]obs.Event, monitorEventCapacity+1)
+	for i := range events {
+		events[i] = obs.NewEvent("b", 2, "x", "y", OntologyProbe, t0)
+	}
+	send(Report{Node: "b", Seq: 1, Events: events})
+	spans := make([]obs.Span, monitorTraceCapacity+1)
+	for i := range spans {
+		spans[i] = obs.Span{Trace: 2, Seq: 1, Time: t0, Node: "b", Kind: obs.SpanSend}
+	}
+	send(Report{Node: "b", Seq: 2, Spans: spans})
+
+	kept := 0
+	for _, ev := range mon.Events().Events() {
+		if ev.Node == "a" {
+			kept++
+		}
+	}
+	if kept != 1 || len(mon.Tracer().Trace(1)) != 1 {
+		t.Fatalf("node a's event kept %d times, its span %d times; want both once", kept, len(mon.Tracer().Trace(1)))
+	}
+	if n := p.Metrics().Counter("telemetry_bad_reports_total").Value(); n != 2 {
+		t.Fatalf("telemetry_bad_reports_total = %v, want 2", n)
+	}
+	if mon.Reports("b") != 0 {
+		t.Fatalf("node b's over-cap reports were ingested")
 	}
 }
 
@@ -504,8 +519,8 @@ func (m *Monitor) Health(node string) Health {
 	return m.health(now.Sub(ns.lastSeen))
 }
 
-// NodeSnapshot returns the reconstructed full metric snapshot of one
-// node and whether the node is known.
+// NodeSnapshot returns the newest reported metric snapshot of one node
+// and whether the node is known.
 func (m *Monitor) NodeSnapshot(node string) (obs.Snapshot, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
