@@ -304,35 +304,25 @@ func main() {
 	defer gw.Close()
 
 	// With -telemetry-to this daemon is a reporting node: it dials the
-	// aggregator over a reconnecting link, ships delta-encoded snapshots
-	// + spans every interval, and probes its uplink with echo
-	// round-trips so the aggregator learns real transport cost.
+	// aggregator over a reconnecting link, ships its full snapshot and
+	// its new spans and events every interval, and probes its uplink
+	// with echo round-trips so the aggregator learns real transport cost.
+	// A -monitor daemon reports to itself, so the fleet view always
+	// includes the monitor host.
 	var rep *telemetry.Reporter
 	if *telemetryTo != "" {
 		link := agent.DialReconnect(platform, *telemetryTo, agent.ReconnectOptions{})
 		defer link.Close()
-		rep, err = telemetry.StartReporter(platform, telemetry.ReporterOptions{
-			Interval: *telemetryEvery,
-			Sources:  []obs.Source{rt.Metrics},
-		})
-		if err != nil {
-			log.Fatalf("pgridd: reporter: %v", err)
-		}
-		defer rep.Close()
 		prober := telemetry.NewProber(platform, telemetry.ProbeOptions{Interval: *telemetryEvery})
 		prober.Start()
 		defer prober.Close()
 		fmt.Printf("pgridd: reporting telemetry to %s every %v\n", *telemetryTo, *telemetryEvery)
-	} else if mon != nil {
-		// The aggregator observes itself too, so the fleet view always
-		// includes the monitor host.
-		rep, err = telemetry.StartReporter(platform, telemetry.ReporterOptions{
+	}
+	if *telemetryTo != "" || mon != nil {
+		rep = telemetry.StartReporter(platform, telemetry.ReporterOptions{
 			Interval: *telemetryEvery,
 			Sources:  []obs.Source{rt.Metrics},
 		})
-		if err != nil {
-			log.Fatalf("pgridd: reporter: %v", err)
-		}
 		defer rep.Close()
 	}
 

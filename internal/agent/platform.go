@@ -233,10 +233,9 @@ type Platform struct {
 	// Dead-letter accounting: a bounded ring of the most recent
 	// undeliverable envelopes, and an unbounded count per reason
 	// (agent_dead_letter_total{reason}, resolved at its first letter).
-	dlMu   sync.Mutex
-	dlRing []DeadLetter
-	dlNext int // next write position once the ring is full
-	dlWhy  map[DropReason]*obs.Counter
+	dlMu  sync.Mutex
+	dead  obs.Ring[DeadLetter] // allocated at the first letter
+	dlWhy map[DropReason]*obs.Counter
 }
 
 // RouteFunc tries to deliver an envelope to a non-local destination. It
@@ -549,8 +548,8 @@ func (p *Platform) deadLetter(env Envelope, reason DropReason) {
 	}
 }
 
-// pushDeadLetterLocked counts the letter under its reason and appends
-// it to the ring, evicting the oldest letter once the ring is at
+// pushDeadLetterLocked counts the letter under its reason and pushes
+// it into the ring, evicting the oldest letter once the ring is at
 // capacity. Caller holds p.dlMu.
 func (p *Platform) pushDeadLetterLocked(dl DeadLetter) {
 	c := p.dlWhy[dl.Reason]
@@ -559,15 +558,13 @@ func (p *Platform) pushDeadLetterLocked(dl DeadLetter) {
 		p.dlWhy[dl.Reason] = c
 	}
 	c.Inc()
-	if len(p.dlRing) < DefaultDeadLetterCap {
-		p.dlRing = append(p.dlRing, dl)
-		p.metrics.Gauge("agent_dead_letter_depth").Set(float64(len(p.dlRing)))
-		return
+	if p.dead.Len() == 0 { // never empty again once allocated
+		p.dead = obs.NewRing[DeadLetter](DefaultDeadLetterCap)
 	}
-	p.dlRing[p.dlNext] = dl
-	p.dlNext = (p.dlNext + 1) % len(p.dlRing)
-	p.metrics.Counter("agent_dead_letter_evicted_total").Inc()
-	p.metrics.Gauge("agent_dead_letter_depth").Set(float64(len(p.dlRing)))
+	if p.dead.Push(dl) {
+		p.metrics.Counter("agent_dead_letter_evicted_total").Inc()
+	}
+	p.metrics.Gauge("agent_dead_letter_depth").Set(float64(p.dead.Len()))
 }
 
 // RestoreDeadLetters refills the ring with letters recovered from
@@ -608,10 +605,7 @@ func (p *Platform) DeliveryStats() DeliveryStats {
 func (p *Platform) DeadLetters() []DeadLetter {
 	p.dlMu.Lock()
 	defer p.dlMu.Unlock()
-	out := make([]DeadLetter, 0, len(p.dlRing))
-	out = append(out, p.dlRing[p.dlNext:]...)
-	out = append(out, p.dlRing[:p.dlNext]...)
-	return out
+	return p.dead.Newest(DefaultDeadLetterCap)
 }
 
 // Close stops every agent. Subsequent Sends fail with ErrClosed.

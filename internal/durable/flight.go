@@ -63,8 +63,8 @@ type FlightRecorder struct {
 	wal *WAL
 
 	mu      sync.Mutex
-	events  []obs.Event // recovered from the previous life, oldest first
-	spans   []obs.Span
+	events  obs.Ring[obs.Event] // recovered from the previous life
+	spans   obs.Ring[obs.Span]
 	marks   []FlightMark
 	lastSeg uint64
 	badRecs int
@@ -73,7 +73,7 @@ type FlightRecorder struct {
 // OpenFlight opens (creating if needed) the black box under dir,
 // replaying whatever the previous process life left behind.
 func OpenFlight(dir string) (*FlightRecorder, error) {
-	fr := &FlightRecorder{}
+	fr := newFlightRecorder()
 	opts := Options{SegmentBytes: flightSegmentBytes, Sync: SyncOnRotate}
 	w, err := OpenWAL(dir, 0, opts, fr.replay)
 	if err != nil {
@@ -83,6 +83,15 @@ func OpenFlight(dir string) (*FlightRecorder, error) {
 	fr.lastSeg = w.ActiveSegment()
 	fr.gc()
 	return fr, nil
+}
+
+// newFlightRecorder returns a recorder with empty recovery rings and no
+// journal yet.
+func newFlightRecorder() *FlightRecorder {
+	return &FlightRecorder{
+		events: obs.NewRing[obs.Event](flightEventCap),
+		spans:  obs.NewRing[obs.Span](flightSpanCap),
+	}
 }
 
 // replay decodes one journal record into the recovered rings. A record
@@ -95,24 +104,14 @@ func (fr *FlightRecorder) replay(_ uint64, rec []byte) {
 	}
 	switch {
 	case r.K == "fev" && r.Ev != nil:
-		fr.events = appendBounded(fr.events, *r.Ev, flightEventCap)
+		fr.events.Push(*r.Ev)
 	case r.K == "fsp" && r.Sp != nil:
-		fr.spans = appendBounded(fr.spans, *r.Sp, flightSpanCap)
+		fr.spans.Push(*r.Sp)
 	case r.K == "fmk" && r.Mk != nil:
 		fr.marks = append(fr.marks, *r.Mk)
 	default:
 		fr.badRecs++
 	}
-}
-
-// appendBounded keeps the newest capacity entries.
-func appendBounded[T any](s []T, v T, capacity int) []T {
-	if len(s) < capacity {
-		return append(s, v)
-	}
-	copy(s, s[1:])
-	s[len(s)-1] = v
-	return s
 }
 
 // RecoveredEvents returns the wide events replayed at open, oldest
@@ -123,9 +122,7 @@ func (fr *FlightRecorder) RecoveredEvents() []obs.Event {
 	}
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	out := make([]obs.Event, len(fr.events))
-	copy(out, fr.events)
-	return out
+	return fr.events.Newest(flightEventCap)
 }
 
 // RecoveredSpans returns the spans replayed at open, oldest first —
@@ -136,9 +133,7 @@ func (fr *FlightRecorder) RecoveredSpans() []obs.Span {
 	}
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	out := make([]obs.Span, len(fr.spans))
-	copy(out, fr.spans)
-	return out
+	return fr.spans.Newest(flightSpanCap)
 }
 
 // append journals one frame and garbage-collects old segments after a
@@ -177,7 +172,7 @@ func (fr *FlightRecorder) RecordEvent(ev obs.Event) {
 }
 
 // RecordSpan journals one retained span. Safe on nil; hook this to
-// obs.Tracer.SetOnRecord.
+// obs.Tracer.OnRecord.
 func (fr *FlightRecorder) RecordSpan(sp obs.Span) {
 	if fr == nil {
 		return
@@ -205,14 +200,16 @@ func (fr *FlightRecorder) Mark(note string, cause error) {
 
 // Hook subscribes the recorder to a tracer and an event log: every
 // retained span and every emitted wide event is journaled. Either may
-// be nil.
+// be nil. Call it before traffic starts.
 func (fr *FlightRecorder) Hook(tr *obs.Tracer, events *obs.EventLog) {
 	if fr == nil {
 		return
 	}
-	tr.SetOnRecord(fr.RecordSpan)
+	if tr != nil {
+		tr.OnRecord = fr.RecordSpan
+	}
 	if events != nil {
-		events.OnEmit(fr.RecordEvent)
+		events.OnEmit = fr.RecordEvent
 	}
 }
 
@@ -265,8 +262,8 @@ func (fr *FlightRecorder) DumpText() string {
 		return "flight recorder: not open\n"
 	}
 	fr.mu.Lock()
-	events := append([]obs.Event(nil), fr.events...)
-	spans := append([]obs.Span(nil), fr.spans...)
+	events := fr.events.Newest(flightEventCap)
+	spans := fr.spans.Newest(flightSpanCap)
 	marks := append([]FlightMark(nil), fr.marks...)
 	bad := fr.badRecs
 	fr.mu.Unlock()

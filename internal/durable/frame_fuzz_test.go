@@ -91,7 +91,7 @@ func FuzzFlightRecord(f *testing.F) {
 	f.Add([]byte(`{"k":"fev","ev":{"phases":[{},{},{},{}],"attrs":{"a":"","b":""}}}`))
 	f.Add([]byte(`{"k":"fmk","mk":{"time":"2026-08-09T12:00:00+05:30"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := &FlightRecorder{}
+		fr := newFlightRecorder()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		fr.replay(0, data)
@@ -103,17 +103,18 @@ func FuzzFlightRecord(f *testing.F) {
 		if fr.badRecs > 0 {
 			return
 		}
+		events, spans := fr.events.Newest(1), fr.spans.Newest(1)
 		var rec flightRec
 		switch {
-		case len(fr.events) == 1 && len(fr.spans)+len(fr.marks) == 0:
-			rec = flightRec{K: "fev", Ev: &fr.events[0]}
-		case len(fr.spans) == 1 && len(fr.events)+len(fr.marks) == 0:
-			rec = flightRec{K: "fsp", Sp: &fr.spans[0]}
-		case len(fr.marks) == 1 && len(fr.events)+len(fr.spans) == 0:
+		case fr.events.Len() == 1 && fr.spans.Len()+len(fr.marks) == 0:
+			rec = flightRec{K: "fev", Ev: &events[0]}
+		case fr.spans.Len() == 1 && fr.events.Len()+len(fr.marks) == 0:
+			rec = flightRec{K: "fsp", Sp: &spans[0]}
+		case len(fr.marks) == 1 && fr.events.Len()+fr.spans.Len() == 0:
 			rec = flightRec{K: "fmk", Mk: &fr.marks[0]}
 		default:
 			t.Fatalf("an accepted record recovered %d events, %d spans and %d marks, want one record",
-				len(fr.events), len(fr.spans), len(fr.marks))
+				fr.events.Len(), fr.spans.Len(), len(fr.marks))
 		}
 		enc, err := json.Marshal(rec)
 		if err != nil {

@@ -99,7 +99,7 @@ type Store struct {
 	mu    sync.Mutex
 	wal   *WAL
 	ckpts map[agent.ID]json.RawMessage
-	dead  []agent.DeadLetter
+	dead  obs.Ring[agent.DeadLetter] // allocated at the first letter
 	regs  map[string]Registration
 
 	bad       uint64
@@ -131,7 +131,9 @@ func Open(dir string, opts Options) (*Store, error) {
 			for id, raw := range snap.Checkpoints {
 				s.ckpts[agent.ID(id)] = raw
 			}
-			s.dead = append(s.dead, snap.DeadLetters...)
+			for _, dl := range snap.DeadLetters {
+				s.pushDead(dl)
+			}
 			for name, reg := range snap.Registrations {
 				s.regs[name] = reg
 			}
@@ -167,10 +169,7 @@ func (s *Store) apply(r walRecord) {
 			s.bad++
 			return
 		}
-		s.dead = append(s.dead, *r.Dead)
-		if over := len(s.dead) - agent.DefaultDeadLetterCap; over > 0 {
-			s.dead = append(s.dead[:0:0], s.dead[over:]...)
-		}
+		s.pushDead(*r.Dead)
 	case kindRegister:
 		if r.Reg == nil || r.Reg.Profile == nil || r.Reg.Profile.Name == "" {
 			s.bad++
@@ -186,6 +185,15 @@ func (s *Store) apply(r walRecord) {
 	default:
 		s.bad++
 	}
+}
+
+// pushDead mirrors one dead letter, keeping the newest
+// agent.DefaultDeadLetterCap like the platform's ring.
+func (s *Store) pushDead(dl agent.DeadLetter) {
+	if s.dead.Len() == 0 { // never empty again once allocated
+		s.dead = obs.NewRing[agent.DeadLetter](agent.DefaultDeadLetterCap)
+	}
+	s.dead.Push(dl)
 }
 
 // journal appends one record to the WAL and mirrors the record it was
@@ -337,7 +345,7 @@ func (s *Store) Compact() error {
 	for id, raw := range s.ckpts {
 		snap.Checkpoints[string(id)] = raw
 	}
-	snap.DeadLetters = append(snap.DeadLetters, s.dead...)
+	snap.DeadLetters = s.dead.Newest(agent.DefaultDeadLetterCap)
 	for name, reg := range s.regs {
 		snap.Registrations[name] = reg
 	}
@@ -419,7 +427,7 @@ func (s *Store) Checkpoints() map[agent.ID]json.RawMessage {
 func (s *Store) DeadLetters() []agent.DeadLetter {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]agent.DeadLetter(nil), s.dead...)
+	return s.dead.Newest(agent.DefaultDeadLetterCap)
 }
 
 // Registrations returns a copy of the journaled advertisements by name.
@@ -440,7 +448,7 @@ func (s *Store) Stats() StoreStats {
 	return StoreStats{
 		WAL:           s.wal.Stats(),
 		Checkpoints:   len(s.ckpts),
-		DeadLetters:   len(s.dead),
+		DeadLetters:   s.dead.Len(),
 		Registrations: len(s.regs),
 		BadRecords:    s.bad,
 		AppendErrors:  s.appendErr,

@@ -399,7 +399,15 @@ func insideAny(lits map[*ast.FuncLit]bool, pos token.Pos) bool {
 // allocation, resolved in-graph call — possibly several at once.
 func (g *Graph) collectCall(fn *FuncNode, call *ast.CallExpr, isDeferred bool) {
 	pkg := fn.Pkg
-	switch target := unparen(call.Fun).(type) {
+	fun := unparen(call.Fun)
+	// An explicit instantiation, f[T](...), calls f.
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	switch target := fun.(type) {
 	case *ast.Ident:
 		switch target.Name {
 		case "make", "new", "append":
@@ -451,10 +459,14 @@ func (g *Graph) collectCall(fn *FuncNode, call *ast.CallExpr, isDeferred bool) {
 }
 
 // resolve maps a called identifier to its FuncNode: nil for anything
-// but a function declared in the loaded code.
+// but a function declared in the loaded code. A method of an
+// instantiated generic type resolves to its declaration (Origin).
 func (g *Graph) resolve(pkg *Package, id *ast.Ident) *FuncNode {
 	fn, _ := pkg.Info.Uses[id].(*types.Func)
-	return g.byObj[fn]
+	if fn == nil {
+		return nil
+	}
+	return g.byObj[fn.Origin()]
 }
 
 // exprKey renders a selector chain ("d.mu", "l.platform.mu") for use as

@@ -191,6 +191,25 @@ func TestHotAllocReadsLocalLiterals(t *testing.T) {
 	}
 }
 
+// TestHotAllocFollowsGenerics: a call to a method of an instantiated
+// generic type, or to a generic function instantiated by name, reaches
+// the body it calls.
+func TestHotAllocFollowsGenerics(t *testing.T) {
+	diags := lint.Run([]*lint.Package{loadFixture(t, "hotalloc")}, []*lint.Analyzer{lint.HotAlloc()})
+	for _, want := range []string{
+		"hot root hotalloc.Method reaches 2 allocation sites,",
+		"hot root hotalloc.Explicit reaches 1 allocation sites,",
+	} {
+		found := false
+		for _, d := range diags {
+			found = found || strings.HasPrefix(d.Message, want)
+		}
+		if !found {
+			t.Errorf("no finding %q in %v", want, diags)
+		}
+	}
+}
+
 // TestDeadIgnoreFixture runs rawclock + deadignore together: the live
 // suppression stays silent, the stale one is the only finding.
 func TestDeadIgnoreFixture(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pervasivegrid/internal/agent"
 )
 
 func TestErrorRateAndDeliveryRateEmpty(t *testing.T) {
@@ -84,6 +86,30 @@ func TestCheckFloodReportFailures(t *testing.T) {
 	}
 	if err := CheckFloodReport(&Report{Metrics: base()}, 0.95, 0.95); err != nil {
 		t.Fatalf("healthy report rejected: %v", err)
+	}
+}
+
+// TestPriorityGateNamesEachLetter: a failed priority-lane gate names
+// every letter it counted, with its platform, reason, route and
+// correlation, and skips the letters of the ordinary lanes.
+func TestPriorityGateNamesEachLetter(t *testing.T) {
+	base, client := agent.NewPlatform("base"), agent.NewPlatform("client")
+	defer base.Close()
+	defer client.Close()
+	for _, ont := range []string{"pgrid-control", "bulk"} {
+		env, err := agent.NewEnvelope("hb", "ghost", "inform", ont, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.InReplyTo = 7
+		_ = base.Send(env)
+	}
+	rep := &Report{Metrics: map[string]float64{"priorityDeliveryRate": 1}}
+	rep.notePriorityDeadLetters(base, client)
+	err := CheckStormReport(rep, 0.99)
+	want := "storm: 1 dead letters on the priority lane [base no_route hb -> ghost seq="
+	if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.HasSuffix(err.Error(), " inReplyTo=7]") {
+		t.Fatalf("err = %v, want %q ... inReplyTo=7]", err, want)
 	}
 }
 

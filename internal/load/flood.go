@@ -318,8 +318,8 @@ func RunFlood(opts FloodOptions) (*Report, error) {
 		"heartbeatsOK":         float64(hbRes.Completed),
 		"priorityDeliveryRate": deliveryRate(hbRes),
 		"liveShelters":         float64(reg.Len()),
-		"priorityDeadLetters":  float64(priorityDeadLetters(base) + priorityDeadLetters(client)),
 	}
+	rep.notePriorityDeadLetters(base, client)
 	return rep, nil
 }
 
@@ -355,8 +355,8 @@ func CheckFloodReport(rep *Report, minQuery, minPriority float64) error {
 	if got := rep.Metrics["priorityDeliveryRate"]; got < minPriority {
 		return fmt.Errorf("flood: heartbeat delivery %.4f below %.4f", got, minPriority)
 	}
-	if got := rep.Metrics["priorityDeadLetters"]; got != 0 {
-		return fmt.Errorf("flood: %g dead letters on the priority lane", got)
+	if rep.Metrics["priorityDeadLetters"] != 0 {
+		return priorityLaneErr("flood", rep)
 	}
 	if got := rep.Metrics["liveShelters"]; got == 0 {
 		return fmt.Errorf("flood: registry empty at end of run — lease churn lost every shelter")

@@ -51,6 +51,9 @@ type Report struct {
 	// turns "p999 spiked" into a dumpable causal timeline
 	// (GET /trace?id=<exemplar> on the target node).
 	Exemplars map[string]string `json:"exemplars,omitempty"`
+	// PriorityDeadLetters names each dead letter counted in the
+	// priorityDeadLetters metric, one line each (see priorityDeadLetters).
+	PriorityDeadLetters []string `json:"priorityDeadLetters,omitempty"`
 }
 
 // HistBucket is one non-empty bucket in a serialized histogram.

@@ -2,6 +2,7 @@ package load
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -162,8 +163,8 @@ func RunStorm(opts StormOptions) (*Report, error) {
 		"priorityOffered":      float64(prioRes.Offered),
 		"priorityOK":           float64(prioRes.Completed),
 		"priorityDeliveryRate": deliveryRate(prioRes),
-		"priorityDeadLetters":  float64(priorityDeadLetters(base) + priorityDeadLetters(client)),
 	}
+	rep.notePriorityDeadLetters(base, client)
 	return rep, nil
 }
 
@@ -175,16 +176,29 @@ func deliveryRate(r *Result) float64 {
 	return float64(r.Completed) / float64(r.Offered)
 }
 
-// priorityDeadLetters counts dead letters that rode the priority lane —
-// the number every scenario gate requires to be zero.
-func priorityDeadLetters(p *agent.Platform) int {
-	n := 0
-	for _, dl := range p.DeadLetters() {
-		if dl.Env.HighPriority() {
-			n++
+// notePriorityDeadLetters records the dead letters that rode the
+// priority lane on the base and client platforms — the letters every
+// scenario gate requires to be none — as the priorityDeadLetters metric,
+// and names each one: platform, reason, From -> To, Seq and InReplyTo.
+func (rep *Report) notePriorityDeadLetters(base, client *agent.Platform) {
+	for _, side := range []struct {
+		name string
+		p    *agent.Platform
+	}{{"base", base}, {"client", client}} {
+		for _, dl := range side.p.DeadLetters() {
+			if dl.Env.HighPriority() {
+				rep.PriorityDeadLetters = append(rep.PriorityDeadLetters, fmt.Sprintf("%s %s %s -> %s seq=%d inReplyTo=%d",
+					side.name, dl.Reason, dl.Env.From, dl.Env.To, dl.Env.Seq, dl.Env.InReplyTo))
+			}
 		}
 	}
-	return n
+	rep.Metrics["priorityDeadLetters"] = float64(len(rep.PriorityDeadLetters))
+}
+
+// priorityLaneErr names the priority dead letters a failed gate counted.
+func priorityLaneErr(scenario string, rep *Report) error {
+	return fmt.Errorf("%s: %g dead letters on the priority lane [%s]",
+		scenario, rep.Metrics["priorityDeadLetters"], strings.Join(rep.PriorityDeadLetters, "; "))
 }
 
 // CheckStormReport applies the scenario's pass criteria to a report:
@@ -195,8 +209,8 @@ func CheckStormReport(rep *Report, minPriority float64) error {
 	if got := rep.Metrics["priorityDeliveryRate"]; got < minPriority {
 		return fmt.Errorf("storm: priority delivery %.4f below %.4f", got, minPriority)
 	}
-	if got := rep.Metrics["priorityDeadLetters"]; got != 0 {
-		return fmt.Errorf("storm: %g dead letters on the priority lane", got)
+	if rep.Metrics["priorityDeadLetters"] != 0 {
+		return priorityLaneErr("storm", rep)
 	}
 	return nil
 }

@@ -120,14 +120,15 @@ func (e *Event) Finish(outcome string, end time.Time) {
 // no-op sink, like Tracer. Its two counts are Counters, read by Total
 // and Evicted and published by AttachMetrics.
 type EventLog struct {
+	// OnEmit, when set, is called outside the log's lock with every
+	// emitted event: the flight recorder's feed. Set it before traffic
+	// starts.
+	OnEmit func(Event)
+
 	mu      sync.Mutex
-	ring    []Event
-	next    int
-	full    bool
+	ring    Ring[Event]
 	emitted Counter
 	evicted Counter
-
-	onEmit func(Event) // chained; called under mu in emit order
 }
 
 // NewEventLog returns a log retaining up to capacity events
@@ -136,7 +137,7 @@ func NewEventLog(capacity int) *EventLog {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &EventLog{ring: make([]Event, capacity)}
+	return &EventLog{ring: NewRing[Event](capacity)}
 }
 
 // AttachMetrics publishes the log's counts in reg as
@@ -149,44 +150,20 @@ func (l *EventLog) AttachMetrics(reg *Registry) {
 	reg.Publish(&l.evicted, "events_evicted_total")
 }
 
-// OnEmit chains a hook called for every emitted event (the flight
-// recorder and the telemetry reporter both tap here). Hooks run in
-// installation order, under the log's lock: keep them fast.
-func (l *EventLog) OnEmit(fn func(Event)) {
-	if l == nil || fn == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	prev := l.onEmit
-	if prev == nil {
-		l.onEmit = fn
-		return
-	}
-	l.onEmit = func(e Event) { prev(e); fn(e) }
-}
-
 // Emit records one finished conversation. Safe on nil.
 func (l *EventLog) Emit(e Event) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	if l.full {
+	if l.ring.Push(e) {
 		l.evicted.Inc()
 	}
-	l.ring[l.next] = e
-	l.next++
 	l.emitted.Inc()
-	if l.next == len(l.ring) {
-		l.next = 0
-		l.full = true
-	}
-	fn := l.onEmit
-	if fn != nil {
-		fn(e)
-	}
 	l.mu.Unlock()
+	if l.OnEmit != nil {
+		l.OnEmit(e)
+	}
 }
 
 // Total reports events ever emitted (including evicted ones).
@@ -205,6 +182,16 @@ func (l *EventLog) Evicted() uint64 {
 	return uint64(l.evicted.Value())
 }
 
+// Len reports the events retained.
+func (l *EventLog) Len() int {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ring.Len()
+}
+
 // Events returns the retained events, oldest first.
 func (l *EventLog) Events() []Event {
 	if l == nil {
@@ -212,37 +199,20 @@ func (l *EventLog) Events() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.full {
-		out := make([]Event, l.next)
-		copy(out, l.ring[:l.next])
-		return out
-	}
-	out := make([]Event, 0, len(l.ring))
-	out = append(out, l.ring[l.next:]...)
-	out = append(out, l.ring[:l.next]...)
-	return out
+	return l.ring.Newest(l.ring.Len())
 }
 
-// Since returns events emitted after the first fromTotal emissions —
-// the delta-shipping shape the telemetry reporter uses. Events already
-// evicted from the ring are gone; the second return value is the new
-// total to resume from.
-func (l *EventLog) Since(fromTotal uint64) ([]Event, uint64) {
+// Since returns the newest events emitted after the first from, at
+// most limit of them, oldest first, and the total to resume from.
+// Events already evicted from the ring are gone.
+func (l *EventLog) Since(from uint64, limit int) ([]Event, uint64) {
 	if l == nil {
 		return nil, 0
 	}
-	total := l.Total()
-	if total <= fromTotal {
-		return nil, total
-	}
-	all := l.Events()
-	want := total - fromTotal
-	if want < uint64(len(all)) {
-		all = all[uint64(len(all))-want:]
-	}
-	out := make([]Event, len(all))
-	copy(out, all)
-	return out, total
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	total := uint64(l.emitted.Value())
+	return l.ring.Newest(fresh(total, from, limit)), total
 }
 
 // eventsPage is the /events.json response shape.

@@ -84,7 +84,7 @@ func TestTracerHeadSamplingLedger(t *testing.T) {
 
 	tr.Record(span(in, SpanSend, t0))
 	tr.Record(span(out, SpanSend, t0))
-	if got := tr.SampledTotal(); got != 1 {
+	if got := uint64(tr.sampled.Value()); got != 1 {
 		t.Fatalf("sampled = %d, want 1", got)
 	}
 	// The head decision is final: the unsampled span is counted dropped
@@ -115,7 +115,7 @@ func TestTracerUnsampledTraceKeepsOnlyItsDropSpan(t *testing.T) {
 	tr := NewTracer(64)
 	tr.SetSampler(smp)
 	var hooked []Span
-	tr.SetOnRecord(func(s Span) { hooked = append(hooked, s) })
+	tr.OnRecord = func(s Span) { hooked = append(hooked, s) }
 	t0 := time.Now()
 
 	tr.Record(span(out, SpanSend, t0))
@@ -128,17 +128,17 @@ func TestTracerUnsampledTraceKeepsOnlyItsDropSpan(t *testing.T) {
 	if len(hooked) != 1 || hooked[0].Kind != SpanDrop {
 		t.Fatalf("OnRecord saw %d spans, want the drop span alone", len(hooked))
 	}
-	if tr.SampledTotal() != 1 || uint64(tr.dropped.Value()) != 2 {
-		t.Fatalf("ledger sampled=%d dropped=%d, want 1/2", tr.SampledTotal(), uint64(tr.dropped.Value()))
+	if uint64(tr.sampled.Value()) != 1 || uint64(tr.dropped.Value()) != 2 {
+		t.Fatalf("ledger sampled=%d dropped=%d, want 1/2", uint64(tr.sampled.Value()), uint64(tr.dropped.Value()))
 	}
 
 	// Off is off: not even a drop span is kept.
 	off := NewTracer(8)
 	off.SetSampler(SamplerOff)
 	off.Record(span(out, SpanDrop, t0))
-	if off.SampledTotal() != 0 || uint64(off.dropped.Value()) != 1 || len(off.Spans()) != 0 {
+	if uint64(off.sampled.Value()) != 0 || uint64(off.dropped.Value()) != 1 || len(off.Spans()) != 0 {
 		t.Fatalf("off mode: sampled=%d dropped=%d spans=%d, want 0/1/0",
-			off.SampledTotal(), uint64(off.dropped.Value()), len(off.Spans()))
+			uint64(off.sampled.Value()), uint64(off.dropped.Value()), len(off.Spans()))
 	}
 }
 
@@ -168,7 +168,7 @@ func TestTracerLedgerLaw(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		sampled, dropped, evicted := tr.SampledTotal(), uint64(tr.dropped.Value()), uint64(tr.evicted.Value())
+		sampled, dropped, evicted := uint64(tr.sampled.Value()), uint64(tr.dropped.Value()), uint64(tr.evicted.Value())
 		if sampled+dropped != recorders*perRecorder {
 			t.Errorf("rate %g: sampled %d + dropped %d != %d records",
 				smp.rate, sampled, dropped, recorders*perRecorder)
@@ -221,7 +221,7 @@ func TestEventLogRingSinceAndHandler(t *testing.T) {
 	reg := NewRegistry()
 	l.AttachMetrics(reg)
 	var hooked int
-	l.OnEmit(func(Event) { hooked++ })
+	l.OnEmit = func(Event) { hooked++ }
 
 	t0 := time.Now()
 	for i := 0; i < 6; i++ {
@@ -241,18 +241,18 @@ func TestEventLogRingSinceAndHandler(t *testing.T) {
 			len(evs), evs[0].Trace, evs[len(evs)-1].Trace)
 	}
 
-	// Delta shipping: Since(fromTotal) returns only what is new, and
-	// re-asking from the returned total yields nothing.
-	newer, total := l.Since(4)
+	// Since(fromTotal, limit) returns only what is new, and re-asking
+	// from the returned total yields nothing.
+	newer, total := l.Since(4, 4)
 	if len(newer) != 2 || newer[0].Trace != 5 || total != 6 {
 		t.Fatalf("Since(4) = %d events from trace %d (total %d), want 2 from 5 (6)",
 			len(newer), newer[0].Trace, total)
 	}
-	if again, _ := l.Since(total); len(again) != 0 {
+	if again, _ := l.Since(total, 4); len(again) != 0 {
 		t.Fatalf("Since(total) returned %d events, want 0", len(again))
 	}
 	// A gap larger than the ring degrades to "everything retained".
-	all, _ := l.Since(1)
+	all, _ := l.Since(1, 4)
 	if len(all) != 4 {
 		t.Fatalf("Since(1) = %d events, want the 4 retained", len(all))
 	}

@@ -47,7 +47,7 @@ type Span struct {
 }
 
 // Tracer is a bounded ring of spans with optional head sampling.
-// Recording is cheap: one mutexed append for a kept span, one atomic
+// Recording is cheap: one mutexed push for a kept span, one atomic
 // add for one the sampler passes over, with no clock read and no lock.
 // The ring keeps the most recent kept spans and evicts the oldest,
 // counting every eviction. A nil *Tracer is a valid no-op sink.
@@ -61,24 +61,25 @@ type Span struct {
 //
 // The ledger is exact and loss is never silent; every Record call
 // counts once as sampled or dropped. Each count is one Counter, published
-// by AttachMetrics (SampledTotal reads the first):
+// by AttachMetrics (Since resumes from the first):
 //
 //	trace_sampled_total — spans kept in the ring
 //	trace_dropped_total — spans the sampler passed over
 //	trace_evicted_total — kept spans later overwritten by ring wrap
 type Tracer struct {
+	// OnRecord, when set, is called outside the tracer's lock with every
+	// span kept in the ring: the flight recorder's feed. Set it before
+	// traffic starts.
+	OnRecord func(Span)
+
 	mu   sync.Mutex
-	ring []Span
-	next int
-	full bool
+	ring Ring[Span]
 
 	sampler atomic.Pointer[Sampler]
 
 	sampled Counter
 	dropped Counter
 	evicted Counter
-
-	onRecord atomic.Value // func(Span): the flight-recorder feed (SetOnRecord)
 }
 
 // NewTracer returns a tracer retaining up to capacity spans
@@ -87,7 +88,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Tracer{ring: make([]Span, capacity)}
+	return &Tracer{ring: NewRing[Span](capacity)}
 }
 
 // SetSampler installs (or with nil, removes) the head sampler. Safe on
@@ -110,28 +111,6 @@ func (t *Tracer) AttachMetrics(reg *Registry) {
 	reg.Publish(&t.evicted, "trace_evicted_total")
 }
 
-// SetOnRecord installs a hook called (outside the tracer lock) for
-// every span kept in the ring — the flight-recorder feed. Pass nil to
-// detach.
-func (t *Tracer) SetOnRecord(fn func(Span)) {
-	if t == nil {
-		return
-	}
-	if fn == nil {
-		t.onRecord.Store((func(Span))(nil))
-		return
-	}
-	t.onRecord.Store(fn)
-}
-
-// SampledTotal reports spans kept in the ring since start.
-func (t *Tracer) SampledTotal() uint64 {
-	if t == nil {
-		return 0
-	}
-	return uint64(t.sampled.Value())
-}
-
 // Record keeps a span if its trace is head-sampled or it is a drop span
 // (never under SamplerOff), and counts it dropped otherwise. The
 // decision comes before the clock read and the lock. Safe on nil.
@@ -148,19 +127,13 @@ func (t *Tracer) Record(s Span) {
 		s.Time = time.Now()
 	}
 	t.mu.Lock()
-	if t.full {
+	if t.ring.Push(s) {
 		t.evicted.Inc()
-	}
-	t.ring[t.next] = s
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.full = true
 	}
 	t.sampled.Inc()
 	t.mu.Unlock()
-	if fn, _ := t.onRecord.Load().(func(Span)); fn != nil {
-		fn(s)
+	if t.OnRecord != nil {
+		t.OnRecord(s)
 	}
 }
 
@@ -171,15 +144,29 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.full {
-		out := make([]Span, t.next)
-		copy(out, t.ring[:t.next])
-		return out
+	return t.ring.Newest(t.ring.Len())
+}
+
+// Since returns the newest spans kept after the first from, at most
+// limit of them, oldest first, and the total to resume from. Spans
+// already evicted from the ring are gone.
+func (t *Tracer) Since(from uint64, limit int) ([]Span, uint64) {
+	if t == nil {
+		return nil, 0
 	}
-	out := make([]Span, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	total := uint64(t.sampled.Value())
+	return t.ring.Newest(fresh(total, from, limit)), total
+}
+
+// fresh is how many values a Since call copies: those recorded after
+// the first from of total, at most limit.
+func fresh(total, from uint64, limit int) int {
+	if total <= from {
+		return 0
+	}
+	return int(min(total-from, uint64(max(limit, 0))))
 }
 
 // Trace returns the retained spans for one trace ID, in time order.

@@ -76,7 +76,7 @@ func TestMonitorOnHealthChange(t *testing.T) {
 	p := agent.NewPlatform("hub")
 	p.Clock = clk
 	defer p.Close()
-	mon, err := RegisterMonitor(p, MonitorOptions{Interval: time.Second, Clock: clk})
+	mon, err := RegisterMonitor(p, MonitorOptions{Interval: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

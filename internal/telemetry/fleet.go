@@ -84,7 +84,7 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 
 	mp := agent.NewPlatform("monitor")
 	mp.Clock = cfg.Clock
-	mon, err := RegisterMonitor(mp, MonitorOptions{Interval: cfg.Interval, Clock: cfg.Clock})
+	mon, err := RegisterMonitor(mp, MonitorOptions{Interval: cfg.Interval})
 	if err != nil {
 		mp.Close()
 		return nil, err
@@ -128,13 +128,7 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 		link := agent.DialReconnect(np, gw.Addr(), agent.ReconnectOptions{
 			WrapRoute: inj.WrapRoute,
 		})
-		rep, err := StartReporter(np, ReporterOptions{Interval: cfg.Interval, Clock: cfg.Clock})
-		if err != nil {
-			link.Close()
-			np.Close()
-			f.Close()
-			return nil, err
-		}
+		rep := StartReporter(np, ReporterOptions{Interval: cfg.Interval})
 		prober := NewProber(np, ProbeOptions{Interval: cfg.Interval})
 		f.Nodes = append(f.Nodes, &FleetNode{
 			Name:     name,

@@ -151,10 +151,7 @@ func TestReporterIdentity(t *testing.T) {
 	if _, err := RegisterMonitor(p, MonitorOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := StartReporter(p, ReporterOptions{Interval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := StartReporter(p, ReporterOptions{Interval: time.Hour})
 	defer rep.Close()
 	if rep.id != "telemetry-reporter-node-x" {
 		t.Fatalf("reporter id = %q (must be fleet-unique)", rep.id)
@@ -194,10 +191,7 @@ func TestTraceShowsFailedUnsampledConversation(t *testing.T) {
 	if trace == 0 {
 		t.Fatal("the timed-out conversation emitted no wide event")
 	}
-	rep, err := StartReporter(p, ReporterOptions{Interval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := StartReporter(p, ReporterOptions{Interval: time.Hour})
 	defer rep.Close()
 	waitFor(t, "the event at the monitor", func() bool { return len(mon.Events().Events()) > 0 })
 
@@ -212,4 +206,90 @@ func TestTraceShowsFailedUnsampledConversation(t *testing.T) {
 	if !smp.Sampled(trace) && !strings.Contains(body, "(0 spans)") {
 		t.Fatalf("an unsampled trace kept spans:\n%s", body)
 	}
+}
+
+// TestFleetMetricsNeverRepeatALabel: a monitor host that reports to
+// itself ships its own telemetry_* series, which the fleet merge labels
+// node="<host>". No key served on /metrics may then name one label
+// twice, or a Prometheus scrape rejects the sample.
+func TestFleetMetricsNeverRepeatALabel(t *testing.T) {
+	host := agent.NewPlatform("monitor-host")
+	defer host.Close()
+	mon, err := RegisterMonitor(host, MonitorOptions{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	gw, err := agent.ListenAndServe(host, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	self := StartReporter(host, ReporterOptions{Interval: time.Hour})
+	defer self.Close()
+
+	remote := agent.NewPlatform("node-2")
+	defer remote.Close()
+	link := agent.DialReconnect(remote, gw.Addr(), agent.ReconnectOptions{})
+	defer link.Close()
+	rep := StartReporter(remote, ReporterOptions{Interval: time.Hour})
+	defer rep.Close()
+
+	// The host's report must carry the count of node-2's reports, so
+	// report again until the merged view holds it.
+	waitFor(t, "the host's self-report counting node-2", func() bool {
+		_ = rep.ReportNow()
+		_ = self.ReportNow()
+		for key := range mon.Snapshot().Counters {
+			if strings.HasPrefix(key, "telemetry_reports_total{") && strings.Contains(key, `"node-2"`) &&
+				strings.HasSuffix(key, `node="monitor-host"}`) {
+				return true
+			}
+		}
+		return false
+	})
+
+	rec := httptest.NewRecorder()
+	Handler(mon, host.Metrics()).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		seen := map[string]bool{}
+		for _, name := range labelNames(t, line) {
+			if seen[name] {
+				t.Errorf("label %q repeats in %s", name, line)
+			}
+			seen[name] = true
+		}
+	}
+}
+
+// labelNames parses the label names of one exposition line,
+// `name{a="x",b="y"} 1`, honouring escaped quotes in values.
+func labelNames(t *testing.T, line string) []string {
+	open := strings.IndexByte(line, '{')
+	if open < 0 || open > strings.IndexByte(line, ' ') {
+		return nil
+	}
+	var names []string
+	rest := line[open+1:]
+	for rest != "" && rest[0] != '}' {
+		eq := strings.Index(rest, `="`)
+		if eq < 0 {
+			t.Fatalf("unparsable labels in %s", line)
+		}
+		names = append(names, strings.TrimPrefix(rest[:eq], ","))
+		i := eq + 2
+		for ; i < len(rest) && rest[i] != '"'; i++ {
+			if rest[i] == '\\' {
+				i++
+			}
+		}
+		if i >= len(rest) {
+			t.Fatalf("unterminated label value in %s", line)
+		}
+		rest = rest[i+1:]
+	}
+	return names
 }

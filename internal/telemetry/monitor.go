@@ -46,9 +46,6 @@ type MonitorOptions struct {
 	// (default 1s). A node whose last report is older than 2× Interval is
 	// degraded, older than 4× suspect, older than 8× down.
 	Interval time.Duration
-	// Clock is the staleness time source (default: the platform's
-	// clock); tests drive health transitions with obs.FakeClock.
-	Clock obs.Clock
 	// Breakers, when set, closes the health→delivery feedback loop:
 	// SyncBreakers force-opens the breaker of every suspect or down
 	// node (senders stop feeding a node the monitor believes dead) and
@@ -65,18 +62,13 @@ const (
 	monitorEventCapacity = 4096
 )
 
-func (o MonitorOptions) withDefaults(p *agent.Platform) MonitorOptions {
-	if o.Interval <= 0 {
-		o.Interval = time.Second
+// clockOf is the platform's clock, the telemetry plane's one time
+// source: staleness, report stamps, probe RTTs and the periodic loops.
+func clockOf(p *agent.Platform) obs.Clock {
+	if p.Clock != nil {
+		return p.Clock
 	}
-	if o.Clock == nil {
-		if p.Clock != nil {
-			o.Clock = p.Clock
-		} else {
-			o.Clock = obs.Real
-		}
-	}
-	return o
+	return obs.Real
 }
 
 // nodeState is everything the monitor knows about one node.
@@ -102,6 +94,7 @@ type nodeState struct {
 type Monitor struct {
 	platform *agent.Platform
 	opts     MonitorOptions
+	clk      obs.Clock
 	tracer   *obs.Tracer
 	events   *obs.EventLog
 
@@ -119,11 +112,10 @@ type Monitor struct {
 // sending Report envelopes to MonitorID — from the same platform or
 // across any number of gateways.
 func RegisterMonitor(p *agent.Platform, opts MonitorOptions) (*Monitor, error) {
-	m := &Monitor{
-		platform: p,
-		opts:     opts.withDefaults(p),
-		nodes:    map[string]*nodeState{},
+	if opts.Interval <= 0 {
+		opts.Interval = time.Second
 	}
+	m := &Monitor{platform: p, opts: opts, clk: clockOf(p), nodes: map[string]*nodeState{}}
 	m.tracer = obs.NewTracer(monitorTraceCapacity)
 	m.events = obs.NewEventLog(monitorEventCapacity)
 	err := p.Register(MonitorID, agent.HandlerFunc(m.handle),
@@ -157,7 +149,7 @@ func (m *Monitor) handle(env agent.Envelope, _ *agent.Context) {
 // its own. Exported so in-process deployments (and tests) can bypass the
 // envelope layer.
 func (m *Monitor) Ingest(rep Report) {
-	now := m.opts.Clock.Now()
+	now := m.clk.Now()
 	m.mu.Lock()
 	ns := m.nodes[rep.Node]
 	if ns == nil {
@@ -193,7 +185,7 @@ func (m *Monitor) Ingest(rep Report) {
 	}
 
 	reg := m.platform.Metrics()
-	reg.Counter("telemetry_reports_total", "node", rep.Node).Inc()
+	reg.Counter("telemetry_reports_total", "reporter", rep.Node).Inc()
 	reg.Counter("telemetry_spans_total").Add(float64(len(rep.Spans)))
 	reg.Counter("telemetry_events_total").Add(float64(len(rep.Events)))
 	reg.Gauge("telemetry_nodes").Set(float64(m.NodeCount()))
@@ -237,7 +229,7 @@ func (m *Monitor) OnHealthChange(fn func(node string, from, to Health)) func() {
 // m.mu — pushes verdicts into the breaker set and notifies subscribers.
 func (m *Monitor) evaluate() {
 	bs := m.opts.Breakers
-	now := m.opts.Clock.Now()
+	now := m.clk.Now()
 	type verdict struct {
 		node     string
 		from, to Health
@@ -398,7 +390,7 @@ type FleetView struct {
 
 // Fleet builds the current fleet view, nodes sorted by name.
 func (m *Monitor) Fleet() FleetView {
-	now := m.opts.Clock.Now()
+	now := m.clk.Now()
 	fv := FleetView{GeneratedAt: now, Worst: Healthy}
 	m.mu.Lock()
 	names := make([]string, 0, len(m.nodes))
@@ -435,7 +427,7 @@ func (m *Monitor) Fleet() FleetView {
 		}
 	}
 	fv.Traces = len(m.tracer.Traces())
-	fv.Events = len(m.events.Events())
+	fv.Events = m.events.Len()
 	m.evaluate()
 	if m.opts.Breakers != nil {
 		fv.Breakers = m.opts.Breakers.Snapshot()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"pervasivegrid/internal/agent"
-	"pervasivegrid/internal/obs"
 	"pervasivegrid/internal/partition"
 	"pervasivegrid/internal/supervise"
 )
@@ -32,26 +31,17 @@ type ProbeOptions struct {
 	// Timeout bounds one probe conversation (default 250ms). A probe
 	// that times out counts as lost.
 	Timeout time.Duration
-	// Clock is the RTT time source (default: the platform's clock).
-	Clock obs.Clock
 }
 
 // EchoID is the well-known echo responder the monitor side registers.
 const EchoID agent.ID = "telemetry-echo"
 
-func (o ProbeOptions) withDefaults(p *agent.Platform) ProbeOptions {
+func (o ProbeOptions) withDefaults() ProbeOptions {
 	if o.Interval <= 0 {
 		o.Interval = time.Second
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 250 * time.Millisecond
-	}
-	if o.Clock == nil {
-		if p.Clock != nil {
-			o.Clock = p.Clock
-		} else {
-			o.Clock = obs.Real
-		}
 	}
 	return o
 }
@@ -74,23 +64,16 @@ func RegisterEcho(p *agent.Platform) error {
 type Prober struct {
 	platform *agent.Platform
 	opts     ProbeOptions
-	done     chan struct{}
-	stopped  chan struct{}
 
 	mu     sync.Mutex
+	loop   *supervise.Proc // the periodic loop, once started
 	closed bool
-	once   sync.Once
 }
 
 // NewProber builds a prober; call ProbeOnce for synchronous probes or
 // Start for a background probe loop.
 func NewProber(p *agent.Platform, opts ProbeOptions) *Prober {
-	return &Prober{
-		platform: p,
-		opts:     opts.withDefaults(p),
-		done:     make(chan struct{}),
-		stopped:  make(chan struct{}),
-	}
+	return &Prober{platform: p, opts: opts.withDefaults()}
 }
 
 // ProbeOnce round-trips one probe and records it. It returns the RTT and
@@ -98,7 +81,7 @@ func NewProber(p *agent.Platform, opts ProbeOptions) *Prober {
 func (pr *Prober) ProbeOnce() (time.Duration, bool) {
 	reg := pr.platform.Metrics()
 	reg.Counter(partition.SeriesTransportProbeSent).Inc()
-	clk := pr.opts.Clock
+	clk := clockOf(pr.platform)
 	start := clk.Now()
 	// A single attempt, so each probe measures one shot of the link, not
 	// the retry layer.
@@ -113,38 +96,23 @@ func (pr *Prober) ProbeOnce() (time.Duration, bool) {
 	return rtt, true
 }
 
-// Start launches the periodic probe loop (idempotent).
+// Start launches the periodic probe loop. Idempotent, and a no-op
+// after Close.
 func (pr *Prober) Start() {
-	pr.once.Do(func() {
-		supervise.Spawn("telemetry-probe", func() {
-			defer close(pr.stopped)
-			for {
-				select {
-				case <-pr.done:
-					return
-				case <-pr.opts.Clock.After(pr.opts.Interval):
-				}
-				select {
-				case <-pr.done:
-					return
-				default:
-				}
-				pr.ProbeOnce()
-			}
-		})
-	})
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	if pr.loop == nil && !pr.closed {
+		pr.loop = supervise.Periodic("telemetry-probe", clockOf(pr.platform), pr.opts.Interval, func() { pr.ProbeOnce() })
+	}
 }
 
-// Close stops the probe loop.
+// Close stops the probe loop. Idempotent.
 func (pr *Prober) Close() {
 	pr.mu.Lock()
-	if pr.closed {
-		pr.mu.Unlock()
-		return
-	}
 	pr.closed = true
+	loop := pr.loop
 	pr.mu.Unlock()
-	close(pr.done)
-	pr.once.Do(func() { close(pr.stopped) }) // loop never started
-	<-pr.stopped
+	if loop != nil {
+		loop.Stop()
+	}
 }

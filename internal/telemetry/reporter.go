@@ -18,8 +18,6 @@ type ReporterOptions struct {
 	// Sources are extra metric registries merged into the node snapshot
 	// alongside the platform's own registry (e.g. core.Runtime.Metrics).
 	Sources []obs.Source
-	// Clock overrides the time source (default: the platform's clock).
-	Clock obs.Clock
 }
 
 // A report ships at most the newest reportMaxSpans spans and
@@ -37,20 +35,6 @@ const (
 	reportMaxBytes  = 1 << 20
 )
 
-func (o ReporterOptions) withDefaults(p *agent.Platform) ReporterOptions {
-	if o.Interval <= 0 {
-		o.Interval = time.Second
-	}
-	if o.Clock == nil {
-		if p.Clock != nil {
-			o.Clock = p.Clock
-		} else {
-			o.Clock = obs.Real
-		}
-	}
-	return o
-}
-
 // Reporter is the reporter deputy: it periodically snapshots its node's
 // observability state and ships it to the fleet monitor. Every report
 // carries the node's full snapshot, so the monitor needs no earlier
@@ -58,13 +42,13 @@ func (o ReporterOptions) withDefaults(p *agent.Platform) ReporterOptions {
 type Reporter struct {
 	platform *agent.Platform
 	opts     ReporterOptions
+	clk      obs.Clock
 	boot     time.Time // the incarnation every report names
 	// id is the reports' sender, "telemetry-reporter-" + platform name:
 	// reporters crossing one gateway must be unique fleet-wide so reverse
 	// routes don't collide.
-	id      agent.ID
-	done    chan struct{}
-	stopped chan struct{}
+	id   agent.ID
+	loop *supervise.Proc
 
 	mu         sync.Mutex
 	seq        uint64
@@ -73,38 +57,17 @@ type Reporter struct {
 	closed     bool
 }
 
-// StartReporter begins p's report loop: one immediate report, then one
-// report per interval. Close stops the loop.
-func StartReporter(p *agent.Platform, opts ReporterOptions) (*Reporter, error) {
-	r := &Reporter{
-		platform: p,
-		opts:     opts.withDefaults(p),
-		id:       agent.ID("telemetry-reporter-" + p.Name),
-		done:     make(chan struct{}),
-		stopped:  make(chan struct{}),
+// StartReporter sends p's first report, then one report per interval
+// until Close.
+func StartReporter(p *agent.Platform, opts ReporterOptions) *Reporter {
+	if opts.Interval <= 0 {
+		opts.Interval = time.Second
 	}
-	r.boot = r.opts.Clock.Now()
-	supervise.Spawn("telemetry-reporter", r.loop)
-	return r, nil
-}
-
-func (r *Reporter) loop() {
-	defer close(r.stopped)
-	clk := r.opts.Clock
+	r := &Reporter{platform: p, opts: opts, clk: clockOf(p), id: agent.ID("telemetry-reporter-" + p.Name)}
+	r.boot = r.clk.Now()
 	_ = r.ReportNow() // announce the node immediately
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-clk.After(r.opts.Interval):
-		}
-		select {
-		case <-r.done:
-			return
-		default:
-		}
-		_ = r.ReportNow()
-	}
+	r.loop = supervise.Periodic("telemetry-reporter", r.clk, opts.Interval, func() { _ = r.ReportNow() })
+	return r
 }
 
 // snapshot captures the node's merged metric view (platform registry +
@@ -120,44 +83,6 @@ func (r *Reporter) snapshot() obs.Snapshot {
 	return obs.Merge(snaps...)
 }
 
-// newSpans returns the spans recorded since the previous report, capped
-// at reportMaxSpans (most recent kept), and the tracer total to remember.
-func (r *Reporter) newSpans(prevTotal uint64) ([]obs.Span, uint64) {
-	tr := r.platform.Tracer
-	if tr == nil {
-		return nil, 0
-	}
-	total := tr.SampledTotal()
-	fresh := total - prevTotal
-	if fresh == 0 {
-		return nil, total
-	}
-	spans := tr.Spans() // oldest first; the ring may have evicted some
-	if uint64(len(spans)) > fresh {
-		spans = spans[uint64(len(spans))-fresh:]
-	}
-	if len(spans) > reportMaxSpans {
-		spans = spans[len(spans)-reportMaxSpans:]
-	}
-	out := make([]obs.Span, len(spans))
-	copy(out, spans)
-	return out, total
-}
-
-// newEvents returns the wide events emitted since the previous report,
-// capped at reportMaxEvents (most recent kept), and the log total to remember.
-func (r *Reporter) newEvents(prevTotal uint64) ([]obs.Event, uint64) {
-	el := r.platform.Events
-	if el == nil {
-		return nil, 0
-	}
-	events, total := el.Since(prevTotal)
-	if len(events) > reportMaxEvents {
-		events = events[len(events)-reportMaxEvents:]
-	}
-	return events, total
-}
-
 // ReportNow builds and ships one report immediately (also used by the
 // periodic loop). It is sent once: a lost report costs the monitor one
 // interval of freshness, and the next report replaces it whole.
@@ -168,8 +93,8 @@ func (r *Reporter) ReportNow() error {
 		return agent.ErrClosed
 	}
 	snap := r.snapshot()
-	spans, spanTotal := r.newSpans(r.spanTotal)
-	events, eventTotal := r.newEvents(r.eventTotal)
+	spans, spanTotal := r.platform.Tracer.Since(r.spanTotal, reportMaxSpans)
+	events, eventTotal := r.platform.Events.Since(r.eventTotal, reportMaxEvents)
 	r.seq++
 	rep := Report{
 		Node:   r.platform.Name,
@@ -178,7 +103,7 @@ func (r *Reporter) ReportNow() error {
 		Snap:   snap,
 		Spans:  spans,
 		Events: events,
-		SentAt: r.opts.Clock.Now(),
+		SentAt: r.clk.Now(),
 	}
 	r.spanTotal = spanTotal
 	r.eventTotal = eventTotal
@@ -192,15 +117,10 @@ func (r *Reporter) ReportNow() error {
 	return r.platform.Send(env)
 }
 
-// Close stops the report loop.
+// Close stops the report loop. Idempotent.
 func (r *Reporter) Close() {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
 	r.closed = true
 	r.mu.Unlock()
-	close(r.done)
-	<-r.stopped
+	r.loop.Stop()
 }

@@ -38,13 +38,10 @@ func TestReporterShipsSnapshotsToLocalMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	app := obs.NewRegistry()
-	rep, err := StartReporter(p, ReporterOptions{
+	rep := StartReporter(p, ReporterOptions{
 		Interval: time.Second,
 		Sources:  []obs.Source{app},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer rep.Close()
 
 	// The reporter announces itself immediately.
@@ -94,10 +91,7 @@ func TestHealthDecaysWithStalenessAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := StartReporter(p, ReporterOptions{Interval: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := StartReporter(p, ReporterOptions{Interval: time.Second})
 	waitFor(t, "first report", func() bool { return mon.Reports("node-b") >= 1 })
 
 	// Stop reporting and walk the clock through every threshold:
@@ -124,10 +118,7 @@ func TestHealthDecaysWithStalenessAndRecovers(t *testing.T) {
 	}
 
 	// A fresh report snaps the node straight back to healthy.
-	rep2, err := StartReporter(p, ReporterOptions{Interval: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := StartReporter(p, ReporterOptions{Interval: time.Second})
 	defer rep2.Close()
 	waitFor(t, "recovery report", func() bool { return mon.Health("node-b") == Healthy })
 }
@@ -392,10 +383,7 @@ func TestLostReportCostsOneInterval(t *testing.T) {
 	np.AddRoute(func(env agent.Envelope) bool { up <- env; return true })
 	mp.AddRoute(func(env agent.Envelope) bool { down <- env; return true })
 	app := obs.NewRegistry()
-	rep, err := StartReporter(np, ReporterOptions{Interval: time.Second, Sources: []obs.Source{app}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := StartReporter(np, ReporterOptions{Interval: time.Second, Sources: []obs.Source{app}})
 	defer rep.Close()
 
 	// deliver hands the next report to the monitor and returns it.
@@ -509,7 +497,7 @@ func (m *Monitor) Reports(node string) uint64 {
 
 // Health returns a node's current health (Down for unknown nodes).
 func (m *Monitor) Health(node string) Health {
-	now := m.opts.Clock.Now()
+	now := m.clk.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ns := m.nodes[node]
